@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -46,6 +44,7 @@ STRICT_TOL = 1e-7      # margin below which a strict inequality is not trusted
 REPLAY_TOL = 1e-7      # witness replay agreement
 DUALITY_TOL = 1e-6     # conic primal / multiplier dual agreement
 LEVEL_SMEAR = 1e-3     # default fattening of the image of the reference set
+INCLUSION_ONLY = "inclusion-only: constraint qualification unverified"
 
 
 # ---------------------------------------------------------------------------
@@ -319,25 +318,14 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     return CqResult(kind_u, wit is None, witness=wit, notes=notes + N.notes)
 
 
-_MSCQ_CACHE: dict = {}
-
-
 def certify_mscq(p: ProblemInstance, x, d) -> tuple[bool, str, tuple]:
     """Metric subregularity of the constraint map at (x, d), by cascade:
     affine g into a polyhedral-union K holds automatically; otherwise
     FOSCMS, then SOSCMS, then a sampling probe that is flagged as evidence
-    rather than proof."""
+    rather than proof.  Computed fresh on each call; callers that need the
+    result more than once keep it."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    key = (id(p), x.tobytes(), d.tobytes())
-    if key in _MSCQ_CACHE:
-        return _MSCQ_CACHE[key]
-    out = _certify_mscq_inner(p, x, d)
-    _MSCQ_CACHE[key] = out
-    return out
-
-
-def _certify_mscq_inner(p, x, d):
     gj = p.g_jet(x)
     affine = all(np.max(np.abs(H)) <= TOL for H in gj.hessians)
     if affine and p.K.as_region() is not None:
@@ -506,28 +494,36 @@ def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
     if kind not in ("tangent", "outer2", "asymp2"):
         raise ModelError(f"unknown tangent kind {kind!r}")
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
-    _, J, _, qg = _jet_data(p, x)
-    need_dir = kind != "tangent"
-    if need_dir and d is None:
+    if kind != "tangent" and d is None:
         raise ModelError("a direction is required for second-order objects")
     d = None if d is None else np.asarray(d, dtype=float).ravel()
-    u = None if d is None else J @ d
-    shift = qg(d) if (kind == "outer2" and d is not None) else np.zeros(p.m)
 
     if level == "point":
-        base = _point_object_K(p, kind, p.g_value(x), u)
-        reg = base.affine_preimage(J, shift)
+        reg = _point_phi_tangents(p, x, d, kind)
         ok, method, notes = certify_mscq(p, x, d if d is not None else np.zeros(p.n))
         if ok:
             return reg.with_notes(f"exact under {method}", *notes)
-        return reg.with_notes("inclusion-only: constraint qualification unverified",
-                              *notes)
+        return reg.with_notes(INCLUSION_ONLY, *notes)
     if level != "level_set":
         raise ModelError(f"unknown level mode {level!r}")
+    _, J, _, qg = _jet_data(p, x)
+    u = None if d is None else J @ d
+    shift = qg(d) if kind == "outer2" else np.zeros(p.m)
     smear = LEVEL_SMEAR if eps is None else float(eps)
     base = _level_tangent_K(p, kind, u, smear=smear)
     reg = base.affine_preimage(J, shift)
     return _attach_level_certificates(p, reg, base, kind, u)
+
+
+def _point_phi_tangents(p: ProblemInstance, x: np.ndarray, d: np.ndarray | None,
+                        kind: str) -> Region:
+    """Point-mode preimage of the K-side object of ``kind`` at g(x) under the
+    constraint linearization at x, without constraint-qualification notes;
+    whether it is exact is the caller's MSCQ result to report."""
+    _, J, _, qg = _jet_data(p, x)
+    u = None if d is None else J @ d
+    shift = qg(d) if kind == "outer2" else np.zeros(p.m)
+    return _point_object_K(p, kind, p.g_value(x), u).affine_preimage(J, shift)
 
 
 def _attach_level_certificates(p, reg: Region, base: Region, kind: str,
@@ -648,14 +644,13 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     if pre is not None:
         return pre
 
-    ok, method, notes = certify_mscq(p, x, d)
-    cq = {"mscq": method if ok else "unverified"}
-    diags.extend(notes)
-    exact = ok
-
-    Tpp = linearized_phi_tangents(p, x, d, "asymp2")
-    T2 = linearized_phi_tangents(p, x, d, "outer2")
-    diags.extend(n for n in Tpp.notes + T2.notes if "exact under" not in n)
+    exact, method, notes = certify_mscq(p, x, d)
+    cq = {"mscq": method if exact else "unverified"}
+    Tpp = _point_phi_tangents(p, x, d, "asymp2")
+    T2 = _point_phi_tangents(p, x, d, "outer2")
+    diags.extend(notes + Tpp.notes + T2.notes)
+    if not exact:
+        diags.append(INCLUSION_ONLY)
 
     aff = multiplier_affine_set(p, x)
     grad, J, qfn, _ = _jet_data(p, x)
@@ -1223,52 +1218,22 @@ def _clarke_nondegenerate(p, x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags):
 # ---------------------------------------------------------------------------
 
 
-_MESH_CACHE: dict = {}
-
-
 def _unit_mesh(dim: int, seed: int) -> np.ndarray:
-    key = (dim, seed)
-    if key in _MESH_CACHE:
-        return _MESH_CACHE[key]
     if dim == 1:
-        out = np.array([[1.0], [-1.0]])
-    elif dim == 2:
+        return np.array([[1.0], [-1.0]])
+    if dim == 2:
         ang = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-        out = np.column_stack([np.cos(ang), np.sin(ang)])
-    elif dim == 3:
+        return np.column_stack([np.cos(ang), np.sin(ang)])
+    if dim == 3:
         # Fibonacci sphere
         k = np.arange(2000) + 0.5
         phi = np.arccos(1.0 - 2.0 * k / 2000)
         theta = np.pi * (1.0 + math.sqrt(5.0)) * k
-        out = np.column_stack([np.cos(theta) * np.sin(phi),
-                               np.sin(theta) * np.sin(phi), np.cos(phi)])
-    else:
-        rng = np.random.default_rng([seed & 0x7FFFFFFF, 77])
-        raw = rng.normal(size=(10000, dim))
-        out = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    _MESH_CACHE[key] = out
-    return out
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SHARPCHECK_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 1
-    if k == 0:
-        k = min(8, os.cpu_count() or 1)
-    return max(1, k)
-
-
-def _pmap(fn, items):
-    """Order-preserving map, parallel when SHARPCHECK_THREADS allows."""
-    items = list(items)
-    k = _thread_count()
-    if k <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, items))
+        return np.column_stack([np.cos(theta) * np.sin(phi),
+                                np.sin(theta) * np.sin(phi), np.cos(phi)])
+    rng = np.random.default_rng([seed & 0x7FFFFFFF, 77])
+    raw = rng.normal(size=(10000, dim))
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1490,8 +1455,8 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
     blocks = []
     per_dir = []
     for dd in dirs:
-        Tpp = linearized_phi_tangents(p, x, dd, "asymp2").intersect_orthocomplement(dd)
-        T2 = linearized_phi_tangents(p, x, dd, "outer2").intersect_orthocomplement(dd)
+        Tpp = _point_phi_tangents(p, x, dd, "asymp2").intersect_orthocomplement(dd)
+        T2 = _point_phi_tangents(p, x, dd, "outer2").intersect_orthocomplement(dd)
         block = _strict_rows_for_direction(p, x, dd, Tpp, T2, J, 0.0, qfn(dd))
         if block is None:
             return _report("hypotheses-not-met", diags=diags + [
@@ -1582,7 +1547,7 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
             return necessary_explicit_check(p, x, dd, eps)
         return necessary_clarke_check(p, x, dd, eps)
 
-    reports = _pmap(run, tasks)
+    reports = [run(task) for task in tasks]
     diags = [f"sweep over {len(xs)} base points, {len(tasks)} (x, d) pairs; "
              f"{vacuous} points had no admissible direction"]
     if not tasks:

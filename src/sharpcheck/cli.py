@@ -11,11 +11,17 @@ subcommands map onto the library checkers:
   check-cq          FOSCMS / SOSCMS / DirRCQ / nondegeneracy probes
   oracle            raw sampling oracles (membership, growth, mscq, feasible)
 
+From a source checkout, run ``PYTHONPATH=src python -m sharpcheck ...``;
+an installed package also provides the ``sharpcheck`` script.
+
 Exit codes: 0 certified or satisfied, 1 violated or rejected, 2
-inconclusive or hypotheses-not-met, 3 input error.  Machine reports are
-canonical JSON (sorted members, 17-significant-digit floats, LF endings);
-reruns with the same seed match byte for byte outside the two time members
-runtime_seconds and generated_at.
+inconclusive or hypotheses-not-met, 3 input error.  A numerical or
+capacity failure inside the library (LP, region, tangent or oracle error,
+such as a problem above the dimension cap) is reported on stderr and exits
+2, since it decides nothing.  Machine reports (format 2) are canonical JSON
+(sorted members, 17-significant-digit floats, LF endings); reruns with the
+same seed match byte for byte outside the two time members runtime_seconds
+and generated_at.
 """
 from __future__ import annotations
 
@@ -24,7 +30,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -42,13 +47,16 @@ from .certify import (
     sufficient_point_check,
     sweep_necessary,
 )
+from .lp import LpError
 from .oracles import (
+    OracleError,
     growth_constant_estimate,
     membership_by_definition,
     mscq_modulus_estimate,
     sample_feasible,
 )
 from .polyexpr import ModelError, Options, ProblemInstance, parse_expression
+from .regions import RegionError
 from .sets import (
     Ball,
     Box,
@@ -61,8 +69,9 @@ from .sets import (
     SetError,
     UnionSet,
 )
+from .tangents import TangentError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 EXIT_BY_VERDICT = {
     "certified": 0,
@@ -335,7 +344,6 @@ def _render_text(doc) -> str:
         for d in doc["diagnostics"]:
             lines.append(f"  - {d}")
     lines.append(f"seed:      {doc['seed']}")
-    lines.append(f"threads:   {doc['threads']}")
     lines.append(f"runtime:   {_render_value(doc['runtime_seconds'])} s")
     lines.append(f"generated: {doc['generated_at']}")
     return "\n".join(lines) + "\n"
@@ -513,7 +521,7 @@ DISPATCH = {"verify-growth": _run_verify_growth,
 
 
 def run_command(instance: ProblemInstance, command: str, flags,
-                digest: str = "", echo=(), warnings=(), threads="auto"):
+                digest: str = "", echo=(), warnings=()):
     """Dispatch one subcommand and assemble the report document."""
     start = time.perf_counter()
     core, code = DISPATCH[command](instance, flags)
@@ -525,7 +533,6 @@ def run_command(instance: ProblemInstance, command: str, flags,
            "problem_digest": digest,
            "exit_code": code,
            "seed": opts.seed,
-           "threads": threads,
            "options": {"epsilon": opts.epsilon, "delta": opts.delta,
                        "rho": opts.rho, "tolerance": opts.tolerance,
                        "kappa": opts.kappa},
@@ -591,23 +598,6 @@ def _build_parser():
     return ap
 
 
-def _thread_cap():
-    raw = os.environ.get("SHARPCHECK_THREADS")
-    if raw is None:
-        return "auto"
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DocumentError(f"SHARPCHECK_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise DocumentError("SHARPCHECK_THREADS must be >= 0")
-    if cap > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(cap))
-        return cap
-    return "auto"
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -616,18 +606,21 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return 0 if ex.code == 0 else 3
     try:
-        threads = _thread_cap()
         loaded = _load(args.problem)
         p = _with_overrides(loaded.instance, args)
         doc, code = run_command(p, args.command, args, digest=loaded.digest,
-                                echo=argv, warnings=loaded.warnings,
-                                threads=threads)
-    except DocumentError as ex:
+                                echo=argv, warnings=loaded.warnings)
+    except (DocumentError, ModelError, SetError) as ex:
         sys.stderr.write(f"sharpcheck: {ex}\n")
         return 3
-    except (ModelError, SetError) as ex:
-        sys.stderr.write(f"sharpcheck: {ex}\n")
-        return 3
+    except (LpError, RegionError, TangentError, OracleError) as ex:
+        # numerical and capacity failures decide nothing: inconclusive
+        sys.stderr.write(f"sharpcheck: {type(ex).__name__}: {ex}\n")
+        return EXIT_BY_VERDICT["inconclusive"]
     sys.stdout.buffer.write(emit_report(doc, args.format))
     sys.stdout.flush()
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

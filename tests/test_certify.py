@@ -140,6 +140,23 @@ def test_mscq_cascade_methods():
     assert ok and method == "polyhedral"
 
 
+def test_mscq_does_not_depend_on_earlier_instances():
+    # a dropped instance's id() is often reused by the next one built, so
+    # any result keyed by object identity would leak across them
+    def instance(constraint):
+        return ProblemInstance(2, 1, parse_expression("x2", 2),
+                               (parse_expression(constraint, 2),),
+                               Interval(-math.inf, 0.0), PointSet([0.0, 0.0]),
+                               [0.0, 0.0])
+
+    for _ in range(200):
+        affine = instance("x1 - x2")
+        assert certify_mscq(affine, np.zeros(2), (1.0, 0.0))[1] == "polyhedral"
+        del affine
+        curved = instance("x1^2 - x2")
+        assert certify_mscq(curved, np.zeros(2), (1.0, 0.0))[1] == "FOSCMS"
+
+
 # ------------------------------------------------------- linearized tangents
 
 

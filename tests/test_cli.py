@@ -1,0 +1,109 @@
+"""Command-line contract: golden machine reports for the fixtures, exit
+codes for library failures, and the ``python -m`` entry points.
+
+The goldens under tests/golden/ hold each report's machine bytes with the
+two time members blanked.  After an intended report change, regenerate
+them from the repository root with ``PYTHONPATH=src python tests/test_cli.py``
+and review the diff.
+"""
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from sharpcheck import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+DIRECTIONS = {"first_example": "0,1", "parabola": "1,0", "second_example": "1"}
+_VOLATILE = re.compile(rb'"(runtime_seconds|generated_at)":("[^"]*"|[^,}]*)')
+
+
+def _cases():
+    out = []
+    for name, d in DIRECTIONS.items():
+        path = f"fixtures/{name}.json"
+        out += [(f"{name}-check-cq", ["check-cq", path, "--kind", "foscms",
+                                      "--direction", d]),
+                (f"{name}-necessary-implicit", ["check-necessary", path,
+                                                "--direction", d]),
+                (f"{name}-sufficient-point", ["check-sufficient", path, "--mode",
+                                              "point", "--kappa", "0.25"]),
+                (f"{name}-sufficient-isolated", ["check-sufficient", path,
+                                                 "--mode", "isolated"])]
+        if name != "first_example":
+            out += [(f"{name}-sweep-{form}", ["check-necessary", path, "--form", form])
+                    for form in ("explicit", "clarke")]
+    return out
+
+
+CASES = _cases()
+
+
+def _run(argv):
+    """(exit code, machine report bytes with the time members blanked)."""
+    buf = io.BytesIO()
+    out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    saved = sys.stdout
+    sys.stdout = out
+    try:
+        code = cli.main(["--format", "machine", *argv])
+    finally:
+        out.flush()
+        out.detach()
+        sys.stdout = saved
+    return code, _VOLATILE.sub(rb'"\1":null', buf.getvalue())
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+def test_machine_report_matches_golden(name, argv, monkeypatch):
+    monkeypatch.chdir(ROOT)   # reports echo the document path
+    code, report = _run(argv)
+    assert report == (GOLDEN / f"{name}.json").read_bytes()
+    doc = json.loads(report)
+    assert doc["exit_code"] == code
+    assert doc["format_version"] == 2
+    assert "threads" not in doc
+
+
+def test_library_failure_is_inconclusive_without_traceback(tmp_path, capsys):
+    # nine variables exceed the double-description cap of the implicit form
+    n = 9
+    doc = {"n": n, "m": 1,
+           "objective": " + ".join(f"x{i}^2" for i in range(1, n + 1)),
+           "constraints": ["x1"],
+           "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
+           "S": {"kind": "point", "at": [0.0] * n},
+           "xbar": [0.0] * n}
+    path = tmp_path / "halfspace9.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["check-necessary", str(path), "--form", "implicit",
+                     "--direction", "0,1,0,0,0,0,0,0,0"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("sharpcheck: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["sharpcheck", "sharpcheck.cli"])
+def test_python_m_entry_points(module):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "--format", "machine", "check-necessary",
+         "fixtures/second_example.json", "--direction", "1"],
+        cwd=ROOT, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["verdict"] == "violated" and doc["exit_code"] == 1
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN.mkdir(exist_ok=True)
+    for case, args in CASES:
+        (GOLDEN / f"{case}.json").write_bytes(_run(args)[1])
