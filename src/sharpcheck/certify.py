@@ -419,7 +419,8 @@ def _is_boundary_point(s: BaseSet, x: np.ndarray, h: float = 1e-6) -> bool:
 
 def _boundary_mesh(p: ProblemInstance, radius: float, count: int = 1000):
     """Boundary points of S within radius of xbar (always includes xbar
-    itself when it is one)."""
+    itself when it is one).  A point S yields one copy of xbar per sample;
+    callers that need distinct points deduplicate them."""
     pts = p.S.sample_near(p.xbar, radius, _rng(p, 11), count)
     out = [x for x in pts if _is_boundary_point(p.S, x)]
     if _is_boundary_point(p.S, p.xbar):
@@ -1364,12 +1365,11 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
     Tlev = linearized_phi_tangents(p, x, None, "tangent", "level_set", eps=smear)
     diags.extend(n for n in Tlev.notes if "oracle replay" not in n)
     mesh = _unit_mesh(p.n, p.options.seed)
-    dirs = [dd for dd in mesh
-            if NS.contains(dd, tol=1e-7) and Tlev.contains(dd, tol=1e-7)]
-    bd = _boundary_mesh(p, 0.1 * p.options.delta)
-    grads = [p.f_jet(xb).gradient for xb in bd]
-    critical = [dd for dd in dirs
-                if all(abs(float(gb @ dd)) <= 1e-7 for gb in grads)]
+    dirs = mesh[NS.contains_rows(mesh, 1e-7) & Tlev.contains_rows(mesh, 1e-7)]
+    # one jet per distinct boundary point, one product over distinct gradients
+    bd = {tuple(xb) for xb in _boundary_mesh(p, 0.1 * p.options.delta)}
+    G = np.array(list({tuple(p.f_jet(xb).gradient) for xb in bd}))
+    critical = dirs[np.all(np.abs(dirs @ G.reshape(-1, p.n).T) <= 1e-7, axis=1)]
     diags.append(f"direction mesh: {len(dirs)} admissible, "
                  f"{len(critical)} critical")
     if strict_hypothesis and len(critical) != len(dirs):
@@ -1410,14 +1410,14 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
         worst = min(worst, margin)
         if len(wits) < 6:
             wits.append(_wit(x=x, d=dd, lam=lam, achieved=margin))
-    if not critical:
+    if len(critical) == 0:
         diags.append("no admissible critical directions; growth holds vacuously "
                      "near the reference set")
     if not _growth_gate(p, kappa, diags):
         return _report("violated", {"certified": None}, wits, {}, diags + [
             "growth oracle found samples below the requested constant; "
             "certificate withdrawn"])
-    return _report("certified", {"certified": kappa, "margin": worst if critical else math.inf},
+    return _report("certified", {"certified": kappa, "margin": worst},
                    wits, {}, diags)
 
 
@@ -1446,7 +1446,7 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
 
     cc = critical_cone(p, x)
     mesh = _unit_mesh(p.n, p.options.seed)
-    dirs = [dd for dd in mesh if cc.contains(dd, tol=1e-7)]
+    dirs = mesh[cc.contains_rows(mesh, 1e-7)]
     diags.append(f"critical mesh directions: {len(dirs)}")
     aff = multiplier_affine_set(p, x)
     if aff.empty:
@@ -1464,7 +1464,7 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
                 f"d = {np.round(dd, 6).tolist()}"])
         blocks.append(block)
         per_dir.append((dd, T2))
-    if not dirs:
+    if len(dirs) == 0:
         diags.append("critical cone meets the unit sphere nowhere; "
                      "minimality holds vacuously")
         lam0 = aff.lam0
@@ -1528,10 +1528,10 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
     vacuous = 0
     for x in xs:
         cc = critical_cone(p, x)
-        admissible = [dd for dd in mesh if cc.contains(dd, tol=1e-7)]
+        admissible = mesh[cc.contains_rows(mesh, 1e-7)]
         if mode == "implicit-proximal":
             admissible = eps_proximal_filter(p.S, x, admissible, eps)
-        if not admissible:
+        if len(admissible) == 0:
             vacuous += 1
             continue
         step = max(1, len(admissible) // 48)

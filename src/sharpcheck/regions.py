@@ -49,6 +49,13 @@ def _rows(mat, dim):
     return out.reshape(-1, dim)
 
 
+def _check_rows(X, dim) -> np.ndarray:
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise RegionError(f"expected a (k, {dim}) array of points, got shape {X.shape}")
+    return X
+
+
 class PolyCell:
     """One closed convex cell {x : A x <= b, E x = f} with normalized rows."""
 
@@ -123,16 +130,18 @@ class PolyCell:
 
     # -- basic queries ------------------------------------------------
     def contains(self, x, tol: float = MEMBER_TOL) -> bool:
-        x = np.asarray(x, dtype=float).ravel()
-        if x.size != self.dim:
-            raise RegionError(f"dimension mismatch: {x.size} vs {self.dim}")
+        return bool(self.contains_rows(np.reshape(x, (1, -1)), tol)[0])
+
+    def contains_rows(self, X, tol: float = MEMBER_TOL) -> np.ndarray:
+        """Membership of each row of the (k, dim) array X, as bool[k]."""
+        X = _check_rows(X, self.dim)
         if self._forced_empty:
-            return False
-        ok = True
+            return np.zeros(X.shape[0], dtype=bool)
+        ok = np.ones(X.shape[0], dtype=bool)
         if self.A.shape[0]:
-            ok = ok and bool(np.all(self.A @ x <= self.b + tol))
-        if ok and self.E.shape[0]:
-            ok = bool(np.all(np.abs(self.E @ x - self.f) <= tol))
+            ok = (X @ self.A.T <= self.b + tol).all(axis=1)
+        if self.E.shape[0] and ok.any():
+            ok &= (np.abs(X @ self.E.T - self.f) <= tol).all(axis=1)
         return ok
 
     def is_empty(self) -> bool:
@@ -342,7 +351,18 @@ class Region:
         return len(self.nonempty_cells()) == 0
 
     def contains(self, x, tol: float = MEMBER_TOL) -> bool:
-        return any(c.contains(x, tol=tol) for c in self.cells)
+        return bool(self.contains_rows(np.reshape(x, (1, -1)), tol)[0])
+
+    def contains_rows(self, X, tol: float = MEMBER_TOL) -> np.ndarray:
+        """Membership of each row of the (k, dim) array X in the union of
+        the cells, as bool[k]."""
+        X = _check_rows(X, self.dim)
+        ok = np.zeros(X.shape[0], dtype=bool)
+        for c in self.cells:
+            if ok.all():
+                break
+            ok |= c.contains_rows(X, tol)
+        return ok
 
     def with_notes(self, *extra: str) -> "Region":
         return Region(self.cells, cone=self.cone, notes=self.notes + tuple(extra), dim=self.dim)

@@ -677,16 +677,19 @@ def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> list:
         raise TangentError("eps must lie in [0, 1)")
     x = _require_member(s, x)
     cell = _proximal_cell(s, x)
+    try:
+        V = np.asarray(vs, dtype=float).reshape(len(vs), s.dim)
+    except ValueError:
+        raise TangentError(f"expected vectors of dimension {s.dim}") from None
+    if eps <= 0.0:
+        # distance at most 1e-9 degenerates to membership
+        keep = (np.linalg.norm(V, axis=1) <= TOL) | cell.contains_rows(V, tol=1e-9)
+        return list(V[keep])
     out = []
-    for v in vs:
-        v = _vec(v, s.dim)
+    for v in V:
         nv = float(np.linalg.norm(v))
         if nv <= TOL:
             out.append(v)
-        elif eps <= 0.0:
-            # distance at most 1e-9 degenerates to membership
-            if cell.contains(v, tol=1e-9):
-                out.append(v)
         else:
             res = cell.project(v)
             if res is not None and res[0] <= eps * nv + 1e-9:

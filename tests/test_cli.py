@@ -39,6 +39,14 @@ def _cases():
         if name != "first_example":
             out += [(f"{name}-sweep-{form}", ["check-necessary", path, "--form", form])
                     for form in ("explicit", "clarke")]
+    # n >= 3 pins the Fibonacci (n = 3) and random (n = 4) direction meshes;
+    # isolated mode is left out there because its critical mesh misses
+    # lower-dimensional critical cones (ROADMAP item 1)
+    for name in ("halfspace_n4", "lifted_n3"):
+        out.append((f"{name}-sufficient-point", ["check-sufficient", f"fixtures/{name}.json",
+                                                 "--mode", "point", "--kappa", "0.25"]))
+    out.append(("halfspace_n4-sweep-explicit",
+                ["check-necessary", "fixtures/halfspace_n4.json", "--form", "explicit"]))
     return out
 
 
@@ -88,6 +96,20 @@ def test_library_failure_is_inconclusive_without_traceback(tmp_path, capsys):
     assert code == 2
     assert err.startswith("sharpcheck: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_sufficient_point_without_boundary_points(tmp_path):
+    # xbar is interior to the box S, so the boundary mesh near it is empty
+    doc = {"n": 2, "m": 1, "objective": "0*x1", "constraints": ["x1"],
+           "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
+           "S": {"kind": "box", "intervals": [[-1.0, 0.0], [-1.0, 1.0]]},
+           "xbar": [-0.5, 0.0], "options": {"delta": 0.05}}
+    path = tmp_path / "interior.json"
+    path.write_text(json.dumps(doc))
+    code, report = _run(["check-sufficient", str(path), "--mode", "point",
+                         "--kappa", "0.5"])
+    assert code == 0
+    assert "direction mesh: 0 admissible, 0 critical" in json.loads(report)["diagnostics"]
 
 
 @pytest.mark.parametrize("module", ["sharpcheck", "sharpcheck.cli"])

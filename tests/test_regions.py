@@ -1,6 +1,8 @@
 """Region algebra: comparison, support, polarity, faces, lower support."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sharpcheck.extreal import ExtReal
 from sharpcheck.regions import (
@@ -39,6 +41,70 @@ def test_cell_membership_and_normalization():
     assert c.contains([1.0 + 5e-10, 0.0])  # tolerance band
     assert not c.contains([1.1, 0.0])
     assert np.allclose(c.A, [[1.0, 0.0]]) and np.allclose(c.b, [1.0])
+
+
+def test_contains_rows_rejects_non_row_arrays():
+    cell = PolyCell([[1.0, 0.0]], [0.0], dim=2)
+    for obj in (cell, Region.from_cell(cell), Region.empty(2)):
+        assert obj.contains_rows(np.zeros((3, 2))).shape == (3,)
+        # a length-4 vector is not two points of R^2
+        for bad in (np.zeros(4), np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2, 2))):
+            with pytest.raises(RegionError):
+                obj.contains_rows(bad)
+        with pytest.raises(RegionError):
+            obj.contains([0.0, 0.0, 0.0])
+
+
+def _loop_contains(cell, x, tol):
+    """Membership of one point, computed row by row as a reference."""
+    x = np.asarray(x, dtype=float)
+    ok = bool(np.all(cell.A @ x <= cell.b + tol)) if cell.A.shape[0] else True
+    if ok and cell.E.shape[0]:
+        ok = bool(np.all(np.abs(cell.E @ x - cell.f) <= tol))
+    return ok
+
+
+_COEF = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+# offsets of a row's right-hand side from an anchor point, in units of tol:
+# on the row, inside and outside the tolerance band, and far away
+_SHIFTS = st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0, 1e3, -1e3])
+
+
+@st.composite
+def _cell(draw, dim, anchor, tol):
+    if draw(st.integers(0, 5)) == 0:
+        return PolyCell.empty_marker(dim)
+
+    def rows(most):
+        mat = draw(hnp.arrays(float, (draw(st.integers(0, most)), dim), elements=_COEF))
+        return mat[np.linalg.norm(mat, axis=1) > 1e-3]
+
+    A, E = rows(4), rows(2)
+    A, E = (m / np.linalg.norm(m, axis=1, keepdims=True) for m in (A, E))
+    b = A @ anchor + tol * np.array([draw(_SHIFTS) for _ in range(A.shape[0])])
+    f = E @ anchor + tol * np.array([draw(_SHIFTS) for _ in range(E.shape[0])])
+    return PolyCell(A, b, E, f, dim=dim)
+
+
+@st.composite
+def _region_and_points(draw):
+    dim = draw(st.integers(1, 4))
+    tol = draw(st.sampled_from([1e-7, 1e-9]))
+    X = draw(hnp.arrays(float, (draw(st.integers(1, 12)), dim), elements=_COEF))
+    cells = [draw(_cell(dim, X[draw(st.integers(0, len(X) - 1))], tol))
+             for _ in range(draw(st.integers(0, 3)))]
+    return Region(cells, dim=dim), X, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_region_and_points())
+def test_contains_rows_matches_pointwise_membership(case):
+    region, X, tol = case
+    for cell in region.cells:
+        assert cell.contains_rows(X, tol).tolist() == [_loop_contains(cell, x, tol) for x in X]
+    expected = [any(_loop_contains(c, x, tol) for c in region.cells) for x in X]
+    assert region.contains_rows(X, tol).tolist() == expected
+    assert [region.contains(x, tol) for x in X] == expected
 
 
 def test_cell_zero_rows():

@@ -222,6 +222,17 @@ def test_eps_proximal_filter_matches_singles():
         assert [list(k) for k in kept] == [list(np.asarray(v, dtype=float)) for v in singles]
 
 
+def test_eps_proximal_filter_takes_row_arrays():
+    box = Box([(0.0, 1.0), (0.0, 1.0)])
+    ang = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    V = np.column_stack([np.cos(ang), np.sin(ang)])
+    kept = eps_proximal_filter(box, [0.0, 0.0], V, 0.0)
+    # the proximal normal cone at the corner is the closed negative orthant
+    assert [list(k) for k in kept] == [list(v) for v in V if max(v) <= 1e-9]
+    with pytest.raises(TangentError):
+        eps_proximal_filter(box, [0.0, 0.0], np.zeros((2, 3)), 0.0)
+
+
 def test_eps_proximal_validates_eps():
     ball = Ball([0.0, 1.0], 1.0)
     for eps in (-0.1, 1.0, 2.0):
