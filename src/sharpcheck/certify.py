@@ -23,6 +23,7 @@ through the sampling growth oracle before it is issued.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -37,7 +38,7 @@ from .sets import (Ball, BaseSet, Box, FiniteSet, Halfspace, Interval, PointSet,
                    Polyhedron, ProductSet, UnionSet)
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
                        eps_proximal_filter, eps_proximal_membership, normal_cone,
-                       second_tangent, tangent_cone)
+                       proximal_normal_cell, second_tangent, tangent_cone)
 
 TOL = 1e-9
 STRICT_TOL = 1e-7      # margin below which a strict inequality is not trusted
@@ -182,6 +183,79 @@ def multiplier_affine_set(p: ProblemInstance, x=None) -> MultiplierAffineSet:
 
 
 # ---------------------------------------------------------------------------
+# per-call check context
+# ---------------------------------------------------------------------------
+
+
+class CheckContext:
+    """The objects of one check that depend only on its base point x, each
+    built at most once per x and shared by every direction checked there.
+
+    A context belongs to one instance and lives as long as the call that
+    made it.  While it is open (``with ctx:``), ``lp.maximize`` and the
+    double description also solve each distinct input once; the outermost
+    ``with`` drops those results on exit.  The members call the functions
+    of this module, which stay the only implementations.
+    """
+
+    def __init__(self, p: ProblemInstance):
+        self.p = p
+        self._built: dict = {}
+        self._scopes: list = []
+
+    def __enter__(self) -> "CheckContext":
+        scope = _lp.reuse_scope()
+        scope.__enter__()
+        self._scopes.append(scope)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._scopes.pop().__exit__(*exc)
+
+    def _once(self, kind: str, x, build):
+        x = np.asarray(x, dtype=float).ravel()
+        key = (kind, x.tobytes())
+        if key not in self._built:
+            self._built[key] = build(x)
+        return self._built[key]
+
+    def jets(self, x):
+        """(grad f, Jacobian of g, f quadratic form, g quadratic map) at x."""
+        return self._once("jets", x, lambda x: _jet_data(self.p, x))
+
+    def g_value(self, x) -> np.ndarray:
+        return self._once("g", x, self.p.g_value)
+
+    def critical_cone(self, x) -> Region:
+        return self._once("critical", x, lambda x: critical_cone(self.p, x))
+
+    def multipliers(self, x) -> MultiplierAffineSet:
+        return self._once("multipliers", x, lambda x: multiplier_affine_set(self.p, x))
+
+    def proximal_cell(self, x) -> PolyCell:
+        """The proximal normal cone of S at x."""
+        return self._once("proximal", x, lambda x: proximal_normal_cell(self.p.S, x))
+
+    def tangent_S(self, x) -> Region:
+        return self._once("tangent_S", x, lambda x: tangent_cone(self.p.S, x))
+
+
+def _with_context(checker):
+    """Run a necessary checker inside the caller's open ``ctx``, or inside a
+    context of its own when the caller passes none."""
+
+    @functools.wraps(checker)
+    def run(p, *args, ctx: CheckContext | None = None, **kwargs):
+        ctx = CheckContext(p) if ctx is None else ctx
+        if ctx.p is not p:
+            raise ModelError("the check context belongs to another instance")
+        with ctx:
+            return checker(p, *args, ctx=ctx, **kwargs)
+
+    return run
+
+
+# ---------------------------------------------------------------------------
 # critical cone and directional multipliers
 # ---------------------------------------------------------------------------
 
@@ -214,20 +288,23 @@ def critical_cone(p: ProblemInstance, x=None, level: str = "point") -> Region:
         "level-set critical cone: upper approximation from sampled boundary points")
 
 
-def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M") -> Region:
+def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M",
+                            ctx: CheckContext | None = None) -> Region:
     """Stationary multipliers lying in the directional normal cone of K at
     g(x) in direction Dg(x) d; kind M uses the limiting cone, C the Clarke
-    cone.  The M set is always contained in the C set."""
+    cone.  The M set is always contained in the C set.  ``ctx`` supplies
+    the objects at x when the caller holds them."""
     if kind not in ("M", "C"):
         raise ModelError(f"unknown multiplier kind {kind!r}")
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    aff = multiplier_affine_set(p, x)
+    ctx = CheckContext(p) if ctx is None else ctx
+    aff = ctx.multipliers(x)
     if aff.empty:
         return Region.empty(p.m, notes=("stationarity equation has no solution",))
-    _, J, _, _ = _jet_data(p, x)
+    _, J, _, _ = ctx.jets(x)
     cone_kind = "limiting" if kind == "M" else "clarke"
-    N = directional_normal(p.K, p.g_value(x), J @ d, cone_kind)
+    N = directional_normal(p.K, ctx.g_value(x), J @ d, cone_kind)
     cells = [c.intersect(aff.as_cell()) for c in N.cells]
     return Region(cells, cone=False, notes=N.notes, dim=p.m)
 
@@ -261,7 +338,8 @@ def _nontrivial_point(region: Region) -> np.ndarray | None:
 
 
 def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
-                                   kind: str = "FOSCMS") -> CqResult:
+                                   kind: str = "FOSCMS",
+                                   ctx: CheckContext | None = None) -> CqResult:
     """Directional constraint qualifications at (x, d).
 
     FOSCMS:  ker Dg(x)^T meets the directional limiting normal cone of K
@@ -271,17 +349,21 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     DirRCQ:  the Clarke variant of FOSCMS.
     NONDEG:  span of the directional limiting cone meets ker Dg(x)^T only
              at 0 (rank test); forces a unique multiplier.
+
+    ``ctx`` supplies the jets and g(x) when the caller holds them.
     """
     kind_u = kind.upper().replace("-", "")
     if kind_u not in ("FOSCMS", "SOSCMS", "DIRRCQ", "NONDEG"):
         raise ModelError(f"unknown constraint qualification {kind!r}")
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     d = np.zeros(p.n) if d is None else np.asarray(d, dtype=float).ravel()
-    _, J, _, qg = _jet_data(p, x)
+    ctx = CheckContext(p) if ctx is None else ctx
+    _, J, _, qg = ctx.jets(x)
+    y = ctx.g_value(x)
     u = J @ d
     notes = ()
     if kind_u == "NONDEG":
-        N = directional_normal(p.K, p.g_value(x), u, "limiting")
+        N = directional_normal(p.K, y, u, "limiting")
         gens = []
         for cell in N.nonempty_cells():
             g = cell.generators()
@@ -303,9 +385,9 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
         return CqResult("NONDEG", False, witness=B @ z, notes=N.notes)
 
     if kind_u == "DIRRCQ":
-        N = directional_normal(p.K, p.g_value(x), u, "clarke")
+        N = directional_normal(p.K, y, u, "clarke")
     else:
-        N = directional_normal(p.K, p.g_value(x), u, "limiting")
+        N = directional_normal(p.K, y, u, "limiting")
     if kind_u == "SOSCMS":
         if p.K.as_region() is None:
             raise ModelError("SOSCMS requires a polyhedral-union K")
@@ -318,23 +400,25 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     return CqResult(kind_u, wit is None, witness=wit, notes=notes + N.notes)
 
 
-def certify_mscq(p: ProblemInstance, x, d) -> tuple[bool, str, tuple]:
+def certify_mscq(p: ProblemInstance, x, d,
+                 ctx: CheckContext | None = None) -> tuple[bool, str, tuple]:
     """Metric subregularity of the constraint map at (x, d), by cascade:
     affine g into a polyhedral-union K holds automatically; otherwise
     FOSCMS, then SOSCMS, then a sampling probe that is flagged as evidence
     rather than proof.  Computed fresh on each call; callers that need the
-    result more than once keep it."""
+    result more than once keep it.  ``ctx`` is handed to the qualification
+    checks."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     gj = p.g_jet(x)
     affine = all(np.max(np.abs(H)) <= TOL for H in gj.hessians)
     if affine and p.K.as_region() is not None:
         return True, "polyhedral", ()
-    res = constraint_qualification_check(p, x, d, "FOSCMS")
+    res = constraint_qualification_check(p, x, d, "FOSCMS", ctx)
     if res.holds:
         return True, "FOSCMS", res.notes
     if p.K.as_region() is not None:
-        res2 = constraint_qualification_check(p, x, d, "SOSCMS")
+        res2 = constraint_qualification_check(p, x, d, "SOSCMS", ctx)
         if res2.holds:
             return True, "SOSCMS", res2.notes
     est = oracles.mscq_modulus_estimate(p, x, d, rho=p.options.rho,
@@ -420,10 +504,19 @@ def _is_boundary_point(s: BaseSet, x: np.ndarray, h: float = 1e-6) -> bool:
 def _boundary_mesh(p: ProblemInstance, radius: float, count: int = 1000):
     """Boundary points of S within radius of xbar (always includes xbar
     itself when it is one).  A point S yields one copy of xbar per sample;
-    callers that need distinct points deduplicate them."""
-    pts = p.S.sample_near(p.xbar, radius, _rng(p, 11), count)
-    out = [x for x in pts if _is_boundary_point(p.S, x)]
-    if _is_boundary_point(p.S, p.xbar):
+    callers that need distinct points deduplicate them.  The boundary test
+    runs once per distinct point."""
+    on_boundary: dict[bytes, bool] = {}
+
+    def boundary(x):
+        key = x.tobytes()
+        if key not in on_boundary:
+            on_boundary[key] = _is_boundary_point(p.S, x)
+        return on_boundary[key]
+
+    out = [x for x in p.S.sample_near(p.xbar, radius, _rng(p, 11), count)
+           if boundary(x)]
+    if boundary(p.xbar):
         out.append(p.xbar)
     return out
 
@@ -517,14 +610,15 @@ def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
 
 
 def _point_phi_tangents(p: ProblemInstance, x: np.ndarray, d: np.ndarray | None,
-                        kind: str) -> Region:
+                        kind: str, ctx: CheckContext | None = None) -> Region:
     """Point-mode preimage of the K-side object of ``kind`` at g(x) under the
     constraint linearization at x, without constraint-qualification notes;
     whether it is exact is the caller's MSCQ result to report."""
-    _, J, _, qg = _jet_data(p, x)
+    ctx = CheckContext(p) if ctx is None else ctx
+    _, J, _, qg = ctx.jets(x)
     u = None if d is None else J @ d
     shift = qg(d) if kind == "outer2" else np.zeros(p.m)
-    return _point_object_K(p, kind, p.g_value(x), u).affine_preimage(J, shift)
+    return _point_object_K(p, kind, ctx.g_value(x), u).affine_preimage(J, shift)
 
 
 def _attach_level_certificates(p, reg: Region, base: Region, kind: str,
@@ -620,9 +714,10 @@ def _min_value_over_affine(region: Region, aff: MultiplierAffineSet,
 # ---------------------------------------------------------------------------
 
 
+@_with_context
 def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
-                             eps: float | None = None,
-                             mode: str = "proximal") -> CertificationReport:
+                             eps: float | None = None, mode: str = "proximal", *,
+                             ctx: CheckContext | None = None) -> CertificationReport:
     """Necessary conditions phrased on the feasible set itself.
 
     For every stationary multiplier lam: (i) the support of the image of
@@ -631,6 +726,10 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     second-order set bounds 2 kappa (1-2 eps)^2 |d|^2 from above (proximal
     mode) or 2 kappa dist(d, T_S(x))^2 (tangent_distance mode).  Both parts
     are evaluated exactly; the report carries the largest admissible kappa.
+
+    ``ctx`` is the CheckContext of the calling sweep, whose objects at x
+    (jets, g(x), critical cone, multiplier set, proximal normal cell, T_S(x))
+    and solved LPs are reused; without one the check builds its own.
     """
     if mode not in ("proximal", "tangent_distance"):
         raise ModelError(f"unknown implicit mode {mode!r}")
@@ -641,20 +740,20 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     eps = p.options.epsilon if eps is None else float(eps)
     diags: list[str] = []
 
-    pre = _implicit_hypotheses(p, x, d, eps, mode, diags)
+    pre = _implicit_hypotheses(ctx, x, d, eps, mode)
     if pre is not None:
         return pre
 
-    exact, method, notes = certify_mscq(p, x, d)
+    exact, method, notes = certify_mscq(p, x, d, ctx)
     cq = {"mscq": method if exact else "unverified"}
-    Tpp = _point_phi_tangents(p, x, d, "asymp2")
-    T2 = _point_phi_tangents(p, x, d, "outer2")
+    Tpp = _point_phi_tangents(p, x, d, "asymp2", ctx)
+    T2 = _point_phi_tangents(p, x, d, "outer2", ctx)
     diags.extend(notes + Tpp.notes + T2.notes)
     if not exact:
         diags.append(INCLUSION_ONLY)
 
-    aff = multiplier_affine_set(p, x)
-    grad, J, qfn, _ = _jet_data(p, x)
+    aff = ctx.multipliers(x)
+    grad, J, qfn, _ = ctx.jets(x)
     if aff.empty:
         return _report("satisfied", {"max_admissible": math.inf},
                        cq=cq, diags=diags + [
@@ -685,7 +784,7 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     inf_val, lam_star, notes2 = _min_value_over_affine(T2, aff, J.T, qf)
     diags.extend(notes2)
 
-    denom, dnote = _implicit_denominator(p, x, d, eps, mode)
+    denom, dnote = _implicit_denominator(ctx, x, d, eps, mode)
     if dnote:
         diags.append(dnote)
     if inf_val.is_minus_inf:
@@ -706,8 +805,9 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     return _report("satisfied", {"max_admissible": kmax}, wits, cq, diags)
 
 
-def _implicit_hypotheses(p, x, d, eps, mode, diags):
+def _implicit_hypotheses(ctx: CheckContext, x, d, eps, mode):
     """None when all preconditions hold, else a hypotheses-not-met report."""
+    p = ctx.p
     if np.linalg.norm(d) <= TOL:
         return _report("hypotheses-not-met", diags=["zero direction"])
     if not p.S.contains(x, tol=1e-7):
@@ -716,21 +816,21 @@ def _implicit_hypotheses(p, x, d, eps, mode, diags):
     if np.linalg.norm(x - p.xbar) > p.options.delta + 1e-9:
         return _report("hypotheses-not-met",
                        diags=["base point lies outside the delta ball"])
-    if not critical_cone(p, x).contains(d, tol=1e-7):
+    if not ctx.critical_cone(x).contains(d, tol=1e-7):
         return _report("hypotheses-not-met",
                        diags=["direction is not in the critical cone"])
-    if mode == "proximal" and not eps_proximal_membership(p.S, x, d, eps):
+    if mode == "proximal" and not eps_proximal_membership(p.S, x, d, eps,
+                                                          ctx.proximal_cell(x)):
         return _report("hypotheses-not-met",
                        diags=["direction is not an eps-proximal normal "
                               "to the reference set"])
     return None
 
 
-def _implicit_denominator(p, x, d, eps, mode):
+def _implicit_denominator(ctx: CheckContext, x, d, eps, mode):
     if mode == "proximal":
         return 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d), ""
-    ts = tangent_cone(p.S, x)
-    dist, _ = ts.distance(d)
+    dist, _ = ctx.tangent_S(x).distance(d)
     dv = float(dist) if dist.is_finite else math.inf
     return 2.0 * dv * dv, f"dist(d, T_S(x)) = {dv:.12g}"
 
@@ -744,8 +844,10 @@ def _sigma_hat(region: Region, lam: np.ndarray):
     return lower_gen_support_detail(region, lam)
 
 
+@_with_context
 def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
-                             eps: float | None = None) -> CertificationReport:
+                             eps: float | None = None, *,
+                             ctx: CheckContext | None = None) -> CertificationReport:
     """Necessary conditions phrased on K through the lower generalized
     support function.
 
@@ -755,7 +857,8 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     second-order set at least 2 kappa (1-2 eps)^2 |d|^2.  The multiplier
     search enumerates one LP per (multiplier cell, face, vertex) triple,
     which is exhaustive on polyhedral data; winners are replayed through a
-    direct sigma-hat evaluation.
+    direct sigma-hat evaluation.  ``ctx`` is reused as in
+    ``necessary_implicit_check``; without one the check builds its own.
     """
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     if d is None:
@@ -765,10 +868,10 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     diags = ["explicit form is weaker than the implicit form: a satisfied "
              "verdict here does not preclude an implicit rejection"]
 
-    pre = _implicit_hypotheses(p, x, d, eps, "proximal", diags)
+    pre = _implicit_hypotheses(ctx, x, d, eps, "proximal")
     if pre is not None:
         return pre
-    ok, method, notes = certify_mscq(p, x, d)
+    ok, method, notes = certify_mscq(p, x, d, ctx)
     if not ok:
         return _report("hypotheses-not-met", cq={"mscq": "unverified"},
                        diags=diags + list(notes) +
@@ -776,13 +879,13 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     cq = {"mscq": method}
     diags.extend(notes)
 
-    grad, J, qfn, qgn = _jet_data(p, x)
-    ybar = p.g_value(x)
+    grad, J, qfn, qgn = ctx.jets(x)
+    ybar = ctx.g_value(x)
     u = J @ d
     Tpp = second_tangent(p.K, ybar, u, "asymptotic")
     T2 = second_tangent(p.K, ybar, u, "outer")
     diags.extend(Tpp.notes + T2.notes)
-    lamreg = directional_multipliers(p, x, d, "M")
+    lamreg = directional_multipliers(p, x, d, "M", ctx)
     if lamreg.is_empty():
         return _report("violated", {"max_admissible": -math.inf}, cq=cq,
                        diags=diags + ["no directional multiplier exists"])
@@ -926,9 +1029,10 @@ def _max_explicit_value(lamreg: Region, T2: Region, qf: float, q: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
+@_with_context
 def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
-                           eps: float | None = None,
-                           mode: str = "elementwise") -> CertificationReport:
+                           eps: float | None = None, mode: str = "elementwise", *,
+                           ctx: CheckContext | None = None) -> CertificationReport:
     """Necessary conditions over the Clarke multiplier set, under the
     directional Robinson qualification.
 
@@ -938,7 +1042,8 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     must agree); for every cell of the outer set, a vertex LP with the
     cell's recession rays constrains kappa.  convex_subset: one multiplier
     per convex cell, through plain support functions.  nondegenerate: the
-    unique multiplier is evaluated directly.
+    unique multiplier is evaluated directly.  ``ctx`` is reused as in
+    ``necessary_implicit_check``; without one the check builds its own.
     """
     if mode not in ("elementwise", "convex_subset", "nondegenerate"):
         raise ModelError(f"unknown clarke mode {mode!r}")
@@ -949,29 +1054,29 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     eps = p.options.epsilon if eps is None else float(eps)
     diags: list[str] = []
 
-    pre = _implicit_hypotheses(p, x, d, eps, "proximal", diags)
+    pre = _implicit_hypotheses(ctx, x, d, eps, "proximal")
     if pre is not None:
         return pre
-    rcq = constraint_qualification_check(p, x, d, "DirRCQ")
+    rcq = constraint_qualification_check(p, x, d, "DirRCQ", ctx)
     if not rcq.holds:
         return _report("hypotheses-not-met", cq={"dirrcq": "fails"},
                        diags=diags + ["directional Robinson qualification fails; "
                                       "the multiplier set may be unbounded"])
     cq = {"dirrcq": "holds"}
     if mode == "nondegenerate":
-        nd = constraint_qualification_check(p, x, d, "NONDEG")
+        nd = constraint_qualification_check(p, x, d, "NONDEG", ctx)
         if not nd.holds:
             return _report("hypotheses-not-met", cq={**cq, "nondeg": "fails"},
                            diags=diags + ["directional nondegeneracy fails"])
         cq["nondeg"] = "holds"
 
-    grad, J, qfn, qgn = _jet_data(p, x)
-    ybar = p.g_value(x)
+    grad, J, qfn, qgn = ctx.jets(x)
+    ybar = ctx.g_value(x)
     u = J @ d
     Tpp = second_tangent(p.K, ybar, u, "asymptotic")
     T2 = second_tangent(p.K, ybar, u, "outer")
     diags.extend(Tpp.notes + T2.notes)
-    lamreg = directional_multipliers(p, x, d, "C")
+    lamreg = directional_multipliers(p, x, d, "C", ctx)
     if lamreg.is_empty():
         return _report("violated", {"max_admissible": -math.inf}, cq=cq,
                        diags=diags + ["no Clarke multiplier exists"])
@@ -1512,6 +1617,10 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
     inconclusive; otherwise satisfied with the smallest per-check kappa
     bound.  Points contributing no admissible directions are counted and
     reported, never silently dropped.
+
+    The sweep opens one CheckContext and passes it as ``ctx`` to every
+    per-pair checker, so the objects at each base point are built once and
+    each distinct LP and double description is solved once per sweep.
     """
     kinds = ("implicit-proximal", "implicit-tangent", "explicit", "clarke")
     if mode not in kinds:
@@ -1524,30 +1633,30 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
         if len(xs) >= 24:
             break
     mesh = _unit_mesh(p.n, p.options.seed)
+
+    def run(x, dd, ctx):
+        if mode == "implicit-proximal":
+            return necessary_implicit_check(p, x, dd, eps, "proximal", ctx=ctx)
+        if mode == "implicit-tangent":
+            return necessary_implicit_check(p, x, dd, eps, "tangent_distance", ctx=ctx)
+        if mode == "explicit":
+            return necessary_explicit_check(p, x, dd, eps, ctx=ctx)
+        return necessary_clarke_check(p, x, dd, eps, ctx=ctx)
+
     tasks = []
     vacuous = 0
-    for x in xs:
-        cc = critical_cone(p, x)
-        admissible = mesh[cc.contains_rows(mesh, 1e-7)]
-        if mode == "implicit-proximal":
-            admissible = eps_proximal_filter(p.S, x, admissible, eps)
-        if len(admissible) == 0:
-            vacuous += 1
-            continue
-        step = max(1, len(admissible) // 48)
-        tasks.extend((x, dd) for dd in admissible[::step])
-
-    def run(task):
-        x, dd = task
-        if mode == "implicit-proximal":
-            return necessary_implicit_check(p, x, dd, eps, "proximal")
-        if mode == "implicit-tangent":
-            return necessary_implicit_check(p, x, dd, eps, "tangent_distance")
-        if mode == "explicit":
-            return necessary_explicit_check(p, x, dd, eps)
-        return necessary_clarke_check(p, x, dd, eps)
-
-    reports = [run(task) for task in tasks]
+    with CheckContext(p) as ctx:
+        for x in xs:
+            admissible = mesh[ctx.critical_cone(x).contains_rows(mesh, 1e-7)]
+            if mode == "implicit-proximal":
+                admissible = eps_proximal_filter(p.S, x, admissible, eps,
+                                                 ctx.proximal_cell(x))
+            if len(admissible) == 0:
+                vacuous += 1
+                continue
+            step = max(1, len(admissible) // 48)
+            tasks.extend((x, dd) for dd in admissible[::step])
+        reports = [run(x, dd, ctx) for x, dd in tasks]
     diags = [f"sweep over {len(xs)} base points, {len(tasks)} (x, d) pairs; "
              f"{vacuous} points had no admissible direction"]
     if not tasks:

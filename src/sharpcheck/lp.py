@@ -13,10 +13,16 @@ Two deliberately self-contained primitives live here:
   both directions through the polar cone.  Cells are homogenized with an
   extra coordinate.  The dimension is capped; these enumerations are meant
   for small verification geometry, not large-scale polyhedral computation.
+
+Inside a ``reuse_scope()`` block both primitives solve each distinct input
+once: the outcome is stored under the input's bytes, with its arrays made
+read-only, and handed back to every later caller that poses the same input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import contextvars
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +31,52 @@ PIVOT_TOL = 1e-11
 ZERO_TOL = 1e-10
 DIM_CAP = 8
 MAX_PIVOTS = 20000
+
+
+# memo of the open reuse_scope (nested scopes share the outermost one),
+# keyed by input bytes; None outside every scope
+_REUSE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "sharpcheck_lp_reuse", default=None)
+
+
+@contextlib.contextmanager
+def reuse_scope():
+    """Within the block, ``maximize`` and the double description return one
+    stored result per distinct input.  A nested scope shares the memo of the
+    one around it; the outermost drops the memo on exit, also on error."""
+    if _REUSE.get() is not None:
+        yield
+        return
+    token = _REUSE.set({})
+    try:
+        yield
+    finally:
+        _REUSE.reset(token)
+
+
+def _reused(kind: str, arrays, compute):
+    """compute(), or the result stored for the same kind and array contents
+    in the open reuse scope."""
+    memo = _REUSE.get()
+    if memo is None:
+        return compute()
+    key = (kind, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+    if key not in memo:
+        memo[key] = _read_only(compute())
+    return memo[key]
+
+
+def _read_only(value):
+    """value with its arrays (directly, in a tuple or in an outcome) frozen."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for item in value:
+            _read_only(item)
+    elif isinstance(value, LpOutcome):
+        for field in fields(value):
+            _read_only(getattr(value, field.name))
+    return value
 
 
 class LpError(Exception):
@@ -264,7 +316,9 @@ def _check_primal(lp: LinearProgram, x: np.ndarray) -> None:
 
 
 def maximize(objective, ineq_mat=None, ineq_rhs=None, eq_mat=None, eq_rhs=None) -> LpOutcome:
-    return solve_lp(make_lp(objective, ineq_mat, ineq_rhs, eq_mat, eq_rhs))
+    lp = make_lp(objective, ineq_mat, ineq_rhs, eq_mat, eq_rhs)
+    return _reused("lp", (lp.objective, lp.ineq_mat, lp.ineq_rhs, lp.eq_mat, lp.eq_rhs),
+                   lambda: solve_lp(lp))
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +340,10 @@ def _normalize(v: np.ndarray) -> np.ndarray:
 
 
 def _dd_cone_impl(ineq: np.ndarray, eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return _reused("dd", (ineq, eq), lambda: _dd_cone(ineq, eq))
+
+
+def _dd_cone(ineq: np.ndarray, eq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = ineq.shape[1] if ineq.size else eq.shape[1]
     lines: list[np.ndarray] = [np.eye(n)[i] for i in range(n)]
     rays: list[_Ray] = []

@@ -665,18 +665,26 @@ def region_tangent_cone(region: Region, x) -> Region:
 # ---------------------------------------------------------------------------
 
 
-def eps_proximal_membership(s: BaseSet, x, v, eps: float) -> bool:
+def proximal_normal_cell(s: BaseSet, x) -> PolyCell:
+    """The proximal normal cone of s at its member x, as one convex cell."""
+    return _proximal_cell(s, _require_member(s, x))
+
+
+def eps_proximal_membership(s: BaseSet, x, v, eps: float,
+                            cell: PolyCell | None = None) -> bool:
     """True iff dist(v, proximal normal cone at x) <= eps * |v|."""
-    return len(eps_proximal_filter(s, x, [v], eps)) == 1
+    return len(eps_proximal_filter(s, x, [v], eps, cell)) == 1
 
 
-def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> list:
+def eps_proximal_filter(s: BaseSet, x, vs, eps: float,
+                        cell: PolyCell | None = None) -> list:
     """The members of vs within relative distance eps of the proximal
-    normal cone at x; the cone is built once for the whole batch."""
+    normal cone at x; the cone is built once for the whole batch, or taken
+    from ``cell`` (``proximal_normal_cell(s, x)``) when the caller holds it."""
     if not 0.0 <= eps < 1.0:
         raise TangentError("eps must lie in [0, 1)")
-    x = _require_member(s, x)
-    cell = _proximal_cell(s, x)
+    if cell is None:
+        cell = proximal_normal_cell(s, x)
     try:
         V = np.asarray(vs, dtype=float).reshape(len(vs), s.dim)
     except ValueError:

@@ -4,12 +4,15 @@ duality / linearization cross-validations against the sampling oracles.
 """
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sharpcheck import certify
 from sharpcheck.certify import (
     DUALITY_TOL,
+    CheckContext,
     _conic_primal,
     _dual_lp_max,
     _generators_of,
@@ -27,11 +30,13 @@ from sharpcheck.certify import (
     sufficient_point_check,
     sweep_necessary,
 )
+from sharpcheck.cli import load_problem
+from sharpcheck.lp import maximize
 from sharpcheck.oracles import growth_constant_estimate, membership_by_definition
-from sharpcheck.polyexpr import ProblemInstance, parse_expression
+from sharpcheck.polyexpr import ModelError, Options, ProblemInstance, parse_expression
 from sharpcheck.regions import PolyCell, Region, region_compare, region_subset
-from sharpcheck.sets import Interval, PointSet
-from sharpcheck.tangents import directional_clarke_tangent, second_tangent
+from sharpcheck.sets import Box, Interval, PointSet, UnionSet
+from sharpcheck.tangents import TangentError, directional_clarke_tangent, second_tangent
 
 from helpers import (
     duality_instance,
@@ -255,6 +260,132 @@ def test_sweep_second_example():
     r = sweep_necessary(second_example())
     assert r.verdict == "violated"
     assert r.kappa_bounds["max_admissible"] == pytest.approx(-0.5, abs=1e-9)
+
+
+# ------------------------------------------------------------ check context
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _reuse_open():
+    # an LP outcome is stored, and so made read-only, only inside a scope
+    return not maximize([1.0], [[1.0]], [1.0]).point.flags.writeable
+
+
+def test_sweep_passes_one_open_context_to_every_pair(monkeypatch):
+    seen = []
+    original = certify.necessary_explicit_check
+
+    def spy(*args, **kwargs):
+        seen.append((_reuse_open(), kwargs["ctx"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "necessary_explicit_check", spy)
+    assert not _reuse_open()
+    sweep_necessary(parabola_example(), mode="explicit")
+    assert len(seen) == 2 and all(is_open for is_open, _ in seen)
+    assert seen[0][1] is seen[1][1]
+    assert not _reuse_open()
+
+
+def test_sweep_closes_its_context_when_a_check_raises(monkeypatch):
+    p = load_problem(FIXTURES / "halfspace_n4.json")
+    original = certify.necessary_clarke_check
+    calls = []
+
+    def fails_midway(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 10:
+            raise TangentError("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "necessary_clarke_check", fails_midway)
+    with pytest.raises(TangentError, match="injected"):
+        sweep_necessary(p, mode="clarke")
+    assert len(calls) == 10
+    assert not _reuse_open()
+
+
+def test_nested_context_shares_the_outer_memo():
+    args = ([1.0, 0.0], [[1.0, 1.0]], [2.0])
+    with CheckContext(parabola_example()) as outer:
+        first = maximize(*args)
+        with CheckContext(second_example()):
+            assert maximize(*args) is first
+        with outer:
+            assert maximize(*args) is first
+        assert maximize(*args) is first
+    assert not _reuse_open()
+    assert maximize(*args) is not first
+
+
+def test_checker_rejects_a_context_of_another_instance():
+    with pytest.raises(ModelError, match="another instance"):
+        necessary_explicit_check(first_example(), None, [0.0, 1.0],
+                                 ctx=CheckContext(first_example()))
+
+
+def test_context_builds_each_base_point_object_once(monkeypatch):
+    p = first_example()
+    calls = []
+    original = certify.critical_cone
+    monkeypatch.setattr(certify, "critical_cone",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    ctx = CheckContext(p)
+    for d in ([0.0, 1.0], [0.0, -1.0]):
+        necessary_explicit_check(p, [0.25, 0.0], d, ctx=ctx)
+    assert ctx.critical_cone(np.array([0.25, 0.0])) is ctx.critical_cone([0.25, 0.0])
+    assert len(calls) == 1
+
+
+def test_sweep_bytes_do_not_depend_on_earlier_sweeps():
+    def report_bytes(p, mode):
+        return json.dumps(sweep_necessary(p, mode=mode).to_json(), sort_keys=True)
+
+    half = load_problem(FIXTURES / "halfspace_n4.json")
+    for mode in ("explicit", "clarke", "implicit-proximal", "implicit-tangent"):
+        alone = report_bytes(parabola_example(), mode)
+        report_bytes(half, mode)
+        assert report_bytes(parabola_example(), mode) == alone
+
+
+# ------------------------------------------------------------ boundary mesh
+
+
+def _boundary_mesh_by_point(p, radius, count=1000):
+    # the loop _boundary_mesh replaced: one boundary test per sample
+    pts = p.S.sample_near(p.xbar, radius, certify._rng(p, 11), count)
+    out = [x for x in pts if certify._is_boundary_point(p.S, x)]
+    if certify._is_boundary_point(p.S, p.xbar):
+        out.append(p.xbar)
+    return out
+
+
+def _union_example():
+    S = UnionSet([Box([(0.0, 1.0), (0.0, 0.0)]), Box([(0.0, 0.0), (0.0, 1.0)])])
+    return ProblemInstance(2, 1, parse_expression("x1^2 + x2^2", 2),
+                           (parse_expression("x1 + x2", 2),), Interval(-10.0, 10.0),
+                           S, [0.0, 0.0], options=Options(delta=0.5))
+
+
+@pytest.mark.parametrize("build", [parabola_example, first_example, _union_example],
+                         ids=["point", "box", "union"])
+def test_boundary_mesh_matches_the_per_sample_loop(build):
+    p = build()
+    radius = 0.1 * p.options.delta
+    got = certify._boundary_mesh(p, radius)
+    want = _boundary_mesh_by_point(p, radius)
+    assert len(got) == len(want) > 0
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_boundary_mesh_tests_a_point_set_once(monkeypatch):
+    calls = []
+    original = certify._is_boundary_point
+    monkeypatch.setattr(certify, "_is_boundary_point",
+                        lambda *a, **k: calls.append(1) or original(*a, **k))
+    assert len(certify._boundary_mesh(parabola_example(), 0.1)) == 1001
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------- sufficient side

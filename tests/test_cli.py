@@ -47,6 +47,15 @@ def _cases():
                                                  "--mode", "point", "--kappa", "0.25"]))
     out.append(("halfspace_n4-sweep-explicit",
                 ["check-necessary", "fixtures/halfspace_n4.json", "--form", "explicit"]))
+    # the sweeps share one CheckContext across their (x, d) pairs
+    for name in (*DIRECTIONS, "halfspace_n4"):
+        for tag, mode in (("proximal", "proximal"), ("tangent", "tangent-distance")):
+            out.append((f"{name}-sweep-implicit-{tag}",
+                        ["check-necessary", f"fixtures/{name}.json", "--form",
+                         "implicit", "--mode", mode]))
+    out += [(f"first_example-sweep-{form}",
+             ["check-necessary", "fixtures/first_example.json", "--form", form])
+            for form in ("explicit", "clarke")]
     return out
 
 

@@ -7,16 +7,20 @@ regardless of implementation.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sharpcheck.lp import (
     DIM_CAP,
     DimensionCapError,
+    LpError,
     cell_from_generators_arrays,
     cell_generators_arrays,
     cone_from_generators,
     dd_cone,
     make_lp,
     maximize,
+    reuse_scope,
     solve_lp,
 )
 
@@ -317,3 +321,80 @@ def test_lp_shape_validation():
     from sharpcheck.lp import LpError
     with pytest.raises(LpError):
         make_lp([1.0], ineq_mat=[[1.0]], ineq_rhs=[1.0, 2.0])
+
+
+# ------------------------------------------------------------- reuse scope
+
+
+def _outcome_bytes(args):
+    """Status, value, point and ray of maximize(*args), as bytes."""
+    try:
+        out = maximize(*args)
+    except LpError as exc:
+        return ("raised", type(exc).__name__)
+    return tuple(None if v is None else np.asarray(v, dtype=float).tobytes()
+                 for v in (out.value, out.point, out.ray)) + (out.status,)
+
+
+_entries = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(0, 4))
+    l = draw(st.integers(0, 2))
+    def mat(rows):
+        return draw(hnp.arrays(float, (rows, n), elements=_entries))
+    def vec(size):
+        return draw(hnp.arrays(float, (size,), elements=_entries))
+    return vec(n), mat(k), vec(k), mat(l), vec(l)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_lps())
+def test_reuse_scope_returns_the_outcome_a_fresh_solve_gives(args):
+    fresh = _outcome_bytes(args)
+    with reuse_scope():
+        first = _outcome_bytes(args)
+        second = _outcome_bytes(args)   # a hit on the stored outcome
+    assert first == fresh and second == fresh
+
+
+def test_reuse_scope_hands_back_one_stored_outcome():
+    args = ([1.0, 0.0], [[1.0, 1.0]], [2.0], [[1.0, -1.0]], [0.0])
+    with reuse_scope():
+        assert maximize(*args) is maximize(*args)
+    assert maximize(*args) is not maximize(*args)
+
+
+def test_reuse_keys_keep_inequalities_and_equalities_apart():
+    # the same row and right-hand side, once as x1 <= 1, once as x1 = 1
+    row, rhs = [[1.0, 0.0]], [1.0]
+    with reuse_scope():
+        assert maximize([-1.0, 0.0], row, rhs).status == "unbounded"
+        out = maximize([-1.0, 0.0], None, None, row, rhs)
+        assert out.status == "optimal"
+        assert out.value == pytest.approx(-1.0, abs=1e-12)
+        assert maximize([-1.0, 0.0], row, rhs).status == "unbounded"
+
+
+def test_reused_outcome_is_read_only():
+    with reuse_scope():
+        maximize([1.0], [[1.0]], [1.0])
+        out = maximize([1.0], [[1.0]], [1.0])
+        with pytest.raises(ValueError):
+            out.point[0] = 5.0
+    assert maximize([1.0], [[1.0]], [1.0]).point[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_reuse_scope_shares_double_descriptions():
+    ineq = np.array([[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0], [0.0, 1.0, -1.0]])
+    fresh = dd_cone(ineq)
+    with reuse_scope():
+        first = dd_cone(ineq)
+        second = dd_cone(ineq)
+        assert all(a is b for a, b in zip(first, second))
+        assert not first[0].flags.writeable and not first[1].flags.writeable
+    assert all(np.array_equal(a, b) and a.shape == b.shape
+               for a, b in zip(first, fresh))

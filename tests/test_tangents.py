@@ -9,8 +9,8 @@ from sharpcheck.sets import (Ball, Box, FiniteSet, Interval, PointSet,
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
                                  directional_normal, eps_proximal_filter,
                                  eps_proximal_membership, normal_cone,
-                                 region_tangent_cone, second_tangent,
-                                 tangent_cone)
+                                 proximal_normal_cell, region_tangent_cone,
+                                 second_tangent, tangent_cone)
 from sharpcheck.regions import (PolyCell, Region, lower_gen_support,
                                 polar_cone, region_compare, region_subset)
 
@@ -231,6 +231,22 @@ def test_eps_proximal_filter_takes_row_arrays():
     assert [list(k) for k in kept] == [list(v) for v in V if max(v) <= 1e-9]
     with pytest.raises(TangentError):
         eps_proximal_filter(box, [0.0, 0.0], np.zeros((2, 3)), 0.0)
+
+
+def test_eps_proximal_filter_reuses_a_held_cell():
+    s = UnionSet([Box([(0.0, 1.0), (0.0, 1.0)]), Ball([-1.0, 0.0], 1.0)])
+    y = [0.0, 0.0]
+    cell = proximal_normal_cell(s, y)
+    ang = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+    V = np.column_stack([np.cos(ang), np.sin(ang)])
+    for eps in (0.0, 0.2, 0.6):
+        fresh = eps_proximal_filter(s, y, V, eps)
+        held = eps_proximal_filter(s, y, V, eps, cell)
+        assert [v.tobytes() for v in held] == [v.tobytes() for v in fresh]
+        assert [eps_proximal_membership(s, y, v, eps, cell) for v in V] == \
+            [any(np.array_equal(v, k) for k in fresh) for v in V]
+    with pytest.raises(TangentError):
+        proximal_normal_cell(s, [3.0, 3.0])
 
 
 def test_eps_proximal_validates_eps():
