@@ -56,6 +56,17 @@ def _cases():
     out += [(f"first_example-sweep-{form}",
              ["check-necessary", "fixtures/first_example.json", "--form", form])
             for form in ("explicit", "clarke")]
+    # the sampling oracles print the growth witness, kappa_hat, the first 50
+    # feasible samples and the MSCQ modulus at full precision
+    for name, d in {**DIRECTIONS, "lifted_n3": "1,0,0",
+                    "halfspace_n4": "1,0,0,0"}.items():
+        path = f"fixtures/{name}.json"
+        out += [(f"{name}-verify-growth", ["verify-growth", path, "--count", "2000",
+                                           "--kappa", "0.5"]),
+                (f"{name}-oracle-feasible", ["oracle", path, "--op", "feasible",
+                                             "--count", "1000", "--limit", "50"]),
+                (f"{name}-oracle-mscq", ["oracle", path, "--op", "mscq", "--count",
+                                         "200", "--direction", d])]
     return out
 
 
