@@ -397,9 +397,15 @@ def _from_report(report):
     return doc, EXIT_BY_VERDICT[report.verdict]
 
 
-def _run_verify_growth(p, flags):
+def _count(flags) -> int:
     count = flags.count if flags.count is not None else 10000
-    est = growth_constant_estimate(p, p.options.delta, count, p.options.seed)
+    if count < 1:
+        raise DocumentError(f"--count must be at least 1, got {count}")
+    return count
+
+
+def _run_verify_growth(p, flags):
+    est = growth_constant_estimate(p, p.options.delta, _count(flags), p.options.seed)
     target = p.options.kappa
     if est.sample_count == 0:
         verdict = "inconclusive"
@@ -471,7 +477,9 @@ def _run_check_cq(p, flags):
 
 
 def _run_oracle(p, flags):
-    count = flags.count if flags.count is not None else 10000
+    count = _count(flags)
+    if flags.limit < 0:
+        raise DocumentError(f"--limit must be nonnegative, got {flags.limit}")
     seed, delta = p.options.seed, p.options.delta
     if flags.op == "membership":
         w = _parse_vec(flags.w, p.m, "--w")

@@ -3,9 +3,11 @@
 Everything here works from raw membership and distance evaluations, never
 from the closed-form cone algebra, so it can arbitrate the analytic modules.
 Sampling is deterministic under the caller's seed: every operation derives
-its generator as default_rng([seed, tag]) with a fixed per-operation tag,
-and parallel reductions are order-independent (min/max with index
-tie-breaks).
+its generator as default_rng([seed, tag]) with a fixed per-operation tag
+and draws its proposals one trial at a time, in trial order.  The
+Gauss-Newton pullback and the membership and distance tests then run on
+row batches of those proposals, each row stopping on its own criteria, so
+every result equals the one a point-by-point loop would give.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .sets import BaseSet
+from .sets import BaseSet, _row_norms
 from .polyexpr import ProblemInstance
 from . import tangents as _tangents
 
@@ -132,39 +134,48 @@ def _ball_point(rng: np.random.Generator, center: np.ndarray, radius: float) -> 
     return center + radius * rng.random() ** (1.0 / n) * u
 
 
-def _gauss_newton_feasible(p: ProblemInstance, x0: np.ndarray, iters: int = 25) -> np.ndarray:
-    """Pull a point toward the feasible set by correcting the constraint
-    residual g(x) - proj_K(g(x)) along the Jacobian pseudoinverse."""
-    x = x0.copy()
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise OracleError(f"count must be at least 1, got {count}")
+
+
+def _gauss_newton_rows(p: ProblemInstance, X: np.ndarray, iters: int) -> np.ndarray:
+    """Pull each row of X toward the feasible set by correcting the
+    constraint residual g(x) - proj_K(g(x)) along the Jacobian
+    pseudoinverse.  A row stops once g(x) lies in K (tol 1e-10) or its step
+    is not finite; the others go on, up to iters steps."""
+    X = np.array(X, dtype=float)
+    active = np.arange(X.shape[0])
     for _ in range(iters):
-        gx = p.g_value(x)
-        if p.K.contains(gx, tol=1e-10):
+        G, J = p.g_jet_rows(X[active])
+        go = ~p.K.contains_rows(G, tol=1e-10)
+        active, G, J = active[go], G[go], J[go]
+        if not active.size:
             break
-        _, projs = p.K.distance(gx)
-        resid = gx - projs[0]
-        J = p.g_jet(x).jacobian
-        step = np.linalg.pinv(J, rcond=1e-10) @ resid
-        if not np.all(np.isfinite(step)):
-            break
-        x = x - step
-    return x
+        _, proj = p.K.project_rows(G)
+        step = (np.linalg.pinv(J, rcond=1e-10) @ (G - proj)[:, :, None])[:, :, 0]
+        finite = np.isfinite(step).all(axis=1)
+        active = active[finite]
+        X[active] -= step[finite]
+    return X
 
 
 def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> list[np.ndarray]:
     """Deterministic points of the feasible set within delta of xbar, by
-    rejection sampling plus boundary-biased Gauss-Newton proposals."""
+    rejection sampling plus boundary-biased Gauss-Newton proposals (every
+    odd trial is pulled toward the feasible set)."""
     if delta <= 0:
         raise OracleError("delta must be positive")
+    _check_count(count)
     rng = _rng_for(seed, 1)
-    hits: list[np.ndarray] = []
+    X = np.empty((count, p.n))
     for trial in range(count):
-        x = _ball_point(rng, p.xbar, delta)
-        if trial % 2 == 1:
-            x = _gauss_newton_feasible(p, x)
-            if np.linalg.norm(x - p.xbar) > delta:
-                continue
-        if p.K.contains(p.g_value(x), tol=1e-9):
-            hits.append(x)
+        X[trial] = _ball_point(rng, p.xbar, delta)
+    X[1::2] = _gauss_newton_rows(p, X[1::2], 25)
+    keep = np.ones(count, dtype=bool)
+    keep[1::2] = ~(_row_norms(X[1::2] - p.xbar) > delta)
+    keep[keep] = p.K.contains_rows(p.g_value_rows(X[keep]), tol=1e-9)
+    hits = list(X[keep])
     if len(hits) < max(1, count // 100):
         raise OracleError("thin feasible set: "
                           f"{len(hits)} hits out of {count} proposals")
@@ -189,21 +200,17 @@ def growth_constant_estimate(p: ProblemInstance, delta: float, count: int,
     """Smallest observed (f(x) - f(xbar)) / dist(x, S)^2 over feasible
     samples at positive distance from S.  A negative value is a numeric
     certificate against second-order weak sharpness on this neighborhood."""
-    samples = sample_feasible(p, delta, count, seed)
-    fbar = p.f(p.xbar)
-    best = math.inf
-    witness = None
-    used = 0
-    for x in samples:
-        dist, _ = p.S.distance(x)
-        if dist <= 1e-6:
-            continue
-        used += 1
-        ratio = (p.f(x) - fbar) / (dist * dist)
-        if ratio < best:
-            best = ratio
-            witness = x
-    return GrowthEstimate(best, witness, used, delta)
+    X = np.array(sample_feasible(p, delta, count, seed))
+    dist, _ = p.S.project_rows(X)
+    far = ~(dist <= 1e-6)
+    X, dist = X[far], dist[far]
+    ratio = (p.f.eval_rows(X) - p.f(p.xbar)) / (dist * dist)
+    # the first strict minimum in sample order; NaN and +inf never win
+    wins = ratio < math.inf
+    if not wins.any():
+        return GrowthEstimate(math.inf, None, X.shape[0], delta)
+    first = int(np.flatnonzero(wins & (ratio == ratio[wins].min()))[0])
+    return GrowthEstimate(float(ratio[first]), X[first], X.shape[0], delta)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +240,24 @@ def _in_directional_neighborhood(z: np.ndarray, d: np.ndarray, rho: float,
     return float(np.linalg.norm(nd * z - nz * d)) <= rho * nz * nd + 1e-12
 
 
-def _feasible_distance(p: ProblemInstance, x: np.ndarray) -> float:
-    """Upper estimate of dist(x, g^{-1}(K)) by Gauss-Newton pullback,
-    refined by shrinking line search back toward x."""
-    y = _gauss_newton_feasible(p, x, iters=50)
-    if not p.K.contains(p.g_value(y), tol=1e-9):
-        return math.inf
-    best = float(np.linalg.norm(y - x))
-    for frac in np.linspace(0.0, 1.0, 21):
-        z = x + frac * (y - x)
-        z = _gauss_newton_feasible(p, z, iters=15)
-        if p.K.contains(p.g_value(z), tol=1e-9):
-            best = min(best, float(np.linalg.norm(z - x)))
+def _feasible_distances(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
+    """Upper estimates of dist(x, g^{-1}(K)) for each row x of X, by
+    Gauss-Newton pullback refined by a line search back toward x: each of
+    21 evenly spaced points between x and its pullback is pulled again.
+    Rows whose first pullback fails get inf."""
+    Y = _gauss_newton_rows(p, X, 50)
+    best = np.full(X.shape[0], math.inf)
+    ok = p.K.contains_rows(p.g_value_rows(Y), tol=1e-9)
+    X, Y = X[ok], Y[ok]
+    fracs = np.linspace(0.0, 1.0, 21)
+    Z = X[:, None, :] + fracs[None, :, None] * (Y - X)[:, None, :]
+    Z = _gauss_newton_rows(p, Z.reshape(-1, X.shape[1]), 15)
+    hit = p.K.contains_rows(p.g_value_rows(Z), tol=1e-9).reshape(-1, fracs.size)
+    dz = _row_norms(Z - np.repeat(X, fracs.size, axis=0)).reshape(-1, fracs.size)
+    shortest = _row_norms(Y - X)
+    for k in range(fracs.size):   # the builtin min, in line-search order
+        shortest = np.where(hit[:, k] & (dz[:, k] < shortest), dz[:, k], shortest)
+    best[ok] = shortest
     return best
 
 
@@ -255,13 +268,12 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
     ratios blow past 1e6 as the samples approach x."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
+    _check_count(count)
     if not p.K.contains(p.g_value(x), tol=1e-7):
         raise OracleError("base point is infeasible")
     rng = _rng_for(seed, 2)
-    best = 0.0
-    witness = None
-    used = 0
     nd = float(np.linalg.norm(d))
+    Z = []
     for _ in range(count):
         scale = delta * rng.random() ** 2  # bias toward x, where blowups live
         if nd > 1e-12 and rng.random() < 0.8:
@@ -270,17 +282,21 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
             z = scale * (d / nd + 0.45 * rho * tilt)
         else:
             z = _ball_point(rng, np.zeros(x.size), delta) * rng.random()
-        if not _in_directional_neighborhood(z, d, rho, delta):
-            continue
-        xp = x + z
-        resid, _ = p.K.distance(p.g_value(xp))
-        if resid <= 1e-12:
-            continue
-        fdist = _feasible_distance(p, xp)
-        if not math.isfinite(fdist):
+        if _in_directional_neighborhood(z, d, rho, delta):
+            Z.append(z)
+    XP = x + np.array(Z).reshape(-1, x.size)
+    resid, _ = p.K.project_rows(p.g_value_rows(XP))
+    outside = ~(resid <= 1e-12)
+    XP, resid = XP[outside], resid[outside]
+    fdist = _feasible_distances(p, XP)
+    best = 0.0
+    witness = None
+    used = 0
+    for xp, fd, r in zip(XP, fdist, resid):
+        if not math.isfinite(fd):
             continue  # pullback failed; no distance estimate for this sample
         used += 1
-        ratio = fdist / resid
+        ratio = float(fd / r)
         if ratio > best:
             best = ratio
             witness = xp

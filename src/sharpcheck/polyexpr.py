@@ -195,6 +195,16 @@ class PolyExpr:
             total += v
         return float(total)
 
+    def eval_rows(self, X) -> np.ndarray:
+        """Values at each row of the (k, nvars) array X, bit for bit the
+        values of ``self(x)`` row by row."""
+        X = _point_rows(X, self.nvars)
+        total = np.zeros(X.shape[0])
+        powers: dict = {}
+        for mono, c in self.terms.items():
+            total += _mono_rows(mono, c, X, powers)
+        return total
+
     def __repr__(self):
         return f"PolyExpr({self.text!r})" if self.text else f"PolyExpr(<{len(self.terms)} terms>)"
 
@@ -248,6 +258,34 @@ def _mono_eval(mono, c, x):
     return v
 
 
+def _mono_rows(mono, c, X, powers):
+    """_mono_eval on each row of X.  np.float_power calls the same libm pow
+    as the scalar ``x ** e``; the array ``**`` takes faster paths that
+    differ in the last bit.  ``powers`` shares the column powers of one
+    evaluation across monomials."""
+    v = np.full(X.shape[0], c)
+    for i, e in mono:
+        pw = powers.get((i, e))
+        if pw is None:
+            pw = powers[(i, e)] = np.float_power(X[:, i - 1], e)
+        v *= pw
+    return v
+
+
+def _d_mono(mono, i):
+    """The monomial left after differentiating mono once in x_i."""
+    dm = tuple((j, (ej - 1 if j == i else ej)) for j, ej in mono)
+    return tuple((j, ej) for j, ej in dm if ej > 0)
+
+
+def _point_rows(X, n):
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] < n:
+        raise ModelError(f"expected a (k, n) array of points with n >= {n}, "
+                         f"got shape {X.shape}")
+    return X
+
+
 def _jet_one(e: PolyExpr, x: np.ndarray, n: int):
     val = 0.0
     grad = np.zeros(n)
@@ -255,9 +293,7 @@ def _jet_one(e: PolyExpr, x: np.ndarray, n: int):
     for mono, c in e.terms.items():
         val += _mono_eval(mono, c, x)
         for i, ei in mono:
-            dm = tuple((j, (ej - 1 if j == i else ej)) for j, ej in mono)
-            dm = tuple((j, ej) for j, ej in dm if ej > 0)
-            grad[i - 1] += _mono_eval(dm, c * ei, x)
+            grad[i - 1] += _mono_eval(_d_mono(mono, i), c * ei, x)
             for j, ej in mono:
                 factor = ei * (ei - 1) if j == i else ei * ej
                 if factor == 0:
@@ -286,6 +322,21 @@ def evaluate_jet(e, x) -> Jet2:
         grads.append(gr)
         hesses.append(H)
     return Jet2(np.array(vals), np.array(grads), tuple(hesses))
+
+
+def value_gradient_rows(e: PolyExpr, X) -> tuple[np.ndarray, np.ndarray]:
+    """Values (k,) and gradients (k, n) at each row of the (k, n) array X,
+    bit for bit the value and gradient of ``evaluate_jet(e, x)`` row by
+    row; no Hessians."""
+    X = _point_rows(X, e.nvars)
+    vals = np.zeros(X.shape[0])
+    grads = np.zeros(X.shape)
+    powers: dict = {}
+    for mono, c in e.terms.items():
+        vals += _mono_rows(mono, c, X, powers)
+        for i, ei in mono:
+            grads[:, i - 1] += _mono_rows(_d_mono(mono, i), c * ei, X, powers)
+    return vals, grads
 
 
 @dataclasses.dataclass(frozen=True)
@@ -398,6 +449,17 @@ class ProblemInstance:
 
     def g_value(self, x) -> np.ndarray:
         return np.array([gi(x) for gi in self.g])
+
+    def g_value_rows(self, X) -> np.ndarray:
+        """g at each row of the (k, n) array X, as a (k, m) array."""
+        return np.stack([gi.eval_rows(X) for gi in self.g], axis=1)
+
+    def g_jet_rows(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """g and its Jacobian at each row of the (k, n) array X, as (k, m)
+        and (k, m, n) arrays; no Hessians."""
+        parts = [value_gradient_rows(gi, X) for gi in self.g]
+        return (np.stack([v for v, _ in parts], axis=1),
+                np.stack([G for _, G in parts], axis=1))
 
     def f_jet(self, x) -> Jet2:
         return evaluate_jet(self.f, np.asarray(x, dtype=float))

@@ -30,6 +30,26 @@ def _vec(x, dim=None) -> np.ndarray:
     return out
 
 
+def _rows(Y, dim) -> np.ndarray:
+    Y = np.ascontiguousarray(Y, dtype=float)
+    if Y.ndim != 2 or Y.shape[1] != dim:
+        raise SetError(f"expected a (k, {dim}) array of points, got shape {Y.shape}")
+    return Y
+
+
+def _row_dots(Y, v) -> np.ndarray:
+    """``v @ y`` for each row y of Y.  The stacked (1, n) @ (n, 1) products
+    go through the same BLAS dot as the 1-D product; ``Y @ v`` and
+    ``np.linalg.norm(Y, axis=1)`` sum in another order and can differ in
+    the last bit."""
+    return (Y[:, None, :] @ v[..., None])[:, 0, 0]
+
+
+def _row_norms(Y) -> np.ndarray:
+    """``np.linalg.norm(y)`` for each row y of Y, bit for bit."""
+    return np.sqrt(_row_dots(Y, Y))
+
+
 def _dedupe_points(pts, tol=1e-7):
     out = []
     for p in pts:
@@ -50,6 +70,22 @@ class BaseSet(ABC):
     @abstractmethod
     def distance(self, y) -> tuple[float, list[np.ndarray]]:
         """Exact distance and all projection points found."""
+
+    def contains_rows(self, Y, tol: float = TOL) -> np.ndarray:
+        """Membership of each row of the (k, dim) array Y, as bool[k]: row
+        i equals contains(Y[i], tol)."""
+        return np.array([self.contains(y, tol) for y in _rows(Y, self.dim)], dtype=bool)
+
+    def project_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
+        """Distances (k,) and first projections (k, dim) of each row of the
+        (k, dim) array Y: row i equals distance(Y[i])[0] and [1][0]."""
+        Y = _rows(Y, self.dim)
+        D = np.empty(Y.shape[0])
+        P = np.empty(Y.shape)
+        for i, y in enumerate(Y):
+            d, projs = self.distance(y)
+            D[i], P[i] = d, projs[0]
+        return D, P
 
     def is_convex(self) -> bool:
         return True
@@ -100,6 +136,17 @@ class Interval(BaseSet):
         p = min(max(v, self.lo), self.hi)
         return abs(v - p), [np.array([p])]
 
+    def contains_rows(self, Y, tol=TOL):
+        v = _rows(Y, 1)[:, 0]
+        return (self.lo - tol <= v) & (v <= self.hi + tol)
+
+    def project_rows(self, Y):
+        v = _rows(Y, 1)[:, 0]
+        # the builtin max and min keep their first argument on ties
+        p = np.where(self.lo > v, self.lo, v)
+        p = np.where(self.hi < p, self.hi, p)
+        return np.abs(v - p), p[:, None]
+
     def as_region(self):
         rows, rhs = [], []
         if not math.isinf(self.hi):
@@ -132,6 +179,19 @@ class Box(BaseSet):
         y = _vec(y, self.dim)
         p = np.array([min(max(v, iv.lo), iv.hi) for iv, v in zip(self.intervals, y)])
         return float(np.linalg.norm(y - p)), [p]
+
+    def contains_rows(self, Y, tol=TOL):
+        Y = _rows(Y, self.dim)
+        ok = np.ones(Y.shape[0], dtype=bool)
+        for j, iv in enumerate(self.intervals):
+            ok &= iv.contains_rows(Y[:, j:j + 1], tol)
+        return ok
+
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        P = np.hstack([iv.project_rows(Y[:, j:j + 1])[1]
+                       for j, iv in enumerate(self.intervals)])
+        return _row_norms(Y - P), P
 
     def as_region(self):
         rows, rhs = [], []
@@ -175,6 +235,20 @@ class Halfspace(BaseSet):
         p = y - (slack / nr2) * self.normal
         return slack / math.sqrt(nr2), [p]
 
+    def contains_rows(self, Y, tol=TOL):
+        Y = _rows(Y, self.dim)
+        return _row_dots(Y, self.normal) <= self.offset + tol * np.linalg.norm(self.normal)
+
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        slack = _row_dots(Y, self.normal) - self.offset
+        nr2 = float(self.normal @ self.normal)
+        inside = slack <= 0
+        P = Y.copy()
+        out = ~inside
+        P[out] = Y[out] - (slack[out] / nr2)[:, None] * self.normal
+        return np.where(inside, 0.0, slack / math.sqrt(nr2)), P
+
     def as_region(self):
         return Region.from_cell(PolyCell(self.normal.reshape(1, -1), [self.offset], dim=self.dim))
 
@@ -207,6 +281,9 @@ class Polyhedron(BaseSet):
 
     def contains(self, y, tol=TOL):
         return self.cell.contains(y, tol)
+
+    def contains_rows(self, Y, tol=TOL):
+        return self.cell.contains_rows(_rows(Y, self.dim), tol)
 
     def distance(self, y):
         d, p = self.cell.project(_vec(y, self.dim))
@@ -243,6 +320,19 @@ class Ball(BaseSet):
         p = self.center + (self.radius / gap) * (y - self.center)
         return gap - self.radius, [p]
 
+    def contains_rows(self, Y, tol=TOL):
+        return _row_norms(_rows(Y, self.dim) - self.center) <= self.radius + tol
+
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        off = Y - self.center
+        gap = _row_norms(off)
+        inside = gap <= self.radius
+        P = Y.copy()
+        out = ~inside
+        P[out] = self.center + (self.radius / gap[out])[:, None] * off[out]
+        return np.where(inside, 0.0, gap - self.radius), P
+
     def to_json(self):
         return {"kind": "ball", "center": list(self.center), "radius": self.radius}
 
@@ -260,6 +350,13 @@ class PointSet(BaseSet):
     def distance(self, y):
         y = _vec(y, self.dim)
         return float(np.linalg.norm(y - self.x)), [self.x.copy()]
+
+    def contains_rows(self, Y, tol=TOL):
+        return _row_norms(_rows(Y, self.dim) - self.x) <= tol
+
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        return _row_norms(Y - self.x), np.tile(self.x, (Y.shape[0], 1))
 
     def as_region(self):
         return Region.from_point(self.x)
@@ -330,6 +427,28 @@ class UnionSet(BaseSet):
                 projs.extend(ps)
         return best, _dedupe_points(projs)
 
+    def contains_rows(self, Y, tol=TOL):
+        Y = _rows(Y, self.dim)
+        ok = np.zeros(Y.shape[0], dtype=bool)
+        for s in self.members:
+            ok |= s.contains_rows(Y, tol)
+        return ok
+
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        parts = [s.project_rows(Y) for s in self.members]
+        best = parts[0][0]
+        for d, _ in parts[1:]:
+            best = np.where(d < best, d, best)   # the builtin min, NaN included
+        # the first projection of the first member inside the tie window
+        P = np.full(Y.shape, np.nan)
+        open_ = np.ones(Y.shape[0], dtype=bool)
+        for d, ps in parts:
+            take = open_ & (d <= best + TOL)
+            P[take] = ps[take]
+            open_ &= ~take
+        return best, P
+
     def is_convex(self):
         return len(self.members) == 1 and self.members[0].is_convex()
 
@@ -379,6 +498,23 @@ class ProductSet(BaseSet):
                 combos = combos[:16]
         projs = [np.concatenate(c) for c in combos]
         return math.sqrt(total2), _dedupe_points(projs)
+
+    def contains_rows(self, Y, tol=TOL):
+        Y = _rows(Y, self.dim)
+        ok = np.ones(Y.shape[0], dtype=bool)
+        for i, s in enumerate(self.factors):
+            ok &= s.contains_rows(Y[:, self.offsets[i]:self.offsets[i + 1]], tol)
+        return ok
+
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        total2 = np.zeros(Y.shape[0])
+        projs = []
+        for i, s in enumerate(self.factors):
+            d, P = s.project_rows(Y[:, self.offsets[i]:self.offsets[i + 1]])
+            total2 += d * d
+            projs.append(P)
+        return np.sqrt(total2), np.hstack(projs)
 
     def is_convex(self):
         return all(s.is_convex() for s in self.factors)

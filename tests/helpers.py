@@ -8,7 +8,15 @@ import math
 
 import numpy as np
 
-from sharpcheck.oracles import membership_by_definition
+from sharpcheck.oracles import (
+    GrowthEstimate,
+    MscqEstimate,
+    OracleError,
+    _ball_point,
+    _in_directional_neighborhood,
+    _rng_for,
+    membership_by_definition,
+)
 from sharpcheck.regions import (
     Region,
     lower_gen_support_detail,
@@ -439,3 +447,128 @@ def oracle_agreement(s, y, d, count, seed, spread=2.0):
         elif boundary_band_gap(region, w) > 1e-7:
             offband += 1
     return agree, decided, offband
+
+
+# ---------------------------------------------------------------------------
+# scalar references for the sampling oracles: the point-by-point versions
+# of sample_feasible, growth_constant_estimate and mscq_modulus_estimate,
+# kept unchanged so the row-batched oracles can be compared against them
+# bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _gauss_newton_feasible(p: ProblemInstance, x0: np.ndarray, iters: int = 25) -> np.ndarray:
+    """Pull a point toward the feasible set by correcting the constraint
+    residual g(x) - proj_K(g(x)) along the Jacobian pseudoinverse."""
+    x = x0.copy()
+    for _ in range(iters):
+        gx = p.g_value(x)
+        if p.K.contains(gx, tol=1e-10):
+            break
+        _, projs = p.K.distance(gx)
+        resid = gx - projs[0]
+        J = p.g_jet(x).jacobian
+        step = np.linalg.pinv(J, rcond=1e-10) @ resid
+        if not np.all(np.isfinite(step)):
+            break
+        x = x - step
+    return x
+
+
+def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> list[np.ndarray]:
+    """Deterministic points of the feasible set within delta of xbar, by
+    rejection sampling plus boundary-biased Gauss-Newton proposals."""
+    if delta <= 0:
+        raise OracleError("delta must be positive")
+    rng = _rng_for(seed, 1)
+    hits: list[np.ndarray] = []
+    for trial in range(count):
+        x = _ball_point(rng, p.xbar, delta)
+        if trial % 2 == 1:
+            x = _gauss_newton_feasible(p, x)
+            if np.linalg.norm(x - p.xbar) > delta:
+                continue
+        if p.K.contains(p.g_value(x), tol=1e-9):
+            hits.append(x)
+    if len(hits) < max(1, count // 100):
+        raise OracleError("thin feasible set: "
+                          f"{len(hits)} hits out of {count} proposals")
+    return hits
+
+
+def growth_constant_estimate(p: ProblemInstance, delta: float, count: int,
+                             seed: int) -> GrowthEstimate:
+    """Smallest observed (f(x) - f(xbar)) / dist(x, S)^2 over feasible
+    samples at positive distance from S.  A negative value is a numeric
+    certificate against second-order weak sharpness on this neighborhood."""
+    samples = sample_feasible(p, delta, count, seed)
+    fbar = p.f(p.xbar)
+    best = math.inf
+    witness = None
+    used = 0
+    for x in samples:
+        dist, _ = p.S.distance(x)
+        if dist <= 1e-6:
+            continue
+        used += 1
+        ratio = (p.f(x) - fbar) / (dist * dist)
+        if ratio < best:
+            best = ratio
+            witness = x
+    return GrowthEstimate(best, witness, used, delta)
+
+
+def _feasible_distance(p: ProblemInstance, x: np.ndarray) -> float:
+    """Upper estimate of dist(x, g^{-1}(K)) by Gauss-Newton pullback,
+    refined by shrinking line search back toward x."""
+    y = _gauss_newton_feasible(p, x, iters=50)
+    if not p.K.contains(p.g_value(y), tol=1e-9):
+        return math.inf
+    best = float(np.linalg.norm(y - x))
+    for frac in np.linspace(0.0, 1.0, 21):
+        z = x + frac * (y - x)
+        z = _gauss_newton_feasible(p, z, iters=15)
+        if p.K.contains(p.g_value(z), tol=1e-9):
+            best = min(best, float(np.linalg.norm(z - x)))
+    return best
+
+
+def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
+                          count: int, seed: int) -> MscqEstimate:
+    """Max observed dist(x', Phi) / dist(g(x'), K) over x' in the
+    directional neighborhood x + V_{rho,delta}(d); flags divergence when the
+    ratios blow past 1e6 as the samples approach x."""
+    x = np.asarray(x, dtype=float).ravel()
+    d = np.asarray(d, dtype=float).ravel()
+    if not p.K.contains(p.g_value(x), tol=1e-7):
+        raise OracleError("base point is infeasible")
+    rng = _rng_for(seed, 2)
+    best = 0.0
+    witness = None
+    used = 0
+    nd = float(np.linalg.norm(d))
+    for _ in range(count):
+        scale = delta * rng.random() ** 2  # bias toward x, where blowups live
+        if nd > 1e-12 and rng.random() < 0.8:
+            tilt = rng.normal(size=x.size)
+            tilt /= max(np.linalg.norm(tilt), 1e-12)
+            z = scale * (d / nd + 0.45 * rho * tilt)
+        else:
+            z = _ball_point(rng, np.zeros(x.size), delta) * rng.random()
+        if not _in_directional_neighborhood(z, d, rho, delta):
+            continue
+        xp = x + z
+        resid, _ = p.K.distance(p.g_value(xp))
+        if resid <= 1e-12:
+            continue
+        fdist = _feasible_distance(p, xp)
+        if not math.isfinite(fdist):
+            continue  # pullback failed; no distance estimate for this sample
+        used += 1
+        ratio = fdist / resid
+        if ratio > best:
+            best = ratio
+            witness = xp
+        if ratio > 1e6:
+            return MscqEstimate(None, True, xp, used)
+    return MscqEstimate(best, False, witness, used)

@@ -132,6 +132,23 @@ def test_sufficient_point_without_boundary_points(tmp_path):
     assert "direction mesh: 0 admissible, 0 critical" in json.loads(report)["diagnostics"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-growth", "--count", "0"],
+    ["verify-growth", "--count=-5"],
+    ["oracle", "--op", "feasible", "--count=-5"],
+    ["oracle", "--op", "mscq", "--direction", "1,0", "--count=0"],
+    ["oracle", "--op", "mscq", "--direction", "1,0", "--count=-5"],
+    ["oracle", "--op", "feasible", "--limit=-1"],
+], ids=["growth-zero", "growth-negative", "feasible-negative", "mscq-zero",
+        "mscq-negative", "feasible-limit"])
+def test_sample_count_and_limit_are_input_errors(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = cli.main([argv[0], "fixtures/parabola.json", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("module", ["sharpcheck", "sharpcheck.cli"])
 def test_python_m_entry_points(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

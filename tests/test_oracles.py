@@ -1,9 +1,11 @@
 """Sampling oracles: membership by definition, feasible sampling, growth
 and subregularity estimates, proximal distance, level-set injectivity."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sharpcheck.oracles import (
     OracleError,
@@ -17,6 +19,9 @@ from sharpcheck.oracles import (
 )
 from sharpcheck.polyexpr import ProblemInstance, parse_expression
 from sharpcheck.sets import Ball, Box, Interval, PointSet, UnionSet
+
+import helpers as reference   # the scalar oracles of the parent commit
+from helpers import random_catalog_instance
 
 
 def first_example():
@@ -253,3 +258,125 @@ def test_schedule_shapes():
     # radius r = t^(2/3) dominates t on the unit scale, shrinking slower
     assert all(r == pytest.approx(t ** (2.0 / 3.0)) for t, r in pairs)
     assert all(r > t for t, r in pairs)
+
+
+# -- the row-batched oracles against the point-by-point references ---------
+
+
+def _bits(v):
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except OracleError as ex:
+        return f"OracleError: {ex}"
+
+
+def _assert_same(got, want):
+    """Bit-for-bit equality of two oracle outcomes (sample lists, growth or
+    MSCQ estimates, or the message of the OracleError raised)."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+    else:
+        assert type(got) is type(want)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if b is None or isinstance(b, (np.ndarray, float)):
+                assert _bits(a) == _bits(b), field.name
+            else:
+                assert a == b, field.name
+
+
+def _kind_seeds():
+    """One random_catalog_instance seed per set kind it draws."""
+    out, seed = {}, 0
+    while len(out) < 9:
+        s = random_catalog_instance(seed)[0]
+        key = s.kind + (f"-{s.members[0].kind}" if s.kind == "union" else "")
+        out.setdefault(key, seed)
+        seed += 1
+    return out
+
+
+_KIND_SEEDS = {**_kind_seeds(), "point": None}
+
+
+def _random_instance(kind_seed, seed):
+    """A small polynomial program whose K is a catalog set: g(x) = y + A x
+    + quadratic terms with y a point of K, xbar = 0 and S = {0}."""
+    rng = np.random.default_rng([seed, 41])
+    if kind_seed is None:
+        y = rng.uniform(-1.0, 1.0, size=int(rng.integers(1, 3)))
+        K = PointSet(y)
+    else:
+        K, y, _, _ = random_catalog_instance(kind_seed)
+    y = np.asarray(y, dtype=float)
+    n = int(rng.integers(1, 4))
+    num = lambda: f"{rng.uniform(-1.5, 1.5):.17g}"
+    g = []
+    for i in range(K.dim):
+        text = f"{y[i]:.17g}" + "".join(
+            f" + {num()}*x{j} + {num()}*x{j}^2" for j in range(1, n + 1))
+        g.append(parse_expression(text + f" + {num()}*x1*x{n}", n))
+    f = parse_expression(" + ".join(f"{num()}*x{j} + {rng.uniform(0.1, 1.5):.17g}*x{j}^2"
+                                    for j in range(1, n + 1)), n)
+    return ProblemInstance(n, K.dim, f, g, K, PointSet(np.zeros(n)), np.zeros(n))
+
+
+@pytest.mark.parametrize("kind", list(_KIND_SEEDS))
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_batched_oracles_match_the_scalar_references(kind, seed):
+    p = _random_instance(_KIND_SEEDS[kind], seed)
+    rng = np.random.default_rng([seed, 43])
+    delta = float(rng.choice([0.05, 0.25, 0.5]))
+    # the MSCQ samples follow d: take the trial direction leaving K the most
+    trials = rng.normal(size=(8, p.n))
+    leave, _ = p.K.project_rows(p.g_value_rows(0.01 * trials))
+    d = trials[int(np.argmax(leave))]
+    _assert_same(_outcome(sample_feasible, p, delta, 120, seed),
+                 _outcome(reference.sample_feasible, p, delta, 120, seed))
+    _assert_same(_outcome(growth_constant_estimate, p, delta, 120, seed),
+                 _outcome(reference.growth_constant_estimate, p, delta, 120, seed))
+    _assert_same(_outcome(mscq_modulus_estimate, p, p.xbar, d, 0.5, delta, 30, seed),
+                 _outcome(reference.mscq_modulus_estimate, p, p.xbar, d, 0.5, delta,
+                          30, seed))
+
+
+@pytest.mark.parametrize("make", [first_example, second_example, square_objective,
+                                  identity_halfline])
+def test_batched_oracles_match_the_scalar_references_on_examples(make):
+    p = make()
+    d = np.ones(p.n)
+    _assert_same(growth_constant_estimate(p, 0.1, 600, 3),
+                 reference.growth_constant_estimate(p, 0.1, 600, 3))
+    _assert_same(mscq_modulus_estimate(p, p.xbar, d, 0.5, 0.1, 60, 3),
+                 reference.mscq_modulus_estimate(p, p.xbar, d, 0.5, 0.1, 60, 3))
+
+
+def test_diverging_mscq_matches_the_scalar_reference():
+    # the batch pulls every candidate, also those after the early return
+    f = parse_expression("x1^2", 1)
+    g = (parse_expression("0.0001*x1^2", 1),)
+    p = ProblemInstance(1, 1, f, g, PointSet([0.0]), PointSet([0.0]), [0.0])
+    got = mscq_modulus_estimate(p, [0.0], [1.0], rho=2.5, delta=0.1, count=400, seed=42)
+    want = reference.mscq_modulus_estimate(p, [0.0], [1.0], rho=2.5, delta=0.1,
+                                           count=400, seed=42)
+    assert got.diverged and got.sample_count < 400
+    _assert_same(got, want)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_oracles_reject_counts_below_one(count):
+    p = first_example()
+    with pytest.raises(OracleError, match="count"):
+        sample_feasible(p, 0.1, count, 42)
+    with pytest.raises(OracleError, match="count"):
+        growth_constant_estimate(p, 0.1, count, 42)
+    with pytest.raises(OracleError, match="count"):
+        mscq_modulus_estimate(p, [0.0, 0.0], [0.0, 1.0], 0.5, 0.1, count, 42)

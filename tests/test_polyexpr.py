@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sharpcheck.polyexpr import (
     DerivativeReport,
@@ -12,6 +14,7 @@ from sharpcheck.polyexpr import (
     evaluate_jet,
     lagrangian_jet,
     parse_expression,
+    value_gradient_rows,
 )
 from sharpcheck.sets import Ball, Box, Interval, PointSet, ProductSet, UnionSet
 
@@ -208,3 +211,64 @@ def test_options_validation():
     with pytest.raises(ModelError):
         Options(delta=0.0)
     assert Options(epsilon=0.25).epsilon == 0.25
+
+
+# -- row evaluation --------------------------------------------------------
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _poly_and_rows(draw):
+    """A polynomial with exponents up to 5 over 1..4 variables (as a list of
+    constraint components) and 1..12 evaluation points."""
+    n = draw(st.integers(1, 4))
+    coef = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    exprs = []
+    for _ in range(draw(st.integers(1, 3))):
+        parts = []
+        for _ in range(draw(st.integers(1, 6))):
+            part = f"{draw(coef):.17g}"
+            for i in range(1, n + 1):
+                e = draw(st.integers(0, 5))
+                if e:
+                    part += f"*x{i}^{e}"
+            parts.append(f"({part})")
+        exprs.append(parse_expression(" + ".join(parts), n))
+    X = draw(hnp.arrays(float, (draw(st.integers(1, 12)), n),
+                        elements=st.floats(-2.5, 2.5, allow_nan=False,
+                                           allow_infinity=False)))
+    return n, exprs, X
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_and_rows())
+def test_row_evaluation_matches_pointwise_bit_for_bit(case):
+    n, exprs, X = case
+    for e in exprs:
+        assert _same_bits(e.eval_rows(X), [e(x) for x in X])
+        vals, grads = value_gradient_rows(e, X)
+        jets = [evaluate_jet(e, x) for x in X]
+        assert _same_bits(vals, [j.values[0] for j in jets])
+        assert _same_bits(grads, [j.jacobian[0] for j in jets])
+    p = ProblemInstance(n, len(exprs), parse_expression("x1", n), exprs,
+                        Box([(-np.inf, np.inf)] * len(exprs)), PointSet(np.zeros(n)),
+                        np.zeros(n))
+    G, J = p.g_jet_rows(X)
+    assert _same_bits(p.g_value_rows(X), [p.g_value(x) for x in X])
+    assert _same_bits(G, [p.g_value(x) for x in X])
+    assert _same_bits(J, [p.g_jet(x).jacobian for x in X])
+
+
+def test_row_evaluation_shapes():
+    e = parse_expression("x1*x2 + 1", 2)
+    assert e.eval_rows(np.zeros((0, 2))).shape == (0,)
+    assert e.eval_rows(np.ones((3, 2))).tolist() == [2.0, 2.0, 2.0]
+    vals, grads = value_gradient_rows(e, np.zeros((0, 2)))
+    assert vals.shape == (0,) and grads.shape == (0, 2)
+    for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros((2, 2, 2))):
+        with pytest.raises(ModelError):
+            e.eval_rows(bad)

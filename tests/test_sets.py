@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_catalog_instance
 
 from sharpcheck.sets import (
     Ball,
@@ -153,3 +156,82 @@ def test_sampler_returns_members_within_delta():
         for p in pts:
             assert s.contains(p, tol=1e-7)
             assert np.linalg.norm(p - x) <= 0.5 + 1e-9
+
+
+# -- row membership and projection ------------------------------------------
+
+
+def _composites():
+    """Catalog sets beyond random_catalog_instance: higher-dimensional
+    halfspaces, balls and points, polyhedra with equalities, tie windows,
+    and unions and products nested in each other."""
+    strips = vertical_strips()
+    return [
+        Halfspace([0.3, -1.2, 0.7], 0.4),
+        Ball([0.2, -0.1, 0.5, 0.0], 0.8),
+        PointSet([0.1, -0.3, 0.2]),
+        Polyhedron(rows=[([1.0, 1.0], 1.0)], equalities=[([1.0, -2.0], 0.25)]),
+        strips,
+        UnionSet([Halfspace([1.0, 1.0], -1.0), PointSet([0.5, 0.5]),
+                  Ball([2.0, 0.0], 0.5)]),
+        ProductSet([strips, Interval(-0.5, 0.5), Ball([0.0, 1.0], 1.0)]),
+        UnionSet([ProductSet([Interval(0.0, 1.0), PointSet([0.0])]),
+                  ProductSet([PointSet([0.0]), Interval(0.0, 1.0)])]),
+        FiniteSet([[0.0, 1.0], [1.0, 0.0], [-1.0, -1.0]]),
+    ]
+
+
+def _probe_rows(s, y, rng):
+    """Points around y at several scales, on the boundary (projections and
+    exact ties) and just inside and outside the membership tolerances."""
+    y = np.asarray(y, dtype=float)
+    pts = [y, np.zeros(s.dim)]
+    for scale in (1e-10, 1e-8, 1e-3, 0.3, 2.0):
+        pts += list(y + scale * rng.normal(size=(4, s.dim)))
+    for q in list(pts):
+        proj = s.distance(q)[1][0]
+        out = q - proj
+        pts += [proj, proj + 5e-10 * out, proj + 5e-9 * out, proj - 5e-10 * out]
+    return np.array(pts)
+
+
+def _check_rows(s, Y):
+    for tol in (1e-10, 1e-9, 1e-7):
+        assert s.contains_rows(Y, tol).tolist() == [s.contains(y, tol) for y in Y]
+    D, P = s.project_rows(Y)
+    pairs = [s.distance(y) for y in Y]
+    assert D.tobytes() == np.array([d for d, _ in pairs], dtype=float).tobytes()
+    assert P.tobytes() == np.array([ps[0] for _, ps in pairs]).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_row_methods_match_pointwise_on_random_catalog_sets(seed):
+    s, y, _, _ = random_catalog_instance(seed)
+    _check_rows(s, _probe_rows(s, y, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("s", _composites(), ids=lambda s: s.kind)
+def test_row_methods_match_pointwise_on_composite_sets(s):
+    rng = np.random.default_rng(5)
+    y = s.distance(rng.normal(size=s.dim))[1][0]
+    _check_rows(s, _probe_rows(s, y, rng))
+
+
+def test_project_rows_keeps_the_first_projection_of_a_tie():
+    # equidistant from both strips: the first member's projection wins
+    Y = np.array([[0.0, 2.0], [0.0, -1.0]])
+    _check_rows(vertical_strips(), Y)
+    assert vertical_strips().project_rows(Y)[1].tolist() == [[1.0, 2.0], [1.0, -1.0]]
+
+
+def test_row_methods_check_shapes():
+    for s in (Interval(0.0, 1.0), Ball([0.0, 0.0], 1.0), FiniteSet([[0.0, 1.0]])):
+        assert s.contains_rows(np.zeros((0, s.dim))).shape == (0,)
+        D, P = s.project_rows(np.zeros((0, s.dim)))
+        assert D.shape == (0,) and P.shape == (0, s.dim)
+        for bad in (np.zeros(s.dim), np.zeros((2, s.dim + 1))):
+            with pytest.raises(SetError):
+                s.contains_rows(bad)
+            with pytest.raises(SetError):
+                s.project_rows(bad)
