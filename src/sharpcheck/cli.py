@@ -477,9 +477,6 @@ def _run_check_cq(p, flags):
 
 
 def _run_oracle(p, flags):
-    count = _count(flags)
-    if flags.limit < 0:
-        raise DocumentError(f"--limit must be nonnegative, got {flags.limit}")
     seed, delta = p.options.seed, p.options.delta
     if flags.op == "membership":
         w = _parse_vec(flags.w, p.m, "--w")
@@ -500,7 +497,8 @@ def _run_oracle(p, flags):
         d = _parse_vec(flags.direction, p.n, "--direction")
         if d is None:
             raise DocumentError("oracle --op mscq needs --direction")
-        est = mscq_modulus_estimate(p, p.xbar, d, p.options.rho, delta, count, seed)
+        est = mscq_modulus_estimate(p, p.xbar, d, p.options.rho, delta,
+                                    _count(flags), seed)
         verdict = "violated" if est.diverged else (
             "satisfied" if est.kappa_hat is not None else "inconclusive")
         doc = {"verdict": verdict, "kappa_bounds": {}, "witnesses": [],
@@ -511,6 +509,9 @@ def _run_oracle(p, flags):
                           "diverged": est.diverged}}
         return doc, EXIT_BY_VERDICT[verdict]
     # feasible sampling: echo the first few draws so runs are replayable
+    count = _count(flags)
+    if flags.limit < 0:
+        raise DocumentError(f"--limit must be nonnegative, got {flags.limit}")
     samples = sample_feasible(p, delta, count, seed)
     head = [list(map(float, x)) for x in samples[:flags.limit]]
     doc = {"verdict": "satisfied" if samples else "inconclusive",

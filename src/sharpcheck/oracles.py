@@ -240,6 +240,9 @@ def _in_directional_neighborhood(z: np.ndarray, d: np.ndarray, rho: float,
     return float(np.linalg.norm(nd * z - nz * d)) <= rho * nz * nd + 1e-12
 
 
+_MSCQ_BLOCK = 128
+
+
 def _feasible_distances(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
     """Upper estimates of dist(x, g^{-1}(K)) for each row x of X, by
     Gauss-Newton pullback refined by a line search back toward x: each of
@@ -288,20 +291,23 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
     resid, _ = p.K.project_rows(p.g_value_rows(XP))
     outside = ~(resid <= 1e-12)
     XP, resid = XP[outside], resid[outside]
-    fdist = _feasible_distances(p, XP)
     best = 0.0
     witness = None
     used = 0
-    for xp, fd, r in zip(XP, fdist, resid):
-        if not math.isfinite(fd):
-            continue  # pullback failed; no distance estimate for this sample
-        used += 1
-        ratio = float(fd / r)
-        if ratio > best:
-            best = ratio
-            witness = xp
-        if ratio > 1e6:
-            return MscqEstimate(None, True, xp, used)
+    # blocks in draw order bound the line-search stack (21 rows a sample)
+    # and stop the pullbacks at the first block that diverges
+    for lo in range(0, XP.shape[0], _MSCQ_BLOCK):
+        block = slice(lo, lo + _MSCQ_BLOCK)
+        for xp, fd, r in zip(XP[block], _feasible_distances(p, XP[block]), resid[block]):
+            if not math.isfinite(fd):
+                continue  # pullback failed; no distance estimate for this sample
+            used += 1
+            ratio = float(fd / r)
+            if ratio > best:
+                best = ratio
+                witness = xp
+            if ratio > 1e6:
+                return MscqEstimate(None, True, xp, used)
     return MscqEstimate(best, False, witness, used)
 
 

@@ -37,17 +37,12 @@ def _rows(Y, dim) -> np.ndarray:
     return Y
 
 
-def _row_dots(Y, v) -> np.ndarray:
-    """``v @ y`` for each row y of Y.  The stacked (1, n) @ (n, 1) products
-    go through the same BLAS dot as the 1-D product; ``Y @ v`` and
-    ``np.linalg.norm(Y, axis=1)`` sum in another order and can differ in
-    the last bit."""
-    return (Y[:, None, :] @ v[..., None])[:, 0, 0]
-
-
 def _row_norms(Y) -> np.ndarray:
-    """``np.linalg.norm(y)`` for each row y of Y, bit for bit."""
-    return np.sqrt(_row_dots(Y, Y))
+    """``np.linalg.norm(y)`` for each row y of Y, bit for bit.  The stacked
+    (1, n) @ (n, 1) products go through the same BLAS dot as the 1-D
+    ``y @ y``; ``(Y * Y).sum(axis=1)`` and ``np.linalg.norm(Y, axis=1)``
+    sum in another order and can differ in the last bit."""
+    return np.sqrt((Y[:, None, :] @ Y[..., None])[:, 0, 0])
 
 
 def _dedupe_points(pts, tol=1e-7):
@@ -65,11 +60,12 @@ class BaseSet(ABC):
     kind: str
 
     @abstractmethod
-    def contains(self, y, tol: float = TOL) -> bool: ...
-
-    @abstractmethod
     def distance(self, y) -> tuple[float, list[np.ndarray]]:
         """Exact distance and all projection points found."""
+
+    # Each kind defines contains or contains_rows; the other follows from it.
+    def contains(self, y, tol: float = TOL) -> bool:
+        return bool(self.contains_rows(_vec(y, self.dim)[None], tol)[0])
 
     def contains_rows(self, Y, tol: float = TOL) -> np.ndarray:
         """Membership of each row of the (k, dim) array Y, as bool[k]: row
@@ -127,10 +123,6 @@ class Interval(BaseSet):
         self.lo, self.hi = lo, hi
         self.dim = 1
 
-    def contains(self, y, tol=TOL):
-        v = float(_vec(y, 1)[0])
-        return self.lo - tol <= v <= self.hi + tol
-
     def distance(self, y):
         v = float(_vec(y, 1)[0])
         p = min(max(v, self.lo), self.hi)
@@ -180,13 +172,6 @@ class Box(BaseSet):
         p = np.array([min(max(v, iv.lo), iv.hi) for iv, v in zip(self.intervals, y)])
         return float(np.linalg.norm(y - p)), [p]
 
-    def contains_rows(self, Y, tol=TOL):
-        Y = _rows(Y, self.dim)
-        ok = np.ones(Y.shape[0], dtype=bool)
-        for j, iv in enumerate(self.intervals):
-            ok &= iv.contains_rows(Y[:, j:j + 1], tol)
-        return ok
-
     def project_rows(self, Y):
         Y = _rows(Y, self.dim)
         P = np.hstack([iv.project_rows(Y[:, j:j + 1])[1]
@@ -235,20 +220,6 @@ class Halfspace(BaseSet):
         p = y - (slack / nr2) * self.normal
         return slack / math.sqrt(nr2), [p]
 
-    def contains_rows(self, Y, tol=TOL):
-        Y = _rows(Y, self.dim)
-        return _row_dots(Y, self.normal) <= self.offset + tol * np.linalg.norm(self.normal)
-
-    def project_rows(self, Y):
-        Y = _rows(Y, self.dim)
-        slack = _row_dots(Y, self.normal) - self.offset
-        nr2 = float(self.normal @ self.normal)
-        inside = slack <= 0
-        P = Y.copy()
-        out = ~inside
-        P[out] = Y[out] - (slack[out] / nr2)[:, None] * self.normal
-        return np.where(inside, 0.0, slack / math.sqrt(nr2)), P
-
     def as_region(self):
         return Region.from_cell(PolyCell(self.normal.reshape(1, -1), [self.offset], dim=self.dim))
 
@@ -282,9 +253,6 @@ class Polyhedron(BaseSet):
     def contains(self, y, tol=TOL):
         return self.cell.contains(y, tol)
 
-    def contains_rows(self, Y, tol=TOL):
-        return self.cell.contains_rows(_rows(Y, self.dim), tol)
-
     def distance(self, y):
         d, p = self.cell.project(_vec(y, self.dim))
         return d, [p]
@@ -308,9 +276,6 @@ class Ball(BaseSet):
         if self.radius <= 0:
             raise SetError("ball radius must be positive")
         self.dim = self.center.size
-
-    def contains(self, y, tol=TOL):
-        return float(np.linalg.norm(_vec(y, self.dim) - self.center)) <= self.radius + tol
 
     def distance(self, y):
         y = _vec(y, self.dim)
@@ -350,9 +315,6 @@ class PointSet(BaseSet):
     def distance(self, y):
         y = _vec(y, self.dim)
         return float(np.linalg.norm(y - self.x)), [self.x.copy()]
-
-    def contains_rows(self, Y, tol=TOL):
-        return _row_norms(_rows(Y, self.dim) - self.x) <= tol
 
     def project_rows(self, Y):
         Y = _rows(Y, self.dim)
@@ -413,9 +375,6 @@ class UnionSet(BaseSet):
                 raise SetError("union members must share a dimension")
         self.members = members
         self.dim = dim
-
-    def contains(self, y, tol=TOL):
-        return any(s.contains(y, tol) for s in self.members)
 
     def distance(self, y):
         y = _vec(y, self.dim)
@@ -498,23 +457,6 @@ class ProductSet(BaseSet):
                 combos = combos[:16]
         projs = [np.concatenate(c) for c in combos]
         return math.sqrt(total2), _dedupe_points(projs)
-
-    def contains_rows(self, Y, tol=TOL):
-        Y = _rows(Y, self.dim)
-        ok = np.ones(Y.shape[0], dtype=bool)
-        for i, s in enumerate(self.factors):
-            ok &= s.contains_rows(Y[:, self.offsets[i]:self.offsets[i + 1]], tol)
-        return ok
-
-    def project_rows(self, Y):
-        Y = _rows(Y, self.dim)
-        total2 = np.zeros(Y.shape[0])
-        projs = []
-        for i, s in enumerate(self.factors):
-            d, P = s.project_rows(Y[:, self.offsets[i]:self.offsets[i + 1]])
-            total2 += d * d
-            projs.append(P)
-        return np.sqrt(total2), np.hstack(projs)
 
     def is_convex(self):
         return all(s.is_convex() for s in self.factors)

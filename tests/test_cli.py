@@ -149,6 +149,17 @@ def test_sample_count_and_limit_are_input_errors(argv, capsys, monkeypatch):
     assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
 
 
+def test_membership_oracle_ignores_count_and_limit(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    argv = ["oracle", "fixtures/parabola.json", "--op", "membership", "--w", "-1"]
+    code, report = _run(argv)
+    code_flags, report_flags = _run([*argv, "--count", "0", "--limit=-1"])
+    doc, doc_flags = json.loads(report), json.loads(report_flags)
+    assert code == code_flags == 0
+    assert doc["oracle"] == doc_flags["oracle"]
+    assert doc["verdict"] == doc_flags["verdict"] == "confirmed"
+
+
 @pytest.mark.parametrize("module", ["sharpcheck", "sharpcheck.cli"])
 def test_python_m_entry_points(module):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sharpcheck import oracles
 from sharpcheck.oracles import (
     OracleError,
     Schedule,
@@ -359,16 +360,35 @@ def test_batched_oracles_match_the_scalar_references_on_examples(make):
                  reference.mscq_modulus_estimate(p, p.xbar, d, 0.5, 0.1, 60, 3))
 
 
-def test_diverging_mscq_matches_the_scalar_reference():
-    # the batch pulls every candidate, also those after the early return
+def _diverging_square():
     f = parse_expression("x1^2", 1)
     g = (parse_expression("0.0001*x1^2", 1),)
-    p = ProblemInstance(1, 1, f, g, PointSet([0.0]), PointSet([0.0]), [0.0])
+    return ProblemInstance(1, 1, f, g, PointSet([0.0]), PointSet([0.0]), [0.0])
+
+
+def test_diverging_mscq_matches_the_scalar_reference():
+    # the block holding the early return also pulls the candidates after it
+    p = _diverging_square()
     got = mscq_modulus_estimate(p, [0.0], [1.0], rho=2.5, delta=0.1, count=400, seed=42)
     want = reference.mscq_modulus_estimate(p, [0.0], [1.0], rho=2.5, delta=0.1,
                                            count=400, seed=42)
     assert got.diverged and got.sample_count < 400
     _assert_same(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+def test_mscq_blocks_match_the_scalar_reference(block, monkeypatch):
+    # small blocks put the early return and the witness past the first block
+    monkeypatch.setattr(oracles, "_MSCQ_BLOCK", block)
+    p = _diverging_square()
+    got = mscq_modulus_estimate(p, [0.0], [1.0], rho=2.5, delta=0.1, count=400, seed=42)
+    assert got.diverged and got.sample_count > block
+    _assert_same(got, reference.mscq_modulus_estimate(p, [0.0], [1.0], rho=2.5,
+                                                      delta=0.1, count=400, seed=42))
+    p, d = first_example(), np.array([0.0, 1.0])
+    got = mscq_modulus_estimate(p, p.xbar, d, 0.5, 0.1, 60, 42)
+    assert not got.diverged and got.sample_count > block
+    _assert_same(got, reference.mscq_modulus_estimate(p, p.xbar, d, 0.5, 0.1, 60, 42))
 
 
 @pytest.mark.parametrize("count", [0, -5])
