@@ -97,11 +97,15 @@ class BaseSet(ABC):
     def sample_near(self, x, delta: float, rng, count: int) -> list[np.ndarray]:
         """Members within delta of x, by projecting ambient draws."""
         x = _vec(x, self.dim)
+        # one bulk draw takes the same doubles, in the same order, as one
+        # draw per point
+        Z = x + rng.uniform(-delta, delta, size=(count, self.dim))
+        if self.is_convex():   # a single projection per draw
+            _, P = self.project_rows(Z)
+            return list(P[_row_norms(P - x) <= delta + 1e-12])
         out = []
-        for _ in range(count):
-            z = x + rng.uniform(-delta, delta, size=self.dim)
-            _, projs = self.distance(z)
-            for p in projs:
+        for z in Z:
+            for p in self.distance(z)[1]:
                 if np.linalg.norm(p - x) <= delta + 1e-12:
                     out.append(p)
                     break

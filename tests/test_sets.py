@@ -225,6 +225,61 @@ def test_project_rows_keeps_the_first_projection_of_a_tie():
     assert vertical_strips().project_rows(Y)[1].tolist() == [[1.0, 2.0], [1.0, -1.0]]
 
 
+def _sample_near_pointwise(s, x, delta, rng, count):
+    """sample_near one draw and one scalar projection at a time."""
+    x = np.asarray(x, dtype=float)
+    out = []
+    for _ in range(count):
+        z = x + rng.uniform(-delta, delta, size=s.dim)
+        for p in s.distance(z)[1]:
+            if np.linalg.norm(p - x) <= delta + 1e-12:
+                out.append(p)
+                break
+    return out
+
+
+def _check_sample_near(s, x, seed):
+    for delta, count in ((1e-3, 7), (0.5, 60), (2.0, 25), (0.5, 0)):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = s.sample_near(x, delta, rng, count)
+        want = _sample_near_pointwise(s, x, delta, ref_rng, count)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        # the caller's generator is left where the pointwise draws leave it
+        assert rng.random() == ref_rng.random()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_sample_near_matches_pointwise_on_random_catalog_sets(seed):
+    s, y, _, _ = random_catalog_instance(seed)
+    _check_sample_near(s, y, seed)
+
+
+@pytest.mark.parametrize("s", _composites(), ids=lambda s: s.kind)
+def test_sample_near_matches_pointwise_on_composite_sets(s):
+    y = s.distance(np.random.default_rng(9).normal(size=s.dim))[1][0]
+    _check_sample_near(s, y, 9)
+
+
+class _FixedOffsets:
+    """A generator stand-in whose uniform draws all equal one offset."""
+
+    def __init__(self, offset):
+        self.offset = np.asarray(offset, dtype=float)
+
+    def uniform(self, low, high, size):
+        return np.broadcast_to(self.offset, size).copy()
+
+
+def test_sample_near_takes_the_first_tied_projection_within_delta():
+    # every draw is (0, 0), equidistant from both strips; only the second
+    # strip's projection (-1, 0) lies within 0.6 of x
+    x = [-0.5, 0.0]
+    got = vertical_strips().sample_near(x, 0.6, _FixedOffsets([0.5, 0.0]), 3)
+    want = _sample_near_pointwise(vertical_strips(), x, 0.6, _FixedOffsets([0.5, 0.0]), 3)
+    assert [p.tolist() for p in got] == [p.tolist() for p in want] == [[-1.0, 0.0]] * 3
+
+
 def test_row_methods_check_shapes():
     for s in (Interval(0.0, 1.0), Ball([0.0, 0.0], 1.0), FiniteSet([[0.0, 1.0]])):
         assert s.contains_rows(np.zeros((0, s.dim))).shape == (0,)
