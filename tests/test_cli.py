@@ -56,6 +56,14 @@ def _cases():
     out += [(f"first_example-sweep-{form}",
              ["check-necessary", "fixtures/first_example.json", "--form", form])
             for form in ("explicit", "clarke")]
+    out.append(("halfspace_n4-sweep-clarke",
+                ["check-necessary", "fixtures/halfspace_n4.json", "--form", "clarke"]))
+    # eps > 0 measures each direction's distance to the proximal normal cone
+    # of S instead of testing membership
+    out += [(f"first_example-sweep-{form}-eps0.2",
+             ["check-necessary", "fixtures/first_example.json", "--form", form,
+              "--eps", "0.2"])
+            for form in ("explicit", "clarke")]
     # the sampling oracles print the growth witness, kappa_hat, the first 50
     # feasible samples and the MSCQ modulus at full precision
     for name, d in {**DIRECTIONS, "lifted_n3": "1,0,0",
