@@ -192,10 +192,14 @@ class CheckContext:
     built at most once per x and shared by every direction checked there.
 
     A context belongs to one instance and lives as long as the call that
-    made it.  While it is open (``with ctx:``), ``lp.maximize`` and the
-    double description also solve each distinct input once; the outermost
-    ``with`` drops those results on exit.  The members call the functions
-    of this module, which stay the only implementations.
+    made it.  While it is open (``with ctx:``), ``lp.maximize``, the double
+    description, ``regions.face_complex`` and
+    ``regions.lower_gen_support_detail`` also solve each distinct input
+    once, keyed by content, so equal regions built at different directions
+    share one face complex and one sigma-hat; the outermost ``with`` drops
+    those results on exit.  The members call the functions of this module,
+    which stay the only implementations.  ``sweep_necessary`` also screens
+    the directions at each x through ``proximal_cell(x)`` once.
     """
 
     def __init__(self, p: ProblemInstance):
@@ -1620,7 +1624,15 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
 
     The sweep opens one CheckContext and passes it as ``ctx`` to every
     per-pair checker, so the objects at each base point are built once and
-    each distinct LP and double description is solved once per sweep.
+    each distinct LP, double description, face complex and lower
+    generalized support is solved once per sweep.
+
+    The explicit and clarke forms require d to be an eps-proximal normal
+    to S at x.  The sweep screens the directions chosen at each x with one
+    ``eps_proximal_filter`` call and runs the checker on those that pass
+    only: on the others it would return ``hypotheses-not-met`` without
+    bounds or witnesses, which the aggregation ignores.  The reported pair
+    count includes the screened pairs.
     """
     kinds = ("implicit-proximal", "implicit-tangent", "explicit", "clarke")
     if mode not in kinds:
@@ -1644,6 +1656,7 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
         return necessary_clarke_check(p, x, dd, eps, ctx=ctx)
 
     tasks = []
+    pairs = 0
     vacuous = 0
     with CheckContext(p) as ctx:
         for x in xs:
@@ -1655,11 +1668,16 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
                 vacuous += 1
                 continue
             step = max(1, len(admissible) // 48)
-            tasks.extend((x, dd) for dd in admissible[::step])
+            chosen = admissible[::step]
+            pairs += len(chosen)
+            # the checkers test x in S before they build the proximal cone
+            if mode in ("explicit", "clarke") and p.S.contains(x, tol=1e-7):
+                chosen = eps_proximal_filter(p.S, x, chosen, eps, ctx.proximal_cell(x))
+            tasks.extend((x, dd) for dd in chosen)
         reports = [run(x, dd, ctx) for x, dd in tasks]
-    diags = [f"sweep over {len(xs)} base points, {len(tasks)} (x, d) pairs; "
+    diags = [f"sweep over {len(xs)} base points, {pairs} (x, d) pairs; "
              f"{vacuous} points had no admissible direction"]
-    if not tasks:
+    if not pairs:
         return _report("satisfied", {"max_admissible": math.inf}, cq={},
                        diags=diags + ["conditions hold vacuously"])
     kmax = math.inf

@@ -55,7 +55,7 @@ from .oracles import (
     mscq_modulus_estimate,
     sample_feasible,
 )
-from .polyexpr import ModelError, Options, ProblemInstance, parse_expression
+from .polyexpr import ModelError, Options, ParseError, ProblemInstance, parse_expression
 from .regions import RegionError
 from .sets import (
     Ball,
@@ -229,7 +229,7 @@ def _load(path) -> LoadedProblem:
     try:
         f = parse_expression(doc["objective"], n)
         g = tuple(parse_expression(src, n) for src in doc["constraints"])
-    except ModelError as ex:
+    except (ModelError, ParseError) as ex:
         raise DocumentError(f"{path}: {ex}") from None
     K = _build_set(doc["K"], f"{path}: K")
     S = _build_set(doc["S"], f"{path}: S")

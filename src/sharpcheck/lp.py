@@ -14,15 +14,17 @@ Two deliberately self-contained primitives live here:
   extra coordinate.  The dimension is capped; these enumerations are meant
   for small verification geometry, not large-scale polyhedral computation.
 
-Inside a ``reuse_scope()`` block both primitives solve each distinct input
-once: the outcome is stored under the input's bytes, with its arrays made
-read-only, and handed back to every later caller that poses the same input.
+Inside a ``reuse_scope()`` block both primitives, and the region operations
+``regions.face_complex`` and ``regions.lower_gen_support_detail``, solve each
+distinct input once: the outcome is stored under the input's bytes, with its
+arrays made read-only, and handed back to every later caller that poses the
+same input.
 """
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -41,9 +43,10 @@ _REUSE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def reuse_scope():
-    """Within the block, ``maximize`` and the double description return one
-    stored result per distinct input.  A nested scope shares the memo of the
-    one around it; the outermost drops the memo on exit, also on error."""
+    """Within the block, ``maximize``, the double description,
+    ``regions.face_complex`` and ``regions.lower_gen_support_detail`` return
+    one stored result per distinct input.  A nested scope shares the memo of
+    the one around it; the outermost drops the memo on exit, also on error."""
     if _REUSE.get() is not None:
         yield
         return
@@ -54,28 +57,42 @@ def reuse_scope():
         _REUSE.reset(token)
 
 
-def _reused(kind: str, arrays, compute):
-    """compute(), or the result stored for the same kind and array contents
-    in the open reuse scope."""
+def _reused(kind: str, parts, compute):
+    """compute(), or the result stored for the same kind and input parts in
+    the open reuse scope.  A part is an array, a tuple of parts, or a
+    hashable value; arrays are keyed by dtype, shape and bytes."""
     memo = _REUSE.get()
     if memo is None:
         return compute()
-    key = (kind, *((a.dtype.str, a.shape, a.tobytes()) for a in arrays))
+    key = (kind, _content_key(parts))
     if key not in memo:
         memo[key] = _read_only(compute())
     return memo[key]
 
 
+def _content_key(part):
+    if isinstance(part, np.ndarray):
+        return part.dtype.str, part.shape, part.tobytes()
+    if isinstance(part, tuple):
+        return tuple(_content_key(item) for item in part)
+    return part
+
+
 def _read_only(value):
-    """value with its arrays (directly, in a tuple or in an outcome) frozen."""
+    """value with its arrays frozen: directly, in a tuple, or in the fields
+    of a dataclass (an outcome, a region face) or of a slotted object (a
+    region cell)."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)
-    elif isinstance(value, LpOutcome):
+    elif is_dataclass(value):
         for field in fields(value):
             _read_only(getattr(value, field.name))
+    elif hasattr(type(value), "__slots__"):
+        for name in type(value).__slots__:
+            _read_only(getattr(value, name, None))
     return value
 
 

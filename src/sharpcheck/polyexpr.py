@@ -412,6 +412,8 @@ class Options:
             raise ModelError("rho must be positive")
         if self.kappa is not None and self.kappa <= 0.0:
             raise ModelError("kappa must be positive when given")
+        if self.seed < 0:
+            raise ModelError("seed must be nonnegative")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -23,6 +23,7 @@ Design constraints worth knowing before reading on:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,9 @@ def _rows(mat, dim):
     out = np.asarray(mat, dtype=float)
     if out.size == 0:
         return np.zeros((0, dim))
-    return out.reshape(-1, dim)
+    # contiguous rows: a strided a @ a takes another BLAS kernel than the
+    # contiguous one np.linalg.norm uses, and can differ in the last bit
+    return np.ascontiguousarray(out.reshape(-1, dim))
 
 
 def _check_rows(X, dim) -> np.ndarray:
@@ -79,7 +82,7 @@ class PolyCell:
         forced_empty = False
         keepA, keepb = [], []
         for a, beta in zip(A, b):
-            nr = float(np.linalg.norm(a))
+            nr = math.sqrt(a @ a)
             if nr <= MEMBER_TOL:
                 if beta < -MEMBER_TOL:
                     forced_empty = True
@@ -88,7 +91,7 @@ class PolyCell:
             keepb.append(beta / nr)
         keepE, keepf = [], []
         for e, phi in zip(E, f):
-            nr = float(np.linalg.norm(e))
+            nr = math.sqrt(e @ e)
             if nr <= MEMBER_TOL:
                 if abs(phi) > MEMBER_TOL:
                     forced_empty = True
@@ -782,12 +785,24 @@ def _frechet_value_at(region: Region, x: np.ndarray) -> PolyCell:
     return PolyCell(A, np.zeros(A.shape[0]), E, np.zeros(E.shape[0]), dim=dim)
 
 
-def face_complex(region: Region) -> list[RegionFace]:
+def _content(region: Region):
+    """The region's cells as a reuse key: what the region operations read of
+    it, never its identity."""
+    return region.dim, tuple((c.A, c.b, c.E, c.f) for c in region.cells)
+
+
+def face_complex(region: Region) -> tuple[RegionFace, ...]:
     """All closed faces of the arrangement refinement that lie inside the
-    region, each with its relative-interior sample and Frechet normal value."""
+    region, each with its relative-interior sample and Frechet normal value.
+    Inside ``lp.reuse_scope`` regions with equal cells share one result."""
+    return _lp._reused("face_complex", _content(region),
+                       lambda: _face_complex(region))
+
+
+def _face_complex(region: Region) -> tuple[RegionFace, ...]:
     cells = region.nonempty_cells()
     if not cells:
-        return []
+        return ()
     dim = region.dim
     hps = _hyperplanes_of(region)
     if len(hps) > FACE_CAP:
@@ -824,7 +839,7 @@ def face_complex(region: Region) -> list[RegionFace]:
             signs.pop()
 
     rec([])
-    return faces
+    return tuple(faces)
 
 
 def limiting_normal_region(region: Region, x) -> Region:
@@ -909,8 +924,15 @@ def lower_gen_support_detail(region: Region, lam, window: Region | None = None):
 
     Face-complex evaluation of the lower limit, including the lam-tilt
     effects on unbounded faces, cross-checked by direct evaluation along a
-    shrinking perturbation schedule around lam."""
+    shrinking perturbation schedule around lam.  Inside ``lp.reuse_scope``
+    equal cells, lam and window cells share one result."""
     lam = np.asarray(lam, dtype=float).ravel()
+    key = (_content(region), lam, None if window is None else _content(window))
+    return _lp._reused("lower_gen_support", key,
+                       lambda: _lower_gen_support_detail(region, lam, window))
+
+
+def _lower_gen_support_detail(region: Region, lam: np.ndarray, window: Region | None):
     if lam.size != region.dim:
         raise RegionError("lam dimension mismatch")
     if window is not None and window.dim != region.dim:

@@ -17,6 +17,7 @@ from .regions import PolyCell, Region, RegionError
 from . import lp as _lp
 
 TOL = 1e-9
+_UNBUILT = object()   # as_region not called yet; None is a valid region
 
 
 class SetError(Exception):
@@ -58,6 +59,7 @@ class BaseSet(ABC):
 
     dim: int
     kind: str
+    _region = _UNBUILT
 
     @abstractmethod
     def distance(self, y) -> tuple[float, list[np.ndarray]]:
@@ -88,7 +90,13 @@ class BaseSet(ABC):
 
     def as_region(self) -> Region | None:
         """Polyhedral Region equal to the set, or None if a ball leaf
-        prevents an exact polyhedral description."""
+        prevents an exact polyhedral description.  Built on the first call
+        and kept, since a catalog set does not change after construction."""
+        if self._region is _UNBUILT:
+            self._region = self._build_region()
+        return self._region
+
+    def _build_region(self) -> Region | None:
         return None
 
     def to_json(self):
@@ -143,7 +151,7 @@ class Interval(BaseSet):
         p = np.where(self.hi < p, self.hi, p)
         return np.abs(v - p), p[:, None]
 
-    def as_region(self):
+    def _build_region(self):
         rows, rhs = [], []
         if not math.isinf(self.hi):
             rows.append([1.0])
@@ -182,7 +190,7 @@ class Box(BaseSet):
                        for j, iv in enumerate(self.intervals)])
         return _row_norms(Y - P), P
 
-    def as_region(self):
+    def _build_region(self):
         rows, rhs = [], []
         for i, iv in enumerate(self.intervals):
             e = np.zeros(self.dim)
@@ -224,7 +232,7 @@ class Halfspace(BaseSet):
         p = y - (slack / nr2) * self.normal
         return slack / math.sqrt(nr2), [p]
 
-    def as_region(self):
+    def _build_region(self):
         return Region.from_cell(PolyCell(self.normal.reshape(1, -1), [self.offset], dim=self.dim))
 
     def to_json(self):
@@ -261,7 +269,7 @@ class Polyhedron(BaseSet):
         d, p = self.cell.project(_vec(y, self.dim))
         return d, [p]
 
-    def as_region(self):
+    def _build_region(self):
         return Region.from_cell(self.cell)
 
     def to_json(self):
@@ -324,7 +332,7 @@ class PointSet(BaseSet):
         Y = _rows(Y, self.dim)
         return _row_norms(Y - self.x), np.tile(self.x, (Y.shape[0], 1))
 
-    def as_region(self):
+    def _build_region(self):
         return Region.from_point(self.x)
 
     def to_json(self):
@@ -359,7 +367,7 @@ class FiniteSet(BaseSet):
     def is_convex(self):
         return len(self.points) == 1
 
-    def as_region(self):
+    def _build_region(self):
         return Region([PolyCell.from_point(p) for p in self.points], dim=self.dim)
 
     def to_json(self):
@@ -415,7 +423,7 @@ class UnionSet(BaseSet):
     def is_convex(self):
         return len(self.members) == 1 and self.members[0].is_convex()
 
-    def as_region(self):
+    def _build_region(self):
         regions = [s.as_region() for s in self.members]
         if any(r is None for r in regions):
             return None
@@ -465,7 +473,7 @@ class ProductSet(BaseSet):
     def is_convex(self):
         return all(s.is_convex() for s in self.factors)
 
-    def as_region(self):
+    def _build_region(self):
         regs = [s.as_region() for s in self.factors]
         if any(r is None for r in regs):
             return None

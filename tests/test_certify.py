@@ -347,6 +347,46 @@ def test_sweep_bytes_do_not_depend_on_earlier_sweeps():
         alone = report_bytes(parabola_example(), mode)
         report_bytes(half, mode)
         assert report_bytes(parabola_example(), mode) == alone
+        # first_example is the fixture whose proximal screen drops pairs
+        alone = report_bytes(load_problem(FIXTURES / "first_example.json"), mode)
+        report_bytes(half, mode)
+        assert report_bytes(load_problem(FIXTURES / "first_example.json"), mode) == alone
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+@pytest.mark.parametrize("mode", ["explicit", "clarke"])
+@pytest.mark.parametrize("name", ["first_example", "parabola", "second_example",
+                                  "halfspace_n4"])
+def test_sweep_runs_exactly_the_pairs_the_proximal_screen_keeps(name, mode, eps,
+                                                                 monkeypatch):
+    p = load_problem(FIXTURES / f"{name}.json")
+    attr = f"necessary_{mode}_check"
+    checker, screen = getattr(certify, attr), certify.eps_proximal_filter
+    chosen, ran = [], []
+
+    def spy_screen(S, x, vs, eps_, cell=None):
+        chosen.extend((x.tobytes(), np.asarray(v).tobytes()) for v in vs)
+        return screen(S, x, vs, eps_, cell)
+
+    def spy_check(p_, x, d, eps_, **kwargs):
+        ran.append((x.tobytes(), d.tobytes()))
+        return checker(p_, x, d, eps_, **kwargs)
+
+    monkeypatch.setattr(certify, "eps_proximal_filter", spy_screen)
+    monkeypatch.setattr(certify, attr, spy_check)
+    report = sweep_necessary(p, eps=eps, mode=mode)
+    monkeypatch.undo()
+
+    # the same pairs through the checker itself, which tests every hypothesis
+    ctx = CheckContext(p)
+    kept = [(xb, db) for xb, db in chosen
+            if not any("not an eps-proximal normal" in line for line in
+                       checker(p, np.frombuffer(xb), np.frombuffer(db), eps,
+                               ctx=ctx).diagnostics)]
+    assert ran == kept
+    assert f", {len(chosen)} (x, d) pairs;" in report.diagnostics[0]
+    if name == "first_example":
+        assert 0 < len(ran) < len(chosen)
 
 
 # ------------------------------------------------------------ boundary mesh

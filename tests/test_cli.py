@@ -157,6 +157,31 @@ def test_sample_count_and_limit_are_input_errors(argv, capsys, monkeypatch):
     assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
 
 
+_BAD_DOCUMENTS = {
+    "malformed-power": ({"objective": "x1^^2"}, []),
+    "negative-n": ({"n": -1}, []),
+    "negative-seed": ({"options": {"seed": -5}}, []),
+    "negative-seed-flag": ({}, ["--seed", "-5"]),
+}
+
+
+@pytest.mark.parametrize("command", ["check-sufficient", "check-necessary",
+                                     "verify-growth"])
+@pytest.mark.parametrize("case", list(_BAD_DOCUMENTS))
+def test_parse_errors_and_negative_seeds_are_input_errors(case, command, tmp_path,
+                                                          capsys):
+    changes, flags = _BAD_DOCUMENTS[case]
+    doc = json.loads((ROOT / "fixtures" / "parabola.json").read_text())
+    doc.update(changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main([command, str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_membership_oracle_ignores_count_and_limit(monkeypatch):
     monkeypatch.chdir(ROOT)
     argv = ["oracle", "fixtures/parabola.json", "--op", "membership", "--w", "-1"]

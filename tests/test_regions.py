@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sharpcheck import regions
+from sharpcheck.certify import CheckContext
 from sharpcheck.extreal import ExtReal
 from sharpcheck.regions import (
     PolyCell,
@@ -21,6 +23,8 @@ from sharpcheck.regions import (
     region_subset,
     strict_negativity_on_cone,
 )
+
+from helpers import parabola_example
 
 
 def halfplane(a, beta, cone=None):
@@ -432,3 +436,59 @@ def test_lower_gen_support_nonconvex_reentrant():
 def test_lower_gen_support_rejects_bad_dims():
     with pytest.raises(RegionError):
         lower_gen_support(_union_fixture(), [1.0, 0.0, 0.0])
+
+
+# -- reuse inside a check context -------------------------------------------
+
+
+def _cell_bytes(cell):
+    return [a.tobytes() for a in (cell.A, cell.b, cell.E, cell.f)]
+
+
+def _face_bytes(faces):
+    return [(_cell_bytes(f.cell), _cell_bytes(f.normal_cell), f.sample.tobytes(), f.signs)
+            for f in faces]
+
+
+def test_equal_regions_share_face_complex_and_lower_support_in_a_context(monkeypatch):
+    lam, other_lam = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
+    window = Region.from_cell(PolyCell(dim=2))
+    want_faces = face_complex(_union_fixture())
+    want = lower_gen_support_detail(_union_fixture(), lam)
+    want_windowed = lower_gen_support_detail(_union_fixture(), lam, window)
+    calls = {"faces": 0, "support": 0}
+    faces_impl = regions._face_complex
+    support_impl = regions._lower_gen_support_detail
+
+    def count_faces(region):
+        calls["faces"] += 1
+        return faces_impl(region)
+
+    def count_support(region, lam, window):
+        calls["support"] += 1
+        return support_impl(region, lam, window)
+
+    monkeypatch.setattr(regions, "_face_complex", count_faces)
+    monkeypatch.setattr(regions, "_lower_gen_support_detail", count_support)
+    with CheckContext(parabola_example()):
+        r1, r2 = _union_fixture(), _union_fixture()
+        assert r1 is not r2
+        faces = face_complex(r1)
+        assert face_complex(r2) is faces
+        got = lower_gen_support_detail(r1, lam)
+        assert lower_gen_support_detail(r2, lam.copy()) is got
+        assert calls == {"faces": 1, "support": 1}
+        # lam and the window are part of the key
+        lower_gen_support_detail(r2, other_lam)
+        windowed = lower_gen_support_detail(r2, lam, window)
+        assert calls == {"faces": 1, "support": 3}
+        assert isinstance(faces, tuple)
+        assert not faces[0].sample.flags.writeable
+        assert not faces[0].cell.A.flags.writeable
+    assert _face_bytes(faces) == _face_bytes(want_faces)
+    assert got == want and windowed == want_windowed
+    assert np.float64(got[0].value).tobytes() == np.float64(want[0].value).tobytes()
+    # nothing survives the scope
+    assert face_complex(r1) is not faces
+    assert lower_gen_support_detail(r1, lam) is not got
+    assert calls == {"faces": 3, "support": 4}
