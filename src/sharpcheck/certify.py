@@ -1670,8 +1670,7 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
             step = max(1, len(admissible) // 48)
             chosen = admissible[::step]
             pairs += len(chosen)
-            # the checkers test x in S before they build the proximal cone
-            if mode in ("explicit", "clarke") and p.S.contains(x, tol=1e-7):
+            if mode in ("explicit", "clarke"):
                 chosen = eps_proximal_filter(p.S, x, chosen, eps, ctx.proximal_cell(x))
             tasks.extend((x, dd) for dd in chosen)
         reports = [run(x, dd, ctx) for x, dd in tasks]
