@@ -34,7 +34,6 @@ from .regions import (
     region_compare,
     region_equal,
     region_subset,
-    region_support,
 )
 from .tangents import (
     TangentError,
@@ -50,7 +49,6 @@ from .tangents import (
 from .polyexpr import ModelError, Options, PolyExpr, ProblemInstance, parse_expression
 from .oracles import (
     OracleError,
-    dd_condition_probe,
     growth_constant_estimate,
     membership_by_definition,
     mscq_modulus_estimate,
@@ -84,7 +82,7 @@ __all__ = [
     "Options", "OracleError", "PointSet", "PolyCell", "PolyExpr", "Polyhedron",
     "ProblemInstance", "ProductSet", "Region", "RegionError", "SetError",
     "TangentError", "UnionSet", "certify_mscq", "cone_hull",
-    "constraint_qualification_check", "critical_cone", "dd_condition_probe",
+    "constraint_qualification_check", "critical_cone",
     "directional_clarke_tangent", "directional_multipliers",
     "directional_normal", "double_description", "emit_report",
     "eps_proximal_filter", "eps_proximal_membership", "face_complex",
@@ -94,7 +92,7 @@ __all__ = [
     "mscq_modulus_estimate", "multiplier_affine_set", "necessary_clarke_check",
     "necessary_explicit_check", "necessary_implicit_check", "normal_cone",
     "parse_expression", "polar_cone", "proximal_distance_check",
-    "region_compare", "region_equal", "region_subset", "region_support",
+    "region_compare", "region_equal", "region_subset",
     "region_tangent_cone", "run_command", "sample_feasible", "second_tangent",
     "sufficient_isolated_check", "sufficient_point_check", "sweep_necessary",
     "tangent_cone",

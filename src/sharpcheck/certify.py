@@ -44,7 +44,7 @@ TOL = 1e-9
 STRICT_TOL = 1e-7      # margin below which a strict inequality is not trusted
 REPLAY_TOL = 1e-7      # witness replay agreement
 DUALITY_TOL = 1e-6     # conic primal / multiplier dual agreement
-LEVEL_SMEAR = 1e-3     # default fattening of the image of the reference set
+KAPPA_FLOOR = 1e-4     # a max_admissible below this refutes the growth constant
 INCLUSION_ONLY = "inclusion-only: constraint qualification unverified"
 
 
@@ -157,16 +157,6 @@ class MultiplierAffineSet:
     def as_region(self) -> Region:
         return Region.from_cell(self.as_cell())
 
-    def candidates(self, scales=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0)) -> list[np.ndarray]:
-        if self.empty:
-            return []
-        out = [self.lam0]
-        for n in self.basis:
-            for s in scales:
-                out.append(self.lam0 + s * n)
-                out.append(self.lam0 - s * n)
-        return out
-
 
 def multiplier_affine_set(p: ProblemInstance, x=None) -> MultiplierAffineSet:
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
@@ -264,32 +254,16 @@ def _with_context(checker):
 # ---------------------------------------------------------------------------
 
 
-def critical_cone(p: ProblemInstance, x=None, level: str = "point") -> Region:
-    """Linearized feasible directions with nonincreasing objective.
-
-    ``point`` intersects {d : Dg(x) d in T_K(g(x))} with the descent
-    halfspace of grad f(x).  ``level_set`` replaces the tangent cone by the
-    level-set variant with base points running through g(S) and uses one
-    descent halfspace per sampled boundary point of S; the result is an
-    upper approximation and is flagged as such.
-    """
+def critical_cone(p: ProblemInstance, x=None) -> Region:
+    """Linearized feasible directions with nonincreasing objective: the
+    preimage {d : Dg(x) d in T_K(g(x))} intersected with the descent
+    halfspace of grad f(x)."""
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     grad, J, _, _ = _jet_data(p, x)
-    if level == "point":
-        tk = tangent_cone(p.K, p.g_value(x))
-        reg = tk.affine_preimage(J, np.zeros(p.m))
-        reg = reg.intersect(Region.halfspace(grad, 0.0))
-        return reg.with_cone_flag(True)
-    if level != "level_set":
-        raise ModelError(f"unknown critical cone level {level!r}")
-    base = _level_tangent_K(p, "tangent", None, smear=0.0)
-    reg = base.affine_preimage(J, np.zeros(p.m))
-    for xb in _boundary_mesh(p, 0.1 * p.options.delta)[:64]:
-        gb = p.f_jet(xb).gradient
-        if np.linalg.norm(gb) > TOL:
-            reg = reg.intersect(Region.halfspace(gb, 0.0))
-    return reg.with_cone_flag(True).with_notes(
-        "level-set critical cone: upper approximation from sampled boundary points")
+    tk = tangent_cone(p.K, p.g_value(x))
+    reg = tk.affine_preimage(J, np.zeros(p.m))
+    reg = reg.intersect(Region.halfspace(grad, 0.0))
+    return reg.with_cone_flag(True)
 
 
 def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M",
@@ -540,12 +514,10 @@ def _point_object_K(p, kind: str, y: np.ndarray, u: np.ndarray | None) -> Region
     raise ModelError(f"unknown tangent kind {kind!r}")
 
 
-def _level_tangent_K(p: ProblemInstance, kind: str, u: np.ndarray | None,
-                     smear: float) -> Region:
+def _level_tangent_K(p: ProblemInstance, kind: str, u: np.ndarray | None) -> Region:
     """Tangent object of K whose base point runs through the image of the
     reference set.  Exact for a singleton S; a union over sampled base
-    points (an upper approximation) otherwise; all of R^m once a positive
-    smear fattens a positive-diameter image."""
+    points (an upper approximation) otherwise."""
     ybar = p.g_value(p.xbar)
     diam = set_diameter(p.S)
     heur = "level-set object: sound for necessary use, heuristic for sufficient use"
@@ -555,9 +527,6 @@ def _level_tangent_K(p: ProblemInstance, kind: str, u: np.ndarray | None,
     if not math.isfinite(diam):
         return Region.all_space(p.m).with_notes(
             heur, "unbounded reference set; level object relaxed to all of R^m")
-    if smear > 0.0:
-        return Region.all_space(p.m).with_notes(
-            heur, "positive smear over a positive-diameter image covers all directions")
     rng = _rng(p, 9)
     bases: list[np.ndarray] = []
     for r in (0.1 * p.options.delta, 0.01 * p.options.delta):
@@ -578,8 +547,7 @@ def _level_tangent_K(p: ProblemInstance, kind: str, u: np.ndarray | None,
 
 
 def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
-                            kind: str = "tangent", level: str = "point",
-                            eps: float | None = None) -> Region:
+                            kind: str = "tangent", level: str = "point") -> Region:
     """Tangent objects of the feasible set pulled back through the
     constraint linearization.
 
@@ -587,7 +555,7 @@ def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
     T2_K}, ``asymp2`` the two-rate cone preimage.  Point mode is exact when
     a constraint qualification certifies metric subregularity and is
     flagged inclusion-only otherwise; level mode moves the base point
-    through g(S) (plus an optional smear) and is always an upper bound.
+    through g(S) and is always an upper bound.
     """
     if kind not in ("tangent", "outer2", "asymp2"):
         raise ModelError(f"unknown tangent kind {kind!r}")
@@ -607,10 +575,7 @@ def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
     _, J, _, qg = _jet_data(p, x)
     u = None if d is None else J @ d
     shift = qg(d) if kind == "outer2" else np.zeros(p.m)
-    smear = LEVEL_SMEAR if eps is None else float(eps)
-    base = _level_tangent_K(p, kind, u, smear=smear)
-    reg = base.affine_preimage(J, shift)
-    return _attach_level_certificates(p, reg, base, kind, u)
+    return _level_tangent_K(p, kind, u).affine_preimage(J, shift)
 
 
 def _point_phi_tangents(p: ProblemInstance, x: np.ndarray, d: np.ndarray | None,
@@ -623,25 +588,6 @@ def _point_phi_tangents(p: ProblemInstance, x: np.ndarray, d: np.ndarray | None,
     u = None if d is None else J @ d
     shift = qg(d) if kind == "outer2" else np.zeros(p.m)
     return _point_object_K(p, kind, ctx.g_value(x), u).affine_preimage(J, shift)
-
-
-def _attach_level_certificates(p, reg: Region, base: Region, kind: str,
-                               u: np.ndarray | None) -> Region:
-    """Replay a few sampled members of the K-side object through the
-    definition oracle and record the outcome."""
-    ybar = p.g_value(p.xbar)
-    okind = {"tangent": "tangent", "outer2": "outer2", "asymp2": "asymp2"}[kind]
-    dvec = np.zeros(p.m) if u is None else u
-    confirmed = tried = 0
-    for cell in base.nonempty_cells()[:3]:
-        rp = cell.relint_point()
-        if rp is None:
-            continue
-        tried += 1
-        res = oracles.membership_by_definition(p.K, ybar, dvec, rp[0], okind)
-        if res == "confirmed":
-            confirmed += 1
-    return reg.with_notes(f"oracle replay confirmed {confirmed}/{tried} sampled members")
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +745,7 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
         kmax = float(inf_val) / denom
     wits.append(_wit(part="ii", x=x, d=d, lam=lam_star, achieved=float(inf_val)))
 
-    grid_min = min(p.options.kappa_grid)
-    if kmax < grid_min:
+    if kmax < KAPPA_FLOOR:
         verdict = "violated" if exact else "inconclusive"
         if not exact:
             diags.append("rejection withheld: tangent preimages are one-sided "
@@ -922,8 +867,7 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
         direct = (qf + float(q @ lam2) - float(sh2)) if sh2.is_finite else \
             (math.inf if sh2.is_minus_inf else -math.inf)
         wits.append(_wit(part="ii", x=x, d=d, lam=lam2, achieved=direct))
-    grid_min = min(p.options.kappa_grid)
-    if kmax < grid_min:
+    if kmax < KAPPA_FLOOR:
         return _report("violated", {"max_admissible": kmax}, wits, cq, diags)
     return _report("satisfied", {"max_admissible": kmax}, wits, cq, diags)
 
@@ -1044,12 +988,11 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     multiplier has lam.v <= 0 (checked by a dual LP over the multiplier
     region and replayed through the primal conic program; the two values
     must agree); for every cell of the outer set, a vertex LP with the
-    cell's recession rays constrains kappa.  convex_subset: one multiplier
-    per convex cell, through plain support functions.  nondegenerate: the
+    cell's recession rays constrains kappa.  nondegenerate: the
     unique multiplier is evaluated directly.  ``ctx`` is reused as in
     ``necessary_implicit_check``; without one the check builds its own.
     """
-    if mode not in ("elementwise", "convex_subset", "nondegenerate"):
+    if mode not in ("elementwise", "nondegenerate"):
         raise ModelError(f"unknown clarke mode {mode!r}")
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     if d is None:
@@ -1092,11 +1035,8 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     denom = 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d)
 
     if mode == "nondegenerate":
-        return _clarke_nondegenerate(p, x, d, lamreg, Tpp, T2, qf, q, denom,
-                                     cq, diags)
-    if mode == "convex_subset":
-        return _clarke_convex_subset(x, d, lamreg, Tpp, T2, qf, q, denom, cq,
-                                     diags, p)
+        return _clarke_nondegenerate(x, d, lamreg, Tpp, T2, qf, q, denom, cq,
+                                     diags)
     return _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q,
                                denom, cq, diags)
 
@@ -1219,75 +1159,11 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
                              achieved=val))
     if not T2.nonempty_cells():
         diags.append("outer second-order set is empty; condition (ii) is vacuous")
-    grid_min = min(p.options.kappa_grid)
-    verdict = "violated" if kmax < grid_min else "satisfied"
+    verdict = "violated" if kmax < KAPPA_FLOOR else "satisfied"
     return _report(verdict, {"max_admissible": kmax}, wits[:12], cq, diags)
 
 
-def _clarke_convex_subset(x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags, p):
-    wits = []
-    # (i): one multiplier per convex cell of the asymptotic cone
-    for cell in Tpp.nonempty_cells():
-        pol = polar_cone(Region.from_cell(cell, cone=True)).cells[0]
-        found = None
-        for lcell in lamreg.nonempty_cells():
-            probe = lcell.intersect(pol)
-            out = _lp.maximize(np.zeros(lamreg.dim), probe.A, probe.b,
-                               probe.E, probe.f)
-            if out.status == "optimal":
-                found = out.point
-                break
-        if found is None:
-            return _report("violated", {"max_admissible": -math.inf}, wits, cq,
-                           diags + ["a convex piece of the asymptotic cone "
-                                    "admits no multiplier with nonpositive support"])
-        wits.append(_wit(part="i", x=x, d=d, lam=found))
-    # (ii): per convex cell of the outer set, maximize the worst-vertex value
-    kmax = math.inf
-    for cell in T2.nonempty_cells():
-        g = cell.generators()
-        if g is None:
-            continue
-        cverts, crays, clines = g
-        best = ExtReal.minus_inf()
-        best_lam = None
-        mdim = lamreg.dim
-        for lcell in lamreg.nonempty_cells():
-            # variables (lam, t): maximize t with t <= qf + lam.q - lam.v
-            rows = [np.concatenate([lcell.A[i], [0.0]]) for i in range(lcell.A.shape[0])]
-            rhs = list(lcell.b)
-            for r in list(crays) + list(clines) + [-l for l in clines]:
-                rows.append(np.concatenate([r, [0.0]]))
-                rhs.append(0.0)
-            for v in cverts:
-                rows.append(np.concatenate([v - q, [1.0]]))
-                rhs.append(qf)
-            rows.append(np.concatenate([np.zeros(mdim), [1.0]]))
-            rhs.append(1e9)
-            eq = [np.concatenate([lcell.E[j], [0.0]]) for j in range(lcell.E.shape[0])]
-            eqr = list(lcell.f)
-            out = _lp.maximize(np.concatenate([np.zeros(mdim), [1.0]]),
-                               np.array(rows), np.array(rhs),
-                               np.array(eq) if eq else None,
-                               np.array(eqr) if eqr else None)
-            if out.status == "optimal" and ExtReal.of(out.value) > best:
-                best, best_lam = ExtReal.of(out.value), out.point[:mdim]
-        if best.is_minus_inf:
-            return _report("violated", {"max_admissible": -math.inf}, wits, cq,
-                           diags + ["no multiplier covers a convex piece of "
-                                    "the outer set"])
-        val = float(best)
-        if val >= 1e9 - 1:
-            val = math.inf
-        kmax = min(kmax, val / denom) if denom > TOL else \
-            (kmax if val >= -TOL else -math.inf)
-        wits.append(_wit(part="ii", x=x, d=d, lam=best_lam, achieved=val))
-    grid_min = min(p.options.kappa_grid)
-    verdict = "violated" if kmax < grid_min else "satisfied"
-    return _report(verdict, {"max_admissible": kmax}, wits[:12], cq, diags)
-
-
-def _clarke_nondegenerate(p, x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags):
+def _clarke_nondegenerate(x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags):
     pts = []
     for cell in lamreg.nonempty_cells():
         rp = cell.relint_point()
@@ -1318,8 +1194,7 @@ def _clarke_nondegenerate(p, x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags):
         kmax = val / denom if denom > TOL else \
             (math.inf if val >= -TOL else -math.inf)
     wits.append(_wit(part="ii", x=x, d=d, lam=lam0, achieved=val))
-    grid_min = min(p.options.kappa_grid)
-    verdict = "violated" if kmax < grid_min else "satisfied"
+    verdict = "violated" if kmax < KAPPA_FLOOR else "satisfied"
     return _report(verdict, {"max_admissible": kmax}, wits, cq, diags)
 
 
@@ -1438,7 +1313,6 @@ def _growth_gate(p: ProblemInstance, kappa: float, diags: list[str],
 
 
 def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
-                           mode: str = "region_side", eps: float | None = None,
                            literal_kappa: bool = False,
                            strict_hypothesis: bool = False) -> CertificationReport:
     """Certify a growth constant from per-direction multiplier conditions.
@@ -1451,18 +1325,15 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
     over the outer set.  The threshold is 2 kappa |d|^2; the factor-two
     form is what the limiting argument in the growth proof divides out to,
     and the stated-form threshold kappa |d|^2 stays available behind
-    ``literal_kappa`` for comparison.  ``k_side`` evaluates the supports on
-    the K side of the smeared level objects instead of their preimages.
-    Certificates are replayed through the growth oracle before issue.
+    ``literal_kappa`` for comparison.  The supports are evaluated on the
+    preimages of the level objects.  Certificates are replayed through the
+    growth oracle before issue.
     """
-    if mode not in ("region_side", "k_side"):
-        raise ModelError(f"unknown sufficient mode {mode!r}")
     kappa = p.options.kappa if kappa is None else float(kappa)
     if kappa is None or kappa <= 0.0:
         raise ModelError("a positive kappa is required")
     diags: list[str] = []
     x = p.xbar
-    smear = (LEVEL_SMEAR if eps is None else float(eps)) if mode == "k_side" else 0.0
 
     fx = p.f(x)
     for s in p.S.sample_near(x, p.options.delta, _rng(p, 13), 200):
@@ -1471,8 +1342,8 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
                            diags=["objective is not constant on the reference set"])
 
     NS = normal_cone(p.S, x, "limiting")
-    Tlev = linearized_phi_tangents(p, x, None, "tangent", "level_set", eps=smear)
-    diags.extend(n for n in Tlev.notes if "oracle replay" not in n)
+    Tlev = linearized_phi_tangents(p, x, None, "tangent", "level_set")
+    diags.extend(Tlev.notes)
     mesh = _unit_mesh(p.n, p.options.seed)
     dirs = mesh[NS.contains_rows(mesh, 1e-7) & Tlev.contains_rows(mesh, 1e-7)]
     # one jet per distinct boundary point, one product over distinct gradients
@@ -1496,10 +1367,10 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
     wits = []
     worst = math.inf
     for dd in critical:
-        Tpp = linearized_phi_tangents(p, x, dd, "asymp2", "level_set",
-                                      eps=smear).intersect_orthocomplement(dd)
-        T2 = linearized_phi_tangents(p, x, dd, "outer2", "level_set",
-                                     eps=smear).intersect_orthocomplement(dd)
+        Tpp = linearized_phi_tangents(p, x, dd, "asymp2",
+                                      "level_set").intersect_orthocomplement(dd)
+        T2 = linearized_phi_tangents(p, x, dd, "outer2",
+                                     "level_set").intersect_orthocomplement(dd)
         if T2.is_empty() and region_subset(Tpp, Region.origin(p.n))[0]:
             return _report("inconclusive", diags=diags + [
                 "both second-order objects are degenerate at "

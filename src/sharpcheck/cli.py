@@ -90,9 +90,7 @@ CQ_KIND = {"foscms": "FOSCMS", "soscms": "SOSCMS",
 SWEEP_MODE = {("implicit", "proximal"): "implicit-proximal",
               ("implicit", "tangent-distance"): "implicit-tangent",
               ("explicit", "proximal"): "explicit",
-              ("explicit", "tangent-distance"): "explicit",
-              ("clarke", "proximal"): "clarke",
-              ("clarke", "tangent-distance"): "clarke"}
+              ("clarke", "proximal"): "clarke"}
 
 
 class DocumentError(ValueError):
@@ -425,6 +423,9 @@ def _run_verify_growth(p, flags):
 
 
 def _run_check_necessary(p, flags):
+    if flags.mode == "tangent-distance" and flags.form != "implicit":
+        raise DocumentError("--mode tangent-distance applies only to "
+                            "--form implicit")
     d = _parse_vec(flags.direction, p.n, "--direction")
     eps = p.options.epsilon
     if d is None:

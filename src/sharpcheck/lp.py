@@ -501,14 +501,6 @@ def cell_generators_arrays(A, b, E, f):
     return to_arr(verts, n), to_arr(recs, n), to_arr(lins, n)
 
 
-def polar_from_generators(rays, lines, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """H-representation (ineq rows, eq rows) of the polar of
-    cone(rays) + span(lines): directly the generators as rows."""
-    rays = _as_matrix(rays, dim)
-    lines = _as_matrix(lines, dim)
-    return rays, lines
-
-
 def cone_from_generators(rays, lines, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """H-representation of cone(rays) + span(lines) via the double polar."""
     rays = _as_matrix(rays, dim)

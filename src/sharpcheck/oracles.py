@@ -332,39 +332,3 @@ def proximal_distance_check(S: BaseSet, x, d, eps: float,
         if dist < t * (1.0 - 2.0 * eps) * nd - 1e-9:
             return False, float(t)
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# (dd) injectivity probe
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class DdProbeResult:
-    holds_on_box: bool
-    witness: np.ndarray | None
-    box_radius: float
-
-
-def dd_condition_probe(p: ProblemInstance, box_radius: float, count: int,
-                       seed: int) -> DdProbeResult:
-    """Look for points of the box with g(x) = g(xbar) but x far from xbar;
-    random proposals are polished by Gauss-Newton onto the level set."""
-    rng = _rng_for(seed, 3)
-    gbar = p.g_value(p.xbar)
-    for _ in range(count):
-        x = p.xbar + box_radius * (2.0 * rng.random(p.n) - 1.0)
-        for _ in range(30):
-            resid = p.g_value(x) - gbar
-            if float(np.linalg.norm(resid)) <= 1e-12:
-                break
-            J = p.g_jet(x).jacobian
-            step = np.linalg.pinv(J, rcond=1e-10) @ resid
-            if not np.all(np.isfinite(step)) or float(np.linalg.norm(step)) > box_radius:
-                break
-            x = x - step
-        if (float(np.linalg.norm(p.g_value(x) - gbar)) <= 1e-6
-                and float(np.linalg.norm(x - p.xbar)) >= 0.1 * box_radius
-                and float(np.max(np.abs(x - p.xbar))) <= box_radius + 1e-9):
-            return DdProbeResult(False, x, box_radius)
-    return DdProbeResult(True, None, box_radius)

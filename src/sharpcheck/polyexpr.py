@@ -1,4 +1,4 @@
-"""Polynomial problem data: parsing, exact second-order jets, Lagrangians.
+"""Polynomial problem data: parsing, exact second-order jets, instances.
 
 Grammar (division deliberately omitted, polynomials only):
 
@@ -181,10 +181,6 @@ class PolyExpr:
         self.nvars = int(nvars)
         self.text = text
 
-    @property
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
-
     def __call__(self, x) -> float:
         x = np.asarray(x, dtype=float).ravel()
         total = 0.0
@@ -339,58 +335,7 @@ def value_gradient_rows(e: PolyExpr, X) -> tuple[np.ndarray, np.ndarray]:
     return vals, grads
 
 
-@dataclasses.dataclass(frozen=True)
-class DerivativeReport:
-    passed: bool
-    max_rel_error: float
-    location: str
-    failures: tuple = ()
-
-
-def derivative_check(e, x, tolerance: float = 1e-6, jet: Jet2 | None = None) -> DerivativeReport:
-    """Central finite differences (step 1e-5) against the analytic jet.
-    Passing an explicit jet lets callers audit externally supplied data."""
-    exprs = list(e) if isinstance(e, (list, tuple)) else [e]
-    x = np.asarray(x, dtype=float).ravel()
-    n = x.size
-    if jet is None:
-        jet = evaluate_jet(exprs, x)
-    h = 1e-5
-    worst = 0.0
-    where = "ok"
-    failures = []
-
-    def record(err, loc):
-        nonlocal worst, where
-        if err > worst:
-            worst, where = err, loc
-        if err > tolerance:
-            failures.append((loc, err))
-
-    for ci, ex in enumerate(exprs):
-        for j in range(n):
-            xp, xm = x.copy(), x.copy()
-            xp[j] += h
-            xm[j] -= h
-            fd = (ex(xp) - ex(xm)) / (2 * h)
-            an = float(jet.jacobian[ci, j])
-            record(abs(fd - an) / max(1.0, abs(an)), f"jacobian[{ci},{j}]")
-            gp = evaluate_jet(ex, xp).gradient
-            gm = evaluate_jet(ex, xm).gradient
-            fdh = (gp - gm) / (2 * h)
-            for k in range(n):
-                an2 = float(jet.hessians[ci][j, k])
-                record(abs(float(fdh[k]) - an2) / max(1.0, abs(an2)),
-                       f"hessian[{ci}][{j},{k}]")
-    return DerivativeReport(not failures, worst, where, tuple(failures))
-
-
 # -- problem container ------------------------------------------------------
-
-
-#: geometric grid of growth constants probed by the necessary-condition
-#: checkers; bisection refines around the largest admissible entry.
-DEFAULT_KAPPA_GRID = tuple(float(v) for v in np.geomspace(1e-4, 1e2, 61))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -398,7 +343,6 @@ class Options:
     epsilon: float = 0.0
     delta: float = 0.25
     kappa: float | None = None
-    kappa_grid: tuple = DEFAULT_KAPPA_GRID
     seed: int = 42
     tolerance: float = 1e-9
     rho: float = 0.5
@@ -468,21 +412,3 @@ class ProblemInstance:
 
     def g_jet(self, x) -> Jet2:
         return evaluate_jet(list(self.g), np.asarray(x, dtype=float))
-
-
-def lagrangian_jet(p: ProblemInstance, x, lam):
-    """Gradient of L(., lam) at x and the quadratic-form evaluator
-    d -> d' (Hess f + sum lam_i Hess g_i) d."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.size != p.m:
-        raise ModelError("multiplier dimension does not match m")
-    fj = p.f_jet(x)
-    gj = p.g_jet(x)
-    grad = fj.gradient + gj.jacobian.T @ lam
-    hess = fj.hessian + sum(l * H for l, H in zip(lam, gj.hessians))
-
-    def quadform(d) -> float:
-        d = np.asarray(d, dtype=float).ravel()
-        return float(d @ hess @ d)
-
-    return grad, quadform

@@ -390,16 +390,6 @@ class Region:
                 break
         return best
 
-    def support_with_witness(self, lam) -> tuple[ExtReal, np.ndarray | None]:
-        best, wit = ExtReal.minus_inf(), None
-        for c in self.nonempty_cells():
-            v, w = c.support(lam)
-            if v > best:
-                best, wit = v, w
-            if best.is_plus_inf:
-                break
-        return best, wit
-
     def distance(self, x) -> tuple[ExtReal, list[np.ndarray]]:
         """Exact distance plus all projection points found (deduplicated)."""
         best = None
@@ -535,45 +525,6 @@ def cone_hull(regions) -> Region:
         np.array(lines) if lines else np.zeros((0, dim)), dim)
     cell = PolyCell(ineq, np.zeros(ineq.shape[0]), eq, np.zeros(eq.shape[0]), dim=dim)
     return Region.from_cell(cell, cone=True)
-
-
-def cone_is_trivial(region: Region) -> bool:
-    """True iff the cone region contains no nonzero vector.
-
-    Per cell, 2*dim capped LPs (max +-x_i subject to the cell and x_i <= 1).
-    On a cone any nonzero member scales into the cap, so a positive optimum
-    is conclusive in both directions.  The empty region counts as trivial."""
-    if not region.cone:
-        raise RegionError("cone_is_trivial requires a cone-flagged region")
-    for c in region.nonempty_cells():
-        n = c.dim
-        for i in range(n):
-            for sgn in (1.0, -1.0):
-                obj = np.zeros(n)
-                obj[i] = sgn
-                A = np.vstack([c.A, obj.reshape(1, -1)])
-                b = np.concatenate([c.b, [1.0]])
-                out = _lp.maximize(obj, A, b, c.E, c.f)
-                if out.status == "optimal" and out.value > 1e-8:
-                    return False
-    return True
-
-
-def strict_negativity_on_cone(region: Region, c) -> bool:
-    """True iff <c, w> < 0 for every nonzero w in the cone region.
-
-    Equivalent to: each cell intersected with the halfspace {<c, w> >= 0}
-    is the trivial cone.  Vectors in the kernel of <c, .> therefore count as
-    failures, matching the strict inequality read on the image side."""
-    if not region.cone:
-        raise RegionError("strict_negativity_on_cone requires a cone-flagged region")
-    c = np.asarray(c, dtype=float).ravel()
-    half = PolyCell((-c).reshape(1, -1), [0.0], dim=region.dim)
-    for cell in region.nonempty_cells():
-        probe = Region.from_cell(cell.intersect(half), cone=True)
-        if not cone_is_trivial(probe):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +942,3 @@ def _lower_gen_support_detail(region: Region, lam: np.ndarray, window: Region | 
 def lower_gen_support(region: Region, lam, window: Region | None = None) -> ExtReal:
     value, _ = lower_gen_support_detail(region, lam, window)
     return value
-
-
-def region_support(region: Region, lam) -> ExtReal:
-    return region.support(lam)

@@ -13,8 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .regions import PolyCell, Region, RegionError
-from . import lp as _lp
+from .regions import PolyCell, Region
 
 TOL = 1e-9
 _UNBUILT = object()   # as_region not called yet; None is a valid region
@@ -99,9 +98,6 @@ class BaseSet(ABC):
     def _build_region(self) -> Region | None:
         return None
 
-    def to_json(self):
-        raise NotImplementedError
-
     def sample_near(self, x, delta: float, rng, count: int) -> list[np.ndarray]:
         """Members within delta of x, by projecting ambient draws."""
         x = _vec(x, self.dim)
@@ -161,10 +157,6 @@ class Interval(BaseSet):
             rhs.append(-self.lo)
         return Region.from_cell(PolyCell(rows or None, rhs or None, dim=1))
 
-    def to_json(self):
-        enc = lambda v: ("inf" if v == math.inf else "-inf" if v == -math.inf else v)
-        return {"kind": "interval", "lo": enc(self.lo), "hi": enc(self.hi)}
-
 
 class Box(BaseSet):
     kind = "box"
@@ -204,9 +196,6 @@ class Box(BaseSet):
         return Region.from_cell(PolyCell(np.array(rows) if rows else None,
                                          np.array(rhs) if rhs else None, dim=self.dim))
 
-    def to_json(self):
-        return {"kind": "box", "intervals": [iv.to_json() for iv in self.intervals]}
-
 
 class Halfspace(BaseSet):
     kind = "halfspace"
@@ -234,9 +223,6 @@ class Halfspace(BaseSet):
 
     def _build_region(self):
         return Region.from_cell(PolyCell(self.normal.reshape(1, -1), [self.offset], dim=self.dim))
-
-    def to_json(self):
-        return {"kind": "halfspace", "normal": list(self.normal), "offset": self.offset}
 
 
 class Polyhedron(BaseSet):
@@ -272,12 +258,6 @@ class Polyhedron(BaseSet):
     def _build_region(self):
         return Region.from_cell(self.cell)
 
-    def to_json(self):
-        return {"kind": "polyhedron",
-                "rows": [[list(a), b] for a, b in self.rows],
-                "equalities": [[list(a), b] for a, b in self.equalities],
-                "dim": self.dim}
-
 
 class Ball(BaseSet):
     kind = "ball"
@@ -310,9 +290,6 @@ class Ball(BaseSet):
         P[out] = self.center + (self.radius / gap[out])[:, None] * off[out]
         return np.where(inside, 0.0, gap - self.radius), P
 
-    def to_json(self):
-        return {"kind": "ball", "center": list(self.center), "radius": self.radius}
-
 
 class PointSet(BaseSet):
     kind = "point"
@@ -334,9 +311,6 @@ class PointSet(BaseSet):
 
     def _build_region(self):
         return Region.from_point(self.x)
-
-    def to_json(self):
-        return {"kind": "point", "x": list(self.x)}
 
 
 class FiniteSet(BaseSet):
@@ -369,9 +343,6 @@ class FiniteSet(BaseSet):
 
     def _build_region(self):
         return Region([PolyCell.from_point(p) for p in self.points], dim=self.dim)
-
-    def to_json(self):
-        return {"kind": "finite", "points": [list(p) for p in self.points]}
 
 
 class UnionSet(BaseSet):
@@ -432,9 +403,6 @@ class UnionSet(BaseSet):
             out = out.union(r)
         return out
 
-    def to_json(self):
-        return {"kind": "union", "members": [s.to_json() for s in self.members]}
-
 
 class ProductSet(BaseSet):
     kind = "product"
@@ -491,12 +459,9 @@ class ProductSet(BaseSet):
             cells = [base.intersect(extra) for base in cells for extra in lifted]
         return Region(cells, dim=self.dim)
 
-    def to_json(self):
-        return {"kind": "product", "factors": [s.to_json() for s in self.factors]}
-
 
 # ---------------------------------------------------------------------------
-# helpers and codec
+# helpers
 # ---------------------------------------------------------------------------
 
 
@@ -509,43 +474,3 @@ def flatten_union(s: BaseSet) -> list[BaseSet]:
             out.extend(flatten_union(m))
         return out
     return [s]
-
-
-def _num(v, what: str) -> float:
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
-        if v == "-inf":
-            return -math.inf
-        raise SetError(f"bad numeric literal {v!r} in {what}")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SetError(f"bad numeric literal {v!r} in {what}")
-    return float(v)
-
-
-def set_from_json(obj) -> BaseSet:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise SetError("set description must be an object with a 'kind'")
-    kind = obj["kind"]
-    if kind == "interval":
-        return Interval(_num(obj["lo"], "interval"), _num(obj["hi"], "interval"))
-    if kind == "box":
-        return Box([set_from_json(iv) if isinstance(iv, dict) else Interval(_num(iv[0], "box"), _num(iv[1], "box"))
-                    for iv in obj["intervals"]])
-    if kind == "halfspace":
-        return Halfspace(obj["normal"], _num(obj["offset"], "halfspace"))
-    if kind == "polyhedron":
-        return Polyhedron(rows=[(r[0], _num(r[1], "polyhedron")) for r in obj.get("rows", [])],
-                          equalities=[(r[0], _num(r[1], "polyhedron")) for r in obj.get("equalities", [])],
-                          dim=obj.get("dim"))
-    if kind == "ball":
-        return Ball(obj["center"], _num(obj["radius"], "ball"))
-    if kind == "point":
-        return PointSet(obj["x"])
-    if kind == "finite":
-        return FiniteSet(obj["points"])
-    if kind == "union":
-        return UnionSet([set_from_json(m) for m in obj["members"]])
-    if kind == "product":
-        return ProductSet([set_from_json(m) for m in obj["factors"]])
-    raise SetError(f"unknown set kind {kind!r}")

@@ -22,7 +22,6 @@ note, never a silent claim.
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 

@@ -1,9 +1,12 @@
 """Shared builders for the randomized catalog suites.
 
 Seeded instance generation, tangent-direction sampling, the invariant
-battery run per instance, and oracle agreement counting.  Kept out of the
-test modules so the acceptance suite can reuse the exact same generators.
+battery run per instance, oracle agreement counting, and the reference
+implementations the library is checked against (the scalar sampling
+oracles and a finite-difference jet check).  Kept out of the test modules
+so the acceptance suite can reuse the exact same generators.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -43,7 +46,13 @@ from sharpcheck.tangents import (
     second_tangent,
     tangent_cone,
 )
-from sharpcheck.polyexpr import Options, ProblemInstance, parse_expression
+from sharpcheck.polyexpr import (
+    Jet2,
+    Options,
+    ProblemInstance,
+    evaluate_jet,
+    parse_expression,
+)
 
 
 def first_example(**opts):
@@ -572,3 +581,54 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
         if ratio > 1e6:
             return MscqEstimate(None, True, xp, used)
     return MscqEstimate(best, False, witness, used)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference reference for the analytic jets
+# ---------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class DerivativeReport:
+    passed: bool
+    max_rel_error: float
+    location: str
+    failures: tuple = ()
+
+
+def derivative_check(e, x, tolerance: float = 1e-6, jet: Jet2 | None = None) -> DerivativeReport:
+    """Central finite differences (step 1e-5) against the analytic jet.
+    Passing an explicit jet lets callers audit externally supplied data."""
+    exprs = list(e) if isinstance(e, (list, tuple)) else [e]
+    x = np.asarray(x, dtype=float).ravel()
+    n = x.size
+    if jet is None:
+        jet = evaluate_jet(exprs, x)
+    h = 1e-5
+    worst = 0.0
+    where = "ok"
+    failures = []
+
+    def record(err, loc):
+        nonlocal worst, where
+        if err > worst:
+            worst, where = err, loc
+        if err > tolerance:
+            failures.append((loc, err))
+
+    for ci, ex in enumerate(exprs):
+        for j in range(n):
+            xp, xm = x.copy(), x.copy()
+            xp[j] += h
+            xm[j] -= h
+            fd = (ex(xp) - ex(xm)) / (2 * h)
+            an = float(jet.jacobian[ci, j])
+            record(abs(fd - an) / max(1.0, abs(an)), f"jacobian[{ci},{j}]")
+            gp = evaluate_jet(ex, xp).gradient
+            gm = evaluate_jet(ex, xm).gradient
+            fdh = (gp - gm) / (2 * h)
+            for k in range(n):
+                an2 = float(jet.hessians[ci][j, k])
+                record(abs(float(fdh[k]) - an2) / max(1.0, abs(an2)),
+                       f"hessian[{ci}][{j},{k}]")
+    return DerivativeReport(not failures, worst, where, tuple(failures))

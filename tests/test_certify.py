@@ -82,13 +82,6 @@ def test_critical_cone_parabola_is_a_line():
     assert region_compare(cc, want).relation == "equal"
 
 
-def test_critical_cone_levels_match_on_singleton():
-    p = parabola_example()
-    pt = critical_cone(p, level="point")
-    lv = critical_cone(p, level="level_set")
-    assert region_compare(pt, lv).relation == "equal"
-
-
 def test_multiplier_affine_set_second_example():
     aff = multiplier_affine_set(second_example())
     assert not aff.empty
@@ -236,7 +229,7 @@ def test_necessary_explicit_second_example_is_weaker():
 
 def test_necessary_clarke_first_example_all_modes():
     p = first_example()
-    for mode in ("elementwise", "convex_subset", "nondegenerate"):
+    for mode in ("elementwise", "nondegenerate"):
         r = necessary_clarke_check(p, None, [0.0, 1.0], None, mode=mode)
         assert r.verdict == "satisfied", mode
         assert r.kappa_bounds["max_admissible"] == pytest.approx(1.0, abs=1e-6)

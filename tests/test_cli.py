@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import sharpcheck
 from sharpcheck import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -162,6 +163,11 @@ _BAD_DOCUMENTS = {
     "negative-n": ({"n": -1}, []),
     "negative-seed": ({"options": {"seed": -5}}, []),
     "negative-seed-flag": ({}, ["--seed", "-5"]),
+    # set constructors go through cli._build_set, the one set codec
+    "unknown-set-kind": ({"K": {"kind": "klein-bottle"}}, []),
+    "non-numeric-bound": ({"K": {"kind": "interval", "lo": "wide", "hi": 0.0}}, []),
+    "set-as-list": ({"S": [1, 2, 3]}, []),
+    "point-written-with-x": ({"S": {"kind": "point", "x": [0.0, 0.0]}}, []),
 }
 
 
@@ -180,6 +186,20 @@ def test_parse_errors_and_negative_seeds_are_input_errors(case, command, tmp_pat
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("direction", [[], ["--direction", "1,0"]],
+                         ids=["sweep", "direction"])
+@pytest.mark.parametrize("form", ["explicit", "clarke", "nondegenerate"])
+def test_tangent_distance_mode_needs_the_implicit_form(form, direction, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = cli.main(["check-necessary", "fixtures/parabola.json", "--form", form,
+                     "--mode", "tangent-distance", *direction])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
+    assert "tangent-distance" in captured.err
 
 
 def test_membership_oracle_ignores_count_and_limit(monkeypatch):
@@ -203,6 +223,11 @@ def test_python_m_entry_points(module):
     assert proc.returncode == 1, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "violated" and doc["exit_code"] == 1
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in sharpcheck.__all__ if not hasattr(sharpcheck, name)]
+    assert missing == []
 
 
 if __name__ == "__main__":

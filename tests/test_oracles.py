@@ -1,5 +1,5 @@
 """Sampling oracles: membership by definition, feasible sampling, growth
-and subregularity estimates, proximal distance, level-set injectivity."""
+and subregularity estimates, proximal distance."""
 import dataclasses
 import math
 
@@ -11,7 +11,6 @@ from sharpcheck import oracles
 from sharpcheck.oracles import (
     OracleError,
     Schedule,
-    dd_condition_probe,
     growth_constant_estimate,
     membership_by_definition,
     mscq_modulus_estimate,
@@ -223,31 +222,6 @@ def test_proximal_distance_with_positive_eps():
     d = [-0.05, 1.0]  # slightly off the proximal cone at an interior point
     ok, _ = proximal_distance_check(S, [0.25, 0.0], d, 0.1)
     assert ok
-
-
-# -- level-set injectivity probe -----------------------------------------
-
-
-def test_dd_probe_identity_holds():
-    res = dd_condition_probe(identity_halfline(), 0.5, 500, 42)
-    assert res.holds_on_box and res.witness is None
-
-
-def test_dd_probe_first_example_finds_circle_point():
-    p = first_example()
-    res = dd_condition_probe(p, 0.25, 800, 42)
-    assert not res.holds_on_box
-    w = res.witness
-    assert np.linalg.norm(p.g_value(w) - p.g_value(p.xbar)) <= 1e-6
-    assert np.linalg.norm(w - p.xbar) >= 0.025
-
-
-def test_dd_probe_square_away_from_fold():
-    f = parse_expression("x1^2", 1)
-    g = (parse_expression("x1^2", 1),)
-    p = ProblemInstance(1, 1, f, g, Interval(0.0, 2.0), PointSet([1.0]), [1.0])
-    res = dd_condition_probe(p, 0.5, 500, 42)
-    assert res.holds_on_box
 
 
 def test_schedule_shapes():

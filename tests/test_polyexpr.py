@@ -4,24 +4,22 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sharpcheck.polyexpr import (
-    DerivativeReport,
     Jet2,
     ModelError,
     Options,
     ParseError,
     ProblemInstance,
-    derivative_check,
     evaluate_jet,
-    lagrangian_jet,
     parse_expression,
     value_gradient_rows,
 )
-from sharpcheck.sets import Ball, Box, Interval, PointSet, ProductSet, UnionSet
+from sharpcheck.sets import Box, Interval, PointSet
+
+from helpers import derivative_check
 
 
 def test_parse_quadratic():
     e = parse_expression("x1^2 - 2*x1 + x2^2")
-    assert e.degree == 2
     assert e([0.0, 0.0]) == 0.0
     assert e([1.0, 1.0]) == 0.0
     assert e([2.0, 3.0]) == 9.0
@@ -137,56 +135,6 @@ def test_derivative_check_flags_corrupted_jacobian():
     assert not report.passed
     assert report.location == "jacobian[0,0]"
     assert report.max_rel_error > 0.1
-
-
-def _first_example():
-    return ProblemInstance(
-        n=2, m=1,
-        f=parse_expression("x2^2", 2),
-        g=[parse_expression("x1^2 - 2*x1 + x2^2", 2)],
-        K=Interval(-0.75, 0.0),
-        S=ProductSet([Interval(0.0, 0.5), PointSet([0.0])]),
-        xbar=[0.0, 0.0],
-    )
-
-
-def _second_example():
-    # feasible set g^{-1}(K) = [-1, 1]
-    return ProblemInstance(
-        n=1, m=2,
-        f=parse_expression("0 - 0.5*x1^2", 1),
-        g=[parse_expression("x1^2", 1), parse_expression("x1", 1)],
-        K=UnionSet([Ball([1.0, 0.0], 1.0), Ball([-1.0, 0.0], 1.0)]),
-        S=PointSet([0.0]),
-        xbar=[0.0],
-    )
-
-
-def test_lagrangian_jet_first_example():
-    p = _first_example()
-    grad, quad = lagrangian_jet(p, p.xbar, [0.0])
-    assert np.allclose(grad, [0.0, 0.0])
-    assert quad([0.0, 1.0]) == pytest.approx(2.0)
-
-
-def test_lagrangian_jet_second_example():
-    p = _second_example()
-    grad, quad = lagrangian_jet(p, p.xbar, [0.0, 0.0])
-    assert np.allclose(grad, [0.0])
-    assert quad([1.0]) == pytest.approx(-1.0)
-
-
-def test_lagrangian_linearity_and_zero_multiplier():
-    p = _first_example()
-    rng = np.random.default_rng(3)
-    x = rng.uniform(-0.1, 0.1, size=2)
-    d = rng.uniform(-1, 1, size=2)
-    g0, q0 = lagrangian_jet(p, x, [0.0])
-    assert np.allclose(g0, p.f_jet(x).gradient)
-    _, q1 = lagrangian_jet(p, x, [1.0])
-    _, q3 = lagrangian_jet(p, x, [3.0])
-    base = q0(d)
-    assert q3(d) - base == pytest.approx(3 * (q1(d) - base), rel=1e-9)
 
 
 def test_problem_instance_validation():

@@ -12,7 +12,6 @@ from sharpcheck.regions import (
     Region,
     RegionError,
     cone_hull,
-    cone_is_trivial,
     face_complex,
     limiting_normal_region,
     lower_gen_support,
@@ -21,7 +20,6 @@ from sharpcheck.regions import (
     region_compare,
     region_equal,
     region_subset,
-    strict_negativity_on_cone,
 )
 
 from helpers import parabola_example
@@ -289,23 +287,6 @@ def test_cone_hull_examples():
     want = Region.from_cell(PolyCell(eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2), cone=True)
     assert region_equal(axis, want)
     assert region_equal(cone_hull(first_quadrant), first_quadrant)
-
-
-def test_cone_is_trivial():
-    line_zero = Region.from_cell(PolyCell([[1.0], [-1.0]], [0.0, 0.0], dim=1), cone=True)
-    assert cone_is_trivial(line_zero)
-    ray = Region.from_cell(PolyCell([[-1.0]], [0.0], dim=1), cone=True)
-    assert not cone_is_trivial(ray)
-    assert cone_is_trivial(Region.empty(3, cone=True))
-
-
-def test_strict_negativity_on_cone():
-    ray_up = Region.from_cell(PolyCell([[0.0, -1.0]], [0.0],
-                                       eq_mat=[[1.0, 0.0]], eq_rhs=[0.0], dim=2), cone=True)
-    assert strict_negativity_on_cone(ray_up, [0.0, -1.0])
-    half = halfplane([0.0, -1.0], 0.0, cone=True)
-    assert not strict_negativity_on_cone(half, [0.0, -1.0])  # (1,0) sits in the kernel
-    assert strict_negativity_on_cone(Region.origin(2), [1.0, 1.0])
 
 
 def test_cone_flag_scaling_law():

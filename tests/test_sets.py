@@ -1,4 +1,4 @@
-"""Catalog sets: membership, exact distance, codec, samplers."""
+"""Catalog sets: membership, exact distance, samplers."""
 import math
 
 import numpy as np
@@ -19,7 +19,6 @@ from sharpcheck.sets import (
     SetError,
     UnionSet,
     flatten_union,
-    set_from_json,
 )
 
 
@@ -112,36 +111,6 @@ def test_flatten_union():
     nested = UnionSet([UnionSet([PointSet([0.0]), PointSet([1.0])]), PointSet([2.0])])
     assert len(flatten_union(nested)) == 3
     assert len(flatten_union(PointSet([0.0]))) == 1
-
-
-def test_json_round_trip():
-    sets = [
-        Interval(-0.75, 0.0),
-        Box([Interval(0.0, 0.5), Interval(-math.inf, 1.0)]),
-        Halfspace([1.0, -2.0], 0.5),
-        Polyhedron(rows=[([-1.0, 0.0], -1.0)], equalities=[([0.0, 1.0], 0.0)]),
-        Ball([1.0, 0.0], 1.0),
-        PointSet([0.0, 0.0]),
-        FiniteSet([[0.0], [1.0]]),
-        two_disks(),
-        ProductSet([Interval(0.0, 0.5), PointSet([0.0])]),
-    ]
-    rng = np.random.default_rng(12)
-    for s in sets:
-        s2 = set_from_json(s.to_json())
-        assert s2.dim == s.dim
-        for _ in range(50):
-            y = rng.uniform(-2, 2, size=s.dim)
-            assert s.contains(y) == s2.contains(y)
-
-
-def test_json_rejects_garbage():
-    with pytest.raises(SetError):
-        set_from_json({"kind": "klein-bottle"})
-    with pytest.raises(SetError):
-        set_from_json({"kind": "interval", "lo": "wide", "hi": 0})
-    with pytest.raises(SetError):
-        set_from_json([1, 2, 3])
 
 
 def test_sampler_returns_members_within_delta():
