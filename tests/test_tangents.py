@@ -4,15 +4,16 @@ randomized invariant battery over the set catalog."""
 import numpy as np
 import pytest
 
-from sharpcheck.sets import (Ball, Box, FiniteSet, Interval, PointSet,
-                             Polyhedron, ProductSet, UnionSet)
+from sharpcheck.sets import (Ball, Box, FiniteSet, Halfspace, Interval,
+                             PointSet, Polyhedron, ProductSet, UnionSet)
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
                                  directional_normal, eps_proximal_filter,
                                  eps_proximal_membership, normal_cone,
                                  proximal_normal_cell, region_tangent_cone,
                                  second_tangent, tangent_cone)
 from sharpcheck.regions import (PolyCell, Region, lower_gen_support,
-                                polar_cone, region_compare, region_subset)
+                                polar_cone, region_compare, region_equal,
+                                region_subset)
 
 from helpers import invariant_battery, oracle_agreement, random_catalog_instance
 
@@ -181,6 +182,30 @@ def test_directional_normal_union_stays_inside_limiting():
     assert dn.cone
     included, _ = region_subset(dn, normal_cone(two_disks(), [0.0, 0.0], "limiting"))
     assert included
+
+
+@pytest.mark.parametrize("halfspaces", [
+    [([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0)],
+    [([1.0, 0.0], 0.0), ([-1.0, 0.0], 0.0)],
+    [([1.0, 0.0], 0.0), ([-1.0, 1.0], 0.0)],
+], ids=["quadrant-union", "two-sides", "wedge-union"])
+def test_polyhedral_strata_match_the_face_complex(halfspaces):
+    """A ball far from y keeps a polyhedral union off the face complex
+    (``as_region()`` is None), so its limiting and directional normal cones
+    at y go through the exact stratum LPs; they must equal the face-complex
+    cones of the same union without the ball.  Dropping the rows that
+    violate an avoided member breaks the two-sides case; flipping the sign
+    of the strict rows breaks none of these cases."""
+    members = [Halfspace(a, beta) for a, beta in halfspaces]
+    plain = UnionSet(members)
+    curved = UnionSet([*members, Ball([5.0, 5.0], 1.0)])
+    assert plain.as_region() is not None and curved.as_region() is None
+    y = [0.0, 0.0]
+    assert region_equal(normal_cone(curved, y, "limiting"),
+                        normal_cone(plain, y, "limiting"))
+    for u in ([1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [0.0, 1.0]):
+        assert region_equal(directional_normal(curved, y, u, "limiting"),
+                            directional_normal(plain, y, u, "limiting"))
 
 
 def test_directional_clarke_tangent_ball():
