@@ -1226,16 +1226,17 @@ def _unit_mesh(dim: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _strict_rows_for_direction(p, x, d, Tpp_n: Region, T2_n: Region, J,
-                               thresh: float, qf_d: float):
-    """LP rows over (lam, s) encoding strict negativity on the image of the
+def _strict_rows_for_direction(Tpp_n: Region, T2_n: Region, J, thresh: float,
+                               qf_d: float):
+    """LP rows over lam encoding strict negativity on the image of the
     asymptotic cone and the curvature threshold over the outer set.
 
-    Returns (ineq_rows, ineq_rhs, eq_rows, eq_rhs) or None when a line of
-    the asymptotic cone has a nonzero image (no multiplier can be strictly
-    negative on both signs)."""
-    m = p.m
-    rows, rhs, eqs, eqr = [], [], [], []
+    Returns (rows, rhs, margins, eq_rows): the rows are m-dimensional, and
+    margins holds the coefficient of the common margin s in each row
+    (rows @ lam + margins * s <= rhs, eq_rows @ lam = 0).  Returns None
+    when a line of the asymptotic cone has a nonzero image (no multiplier
+    can be strictly negative on both signs)."""
+    rows, rhs, margins, eqs = [], [], [], []
     for cell in Tpp_n.nonempty_cells():
         g = cell.generators()
         if g is None:
@@ -1251,8 +1252,9 @@ def _strict_rows_for_direction(p, x, d, Tpp_n: Region, T2_n: Region, J,
             nrm = float(np.linalg.norm(img))
             if nrm <= 1e-9:
                 continue   # kernel directions carry no constraint
-            rows.append(np.concatenate([img, [nrm]]))
+            rows.append(img)
             rhs.append(0.0)
+            margins.append(nrm)
     for cell in T2_n.nonempty_cells():
         g = cell.generators()
         if g is None:
@@ -1261,42 +1263,33 @@ def _strict_rows_for_direction(p, x, d, Tpp_n: Region, T2_n: Region, J,
         for l in lines:
             img = J @ l
             if np.linalg.norm(img) > 1e-9:
-                eqs.append(np.concatenate([img, [0.0]]))
-                eqr.append(0.0)
+                eqs.append(img)
         for r in rays:
             img = J @ r
             if np.linalg.norm(img) > 1e-9:
-                rows.append(np.concatenate([img, [0.0]]))
+                rows.append(img)
                 rhs.append(0.0)
+                margins.append(0.0)
         for v in verts:
-            img = J @ v
-            rows.append(np.concatenate([img, [1.0]]))
+            rows.append(J @ v)
             rhs.append(qf_d - thresh)
-    return rows, rhs, eqs, eqr
+            margins.append(1.0)
+    return rows, rhs, margins, eqs
 
 
 def _solve_multiplier_lp(aff: MultiplierAffineSet, blocks):
     """Maximize the common margin s over the affine multiplier set subject
     to the stacked per-direction blocks."""
     m = aff.basis.shape[1]
-    rows, rhs, eqs, eqr = [], [], [], []
-    for (r, h, e, er) in blocks:
-        rows.extend(r)
-        rhs.extend(h)
-        eqs.extend(e)
-        eqr.extend(er)
-    rows.append(np.concatenate([np.zeros(m), [1.0]]))
-    rhs.append(1.0)
-    for i in range(aff.jacobian_t.shape[0]):
-        eqs.append(np.concatenate([aff.jacobian_t[i], [0.0]]))
-        eqr.append(-aff.grad_f[i])
-    obj = np.concatenate([np.zeros(m), [1.0]])
-    out = _lp.maximize(obj, np.array(rows), np.array(rhs),
-                       np.array(eqs) if eqs else None,
-                       np.array(eqr) if eqr else None)
-    if out.status != "optimal":
+    rows, rhs, margins, eqs = ([item for part in parts for item in part]
+                               for parts in zip(*blocks))
+    out = _lp.max_margin(np.reshape(rows, (-1, m)), rhs, margins,
+                         [*eqs, *aff.jacobian_t],
+                         np.concatenate([np.zeros(len(eqs)), -aff.grad_f]))
+    if out is None:
         return None, None
-    return out.point[:m], float(out.value)
+    margin, lam = out
+    return lam, margin
 
 
 def _growth_gate(p: ProblemInstance, kappa: float, diags: list[str],
@@ -1376,7 +1369,7 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
                 "both second-order objects are degenerate at "
                 f"d = {np.round(dd, 6).tolist()}"])
         thresh = factor * kappa * float(dd @ dd)
-        block = _strict_rows_for_direction(p, x, dd, Tpp, T2, J, thresh, qfn(dd))
+        block = _strict_rows_for_direction(Tpp, T2, J, thresh, qfn(dd))
         if block is None:
             return _report("hypotheses-not-met", diags=diags + [
                 "a line of the asymptotic cone has a nonzero image at "
@@ -1437,7 +1430,7 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
     for dd in dirs:
         Tpp = _point_phi_tangents(p, x, dd, "asymp2").intersect_orthocomplement(dd)
         T2 = _point_phi_tangents(p, x, dd, "outer2").intersect_orthocomplement(dd)
-        block = _strict_rows_for_direction(p, x, dd, Tpp, T2, J, 0.0, qfn(dd))
+        block = _strict_rows_for_direction(Tpp, T2, J, 0.0, qfn(dd))
         if block is None:
             return _report("hypotheses-not-met", diags=diags + [
                 "a line of the asymptotic cone has a nonzero image at "

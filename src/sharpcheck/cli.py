@@ -106,7 +106,10 @@ def _num(v, where):
     if isinstance(v, bool):
         raise DocumentError(f"{where}: expected a number, got a boolean")
     if isinstance(v, (int, float)):
-        return float(v)
+        out = float(v)
+        if math.isnan(out):
+            raise DocumentError(f"{where}: expected a number, got NaN")
+        return out
     if isinstance(v, str):
         s = v.strip().lower()
         if s in ("inf", "+inf"):
@@ -371,6 +374,8 @@ def _parse_vec(text, n, name):
                             f"got {text!r}") from None
     if len(vals) != n:
         raise DocumentError(f"{name}: expected {n} components, got {len(vals)}")
+    if not all(math.isfinite(v) for v in vals):
+        raise DocumentError(f"{name}: components must be finite, got {text!r}")
     return vals
 
 

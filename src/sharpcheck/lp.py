@@ -6,7 +6,9 @@ Two deliberately self-contained primitives live here:
   every feasibility, support, inclusion and margin query in the package.  The
   revised form (basis refactorized every pivot) keeps the numerics honest at
   desk scale and makes runs bit-reproducible: no external solver, no
-  randomized pivoting.
+  randomized pivoting.  ``max_margin`` poses the one program shape that the
+  relative-interior, realizability and multiplier questions share: the
+  largest common margin t <= 1 over a system of rows.
 
 * an incremental double-description kernel: generator representations
   (vertices / rays / lines) of polyhedral cones and cells, with conversion in
@@ -336,6 +338,25 @@ def maximize(objective, ineq_mat=None, ineq_rhs=None, eq_mat=None, eq_rhs=None) 
     lp = make_lp(objective, ineq_mat, ineq_rhs, eq_mat, eq_rhs)
     return _reused("lp", (lp.objective, lp.ineq_mat, lp.ineq_rhs, lp.eq_mat, lp.eq_rhs),
                    lambda: solve_lp(lp))
+
+
+def max_margin(A, b, w, E, f) -> tuple[float, np.ndarray] | None:
+    """maximize t over (x, t)  subject to  A x + w t <= b, t <= 1, E x == f.
+
+    The common margin t by which x meets the rows of A, each row weighted
+    by its entry of w, capped at 1.  Returns (t, x) at the optimum, or None
+    when the program is infeasible; the cap rules out unbounded.  The cap
+    row comes after the rows of A, and the equalities get a zero t column."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[1]
+    E = np.asarray(E, dtype=float).reshape(-1, n)
+    unit_t = np.eye(1, n + 1, n)
+    out = maximize(unit_t[0],
+                   np.vstack([np.column_stack([A, w]), unit_t]), np.append(b, 1.0),
+                   np.column_stack([E, np.zeros(E.shape[0])]), f)
+    if out.status != "optimal":
+        return None
+    return out.value, out.point[:n]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ polynomial algebra with no truncation beyond float rounding.
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -348,6 +349,10 @@ class Options:
     rho: float = 0.5
 
     def __post_init__(self):
+        for name in ("epsilon", "delta", "rho", "kappa"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ModelError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.epsilon < 0.5:
             raise ModelError("epsilon must lie in [0, 1/2)")
         if self.delta <= 0.0:

@@ -265,29 +265,14 @@ class PolyCell:
             return None
         impl = set(self.implicit_equalities())
         strict = [i for i in range(self.A.shape[0]) if i not in impl]
-        # variables (x, t): maximize t with margin t on strict rows
-        n = self.dim
-        rows, rhs = [], []
-        for i in strict:
-            rows.append(np.concatenate([self.A[i], [1.0]]))
-            rhs.append(self.b[i])
-        rows.append(np.concatenate([np.zeros(n), [1.0]]))
-        rhs.append(1.0)
-        eq_rows = []
-        eq_rhs = []
-        for i in impl:
-            eq_rows.append(np.concatenate([self.A[i], [0.0]]))
-            eq_rhs.append(self.b[i])
-        for j in range(self.E.shape[0]):
-            eq_rows.append(np.concatenate([self.E[j], [0.0]]))
-            eq_rhs.append(self.f[j])
-        obj = np.concatenate([np.zeros(n), [1.0]])
-        out = _lp.maximize(obj, np.array(rows), np.array(rhs),
-                           np.array(eq_rows) if eq_rows else None,
-                           np.array(eq_rhs) if eq_rhs else None)
-        if out.status != "optimal":
+        eq = list(impl)
+        out = _lp.max_margin(self.A[strict], self.b[strict], np.ones(len(strict)),
+                             np.vstack([self.A[eq], self.E]),
+                             np.concatenate([self.b[eq], self.f]))
+        if out is None:
             return None
-        return out.point[:n], float(out.value)
+        t, x = out
+        return x, t
 
     def __repr__(self):
         return f"PolyCell(dim={self.dim}, ineq={self.A.shape[0]}, eq={self.E.shape[0]})"
@@ -590,39 +575,25 @@ def _cell_subset_of_union(cell: PolyCell, cover: tuple[PolyCell, ...]):
         if not opts:
             return None  # an all-space cell covers everything
         options.append(opts)
-    n = cell.dim
-    base_rows = [np.concatenate([cell.A[i], [0.0]]) for i in range(cell.A.shape[0])]
-    base_rhs = list(cell.b)
-    base_rows.append(np.concatenate([np.zeros(n), [1.0]]))
-    base_rhs.append(1.0)
-    eq = [np.concatenate([cell.E[j], [0.0]]) for j in range(cell.E.shape[0])]
-    eqr = list(cell.f)
-    obj = np.concatenate([np.zeros(n), [1.0]])
+    k = cell.A.shape[0]
 
-    def best_point(rows, rhs):
-        # variables (x, t): maximize t s.t. x in cell, a_j x - b_j >= t per choice
-        out = _lp.maximize(obj, np.array(rows), np.array(rhs),
-                           np.array(eq) if eq else None,
-                           np.array(eqr) if eqr else None)
-        if out.status == "optimal" and out.value > MARGIN_TOL:
-            return out.point[:n]
-        return None
-
-    def search(idx, rows, rhs):
-        point = best_point(rows, rhs)
-        if point is None:
+    def search(idx, chosen):
+        # x in cell with a x - beta >= t > 0 on every chosen (a, beta)
+        out = _lp.max_margin(
+            np.vstack([cell.A, *[-a for a, _ in chosen]]),
+            np.concatenate([cell.b, [-float(beta) for _, beta in chosen]]),
+            np.concatenate([np.zeros(k), np.ones(len(chosen))]), cell.E, cell.f)
+        if out is None or out[0] <= MARGIN_TOL:
             return None  # the partial system is already covered; prune
         if idx == len(options):
-            return point
-        for a, beta in options[idx]:
-            hit = search(idx + 1,
-                         rows + [np.concatenate([-a, [1.0]])],
-                         rhs + [-float(beta)])
+            return out[1]
+        for choice in options[idx]:
+            hit = search(idx + 1, chosen + [choice])
             if hit is not None:
                 return hit
         return None
 
-    return search(0, base_rows, base_rhs)
+    return search(0, [])
 
 
 def region_subset(r1: Region, r2: Region):
@@ -687,28 +658,23 @@ def _hyperplanes_of(region: Region) -> list[tuple[np.ndarray, float]]:
     return list(seen.values())
 
 
-def _margin_lp(hyperplanes, signs, dim):
-    """Max-margin relative-interior LP for a partial sign assignment."""
+def _sign_system(hyperplanes, signs, dim):
+    """(A, b, E, f) of the cell on which each hyperplane a x = beta, paired
+    with a sign, holds as a x <= beta (sign < 0), a x >= beta (sign > 0) or
+    a x = beta (sign 0)."""
     rows, rhs, eq, eqr = [], [], [], []
     for (a, beta), s in zip(hyperplanes, signs):
         if s == 0:
-            eq.append(np.concatenate([a, [0.0]]))
+            eq.append(a)
             eqr.append(beta)
         elif s < 0:
-            rows.append(np.concatenate([a, [1.0]]))
+            rows.append(a)
             rhs.append(beta)
         else:
-            rows.append(np.concatenate([-a, [1.0]]))
+            rows.append(-a)
             rhs.append(-beta)
-    rows.append(np.concatenate([np.zeros(dim), [1.0]]))
-    rhs.append(1.0)
-    obj = np.concatenate([np.zeros(dim), [1.0]])
-    out = _lp.maximize(obj, np.array(rows), np.array(rhs),
-                       np.array(eq) if eq else None,
-                       np.array(eqr) if eqr else None)
-    if out.status != "optimal":
-        return -np.inf, None
-    return float(out.value), out.point[:dim]
+    return (np.reshape(rows, (-1, dim)), np.array(rhs, dtype=float),
+            np.reshape(eq, (-1, dim)), np.array(eqr, dtype=float))
 
 
 def _frechet_value_at(region: Region, x: np.ndarray) -> PolyCell:
@@ -761,27 +727,16 @@ def _face_complex(region: Region) -> tuple[RegionFace, ...]:
     faces: list[RegionFace] = []
 
     def rec(signs: list[int]):
-        val, x = _margin_lp(hps[: len(signs)], signs, dim)
-        if val <= 1e-7:
+        # max-margin relative-interior LP for the partial sign assignment
+        A, b, E, f = _sign_system(hps, signs, dim)
+        out = _lp.max_margin(A, b, np.ones(b.size), E, f)
+        if out is None or out[0] <= 1e-7:
             return
         if len(signs) == len(hps):
+            x = out[1]
             if not any(c.contains(x, tol=1e-9) for c in cells):
                 return
-            rows, rhs, eq, eqr = [], [], [], []
-            for (a, beta), s in zip(hps, signs):
-                if s == 0:
-                    eq.append(a)
-                    eqr.append(beta)
-                elif s < 0:
-                    rows.append(a)
-                    rhs.append(beta)
-                else:
-                    rows.append(-a)
-                    rhs.append(-beta)
-            face = PolyCell(np.array(rows) if rows else None,
-                            np.array(rhs) if rhs else None,
-                            np.array(eq) if eq else None,
-                            np.array(eqr) if eqr else None, dim=dim)
+            face = PolyCell(A, b, E, f, dim=dim)
             faces.append(RegionFace(face, _frechet_value_at(region, x), x, tuple(signs)))
             return
         for s in (0, -1, 1):
@@ -831,20 +786,12 @@ def _piece_contribution(face: RegionFace, wcell: PolyCell, lam: np.ndarray):
     for r in dirs:
         if abs(float(lam @ r)) > 1e-9:
             continue
-        rows = [np.concatenate([N.A[i], [0.0]]) for i in act]
-        rhs = [0.0] * len(act)
-        rows.append(np.concatenate([r, [1.0]]))  # r@mu + t <= 0, i.e. t <= -r@mu
-        rhs.append(0.0)
-        rows.append(np.concatenate([np.zeros(lam.size), [1.0]]))
-        rhs.append(1.0)
-        eq = [np.concatenate([N.E[j], [0.0]]) for j in range(N.E.shape[0])]
-        eqr = [0.0] * N.E.shape[0]
-        obj = np.concatenate([np.zeros(lam.size), [1.0]])
-        out = _lp.maximize(obj, np.array(rows), np.array(rhs),
-                           np.array(eq) if eq else None,
-                           np.array(eqr) if eqr else None)
-        if out.status == "optimal" and out.value > 1e-8:
-            return ExtReal.minus_inf(), out.point[: lam.size]
+        # mu on N's active rows and equalities with r@mu + t <= 0, i.e. t <= -r@mu
+        out = _lp.max_margin(np.vstack([N.A[act], r]), np.zeros(len(act) + 1),
+                             np.append(np.zeros(len(act)), 1.0),
+                             N.E, np.zeros(N.E.shape[0]))
+        if out is not None and out[0] > 1e-8:
+            return ExtReal.minus_inf(), out[1]
     vals = [float(lam @ v) for v in V]
     return ExtReal.of(min(vals)), None
 

@@ -468,22 +468,10 @@ def _stratum_realizable_poly(specs, avoid, members, y, u, dim) -> bool:
             return False  # the avoided member holds y in its interior
         violation_options.append(opts)
     for choice in itertools.product(*violation_options) if violation_options else [()]:
-        rows, rhs = [], []
-        for a in strict_rows:
-            rows.append(np.concatenate([a, [1.0]]))
-            rhs.append(0.0)
-        for a in choice:
-            rows.append(np.concatenate([-a, [1.0]]))
-            rhs.append(0.0)
-        rows.append(np.concatenate([np.zeros(dim), [1.0]]))
-        rhs.append(1.0)
-        eq = [np.concatenate([a, [0.0]]) for a in eq_rows]
-        eqr = [0.0] * len(eq_rows)
-        obj = np.concatenate([np.zeros(dim), [1.0]])
-        out = _lp.maximize(obj, np.array(rows), np.array(rhs),
-                           np.array(eq) if eq else None,
-                           np.array(eqr) if eqr else None)
-        if out.status != "optimal" or out.value <= 1e-7:
+        A = np.reshape([*strict_rows, *[-a for a in choice]], (-1, dim))
+        out = _lp.max_margin(A, np.zeros(len(A)), np.ones(len(A)),
+                             eq_rows, np.zeros(len(eq_rows)))
+        if out is None or out[0] <= 1e-7:
             continue
         if u is None:
             return True

@@ -8,6 +8,7 @@ and review the diff.
 """
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -168,6 +169,14 @@ _BAD_DOCUMENTS = {
     "non-numeric-bound": ({"K": {"kind": "interval", "lo": "wide", "hi": 0.0}}, []),
     "set-as-list": ({"S": [1, 2, 3]}, []),
     "point-written-with-x": ({"S": {"kind": "point", "x": [0.0, 0.0]}}, []),
+    # options must be finite, whether given by flag or in the document
+    "delta-nan-flag": ({}, ["--delta", "nan"]),
+    "delta-inf-flag": ({}, ["--delta", "inf"]),
+    "kappa-nan-flag": ({}, ["--kappa", "nan"]),
+    "kappa-inf-flag": ({}, ["--kappa", "inf"]),
+    "rho-nan-flag": ({}, ["--rho", "nan"]),
+    "delta-nan-document": ({"options": {"delta": math.nan}}, []),
+    "kappa-inf-document": ({"options": {"kappa": math.inf}}, []),
 }
 
 
@@ -186,6 +195,23 @@ def test_parse_errors_and_negative_seeds_are_input_errors(case, command, tmp_pat
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-cq", "--kind", "foscms", "--direction", "nan,1"],
+    ["check-necessary", "--direction", "nan,0"],
+    ["check-necessary", "--direction", "1,-inf"],
+    ["oracle", "--op", "membership", "--w", "nan"],
+    ["oracle", "--op", "membership", "--w", "inf"],
+], ids=["cq-direction-nan", "necessary-direction-nan", "necessary-direction-inf",
+        "membership-w-nan", "membership-w-inf"])
+def test_non_finite_vectors_are_input_errors(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    code = cli.main([argv[0], "fixtures/parabola.json", *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
+    assert "must be finite" in captured.err
 
 
 @pytest.mark.parametrize("direction", [[], ["--direction", "1,0"]],

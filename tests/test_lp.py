@@ -19,6 +19,7 @@ from sharpcheck.lp import (
     cone_from_generators,
     dd_cone,
     make_lp,
+    max_margin,
     maximize,
     reuse_scope,
     solve_lp,
@@ -321,6 +322,61 @@ def test_lp_shape_validation():
     from sharpcheck.lp import LpError
     with pytest.raises(LpError):
         make_lp([1.0], ineq_mat=[[1.0]], ineq_rhs=[1.0, 2.0])
+
+
+# ------------------------------------------------------------- max margin
+
+
+@st.composite
+def margin_programs(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 4))
+    l = draw(st.integers(0, 2))
+    def arr(*shape):
+        return draw(hnp.arrays(float, shape, elements=_entries))
+    return arr(k, n), arr(k), arr(k), arr(l, n), arr(l)
+
+
+def _solved(solve):
+    try:
+        return solve()
+    except LpError as exc:
+        return type(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(margin_programs())
+def test_max_margin_is_the_stacked_program_with_the_cap_last(args):
+    A, b, w, E, f = args
+    n = A.shape[1]
+    unit_t = np.concatenate([np.zeros(n), [1.0]])
+    rows = [np.concatenate([a, [wi]]) for a, wi in zip(A, w)] + [unit_t]
+    eq = [np.concatenate([e, [0.0]]) for e in E]
+    explicit = _solved(lambda: maximize(unit_t, np.array(rows), np.array([*b, 1.0]),
+                                        np.array(eq) if eq else None,
+                                        f if eq else None))
+    got = _solved(lambda: max_margin(A, b, w, E, f))
+    if isinstance(explicit, type):
+        assert got is explicit
+    elif explicit.status == "infeasible":
+        assert got is None
+    else:
+        assert explicit.status == "optimal"
+        t, x = got
+        assert np.float64(t).tobytes() == np.float64(explicit.value).tobytes()
+        assert x.tobytes() == explicit.point[:n].tobytes()
+        assert t <= 1.0 + 1e-9   # the cap, up to the simplex's rounding
+
+
+def test_max_margin_of_a_strict_interval():
+    # 0 <= x <= 2 with margin t on both rows: x = 1, t = 1 (the cap)
+    t, x = max_margin([[1.0], [-1.0]], [2.0, 0.0], [1.0, 1.0], np.zeros((0, 1)), [])
+    assert t == pytest.approx(1.0, abs=1e-12) and x[0] == pytest.approx(1.0, abs=1e-9)
+    # x <= 0 and x >= 0 strictly cannot both hold: the margin is 0
+    t, _ = max_margin([[1.0], [-1.0]], [0.0, 0.0], [1.0, 1.0], np.zeros((0, 1)), [])
+    assert t == pytest.approx(0.0, abs=1e-12)
+    # x = 1 against x <= 0 with weight zero: infeasible
+    assert max_margin([[1.0]], [0.0], [0.0], [[1.0]], [1.0]) is None
 
 
 # ------------------------------------------------------------- reuse scope
