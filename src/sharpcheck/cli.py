@@ -242,15 +242,22 @@ def _load(path) -> LoadedProblem:
         if "infeasible" in str(ex):
             raise DocumentError(f"{path}: candidate infeasible: {ex}") from None
         raise DocumentError(f"{path}: {ex}") from None
+    digest = "sha256:" + hashlib.sha256(canonical_bytes(doc)).hexdigest()
+    return LoadedProblem(inst, doc, digest, _reference_warnings(inst))
+
+
+def _reference_warnings(inst: ProblemInstance) -> tuple:
+    """A diagnostic line for the first of 100 sampled points of S near
+    xbar whose g value leaves K, if any."""
     warnings = []
+    options = inst.options
     rng = np.random.default_rng(options.seed ^ 0x2E5D)
     for pt in inst.S.sample_near(inst.xbar, max(2.0 * options.delta, 1.0), rng, 100):
         if not inst.K.contains(inst.g_value(pt), tol=1e-6):
             warnings.append("warning: a sampled reference point leaves the "
                             f"feasible set near {np.round(pt, 6).tolist()}")
             break
-    digest = "sha256:" + hashlib.sha256(canonical_bytes(doc)).hexdigest()
-    return LoadedProblem(inst, doc, digest, tuple(warnings))
+    return tuple(warnings)
 
 
 def load_problem(path) -> ProblemInstance:

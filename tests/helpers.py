@@ -584,6 +584,60 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
 
 
 # ---------------------------------------------------------------------------
+# scalar references for the reference-point checks: the point-by-point loops
+# of ProblemInstance.__post_init__ and cli._load, kept unchanged so the row
+# versions can be compared against them message for message
+# ---------------------------------------------------------------------------
+
+
+def reference_set_violation(n, m, f, g, K, S, xbar, options) -> str | None:
+    """The ModelError text ProblemInstance raises when one of 25 sampled
+    points of S near xbar leaves the feasible set, or None."""
+    xbar = np.asarray(xbar, dtype=float).ravel()
+    rng = np.random.default_rng(options.seed ^ 0x5F5F)
+    for p in S.sample_near(xbar, max(2.0 * options.delta, 1.0), rng, 25):
+        if not K.contains(np.array([gi(p) for gi in g]), tol=1e-6):
+            return ("reference set is not contained in the feasible set "
+                    f"(violation at {np.round(p, 6).tolist()})")
+    return None
+
+
+def reference_point_warnings(inst: ProblemInstance) -> tuple:
+    """The warning cli._load adds when one of 100 sampled points of S near
+    xbar leaves the feasible set."""
+    warnings = []
+    options = inst.options
+    rng = np.random.default_rng(options.seed ^ 0x2E5D)
+    for pt in inst.S.sample_near(inst.xbar, max(2.0 * options.delta, 1.0), rng, 100):
+        if not inst.K.contains(inst.g_value(pt), tol=1e-6):
+            warnings.append("warning: a sampled reference point leaves the "
+                            f"feasible set near {np.round(pt, 6).tolist()}")
+            break
+    return tuple(warnings)
+
+
+def reference_point_problem(seed):
+    """Keyword arguments of a ProblemInstance whose S and K are catalog
+    sets, with g_i(x) = y_i + sum_j A_ij (x_j - s_j)^8 for the catalog
+    points s of S and y of K, so xbar = s is feasible.  The scale of A
+    around the 1e-6 tolerance of the reference-point checks and the eighth
+    powers make sampled points of S leave K often, rarely or never."""
+    rng = np.random.default_rng([seed & 0x7FFFFFFF, 59])
+    S, s, _, _ = random_catalog_instance(int(rng.integers(2**31)))
+    K, y, _, _ = random_catalog_instance(int(rng.integers(2**31)))
+    s, y = np.asarray(s, dtype=float), np.asarray(y, dtype=float)
+    n, m = S.dim, K.dim
+    A = 10.0 ** rng.uniform(-6.0, -3.0) * rng.normal(size=(m, n))
+    g = tuple(parse_expression(f"{y[i]:.17g}" + "".join(
+        f" + {A[i, j]:.17g}*(x{j + 1} - {s[j]:.17g})^8" for j in range(n)), n)
+        for i in range(m))
+    f = parse_expression(" + ".join(f"x{j + 1}^2" for j in range(n)), n)
+    options = Options(seed=int(rng.integers(2**16)),
+                      delta=float(rng.choice([0.05, 0.25, 0.75])))
+    return dict(n=n, m=m, f=f, g=g, K=K, S=S, xbar=s, options=options)
+
+
+# ---------------------------------------------------------------------------
 # finite-difference reference for the analytic jets
 # ---------------------------------------------------------------------------
 

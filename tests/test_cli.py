@@ -16,9 +16,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sharpcheck
 from sharpcheck import cli
+from sharpcheck.polyexpr import ModelError, ProblemInstance
+
+from helpers import (
+    reference_point_problem,
+    reference_point_warnings,
+    reference_set_violation,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -237,6 +245,69 @@ def test_membership_oracle_ignores_count_and_limit(monkeypatch):
     assert code == code_flags == 0
     assert doc["oracle"] == doc_flags["oracle"]
     assert doc["verdict"] == doc_flags["verdict"] == "confirmed"
+
+
+def _reference_point_outcome(kw):
+    """("error", ModelError text), ("warning", lines) or ("clean", ())."""
+    try:
+        inst = ProblemInstance(**kw)
+    except ModelError as ex:
+        return "error", str(ex)
+    warnings = cli._reference_warnings(inst)
+    assert warnings == reference_point_warnings(inst)
+    return ("warning" if warnings else "clean"), warnings
+
+
+@pytest.mark.parametrize("seed,kind", [(2, "error"), (13, "warning"), (0, "clean")])
+def test_reference_point_problems_reach_each_outcome(seed, kind):
+    assert _reference_point_outcome(reference_point_problem(seed))[0] == kind
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+@example(2)
+@example(13)
+def test_reference_points_are_tested_as_the_scalar_loops_test_them(seed):
+    # the same first violating point, in the same message, as one scalar
+    # g_value and K.contains per sampled point of S
+    kw = reference_point_problem(seed)
+    kind, got = _reference_point_outcome(kw)
+    want = reference_set_violation(**kw)
+    if kind == "error":
+        assert got == want
+    else:
+        assert want is None
+
+
+def _interval_document(hi, seed):
+    # S = [-1, 1] around xbar = 0 is sampled on its whole width; the draws
+    # above hi leave K = (-inf, hi]
+    return {"n": 1, "m": 1, "objective": "x1^2", "constraints": ["x1"],
+            "K": {"kind": "interval", "lo": "-inf", "hi": hi},
+            "S": {"kind": "interval", "lo": -1.0, "hi": 1.0},
+            "xbar": [0.0], "options": {"seed": seed}}
+
+
+def test_reference_set_leaving_the_feasible_set_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps(_interval_document(0.0, 0)))
+    code = cli.main(["verify-growth", str(path), "--count", "200"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
+    assert ("reference set is not contained in the feasible set (violation at ["
+            in captured.err)
+
+
+def test_reference_point_leaving_the_feasible_set_is_a_diagnostic(tmp_path):
+    # seed 0: the 25 points the instance tests stay below 0.9, one of the
+    # 100 points the loader tests does not
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(_interval_document(0.9, 0)))
+    code, report = _run(["verify-growth", str(path), "--count", "200"])
+    assert code in (0, 1, 2)
+    assert json.loads(report)["diagnostics"][-1] == (
+        "warning: a sampled reference point leaves the feasible set near [0.945879]")
 
 
 @pytest.mark.parametrize("module", ["sharpcheck", "sharpcheck.cli"])
