@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -106,7 +107,10 @@ def _num(v, where):
     if isinstance(v, bool):
         raise DocumentError(f"{where}: expected a number, got a boolean")
     if isinstance(v, (int, float)):
-        out = float(v)
+        try:
+            out = float(v)
+        except OverflowError:   # a JSON integer beyond the float range
+            raise DocumentError(f"{where}: integer too large for a float") from None
         if math.isnan(out):
             raise DocumentError(f"{where}: expected a number, got NaN")
         return out
@@ -249,15 +253,14 @@ def _load(path) -> LoadedProblem:
 def _reference_warnings(inst: ProblemInstance) -> tuple:
     """A diagnostic line for the first of 100 sampled points of S near
     xbar whose g value leaves K, if any."""
-    warnings = []
     options = inst.options
     rng = np.random.default_rng(options.seed ^ 0x2E5D)
-    for pt in inst.S.sample_near(inst.xbar, max(2.0 * options.delta, 1.0), rng, 100):
-        if not inst.K.contains(inst.g_value(pt), tol=1e-6):
-            warnings.append("warning: a sampled reference point leaves the "
-                            f"feasible set near {np.round(pt, 6).tolist()}")
-            break
-    return tuple(warnings)
+    pt = inst.first_infeasible(
+        inst.S.sample_near(inst.xbar, max(2.0 * options.delta, 1.0), rng, 100), tol=1e-6)
+    if pt is None:
+        return ()
+    return ("warning: a sampled reference point leaves the feasible set near "
+            f"{np.round(pt, 6).tolist()}",)
 
 
 def load_problem(path) -> ProblemInstance:
@@ -569,7 +572,11 @@ def run_command(instance: ProblemInstance, command: str, flags,
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built on the first call and shared by every
+    later one (parse_args leaves it unchanged); not at import, which would
+    charge its cost to callers that never parse."""
     ap = argparse.ArgumentParser(
         prog="sharpcheck",
         description="verify second-order weak sharp minimality certificates")

@@ -127,11 +127,16 @@ def _rng_for(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0x7FFFFFFF, tag])
 
 
-def _ball_point(rng: np.random.Generator, center: np.ndarray, radius: float) -> np.ndarray:
-    n = center.size
-    u = rng.normal(size=n)
-    u /= max(np.linalg.norm(u), 1e-12)
-    return center + radius * rng.random() ** (1.0 / n) * u
+def _ball_rows(center: np.ndarray, radius: float, U: np.ndarray,
+               R: np.ndarray) -> np.ndarray:
+    """Points of the ball about center, one per row of the normal draws U
+    and entry of the uniform draws R: the direction U[i] / |U[i]| at the
+    distance radius * R[i]^(1/n).  Each row equals, bit for bit, the one
+    point computed from those draws alone: _row_norms is the BLAS dot of
+    np.linalg.norm, and np.float_power is the libm pow of the scalar **
+    (the array ** is not)."""
+    U = U / np.maximum(_row_norms(U), 1e-12)[:, None]
+    return center + (radius * np.float_power(R, 1.0 / center.size))[:, None] * U
 
 
 def _check_count(count: int) -> None:
@@ -163,14 +168,19 @@ def _gauss_newton_rows(p: ProblemInstance, X: np.ndarray, iters: int) -> np.ndar
 def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> list[np.ndarray]:
     """Deterministic points of the feasible set within delta of xbar, by
     rejection sampling plus boundary-biased Gauss-Newton proposals (every
-    odd trial is pulled toward the feasible set)."""
+    odd trial is pulled toward the feasible set).  Each trial draws a
+    normal n-vector and then a uniform, in trial order; the proposals are
+    computed from those draws as rows."""
     if delta <= 0:
         raise OracleError("delta must be positive")
     _check_count(count)
     rng = _rng_for(seed, 1)
-    X = np.empty((count, p.n))
+    U = np.empty((count, p.n))
+    R = np.empty(count)
     for trial in range(count):
-        X[trial] = _ball_point(rng, p.xbar, delta)
+        U[trial] = rng.normal(size=p.n)
+        R[trial] = rng.random()
+    X = _ball_rows(p.xbar, delta, U, R)
     X[1::2] = _gauss_newton_rows(p, X[1::2], 25)
     keep = np.ones(count, dtype=bool)
     keep[1::2] = ~(_row_norms(X[1::2] - p.xbar) > delta)
@@ -226,18 +236,18 @@ class MscqEstimate:
     sample_count: int
 
 
-def _in_directional_neighborhood(z: np.ndarray, d: np.ndarray, rho: float,
-                                 delta: float) -> bool:
-    """The two-branch membership test for V_{rho,delta}(d): a plain
-    delta-ball when d = 0, otherwise additionally || |d| z - |z| d || <=
-    rho |z| |d| (the displacement stays directionally aligned with d)."""
-    nz = float(np.linalg.norm(z))
-    if nz > delta:
-        return False
+def _in_directional_rows(Z: np.ndarray, d: np.ndarray, rho: float,
+                         delta: float) -> np.ndarray:
+    """The two-branch membership test for V_{rho,delta}(d) on each row z
+    of Z, as bool[k]: a plain delta-ball when d = 0, otherwise additionally
+    || |d| z - |z| d || <= rho |z| |d| (the displacement stays
+    directionally aligned with d)."""
+    nz = _row_norms(Z)
+    inside = ~(nz > delta)
     nd = float(np.linalg.norm(d))
     if nd <= 1e-12:
-        return True
-    return float(np.linalg.norm(nd * z - nz * d)) <= rho * nz * nd + 1e-12
+        return inside
+    return inside & (_row_norms(nd * Z - nz[:, None] * d) <= rho * nz * nd + 1e-12)
 
 
 _MSCQ_BLOCK = 128
@@ -268,7 +278,10 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
                           count: int, seed: int) -> MscqEstimate:
     """Max observed dist(x', Phi) / dist(g(x'), K) over x' in the
     directional neighborhood x + V_{rho,delta}(d); flags divergence when the
-    ratios blow past 1e6 as the samples approach x."""
+    ratios blow past 1e6 as the samples approach x.  Each candidate draws
+    its scale, its branch and then its tilt or ball point in candidate
+    order; the candidates and their membership test are computed from
+    those draws as rows."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     _check_count(count)
@@ -276,18 +289,23 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
         raise OracleError("base point is infeasible")
     rng = _rng_for(seed, 2)
     nd = float(np.linalg.norm(d))
-    Z = []
-    for _ in range(count):
-        scale = delta * rng.random() ** 2  # bias toward x, where blowups live
-        if nd > 1e-12 and rng.random() < 0.8:
-            tilt = rng.normal(size=x.size)
-            tilt /= max(np.linalg.norm(tilt), 1e-12)
-            z = scale * (d / nd + 0.45 * rho * tilt)
-        else:
-            z = _ball_point(rng, np.zeros(x.size), delta) * rng.random()
-        if _in_directional_neighborhood(z, d, rho, delta):
-            Z.append(z)
-    XP = x + np.array(Z).reshape(-1, x.size)
+    scale = np.empty(count)
+    tilted = np.empty(count, dtype=bool)
+    U = np.empty((count, x.size))   # the tilt, or the ball point's normal draw
+    R = np.empty((count, 2))        # the ball point's radius and shrink draws
+    for i in range(count):
+        scale[i] = delta * rng.random() ** 2  # bias toward x, where blowups live
+        tilted[i] = nd > 1e-12 and rng.random() < 0.8
+        U[i] = rng.normal(size=x.size)
+        if not tilted[i]:
+            R[i] = rng.random(), rng.random()
+    Z = np.empty((count, x.size))
+    if tilted.any():
+        T = U[tilted] / np.maximum(_row_norms(U[tilted]), 1e-12)[:, None]
+        Z[tilted] = scale[tilted, None] * (d / nd + 0.45 * rho * T)
+    ball = ~tilted
+    Z[ball] = _ball_rows(np.zeros(x.size), delta, U[ball], R[ball, 0]) * R[ball, 1:]
+    XP = x + Z[_in_directional_rows(Z, d, rho, delta)]
     resid, _ = p.K.project_rows(p.g_value_rows(XP))
     outside = ~(resid <= 1e-12)
     XP, resid = XP[outside], resid[outside]

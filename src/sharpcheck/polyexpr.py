@@ -393,10 +393,20 @@ class ProblemInstance:
         if not self.S.contains(self.xbar, tol=1e-7):
             raise ModelError("xbar does not belong to S")
         rng = np.random.default_rng(self.options.seed ^ 0x5F5F)
-        for p in self.S.sample_near(self.xbar, max(2.0 * self.options.delta, 1.0), rng, 25):
-            if not self.K.contains(self.g_value(p), tol=1e-6):
-                raise ModelError("reference set is not contained in the feasible set "
-                                 f"(violation at {np.round(p, 6).tolist()})")
+        bad = self.first_infeasible(
+            self.S.sample_near(self.xbar, max(2.0 * self.options.delta, 1.0), rng, 25),
+            tol=1e-6)
+        if bad is not None:
+            raise ModelError("reference set is not contained in the feasible set "
+                             f"(violation at {np.round(bad, 6).tolist()})")
+
+    def first_infeasible(self, points, tol: float) -> np.ndarray | None:
+        """The first of the n-vectors in points whose g value lies outside
+        K (tol), or None.  The points are tested as one row batch, with
+        the result of testing them one at a time."""
+        P = np.reshape(points, (-1, self.n))
+        out = np.flatnonzero(~self.K.contains_rows(self.g_value_rows(P), tol=tol))
+        return P[out[0]] if out.size else None
 
     def g_value(self, x) -> np.ndarray:
         return np.array([gi(x) for gi in self.g])

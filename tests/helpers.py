@@ -15,8 +15,6 @@ from sharpcheck.oracles import (
     GrowthEstimate,
     MscqEstimate,
     OracleError,
-    _ball_point,
-    _in_directional_neighborhood,
     _rng_for,
     membership_by_definition,
 )
@@ -464,6 +462,27 @@ def oracle_agreement(s, y, d, count, seed, spread=2.0):
 # kept unchanged so the row-batched oracles can be compared against them
 # bit for bit
 # ---------------------------------------------------------------------------
+
+
+def _ball_point(rng: np.random.Generator, center: np.ndarray, radius: float) -> np.ndarray:
+    n = center.size
+    u = rng.normal(size=n)
+    u /= max(np.linalg.norm(u), 1e-12)
+    return center + radius * rng.random() ** (1.0 / n) * u
+
+
+def _in_directional_neighborhood(z: np.ndarray, d: np.ndarray, rho: float,
+                                 delta: float) -> bool:
+    """The two-branch membership test for V_{rho,delta}(d): a plain
+    delta-ball when d = 0, otherwise additionally || |d| z - |z| d || <=
+    rho |z| |d| (the displacement stays directionally aligned with d)."""
+    nz = float(np.linalg.norm(z))
+    if nz > delta:
+        return False
+    nd = float(np.linalg.norm(d))
+    if nd <= 1e-12:
+        return True
+    return float(np.linalg.norm(nd * z - nz * d)) <= rho * nz * nd + 1e-12
 
 
 def _gauss_newton_feasible(p: ProblemInstance, x0: np.ndarray, iters: int = 25) -> np.ndarray:

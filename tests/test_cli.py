@@ -185,6 +185,9 @@ _BAD_DOCUMENTS = {
     "rho-nan-flag": ({}, ["--rho", "nan"]),
     "delta-nan-document": ({"options": {"delta": math.nan}}, []),
     "kappa-inf-document": ({"options": {"kappa": math.inf}}, []),
+    # JSON integers beyond the float range, in a number and in a vector
+    "delta-huge-integer": ({"options": {"delta": 10**400}}, []),
+    "xbar-huge-integer": ({"xbar": [10**400, 0]}, []),
 }
 
 
@@ -320,6 +323,28 @@ def test_python_m_entry_points(module):
     assert proc.returncode == 1, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["verdict"] == "violated" and doc["exit_code"] == 1
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    # errors and --help first, then valid checks whose reports must equal
+    # those of a fresh process: no call may leave state in the parser
+    monkeypatch.chdir(ROOT)
+    cli._build_parser.cache_clear()
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["verify-growth", "fixtures/parabola.json", "--no-such-flag"]) == 3
+    assert cli.main(["check-cq", "fixtures/parabola.json"]) == 3
+    capsys.readouterr()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for argv in (["verify-growth", "fixtures/parabola.json", "--count", "500",
+                  "--kappa", "0.5"],
+                 ["check-necessary", "fixtures/second_example.json", "--direction", "1"]):
+        code, report = _run(argv)
+        proc = subprocess.run([sys.executable, "-m", "sharpcheck", "--format", "machine",
+                               *argv], cwd=ROOT, env=env, capture_output=True, timeout=120)
+        assert code == proc.returncode, proc.stderr
+        assert report == _VOLATILE.sub(rb'"\1":null', proc.stdout)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 def test_every_exported_name_resolves():

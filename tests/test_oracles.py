@@ -365,6 +365,38 @@ def test_mscq_blocks_match_the_scalar_reference(block, monkeypatch):
     _assert_same(got, reference.mscq_modulus_estimate(p, p.xbar, d, 0.5, 0.1, 60, 42))
 
 
+def _directional_probes(rng, n, d, rho, delta):
+    """Rows z at 0, on the delta sphere, inside and outside it, and, for
+    n >= 2 and rho <= 2, on the cone boundary || |d| z - |z| d || =
+    rho |z| |d|: the unit vector at angle arccos(1 - rho^2 / 2) from d."""
+    U = rng.normal(size=(6, n))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    rows = [np.zeros(n), *(delta * U), *(rng.uniform(0.0, 2.0 * delta, size=(6, 1)) * U)]
+    nd = np.linalg.norm(d)
+    if n >= 2 and nd > 0.0 and rho <= 2.0:
+        e = U[0] - (U[0] @ d) / (nd * nd) * d
+        e /= np.linalg.norm(e)
+        c = 1.0 - 0.5 * rho * rho
+        edge = c * d / nd + math.sqrt(1.0 - c * c) * e
+        rows += [r * edge for r in (delta, 0.5 * delta, rng.uniform(0.0, delta))]
+    return np.array(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), rho=st.sampled_from([0.1, 0.5, 1.0, 1.9, 2.5]),
+       delta=st.sampled_from([0.05, 0.1, 1.0]))
+def test_directional_rows_match_the_scalar_test(seed, rho, delta):
+    rng = np.random.default_rng([seed, 47])
+    n = int(rng.integers(1, 5))
+    u = rng.normal(size=n)
+    u /= np.linalg.norm(u)
+    # d = 0, |d| at and just above the 1e-12 cut, and a generic d
+    for d in (np.zeros(n), 1e-12 * u, np.nextafter(1e-12, 1.0) * u, rng.normal(size=n)):
+        Z = _directional_probes(rng, n, d, rho, delta)
+        want = [reference._in_directional_neighborhood(z, d, rho, delta) for z in Z]
+        assert oracles._in_directional_rows(Z, d, rho, delta).tolist() == want
+
+
 @pytest.mark.parametrize("count", [0, -5])
 def test_oracles_reject_counts_below_one(count):
     p = first_example()
