@@ -4,10 +4,11 @@ Everything here works from raw membership and distance evaluations, never
 from the closed-form cone algebra, so it can arbitrate the analytic modules.
 Sampling is deterministic under the caller's seed: every operation derives
 its generator as default_rng([seed, tag]) with a fixed per-operation tag
-and draws its proposals one trial at a time, in trial order.  The
-Gauss-Newton pullback and the membership and distance tests then run on
-row batches of those proposals, each row stopping on its own criteria, so
-every result equals the one a point-by-point loop would give.
+and makes its random draws one trial at a time, in trial order.  The
+proposals built from those draws, the Gauss-Newton pullback and the
+membership and distance tests then run on row batches, each row stopping
+on its own criteria, so every result equals the one a point-by-point loop
+would give.
 """
 from __future__ import annotations
 
