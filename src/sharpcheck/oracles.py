@@ -128,15 +128,19 @@ def _rng_for(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([int(seed) & 0x7FFFFFFF, tag])
 
 
+def _unit_rows(U: np.ndarray) -> np.ndarray:
+    """Each row u of U as u / max(|u|, 1e-12), bit for bit the scalar
+    form: _row_norms is the BLAS dot of np.linalg.norm."""
+    return U / np.maximum(_row_norms(U), 1e-12)[:, None]
+
+
 def _ball_rows(center: np.ndarray, radius: float, U: np.ndarray,
                R: np.ndarray) -> np.ndarray:
-    """Points of the ball about center, one per row of the normal draws U
-    and entry of the uniform draws R: the direction U[i] / |U[i]| at the
-    distance radius * R[i]^(1/n).  Each row equals, bit for bit, the one
-    point computed from those draws alone: _row_norms is the BLAS dot of
-    np.linalg.norm, and np.float_power is the libm pow of the scalar **
-    (the array ** is not)."""
-    U = U / np.maximum(_row_norms(U), 1e-12)[:, None]
+    """Points of the ball about center, one per unit row of U and entry
+    of the uniform draws R, at the distance radius * R[i]^(1/n).  Each row
+    equals, bit for bit, the one point computed from its draws alone:
+    np.float_power is the libm pow of the scalar ** (the array ** is
+    not)."""
     return center + (radius * np.float_power(R, 1.0 / center.size))[:, None] * U
 
 
@@ -181,7 +185,7 @@ def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> 
     for trial in range(count):
         U[trial] = rng.normal(size=p.n)
         R[trial] = rng.random()
-    X = _ball_rows(p.xbar, delta, U, R)
+    X = _ball_rows(p.xbar, delta, _unit_rows(U), R)
     X[1::2] = _gauss_newton_rows(p, X[1::2], 25)
     keep = np.ones(count, dtype=bool)
     keep[1::2] = ~(_row_norms(X[1::2] - p.xbar) > delta)
@@ -300,10 +304,10 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
         U[i] = rng.normal(size=x.size)
         if not tilted[i]:
             R[i] = rng.random(), rng.random()
+    U = _unit_rows(U)
     Z = np.empty((count, x.size))
     if tilted.any():
-        T = U[tilted] / np.maximum(_row_norms(U[tilted]), 1e-12)[:, None]
-        Z[tilted] = scale[tilted, None] * (d / nd + 0.45 * rho * T)
+        Z[tilted] = scale[tilted, None] * (d / nd + 0.45 * rho * U[tilted])
     ball = ~tilted
     Z[ball] = _ball_rows(np.zeros(x.size), delta, U[ball], R[ball, 0]) * R[ball, 1:]
     XP = x + Z[_in_directional_rows(Z, d, rho, delta)]
