@@ -18,6 +18,12 @@ Verdict vocabulary, shared by every checker:
 Necessary checks report the largest admissible growth constant, sufficient
 checks report the certified one.  Every sufficient certificate is replayed
 through the sampling growth oracle before it is issued.
+
+Each necessary checker, and ``sweep_necessary`` around all of its pairs,
+runs inside an ``lp.reuse_scope``.  There the jets, critical cone,
+multiplier affine set and T_S at a base point are built once per instance
+and point, and every LP, double description, face complex and lower generalized
+support once per distinct input.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .sets import (Ball, BaseSet, Box, FiniteSet, Halfspace, Interval, PointSet,
                    Polyhedron, ProductSet, UnionSet)
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
                        eps_proximal_filter, eps_proximal_membership, normal_cone,
-                       proximal_normal_cell, second_tangent, tangent_cone)
+                       second_tangent, tangent_cone)
 
 TOL = 1e-9
 STRICT_TOL = 1e-7      # margin below which a strict inequality is not trusted
@@ -121,9 +127,22 @@ def _report(verdict, kappa=None, witnesses=(), cq=None, diags=()):
 # ---------------------------------------------------------------------------
 
 
+def _per_point(build):
+    """build(p, x) at x (xbar when omitted).  Inside an open
+    ``lp.reuse_scope`` the object is built once per instance and point: the
+    memo key holds the instance itself, so two instances never share one."""
+
+    @functools.wraps(build)
+    def once(p: ProblemInstance, x=None):
+        x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
+        return _lp._reused(build.__name__, (p, x), lambda: build(p, x))
+
+    return once
+
+
+@_per_point
 def _jet_data(p: ProblemInstance, x):
     """(grad f, Jacobian of g, f quadratic d'Hf d evaluator, q vector map)."""
-    x = np.asarray(x, dtype=float).ravel()
     fj = p.f_jet(x)
     gj = p.g_jet(x)
 
@@ -158,8 +177,8 @@ class MultiplierAffineSet:
         return Region.from_cell(self.as_cell())
 
 
-def multiplier_affine_set(p: ProblemInstance, x=None) -> MultiplierAffineSet:
-    x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
+@_per_point
+def multiplier_affine_set(p: ProblemInstance, x) -> MultiplierAffineSet:
     grad, J, _, _ = _jet_data(p, x)
     Jt = J.T  # (n, m)
     lam0, *_ = np.linalg.lstsq(Jt, -grad, rcond=None)
@@ -173,92 +192,15 @@ def multiplier_affine_set(p: ProblemInstance, x=None) -> MultiplierAffineSet:
 
 
 # ---------------------------------------------------------------------------
-# per-call check context
-# ---------------------------------------------------------------------------
-
-
-class CheckContext:
-    """The objects of one check that depend only on its base point x, each
-    built at most once per x and shared by every direction checked there.
-
-    A context belongs to one instance and lives as long as the call that
-    made it.  While it is open (``with ctx:``), ``lp.maximize``, the double
-    description, ``regions.face_complex`` and
-    ``regions.lower_gen_support_detail`` also solve each distinct input
-    once, keyed by content, so equal regions built at different directions
-    share one face complex and one sigma-hat; the outermost ``with`` drops
-    those results on exit.  The members call the functions of this module,
-    which stay the only implementations.  ``sweep_necessary`` also screens
-    the directions at each x through ``proximal_cell(x)`` once.
-    """
-
-    def __init__(self, p: ProblemInstance):
-        self.p = p
-        self._built: dict = {}
-        self._scopes: list = []
-
-    def __enter__(self) -> "CheckContext":
-        scope = _lp.reuse_scope()
-        scope.__enter__()
-        self._scopes.append(scope)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._scopes.pop().__exit__(*exc)
-
-    def _once(self, kind: str, x, build):
-        x = np.asarray(x, dtype=float).ravel()
-        key = (kind, x.tobytes())
-        if key not in self._built:
-            self._built[key] = build(x)
-        return self._built[key]
-
-    def jets(self, x):
-        """(grad f, Jacobian of g, f quadratic form, g quadratic map) at x."""
-        return self._once("jets", x, lambda x: _jet_data(self.p, x))
-
-    def g_value(self, x) -> np.ndarray:
-        return self._once("g", x, self.p.g_value)
-
-    def critical_cone(self, x) -> Region:
-        return self._once("critical", x, lambda x: critical_cone(self.p, x))
-
-    def multipliers(self, x) -> MultiplierAffineSet:
-        return self._once("multipliers", x, lambda x: multiplier_affine_set(self.p, x))
-
-    def proximal_cell(self, x) -> PolyCell:
-        """The proximal normal cone of S at x."""
-        return self._once("proximal", x, lambda x: proximal_normal_cell(self.p.S, x))
-
-    def tangent_S(self, x) -> Region:
-        return self._once("tangent_S", x, lambda x: tangent_cone(self.p.S, x))
-
-
-def _with_context(checker):
-    """Run a necessary checker inside the caller's open ``ctx``, or inside a
-    context of its own when the caller passes none."""
-
-    @functools.wraps(checker)
-    def run(p, *args, ctx: CheckContext | None = None, **kwargs):
-        ctx = CheckContext(p) if ctx is None else ctx
-        if ctx.p is not p:
-            raise ModelError("the check context belongs to another instance")
-        with ctx:
-            return checker(p, *args, ctx=ctx, **kwargs)
-
-    return run
-
-
-# ---------------------------------------------------------------------------
 # critical cone and directional multipliers
 # ---------------------------------------------------------------------------
 
 
-def critical_cone(p: ProblemInstance, x=None) -> Region:
+@_per_point
+def critical_cone(p: ProblemInstance, x) -> Region:
     """Linearized feasible directions with nonincreasing objective: the
     preimage {d : Dg(x) d in T_K(g(x))} intersected with the descent
     halfspace of grad f(x)."""
-    x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     grad, J, _, _ = _jet_data(p, x)
     tk = tangent_cone(p.K, p.g_value(x))
     reg = tk.affine_preimage(J, np.zeros(p.m))
@@ -266,23 +208,20 @@ def critical_cone(p: ProblemInstance, x=None) -> Region:
     return reg.with_cone_flag(True)
 
 
-def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M",
-                            ctx: CheckContext | None = None) -> Region:
+def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M") -> Region:
     """Stationary multipliers lying in the directional normal cone of K at
     g(x) in direction Dg(x) d; kind M uses the limiting cone, C the Clarke
-    cone.  The M set is always contained in the C set.  ``ctx`` supplies
-    the objects at x when the caller holds them."""
+    cone.  The M set is always contained in the C set."""
     if kind not in ("M", "C"):
         raise ModelError(f"unknown multiplier kind {kind!r}")
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    ctx = CheckContext(p) if ctx is None else ctx
-    aff = ctx.multipliers(x)
+    aff = multiplier_affine_set(p, x)
     if aff.empty:
         return Region.empty(p.m, notes=("stationarity equation has no solution",))
-    _, J, _, _ = ctx.jets(x)
+    _, J, _, _ = _jet_data(p, x)
     cone_kind = "limiting" if kind == "M" else "clarke"
-    N = directional_normal(p.K, ctx.g_value(x), J @ d, cone_kind)
+    N = directional_normal(p.K, p.g_value(x), J @ d, cone_kind)
     cells = [c.intersect(aff.as_cell()) for c in N.cells]
     return Region(cells, cone=False, notes=N.notes, dim=p.m)
 
@@ -316,8 +255,7 @@ def _nontrivial_point(region: Region) -> np.ndarray | None:
 
 
 def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
-                                   kind: str = "FOSCMS",
-                                   ctx: CheckContext | None = None) -> CqResult:
+                                   kind: str = "FOSCMS") -> CqResult:
     """Directional constraint qualifications at (x, d).
 
     FOSCMS:  ker Dg(x)^T meets the directional limiting normal cone of K
@@ -327,17 +265,14 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     DirRCQ:  the Clarke variant of FOSCMS.
     NONDEG:  span of the directional limiting cone meets ker Dg(x)^T only
              at 0 (rank test); forces a unique multiplier.
-
-    ``ctx`` supplies the jets and g(x) when the caller holds them.
     """
     kind_u = kind.upper().replace("-", "")
     if kind_u not in ("FOSCMS", "SOSCMS", "DIRRCQ", "NONDEG"):
         raise ModelError(f"unknown constraint qualification {kind!r}")
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     d = np.zeros(p.n) if d is None else np.asarray(d, dtype=float).ravel()
-    ctx = CheckContext(p) if ctx is None else ctx
-    _, J, _, qg = ctx.jets(x)
-    y = ctx.g_value(x)
+    _, J, _, qg = _jet_data(p, x)
+    y = p.g_value(x)
     u = J @ d
     notes = ()
     if kind_u == "NONDEG":
@@ -378,25 +313,23 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     return CqResult(kind_u, wit is None, witness=wit, notes=notes + N.notes)
 
 
-def certify_mscq(p: ProblemInstance, x, d,
-                 ctx: CheckContext | None = None) -> tuple[bool, str, tuple]:
+def certify_mscq(p: ProblemInstance, x, d) -> tuple[bool, str, tuple]:
     """Metric subregularity of the constraint map at (x, d), by cascade:
     affine g into a polyhedral-union K holds automatically; otherwise
     FOSCMS, then SOSCMS, then a sampling probe that is flagged as evidence
     rather than proof.  Computed fresh on each call; callers that need the
-    result more than once keep it.  ``ctx`` is handed to the qualification
-    checks."""
+    result more than once keep it."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     gj = p.g_jet(x)
     affine = all(np.max(np.abs(H)) <= TOL for H in gj.hessians)
     if affine and p.K.as_region() is not None:
         return True, "polyhedral", ()
-    res = constraint_qualification_check(p, x, d, "FOSCMS", ctx)
+    res = constraint_qualification_check(p, x, d, "FOSCMS")
     if res.holds:
         return True, "FOSCMS", res.notes
     if p.K.as_region() is not None:
-        res2 = constraint_qualification_check(p, x, d, "SOSCMS", ctx)
+        res2 = constraint_qualification_check(p, x, d, "SOSCMS")
         if res2.holds:
             return True, "SOSCMS", res2.notes
     est = oracles.mscq_modulus_estimate(p, x, d, rho=p.options.rho,
@@ -579,15 +512,14 @@ def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
 
 
 def _point_phi_tangents(p: ProblemInstance, x: np.ndarray, d: np.ndarray | None,
-                        kind: str, ctx: CheckContext | None = None) -> Region:
+                        kind: str) -> Region:
     """Point-mode preimage of the K-side object of ``kind`` at g(x) under the
     constraint linearization at x, without constraint-qualification notes;
     whether it is exact is the caller's MSCQ result to report."""
-    ctx = CheckContext(p) if ctx is None else ctx
-    _, J, _, qg = ctx.jets(x)
+    _, J, _, qg = _jet_data(p, x)
     u = None if d is None else J @ d
     shift = qg(d) if kind == "outer2" else np.zeros(p.m)
-    return _point_object_K(p, kind, ctx.g_value(x), u).affine_preimage(J, shift)
+    return _point_object_K(p, kind, p.g_value(x), u).affine_preimage(J, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -664,10 +596,10 @@ def _min_value_over_affine(region: Region, aff: MultiplierAffineSet,
 # ---------------------------------------------------------------------------
 
 
-@_with_context
+@_lp.reuse_scope()
 def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
-                             eps: float | None = None, mode: str = "proximal", *,
-                             ctx: CheckContext | None = None) -> CertificationReport:
+                             eps: float | None = None,
+                             mode: str = "proximal") -> CertificationReport:
     """Necessary conditions phrased on the feasible set itself.
 
     For every stationary multiplier lam: (i) the support of the image of
@@ -677,9 +609,9 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     mode) or 2 kappa dist(d, T_S(x))^2 (tangent_distance mode).  Both parts
     are evaluated exactly; the report carries the largest admissible kappa.
 
-    ``ctx`` is the CheckContext of the calling sweep, whose objects at x
-    (jets, g(x), critical cone, multiplier set, proximal normal cell, T_S(x))
-    and solved LPs are reused; without one the check builds its own.
+    The check runs inside an ``lp.reuse_scope``: a sweep that calls it
+    in its own scope builds the jets, critical cone, multiplier set and
+    T_S at each base point once, and solves each distinct LP once.
     """
     if mode not in ("proximal", "tangent_distance"):
         raise ModelError(f"unknown implicit mode {mode!r}")
@@ -690,20 +622,20 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     eps = p.options.epsilon if eps is None else float(eps)
     diags: list[str] = []
 
-    pre = _implicit_hypotheses(ctx, x, d, eps, mode)
+    pre = _implicit_hypotheses(p, x, d, eps, mode)
     if pre is not None:
         return pre
 
-    exact, method, notes = certify_mscq(p, x, d, ctx)
+    exact, method, notes = certify_mscq(p, x, d)
     cq = {"mscq": method if exact else "unverified"}
-    Tpp = _point_phi_tangents(p, x, d, "asymp2", ctx)
-    T2 = _point_phi_tangents(p, x, d, "outer2", ctx)
+    Tpp = _point_phi_tangents(p, x, d, "asymp2")
+    T2 = _point_phi_tangents(p, x, d, "outer2")
     diags.extend(notes + Tpp.notes + T2.notes)
     if not exact:
         diags.append(INCLUSION_ONLY)
 
-    aff = ctx.multipliers(x)
-    grad, J, qfn, _ = ctx.jets(x)
+    aff = multiplier_affine_set(p, x)
+    grad, J, qfn, _ = _jet_data(p, x)
     if aff.empty:
         return _report("satisfied", {"max_admissible": math.inf},
                        cq=cq, diags=diags + [
@@ -734,7 +666,7 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     inf_val, lam_star, notes2 = _min_value_over_affine(T2, aff, J.T, qf)
     diags.extend(notes2)
 
-    denom, dnote = _implicit_denominator(ctx, x, d, eps, mode)
+    denom, dnote = _implicit_denominator(p, x, d, eps, mode)
     if dnote:
         diags.append(dnote)
     if inf_val.is_minus_inf:
@@ -754,9 +686,8 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     return _report("satisfied", {"max_admissible": kmax}, wits, cq, diags)
 
 
-def _implicit_hypotheses(ctx: CheckContext, x, d, eps, mode):
+def _implicit_hypotheses(p: ProblemInstance, x, d, eps, mode):
     """None when all preconditions hold, else a hypotheses-not-met report."""
-    p = ctx.p
     if np.linalg.norm(d) <= TOL:
         return _report("hypotheses-not-met", diags=["zero direction"])
     if not p.S.contains(x, tol=1e-7):
@@ -765,21 +696,26 @@ def _implicit_hypotheses(ctx: CheckContext, x, d, eps, mode):
     if np.linalg.norm(x - p.xbar) > p.options.delta + 1e-9:
         return _report("hypotheses-not-met",
                        diags=["base point lies outside the delta ball"])
-    if not ctx.critical_cone(x).contains(d, tol=1e-7):
+    if not critical_cone(p, x).contains(d, tol=1e-7):
         return _report("hypotheses-not-met",
                        diags=["direction is not in the critical cone"])
-    if mode == "proximal" and not eps_proximal_membership(p.S, x, d, eps,
-                                                          ctx.proximal_cell(x)):
+    if mode == "proximal" and not eps_proximal_membership(p.S, x, d, eps):
         return _report("hypotheses-not-met",
                        diags=["direction is not an eps-proximal normal "
                               "to the reference set"])
     return None
 
 
-def _implicit_denominator(ctx: CheckContext, x, d, eps, mode):
+@_per_point
+def _reference_tangent(p: ProblemInstance, x) -> Region:
+    """T_S(x), the tangent cone of the reference set."""
+    return tangent_cone(p.S, x)
+
+
+def _implicit_denominator(p: ProblemInstance, x, d, eps, mode):
     if mode == "proximal":
         return 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d), ""
-    dist, _ = ctx.tangent_S(x).distance(d)
+    dist, _ = _reference_tangent(p, x).distance(d)
     dv = float(dist) if dist.is_finite else math.inf
     return 2.0 * dv * dv, f"dist(d, T_S(x)) = {dv:.12g}"
 
@@ -793,10 +729,9 @@ def _sigma_hat(region: Region, lam: np.ndarray):
     return lower_gen_support_detail(region, lam)
 
 
-@_with_context
+@_lp.reuse_scope()
 def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
-                             eps: float | None = None, *,
-                             ctx: CheckContext | None = None) -> CertificationReport:
+                             eps: float | None = None) -> CertificationReport:
     """Necessary conditions phrased on K through the lower generalized
     support function.
 
@@ -806,8 +741,8 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     second-order set at least 2 kappa (1-2 eps)^2 |d|^2.  The multiplier
     search enumerates one LP per (multiplier cell, face, vertex) triple,
     which is exhaustive on polyhedral data; winners are replayed through a
-    direct sigma-hat evaluation.  ``ctx`` is reused as in
-    ``necessary_implicit_check``; without one the check builds its own.
+    direct sigma-hat evaluation.  Objects are reused as in
+    ``necessary_implicit_check``.
     """
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     if d is None:
@@ -817,10 +752,10 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     diags = ["explicit form is weaker than the implicit form: a satisfied "
              "verdict here does not preclude an implicit rejection"]
 
-    pre = _implicit_hypotheses(ctx, x, d, eps, "proximal")
+    pre = _implicit_hypotheses(p, x, d, eps, "proximal")
     if pre is not None:
         return pre
-    ok, method, notes = certify_mscq(p, x, d, ctx)
+    ok, method, notes = certify_mscq(p, x, d)
     if not ok:
         return _report("hypotheses-not-met", cq={"mscq": "unverified"},
                        diags=diags + list(notes) +
@@ -828,13 +763,13 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     cq = {"mscq": method}
     diags.extend(notes)
 
-    grad, J, qfn, qgn = ctx.jets(x)
-    ybar = ctx.g_value(x)
+    grad, J, qfn, qgn = _jet_data(p, x)
+    ybar = p.g_value(x)
     u = J @ d
     Tpp = second_tangent(p.K, ybar, u, "asymptotic")
     T2 = second_tangent(p.K, ybar, u, "outer")
     diags.extend(Tpp.notes + T2.notes)
-    lamreg = directional_multipliers(p, x, d, "M", ctx)
+    lamreg = directional_multipliers(p, x, d, "M")
     if lamreg.is_empty():
         return _report("violated", {"max_admissible": -math.inf}, cq=cq,
                        diags=diags + ["no directional multiplier exists"])
@@ -977,10 +912,10 @@ def _max_explicit_value(lamreg: Region, T2: Region, qf: float, q: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-@_with_context
+@_lp.reuse_scope()
 def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
-                           eps: float | None = None, mode: str = "elementwise", *,
-                           ctx: CheckContext | None = None) -> CertificationReport:
+                           eps: float | None = None,
+                           mode: str = "elementwise") -> CertificationReport:
     """Necessary conditions over the Clarke multiplier set, under the
     directional Robinson qualification.
 
@@ -989,8 +924,8 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     region and replayed through the primal conic program; the two values
     must agree); for every cell of the outer set, a vertex LP with the
     cell's recession rays constrains kappa.  nondegenerate: the
-    unique multiplier is evaluated directly.  ``ctx`` is reused as in
-    ``necessary_implicit_check``; without one the check builds its own.
+    unique multiplier is evaluated directly.  Objects are reused as in
+    ``necessary_implicit_check``.
     """
     if mode not in ("elementwise", "nondegenerate"):
         raise ModelError(f"unknown clarke mode {mode!r}")
@@ -1001,29 +936,29 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     eps = p.options.epsilon if eps is None else float(eps)
     diags: list[str] = []
 
-    pre = _implicit_hypotheses(ctx, x, d, eps, "proximal")
+    pre = _implicit_hypotheses(p, x, d, eps, "proximal")
     if pre is not None:
         return pre
-    rcq = constraint_qualification_check(p, x, d, "DirRCQ", ctx)
+    rcq = constraint_qualification_check(p, x, d, "DirRCQ")
     if not rcq.holds:
         return _report("hypotheses-not-met", cq={"dirrcq": "fails"},
                        diags=diags + ["directional Robinson qualification fails; "
                                       "the multiplier set may be unbounded"])
     cq = {"dirrcq": "holds"}
     if mode == "nondegenerate":
-        nd = constraint_qualification_check(p, x, d, "NONDEG", ctx)
+        nd = constraint_qualification_check(p, x, d, "NONDEG")
         if not nd.holds:
             return _report("hypotheses-not-met", cq={**cq, "nondeg": "fails"},
                            diags=diags + ["directional nondegeneracy fails"])
         cq["nondeg"] = "holds"
 
-    grad, J, qfn, qgn = ctx.jets(x)
-    ybar = ctx.g_value(x)
+    grad, J, qfn, qgn = _jet_data(p, x)
+    ybar = p.g_value(x)
     u = J @ d
     Tpp = second_tangent(p.K, ybar, u, "asymptotic")
     T2 = second_tangent(p.K, ybar, u, "outer")
     diags.extend(Tpp.notes + T2.notes)
-    lamreg = directional_multipliers(p, x, d, "C", ctx)
+    lamreg = directional_multipliers(p, x, d, "C")
     if lamreg.is_empty():
         return _report("violated", {"max_admissible": -math.inf}, cq=cq,
                        diags=diags + ["no Clarke multiplier exists"])
@@ -1305,9 +1240,8 @@ def _growth_gate(p: ProblemInstance, kappa: float, diags: list[str],
     return not (math.isfinite(est.kappa_hat) and est.kappa_hat < kappa - 0.05)
 
 
-def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
-                           literal_kappa: bool = False,
-                           strict_hypothesis: bool = False) -> CertificationReport:
+def sufficient_point_check(p: ProblemInstance,
+                           kappa: float | None = None) -> CertificationReport:
     """Certify a growth constant from per-direction multiplier conditions.
 
     Directions run over the unit sphere inside the level-set tangent cone
@@ -1315,10 +1249,9 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
     restricted to those critical against sampled boundary gradients.  Per
     direction, a multiplier must be strictly negative on the image of the
     asymptotic cone orthogonal to d and must beat the curvature threshold
-    over the outer set.  The threshold is 2 kappa |d|^2; the factor-two
-    form is what the limiting argument in the growth proof divides out to,
-    and the stated-form threshold kappa |d|^2 stays available behind
-    ``literal_kappa`` for comparison.  The supports are evaluated on the
+    over the outer set.  The threshold is 2 kappa |d|^2, not the stated
+    form kappa |d|^2: the factor two is what the limiting argument in the
+    growth proof divides out to.  The supports are evaluated on the
     preimages of the level objects.  Certificates are replayed through the
     growth oracle before issue.
     """
@@ -1345,18 +1278,12 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
     critical = dirs[np.all(np.abs(dirs @ G.reshape(-1, p.n).T) <= 1e-7, axis=1)]
     diags.append(f"direction mesh: {len(dirs)} admissible, "
                  f"{len(critical)} critical")
-    if strict_hypothesis and len(critical) != len(dirs):
-        return _report("hypotheses-not-met", diags=diags + [
-            "noncritical admissible directions exist and strict mode is on"])
     aff = multiplier_affine_set(p, x)
     if aff.empty:
         return _report("hypotheses-not-met", diags=diags + [
             "stationarity equation has no solution"])
 
     _, J, qfn, _ = _jet_data(p, x)
-    factor = 1.0 if literal_kappa else 2.0
-    if literal_kappa:
-        diags.append("literal threshold kappa |d|^2 in force")
     wits = []
     worst = math.inf
     for dd in critical:
@@ -1368,7 +1295,7 @@ def sufficient_point_check(p: ProblemInstance, kappa: float | None = None,
             return _report("inconclusive", diags=diags + [
                 "both second-order objects are degenerate at "
                 f"d = {np.round(dd, 6).tolist()}"])
-        thresh = factor * kappa * float(dd @ dd)
+        thresh = 2.0 * kappa * float(dd @ dd)
         block = _strict_rows_for_direction(Tpp, T2, J, thresh, qfn(dd))
         if block is None:
             return _report("hypotheses-not-met", diags=diags + [
@@ -1476,6 +1403,7 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
 # ---------------------------------------------------------------------------
 
 
+@_lp.reuse_scope()
 def sweep_necessary(p: ProblemInstance, eps: float | None = None,
                     mode: str = "implicit-proximal") -> CertificationReport:
     """Run a necessary checker over mesh points of S near xbar and all
@@ -1486,10 +1414,10 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
     bound.  Points contributing no admissible directions are counted and
     reported, never silently dropped.
 
-    The sweep opens one CheckContext and passes it as ``ctx`` to every
-    per-pair checker, so the objects at each base point are built once and
-    each distinct LP, double description, face complex and lower
-    generalized support is solved once per sweep.
+    The whole sweep runs in one ``lp.reuse_scope``, which the per-pair
+    checkers join, so the jets, critical cone, multiplier set and T_S at
+    each base point are built once, and each distinct LP, double description,
+    face complex and lower generalized support is solved once per sweep.
 
     The explicit and clarke forms require d to be an eps-proximal normal
     to S at x.  The sweep screens the directions chosen at each x with one
@@ -1510,34 +1438,32 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
             break
     mesh = _unit_mesh(p.n, p.options.seed)
 
-    def run(x, dd, ctx):
+    def run(x, dd):
         if mode == "implicit-proximal":
-            return necessary_implicit_check(p, x, dd, eps, "proximal", ctx=ctx)
+            return necessary_implicit_check(p, x, dd, eps, "proximal")
         if mode == "implicit-tangent":
-            return necessary_implicit_check(p, x, dd, eps, "tangent_distance", ctx=ctx)
+            return necessary_implicit_check(p, x, dd, eps, "tangent_distance")
         if mode == "explicit":
-            return necessary_explicit_check(p, x, dd, eps, ctx=ctx)
-        return necessary_clarke_check(p, x, dd, eps, ctx=ctx)
+            return necessary_explicit_check(p, x, dd, eps)
+        return necessary_clarke_check(p, x, dd, eps)
 
     tasks = []
     pairs = 0
     vacuous = 0
-    with CheckContext(p) as ctx:
-        for x in xs:
-            admissible = mesh[ctx.critical_cone(x).contains_rows(mesh, 1e-7)]
-            if mode == "implicit-proximal":
-                admissible = eps_proximal_filter(p.S, x, admissible, eps,
-                                                 ctx.proximal_cell(x))
-            if len(admissible) == 0:
-                vacuous += 1
-                continue
-            step = max(1, len(admissible) // 48)
-            chosen = admissible[::step]
-            pairs += len(chosen)
-            if mode in ("explicit", "clarke"):
-                chosen = eps_proximal_filter(p.S, x, chosen, eps, ctx.proximal_cell(x))
-            tasks.extend((x, dd) for dd in chosen)
-        reports = [run(x, dd, ctx) for x, dd in tasks]
+    for x in xs:
+        admissible = mesh[critical_cone(p, x).contains_rows(mesh, 1e-7)]
+        if mode == "implicit-proximal":
+            admissible = eps_proximal_filter(p.S, x, admissible, eps)
+        if len(admissible) == 0:
+            vacuous += 1
+            continue
+        step = max(1, len(admissible) // 48)
+        chosen = admissible[::step]
+        pairs += len(chosen)
+        if mode in ("explicit", "clarke"):
+            chosen = eps_proximal_filter(p.S, x, chosen, eps)
+        tasks.extend((x, dd) for dd in chosen)
+    reports = [run(x, dd) for x, dd in tasks]
     diags = [f"sweep over {len(xs)} base points, {pairs} (x, d) pairs; "
              f"{vacuous} points had no admissible direction"]
     if not pairs:

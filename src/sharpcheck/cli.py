@@ -74,6 +74,9 @@ from .tangents import TangentError
 
 FORMAT_VERSION = 2
 
+# largest accepted --count; the sampling oracles allocate count-by-n arrays
+MAX_COUNT = 10**6
+
 EXIT_BY_VERDICT = {
     "certified": 0,
     "satisfied": 0,
@@ -414,6 +417,8 @@ def _count(flags) -> int:
     count = flags.count if flags.count is not None else 10000
     if count < 1:
         raise DocumentError(f"--count must be at least 1, got {count}")
+    if count > MAX_COUNT:
+        raise DocumentError(f"--count must be at most {MAX_COUNT}, got {count}")
     return count
 
 
@@ -460,10 +465,7 @@ def _run_check_necessary(p, flags):
 
 def _run_check_sufficient(p, flags):
     if flags.mode == "point":
-        report = sufficient_point_check(p, kappa=p.options.kappa,
-                                        literal_kappa=flags.literal_threshold,
-                                        strict_hypothesis=flags.strict_hypothesis)
-        return _from_report(report)
+        return _from_report(sufficient_point_check(p, kappa=p.options.kappa))
     report = sufficient_isolated_check(p)
     doc, code = _from_report(report)
     requested = p.options.kappa
@@ -591,9 +593,11 @@ def _build_parser():
         sp.add_argument("--rho", type=float, default=None)
         sp.add_argument("--kappa", type=float, default=None)
 
+    count_help = f"number of samples, 1 to {MAX_COUNT} (default 10000)"
+
     sp = sub.add_parser("verify-growth", help="sampling growth estimate")
     common(sp)
-    sp.add_argument("--count", type=int, default=None)
+    sp.add_argument("--count", type=int, default=None, help=count_help)
 
     sp = sub.add_parser("check-necessary", help="necessary condition checks")
     common(sp)
@@ -606,8 +610,6 @@ def _build_parser():
     sp = sub.add_parser("check-sufficient", help="sufficient condition checks")
     common(sp)
     sp.add_argument("--mode", choices=("point", "isolated"), default="point")
-    sp.add_argument("--literal-threshold", action="store_true")
-    sp.add_argument("--strict-hypothesis", action="store_true")
 
     sp = sub.add_parser("check-cq", help="constraint qualification probes")
     common(sp)
@@ -622,7 +624,7 @@ def _build_parser():
     sp.add_argument("--direction", default=None)
     sp.add_argument("--kind", choices=("tangent", "outer2", "asymp2"),
                     default="tangent")
-    sp.add_argument("--count", type=int, default=None)
+    sp.add_argument("--count", type=int, default=None, help=count_help)
     sp.add_argument("--limit", type=int, default=5)
     return ap
 

@@ -365,7 +365,8 @@ class Options:
             raise ModelError("seed must be nonnegative")
 
 
-@dataclasses.dataclass(frozen=True)
+# compared and hashed by identity: per-point memo keys hold the instance
+@dataclasses.dataclass(frozen=True, eq=False)
 class ProblemInstance:
     n: int
     m: int

@@ -1,16 +1,21 @@
 """Shared builders for the randomized catalog suites.
 
 Seeded instance generation, tangent-direction sampling, the invariant
-battery run per instance, oracle agreement counting, and the reference
+battery run per instance, oracle agreement counting, the reference
 implementations the library is checked against (the scalar sampling
-oracles and a finite-difference jet check).  Kept out of the test modules
-so the acceptance suite can reuse the exact same generators.
+oracles and a finite-difference jet check), and an in-process CLI
+runner.  Kept out of the test modules so the acceptance suite can reuse
+the exact same generators.
 """
 import dataclasses
+import io
 import math
+import re
+import sys
 
 import numpy as np
 
+from sharpcheck import cli
 from sharpcheck.oracles import (
     GrowthEstimate,
     MscqEstimate,
@@ -51,6 +56,25 @@ from sharpcheck.polyexpr import (
     evaluate_jet,
     parse_expression,
 )
+
+# the report members that may change between runs of the same command
+VOLATILE = re.compile(rb'"(runtime_seconds|generated_at)":("[^"]*"|[^,}]*)')
+
+
+def run_machine(argv):
+    """(exit code, machine report bytes with the time members blanked) of
+    one in-process ``cli.main`` call."""
+    buf = io.BytesIO()
+    out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    saved = sys.stdout
+    sys.stdout = out
+    try:
+        code = cli.main(["--format", "machine", *argv])
+    finally:
+        out.flush()
+        out.detach()
+        sys.stdout = saved
+    return code, VOLATILE.sub(rb'"\1":null', buf.getvalue())
 
 
 def first_example(**opts):

@@ -2,6 +2,7 @@
 qualifications, the necessary and sufficient condition checks, and the LP
 duality / linearization cross-validations against the sampling oracles.
 """
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -9,10 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sharpcheck import certify
+from sharpcheck import certify, lp
 from sharpcheck.certify import (
     DUALITY_TOL,
-    CheckContext,
     _conic_primal,
     _dual_lp_max,
     _generators_of,
@@ -31,9 +31,9 @@ from sharpcheck.certify import (
     sweep_necessary,
 )
 from sharpcheck.cli import load_problem
-from sharpcheck.lp import maximize
+from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.oracles import growth_constant_estimate, membership_by_definition
-from sharpcheck.polyexpr import ModelError, Options, ProblemInstance, parse_expression
+from sharpcheck.polyexpr import Options, ProblemInstance, parse_expression
 from sharpcheck.regions import PolyCell, Region, region_compare, region_subset
 from sharpcheck.sets import Box, Interval, PointSet, UnionSet
 from sharpcheck.tangents import TangentError, directional_clarke_tangent, second_tangent
@@ -255,7 +255,7 @@ def test_sweep_second_example():
     assert r.kappa_bounds["max_admissible"] == pytest.approx(-0.5, abs=1e-9)
 
 
-# ------------------------------------------------------------ check context
+# ------------------------------------------------------------ reuse scope
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -265,17 +265,18 @@ def _reuse_open():
     return not maximize([1.0], [[1.0]], [1.0]).point.flags.writeable
 
 
-def test_sweep_passes_one_open_context_to_every_pair(monkeypatch):
+def test_sweep_runs_every_pair_inside_one_open_scope(monkeypatch):
     seen = []
     original = certify.necessary_explicit_check
 
-    def spy(*args, **kwargs):
-        seen.append((_reuse_open(), kwargs["ctx"]))
-        return original(*args, **kwargs)
+    def spy(p, x, *args):
+        seen.append((_reuse_open(), critical_cone(p, x)))
+        return original(p, x, *args)
 
     monkeypatch.setattr(certify, "necessary_explicit_check", spy)
     assert not _reuse_open()
     sweep_necessary(parabola_example(), mode="explicit")
+    # both pairs sit at xbar, so they see the one critical cone built there
     assert len(seen) == 2 and all(is_open for is_open, _ in seen)
     assert seen[0][1] is seen[1][1]
     assert not _reuse_open()
@@ -301,34 +302,60 @@ def test_sweep_closes_its_context_when_a_check_raises(monkeypatch):
 
 def test_nested_context_shares_the_outer_memo():
     args = ([1.0, 0.0], [[1.0, 1.0]], [2.0])
-    with CheckContext(parabola_example()) as outer:
+    p = parabola_example()
+    with reuse_scope():
         first = maximize(*args)
-        with CheckContext(second_example()):
+        cone = critical_cone(p)
+        with reuse_scope():
             assert maximize(*args) is first
-        with outer:
-            assert maximize(*args) is first
+            assert critical_cone(p, [0.0, 0.0]) is cone
         assert maximize(*args) is first
     assert not _reuse_open()
     assert maximize(*args) is not first
+    assert critical_cone(p) is not cone
 
 
-def test_checker_rejects_a_context_of_another_instance():
-    with pytest.raises(ModelError, match="another instance"):
-        necessary_explicit_check(first_example(), None, [0.0, 1.0],
-                                 ctx=CheckContext(first_example()))
+PER_POINT = ("_jet_data", "critical_cone", "multiplier_affine_set",
+             "_reference_tangent")
+
+
+def test_two_instances_never_share_a_per_point_object():
+    # the same n and the same point x = 0, different objectives
+    a = parabola_example()
+    b = dataclasses.replace(a, f=parse_expression("x1 + x2", 2))
+    x = np.zeros(2)
+    with reuse_scope(), reuse_scope():
+        for name in PER_POINT:
+            build = getattr(certify, name)
+            assert build(a, x) is build(a, x.copy())
+            assert build(b, x) is not build(a, x)
+        assert _jet_data(b, x)[0].tolist() == [1.0, 1.0]
+        assert _jet_data(a, x)[0].tolist() == [0.0, 1.0]
+        assert multiplier_affine_set(b, x).empty
+        assert not multiplier_affine_set(a, x).empty
 
 
 def test_context_builds_each_base_point_object_once(monkeypatch):
     p = first_example()
-    calls = []
-    original = certify.critical_cone
-    monkeypatch.setattr(certify, "critical_cone",
-                        lambda *a, **k: calls.append(1) or original(*a, **k))
-    ctx = CheckContext(p)
-    for d in ([0.0, 1.0], [0.0, -1.0]):
-        necessary_explicit_check(p, [0.25, 0.0], d, ctx=ctx)
-    assert ctx.critical_cone(np.array([0.25, 0.0])) is ctx.critical_cone([0.25, 0.0])
-    assert len(calls) == 1
+    builds = []
+    reused = lp._reused
+
+    def counting(kind, parts, compute):
+        def build():
+            if kind in PER_POINT:
+                builds.append((kind, id(parts[0]), parts[1].tobytes()))
+            return compute()
+        return reused(kind, parts, build)
+
+    monkeypatch.setattr(lp, "_reused", counting)
+    x = [0.25, 0.0]
+    with reuse_scope():
+        for d in ([0.0, 1.0], [0.0, -1.0]):
+            necessary_explicit_check(p, x, d)
+            necessary_implicit_check(p, x, d, mode="tangent_distance")
+        assert critical_cone(p, np.array(x)) is critical_cone(p, x)
+    assert sorted(kind for kind, _, _ in builds) == sorted(PER_POINT)
+    assert len(set(builds)) == len(builds)
 
 
 def test_sweep_bytes_do_not_depend_on_earlier_sweeps():
@@ -371,11 +398,11 @@ def test_sweep_runs_exactly_the_pairs_the_proximal_screen_keeps(name, mode, eps,
     monkeypatch.undo()
 
     # the same pairs through the checker itself, which tests every hypothesis
-    ctx = CheckContext(p)
-    kept = [(xb, db) for xb, db in chosen
-            if not any("not an eps-proximal normal" in line for line in
-                       checker(p, np.frombuffer(xb), np.frombuffer(db), eps,
-                               ctx=ctx).diagnostics)]
+    with reuse_scope():
+        kept = [(xb, db) for xb, db in chosen
+                if not any("not an eps-proximal normal" in line for line in
+                           checker(p, np.frombuffer(xb), np.frombuffer(db),
+                                   eps).diagnostics)]
     assert ran == kept
     assert f", {len(chosen)} (x, d) pairs;" in report.diagnostics[0]
     if name == "first_example":
@@ -443,13 +470,13 @@ def test_sufficient_point_threshold_uses_squared_distance():
                for dgn in r.diagnostics)
 
 
-def test_sufficient_point_literal_threshold_is_withdrawn():
-    r = sufficient_point_check(parabola_example(), kappa=1.5,
-                               literal_kappa=True)
-    assert r.verdict == "violated"
-    assert r.kappa_bounds["certified"] is None
-    assert any("literal threshold" in dgn for dgn in r.diagnostics)
-    assert any("certificate withdrawn" in dgn for dgn in r.diagnostics)
+def test_growth_gate_refutes_a_constant_above_the_truth():
+    # kappa* = 1 on the parabola; the samples refute 1.5 and keep 0.9
+    diags = []
+    assert not certify._growth_gate(parabola_example(), 1.5, diags)
+    assert certify._growth_gate(parabola_example(), 0.9, diags)
+    assert diags == ["growth oracle replay: kappa_hat = 0.946949 on 2902 "
+                     "samples at radius 0.25"] * 2
 
 
 def test_sufficient_isolated_parabola():

@@ -6,11 +6,9 @@ two time members blanked.  After an intended report change, regenerate
 them from the repository root with ``PYTHONPATH=src python tests/test_cli.py``
 and review the diff.
 """
-import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,15 +21,16 @@ from sharpcheck import cli
 from sharpcheck.polyexpr import ModelError, ProblemInstance
 
 from helpers import (
+    VOLATILE,
     reference_point_problem,
     reference_point_warnings,
     reference_set_violation,
+    run_machine,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIRECTIONS = {"first_example": "0,1", "parabola": "1,0", "second_example": "1"}
-_VOLATILE = re.compile(rb'"(runtime_seconds|generated_at)":("[^"]*"|[^,}]*)')
 
 
 def _cases():
@@ -57,7 +56,7 @@ def _cases():
                                                  "--mode", "point", "--kappa", "0.25"]))
     out.append(("halfspace_n4-sweep-explicit",
                 ["check-necessary", "fixtures/halfspace_n4.json", "--form", "explicit"]))
-    # the sweeps share one CheckContext across their (x, d) pairs
+    # the sweeps run all their (x, d) pairs in one reuse scope
     for name in (*DIRECTIONS, "halfspace_n4"):
         for tag, mode in (("proximal", "proximal"), ("tangent", "tangent-distance")):
             out.append((f"{name}-sweep-implicit-{tag}",
@@ -91,25 +90,10 @@ def _cases():
 CASES = _cases()
 
 
-def _run(argv):
-    """(exit code, machine report bytes with the time members blanked)."""
-    buf = io.BytesIO()
-    out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
-    saved = sys.stdout
-    sys.stdout = out
-    try:
-        code = cli.main(["--format", "machine", *argv])
-    finally:
-        out.flush()
-        out.detach()
-        sys.stdout = saved
-    return code, _VOLATILE.sub(rb'"\1":null', buf.getvalue())
-
-
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
 def test_machine_report_matches_golden(name, argv, monkeypatch):
     monkeypatch.chdir(ROOT)   # reports echo the document path
-    code, report = _run(argv)
+    code, report = run_machine(argv)
     assert report == (GOLDEN / f"{name}.json").read_bytes()
     doc = json.loads(report)
     assert doc["exit_code"] == code
@@ -144,7 +128,7 @@ def test_sufficient_point_without_boundary_points(tmp_path):
            "xbar": [-0.5, 0.0], "options": {"delta": 0.05}}
     path = tmp_path / "interior.json"
     path.write_text(json.dumps(doc))
-    code, report = _run(["check-sufficient", str(path), "--mode", "point",
+    code, report = run_machine(["check-sufficient", str(path), "--mode", "point",
                          "--kappa", "0.5"])
     assert code == 0
     assert "direction mesh: 0 admissible, 0 critical" in json.loads(report)["diagnostics"]
@@ -157,8 +141,15 @@ def test_sufficient_point_without_boundary_points(tmp_path):
     ["oracle", "--op", "mscq", "--direction", "1,0", "--count=0"],
     ["oracle", "--op", "mscq", "--direction", "1,0", "--count=-5"],
     ["oracle", "--op", "feasible", "--limit=-1"],
+    # above cli.MAX_COUNT: rejected before any sample array is allocated
+    ["verify-growth", f"--count={10**30}"],
+    ["verify-growth", f"--count={10**15}"],
+    ["oracle", "--op", "feasible", f"--count={10**30}"],
+    ["oracle", "--op", "mscq", "--direction", "1,0", f"--count={10**30}"],
+    ["oracle", "--op", "growth", f"--count={cli.MAX_COUNT + 1}"],
 ], ids=["growth-zero", "growth-negative", "feasible-negative", "mscq-zero",
-        "mscq-negative", "feasible-limit"])
+        "mscq-negative", "feasible-limit", "growth-huge", "growth-memory",
+        "feasible-huge", "mscq-huge", "oracle-growth-above-cap"])
 def test_sample_count_and_limit_are_input_errors(argv, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     code = cli.main([argv[0], "fixtures/parabola.json", *argv[1:]])
@@ -242,8 +233,8 @@ def test_tangent_distance_mode_needs_the_implicit_form(form, direction, capsys,
 def test_membership_oracle_ignores_count_and_limit(monkeypatch):
     monkeypatch.chdir(ROOT)
     argv = ["oracle", "fixtures/parabola.json", "--op", "membership", "--w", "-1"]
-    code, report = _run(argv)
-    code_flags, report_flags = _run([*argv, "--count", "0", "--limit=-1"])
+    code, report = run_machine(argv)
+    code_flags, report_flags = run_machine([*argv, "--count", "0", "--limit=-1"])
     doc, doc_flags = json.loads(report), json.loads(report_flags)
     assert code == code_flags == 0
     assert doc["oracle"] == doc_flags["oracle"]
@@ -307,7 +298,7 @@ def test_reference_point_leaving_the_feasible_set_is_a_diagnostic(tmp_path):
     # 100 points the loader tests does not
     path = tmp_path / "edge.json"
     path.write_text(json.dumps(_interval_document(0.9, 0)))
-    code, report = _run(["verify-growth", str(path), "--count", "200"])
+    code, report = run_machine(["verify-growth", str(path), "--count", "200"])
     assert code in (0, 1, 2)
     assert json.loads(report)["diagnostics"][-1] == (
         "warning: a sampled reference point leaves the feasible set near [0.945879]")
@@ -338,11 +329,11 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
     for argv in (["verify-growth", "fixtures/parabola.json", "--count", "500",
                   "--kappa", "0.5"],
                  ["check-necessary", "fixtures/second_example.json", "--direction", "1"]):
-        code, report = _run(argv)
+        code, report = run_machine(argv)
         proc = subprocess.run([sys.executable, "-m", "sharpcheck", "--format", "machine",
                                *argv], cwd=ROOT, env=env, capture_output=True, timeout=120)
         assert code == proc.returncode, proc.stderr
-        assert report == _VOLATILE.sub(rb'"\1":null', proc.stdout)
+        assert report == VOLATILE.sub(rb'"\1":null', proc.stdout)
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 4)
 
@@ -356,4 +347,4 @@ if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     for case, args in CASES:
-        (GOLDEN / f"{case}.json").write_bytes(_run(args)[1])
+        (GOLDEN / f"{case}.json").write_bytes(run_machine(args)[1])

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sharpcheck import regions
-from sharpcheck.certify import CheckContext
 from sharpcheck.extreal import ExtReal
+from sharpcheck.lp import reuse_scope
 from sharpcheck.regions import (
     PolyCell,
     Region,
@@ -21,8 +21,6 @@ from sharpcheck.regions import (
     region_equal,
     region_subset,
 )
-
-from helpers import parabola_example
 
 
 def halfplane(a, beta, cone=None):
@@ -451,7 +449,7 @@ def test_equal_regions_share_face_complex_and_lower_support_in_a_context(monkeyp
 
     monkeypatch.setattr(regions, "_face_complex", count_faces)
     monkeypatch.setattr(regions, "_lower_gen_support_detail", count_support)
-    with CheckContext(parabola_example()):
+    with reuse_scope():
         r1, r2 = _union_fixture(), _union_fixture()
         assert r1 is not r2
         faces = face_complex(r1)
