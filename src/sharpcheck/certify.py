@@ -22,8 +22,9 @@ through the sampling growth oracle before it is issued.
 Each necessary checker, and ``sweep_necessary`` around all of its pairs,
 runs inside an ``lp.reuse_scope``.  There the jets, critical cone,
 multiplier affine set and T_S at a base point are built once per instance
-and point, and every LP, double description, face complex and lower generalized
-support once per distinct input.
+and point, T_K(g(x)) and its polar once per set and point, and every LP,
+double description, face complex and lower generalized support once per
+distinct input.
 """
 
 from __future__ import annotations
@@ -240,18 +241,27 @@ class CqResult:
 
 
 def _nontrivial_point(region: Region) -> np.ndarray | None:
-    """A nonzero point of a cone region, or None when the region is {0}."""
+    """A nonzero point of a cone region, or None when the region is {0}:
+    each cell, cut to the unit box, is probed along the 2 dim signed axes."""
+    eye = np.eye(region.dim)
+    box = PolyCell(np.vstack([eye, -eye]), np.ones(2 * region.dim), dim=region.dim)
     for cell in region.nonempty_cells():
+        probe = cell.intersect(box)
         for i in range(region.dim):
             for sgn in (1.0, -1.0):
-                obj = sgn * np.eye(region.dim)[i]
-                box = np.vstack([np.eye(region.dim), -np.eye(region.dim)])
-                probe = cell.intersect(PolyCell(box, np.ones(2 * region.dim),
-                                                dim=region.dim))
-                out = _lp.maximize(obj, probe.A, probe.b, probe.E, probe.f)
+                out = _lp.maximize(sgn * eye[i], probe.A, probe.b, probe.E, probe.f)
                 if out.status == "optimal" and out.value > STRICT_TOL:
                     return out.point
     return None
+
+
+def _full_row_rank(J: np.ndarray) -> bool:
+    """Conservatively, whether Dg(x) has full row rank, so that
+    ker Dg(x)^T = {0}: its least singular value clears 1e-6 max(1, largest)."""
+    if J.shape[0] > J.shape[1]:
+        return False
+    sv = np.linalg.svd(J, compute_uv=False)
+    return bool(sv[-1] >= 1e-6 * max(1.0, sv[0]))
 
 
 def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
@@ -307,6 +317,9 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
         # keep only multipliers with nonnegative constraint curvature along d
         N = N.intersect(Region.halfspace(-qg(d), 0.0))
         notes = ("curvature halfspace d' D2(lam g) d >= 0 added",)
+    if _full_row_rank(J):
+        # ker Dg(x)^T = {0} meets N only at 0, in every direction (Gfrerer 2013)
+        return CqResult(kind_u, True, notes=notes + N.notes)
     kercell = PolyCell(eq_mat=J.T, eq_rhs=np.zeros(p.n), dim=p.m)
     meet = Region([c.intersect(kercell) for c in N.cells], cone=True, dim=p.m)
     wit = _nontrivial_point(meet)
@@ -317,8 +330,9 @@ def certify_mscq(p: ProblemInstance, x, d) -> tuple[bool, str, tuple]:
     """Metric subregularity of the constraint map at (x, d), by cascade:
     affine g into a polyhedral-union K holds automatically; otherwise
     FOSCMS, then SOSCMS, then a sampling probe that is flagged as evidence
-    rather than proof.  Computed fresh on each call; callers that need the
-    result more than once keep it."""
+    rather than proof.  The cascade runs on each call; inside an open
+    ``lp.reuse_scope`` the jets, K-side cones and LPs it poses are shared
+    with every other check at the same point."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     gj = p.g_jet(x)
@@ -708,8 +722,10 @@ def _implicit_hypotheses(p: ProblemInstance, x, d, eps, mode):
 
 @_per_point
 def _reference_tangent(p: ProblemInstance, x) -> Region:
-    """T_S(x), the tangent cone of the reference set."""
-    return tangent_cone(p.S, x)
+    """T_S(x), the tangent cone of the reference set, as this instance's own
+    object: instances that share S share only its cells."""
+    t = tangent_cone(p.S, x)
+    return Region(t.cells, cone=t.cone, notes=t.notes, dim=t.dim)
 
 
 def _implicit_denominator(p: ProblemInstance, x, d, eps, mode):
@@ -1415,9 +1431,19 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
     reported, never silently dropped.
 
     The whole sweep runs in one ``lp.reuse_scope``, which the per-pair
-    checkers join, so the jets, critical cone, multiplier set and T_S at
-    each base point are built once, and each distinct LP, double description,
-    face complex and lower generalized support is solved once per sweep.
+    checkers join, so each base point x builds once:
+
+    * the jets of f and g, the critical cone, the multiplier affine set and
+      T_S(x);
+    * the K-side cones at y = g(x): T_K(y), and its polar, the normal cone
+      N_K(y) of a convex K.  Every per-direction second-order tangent set,
+      directional normal cone and directional Clarke tangent at x starts
+      from them.
+
+    Each distinct LP, double description, face complex and lower
+    generalized support is solved once per sweep.  A constraint
+    qualification at a point where Dg(x) has full row rank holds without
+    an LP.
 
     The explicit and clarke forms require d to be an eps-proximal normal
     to S at x.  The sweep screens the directions chosen at each x with one

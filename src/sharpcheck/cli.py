@@ -34,6 +34,7 @@ import math
 import sys
 import time
 from datetime import datetime, timezone
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -292,7 +293,7 @@ def _canon(obj, out):
     elif isinstance(obj, (float, np.floating)):
         out.append(_canon_num(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
@@ -307,7 +308,7 @@ def _canon(obj, out):
         for i, k in enumerate(sorted(obj)):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(k), ensure_ascii=False))
+            out.append(encode_basestring(str(k)))
             out.append(":")
             _canon(obj[k], out)
         out.append("}")

@@ -18,13 +18,14 @@ Two deliberately self-contained primitives live here:
 
 ``reuse_scope()`` is the package's one reuse mechanism.  Inside the block
 both primitives, the region operations ``regions.face_complex`` and
-``regions.lower_gen_support_detail``, and the per-point objects of
-``certify`` (the jets, critical cone, multiplier affine set and tangent
-cone of S at a base point) are built once per distinct input: the outcome
+``regions.lower_gen_support_detail``, the per-point objects of ``certify``
+(the jets, critical cone, multiplier affine set and tangent cone of S at a
+base point) and the tangent cone of a set at a point with its polar
+(``tangents.tangent_cone``) are built once per distinct input: the outcome
 is stored under the input's content, with its arrays made read-only, and
 handed back to every later caller that poses the same input.  A per-point
-key holds the problem instance itself, so two instances never share an
-object.
+key holds the problem instance itself, so two instances never share a
+per-point object; a tangent-cone key holds the set itself.
 """
 from __future__ import annotations
 
@@ -52,8 +53,9 @@ def reuse_scope():
     """Within the block, ``maximize``, the double description,
     ``regions.face_complex``, ``regions.lower_gen_support_detail`` and the
     per-point ``certify._jet_data``, ``critical_cone``,
-    ``multiplier_affine_set`` and ``_reference_tangent`` return one stored
-    result per distinct input.  A nested scope shares the memo of the one
+    ``multiplier_affine_set`` and ``_reference_tangent``, and
+    ``tangents.tangent_cone`` with its polar return one stored result per
+    distinct input.  A nested scope shares the memo of the one
     around it; the outermost drops the memo on exit, also on error.  Usable
     as a decorator, which opens a scope for each call."""
     if _REUSE.get() is not None:
@@ -69,8 +71,8 @@ def reuse_scope():
 def _reused(kind: str, parts, compute):
     """compute(), or the result stored for the same kind and input parts in
     the open reuse scope.  A part is an array, a tuple of parts, or a
-    hashable value (such as a problem instance, hashed by identity); arrays
-    are keyed by dtype, shape and bytes."""
+    hashable value (such as a problem instance or a set, hashed by
+    identity); arrays are keyed by dtype, shape and bytes."""
     memo = _REUSE.get()
     if memo is None:
         return compute()

@@ -139,6 +139,21 @@ def _tangential_contact_note(members: list[BaseSet], y: np.ndarray) -> tuple[str
 
 
 def tangent_cone(s: BaseSet, y) -> Region:
+    """T_s(y).  Inside an open ``lp.reuse_scope`` the cone is built once per
+    set and point: the memo key holds the set itself and y by bytes, so the
+    per-direction objects at one base point all start from one cone."""
+    y = _vec(y, s.dim)
+    return _lp._reused("tangent_cone", (s, y), lambda: _tangent_cone(s, y))
+
+
+def _frechet_normal(s: BaseSet, y: np.ndarray) -> Region:
+    """The polar of T_s(y), reused like ``tangent_cone``; for convex s it is
+    the normal cone."""
+    return _lp._reused("frechet_normal", (s, y),
+                       lambda: polar_cone(tangent_cone(s, y)))
+
+
+def _tangent_cone(s: BaseSet, y) -> Region:
     y = _require_member(s, y)
     if _is_polyhedral_leaf(s):
         cell = _leaf_cell(s)
@@ -544,20 +559,19 @@ def _limiting_by_strata(s: UnionSet, y: np.ndarray, u: np.ndarray | None):
 
 
 def _frechet_cell(s: BaseSet, y: np.ndarray) -> PolyCell:
-    reg = polar_cone(tangent_cone(s, y))
-    return reg.cells[0]
+    return _frechet_normal(s, y).cells[0]
 
 
 def normal_cone(s: BaseSet, y, kind: str) -> Region:
     y = _require_member(s, y)
     if kind == "frechet":
-        return polar_cone(tangent_cone(s, y))
+        return _frechet_normal(s, y)
     if kind == "proximal":
         return Region.from_cell(_proximal_cell(s, y), cone=True)
     if kind != "limiting":
         raise TangentError(f"unknown normal cone kind {kind!r}")
     if s.is_convex():
-        return polar_cone(tangent_cone(s, y))
+        return _frechet_normal(s, y)
     if isinstance(s, ProductSet):
         parts = [normal_cone(f, part, "limiting") for f, part in zip(s.factors, s.split(y))]
         return _product_region(parts, [f.dim for f in s.factors], cone=True)
@@ -591,7 +605,7 @@ def directional_normal(s: BaseSet, y, u, kind: str) -> Region:
 def _directional_limiting(s: BaseSet, y: np.ndarray, u: np.ndarray) -> Region:
     if s.is_convex():
         # normals stay normal along tangent directions only inside {u}-perp
-        return polar_cone(tangent_cone(s, y)).intersect_orthocomplement(u).with_cone_flag(True)
+        return _frechet_normal(s, y).intersect_orthocomplement(u).with_cone_flag(True)
     if isinstance(s, ProductSet):
         parts = [directional_normal(f, yp, up, "limiting")
                  for f, yp, up in zip(s.factors, s.split(y), s.split(u))]
@@ -657,21 +671,17 @@ def proximal_normal_cell(s: BaseSet, x) -> PolyCell:
     return _proximal_cell(s, _require_member(s, x))
 
 
-def eps_proximal_membership(s: BaseSet, x, v, eps: float,
-                            cell: PolyCell | None = None) -> bool:
+def eps_proximal_membership(s: BaseSet, x, v, eps: float) -> bool:
     """True iff dist(v, proximal normal cone at x) <= eps * |v|."""
-    return len(eps_proximal_filter(s, x, [v], eps, cell)) == 1
+    return len(eps_proximal_filter(s, x, [v], eps)) == 1
 
 
-def eps_proximal_filter(s: BaseSet, x, vs, eps: float,
-                        cell: PolyCell | None = None) -> list:
+def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> list:
     """The members of vs within relative distance eps of the proximal
-    normal cone at x; the cone is built once for the whole batch, or taken
-    from ``cell`` (``proximal_normal_cell(s, x)``) when the caller holds it."""
+    normal cone at x; the cone is built once for the whole batch."""
     if not 0.0 <= eps < 1.0:
         raise TangentError("eps must lie in [0, 1)")
-    if cell is None:
-        cell = proximal_normal_cell(s, x)
+    cell = proximal_normal_cell(s, x)
     try:
         V = np.asarray(vs, dtype=float).reshape(len(vs), s.dim)
     except ValueError:

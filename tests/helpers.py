@@ -9,6 +9,7 @@ the exact same generators.
 """
 import dataclasses
 import io
+import json
 import math
 import re
 import sys
@@ -75,6 +76,52 @@ def run_machine(argv):
         out.detach()
         sys.stdout = saved
     return code, VOLATILE.sub(rb'"\1":null', buf.getvalue())
+
+
+def canonical_bytes_reference(obj) -> bytes:
+    """The canonical JSON writer as first written, with ``json.dumps`` per
+    string: ``cli.canonical_bytes`` must produce the same bytes."""
+    def num(x: float) -> str:
+        if math.isnan(x):
+            return '"nan"'
+        if math.isinf(x):
+            return '"inf"' if x > 0 else '"-inf"'
+        return format(x, ".17g")
+
+    def canon(obj, out):
+        if obj is None or isinstance(obj, bool):
+            out.append("null" if obj is None else ("true" if obj else "false"))
+        elif isinstance(obj, (int, np.integer)):
+            out.append(str(int(obj)))
+        elif isinstance(obj, (float, np.floating)):
+            out.append(num(float(obj)))
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj, ensure_ascii=False))
+        elif isinstance(obj, (list, tuple)):
+            out.append("[")
+            for i, v in enumerate(obj):
+                if i:
+                    out.append(",")
+                canon(v, out)
+            out.append("]")
+        elif isinstance(obj, np.ndarray):
+            canon(obj.tolist(), out)
+        elif isinstance(obj, dict):
+            out.append("{")
+            for i, k in enumerate(sorted(obj)):
+                if i:
+                    out.append(",")
+                out.append(json.dumps(str(k), ensure_ascii=False))
+                out.append(":")
+                canon(obj[k], out)
+            out.append("}")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+    out = []
+    canon(obj, out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def first_example(**opts):

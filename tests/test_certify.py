@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sharpcheck import certify, lp
 from sharpcheck.certify import (
@@ -34,9 +35,10 @@ from sharpcheck.cli import load_problem
 from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.oracles import growth_constant_estimate, membership_by_definition
 from sharpcheck.polyexpr import Options, ProblemInstance, parse_expression
-from sharpcheck.regions import PolyCell, Region, region_compare, region_subset
+from sharpcheck.regions import PolyCell, Region, region_compare, region_equal, region_subset
 from sharpcheck.sets import Box, Interval, PointSet, UnionSet
-from sharpcheck.tangents import TangentError, directional_clarke_tangent, second_tangent
+from sharpcheck.tangents import (TangentError, directional_clarke_tangent, normal_cone,
+                                 second_tangent, tangent_cone)
 
 from helpers import (
     duality_instance,
@@ -125,6 +127,64 @@ def test_cq_degenerate_jacobian_fails_with_witness():
     assert not res.holds
     assert res.witness is not None
     assert np.linalg.norm(res.witness) > 1e-9
+
+
+def _cq_instance(seed, sigma_min):
+    """g(x) = J x + c x1^2 into a union of two orthant boxes, xbar = 0, with
+    J an (m, 3) matrix of singular values from 1 down to sigma_min; and a
+    direction d with J d pointing into the first box where J allows."""
+    rng = np.random.default_rng(seed)
+    n, m = 3, int(rng.integers(1, 3))
+    U, _ = np.linalg.qr(rng.normal(size=(m, m)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    J = U @ np.diag(np.geomspace(1.0, sigma_min, m)) @ V[:m]
+    c = rng.uniform(-1.0, 1.0, size=m)
+    g = [parse_expression(" + ".join(f"{J[i, j]:.17g}*x{j + 1}" for j in range(n))
+                          + f" + {c[i]:.17g}*x1^2", n) for i in range(m)]
+    K = UnionSet([Box([(-1.0, 0.0)] * m), Box([(0.0, 1.0)] * m)])
+    p = ProblemInstance(n, m, parse_expression("x1", n), g, K, PointSet(np.zeros(n)),
+                        np.zeros(n))
+    d = np.linalg.pinv(J) @ -np.abs(rng.normal(size=m)) if rng.random() < 0.8 else np.zeros(n)
+    return p, J, d
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.floats(-12.0, 0.0))
+@example(0, -12.0)
+@example(1, -5.0)
+@example(2, 0.0)
+def test_full_rank_cq_shortcut_matches_the_lp_probe(seed, log_sigma):
+    p, J, d = _cq_instance(seed, 10.0 ** log_sigma)
+    probes = []
+
+    def outcome(kind):
+        # a near-singular Dg can defeat the probe's simplex; then both
+        # routes must fail alike
+        try:
+            return constraint_qualification_check(p, None, d, kind)
+        except lp.LpError as ex:
+            return type(ex)
+
+    def results():
+        return [outcome(kind) for kind in ("FOSCMS", "SOSCMS", "DirRCQ")]
+
+    with reuse_scope(), pytest.MonkeyPatch.context() as mp:
+        probe = certify._nontrivial_point
+        mp.setattr(certify, "_nontrivial_point", lambda r: probes.append(r) or probe(r))
+        fast = results()
+        if log_sigma >= -5.5:
+            assert probes == []
+        mp.setattr(certify, "_full_row_rank", lambda J_: False)
+        slow = results()
+    assert len(probes) >= 3
+    for a, b in zip(fast, slow):
+        if isinstance(b, type):
+            assert a is b
+            continue
+        assert (a.kind, a.holds, a.notes) == (b.kind, b.holds, b.notes)
+        assert (a.witness is None) == (b.witness is None)
+        if a.witness is not None:
+            assert a.witness.tobytes() == b.witness.tobytes()
 
 
 def test_mscq_cascade_methods():
@@ -358,6 +418,47 @@ def test_context_builds_each_base_point_object_once(monkeypatch):
     assert len(set(builds)) == len(builds)
 
 
+@pytest.mark.parametrize("mode", ["explicit", "clarke", "implicit-proximal"])
+def test_sweep_builds_the_k_side_cones_once_per_base_point(mode, monkeypatch):
+    p = first_example()
+    calls, builds = [], []
+    reused = lp._reused
+
+    def counting(kind, parts, compute):
+        if kind not in ("tangent_cone", "frechet_normal") or parts[0] is not p.K:
+            return reused(kind, parts, compute)
+        calls.append((kind, parts[1].tobytes()))
+
+        def build():
+            builds.append(calls[-1])
+            return compute()
+        return reused(kind, parts, build)
+
+    monkeypatch.setattr(lp, "_reused", counting)
+    sweep_necessary(p, mode=mode)
+    # T_K(g(x)), and N_K(g(x)) for this convex K, once per base point
+    assert sorted(builds) == sorted(set(calls))
+    assert {y for kind, y in builds if kind == "frechet_normal"} <= \
+        {y for kind, y in builds if kind == "tangent_cone"}
+    assert len(calls) > 2 * len(builds)
+
+
+@pytest.mark.parametrize("example", [first_example, second_example])
+def test_k_side_cones_are_built_afresh_outside_a_scope(example):
+    # the union of two disks is not convex: its limiting cone comes from
+    # strata, and only T_K and its polar are kept
+    p = example()
+    y = p.g_value(p.xbar)
+    kinds = ("frechet", "limiting") if p.K.is_convex() else ("frechet",)
+    for build in (lambda: tangent_cone(p.K, y),
+                  *[lambda kind=kind: normal_cone(p.K, y, kind) for kind in kinds]):
+        a, b = build(), build()
+        assert a is not b and region_equal(a, b)
+        with reuse_scope():
+            c = build()
+            assert build() is c and region_equal(c, a)
+
+
 def test_sweep_bytes_do_not_depend_on_earlier_sweeps():
     def report_bytes(p, mode):
         return json.dumps(sweep_necessary(p, mode=mode).to_json(), sort_keys=True)
@@ -384,9 +485,9 @@ def test_sweep_runs_exactly_the_pairs_the_proximal_screen_keeps(name, mode, eps,
     checker, screen = getattr(certify, attr), certify.eps_proximal_filter
     chosen, ran = [], []
 
-    def spy_screen(S, x, vs, eps_, cell=None):
+    def spy_screen(S, x, vs, eps_):
         chosen.extend((x.tobytes(), np.asarray(v).tobytes()) for v in vs)
-        return screen(S, x, vs, eps_, cell)
+        return screen(S, x, vs, eps_)
 
     def spy_check(p_, x, d, eps_, **kwargs):
         ran.append((x.tobytes(), d.tobytes()))

@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -22,6 +23,7 @@ from sharpcheck.polyexpr import ModelError, ProblemInstance
 
 from helpers import (
     VOLATILE,
+    canonical_bytes_reference,
     reference_point_problem,
     reference_point_warnings,
     reference_set_violation,
@@ -336,6 +338,22 @@ def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
         assert report == VOLATILE.sub(rb'"\1":null', proc.stdout)
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 4)
+
+
+_TEXT = st.text(max_size=8) | st.sampled_from(["\u00e9t\u00e9", "\x00\x1f\x7f", "\u2028\ud7ff",
+                                               '"\\/\b\f\n\r\t', "\U0001f600"])
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | _TEXT
+           | st.floats().map(np.float64) | st.lists(st.floats(), max_size=3).map(np.array))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_LEAVES, lambda kids: st.lists(kids, max_size=4)
+                    | st.lists(kids, max_size=3).map(tuple)
+                    | st.dictionaries(_TEXT, kids, max_size=4), max_leaves=24))
+@example({"K\u00e9y\x01": ["\u00fc\n", float("nan"), float("inf"), -float("inf")],
+          "a": {"\x1f": "\u2028", "": [None, True, 1, -0.0]}})
+def test_canonical_bytes_match_the_reference_writer(doc):
+    assert cli.canonical_bytes(doc) == canonical_bytes_reference(doc)
 
 
 def test_every_exported_name_resolves():

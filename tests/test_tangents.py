@@ -4,6 +4,7 @@ randomized invariant battery over the set catalog."""
 import numpy as np
 import pytest
 
+from sharpcheck import tangents
 from sharpcheck.sets import (Ball, Box, FiniteSet, Halfspace, Interval,
                              PointSet, Polyhedron, ProductSet, UnionSet)
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
@@ -258,20 +259,26 @@ def test_eps_proximal_filter_takes_row_arrays():
         eps_proximal_filter(box, [0.0, 0.0], np.zeros((2, 3)), 0.0)
 
 
-def test_eps_proximal_filter_reuses_a_held_cell():
+def test_eps_proximal_filter_builds_the_cell_once_per_batch(monkeypatch):
     s = UnionSet([Box([(0.0, 1.0), (0.0, 1.0)]), Ball([-1.0, 0.0], 1.0)])
     y = [0.0, 0.0]
-    cell = proximal_normal_cell(s, y)
     ang = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
     V = np.column_stack([np.cos(ang), np.sin(ang)])
+    builds = []
+
+    def counting(s_, x):
+        builds.append(x)
+        return proximal_normal_cell(s_, x)
+
+    monkeypatch.setattr(tangents, "proximal_normal_cell", counting)
     for eps in (0.0, 0.2, 0.6):
-        fresh = eps_proximal_filter(s, y, V, eps)
-        held = eps_proximal_filter(s, y, V, eps, cell)
-        assert [v.tobytes() for v in held] == [v.tobytes() for v in fresh]
-        assert [eps_proximal_membership(s, y, v, eps, cell) for v in V] == \
-            [any(np.array_equal(v, k) for k in fresh) for v in V]
+        builds.clear()
+        kept = eps_proximal_filter(s, y, V, eps)
+        assert len(builds) == 1
+        assert [eps_proximal_membership(s, y, v, eps) for v in V] == \
+            [any(np.array_equal(v, k) for k in kept) for v in V]
     with pytest.raises(TangentError):
-        proximal_normal_cell(s, [3.0, 3.0])
+        eps_proximal_filter(s, [3.0, 3.0], V, 0.2)
 
 
 def test_eps_proximal_validates_eps():
