@@ -320,7 +320,11 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     if _full_row_rank(J):
         # ker Dg(x)^T = {0} meets N only at 0, in every direction (Gfrerer 2013)
         return CqResult(kind_u, True, notes=notes + N.notes)
-    kercell = PolyCell(eq_mat=J.T, eq_rhs=np.zeros(p.n), dim=p.m)
+    # the numerical kernel of Dg(x)^T: orthogonal to the leading right
+    # singular vectors, at the rank threshold of _full_row_rank
+    _, sv, vh = np.linalg.svd(J.T)
+    rank = int(np.sum(sv >= 1e-6 * max(1.0, sv[0])))
+    kercell = PolyCell(eq_mat=vh[:rank], eq_rhs=np.zeros(rank), dim=p.m)
     meet = Region([c.intersect(kercell) for c in N.cells], cone=True, dim=p.m)
     wit = _nontrivial_point(meet)
     return CqResult(kind_u, wit is None, witness=wit, notes=notes + N.notes)
@@ -1354,7 +1358,7 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
             return _report("hypotheses-not-met",
                            diags=["xbar is not isolated in the reference set"])
     grad, J, qfn, _ = _jet_data(p, x)
-    tphi = linearized_phi_tangents(p, x, None, "tangent")
+    tphi = _point_phi_tangents(p, x, None, "tangent")
     sig = tphi.support(-grad)
     if not (sig.is_finite and float(sig) <= STRICT_TOL) and not sig.is_minus_inf:
         return _report("hypotheses-not-met", diags=diags + [
