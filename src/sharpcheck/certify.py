@@ -38,7 +38,7 @@ import numpy as np
 from . import lp as _lp
 from . import oracles
 from .extreal import ExtReal
-from .polyexpr import ModelError, ProblemInstance
+from .polyexpr import ModelError, ProblemInstance, rng_for
 from .regions import (PolyCell, Region, face_complex, lower_gen_support_detail,
                       polar_cone, region_subset)
 from .sets import (Ball, BaseSet, Box, FiniteSet, Halfspace, Interval, PointSet,
@@ -418,10 +418,6 @@ def set_diameter(s: BaseSet) -> float:
     return best
 
 
-def _rng(p: ProblemInstance, tag: int) -> np.random.Generator:
-    return np.random.default_rng([p.options.seed & 0x7FFFFFFF, tag])
-
-
 def _is_boundary_point(s: BaseSet, x: np.ndarray, h: float = 1e-6) -> bool:
     for i in range(s.dim):
         e = np.eye(s.dim)[i]
@@ -443,7 +439,7 @@ def _boundary_mesh(p: ProblemInstance, radius: float, count: int = 1000):
             on_boundary[key] = _is_boundary_point(p.S, x)
         return on_boundary[key]
 
-    out = [x for x in p.S.sample_near(p.xbar, radius, _rng(p, 11), count)
+    out = [x for x in p.S.sample_near(p.xbar, radius, rng_for(p.options.seed, 11), count)
            if boundary(x)]
     if boundary(p.xbar):
         out.append(p.xbar)
@@ -478,7 +474,7 @@ def _level_tangent_K(p: ProblemInstance, kind: str, u: np.ndarray | None) -> Reg
     if not math.isfinite(diam):
         return Region.all_space(p.m).with_notes(
             heur, "unbounded reference set; level object relaxed to all of R^m")
-    rng = _rng(p, 9)
+    rng = rng_for(p.options.seed, 9)
     bases: list[np.ndarray] = []
     for r in (0.1 * p.options.delta, 0.01 * p.options.delta):
         for s in p.S.sample_near(p.xbar, r, rng, 12):
@@ -1171,8 +1167,7 @@ def _unit_mesh(dim: int, seed: int) -> np.ndarray:
         theta = np.pi * (1.0 + math.sqrt(5.0)) * k
         return np.column_stack([np.cos(theta) * np.sin(phi),
                                 np.sin(theta) * np.sin(phi), np.cos(phi)])
-    rng = np.random.default_rng([seed & 0x7FFFFFFF, 77])
-    raw = rng.normal(size=(10000, dim))
+    raw = rng_for(seed, 77).normal(size=(10000, dim))
     return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
@@ -1282,7 +1277,7 @@ def sufficient_point_check(p: ProblemInstance,
     x = p.xbar
 
     fx = p.f(x)
-    for s in p.S.sample_near(x, p.options.delta, _rng(p, 13), 200):
+    for s in p.S.sample_near(x, p.options.delta, rng_for(p.options.seed, 13), 200):
         if abs(p.f(s) - fx) > 1e-7:
             return _report("hypotheses-not-met",
                            diags=["objective is not constant on the reference set"])
@@ -1353,7 +1348,7 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
     """
     x = p.xbar
     diags: list[str] = []
-    for s in p.S.sample_near(x, 1e-3, _rng(p, 15), 60):
+    for s in p.S.sample_near(x, 1e-3, rng_for(p.options.seed, 15), 60):
         if np.linalg.norm(s - x) > 1e-9:
             return _report("hypotheses-not-met",
                            diags=["xbar is not isolated in the reference set"])
@@ -1461,7 +1456,7 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
         raise ModelError(f"unknown sweep mode {mode!r}")
     eps = p.options.epsilon if eps is None else float(eps)
     xs = [p.xbar]
-    for s in p.S.sample_near(p.xbar, p.options.delta, _rng(p, 17), 120):
+    for s in p.S.sample_near(p.xbar, p.options.delta, rng_for(p.options.seed, 17), 120):
         if all(np.linalg.norm(s - x0) > 1e-7 for x0 in xs):
             xs.append(s)
         if len(xs) >= 24:

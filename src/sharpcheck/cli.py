@@ -18,7 +18,7 @@ Exit codes: 0 certified or satisfied, 1 violated or rejected, 2
 inconclusive or hypotheses-not-met, 3 input error.  A numerical or
 capacity failure inside the library (LP, region, tangent or oracle error,
 such as a problem above the dimension cap) is reported on stderr and exits
-2, since it decides nothing.  Machine reports (format 2) are canonical JSON
+2, since it decides nothing.  Machine reports (format 3) are canonical JSON
 (sorted members, 17-significant-digit floats, LF endings); reruns with the
 same seed match byte for byte outside the two time members runtime_seconds
 and generated_at.
@@ -57,7 +57,8 @@ from .oracles import (
     mscq_modulus_estimate,
     sample_feasible,
 )
-from .polyexpr import ModelError, Options, ParseError, ProblemInstance, parse_expression
+from .polyexpr import (ModelError, Options, ParseError, ProblemInstance, parse_expression,
+                       rng_for)
 from .regions import RegionError
 from .sets import (
     Ball,
@@ -73,7 +74,7 @@ from .sets import (
 )
 from .tangents import TangentError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # largest accepted --count; the sampling oracles allocate count-by-n arrays
 MAX_COUNT = 10**6
@@ -185,10 +186,9 @@ def _build_set(ctor, where):
 def _build_options(obj):
     if not isinstance(obj, dict):
         raise DocumentError("options: expected an object")
-    _reject_unknown(obj, ("epsilon", "delta", "rho", "seed", "kappa", "tolerance"),
-                    "options")
+    _reject_unknown(obj, ("epsilon", "delta", "rho", "seed", "kappa"), "options")
     kw = {}
-    for key in ("epsilon", "delta", "rho", "kappa", "tolerance"):
+    for key in ("epsilon", "delta", "rho", "kappa"):
         if key in obj and obj[key] is not None:
             kw[key] = _num(obj[key], f"options.{key}")
     if "seed" in obj:
@@ -258,7 +258,7 @@ def _reference_warnings(inst: ProblemInstance) -> tuple:
     """A diagnostic line for the first of 100 sampled points of S near
     xbar whose g value leaves K, if any."""
     options = inst.options
-    rng = np.random.default_rng(options.seed ^ 0x2E5D)
+    rng = rng_for(options.seed, 0x2E5D)
     pt = inst.first_infeasible(
         inst.S.sample_near(inst.xbar, max(2.0 * options.delta, 1.0), rng, 100), tol=1e-6)
     if pt is None:
@@ -562,8 +562,7 @@ def run_command(instance: ProblemInstance, command: str, flags,
            "exit_code": code,
            "seed": opts.seed,
            "options": {"epsilon": opts.epsilon, "delta": opts.delta,
-                       "rho": opts.rho, "tolerance": opts.tolerance,
-                       "kappa": opts.kappa},
+                       "rho": opts.rho, "kappa": opts.kappa},
            "runtime_seconds": time.perf_counter() - start,
            "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
            **core}

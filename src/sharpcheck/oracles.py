@@ -3,12 +3,12 @@
 Everything here works from raw membership and distance evaluations, never
 from the closed-form cone algebra, so it can arbitrate the analytic modules.
 Sampling is deterministic under the caller's seed: every operation derives
-its generator as default_rng([seed, tag]) with a fixed per-operation tag
-and makes its random draws one trial at a time, in trial order.  The
-proposals built from those draws, the Gauss-Newton pullback and the
-membership and distance tests then run on row batches, each row stopping
-on its own criteria, so every result equals the one a point-by-point loop
-would give.
+its generator from polyexpr.rng_for with a fixed per-operation tag and
+draws each of its random quantities once, as one array over all trials.
+The proposals built from those draws, the Gauss-Newton pullback and the
+membership and distance tests run on row batches, each row stopping on
+its own criteria, so every result equals the one a point-by-point loop
+over the same draws would give.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .sets import BaseSet, _row_norms
-from .polyexpr import ProblemInstance
+from .polyexpr import ProblemInstance, rng_for
 from . import tangents as _tangents
 
 
@@ -124,10 +124,6 @@ def membership_by_definition(s: BaseSet, y, d, w, kind: str,
 # ---------------------------------------------------------------------------
 
 
-def _rng_for(seed: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed) & 0x7FFFFFFF, tag])
-
-
 def _unit_rows(U: np.ndarray) -> np.ndarray:
     """Each row u of U as u / max(|u|, 1e-12), bit for bit the scalar
     form: _row_norms is the BLAS dot of np.linalg.norm."""
@@ -173,19 +169,14 @@ def _gauss_newton_rows(p: ProblemInstance, X: np.ndarray, iters: int) -> np.ndar
 def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> list[np.ndarray]:
     """Deterministic points of the feasible set within delta of xbar, by
     rejection sampling plus boundary-biased Gauss-Newton proposals (every
-    odd trial is pulled toward the feasible set).  Each trial draws a
-    normal n-vector and then a uniform, in trial order; the proposals are
-    computed from those draws as rows."""
+    odd trial is pulled toward the feasible set).  The trials' normal
+    n-vectors are drawn first, then their uniforms."""
     if delta <= 0:
         raise OracleError("delta must be positive")
     _check_count(count)
-    rng = _rng_for(seed, 1)
-    U = np.empty((count, p.n))
-    R = np.empty(count)
-    for trial in range(count):
-        U[trial] = rng.normal(size=p.n)
-        R[trial] = rng.random()
-    X = _ball_rows(p.xbar, delta, _unit_rows(U), R)
+    rng = rng_for(seed, 1)
+    U = rng.standard_normal((count, p.n))
+    X = _ball_rows(p.xbar, delta, _unit_rows(U), rng.random(count))
     X[1::2] = _gauss_newton_rows(p, X[1::2], 25)
     keep = np.ones(count, dtype=bool)
     keep[1::2] = ~(_row_norms(X[1::2] - p.xbar) > delta)
@@ -283,33 +274,27 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
                           count: int, seed: int) -> MscqEstimate:
     """Max observed dist(x', Phi) / dist(g(x'), K) over x' in the
     directional neighborhood x + V_{rho,delta}(d); flags divergence when the
-    ratios blow past 1e6 as the samples approach x.  Each candidate draws
-    its scale, its branch and then its tilt or ball point in candidate
-    order; the candidates and their membership test are computed from
-    those draws as rows."""
+    ratios blow past 1e6 as the samples approach x.  Every candidate
+    draws a scale, a branch, a normal n-vector (its tilt, or its ball
+    point's direction), a radius and a shrink; each quantity is drawn for
+    all candidates at once, in that order."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     _check_count(count)
     if not p.K.contains(p.g_value(x), tol=1e-7):
         raise OracleError("base point is infeasible")
-    rng = _rng_for(seed, 2)
+    rng = rng_for(seed, 2)
     nd = float(np.linalg.norm(d))
-    scale = np.empty(count)
-    tilted = np.empty(count, dtype=bool)
-    U = np.empty((count, x.size))   # the tilt, or the ball point's normal draw
-    R = np.empty((count, 2))        # the ball point's radius and shrink draws
-    for i in range(count):
-        scale[i] = delta * rng.random() ** 2  # bias toward x, where blowups live
-        tilted[i] = nd > 1e-12 and rng.random() < 0.8
-        U[i] = rng.normal(size=x.size)
-        if not tilted[i]:
-            R[i] = rng.random(), rng.random()
-    U = _unit_rows(U)
+    scale = delta * rng.random(count) ** 2  # bias toward x, where blowups live
+    tilted = (rng.random(count) < 0.8) & (nd > 1e-12)
+    U = _unit_rows(rng.standard_normal((count, x.size)))
+    radius, shrink = rng.random(count), rng.random(count)
     Z = np.empty((count, x.size))
     if tilted.any():
         Z[tilted] = scale[tilted, None] * (d / nd + 0.45 * rho * U[tilted])
     ball = ~tilted
-    Z[ball] = _ball_rows(np.zeros(x.size), delta, U[ball], R[ball, 0]) * R[ball, 1:]
+    Z[ball] = (_ball_rows(np.zeros(x.size), delta, U[ball], radius[ball])
+               * shrink[ball, None])
     XP = x + Z[_in_directional_rows(Z, d, rho, delta)]
     resid, _ = p.K.project_rows(p.g_value_rows(XP))
     outside = ~(resid <= 1e-12)

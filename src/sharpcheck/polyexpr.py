@@ -339,13 +339,18 @@ def value_gradient_rows(e: PolyExpr, X) -> tuple[np.ndarray, np.ndarray]:
 # -- problem container ------------------------------------------------------
 
 
+def rng_for(seed: int, tag: int) -> np.random.Generator:
+    """The generator of the sampling stream ``tag`` under ``seed``.  Every
+    sampler takes its generator here, under a tag of its own."""
+    return np.random.default_rng([int(seed) & 0x7FFFFFFF, tag])
+
+
 @dataclasses.dataclass(frozen=True)
 class Options:
     epsilon: float = 0.0
     delta: float = 0.25
     kappa: float | None = None
     seed: int = 42
-    tolerance: float = 1e-9
     rho: float = 0.5
 
     def __post_init__(self):
@@ -393,7 +398,7 @@ class ProblemInstance:
             raise ModelError("xbar is infeasible: g(xbar) lies outside K")
         if not self.S.contains(self.xbar, tol=1e-7):
             raise ModelError("xbar does not belong to S")
-        rng = np.random.default_rng(self.options.seed ^ 0x5F5F)
+        rng = rng_for(self.options.seed, 0x5F5F)
         bad = self.first_infeasible(
             self.S.sample_near(self.xbar, max(2.0 * self.options.delta, 1.0), rng, 25),
             tol=1e-6)

@@ -21,7 +21,6 @@ from sharpcheck.oracles import (
     GrowthEstimate,
     MscqEstimate,
     OracleError,
-    _rng_for,
     membership_by_definition,
 )
 from sharpcheck.regions import (
@@ -56,6 +55,7 @@ from sharpcheck.polyexpr import (
     ProblemInstance,
     evaluate_jet,
     parse_expression,
+    rng_for,
 )
 
 # the report members that may change between runs of the same command
@@ -529,17 +529,21 @@ def oracle_agreement(s, y, d, count, seed, spread=2.0):
 
 # ---------------------------------------------------------------------------
 # scalar references for the sampling oracles: the point-by-point versions
-# of sample_feasible, growth_constant_estimate and mscq_modulus_estimate,
-# kept unchanged so the row-batched oracles can be compared against them
-# bit for bit
+# of sample_feasible, growth_constant_estimate and mscq_modulus_estimate.
+# They take the oracles' bulk draws from the same streams and then build,
+# pull back and test one point at a time, so the row-batched oracles can be
+# compared against them bit for bit
 # ---------------------------------------------------------------------------
 
 
-def _ball_point(rng: np.random.Generator, center: np.ndarray, radius: float) -> np.ndarray:
-    n = center.size
-    u = rng.normal(size=n)
-    u /= max(np.linalg.norm(u), 1e-12)
-    return center + radius * rng.random() ** (1.0 / n) * u
+def _normalized(u: np.ndarray) -> np.ndarray:
+    return u / max(np.linalg.norm(u), 1e-12)
+
+
+def _ball_point(u: np.ndarray, r: float, center: np.ndarray, radius: float) -> np.ndarray:
+    """The point of the ball about center in the direction of the normal
+    draw u, at the distance radius * r^(1/n) for the uniform draw r."""
+    return center + radius * float(r) ** (1.0 / center.size) * _normalized(u)
 
 
 def _in_directional_neighborhood(z: np.ndarray, d: np.ndarray, rho: float,
@@ -579,10 +583,12 @@ def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> 
     rejection sampling plus boundary-biased Gauss-Newton proposals."""
     if delta <= 0:
         raise OracleError("delta must be positive")
-    rng = _rng_for(seed, 1)
+    rng = rng_for(seed, 1)
+    U = rng.standard_normal((count, p.n))
+    R = rng.random(count)
     hits: list[np.ndarray] = []
     for trial in range(count):
-        x = _ball_point(rng, p.xbar, delta)
+        x = _ball_point(U[trial], R[trial], p.xbar, delta)
         if trial % 2 == 1:
             x = _gauss_newton_feasible(p, x)
             if np.linalg.norm(x - p.xbar) > delta:
@@ -641,19 +647,20 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
     d = np.asarray(d, dtype=float).ravel()
     if not p.K.contains(p.g_value(x), tol=1e-7):
         raise OracleError("base point is infeasible")
-    rng = _rng_for(seed, 2)
+    rng = rng_for(seed, 2)
+    scale = delta * rng.random(count) ** 2  # bias toward x, where blowups live
+    branch = rng.random(count)
+    U = rng.standard_normal((count, x.size))
+    radius, shrink = rng.random(count), rng.random(count)
     best = 0.0
     witness = None
     used = 0
     nd = float(np.linalg.norm(d))
-    for _ in range(count):
-        scale = delta * rng.random() ** 2  # bias toward x, where blowups live
-        if nd > 1e-12 and rng.random() < 0.8:
-            tilt = rng.normal(size=x.size)
-            tilt /= max(np.linalg.norm(tilt), 1e-12)
-            z = scale * (d / nd + 0.45 * rho * tilt)
+    for i in range(count):
+        if nd > 1e-12 and branch[i] < 0.8:
+            z = scale[i] * (d / nd + 0.45 * rho * _normalized(U[i]))
         else:
-            z = _ball_point(rng, np.zeros(x.size), delta) * rng.random()
+            z = _ball_point(U[i], radius[i], np.zeros(x.size), delta) * shrink[i]
         if not _in_directional_neighborhood(z, d, rho, delta):
             continue
         xp = x + z
@@ -675,8 +682,8 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
 
 # ---------------------------------------------------------------------------
 # scalar references for the reference-point checks: the point-by-point loops
-# of ProblemInstance.__post_init__ and cli._load, kept unchanged so the row
-# versions can be compared against them message for message
+# of ProblemInstance.__post_init__ and cli._load, on the same streams, so the
+# row versions can be compared against them message for message
 # ---------------------------------------------------------------------------
 
 
@@ -684,7 +691,7 @@ def reference_set_violation(n, m, f, g, K, S, xbar, options) -> str | None:
     """The ModelError text ProblemInstance raises when one of 25 sampled
     points of S near xbar leaves the feasible set, or None."""
     xbar = np.asarray(xbar, dtype=float).ravel()
-    rng = np.random.default_rng(options.seed ^ 0x5F5F)
+    rng = rng_for(options.seed, 0x5F5F)
     for p in S.sample_near(xbar, max(2.0 * options.delta, 1.0), rng, 25):
         if not K.contains(np.array([gi(p) for gi in g]), tol=1e-6):
             return ("reference set is not contained in the feasible set "
@@ -697,7 +704,7 @@ def reference_point_warnings(inst: ProblemInstance) -> tuple:
     xbar leaves the feasible set."""
     warnings = []
     options = inst.options
-    rng = np.random.default_rng(options.seed ^ 0x2E5D)
+    rng = rng_for(options.seed, 0x2E5D)
     for pt in inst.S.sample_near(inst.xbar, max(2.0 * options.delta, 1.0), rng, 100):
         if not inst.K.contains(inst.g_value(pt), tol=1e-6):
             warnings.append("warning: a sampled reference point leaves the "
