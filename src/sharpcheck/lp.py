@@ -263,12 +263,17 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
 def _purge_artificials(Mext, rhs, basis, ncols):
     """After phase 1, pivot artificials out of the basis; rows whose
     artificial cannot leave are redundant and get dropped.  Returns the new
-    system plus the surviving original row indices."""
+    system plus the surviving original row indices.
+
+    Phase 1 may move an artificial to another basis position, so the row
+    made redundant is the artificial's own row, not the position's index:
+    with w = B^-T e_i and the artificial of row r at position i, w' M = 0
+    off the artificials and w_r = 1, so row r is a combination of the rest.
+    Dropping row r with position i keeps the basis nonsingular."""
     m = Mext.shape[0]
-    keep = []
+    drop_rows, drop_pos = set(), set()
     for i in range(m):
         if basis[i] < ncols:
-            keep.append(i)
             continue
         B = Mext[:, basis]
         try:
@@ -279,14 +284,12 @@ def _purge_artificials(Mext, rhs, basis, ncols):
         cand = [j for j in range(ncols) if j not in basis and abs(row[j]) > 1e-9]
         if cand:
             basis[i] = cand[0]
-            keep.append(i)
-        # else: redundant row, dropped below
-    keep_mask = np.zeros(m, dtype=bool)
-    keep_mask[keep] = True
-    new_Mext = Mext[keep_mask]
-    new_rhs = rhs[keep_mask]
-    new_basis = [basis[i] for i in keep]
-    return new_Mext, new_rhs, new_basis, keep
+        else:
+            drop_rows.add(basis[i] - ncols)
+            drop_pos.add(i)
+    keep = [r for r in range(m) if r not in drop_rows]
+    new_basis = [b for i, b in enumerate(basis) if i not in drop_pos]
+    return Mext[keep], rhs[keep], new_basis, keep
 
 
 def _simplex(M, rhs, c, basis, blocked):

@@ -155,6 +155,7 @@ def _cq_instance(seed, sigma_min):
 @example(2, 0.0)
 @example(4, -12.0)   # a near-singular Dg: the probe poses its numerical kernel
 @example(20, -12.0)
+@example(22, -1.0)    # phase 1 moves an artificial off its own row's position
 def test_full_rank_cq_shortcut_matches_the_lp_probe(seed, log_sigma):
     p, J, d = _cq_instance(seed, 10.0 ** log_sigma)
     probes = []

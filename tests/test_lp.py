@@ -79,6 +79,23 @@ def test_degenerate_vertex_no_cycle():
     assert abs(out.point[1]) <= 1e-9
 
 
+def test_redundant_equalities_after_an_artificial_changes_position():
+    # x = 0 pinned by the identity, then the same point's rotated rows; in
+    # phase 1 the artificial of row 1 ends in basis position 0, so purging
+    # by position dropped the wrong row and left a singular basis
+    E = [[1.0, 0.0], [0.0, 1.0],
+         [-0.8882411724533096, -0.45937742604395576],
+         [-0.45937742604395576, 0.8882411724533096]]
+    A = [[0.6904736390383152, -0.7233575559798809]]
+    out = maximize([0.0, 0.0], ineq_mat=A, ineq_rhs=[0.0], eq_mat=E, eq_rhs=[0.0] * 4)
+    assert out.status == "optimal"
+    assert np.abs(out.point).max() <= 1e-9
+    for c in ([1.0, 0.0], [0.0, -1.0]):
+        out = maximize(c, ineq_mat=A, ineq_rhs=[0.0], eq_mat=E, eq_rhs=[0.0] * 4)
+        assert out.status == "optimal"
+        assert out.value == pytest.approx(0.0, abs=1e-9)
+
+
 def test_duality_identity_on_fixed_problem():
     # max 3x1 + 2x2  s.t. x1 + x2 <= 4, x1 <= 2, x2 <= 3, -x1 <= 0, -x2 <= 0
     A = [[1, 1], [1, 0], [0, 1], [-1, 0], [0, -1]]
