@@ -38,7 +38,7 @@ import numpy as np
 from . import lp as _lp
 from . import oracles
 from .extreal import ExtReal
-from .polyexpr import ModelError, ProblemInstance, rng_for
+from .polyexpr import ModelError, ProblemInstance, rng_for, value_gradient_rows
 from .regions import (PolyCell, Region, face_complex, lower_gen_support_detail,
                       polar_cone, region_subset)
 from .sets import (Ball, BaseSet, Box, FiniteSet, Halfspace, Interval, PointSet,
@@ -418,32 +418,25 @@ def set_diameter(s: BaseSet) -> float:
     return best
 
 
-def _is_boundary_point(s: BaseSet, x: np.ndarray, h: float = 1e-6) -> bool:
-    for i in range(s.dim):
-        e = np.eye(s.dim)[i]
-        if not (s.contains(x + h * e, tol=1e-12) and s.contains(x - h * e, tol=1e-12)):
-            return True
-    return False
+def _boundary_rows(s: BaseSet, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """Whether each row x of the (k, dim) array X lies on the boundary of s:
+    some shifted point x +- h e_i leaves s (tolerance 1e-12).  The 2 dim
+    shifts of every row are tested in one row batch."""
+    k, n = X.shape
+    step = h * np.eye(n)
+    shifted = np.concatenate([X[:, None, :] + step, X[:, None, :] - step], axis=1)
+    inside = s.contains_rows(shifted.reshape(-1, n), tol=1e-12)
+    return ~inside.reshape(k, 2 * n).all(axis=1)
 
 
-def _boundary_mesh(p: ProblemInstance, radius: float, count: int = 1000):
-    """Boundary points of S within radius of xbar (always includes xbar
-    itself when it is one).  A point S yields one copy of xbar per sample;
-    callers that need distinct points deduplicate them.  The boundary test
-    runs once per distinct point."""
-    on_boundary: dict[bytes, bool] = {}
-
-    def boundary(x):
-        key = x.tobytes()
-        if key not in on_boundary:
-            on_boundary[key] = _is_boundary_point(p.S, x)
-        return on_boundary[key]
-
-    out = [x for x in p.S.sample_near(p.xbar, radius, rng_for(p.options.seed, 11), count)
-           if boundary(x)]
-    if boundary(p.xbar):
-        out.append(p.xbar)
-    return out
+def _boundary_mesh(p: ProblemInstance, radius: float, count: int = 1000) -> np.ndarray:
+    """Boundary points of S within radius of xbar, as rows in sample order,
+    with xbar last when it is one.  A point S yields one copy of xbar per
+    sample; callers that need distinct points deduplicate them.  The
+    samples and xbar go through the boundary test as one row batch."""
+    pts = p.S.sample_near(p.xbar, radius, rng_for(p.options.seed, 11), count)
+    X = np.reshape(pts + [p.xbar], (-1, p.n))
+    return X[_boundary_rows(p.S, X)]
 
 
 # ---------------------------------------------------------------------------
@@ -1261,7 +1254,9 @@ def sufficient_point_check(p: ProblemInstance,
 
     Directions run over the unit sphere inside the level-set tangent cone
     of the feasible set intersected with the limiting normal cone of S,
-    restricted to those critical against sampled boundary gradients.  Per
+    restricted to those critical against sampled boundary gradients.  The
+    boundary test of the samples and their gradients each run as one row
+    batch, as does the test that f is constant on S near xbar.  Per
     direction, a multiplier must be strictly negative on the image of the
     asymptotic cone orthogonal to d and must beat the curvature threshold
     over the outer set.  The threshold is 2 kappa |d|^2, not the stated
@@ -1276,20 +1271,22 @@ def sufficient_point_check(p: ProblemInstance,
     diags: list[str] = []
     x = p.xbar
 
-    fx = p.f(x)
-    for s in p.S.sample_near(x, p.options.delta, rng_for(p.options.seed, 13), 200):
-        if abs(p.f(s) - fx) > 1e-7:
-            return _report("hypotheses-not-met",
-                           diags=["objective is not constant on the reference set"])
+    near = np.reshape(p.S.sample_near(x, p.options.delta, rng_for(p.options.seed, 13), 200),
+                      (-1, p.n))
+    if np.any(np.abs(p.f.eval_rows(near) - p.f(x)) > 1e-7):
+        return _report("hypotheses-not-met",
+                       diags=["objective is not constant on the reference set"])
 
     NS = normal_cone(p.S, x, "limiting")
     Tlev = linearized_phi_tangents(p, x, None, "tangent", "level_set")
     diags.extend(Tlev.notes)
     mesh = _unit_mesh(p.n, p.options.seed)
     dirs = mesh[NS.contains_rows(mesh, 1e-7) & Tlev.contains_rows(mesh, 1e-7)]
-    # one jet per distinct boundary point, one product over distinct gradients
+    # one gradient row per distinct boundary point, one product over the
+    # distinct gradients, both in first-seen order of the sets
     bd = {tuple(xb) for xb in _boundary_mesh(p, 0.1 * p.options.delta)}
-    G = np.array(list({tuple(p.f_jet(xb).gradient) for xb in bd}))
+    _, grads = value_gradient_rows(p.f, np.reshape(list(bd), (-1, p.n)))
+    G = np.array(list({tuple(gr) for gr in grads}))
     critical = dirs[np.all(np.abs(dirs @ G.reshape(-1, p.n).T) <= 1e-7, axis=1)]
     diags.append(f"direction mesh: {len(dirs)} admissible, "
                  f"{len(critical)} critical")

@@ -532,12 +532,13 @@ def _run_oracle(p, flags):
     if flags.limit < 0:
         raise DocumentError(f"--limit must be nonnegative, got {flags.limit}")
     samples = sample_feasible(p, delta, count, seed)
+    hits = len(samples)
     head = [list(map(float, x)) for x in samples[:flags.limit]]
-    doc = {"verdict": "satisfied" if samples else "inconclusive",
+    doc = {"verdict": "satisfied" if hits else "inconclusive",
            "kappa_bounds": {}, "witnesses": [], "cq_status": {},
-           "diagnostics": [f"{len(samples)} feasible samples at radius "
+           "diagnostics": [f"{hits} feasible samples at radius "
                            f"{_render_value(delta)}"],
-           "oracle": {"sample_count": len(samples), "head": head}}
+           "oracle": {"sample_count": hits, "head": head}}
     return doc, EXIT_BY_VERDICT[doc["verdict"]]
 
 

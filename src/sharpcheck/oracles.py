@@ -8,7 +8,8 @@ draws each of its random quantities once, as one array over all trials.
 The proposals built from those draws, the Gauss-Newton pullback and the
 membership and distance tests run on row batches, each row stopping on
 its own criteria, so every result equals the one a point-by-point loop
-over the same draws would give.
+over the same draws would give.  Sampled points are handed on as the rows
+of one (k, n) array.
 """
 from __future__ import annotations
 
@@ -166,11 +167,12 @@ def _gauss_newton_rows(p: ProblemInstance, X: np.ndarray, iters: int) -> np.ndar
     return X
 
 
-def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> list[np.ndarray]:
-    """Deterministic points of the feasible set within delta of xbar, by
-    rejection sampling plus boundary-biased Gauss-Newton proposals (every
-    odd trial is pulled toward the feasible set).  The trials' normal
-    n-vectors are drawn first, then their uniforms."""
+def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> np.ndarray:
+    """Deterministic points of the feasible set within delta of xbar, as
+    the rows of a (hits, n) array in trial order, by rejection sampling
+    plus boundary-biased Gauss-Newton proposals (every odd trial is pulled
+    toward the feasible set).  The trials' normal n-vectors are drawn
+    first, then their uniforms."""
     if delta <= 0:
         raise OracleError("delta must be positive")
     _check_count(count)
@@ -181,10 +183,10 @@ def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> 
     keep = np.ones(count, dtype=bool)
     keep[1::2] = ~(_row_norms(X[1::2] - p.xbar) > delta)
     keep[keep] = p.K.contains_rows(p.g_value_rows(X[keep]), tol=1e-9)
-    hits = list(X[keep])
-    if len(hits) < max(1, count // 100):
+    hits = X[keep]
+    if hits.shape[0] < max(1, count // 100):
         raise OracleError("thin feasible set: "
-                          f"{len(hits)} hits out of {count} proposals")
+                          f"{hits.shape[0]} hits out of {count} proposals")
     return hits
 
 
@@ -206,7 +208,7 @@ def growth_constant_estimate(p: ProblemInstance, delta: float, count: int,
     """Smallest observed (f(x) - f(xbar)) / dist(x, S)^2 over feasible
     samples at positive distance from S.  A negative value is a numeric
     certificate against second-order weak sharpness on this neighborhood."""
-    X = np.array(sample_feasible(p, delta, count, seed))
+    X = sample_feasible(p, delta, count, seed)
     dist, _ = p.S.project_rows(X)
     far = ~(dist <= 1e-6)
     X, dist = X[far], dist[far]

@@ -45,6 +45,14 @@ def _row_norms(Y) -> np.ndarray:
     return np.sqrt((Y[:, None, :] @ Y[..., None])[:, 0, 0])
 
 
+def _row_products(Y, M) -> np.ndarray:
+    """``y @ M`` for each row y of Y, bit for bit, as a (k, M.shape[1])
+    array.  Each stacked (1, n) @ (n, m) product is the BLAS call of the
+    one-row ``y[None] @ M``; the whole ``Y @ M`` is a blocked product that
+    can differ in the last bit."""
+    return (Y[:, None, :] @ M)[:, 0, :]
+
+
 def _dedupe_points(pts, tol=1e-7):
     out = []
     for p in pts:
@@ -64,14 +72,14 @@ class BaseSet(ABC):
     def distance(self, y) -> tuple[float, list[np.ndarray]]:
         """Exact distance and all projection points found."""
 
-    # Each kind defines contains or contains_rows; the other follows from it.
     def contains(self, y, tol: float = TOL) -> bool:
         return bool(self.contains_rows(_vec(y, self.dim)[None], tol)[0])
 
+    # Every kind defines contains_rows; contains is its one-row case.
+    @abstractmethod
     def contains_rows(self, Y, tol: float = TOL) -> np.ndarray:
-        """Membership of each row of the (k, dim) array Y, as bool[k]: row
-        i equals contains(Y[i], tol)."""
-        return np.array([self.contains(y, tol) for y in _rows(Y, self.dim)], dtype=bool)
+        """Membership of each row of the (k, dim) array Y, as bool[k]; a
+        row's result does not depend on the other rows."""
 
     def project_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
         """Distances (k,) and first projections (k, dim) of each row of the
@@ -166,10 +174,13 @@ class Box(BaseSet):
         if not self.intervals:
             raise SetError("box needs at least one coordinate interval")
         self.dim = len(self.intervals)
+        self.lo = np.array([iv.lo for iv in self.intervals])
+        self.hi = np.array([iv.hi for iv in self.intervals])
 
-    def contains(self, y, tol=TOL):
-        y = _vec(y, self.dim)
-        return all(iv.contains([v], tol) for iv, v in zip(self.intervals, y))
+    def contains_rows(self, Y, tol=TOL):
+        # Interval.contains_rows in every column
+        Y = _rows(Y, self.dim)
+        return ((self.lo - tol <= Y) & (Y <= self.hi + tol)).all(axis=1)
 
     def distance(self, y):
         y = _vec(y, self.dim)
@@ -208,9 +219,9 @@ class Halfspace(BaseSet):
         self.offset = float(offset)
         self.dim = self.normal.size
 
-    def contains(self, y, tol=TOL):
-        y = _vec(y, self.dim)
-        return float(self.normal @ y) <= self.offset + tol * np.linalg.norm(self.normal)
+    def contains_rows(self, Y, tol=TOL):
+        slack = _row_products(_rows(Y, self.dim), self.normal[:, None])[:, 0]
+        return slack <= self.offset + tol * np.linalg.norm(self.normal)
 
     def distance(self, y):
         y = _vec(y, self.dim)
@@ -248,8 +259,15 @@ class Polyhedron(BaseSet):
         self.rows = [( _vec(a, self.dim), float(b)) for a, b in rows]
         self.equalities = [(_vec(a, self.dim), float(b)) for a, b in equalities]
 
-    def contains(self, y, tol=TOL):
-        return self.cell.contains(y, tol)
+    def contains_rows(self, Y, tol=TOL):
+        # PolyCell.contains_rows on one-row products, so that no row's bits
+        # depend on the batch it came in
+        Y = _rows(Y, self.dim)
+        c = self.cell
+        ok = (_row_products(Y, c.A.T) <= c.b + tol).all(axis=1)
+        if c.E.shape[0]:
+            ok &= (np.abs(_row_products(Y, c.E.T) - c.f) <= tol).all(axis=1)
+        return ok
 
     def distance(self, y):
         d, p = self.cell.project(_vec(y, self.dim))
@@ -298,8 +316,8 @@ class PointSet(BaseSet):
         self.x = _vec(x)
         self.dim = self.x.size
 
-    def contains(self, y, tol=TOL):
-        return float(np.linalg.norm(_vec(y, self.dim) - self.x)) <= tol
+    def contains_rows(self, Y, tol=TOL):
+        return _row_norms(_rows(Y, self.dim) - self.x) <= tol
 
     def distance(self, y):
         y = _vec(y, self.dim)
@@ -327,9 +345,12 @@ class FiniteSet(BaseSet):
         self.points = pts
         self.dim = dim
 
-    def contains(self, y, tol=TOL):
-        y = _vec(y, self.dim)
-        return any(np.linalg.norm(y - p) <= tol for p in self.points)
+    def contains_rows(self, Y, tol=TOL):
+        Y = _rows(Y, self.dim)
+        ok = np.zeros(Y.shape[0], dtype=bool)
+        for p in self.points:
+            ok |= _row_norms(Y - p) <= tol
+        return ok
 
     def distance(self, y):
         y = _vec(y, self.dim)
@@ -419,8 +440,12 @@ class ProductSet(BaseSet):
         y = _vec(y, self.dim)
         return [y[self.offsets[i]:self.offsets[i + 1]] for i in range(len(self.factors))]
 
-    def contains(self, y, tol=TOL):
-        return all(s.contains(part, tol) for s, part in zip(self.factors, self.split(y)))
+    def contains_rows(self, Y, tol=TOL):
+        Y = _rows(Y, self.dim)
+        ok = np.ones(Y.shape[0], dtype=bool)
+        for i, s in enumerate(self.factors):
+            ok &= s.contains_rows(Y[:, self.offsets[i]:self.offsets[i + 1]], tol)
+        return ok
 
     def distance(self, y):
         parts = self.split(y)

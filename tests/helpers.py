@@ -578,9 +578,10 @@ def _gauss_newton_feasible(p: ProblemInstance, x0: np.ndarray, iters: int = 25) 
     return x
 
 
-def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> list[np.ndarray]:
-    """Deterministic points of the feasible set within delta of xbar, by
-    rejection sampling plus boundary-biased Gauss-Newton proposals."""
+def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> np.ndarray:
+    """Deterministic points of the feasible set within delta of xbar, as
+    the rows of a (hits, n) array, by rejection sampling plus
+    boundary-biased Gauss-Newton proposals."""
     if delta <= 0:
         raise OracleError("delta must be positive")
     rng = rng_for(seed, 1)
@@ -598,7 +599,7 @@ def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> 
     if len(hits) < max(1, count // 100):
         raise OracleError("thin feasible set: "
                           f"{len(hits)} hits out of {count} proposals")
-    return hits
+    return np.reshape(hits, (-1, p.n))
 
 
 def growth_constant_estimate(p: ProblemInstance, delta: float, count: int,
@@ -678,6 +679,58 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
         if ratio > 1e6:
             return MscqEstimate(None, True, xp, used)
     return MscqEstimate(best, False, witness, used)
+
+
+# ---------------------------------------------------------------------------
+# scalar references for set membership and the point check's boundary
+# filter: each catalog kind's test of one point, written without the row
+# methods, and the per-sample loop certify._boundary_mesh batches
+# ---------------------------------------------------------------------------
+
+
+def contains_pointwise(s, y, tol: float) -> bool:
+    """Membership of the one point y in the catalog set s, kind by kind."""
+    y = np.asarray(y, dtype=float).ravel()
+    if isinstance(s, Interval):
+        return bool(s.lo - tol <= y[0] <= s.hi + tol)
+    if isinstance(s, Box):
+        return all(contains_pointwise(iv, [v], tol) for iv, v in zip(s.intervals, y))
+    if isinstance(s, Halfspace):
+        return float(s.normal @ y) <= s.offset + tol * np.linalg.norm(s.normal)
+    if isinstance(s, Polyhedron):
+        # PolyCell.contains: the point as one (1, dim) row
+        c, row = s.cell, y[None]
+        return bool(np.all(row @ c.A.T <= c.b + tol)
+                    and np.all(np.abs(row @ c.E.T - c.f) <= tol))
+    if isinstance(s, Ball):
+        return float(np.linalg.norm(y - s.center)) <= s.radius + tol
+    if isinstance(s, PointSet):
+        return float(np.linalg.norm(y - s.x)) <= tol
+    if isinstance(s, FiniteSet):
+        return any(np.linalg.norm(y - p) <= tol for p in s.points)
+    if isinstance(s, UnionSet):
+        return any(contains_pointwise(m, y, tol) for m in s.members)
+    if isinstance(s, ProductSet):
+        return all(contains_pointwise(f, part, tol)
+                   for f, part in zip(s.factors, s.split(y)))
+    raise TypeError(f"no scalar membership reference for {type(s).__name__}")
+
+
+def is_boundary_point(s, x: np.ndarray, h: float = 1e-6) -> bool:
+    for i in range(s.dim):
+        e = np.eye(s.dim)[i]
+        if not (s.contains(x + h * e, tol=1e-12) and s.contains(x - h * e, tol=1e-12)):
+            return True
+    return False
+
+
+def boundary_mesh_by_point(p: ProblemInstance, radius: float, count: int = 1000) -> list:
+    """certify._boundary_mesh with one boundary test per sample."""
+    pts = p.S.sample_near(p.xbar, radius, rng_for(p.options.seed, 11), count)
+    out = [x for x in pts if is_boundary_point(p.S, x)]
+    if is_boundary_point(p.S, p.xbar):
+        out.append(p.xbar)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -250,13 +250,13 @@ def _outcome(fn, *args, **kwargs):
 
 
 def _assert_same(got, want):
-    """Bit-for-bit equality of two oracle outcomes (sample lists, growth or
-    MSCQ estimates, or the message of the OracleError raised)."""
+    """Bit-for-bit equality of two oracle outcomes (sample arrays, growth
+    or MSCQ estimates, or the message of the OracleError raised)."""
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
-    elif isinstance(want, list):
-        assert len(got) == len(want)
-        assert all(_bits(a) == _bits(b) for a, b in zip(got, want))
+    elif isinstance(want, np.ndarray):
+        assert type(got) is np.ndarray and got.shape == want.shape
+        assert _bits(got) == _bits(want)
     else:
         assert type(got) is type(want)
         for field in dataclasses.fields(want):

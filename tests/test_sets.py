@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_catalog_instance
+from helpers import contains_pointwise, random_catalog_instance
 
 from sharpcheck.sets import (
     Ball,
+    BaseSet,
     Box,
     FiniteSet,
     Halfspace,
@@ -18,6 +19,7 @@ from sharpcheck.sets import (
     ProductSet,
     SetError,
     UnionSet,
+    _row_products,
     flatten_union,
 )
 
@@ -166,7 +168,9 @@ def _probe_rows(s, y, rng):
 
 def _check_rows(s, Y):
     for tol in (1e-10, 1e-9, 1e-7):
-        assert s.contains_rows(Y, tol).tolist() == [s.contains(y, tol) for y in Y]
+        want = [contains_pointwise(s, y, tol) for y in Y]
+        assert s.contains_rows(Y, tol).tolist() == want
+        assert [s.contains(y, tol) for y in Y] == want
     D, P = s.project_rows(Y)
     pairs = [s.distance(y) for y in Y]
     assert D.tobytes() == np.array([d for d, _ in pairs], dtype=float).tobytes()
@@ -249,8 +253,26 @@ def test_sample_near_takes_the_first_tied_projection_within_delta():
     assert [p.tolist() for p in got] == [p.tolist() for p in want] == [[-1.0, 0.0]] * 3
 
 
+def test_row_products_match_one_row_products_bit_for_bit():
+    # a blocked Y @ M sums some rows in another order on common BLAS builds
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        for m in (1, 3, 8):
+            Y, M = rng.normal(size=(300, n)), rng.normal(size=(m, n)).T
+            want = np.array([(y[None] @ M)[0] for y in Y])
+            assert _row_products(Y, M).tobytes() == want.tobytes()
+
+
+def test_every_kind_has_one_membership_implementation():
+    kinds = BaseSet.__subclasses__()
+    assert len(kinds) == 9
+    for cls in kinds:
+        assert "contains_rows" in vars(cls) and "contains" not in vars(cls), cls.__name__
+
+
 def test_row_methods_check_shapes():
-    for s in (Interval(0.0, 1.0), Ball([0.0, 0.0], 1.0), FiniteSet([[0.0, 1.0]])):
+    for s in (Interval(0.0, 1.0), Ball([0.0, 0.0], 1.0), FiniteSet([[0.0, 1.0]]),
+              *_composites()):
         assert s.contains_rows(np.zeros((0, s.dim))).shape == (0,)
         D, P = s.project_rows(np.zeros((0, s.dim)))
         assert D.shape == (0,) and P.shape == (0, s.dim)

@@ -1,0 +1,123 @@
+"""Digests of the normalised machine reports of the benchmark's jobs.
+
+    python3 tools/report_digests.py [--root DIR] [--out FILE]
+    python3 tools/report_digests.py --compare BASE.json HEAD.json
+
+The first form runs every job of the job lists in ``perfbench/workloads.py``
+once on seeds 1 and 20250717, in this process, through
+``sharpcheck.cli.main`` of the tree at ``--root`` (default: the tree holding
+this script).  It writes a JSON object mapping ``<workload>:<seed>:<job
+key>`` to the sha256 of the job's machine report with ``runtime_seconds``
+and ``generated_at`` blanked (``perfbench/verify.normalized``).  The perfbench modules are only read.
+Each document is written under a temporary directory at the relative path
+``perfbench/run.py`` echoes in its reports, so the digests do not depend on
+where the tree lives and equal the ones ``run.py`` stores.
+
+The second form prints the keys whose digests differ, or that only one of
+the two files holds, and exits 0 whatever it finds.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+DEFAULT_ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_SEEDS = (1, 20250717)
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _import_cli(root: Path):
+    """sharpcheck.cli from root/src, never from elsewhere."""
+    src = (root / "src").resolve()
+    sys.path.insert(0, str(src))
+    from sharpcheck import cli
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        raise RuntimeError(f"sharpcheck was imported from {cli.__file__}, not {src}")
+    return cli
+
+
+def _report(cli, argv: list[str]) -> bytes:
+    """The bytes cli.main writes to stdout for argv."""
+    buf = io.BytesIO()
+    out = io.TextIOWrapper(buf, encoding="utf-8", newline="")
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = out, io.StringIO()
+    try:
+        cli.main(argv)
+    finally:
+        out.flush()
+        out.detach()
+        sys.stdout, sys.stderr = saved
+    return buf.getvalue()
+
+
+def report_digests(root: Path = DEFAULT_ROOT, seeds=DEFAULT_SEEDS,
+                   workloads: tuple | None = None) -> dict[str, str]:
+    """``<workload>:<seed>:<job key>`` -> sha256 of the normalised report,
+    for every job of the named workloads (all of them by default)."""
+    root = Path(root).resolve()
+    wl = _load(root / "perfbench" / "workloads.py", "_digest_workloads")
+    verify = _load(root / "perfbench" / "verify.py", "_digest_verify")
+    cli = _import_cli(root)
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)   # reports echo the document path; keep it relative
+        try:
+            for workload in workloads or wl.WORKLOADS:
+                for seed in seeds:
+                    jobs = wl.build_jobs(workload, seed)
+                    docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
+                    paths = {name: os.path.relpath(p)
+                             for name, p in wl.write_documents(jobs, docs).items()}
+                    for job in jobs:
+                        report = _report(cli, job.argv(paths[job.instance.name]))
+                        out[f"{workload}:{seed}:{job.key}"] = hashlib.sha256(
+                            verify.normalized(report)).hexdigest()
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def differing_keys(base: dict, head: dict) -> list[str]:
+    """Keys whose digests differ or that only one side holds, sorted."""
+    return sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--root", type=Path, default=DEFAULT_ROOT,
+                    help="tree whose src/ and perfbench/ are run")
+    ap.add_argument("--out", type=Path, help="write the digests here, not to stdout")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("BASE", "HEAD"))
+    args = ap.parse_args(argv)
+    if args.compare:
+        base, head = (json.loads(p.read_text()) for p in args.compare)
+        keys = differing_keys(base, head)
+        print(f"{len(keys)} of {len(base.keys() | head.keys())} report digests differ")
+        for key in keys:
+            print(f"  {key}")
+        return 0
+    text = json.dumps(report_digests(args.root), indent=0, sort_keys=True)
+    if args.out:
+        args.out.write_text(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
