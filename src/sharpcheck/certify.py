@@ -19,12 +19,12 @@ Necessary checks report the largest admissible growth constant, sufficient
 checks report the certified one.  Every sufficient certificate is replayed
 through the sampling growth oracle before it is issued.
 
-Each necessary checker, and ``sweep_necessary`` around all of its pairs,
-runs inside an ``lp.reuse_scope``.  There the jets, critical cone,
-multiplier affine set and T_S at a base point are built once per instance
-and point, T_K(g(x)) and its polar once per set and point, and every LP,
-double description, face complex and lower generalized support once per
-distinct input.
+Each necessary and sufficient checker, and ``sweep_necessary`` around all
+of its pairs, runs inside an ``lp.reuse_scope``.  There the jets, critical
+cone, multiplier affine set and T_S at a base point are built once per
+instance and point, T_K(g(x)) and its polar once per set and point, and
+every LP, double description, face complex and lower generalized support
+once per distinct input.
 """
 
 from __future__ import annotations
@@ -1248,6 +1248,7 @@ def _growth_gate(p: ProblemInstance, kappa: float, diags: list[str],
     return not (math.isfinite(est.kappa_hat) and est.kappa_hat < kappa - 0.05)
 
 
+@_lp.reuse_scope()
 def sufficient_point_check(p: ProblemInstance,
                            kappa: float | None = None) -> CertificationReport:
     """Certify a growth constant from per-direction multiplier conditions.
@@ -1283,11 +1284,10 @@ def sufficient_point_check(p: ProblemInstance,
     mesh = _unit_mesh(p.n, p.options.seed)
     dirs = mesh[NS.contains_rows(mesh, 1e-7) & Tlev.contains_rows(mesh, 1e-7)]
     # one gradient row per distinct boundary point, one product over the
-    # distinct gradients, both in first-seen order of the sets
-    bd = {tuple(xb) for xb in _boundary_mesh(p, 0.1 * p.options.delta)}
-    _, grads = value_gradient_rows(p.f, np.reshape(list(bd), (-1, p.n)))
-    G = np.array(list({tuple(gr) for gr in grads}))
-    critical = dirs[np.all(np.abs(dirs @ G.reshape(-1, p.n).T) <= 1e-7, axis=1)]
+    # distinct gradients; the filter does not depend on their row order
+    bd = np.unique(_boundary_mesh(p, 0.1 * p.options.delta), axis=0)
+    G = np.unique(value_gradient_rows(p.f, bd)[1], axis=0)
+    critical = dirs[np.all(np.abs(dirs @ G.T) <= 1e-7, axis=1)]
     diags.append(f"direction mesh: {len(dirs)} admissible, "
                  f"{len(critical)} critical")
     aff = multiplier_affine_set(p, x)
@@ -1333,7 +1333,9 @@ def sufficient_point_check(p: ProblemInstance,
                    wits, {}, diags)
 
 
-def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
+@_lp.reuse_scope()
+def sufficient_isolated_check(p: ProblemInstance,
+                              kappa: float | None = None) -> CertificationReport:
     """Certify that xbar is an isolated second-order sharp minimizer.
 
     Requires xbar isolated in S and no linearized descent direction; then
@@ -1342,7 +1344,14 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
     critical cone simultaneously.  The common search is a single LP because
     both conditions are linear in the multiplier once the per-direction
     generators are enumerated.
+
+    The requested constant (``p.options.kappa`` when kappa is omitted) goes
+    into ``kappa_bounds``, and a request above the certified constant makes
+    the report inconclusive.  The mesh can miss a critical cone of lower
+    dimension, so an empty critical mesh certifies the requested constant
+    only, and nothing without a request.
     """
+    requested = p.options.kappa if kappa is None else float(kappa)
     x = p.xbar
     diags: list[str] = []
     for s in p.S.sample_near(x, 1e-3, rng_for(p.options.seed, 15), 60):
@@ -1377,24 +1386,21 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
         blocks.append(block)
         per_dir.append((dd, T2))
     if len(dirs) == 0:
-        diags.append("critical cone meets the unit sphere nowhere; "
-                     "minimality holds vacuously")
-        lam0 = aff.lam0
-        return _report("certified", {"certified": math.inf}, [_wit(lam=lam0)],
-                       {}, diags)
-    lam, margin = _solve_multiplier_lp(aff, blocks)
-    if lam is None or margin <= STRICT_TOL:
-        got = "infeasible" if lam is None else f"margin {margin:.3g}"
-        return _report("hypotheses-not-met", diags=diags + [
-            f"no single multiplier passes every direction ({got})"])
-    # the certified growth constant is the worst value over directions
-    kcert = math.inf
+        diags.append("no critical mesh direction bounds the constant; only a "
+                     "requested one can be certified")
+        if requested is None:
+            return _report("inconclusive", diags=diags)
+        lam, margin = aff.lam0, None
+    else:
+        lam, margin = _solve_multiplier_lp(aff, blocks)
+        if lam is None or margin <= STRICT_TOL:
+            got = "infeasible" if lam is None else f"margin {margin:.3g}"
+            return _report("hypotheses-not-met", diags=diags + [
+                f"no single multiplier passes every direction ({got})"])
+    # the worst value over directions, or the request when none bounds it
+    kcert = math.inf if len(dirs) else requested
     for dd, T2 in per_dir:
-        img_sup = ExtReal.minus_inf()
-        for cell in T2.nonempty_cells():
-            v, _w = cell.support(J.T @ lam)
-            if v > img_sup:
-                img_sup = v
+        img_sup = T2.support(J.T @ lam)
         if img_sup.is_minus_inf:
             continue   # empty outer set: this direction imposes no bound
         if img_sup.is_plus_inf:
@@ -1406,8 +1412,13 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
                         diags, delta=0.25 * p.options.delta):
         return _report("violated", {"certified": None}, [], {}, diags + [
             "growth oracle found samples below the certified constant"])
-    return _report("certified", {"certified": kcert, "margin": margin},
-                   [_wit(lam=lam, achieved=margin)], {}, diags)
+    bounds = {"certified": kcert, "margin": margin, "requested": requested}
+    bounds = {k: v for k, v in bounds.items() if v is not None}
+    wits = [_wit(lam=lam, achieved=margin)]
+    if requested is not None and requested > kcert:
+        return _report("inconclusive", bounds, wits, {}, diags + [
+            "requested constant exceeds the certified maximum"])
+    return _report("certified", bounds, wits, {}, diags)
 
 
 # ---------------------------------------------------------------------------

@@ -433,13 +433,12 @@ def _run_verify_growth(p, flags):
     else:
         verdict = "satisfied" if est.kappa_hat > 0.0 else "violated"
     doc = {"verdict": verdict,
-           "kappa_bounds": {"kappa_hat": _json_num(est.kappa_hat)},
+           "kappa_bounds": {"kappa_hat": _json_num(est.kappa_hat),
+                            **({} if target is None else {"requested": target})},
            "witnesses": [] if est.witness is None else [_json_obj({"x": est.witness})],
            "cq_status": {},
            "diagnostics": [f"growth estimate over {est.sample_count} feasible "
                            f"samples at radius {_render_value(est.delta)}"]}
-    if target is not None:
-        doc["kappa_bounds"]["requested"] = target
     return doc, EXIT_BY_VERDICT[verdict]
 
 
@@ -465,20 +464,8 @@ def _run_check_necessary(p, flags):
 
 
 def _run_check_sufficient(p, flags):
-    if flags.mode == "point":
-        return _from_report(sufficient_point_check(p, kappa=p.options.kappa))
-    report = sufficient_isolated_check(p)
-    doc, code = _from_report(report)
-    requested = p.options.kappa
-    if requested is not None and report.verdict == "certified":
-        doc["kappa_bounds"]["requested"] = requested
-        certified = report.kappa_bounds.get("certified") or 0.0
-        if requested > certified:
-            doc["verdict"] = "inconclusive"
-            doc["diagnostics"].append("requested constant exceeds the "
-                                      "certified maximum")
-            code = EXIT_BY_VERDICT["inconclusive"]
-    return doc, code
+    check = sufficient_point_check if flags.mode == "point" else sufficient_isolated_check
+    return _from_report(check(p, kappa=p.options.kappa))
 
 
 def _run_check_cq(p, flags):

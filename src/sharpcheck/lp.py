@@ -16,8 +16,9 @@ Two deliberately self-contained primitives live here:
   extra coordinate.  The dimension is capped; these enumerations are meant
   for small verification geometry, not large-scale polyhedral computation.
 
-``reuse_scope()`` is the package's one reuse mechanism.  Inside the block
-both primitives, the region operations ``regions.face_complex`` and
+``reuse_scope()`` is the package's one reuse mechanism; every necessary
+and sufficient checker of ``certify``, and the necessary sweep, runs in
+one.  Inside the block both primitives, ``regions.face_complex`` and
 ``regions.lower_gen_support_detail``, the per-point objects of ``certify``
 (the jets, critical cone, multiplier affine set and tangent cone of S at a
 base point) and the tangent cone of a set at a point with its polar

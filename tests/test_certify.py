@@ -440,6 +440,30 @@ def test_sweep_builds_the_k_side_cones_once_per_base_point(mode, monkeypatch):
     assert len(calls) > 2 * len(builds)
 
 
+@pytest.mark.parametrize("check", [functools.partial(sufficient_point_check, kappa=0.5),
+                                   sufficient_isolated_check], ids=["point", "isolated"])
+def test_sufficient_check_builds_the_k_side_cone_once(check, monkeypatch):
+    p = parabola_example()
+    calls, builds = [], []
+    reused = lp._reused
+
+    def counting(kind, parts, compute):
+        if kind != "tangent_cone" or parts[0] is not p.K:
+            return reused(kind, parts, compute)
+        calls.append(parts[1].tobytes())
+
+        def build():
+            builds.append(calls[-1])
+            return compute()
+        return reused(kind, parts, build)
+
+    monkeypatch.setattr(lp, "_reused", counting)
+    assert check(p).verdict == "certified"
+    # T_K(g(xbar)), which every second-order object at xbar starts from
+    assert builds == [p.g_value(p.xbar).tobytes()]
+    assert len(calls) > 1
+
+
 @pytest.mark.parametrize("example", [first_example, second_example])
 def test_k_side_cones_are_built_afresh_outside_a_scope(example):
     # the union of two disks is not convex: its limiting cone comes from
@@ -457,11 +481,17 @@ def test_k_side_cones_are_built_afresh_outside_a_scope(example):
 
 
 def test_sweep_bytes_do_not_depend_on_earlier_sweeps():
+    # the sufficient checkers open a reuse scope of their own as well
+    checks = {"point": functools.partial(sufficient_point_check, kappa=0.5),
+              "isolated": functools.partial(sufficient_isolated_check, kappa=0.5)}
+
     def report_bytes(p, mode):
-        return json.dumps(sweep_necessary(p, mode=mode).to_json(), sort_keys=True)
+        check = checks.get(mode, functools.partial(sweep_necessary, mode=mode))
+        return json.dumps(check(p).to_json(), sort_keys=True)
 
     half = load_problem(FIXTURES / "halfspace_n4.json")
-    for mode in ("explicit", "clarke", "implicit-proximal", "implicit-tangent"):
+    for mode in ("explicit", "clarke", "implicit-proximal", "implicit-tangent",
+                 *checks):
         alone = report_bytes(parabola_example(), mode)
         report_bytes(half, mode)
         assert report_bytes(parabola_example(), mode) == alone
@@ -615,6 +645,48 @@ def test_sufficient_isolated_parabola():
     assert r.verdict == "certified"
     assert r.kappa_bounds["certified"] == pytest.approx(1.0, abs=1e-9)
     assert r.kappa_bounds["margin"] == pytest.approx(1.0, abs=1e-9)
+    # a request above the certified constant is declined, not refuted
+    r = sufficient_isolated_check(parabola_example(), kappa=1.5)
+    assert r.verdict == "inconclusive"
+    assert r.kappa_bounds["requested"] == 1.5
+    assert r.diagnostics[-1] == "requested constant exceeds the certified maximum"
+
+
+@pytest.mark.parametrize("kappa,verdict", [(0.5, "certified"), (2.0, "violated"),
+                                           (None, "inconclusive")])
+def test_isolated_mode_replays_the_request_on_an_empty_critical_mesh(kappa, verdict):
+    # kappa* = 1; the critical cone of the lifted parabola is a ray, which
+    # the direction mesh misses
+    r = sufficient_isolated_check(load_problem(FIXTURES / "lifted_n3.json"), kappa)
+    assert r.verdict == verdict
+    assert "critical mesh directions: 0" in r.diagnostics
+    if verdict == "certified":
+        assert r.kappa_bounds == {"certified": 0.5, "requested": 0.5}
+    if verdict == "violated":
+        assert r.kappa_bounds == {"certified": None}
+
+
+@pytest.mark.parametrize("check,name,kappa", [
+    (sufficient_point_check, "parabola", 0.9),
+    (sufficient_point_check, "lifted_n3", 0.5),
+    (sufficient_isolated_check, "parabola", None),
+    (sufficient_isolated_check, "parabola", 0.5),
+    (sufficient_isolated_check, "lifted_n3", 0.5),
+], ids=["point-parabola", "point-lifted", "isolated-parabola",
+        "isolated-parabola-requested", "isolated-lifted-empty-mesh"])
+def test_no_certificate_skips_the_growth_gate(check, name, kappa, monkeypatch):
+    p = load_problem(FIXTURES / f"{name}.json")
+    assert check(p, kappa).verdict == "certified"
+    gated = []
+
+    def refuting(p_, k, diags, delta=None):
+        gated.append(k)
+        return False
+
+    # a gate that refutes everything leaves no certificate standing
+    monkeypatch.setattr(certify, "_growth_gate", refuting)
+    assert check(p, kappa).verdict == "violated"
+    assert len(gated) == 1
 
 
 def test_isolated_mode_never_runs_the_mscq_cascade(monkeypatch):

@@ -50,12 +50,15 @@ def _cases():
         if name != "first_example":
             out += [(f"{name}-sweep-{form}", ["check-necessary", path, "--form", form])
                     for form in ("explicit", "clarke")]
-    # n >= 3 pins the Fibonacci (n = 3) and random (n = 4) direction meshes;
-    # isolated mode is left out there because its critical mesh misses
-    # lower-dimensional critical cones (ROADMAP item 1)
+    # n >= 3 pins the Fibonacci (n = 3) and random (n = 4) direction meshes
     for name in ("halfspace_n4", "lifted_n3"):
         out.append((f"{name}-sufficient-point", ["check-sufficient", f"fixtures/{name}.json",
                                                  "--mode", "point", "--kappa", "0.25"]))
+    # the mesh misses the critical ray of the lifted parabola, so isolated
+    # mode certifies the request that the growth oracle replays
+    out.append(("lifted_n3-sufficient-isolated",
+                ["check-sufficient", "fixtures/lifted_n3.json", "--mode", "isolated",
+                 "--kappa", "0.5"]))
     out.append(("halfspace_n4-sweep-explicit",
                 ["check-necessary", "fixtures/halfspace_n4.json", "--form", "explicit"]))
     # the sweeps run all their (x, d) pairs in one reuse scope

@@ -16,8 +16,9 @@ radius.
 The tests check soundness: no sufficient mode certifies above kappa*, no
 necessary sweep refutes kappa*, and the growth oracle never refutes half of
 it.  The direction meshes miss the lower-dimensional critical cone of the
-lifted family, so isolated mode certifies an unbounded constant there and
-the lifted sweeps hold vacuously; those two tests are strict xfails until
+lifted family.  Isolated mode then certifies only the requested constant,
+after the growth oracle replays it, so it stays sound there; the lifted
+sweeps hold vacuously, and their tightness test is a strict xfail until
 exact critical directions land (ROADMAP item 2).
 """
 import json
@@ -131,8 +132,7 @@ def test_isolated_mode_never_certifies_above_the_truth_on_halfspaces(case):
     _assert_sufficient_sound(*case, "isolated")
 
 
-# the xfails run fixed instances: a strict xfail expects every case to fail
-@pytest.mark.xfail(strict=True, reason=ITEM_2)
+# fixed instances: the empty critical mesh certifies only a replayed request
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_isolated_mode_never_certifies_above_the_truth_on_lifted(n):
     _assert_sufficient_sound(*lifted_case(n), "isolated")
@@ -149,6 +149,7 @@ def test_sweeps_never_refute_the_truth(family, data):
         assert _kappa(report, "max_admissible") >= truth - _tol(truth), (form, mode)
 
 
+# a strict xfail on fixed instances expects every case to fail
 @pytest.mark.xfail(strict=True, reason=ITEM_2)
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_lifted_sweeps_are_tight(n):
