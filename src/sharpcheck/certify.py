@@ -38,11 +38,9 @@ import numpy as np
 from . import lp as _lp
 from . import oracles
 from .extreal import ExtReal
-from .polyexpr import ModelError, ProblemInstance, rng_for, value_gradient_rows
+from .polyexpr import ModelError, ProblemInstance, rng_for
 from .regions import (PolyCell, Region, face_complex, lower_gen_support_detail,
                       polar_cone, region_subset)
-from .sets import (Ball, BaseSet, Box, FiniteSet, Halfspace, Interval, PointSet,
-                   Polyhedron, ProductSet, UnionSet)
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
                        eps_proximal_filter, eps_proximal_membership, normal_cone,
                        second_tangent, tangent_cone)
@@ -360,87 +358,7 @@ def certify_mscq(p: ProblemInstance, x, d) -> tuple[bool, str, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# reference-set geometry helpers
-# ---------------------------------------------------------------------------
-
-
-def _extreme_points(s: BaseSet) -> list[np.ndarray] | None:
-    """Vertices of a bounded polyhedral leaf or finite set; None otherwise."""
-    if isinstance(s, (PointSet, FiniteSet)):
-        return [np.asarray(pt, dtype=float) for pt in
-                (s.points if isinstance(s, FiniteSet) else [s.x])]
-    if isinstance(s, (Interval, Box, Halfspace, Polyhedron)):
-        cell = s.as_region().cells[0]
-        g = cell.generators()
-        if g is None:
-            return []
-        verts, rays, lines = g
-        if len(rays) or len(lines):
-            return None
-        return list(verts)
-    return None
-
-
-def _pair_max_dist(a: BaseSet, b: BaseSet) -> float:
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return float(np.linalg.norm(a.center - b.center)) + a.radius + b.radius
-    if isinstance(a, Ball):
-        pts = _extreme_points(b)
-        if pts is None:
-            return math.inf
-        return max((float(np.linalg.norm(v - a.center)) + a.radius for v in pts),
-                   default=0.0)
-    if isinstance(b, Ball):
-        return _pair_max_dist(b, a)
-    pa, pb = _extreme_points(a), _extreme_points(b)
-    if pa is None or pb is None:
-        return math.inf
-    return max((float(np.linalg.norm(v - w)) for v in pa for w in pb), default=0.0)
-
-
-def set_diameter(s: BaseSet) -> float:
-    """Exact diameter of a catalog set (inf when unbounded)."""
-    if isinstance(s, ProductSet):
-        parts = [set_diameter(f) for f in s.factors]
-        if any(math.isinf(v) for v in parts):
-            return math.inf
-        return math.sqrt(sum(v * v for v in parts))
-    members = [s] if not isinstance(s, UnionSet) else None
-    if members is None:
-        from .sets import flatten_union
-        members = flatten_union(s)
-    best = 0.0
-    for i, a in enumerate(members):
-        for b in members[i:]:
-            best = max(best, _pair_max_dist(a, b))
-            if math.isinf(best):
-                return best
-    return best
-
-
-def _boundary_rows(s: BaseSet, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Whether each row x of the (k, dim) array X lies on the boundary of s:
-    some shifted point x +- h e_i leaves s (tolerance 1e-12).  The 2 dim
-    shifts of every row are tested in one row batch."""
-    k, n = X.shape
-    step = h * np.eye(n)
-    shifted = np.concatenate([X[:, None, :] + step, X[:, None, :] - step], axis=1)
-    inside = s.contains_rows(shifted.reshape(-1, n), tol=1e-12)
-    return ~inside.reshape(k, 2 * n).all(axis=1)
-
-
-def _boundary_mesh(p: ProblemInstance, radius: float, count: int = 1000) -> np.ndarray:
-    """Boundary points of S within radius of xbar, as rows in sample order,
-    with xbar last when it is one.  A point S yields one copy of xbar per
-    sample; callers that need distinct points deduplicate them.  The
-    samples and xbar go through the boundary test as one row batch."""
-    pts = p.S.sample_near(p.xbar, radius, rng_for(p.options.seed, 11), count)
-    X = np.reshape(pts + [p.xbar], (-1, p.n))
-    return X[_boundary_rows(p.S, X)]
-
-
-# ---------------------------------------------------------------------------
-# level-set tangent objects on the K side
+# tangent objects of K pulled back through the linearization
 # ---------------------------------------------------------------------------
 
 
@@ -454,48 +372,16 @@ def _point_object_K(p, kind: str, y: np.ndarray, u: np.ndarray | None) -> Region
     raise ModelError(f"unknown tangent kind {kind!r}")
 
 
-def _level_tangent_K(p: ProblemInstance, kind: str, u: np.ndarray | None) -> Region:
-    """Tangent object of K whose base point runs through the image of the
-    reference set.  Exact for a singleton S; a union over sampled base
-    points (an upper approximation) otherwise."""
-    ybar = p.g_value(p.xbar)
-    diam = set_diameter(p.S)
-    heur = "level-set object: sound for necessary use, heuristic for sufficient use"
-    if diam <= 1e-12:
-        return _point_object_K(p, kind, ybar, u).with_notes(
-            "reference set is a singleton; level object equals the point object")
-    if not math.isfinite(diam):
-        return Region.all_space(p.m).with_notes(
-            heur, "unbounded reference set; level object relaxed to all of R^m")
-    rng = rng_for(p.options.seed, 9)
-    bases: list[np.ndarray] = []
-    for r in (0.1 * p.options.delta, 0.01 * p.options.delta):
-        for s in p.S.sample_near(p.xbar, r, rng, 12):
-            y = p.g_value(s)
-            if all(np.linalg.norm(y - b) > 1e-9 for b in bases):
-                bases.append(y)
-    out = _point_object_K(p, kind, ybar, u)
-    used = 0
-    for y in bases[:24]:
-        if np.linalg.norm(y - ybar) <= 1e-12:
-            continue
-        piece = _point_object_K(p, kind, y, u)
-        if not piece.is_empty():
-            out = out.union(Region(piece.cells, cone=piece.cone, dim=p.m))
-            used += 1
-    return out.with_notes(heur, f"level object sampled at {used} extra base points")
-
-
 def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
-                            kind: str = "tangent", level: str = "point") -> Region:
-    """Tangent objects of the feasible set pulled back through the
-    constraint linearization.
+                            kind: str = "tangent") -> Region:
+    """Tangent objects of the feasible set at x (default xbar) pulled back
+    through the constraint linearization at x.
 
-    kind: ``tangent`` {w : Dg w in T_K}, ``outer2`` {w : Dg w + D2g(d,d) in
-    T2_K}, ``asymp2`` the two-rate cone preimage.  Point mode is exact when
-    a constraint qualification certifies metric subregularity and is
-    flagged inclusion-only otherwise; level mode moves the base point
-    through g(S) and is always an upper bound.
+    kind: ``tangent`` {w : Dg w in T_K(g(x))}, ``outer2`` {w : Dg w +
+    D2g(d,d) in T2_K(g(x); Dg d)}, ``asymp2`` the two-rate cone preimage;
+    the second-order kinds need the direction d.  The result is exact when
+    a constraint qualification certifies metric subregularity at (x, d)
+    and is flagged inclusion-only otherwise; its notes say which.
     """
     if kind not in ("tangent", "outer2", "asymp2"):
         raise ModelError(f"unknown tangent kind {kind!r}")
@@ -503,19 +389,11 @@ def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
     if kind != "tangent" and d is None:
         raise ModelError("a direction is required for second-order objects")
     d = None if d is None else np.asarray(d, dtype=float).ravel()
-
-    if level == "point":
-        reg = _point_phi_tangents(p, x, d, kind)
-        ok, method, notes = certify_mscq(p, x, d if d is not None else np.zeros(p.n))
-        if ok:
-            return reg.with_notes(f"exact under {method}", *notes)
-        return reg.with_notes(INCLUSION_ONLY, *notes)
-    if level != "level_set":
-        raise ModelError(f"unknown level mode {level!r}")
-    _, J, _, qg = _jet_data(p, x)
-    u = None if d is None else J @ d
-    shift = qg(d) if kind == "outer2" else np.zeros(p.m)
-    return _level_tangent_K(p, kind, u).affine_preimage(J, shift)
+    reg = _point_phi_tangents(p, x, d, kind)
+    ok, method, notes = certify_mscq(p, x, d if d is not None else np.zeros(p.n))
+    if ok:
+        return reg.with_notes(f"exact under {method}", *notes)
+    return reg.with_notes(INCLUSION_ONLY, *notes)
 
 
 def _point_phi_tangents(p: ProblemInstance, x: np.ndarray, d: np.ndarray | None,
@@ -1253,18 +1131,19 @@ def sufficient_point_check(p: ProblemInstance,
                            kappa: float | None = None) -> CertificationReport:
     """Certify a growth constant from per-direction multiplier conditions.
 
-    Directions run over the unit sphere inside the level-set tangent cone
-    of the feasible set intersected with the limiting normal cone of S,
-    restricted to those critical against sampled boundary gradients.  The
-    boundary test of the samples and their gradients each run as one row
-    batch, as does the test that f is constant on S near xbar.  Per
-    direction, a multiplier must be strictly negative on the image of the
-    asymptotic cone orthogonal to d and must beat the curvature threshold
-    over the outer set.  The threshold is 2 kappa |d|^2, not the stated
-    form kappa |d|^2: the factor two is what the limiting argument in the
-    growth proof divides out to.  The supports are evaluated on the
-    preimages of the level objects.  Certificates are replayed through the
-    growth oracle before issue.
+    Every object is built at xbar, with no uniform approximation of the
+    critical cones over S.  Directions run over the unit sphere inside
+    N_S(xbar) & T(xbar) & grad f(xbar)^perp, where N_S is the limiting
+    normal cone of S and T(xbar) = {d : Dg(xbar) d in T_K(g(xbar))} is the
+    linearized tangent cone of the feasible set.  Per direction, a
+    multiplier must be strictly negative on the image of the asymptotic
+    cone orthogonal to d and must beat the curvature threshold over the
+    outer set, both pulled back through the linearization at xbar.  The
+    threshold is 2 kappa |d|^2, not the stated form kappa |d|^2: the factor
+    two is what the limiting argument in the growth proof divides out to.
+    The hypothesis that f is constant on S near xbar is tested on one row
+    batch of samples.  Certificates are replayed through the growth oracle
+    before issue.
     """
     kappa = p.options.kappa if kappa is None else float(kappa)
     if kappa is None or kappa <= 0.0:
@@ -1278,16 +1157,13 @@ def sufficient_point_check(p: ProblemInstance,
         return _report("hypotheses-not-met",
                        diags=["objective is not constant on the reference set"])
 
+    grad, J, qfn, _ = _jet_data(p, x)
     NS = normal_cone(p.S, x, "limiting")
-    Tlev = linearized_phi_tangents(p, x, None, "tangent", "level_set")
-    diags.extend(Tlev.notes)
+    tphi = _point_phi_tangents(p, x, None, "tangent")
+    diags.extend(tphi.notes)
     mesh = _unit_mesh(p.n, p.options.seed)
-    dirs = mesh[NS.contains_rows(mesh, 1e-7) & Tlev.contains_rows(mesh, 1e-7)]
-    # one gradient row per distinct boundary point, one product over the
-    # distinct gradients; the filter does not depend on their row order
-    bd = np.unique(_boundary_mesh(p, 0.1 * p.options.delta), axis=0)
-    G = np.unique(value_gradient_rows(p.f, bd)[1], axis=0)
-    critical = dirs[np.all(np.abs(dirs @ G.T) <= 1e-7, axis=1)]
+    dirs = mesh[NS.contains_rows(mesh, 1e-7) & tphi.contains_rows(mesh, 1e-7)]
+    critical = dirs[np.abs(dirs @ grad) <= 1e-7]
     diags.append(f"direction mesh: {len(dirs)} admissible, "
                  f"{len(critical)} critical")
     aff = multiplier_affine_set(p, x)
@@ -1295,14 +1171,11 @@ def sufficient_point_check(p: ProblemInstance,
         return _report("hypotheses-not-met", diags=diags + [
             "stationarity equation has no solution"])
 
-    _, J, qfn, _ = _jet_data(p, x)
     wits = []
     worst = math.inf
     for dd in critical:
-        Tpp = linearized_phi_tangents(p, x, dd, "asymp2",
-                                      "level_set").intersect_orthocomplement(dd)
-        T2 = linearized_phi_tangents(p, x, dd, "outer2",
-                                     "level_set").intersect_orthocomplement(dd)
+        Tpp = _point_phi_tangents(p, x, dd, "asymp2").intersect_orthocomplement(dd)
+        T2 = _point_phi_tangents(p, x, dd, "outer2").intersect_orthocomplement(dd)
         if T2.is_empty() and region_subset(Tpp, Region.origin(p.n))[0]:
             return _report("inconclusive", diags=diags + [
                 "both second-order objects are degenerate at "

@@ -682,9 +682,8 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# scalar references for set membership and the point check's boundary
-# filter: each catalog kind's test of one point, written without the row
-# methods, and the per-sample loop certify._boundary_mesh batches
+# scalar reference for set membership: each catalog kind's test of one
+# point, written without the row methods
 # ---------------------------------------------------------------------------
 
 
@@ -714,23 +713,6 @@ def contains_pointwise(s, y, tol: float) -> bool:
         return all(contains_pointwise(f, part, tol)
                    for f, part in zip(s.factors, s.split(y)))
     raise TypeError(f"no scalar membership reference for {type(s).__name__}")
-
-
-def is_boundary_point(s, x: np.ndarray, h: float = 1e-6) -> bool:
-    for i in range(s.dim):
-        e = np.eye(s.dim)[i]
-        if not (s.contains(x + h * e, tol=1e-12) and s.contains(x - h * e, tol=1e-12)):
-            return True
-    return False
-
-
-def boundary_mesh_by_point(p: ProblemInstance, radius: float, count: int = 1000) -> list:
-    """certify._boundary_mesh with one boundary test per sample."""
-    pts = p.S.sample_near(p.xbar, radius, rng_for(p.options.seed, 11), count)
-    out = [x for x in pts if is_boundary_point(p.S, x)]
-    if is_boundary_point(p.S, p.xbar):
-        out.append(p.xbar)
-    return out
 
 
 # ---------------------------------------------------------------------------

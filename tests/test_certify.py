@@ -35,15 +35,13 @@ from sharpcheck.certify import (
 from sharpcheck.cli import load_problem
 from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.oracles import growth_constant_estimate, membership_by_definition
-from sharpcheck.polyexpr import Options, ProblemInstance, parse_expression
+from sharpcheck.polyexpr import ProblemInstance, parse_expression
 from sharpcheck.regions import PolyCell, Region, region_compare, region_equal, region_subset
-from sharpcheck.sets import (Box, Halfspace, Interval, PointSet, Polyhedron, ProductSet,
-                             UnionSet)
+from sharpcheck.sets import Box, Interval, PointSet, UnionSet
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent, normal_cone,
                                  second_tangent, tangent_cone)
 
 from helpers import (
-    boundary_mesh_by_point,
     duality_instance,
     first_example,
     linearization_instance,
@@ -535,78 +533,6 @@ def test_sweep_runs_exactly_the_pairs_the_proximal_screen_keeps(name, mode, eps,
     assert f", {len(chosen)} (x, d) pairs;" in report.diagnostics[0]
     if name == "first_example":
         assert 0 < len(ran) < len(chosen)
-
-
-# ------------------------------------------------------------ boundary mesh
-
-
-def _union_example():
-    S = UnionSet([Box([(0.0, 1.0), (0.0, 0.0)]), Box([(0.0, 0.0), (0.0, 1.0)])])
-    return ProblemInstance(2, 1, parse_expression("x1^2 + x2^2", 2),
-                           (parse_expression("x1 + x2", 2),), Interval(-10.0, 10.0),
-                           S, [0.0, 0.0], options=Options(delta=0.5))
-
-
-def _on_set(S, xbar, seed=42, delta=0.5):
-    """A program whose feasible set is all of R^n, so any catalog S fits."""
-    n = S.dim
-    f = parse_expression(" + ".join(f"x{j}^2" for j in range(1, n + 1)), n)
-    return ProblemInstance(n, 1, f, (parse_expression("x1", n),),
-                           Interval(-math.inf, math.inf), S, xbar,
-                           options=Options(seed=seed, delta=delta))
-
-
-# base points lying exactly on a face: of a box, a halfspace, a polyhedron
-# with an equality and a product
-_FACES = {
-    "box-face": (Box([(0.0, 1.0), (-1.0, 1.0), (0.0, 2.0)]), [0.5, 1.0, 0.0]),
-    "halfspace-face": (Halfspace([0.0, 2.0], 1.0), [0.3, 0.5]),
-    "equality-face": (Polyhedron(rows=[([1.0, 1.0], 1.0)],
-                                 equalities=[([1.0, -2.0], 0.25)]), [0.25, 0.0]),
-    "product-face": (ProductSet([Interval(0.0, 1.0), PointSet([0.5])]), [1.0, 0.5]),
-}
-
-
-def _same_rows(got, want):
-    assert len(got) == len(want)
-    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
-
-
-@pytest.mark.parametrize("build", [parabola_example, first_example, _union_example,
-                                   *(functools.partial(_on_set, S, x)
-                                     for S, x in _FACES.values())],
-                         ids=["point", "box", "union", *_FACES])
-def test_boundary_mesh_matches_the_per_sample_loop(build):
-    p = build()
-    radius = 0.1 * p.options.delta
-    want = boundary_mesh_by_point(p, radius)
-    assert len(want) > 0
-    _same_rows(certify._boundary_mesh(p, radius), want)
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.sampled_from([1e-3, 0.05, 0.5]))
-def test_boundary_mesh_matches_the_per_sample_loop_on_catalog_sets(seed, radius):
-    # the base point lies on the boundary, and the projected samples of
-    # polyhedral sets lie exactly on their faces
-    S, y, _, _ = random_catalog_instance(seed)
-    p = _on_set(S, y, seed)
-    _same_rows(certify._boundary_mesh(p, radius, 200),
-               boundary_mesh_by_point(p, radius, 200))
-
-
-@pytest.mark.parametrize("build", [parabola_example, first_example, _union_example],
-                         ids=["point", "box", "union"])
-def test_boundary_mesh_makes_one_row_membership_call(build, monkeypatch):
-    p = build()
-    calls = []
-    original = p.S.contains_rows
-    monkeypatch.setattr(p.S, "contains_rows",
-                        lambda *a, **k: calls.append(1) or original(*a, **k))
-    out = certify._boundary_mesh(p, 0.1)
-    assert len(calls) == 1
-    if build is parabola_example:   # every sample of a point set is xbar
-        assert len(out) == 1001
 
 
 # ---------------------------------------------------------- sufficient side

@@ -126,7 +126,7 @@ def test_library_failure_is_inconclusive_without_traceback(tmp_path, capsys):
 
 
 def test_sufficient_point_without_boundary_points(tmp_path):
-    # xbar is interior to the box S, so the boundary mesh near it is empty
+    # xbar is interior to the box S, so N_S(xbar) = {0} admits no direction
     doc = {"n": 2, "m": 1, "objective": "0*x1", "constraints": ["x1"],
            "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
            "S": {"kind": "box", "intervals": [[-1.0, 0.0], [-1.0, 1.0]]},
@@ -137,6 +137,22 @@ def test_sufficient_point_without_boundary_points(tmp_path):
                          "--kappa", "0.5"])
     assert code == 0
     assert "direction mesh: 0 admissible, 0 critical" in json.loads(report)["diagnostics"]
+
+
+# n <= 3: from n = 4 on the direction mesh itself is drawn from the seed
+@pytest.mark.parametrize("name", ["first_example", "parabola", "second_example",
+                                  "lifted_n3"])
+def test_sufficient_point_diagnostics_do_not_depend_on_the_seed(name, monkeypatch):
+    # every object of the point check is built at xbar; only the growth
+    # oracle's replay samples
+    monkeypatch.chdir(ROOT)
+    seen = set()
+    for seed in ("1", "2", "3"):
+        _, report = run_machine(["check-sufficient", f"fixtures/{name}.json", "--mode",
+                                 "point", "--kappa", "0.25", "--seed", seed])
+        seen.add(tuple(line for line in json.loads(report)["diagnostics"]
+                       if not line.startswith("growth oracle replay")))
+    assert len(seen) == 1
 
 
 @pytest.mark.parametrize("argv", [

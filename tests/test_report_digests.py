@@ -19,20 +19,41 @@ def test_every_job_gets_a_digest_of_its_normalised_report():
     got = _tool().report_digests(ROOT, seeds=(1,), workloads=("sufficient_check",))
     assert len(got) == 29
     assert all(k.startswith("sufficient_check:1:") for k in got)
-    assert all(len(v) == 64 and int(v, 16) >= 0 for v in got.values())
+    assert all(sorted(v) == ["decision", "report"] for v in got.values())
+    assert all(len(h) == 64 and int(h, 16) >= 0
+               for v in got.values() for h in v.values())
     # a second run in the same process gives the same bytes
     again = _tool().report_digests(ROOT, seeds=(1,), workloads=("sufficient_check",))
     assert again == got
 
 
+def test_the_decision_digest_ignores_diagnostics():
+    tool = _tool()
+    report = {"verdict": "certified", "exit_code": 0, "kappa_bounds": {"certified": 0.5},
+              "witnesses": [], "cq_status": {}, "diagnostics": ["a"]}
+    reworded = json.dumps({**report, "diagnostics": ["b"]}, indent=1).encode()
+    assert tool.decision_bytes(json.dumps(report).encode()) == tool.decision_bytes(reworded)
+    refuted = json.dumps({**report, "verdict": "violated"}).encode()
+    assert tool.decision_bytes(refuted) != tool.decision_bytes(reworded)
+
+
 def test_compare_lists_changed_and_one_sided_keys(tmp_path, capsys):
     tool = _tool()
-    base = {"w:1:a": "00", "w:1:b": "11", "w:1:c": "22"}
-    head = {"w:1:a": "00", "w:1:b": "12", "w:1:d": "33"}
-    assert tool.differing_keys(base, head) == ["w:1:b", "w:1:c", "w:1:d"]
+
+    def digests(report, decision):
+        return {"report": report, "decision": decision}
+
+    base = {"w:1:a": digests("00", "0"), "w:1:b": digests("11", "1"),
+            "w:1:c": digests("22", "2"), "w:1:e": digests("44", "4")}
+    head = {"w:1:a": digests("00", "0"), "w:1:b": digests("12", "1"),
+            "w:1:d": digests("33", "3"), "w:1:e": digests("45", "5")}
+    assert tool.differing_keys(base, head) == ["w:1:b", "w:1:c", "w:1:d", "w:1:e"]
+    assert tool.differing_keys(base, head, "decision") == ["w:1:c", "w:1:d", "w:1:e"]
     for name, doc in (("base.json", base), ("head.json", head)):
         (tmp_path / name).write_text(json.dumps(doc))
     assert tool.main(["--compare", str(tmp_path / "base.json"),
                       str(tmp_path / "head.json")]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "3 of 4 report digests differ", "  w:1:b", "  w:1:c", "  w:1:d"]
+        "4 of 5 report digests differ",
+        "3 of them differ in verdict, exit_code, kappa_bounds, witnesses, cq_status",
+        "  w:1:b", "  w:1:c (decision)", "  w:1:d (decision)", "  w:1:e (decision)"]

@@ -11,10 +11,14 @@ key>`` to the sha256 of the job's machine report with ``runtime_seconds``
 and ``generated_at`` blanked (``perfbench/verify.normalized``).  The perfbench modules are only read.
 Each document is written under a temporary directory at the relative path
 ``perfbench/run.py`` echoes in its reports, so the digests do not depend on
-where the tree lives and equal the ones ``run.py`` stores.
+where the tree lives and equal the ones ``run.py`` stores.  Next to that
+``report`` digest each job gets a ``decision`` digest: the sha256 of the
+report's verdict, exit code, kappa bounds, witnesses and CQ status alone,
+so a change that only rewords diagnostics leaves it alone.
 
-The second form prints the keys whose digests differ, or that only one of
-the two files holds, and exits 0 whatever it finds.
+The second form prints the keys whose report digests differ, or that only
+one of the two files holds, marks those whose decision digests differ too,
+and exits 0 whatever it finds.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEEDS = (1, 20250717)
+DECISION = ("verdict", "exit_code", "kappa_bounds", "witnesses", "cq_status")
 
 
 def _load(path: Path, name: str):
@@ -64,10 +69,22 @@ def _report(cli, argv: list[str]) -> bytes:
     return buf.getvalue()
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def decision_bytes(report: bytes) -> bytes:
+    """The DECISION members of a machine report, as canonical JSON."""
+    doc = json.loads(report)
+    return json.dumps({k: doc[k] for k in DECISION}, sort_keys=True,
+                      separators=(",", ":")).encode()
+
+
 def report_digests(root: Path = DEFAULT_ROOT, seeds=DEFAULT_SEEDS,
-                   workloads: tuple | None = None) -> dict[str, str]:
-    """``<workload>:<seed>:<job key>`` -> sha256 of the normalised report,
-    for every job of the named workloads (all of them by default)."""
+                   workloads: tuple | None = None) -> dict[str, dict]:
+    """``<workload>:<seed>:<job key>`` -> {"report": sha256 of the
+    normalised report, "decision": sha256 of its decision members}, for
+    every job of the named workloads (all of them by default)."""
     root = Path(root).resolve()
     wl = _load(root / "perfbench" / "workloads.py", "_digest_workloads")
     verify = _load(root / "perfbench" / "verify.py", "_digest_verify")
@@ -85,16 +102,20 @@ def report_digests(root: Path = DEFAULT_ROOT, seeds=DEFAULT_SEEDS,
                              for name, p in wl.write_documents(jobs, docs).items()}
                     for job in jobs:
                         report = _report(cli, job.argv(paths[job.instance.name]))
-                        out[f"{workload}:{seed}:{job.key}"] = hashlib.sha256(
-                            verify.normalized(report)).hexdigest()
+                        out[f"{workload}:{seed}:{job.key}"] = {
+                            "report": _sha256(verify.normalized(report)),
+                            "decision": _sha256(decision_bytes(report))}
         finally:
             os.chdir(cwd)
     return out
 
 
-def differing_keys(base: dict, head: dict) -> list[str]:
-    """Keys whose digests differ or that only one side holds, sorted."""
-    return sorted(k for k in base.keys() | head.keys() if base.get(k) != head.get(k))
+def differing_keys(base: dict, head: dict, member: str = "report") -> list[str]:
+    """Keys whose ``member`` digests differ or that only one side holds,
+    sorted."""
+    def get(side, k):
+        return side[k][member] if k in side else None
+    return sorted(k for k in base.keys() | head.keys() if get(base, k) != get(head, k))
 
 
 def main(argv=None) -> int:
@@ -107,9 +128,11 @@ def main(argv=None) -> int:
     if args.compare:
         base, head = (json.loads(p.read_text()) for p in args.compare)
         keys = differing_keys(base, head)
+        decided = set(differing_keys(base, head, "decision"))
         print(f"{len(keys)} of {len(base.keys() | head.keys())} report digests differ")
+        print(f"{len(decided)} of them differ in {', '.join(DECISION)}")
         for key in keys:
-            print(f"  {key}")
+            print(f"  {key}" + (" (decision)" if key in decided else ""))
         return 0
     text = json.dumps(report_digests(args.root), indent=0, sort_keys=True)
     if args.out:
