@@ -22,9 +22,11 @@ through the sampling growth oracle before it is issued.
 Each necessary and sufficient checker, and ``sweep_necessary`` around all
 of its pairs, runs inside an ``lp.reuse_scope``.  There the jets, critical
 cone, multiplier affine set and T_S at a base point are built once per
-instance and point, T_K(g(x)) and its polar once per set and point, and
-every LP, double description, face complex and lower generalized support
-once per distinct input.
+instance and point; T_K(g(x)) and its polar, the proximal normal cell and
+each directional normal cone once per set, point (and direction); and
+every LP, double description, polar, conic hull, inclusion, face complex,
+lower generalized support and nonpositive sigma-hat search once per
+distinct input.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from . import lp as _lp
 from . import oracles
 from .extreal import ExtReal
 from .polyexpr import ModelError, ProblemInstance, rng_for
-from .regions import (PolyCell, Region, face_complex, lower_gen_support_detail,
-                      polar_cone, region_subset)
+from .regions import (PolyCell, Region, _content, face_complex,
+                      lower_gen_support_detail, polar_cone, region_subset)
+from .sets import _row_norms
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
                        eps_proximal_filter, eps_proximal_membership, normal_cone,
                        second_tangent, tangent_cone)
@@ -180,7 +183,14 @@ class MultiplierAffineSet:
 def multiplier_affine_set(p: ProblemInstance, x) -> MultiplierAffineSet:
     grad, J, _, _ = _jet_data(p, x)
     Jt = J.T  # (n, m)
-    lam0, *_ = np.linalg.lstsq(Jt, -grad, rcond=None)
+    gnorm = float(np.linalg.norm(grad))
+    if 0.0 < gnorm <= 1e-12 * max(1.0, float(np.linalg.norm(J))):
+        # a rounding residue of exact stationarity: its least-squares
+        # multiplier (~1e-18) would meet sets unbounded along its direction.
+        # An exactly zero gradient keeps lstsq, which signs its zeros.
+        lam0 = np.zeros(p.m)
+    else:
+        lam0, *_ = np.linalg.lstsq(Jt, -grad, rcond=None)
     resid = float(np.linalg.norm(Jt @ lam0 + grad))
     _, sv, vh = np.linalg.svd(Jt) if min(Jt.shape) else (None, np.zeros(0), np.eye(p.m))
     rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if sv.size else 1.0)))
@@ -696,7 +706,13 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
 
 def _search_sigma_hat_nonpositive(lamreg: Region, target: Region):
     """A multiplier with sigma-hat(target) <= 0, or None; every candidate
-    is confirmed by direct evaluation."""
+    is confirmed by direct evaluation.  Inside ``lp.reuse_scope`` pairs of
+    regions with equal cells share one search."""
+    return _lp._reused("sigma_hat_nonpositive", (_content(lamreg), _content(target)),
+                       lambda: _sigma_hat_nonpositive(lamreg, target))
+
+
+def _sigma_hat_nonpositive(lamreg: Region, target: Region):
     if target.is_empty():
         # sigma-hat over an empty set is -inf, so any multiplier works
         for cell in lamreg.nonempty_cells():
@@ -1318,12 +1334,17 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
     * the K-side cones at y = g(x): T_K(y), and its polar, the normal cone
       N_K(y) of a convex K.  Every per-direction second-order tangent set,
       directional normal cone and directional Clarke tangent at x starts
-      from them.
+      from them;
+    * the proximal normal cell of S at x, which screens every direction.
 
-    Each distinct LP, double description, face complex and lower
-    generalized support is solved once per sweep.  A constraint
+    The objects a direction repeats are built once per sweep too: each
+    directional normal cone at (y, u, kind), and each distinct LP, double
+    description, polar cone, conic hull, region inclusion, face complex,
+    lower generalized support and nonpositive sigma-hat search.  A
+    homogeneous cell is known nonempty without an LP, and a constraint
     qualification at a point where Dg(x) has full row rank holds without
-    an LP.
+    one.  The base points are deduplicated by one row-norm call per
+    sample against all points kept so far.
 
     The explicit and clarke forms require d to be an eps-proximal normal
     to S at x.  The sweep screens the directions chosen at each x with one
@@ -1338,7 +1359,7 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
     eps = p.options.epsilon if eps is None else float(eps)
     xs = [p.xbar]
     for s in p.S.sample_near(p.xbar, p.options.delta, rng_for(p.options.seed, 17), 120):
-        if all(np.linalg.norm(s - x0) > 1e-7 for x0 in xs):
+        if (_row_norms(s - np.asarray(xs)) > 1e-7).all():
             xs.append(s)
         if len(xs) >= 24:
             break

@@ -18,15 +18,27 @@ Two deliberately self-contained primitives live here:
 
 ``reuse_scope()`` is the package's one reuse mechanism; every necessary
 and sufficient checker of ``certify``, and the necessary sweep, runs in
-one.  Inside the block both primitives, ``regions.face_complex`` and
-``regions.lower_gen_support_detail``, the per-point objects of ``certify``
-(the jets, critical cone, multiplier affine set and tangent cone of S at a
-base point) and the tangent cone of a set at a point with its polar
-(``tangents.tangent_cone``) are built once per distinct input: the outcome
-is stored under the input's content, with its arrays made read-only, and
-handed back to every later caller that poses the same input.  A per-point
-key holds the problem instance itself, so two instances never share a
-per-point object; a tangent-cone key holds the set itself.
+one.  Inside the block these are built once per distinct input:
+
+* both primitives;
+* the region operations ``regions.polar_cone``, ``cone_hull``,
+  ``region_subset``, ``face_complex`` and ``lower_gen_support_detail``,
+  keyed on the cells of their regions;
+* the per-point objects of ``certify`` (the jets, critical cone,
+  multiplier affine set and tangent cone of S at a base point), and its
+  search for a multiplier with nonpositive lower generalized support,
+  keyed on the cells of both regions;
+* the set-side cones of ``tangents``: the tangent cone of a set at a point
+  with its polar, the directional normal cone at a point, direction and
+  kind, and the proximal normal cell at a point.
+
+The outcome is stored under the input's content, with its arrays made
+read-only, and handed back to every later caller that poses the same
+input.  A per-point key holds the problem instance itself, so two
+instances never share a per-point object; a ``tangents`` key holds the
+set itself.  In a scope or outside one, ``regions.PolyCell.is_empty``
+answers a homogeneous cell (right-hand sides all zero, so it holds the
+origin) without an LP.
 """
 from __future__ import annotations
 
@@ -51,14 +63,16 @@ _REUSE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def reuse_scope():
-    """Within the block, ``maximize``, the double description,
-    ``regions.face_complex``, ``regions.lower_gen_support_detail`` and the
-    per-point ``certify._jet_data``, ``critical_cone``,
-    ``multiplier_affine_set`` and ``_reference_tangent``, and
-    ``tangents.tangent_cone`` with its polar return one stored result per
-    distinct input.  A nested scope shares the memo of the one
-    around it; the outermost drops the memo on exit, also on error.  Usable
-    as a decorator, which opens a scope for each call."""
+    """Within the block these return one stored result per distinct
+    input: ``maximize`` and the double description; ``regions.polar_cone``,
+    ``cone_hull``, ``region_subset``, ``face_complex`` and
+    ``lower_gen_support_detail``; the per-point ``certify._jet_data``,
+    ``critical_cone``, ``multiplier_affine_set`` and ``_reference_tangent``,
+    and ``certify._search_sigma_hat_nonpositive``; ``tangents.tangent_cone``
+    with its polar, ``directional_normal`` and ``proximal_normal_cell``.
+    A nested scope shares the memo of the one around it; the outermost
+    drops the memo on exit, also on error.  Usable as a decorator, which
+    opens a scope for each call."""
     if _REUSE.get() is not None:
         yield
         return

@@ -148,9 +148,14 @@ class PolyCell:
         return ok
 
     def is_empty(self) -> bool:
+        """Whether no point meets the rows.  A homogeneous cell (b and f all
+        zero) holds the origin, so it is decided without an LP."""
         if self._empty is None:
-            out = _lp.maximize(np.zeros(self.dim), self.A, self.b, self.E, self.f)
-            self._empty = out.status == "infeasible"
+            if not self.b.any() and not self.f.any():
+                self._empty = False
+            else:
+                out = _lp.maximize(np.zeros(self.dim), self.A, self.b, self.E, self.f)
+                self._empty = out.status == "infeasible"
         return self._empty
 
     def generators(self):
@@ -452,9 +457,14 @@ def double_description(cell: PolyCell):
 
 def polar_cone(region: Region) -> Region:
     """Polar of a cone-flagged region.  The polar of a union is the
-    intersection of the member polars, which is a single convex cell."""
+    intersection of the member polars, which is a single convex cell.
+    Inside ``lp.reuse_scope`` regions with equal cells share one result."""
     if not region.cone:
         raise RegionError("polar_cone requires a cone-flagged region")
+    return _lp._reused("polar_cone", _content(region), lambda: _polar_cone(region))
+
+
+def _polar_cone(region: Region) -> Region:
     cells = region.nonempty_cells()
     if not cells:
         return Region.all_space(region.dim)
@@ -480,18 +490,25 @@ def polar_cone(region: Region) -> Region:
 
 
 def cone_hull(regions) -> Region:
-    """Closed convex conic hull of one region or a list of cone regions."""
+    """Closed convex conic hull of one region or a list of cone regions.
+    Inside ``lp.reuse_scope`` lists of regions with equal cells share one
+    result."""
     if isinstance(regions, Region):
         regions = [regions]
     regions = list(regions)
     if not regions:
         raise RegionError("cone_hull of nothing")
     dim = regions[0].dim
+    if any(r.dim != dim for r in regions):
+        raise RegionError("mixed dimensions in cone_hull")
+    return _lp._reused("cone_hull", tuple(_content(r) for r in regions),
+                       lambda: _cone_hull(regions, dim))
+
+
+def _cone_hull(regions: list[Region], dim: int) -> Region:
     rays, lines = [], []
     any_nonempty = False
     for r in regions:
-        if r.dim != dim:
-            raise RegionError("mixed dimensions in cone_hull")
         for c in r.nonempty_cells():
             gens = c.generators()
             if gens is None:
@@ -597,9 +614,16 @@ def _cell_subset_of_union(cell: PolyCell, cover: tuple[PolyCell, ...]):
 
 
 def region_subset(r1: Region, r2: Region):
-    """(included, witness): witness is a point of r1 outside r2 if any."""
+    """(included, witness): witness is a point of r1 outside r2 if any.
+    Inside ``lp.reuse_scope`` pairs of regions with equal cells share one
+    result."""
     if r1.dim != r2.dim:
         raise RegionError("dimension mismatch in region comparison")
+    return _lp._reused("region_subset", (_content(r1), _content(r2)),
+                       lambda: _region_subset(r1, r2))
+
+
+def _region_subset(r1: Region, r2: Region):
     cover = r2.nonempty_cells()
     for cell in r1.nonempty_cells():
         w = _cell_subset_of_union(cell, cover)

@@ -585,11 +585,19 @@ def normal_cone(s: BaseSet, y, kind: str) -> Region:
 
 
 def directional_normal(s: BaseSet, y, u, kind: str) -> Region:
-    """Directional limiting normal cone, or its Clarke hull."""
+    """Directional limiting normal cone, or its Clarke hull.  Inside an
+    open ``lp.reuse_scope`` it is built once per set, point, direction and
+    kind, keyed like ``tangent_cone``."""
     if kind not in ("limiting", "clarke"):
         raise TangentError(f"unknown directional normal kind {kind!r}")
-    y = _require_member(s, y)
+    y = _vec(y, s.dim)
     u = _vec(u, s.dim)
+    return _lp._reused("directional_normal", (s, y, u, kind),
+                       lambda: _directional_normal(s, y, u, kind))
+
+
+def _directional_normal(s: BaseSet, y: np.ndarray, u: np.ndarray, kind: str) -> Region:
+    y = _require_member(s, y)
     if not tangent_cone(s, y).contains(u, tol=MEMBER_TOL):
         return Region.empty(s.dim, cone=True, notes=("direction not tangent",))
     if float(np.linalg.norm(u)) <= TOL:
@@ -667,8 +675,12 @@ def region_tangent_cone(region: Region, x) -> Region:
 
 
 def proximal_normal_cell(s: BaseSet, x) -> PolyCell:
-    """The proximal normal cone of s at its member x, as one convex cell."""
-    return _proximal_cell(s, _require_member(s, x))
+    """The proximal normal cone of s at its member x, as one convex cell.
+    Inside an open ``lp.reuse_scope`` it is built once per set and point,
+    keyed like ``tangent_cone``."""
+    x = _vec(x, s.dim)
+    return _lp._reused("proximal_normal_cell", (s, x),
+                       lambda: _proximal_cell(s, _require_member(s, x)))
 
 
 def eps_proximal_membership(s: BaseSet, x, v, eps: float) -> bool:

@@ -78,6 +78,16 @@ def run_machine(argv):
     return code, VOLATILE.sub(rb'"\1":null', buf.getvalue())
 
 
+def cell_bytes(cell) -> list[bytes]:
+    """The row arrays of a PolyCell, as bytes."""
+    return [a.tobytes() for a in (cell.A, cell.b, cell.E, cell.f)]
+
+
+def region_bytes(region) -> tuple:
+    """Everything a Region holds, its cells as bytes."""
+    return region.dim, region.cone, region.notes, [cell_bytes(c) for c in region.cells]
+
+
 def canonical_bytes_reference(obj) -> bytes:
     """The canonical JSON writer as first written, with ``json.dumps`` per
     string: ``cli.canonical_bytes`` must produce the same bytes."""

@@ -1,0 +1,29 @@
+"""tools/ab_passes.py: alternating in-process passes on two trees."""
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("ab_passes", ROOT / "tools" / "ab_passes.py")
+    module = sys.modules["ab_passes"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_one_tree_against_itself_over_one_pair(capsys):
+    tool = _tool()
+    assert tool.main([str(ROOT), str(ROOT), "--pairs", "1",
+                      "--workload", "sufficient_check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sufficient_check, seed 1: 1 pairs, 29 jobs, process CPU seconds per pass"
+    assert lines[1].startswith("  base: median ") and " p25 " in lines[1]
+    assert lines[2].startswith("  head: median ") and " p25 " in lines[2]
+    assert lines[3].startswith("  head/base: median per-pair ratio ")
+    assert lines[4] == "  normalised reports identical in all 29 jobs"
+    # the two trees are separate packages, neither of them the installed one
+    base, head = (sys.modules[f"_ab_{side}_sharpcheck.cli"] for side in ("base", "head"))
+    assert base is not head and base.main is not head.main
+

@@ -24,6 +24,12 @@ from sharpcheck.lp import (
     reuse_scope,
     solve_lp,
 )
+from sharpcheck import certify
+from sharpcheck.regions import PolyCell, Region
+from sharpcheck.sets import Ball, Box, UnionSet
+from sharpcheck.tangents import directional_normal, proximal_normal_cell
+
+from helpers import cell_bytes, random_catalog_instance, region_bytes, tangent_direction
 
 try:
     from scipy.optimize import linprog as scipy_linprog
@@ -471,3 +477,82 @@ def test_reuse_scope_shares_double_descriptions():
         assert not first[0].flags.writeable and not first[1].flags.writeable
     assert all(np.array_equal(a, b) and a.shape == b.shape
                for a, b in zip(first, fresh))
+
+
+# ------------------------------- normal cones and sigma-hat searches reused
+
+
+def _tangent_ops(s, y, u):
+    """Every memoized tangent-layer object at (y, u), as bytes."""
+    return ([region_bytes(directional_normal(s, y, u, kind)) for kind in ("limiting", "clarke")],
+            cell_bytes(proximal_normal_cell(s, y)))
+
+
+def _tangent_cases():
+    yield Ball([0.0, 1.0], 1.0), [0.0, 0.0], np.array([1.0, 0.0])
+    yield (UnionSet([Ball([1.0, 0.0], 1.0), Ball([-1.0, 0.0], 1.0)]), [0.0, 0.0],
+           np.array([0.0, 1.0]))
+    yield Box([(0.0, 1.0), (0.0, 1.0)]), [0.0, 0.0], np.array([1.0, 0.0])
+    for seed in range(12):   # derandomized catalog sets at boundary points
+        s, y, _, _ = random_catalog_instance(seed)
+        yield s, y, tangent_direction(s, y, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("s,y,u", list(_tangent_cases()))
+def test_tangent_memos_in_a_scope_match_fresh_results(s, y, u):
+    fresh = _tangent_ops(s, y, u)
+    with reuse_scope():
+        first = _tangent_ops(s, y, u)
+        again = _tangent_ops(s, np.array(y, dtype=float), u.copy())   # memo hits
+    assert first == fresh and again == fresh
+
+
+def _cone(A, E=(), dim=2):
+    A, E = np.reshape(A, (-1, dim)), np.reshape(E, (-1, dim))
+    return Region.from_cell(PolyCell(A, np.zeros(len(A)), E, np.zeros(len(E)), dim=dim),
+                            cone=True)
+
+
+def _search_cases():
+    three = _cone([1.0, 0.0]).union(_cone([0.0, 1.0]))
+    quadrant, plane = _cone(-np.eye(2)), _cone(np.zeros((0, 2)))
+    ray = _cone([0.0, -1.0], [1.0, 0.0])
+    # multiplier regions with and without the origin
+    shifted = [Region.from_cell(PolyCell([a], [-1.0], dim=2)) for a in ([1.0, 1.0], [-1.0, 0.0])]
+    for lamreg in (plane, ray, *shifted):
+        for target in (three, quadrant, ray, Region.empty(2, cone=True)):
+            yield lamreg, target
+
+
+def _search_bytes(lamreg, target):
+    lam, value, notes = certify._search_sigma_hat_nonpositive(lamreg, target)
+    return None if lam is None else lam.tobytes(), value, notes
+
+
+@pytest.mark.parametrize("lamreg,target", list(_search_cases()))
+def test_sigma_hat_search_in_a_scope_matches_a_fresh_one(lamreg, target):
+    fresh = _search_bytes(lamreg, target)
+    with reuse_scope():
+        first = _search_bytes(lamreg, target)
+        again = _search_bytes(Region(lamreg.cells, dim=2), Region(target.cells, dim=2))
+    assert first == fresh and again == fresh
+
+
+def test_tangent_and_search_memos_are_read_only_and_scoped():
+    ball, y, u = Ball([0.0, 1.0], 1.0), [0.0, 0.0], [1.0, 0.0]
+    lamreg, target = next(_search_cases())
+    with reuse_scope():
+        normal = directional_normal(ball, y, u, "clarke")
+        cell = proximal_normal_cell(ball, y)
+        found = certify._search_sigma_hat_nonpositive(lamreg, target)
+        assert directional_normal(ball, np.zeros(2), np.array(u), "clarke") is normal
+        assert directional_normal(ball, y, u, "limiting") is not normal   # kind is keyed
+        assert proximal_normal_cell(ball, np.zeros(2)) is cell
+        assert certify._search_sigma_hat_nonpositive(
+            Region(lamreg.cells, dim=2), Region(target.cells, dim=2)) is found
+        assert not normal.cells[0].A.flags.writeable
+        assert not cell.E.flags.writeable and not found[0].flags.writeable
+    with reuse_scope():
+        assert directional_normal(ball, y, u, "clarke") is not normal
+        assert proximal_normal_cell(ball, y) is not cell
+        assert certify._search_sigma_hat_nonpositive(lamreg, target) is not found

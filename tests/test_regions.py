@@ -1,4 +1,6 @@
 """Region algebra: comparison, support, polarity, faces, lower support."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from sharpcheck import regions
 from sharpcheck.extreal import ExtReal
-from sharpcheck.lp import reuse_scope
+from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.regions import (
     PolyCell,
     Region,
@@ -21,6 +23,8 @@ from sharpcheck.regions import (
     region_equal,
     region_subset,
 )
+
+from helpers import cell_bytes, region_bytes
 
 
 def halfplane(a, beta, cone=None):
@@ -420,12 +424,8 @@ def test_lower_gen_support_rejects_bad_dims():
 # -- reuse inside a check context -------------------------------------------
 
 
-def _cell_bytes(cell):
-    return [a.tobytes() for a in (cell.A, cell.b, cell.E, cell.f)]
-
-
 def _face_bytes(faces):
-    return [(_cell_bytes(f.cell), _cell_bytes(f.normal_cell), f.sample.tobytes(), f.signs)
+    return [(cell_bytes(f.cell), cell_bytes(f.normal_cell), f.sample.tobytes(), f.signs)
             for f in faces]
 
 
@@ -471,3 +471,120 @@ def test_equal_regions_share_face_complex_and_lower_support_in_a_context(monkeyp
     assert face_complex(r1) is not faces
     assert lower_gen_support_detail(r1, lam) is not got
     assert calls == {"faces": 3, "support": 4}
+
+
+# -- reuse of the cone operations -------------------------------------------
+
+
+def _cone_ops(r1, r2):
+    """Every memoized cone operation on one pair of cone regions, as bytes."""
+    included, witness = region_subset(r1, r2)
+    return (region_bytes(polar_cone(r1)), region_bytes(cone_hull(r1)),
+            region_bytes(cone_hull([r1, r2])),
+            included, None if witness is None else witness.tobytes())
+
+
+def _ray(a, e):
+    return Region.from_cell(PolyCell([a], [0.0], eq_mat=[e], eq_rhs=[0.0], dim=2), cone=True)
+
+
+def _fixture_cones():
+    quadrant = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2), cone=True)
+    axis = _ray([-1.0, 0.0], [0.0, 1.0]).union(_ray([1.0, 0.0], [0.0, 1.0]))
+    three = halfplane([1.0, 0.0], 0.0, cone=True).union(halfplane([0.0, 1.0], 0.0, cone=True))
+    return [quadrant, axis, three, Region.all_space(2), Region.origin(2)]
+
+
+_SMALL = st.integers(-2, 2).map(float)
+
+
+@st.composite
+def _cone_pairs(draw):
+    """Two unions of one or two homogeneous cells in R^2 or R^3."""
+    dim = draw(st.integers(2, 3))
+
+    def region():
+        cells = []
+        for _ in range(draw(st.integers(1, 2))):
+            A = draw(hnp.arrays(float, (draw(st.integers(0, 3)), dim), elements=_SMALL))
+            E = draw(hnp.arrays(float, (draw(st.integers(0, 1)), dim), elements=_SMALL))
+            cells.append(PolyCell(A, np.zeros(len(A)), E, np.zeros(len(E)), dim=dim))
+        return Region(cells, cone=True, dim=dim)
+    return region(), region()
+
+
+def _copy(region):
+    """An equal region of new cells with the same row bytes (building them
+    from the rows would normalize the rows again)."""
+    cells = []
+    for c in region.cells:
+        cell = PolyCell(dim=c.dim)
+        cell.A, cell.b, cell.E, cell.f = (v.copy() for v in (c.A, c.b, c.E, c.f))
+        cells.append(cell)
+    return Region(cells, cone=region.cone, dim=region.dim)
+
+
+def _assert_scope_changes_nothing(r1, r2):
+    fresh = _cone_ops(r1, r2)
+    with reuse_scope():
+        first = _cone_ops(r1, r2)
+        again = _cone_ops(_copy(r1), _copy(r2))   # answered from the memo
+    assert first == fresh and again == fresh
+
+
+@pytest.mark.parametrize("r1", _fixture_cones())
+@pytest.mark.parametrize("r2", _fixture_cones())
+def test_cone_operations_in_a_scope_match_fresh_ones_on_fixtures(r1, r2):
+    _assert_scope_changes_nothing(r1, r2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_cone_pairs())
+def test_cone_operations_in_a_scope_match_fresh_ones(pair):
+    _assert_scope_changes_nothing(*pair)
+
+
+def test_reused_cone_results_are_read_only_and_end_with_their_scope():
+    quadrant, axis = _fixture_cones()[:2]
+    with reuse_scope():
+        polar = polar_cone(quadrant)
+        hull = cone_hull([quadrant, axis])
+        subset = region_subset(axis, quadrant)
+        assert polar_cone(_copy(quadrant)) is polar
+        assert cone_hull([_copy(quadrant), _copy(axis)]) is hull
+        assert region_subset(_copy(axis), _copy(quadrant)) is subset
+        assert not subset[0] and not subset[1].flags.writeable
+        for region in (polar, hull):
+            assert not region.cells[0].A.flags.writeable
+            assert not region.cells[0].E.flags.writeable
+    with reuse_scope():
+        assert polar_cone(quadrant) is not polar
+        assert cone_hull([quadrant, axis]) is not hull
+        assert region_subset(axis, quadrant) is not subset
+
+
+def test_cone_operations_raise_before_the_memo():
+    flat = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2), cone=False)
+    with reuse_scope():
+        polar_cone(flat.with_cone_flag(True))
+        with pytest.raises(RegionError):
+            polar_cone(flat)   # equal cells, but not flagged as a cone
+        with pytest.raises(RegionError):
+            cone_hull([flat, Region.origin(3)])
+        with pytest.raises(RegionError):
+            region_subset(flat, Region.origin(3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    hnp.arrays(float, (4, n), elements=_SMALL), st.integers(0, 4),
+    hnp.arrays(float, (2, n), elements=_SMALL), st.integers(0, 2))))
+def test_homogeneous_cells_are_nonempty_without_an_lp(case):
+    A, k, E, l = case
+    A, E = A[:k], E[:l]
+    n = A.shape[1]
+    status = maximize(np.zeros(n), A, np.zeros(k), E, np.zeros(l)).status
+    cell = PolyCell(A, np.zeros(k), E, np.zeros(l), dim=n)
+    with mock.patch.object(regions._lp, "maximize", side_effect=AssertionError):
+        assert cell.is_empty() is False
+    assert status != "infeasible"

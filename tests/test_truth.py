@@ -26,8 +26,10 @@ exact critical directions land (ROADMAP item 2).  On the subspace family
 the mesh finds no critical direction either: the proximal sweeps read
 unbounded and isolated mode does not apply, since xbar is not isolated in
 S, so its tightness test is a strict xfail naming item 2 too.  The
-tangent-distance sweep refutes every constant there, which is unsound;
-its soundness test is a strict xfail until that is mended.
+tangent-distance sweep must not refute the truth there either: at base
+points of S other than xbar, grad f is a rounding residue, and the
+multiplier it leaves must be zero, not a ~1e-18 multiplier that meets an
+unbounded outer second-order set.
 """
 import json
 import math
@@ -49,10 +51,6 @@ ITEM_2 = ("ROADMAP item 2: the direction mesh misses the lower-dimensional "
           "critical cone of the lifted family")
 ITEM_2_SUBSPACE = ("ROADMAP item 2: the direction mesh finds no critical direction "
                    "of the subspace-S family, so the sweeps hold vacuously")
-# at base points of S other than xbar, grad f is a rounding residue, and
-# the multiplier it leaves (~1e-18) meets an unbounded outer second-order set
-TINY_MULTIPLIER = ("the tangent-distance sweep reads -unbounded on the subspace-S "
-                   "family: a ~1e-18 multiplier gives an infinite support")
 # (n, k): the dimension and that of the subspace S
 SUBSPACES = ((2, 1), (3, 1), (4, 2))
 
@@ -199,7 +197,6 @@ def test_sweeps_never_refute_the_truth_on_subspaces(form, mode, case):
 
 
 # fixed instances: a failing example would make hypothesis shrink it
-@pytest.mark.xfail(strict=True, reason=TINY_MULTIPLIER)
 @pytest.mark.parametrize("n,k", SUBSPACES)
 def test_tangent_distance_sweep_never_refutes_the_truth_on_subspaces(n, k):
     _assert_sweep_sound(*subspace_case(n, k), "implicit", "tangent-distance")
@@ -240,3 +237,11 @@ def test_growth_oracle_reads_the_subspace_truth(case):
     report = _check(doc, "verify-growth", f"--kappa={0.5 * truth!r}")
     assert report["verdict"] != "violated"
     assert _kappa(report, "kappa_hat") >= truth - _tol(truth)
+
+
+def test_growth_oracle_accepts_the_exact_subspace_truth():
+    # kappa_hat reads 0.59999999992792397 here: rounding in f / dist(x, S)^2
+    doc, truth = subspace_case(2, 1)
+    report = _check(doc, "verify-growth", f"--kappa={truth!r}")
+    assert truth == 0.6 and report["verdict"] == "satisfied"
+    assert report["exit_code"] == 0

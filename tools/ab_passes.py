@@ -1,0 +1,140 @@
+"""Alternating in-process passes of the benchmark's workloads on two trees.
+
+    python3 tools/ab_passes.py BASE HEAD [--pairs N] [--seed S] [--workload W ...]
+
+Loads ``sharpcheck`` from BASE/src and from HEAD/src into this one process,
+as two packages under separate names, so both sides share the interpreter,
+its imports and its allocator.  For each workload of
+``perfbench/workloads.py`` (of the tree holding this script; the perfbench
+modules are only read) the documents are written once, under a temporary
+directory at the relative paths ``perfbench/run.py`` echoes in its reports.
+Each tree runs one warm-up pass, then N pairs of passes follow, one pass
+per tree, with the order flipped every pair.  A pass runs the workload's
+job list once through ``cli.main`` and is timed in process CPU seconds,
+which a shared host's scheduling disturbs less than the wall clock.
+
+For each workload it prints each tree's median and 25th-percentile CPU
+seconds per pass, the median over the pairs of HEAD's pass over BASE's,
+and whether every job's normalised report (``runtime_seconds`` and
+``generated_at`` blanked) is the same on both trees in every pass.  It
+exits 0 whatever it finds, like ``report_digests.py --compare``.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+
+
+def _load(path: Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_digests = _load(HERE / "report_digests.py", "_ab_report_digests")
+_report = _digests._report   # the bytes cli.main writes to stdout
+
+
+def load_cli(root: Path, name: str):
+    """``sharpcheck.cli`` of root/src, imported as the package ``name``, so
+    that several trees can live in one process."""
+    init = (Path(root) / "src" / "sharpcheck" / "__init__.py").resolve()
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return importlib.import_module(f"{name}.cli")
+
+
+def run_pass(cli, jobs, paths, normalized) -> tuple[float, list[bytes]]:
+    """(process CPU seconds, normalised reports) of one pass over jobs."""
+    start = time.process_time()
+    reports = [_report(cli, job.argv(paths[job.instance.name])) for job in jobs]
+    seconds = time.process_time() - start
+    return seconds, [normalized(r) for r in reports]
+
+
+def compare_workload(clis, workload: str, seed: int, pairs: int, wl, verify) -> dict:
+    """CPU seconds per timed pass of each tree, the per-pair HEAD/BASE
+    ratios and the keys of the jobs whose reports differ between trees."""
+    jobs = wl.build_jobs(workload, seed)
+    docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
+    paths = {name: os.path.relpath(p) for name, p in wl.write_documents(jobs, docs).items()}
+    seen = [set() for _ in jobs], [set() for _ in jobs]   # reports per tree and job
+    times = [], []
+
+    def one(side: int, timed: bool):
+        seconds, reports = run_pass(clis[side], jobs, paths, verify.normalized)
+        for got, report in zip(seen[side], reports):
+            got.add(report)
+        if timed:
+            times[side].append(seconds)
+
+    one(0, False)
+    one(1, False)
+    for i in range(pairs):
+        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+            one(side, True)
+    ratios = [h / b for b, h in zip(*times) if b > 0.0]
+    differ = [job.key for job, b, h in zip(jobs, *seen) if b != h]
+    return {"jobs": len(jobs), "base": times[0], "head": times[1],
+            "ratios": ratios, "differ": differ}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base", type=Path, help="tree whose src/ is the baseline")
+    ap.add_argument("head", type=Path, help="tree whose src/ is compared with it")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--workload", action="append",
+                    help="workload to run (repeatable; default: all)")
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    bench = HERE.parent / "perfbench"
+    wl = _load(bench / "workloads.py", "_ab_workloads")
+    verify = _load(bench / "verify.py", "_ab_verify")
+    for name in args.workload or ():
+        if name not in wl.WORKLOADS:
+            ap.error(f"unknown workload {name!r}; choose from {', '.join(wl.WORKLOADS)}")
+    clis = (load_cli(args.base, "_ab_base_sharpcheck"),
+            load_cli(args.head, "_ab_head_sharpcheck"))
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)   # reports echo the document path; keep it relative
+        try:
+            for workload in args.workload or wl.WORKLOADS:
+                got = compare_workload(clis, workload, args.seed, args.pairs, wl, verify)
+                print(f"{workload}, seed {args.seed}: {args.pairs} pairs, "
+                      f"{got['jobs']} jobs, process CPU seconds per pass")
+                for side, root in (("base", args.base), ("head", args.head)):
+                    t = got[side]
+                    p25 = statistics.quantiles(t, n=4, method="inclusive")[0] \
+                        if len(t) > 1 else t[0]
+                    print(f"  {side}: median {statistics.median(t):.4f} s, "
+                          f"p25 {p25:.4f} s  ({root})")
+                ratio = statistics.median(got["ratios"]) if got["ratios"] else float("nan")
+                print(f"  head/base: median per-pair ratio {ratio:.3f}")
+                if got["differ"]:
+                    print(f"  normalised reports differ in {len(got['differ'])} "
+                          f"of {got['jobs']} jobs: {', '.join(got['differ'])}")
+                else:
+                    print(f"  normalised reports identical in all {got['jobs']} jobs")
+        finally:
+            os.chdir(cwd)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
