@@ -19,7 +19,6 @@ from .sets import (
     SetError,
     UnionSet,
 )
-from .extreal import ExtReal
 from .regions import (
     PolyCell,
     Region,
@@ -77,7 +76,7 @@ from .cli import emit_report, load_problem, run_command
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ball", "BaseSet", "Box", "CertificationReport", "CqResult", "ExtReal",
+    "Ball", "BaseSet", "Box", "CertificationReport", "CqResult",
     "FiniteSet", "Halfspace", "Interval", "ModelError", "MultiplierAffineSet",
     "Options", "OracleError", "PointSet", "PolyCell", "PolyExpr", "Polyhedron",
     "ProblemInstance", "ProductSet", "Region", "RegionError", "SetError",

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import lp as _lp
 from . import oracles
-from .extreal import ExtReal
 from .polyexpr import ModelError, ProblemInstance, rng_for
 from .regions import (PolyCell, Region, _content, face_complex,
                       lower_gen_support_detail, polar_cone, region_subset)
@@ -347,8 +346,7 @@ def certify_mscq(p: ProblemInstance, x, d) -> tuple[bool, str, tuple]:
     with every other check at the same point."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
-    gj = p.g_jet(x)
-    affine = all(np.max(np.abs(H)) <= TOL for H in gj.hessians)
+    affine = all(sum(e for _, e in mono) <= 1 for gi in p.g for mono in gi.terms)
     if affine and p.K.as_region() is not None:
         return True, "polyhedral", ()
     res = constraint_qualification_check(p, x, d, "FOSCMS")
@@ -466,9 +464,9 @@ def _min_value_over_affine(region: Region, aff: MultiplierAffineSet,
     lam0 = aff.lam0
     c0 = Jt @ lam0 if Jt.size else np.zeros(region.dim)
     sup0 = region.support(c0)
-    if sup0.is_plus_inf:
-        return ExtReal.minus_inf(), lam0, ("support is +inf at the base multiplier",)
-    base = ExtReal.of(qf - float(sup0))
+    if sup0 == math.inf:
+        return -math.inf, lam0, ("support is +inf at the base multiplier",)
+    base = qf - sup0
     for nvec in aff.basis:
         c1 = Jt @ nvec
         verdictt, side = _line_constancy(region, c0, c1)
@@ -476,12 +474,11 @@ def _min_value_over_affine(region: Region, aff: MultiplierAffineSet,
             # walk out until the value visibly drops, for a concrete witness
             for t in (1.0, 1e1, 1e2, 1e3, 1e6):
                 lam = lam0 + (side if side != 0 else 1) * t * nvec
-                s = region.support(Jt @ lam)
-                val = ExtReal.minus_inf() if s.is_plus_inf else ExtReal.of(qf - float(s))
-                if val.is_minus_inf or (base.is_finite and float(val) < float(base) - 1e-6):
-                    return ExtReal.minus_inf(), lam, \
+                val = qf - region.support(Jt @ lam)
+                if math.isfinite(base) and val < base - 1e-6:
+                    return -math.inf, lam, \
                         ("value is unbounded below along the multiplier set",)
-            return ExtReal.minus_inf(), lam0 + nvec, \
+            return -math.inf, lam0 + nvec, \
                 ("value is unbounded below along the multiplier set",)
     return base, lam0, ()
 
@@ -544,10 +541,10 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     included, bad = region_subset(aff.as_region(), pre_polar)
     wits = []
     sigma0 = Tpp.support(J.T @ aff.lam0)
-    wits.append(_wit(part="i", x=x, d=d, lam=aff.lam0, sigma_theta=float(sigma0)))
+    wits.append(_wit(part="i", x=x, d=d, lam=aff.lam0, sigma_theta=sigma0))
     if not included:
         sval = Tpp.support(J.T @ bad)
-        wits.append(_wit(part="i", x=x, d=d, lam=bad, sigma_theta=float(sval)))
+        wits.append(_wit(part="i", x=x, d=d, lam=bad, sigma_theta=sval))
         verdict = "violated" if exact else "inconclusive"
         if not exact:
             diags.append("rejection withheld: tangent preimages are one-sided "
@@ -564,13 +561,13 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     denom, dnote = _implicit_denominator(p, x, d, eps, mode)
     if dnote:
         diags.append(dnote)
-    if inf_val.is_minus_inf:
+    if inf_val == -math.inf:
         kmax = -math.inf
     elif denom <= TOL:
-        kmax = math.inf if float(inf_val) >= -TOL else -math.inf
+        kmax = math.inf if inf_val >= -TOL else -math.inf
     else:
-        kmax = float(inf_val) / denom
-    wits.append(_wit(part="ii", x=x, d=d, lam=lam_star, achieved=float(inf_val)))
+        kmax = inf_val / denom
+    wits.append(_wit(part="ii", x=x, d=d, lam=lam_star, achieved=inf_val))
 
     if kmax < KAPPA_FLOOR:
         verdict = "violated" if exact else "inconclusive"
@@ -612,18 +609,13 @@ def _reference_tangent(p: ProblemInstance, x) -> Region:
 def _implicit_denominator(p: ProblemInstance, x, d, eps, mode):
     if mode == "proximal":
         return 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d), ""
-    dist, _ = _reference_tangent(p, x).distance(d)
-    dv = float(dist) if dist.is_finite else math.inf
+    dv, _ = _reference_tangent(p, x).distance(d)
     return 2.0 * dv * dv, f"dist(d, T_S(x)) = {dv:.12g}"
 
 
 # ---------------------------------------------------------------------------
 # explicit necessary condition
 # ---------------------------------------------------------------------------
-
-
-def _sigma_hat(region: Region, lam: np.ndarray):
-    return lower_gen_support_detail(region, lam)
 
 
 @_lp.reuse_scope()
@@ -692,12 +684,11 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     if any("boundary-inconclusive" in n for n in notes2):
         return _report("inconclusive", {"max_admissible": math.nan}, wits, cq, diags)
     denom = 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d)
-    kmax = math.inf if best.is_plus_inf else float(best) / denom
+    kmax = best / denom
     if lam2 is not None:
         # record a directly replayable value for the witness multiplier
-        sh2, _ = _sigma_hat(T2, lam2)
-        direct = (qf + float(q @ lam2) - float(sh2)) if sh2.is_finite else \
-            (math.inf if sh2.is_minus_inf else -math.inf)
+        sh2, _ = lower_gen_support_detail(T2, lam2)
+        direct = qf + float(q @ lam2) - sh2
         wits.append(_wit(part="ii", x=x, d=d, lam=lam2, achieved=direct))
     if kmax < KAPPA_FLOOR:
         return _report("violated", {"max_admissible": kmax}, wits, cq, diags)
@@ -749,10 +740,10 @@ def _sigma_hat_nonpositive(lamreg: Region, target: Region):
         if any(np.linalg.norm(lam - s) <= 1e-9 for s in seen):
             continue
         seen.append(lam)
-        val, vnotes = _sigma_hat(target, lam)
+        val, vnotes = lower_gen_support_detail(target, lam)
         notes.extend(vnotes)
-        if (val.is_finite and float(val) <= TOL) or val.is_minus_inf:
-            return lam, (float(val) if val.is_finite else -math.inf), tuple(notes)
+        if val <= TOL:
+            return lam, val, tuple(notes)
     return None, None, tuple(notes)
 
 
@@ -760,7 +751,7 @@ def _max_explicit_value(lamreg: Region, T2: Region, qf: float, q: np.ndarray):
     """sup over directional multipliers of qf + lam.q - sigma-hat_{T2}(lam),
     exactly, via one LP per (multiplier cell, face, vertex)."""
     notes: list[str] = []
-    best = ExtReal.minus_inf()
+    best = -math.inf
     best_lam = None
     m = lamreg.dim
     faces = face_complex(T2)
@@ -777,34 +768,33 @@ def _max_explicit_value(lamreg: Region, T2: Region, qf: float, q: np.ndarray):
                     # back a finite point on it as the replayable witness
                     lam_wit = (out.point if out.point is not None else
                                np.zeros(m)) + out.ray
-                    return ExtReal.plus_inf(), lam_wit, tuple(
+                    return math.inf, lam_wit, tuple(
                         notes + ["condition (ii) value is unbounded above; "
                                  "no finite growth constant is rejected"])
                 if out.status != "optimal":
                     continue
-                val = ExtReal.of(qf + float(q @ out.point) -
-                                 float(out.point @ v))
+                val = qf + float(q @ out.point) - float(out.point @ v)
                 if val > best:
                     best, best_lam = val, out.point
     # confirm the winner by a direct evaluation
     if best_lam is not None:
-        sh, vnotes = _sigma_hat(T2, best_lam)
+        sh, vnotes = lower_gen_support_detail(T2, best_lam)
         notes.extend(vnotes)
-        if sh.is_finite:
-            direct = qf + float(q @ best_lam) - float(sh)
-            if abs(direct - float(best)) > REPLAY_TOL * (1.0 + abs(direct)):
+        if math.isfinite(sh):
+            direct = qf + float(q @ best_lam) - sh
+            if abs(direct - best) > REPLAY_TOL * (1.0 + abs(direct)):
                 # another face lowered sigma-hat; the direct value is the truth
-                best = ExtReal.of(max(float(best), direct))
+                best = max(best, direct)
     else:
         # fall back to probing relative-interior points
         for cell in lamreg.nonempty_cells():
             rp = cell.relint_point()
             if rp is None:
                 continue
-            sh, vnotes = _sigma_hat(T2, rp[0])
+            sh, vnotes = lower_gen_support_detail(T2, rp[0])
             notes.extend(vnotes)
-            if sh.is_finite:
-                val = ExtReal.of(qf + float(q @ rp[0]) - float(sh))
+            if math.isfinite(sh):
+                val = qf + float(q @ rp[0]) - sh
                 if val > best:
                     best, best_lam = val, rp[0]
     return best, best_lam, tuple(notes)
@@ -881,41 +871,40 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
 
 def _dual_lp_max(lamreg: Region, c: np.ndarray):
     """max of c.lam over the multiplier region; (-inf, None) when empty."""
-    best, arg = ExtReal.minus_inf(), None
+    best, arg = -math.inf, None
     for cell in lamreg.nonempty_cells():
         out = _lp.maximize(c, cell.A, cell.b, cell.E, cell.f)
         if out.status == "unbounded":
-            return ExtReal.plus_inf(), out.ray
-        if out.status == "optimal" and ExtReal.of(out.value) > best:
-            best, arg = ExtReal.of(out.value), out.point
+            return math.inf, out.ray
+        if out.status == "optimal" and out.value > best:
+            best, arg = out.value, out.point
     return best, arg
 
 
 def _conic_primal(grad, J, v, tangent_cell: PolyCell):
-    """min grad.w subject to J w in v + tangent cone; ExtReal value."""
+    """min grad.w subject to J w in v + tangent cone: +inf when infeasible,
+    -inf when unbounded below."""
     A = tangent_cell.A @ J if tangent_cell.A.size else np.zeros((0, J.shape[1]))
     b = tangent_cell.b + (tangent_cell.A @ v if tangent_cell.A.size else np.zeros(0))
     E = tangent_cell.E @ J if tangent_cell.E.size else np.zeros((0, J.shape[1]))
     f = tangent_cell.f + (tangent_cell.E @ v if tangent_cell.E.size else np.zeros(0))
     out = _lp.maximize(-grad, A, b, E, f)
     if out.status == "infeasible":
-        return ExtReal.plus_inf()
+        return math.inf
     if out.status == "unbounded":
-        return ExtReal.minus_inf()
-    return ExtReal.of(-out.value)
+        return -math.inf
+    return -out.value
 
 
-def _generators_of(region: Region, want_vertices=True, want_rays=True):
+def _generators_of(region: Region):
     verts, rays = [], []
     for cell in region.nonempty_cells():
         g = cell.generators()
         if g is None:
             continue
         v0, r0, l0 = g
-        if want_vertices:
-            verts.extend(list(v0))
-        if want_rays:
-            rays.extend(list(r0) + list(l0) + [-l for l in l0])
+        verts.extend(list(v0))
+        rays.extend(list(r0) + list(l0) + [-l for l in l0])
     def dedupe(arr):
         out = []
         for a in arr:
@@ -939,23 +928,20 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
             continue
         dual, lam_v = _dual_lp_max(lamreg, -v)
         primal = _conic_primal(grad, J, v, tangent_cell)
-        if dual.is_plus_inf and primal.is_plus_inf:
+        if dual == math.inf and primal == math.inf:
             return _report("inconclusive", {}, wits, cq, diags + [
                 "unbounded dual with infeasible primal: modeling error"])
-        if dual.is_finite and primal.is_finite and \
-                abs(float(dual) - float(primal)) > DUALITY_TOL * (1 + abs(float(dual))):
+        if math.isfinite(dual) and math.isfinite(primal) and \
+                abs(dual - primal) > DUALITY_TOL * (1 + abs(dual)):
             gap_flagged = True
-            diags.append(f"duality gap {float(primal) - float(dual):.3g} "
+            diags.append(f"duality gap {primal - dual:.3g} "
                          f"at generator {np.round(v, 6).tolist()}")
-        passed = dual.is_plus_inf or (dual.is_finite and float(dual) >= -TOL)
-        if not passed:
-            wits.append(_wit(part="i", x=x, d=d, w=v, lam=lam_v,
-                             achieved=float(dual)))
+        if dual < -TOL:
+            wits.append(_wit(part="i", x=x, d=d, w=v, lam=lam_v, achieved=dual))
             return _report("violated", {"max_admissible": -math.inf}, wits, cq,
                            diags + ["a generator of the asymptotic cone "
                                     "separates every Clarke multiplier"])
-        wits.append(_wit(part="i", x=x, d=d, w=v, lam=lam_v,
-                         achieved=(float(dual) if dual.is_finite else math.inf)))
+        wits.append(_wit(part="i", x=x, d=d, w=v, lam=lam_v, achieved=dual))
     if gap_flagged:
         return _report("inconclusive", {}, wits, cq, diags)
 
@@ -969,7 +955,7 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
         cverts, crays, clines = g
         ray_rows = list(crays) + list(clines) + [-l for l in clines]
         for v in cverts:
-            best = ExtReal.minus_inf()
+            best = -math.inf
             best_lam = None
             for lcell in lamreg.nonempty_cells():
                 probe = lcell
@@ -979,16 +965,16 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
                                      probe.E, probe.f, dim=lamreg.dim)
                 out = _lp.maximize(q - v, probe.A, probe.b, probe.E, probe.f)
                 if out.status == "unbounded":
-                    best = ExtReal.plus_inf()
+                    best = math.inf
                     break
-                if out.status == "optimal" and ExtReal.of(out.value) > best:
-                    best, best_lam = ExtReal.of(out.value), out.point
-            if best.is_minus_inf:
+                if out.status == "optimal" and out.value > best:
+                    best, best_lam = out.value, out.point
+            if best == -math.inf:
                 wits.append(_wit(part="ii", x=x, d=d, w=v, achieved=-math.inf))
                 return _report("violated", {"max_admissible": -math.inf}, wits,
                                cq, diags + ["no multiplier is admissible for a "
                                             "vertex of the outer set"])
-            val = math.inf if best.is_plus_inf else qf + float(best)
+            val = qf + best
             if denom > TOL:
                 kmax = min(kmax, val / denom)
             elif val < -TOL:
@@ -1013,24 +999,20 @@ def _clarke_nondegenerate(x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags):
                                       "despite nondegeneracy"])
     lam0 = pts[0]
     sig = Tpp.support(lam0)
-    if not (sig.is_finite and abs(float(sig)) <= STRICT_TOL):
+    if abs(sig) > STRICT_TOL:
         return _report("violated", {"max_admissible": -math.inf},
                        [_wit(part="i", x=x, d=d, lam=lam0,
-                             achieved=(float(sig) if sig.is_finite else math.inf))],
+                             achieved=(sig if math.isfinite(sig) else math.inf))],
                        cq, diags + ["support over the asymptotic cone is not "
                                     "zero at the unique multiplier"])
-    wits = [_wit(part="i", x=x, d=d, lam=lam0, achieved=float(sig))]
+    wits = [_wit(part="i", x=x, d=d, lam=lam0, achieved=sig)]
     sig2 = T2.support(lam0)
     if T2.is_empty():
         diags.append("outer second-order set is empty; condition (ii) is vacuous")
         return _report("satisfied", {"max_admissible": math.inf}, wits, cq, diags)
-    if sig2.is_plus_inf:
-        kmax = -math.inf
-        val = -math.inf
-    else:
-        val = qf + float(q @ lam0) - float(sig2)
-        kmax = val / denom if denom > TOL else \
-            (math.inf if val >= -TOL else -math.inf)
+    val = qf + float(q @ lam0) - sig2
+    kmax = val / denom if denom > TOL else \
+        (math.inf if val >= -TOL else -math.inf)
     wits.append(_wit(part="ii", x=x, d=d, lam=lam0, achieved=val))
     verdict = "violated" if kmax < KAPPA_FLOOR else "satisfied"
     return _report(verdict, {"max_admissible": kmax}, wits, cq, diags)
@@ -1249,8 +1231,7 @@ def sufficient_isolated_check(p: ProblemInstance,
                            diags=["xbar is not isolated in the reference set"])
     grad, J, qfn, _ = _jet_data(p, x)
     tphi = _point_phi_tangents(p, x, None, "tangent")
-    sig = tphi.support(-grad)
-    if not (sig.is_finite and float(sig) <= STRICT_TOL) and not sig.is_minus_inf:
+    if tphi.support(-grad) > STRICT_TOL:
         return _report("hypotheses-not-met", diags=diags + [
             "a linearized feasible direction strictly decreases the objective"])
 
@@ -1286,17 +1267,10 @@ def sufficient_isolated_check(p: ProblemInstance,
             got = "infeasible" if lam is None else f"margin {margin:.3g}"
             return _report("hypotheses-not-met", diags=diags + [
                 f"no single multiplier passes every direction ({got})"])
-    # the worst value over directions, or the request when none bounds it
-    kcert = math.inf if len(dirs) else requested
-    for dd, T2 in per_dir:
-        img_sup = T2.support(J.T @ lam)
-        if img_sup.is_minus_inf:
-            continue   # empty outer set: this direction imposes no bound
-        if img_sup.is_plus_inf:
-            kcert = -math.inf
-            break
-        val = qfn(dd) - float(img_sup)
-        kcert = min(kcert, val / (2.0 * float(dd @ dd)))
+    # the worst value over directions, or the request when none bounds it;
+    # an empty outer set (support -inf) bounds nothing
+    kcert = min(((qfn(dd) - T2.support(J.T @ lam)) / (2.0 * float(dd @ dd))
+                 for dd, T2 in per_dir), default=requested)
     if not _growth_gate(p, max(kcert, 1e-6) if math.isfinite(kcert) else 1e-6,
                         diags, delta=0.25 * p.options.delta):
         return _report("violated", {"certified": None}, [], {}, diags + [

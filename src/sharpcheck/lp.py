@@ -23,7 +23,8 @@ one.  Inside the block these are built once per distinct input:
 * both primitives;
 * the region operations ``regions.polar_cone``, ``cone_hull``,
   ``region_subset``, ``face_complex`` and ``lower_gen_support_detail``,
-  keyed on the cells of their regions;
+  keyed on the cells of their regions (and lam, for the lower
+  generalized support);
 * the per-point objects of ``certify`` (the jets, critical cone,
   multiplier affine set and tangent cone of S at a base point), and its
   search for a multiplier with nonpositive lower generalized support,
@@ -44,6 +45,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import math
 from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
@@ -66,9 +68,10 @@ def reuse_scope():
     """Within the block these return one stored result per distinct
     input: ``maximize`` and the double description; ``regions.polar_cone``,
     ``cone_hull``, ``region_subset``, ``face_complex`` and
-    ``lower_gen_support_detail``; the per-point ``certify._jet_data``,
-    ``critical_cone``, ``multiplier_affine_set`` and ``_reference_tangent``,
-    and ``certify._search_sigma_hat_nonpositive``; ``tangents.tangent_cone``
+    ``lower_gen_support_detail`` (one per region content and lam); the
+    per-point ``certify._jet_data``, ``critical_cone``,
+    ``multiplier_affine_set`` and ``_reference_tangent``, and
+    ``certify._search_sigma_hat_nonpositive``; ``tangents.tangent_cone``
     with its polar, ``directional_normal`` and ``proximal_normal_cell``.
     A nested scope shares the memo of the one around it; the outermost
     drops the memo on exit, also on error.  Usable as a decorator, which
@@ -253,6 +256,8 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     zpt[basis] = xB
     x = zpt[:n] - zpt[n:nfree]
     value = float(c @ x)
+    if not math.isfinite(value):
+        raise LpNumericalError(f"non-finite optimal value {value}")
 
     # Duals from the final basis, mapped back through row drops and flips.
     dual_ineq = np.zeros(k)

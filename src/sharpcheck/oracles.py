@@ -52,8 +52,7 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 
-def membership_by_definition(s: BaseSet, y, d, w, kind: str,
-                             sched: Schedule | None = None) -> str:
+def membership_by_definition(s: BaseSet, y, d, w, kind: str) -> str:
     """Test w against the sequence definition of a tangent object at y.
 
     kind 'tangent' probes y + t_k w; 'outer2' probes y + t_k d + t_k^2/2 w;
@@ -69,7 +68,7 @@ def membership_by_definition(s: BaseSet, y, d, w, kind: str,
     """
     if kind not in ("tangent", "outer2", "asymp2"):
         raise OracleError(f"unknown membership kind {kind!r}")
-    sched = sched or Schedule()
+    sched = Schedule()
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
     d = np.zeros(y.size) if d is None else np.asarray(d, dtype=float).ravel()
@@ -326,18 +325,16 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
 # ---------------------------------------------------------------------------
 
 
-def proximal_distance_check(S: BaseSet, x, d, eps: float,
-                            sched: Schedule | None = None):
+def proximal_distance_check(S: BaseSet, x, d, eps: float):
     """Verify dist(x + t d, S) >= t (1 - 2 eps) ||d|| along the schedule.
     Requires d to be an eps-proximal normal at x; returns (passed,
     violating_t or None)."""
-    sched = sched or Schedule()
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     if not _tangents.eps_proximal_membership(S, x, d, eps):
         raise OracleError("d is not an eps-proximal normal direction at x")
     nd = float(np.linalg.norm(d))
-    for t in sched.ts():
+    for t in Schedule().ts():
         dist, _ = S.distance(x + t * d)
         if dist < t * (1.0 - 2.0 * eps) * nd - 1e-9:
             return False, float(t)

@@ -393,6 +393,8 @@ class ProblemInstance:
             raise ModelError("K/S dimensions do not match m/n")
         if self.xbar.size != self.n:
             raise ModelError("xbar dimension does not match n")
+        if not np.isfinite(self.xbar).all():
+            raise ModelError("xbar must have finite coordinates")
         gx = self.g_value(self.xbar)
         if not self.K.contains(gx, tol=1e-7):
             raise ModelError("xbar is infeasible: g(xbar) lies outside K")

@@ -7,7 +7,9 @@ the exact calculus on that representation: membership, inclusion testing,
 distance and projection, support functions, Minkowski sums, polarity, the
 face complex of a union, Frechet/limiting normal values of the region
 itself, and the lower generalized support function evaluated through the
-face complex with a perturbation-schedule cross check.
+face complex with a perturbation-schedule cross check.  Support values and
+distances are floats; -math.inf is the support of an empty region and
++math.inf a support or distance without a finite bound.
 
 Design constraints worth knowing before reading on:
 
@@ -28,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import ExtReal
 from . import lp as _lp
 
 MEMBER_TOL = 1e-9
@@ -168,14 +169,16 @@ class PolyCell:
                 self._empty = True
         return self._gens
 
-    def support(self, lam) -> tuple[ExtReal, np.ndarray | None]:
+    def support(self, lam) -> float:
+        """sup of lam @ x over the cell: -inf when the cell is empty, +inf
+        when lam @ x has no upper bound on it."""
         lam = np.asarray(lam, dtype=float).ravel()
         out = _lp.maximize(lam, self.A, self.b, self.E, self.f)
         if out.status == "infeasible":
-            return ExtReal.minus_inf(), None
+            return -math.inf
         if out.status == "unbounded":
-            return ExtReal.plus_inf(), out.ray
-        return ExtReal.of(out.value), out.point
+            return math.inf
+        return out.value
 
     # -- algebra ------------------------------------------------------
     def intersect(self, other: "PolyCell") -> "PolyCell":
@@ -370,17 +373,15 @@ class Region:
                       notes=self.notes + other.notes, dim=self.dim)
 
     # -- pointwise ops ------------------------------------------------
-    def support(self, lam) -> ExtReal:
-        best = ExtReal.minus_inf()
+    def support(self, lam) -> float:
+        best = -math.inf
         for c in self.nonempty_cells():
-            v, _ = c.support(lam)
-            if v > best:
-                best = v
-            if best.is_plus_inf:
+            best = max(best, c.support(lam))
+            if best == math.inf:
                 break
         return best
 
-    def distance(self, x) -> tuple[ExtReal, list[np.ndarray]]:
+    def distance(self, x) -> tuple[float, list[np.ndarray]]:
         """Exact distance plus all projection points found (deduplicated)."""
         best = None
         pts: list[np.ndarray] = []
@@ -394,8 +395,8 @@ class Region:
             elif abs(d - best) <= 1e-9 and not any(np.linalg.norm(y - p) <= 1e-7 for p in pts):
                 pts.append(y)
         if best is None:
-            return ExtReal.plus_inf(), []
-        return ExtReal.of(best), pts
+            return math.inf, []
+        return best, pts
 
     # -- transforms ---------------------------------------------------
     def translate(self, v) -> "Region":
@@ -546,13 +547,11 @@ class CompareResult:
 def _cell_inside_cell(cell: PolyCell, other: PolyCell) -> bool:
     """True when every point of cell satisfies all rows of other."""
     for i in range(other.A.shape[0]):
-        val, _ = cell.support(other.A[i])
-        if val > ExtReal.of(float(other.b[i]) + MARGIN_TOL):
+        if cell.support(other.A[i]) > float(other.b[i]) + MARGIN_TOL:
             return False
     for j in range(other.E.shape[0]):
         for sgn in (1.0, -1.0):
-            val, _ = cell.support(sgn * other.E[j])
-            if val > ExtReal.of(sgn * float(other.f[j]) + MARGIN_TOL):
+            if cell.support(sgn * other.E[j]) > sgn * float(other.f[j]) + MARGIN_TOL:
                 return False
     return True
 
@@ -790,11 +789,10 @@ def limiting_normal_region(region: Region, x) -> Region:
 # ---------------------------------------------------------------------------
 
 
-def _piece_contribution(face: RegionFace, wcell: PolyCell, lam: np.ndarray):
-    """Contribution of one (face, window-cell) piece to the lower limit, or
-    None when the piece is empty.  Returns (ExtReal, tilt_direction|None)."""
-    P = face.cell.intersect(wcell)
-    gens = P.generators()
+def _piece_contribution(face: RegionFace, lam: np.ndarray):
+    """Contribution of one face to the lower limit, or None when the face
+    is empty.  Returns (value, tilt_direction|None)."""
+    gens = face.cell.generators()
     if gens is None:
         return None
     V, R, L = gens
@@ -802,7 +800,7 @@ def _piece_contribution(face: RegionFace, wcell: PolyCell, lam: np.ndarray):
     for r in dirs:
         s = float(lam @ r)
         if s < -1e-9:
-            return ExtReal.minus_inf(), None
+            return -math.inf, None
     # tilt analysis: a recession direction with lam @ r == 0 forces the value
     # to -inf whenever lam can move inside the normal value against r
     N = face.normal_cell
@@ -815,72 +813,56 @@ def _piece_contribution(face: RegionFace, wcell: PolyCell, lam: np.ndarray):
                              np.append(np.zeros(len(act)), 1.0),
                              N.E, np.zeros(N.E.shape[0]))
         if out is not None and out[0] > 1e-8:
-            return ExtReal.minus_inf(), out[1]
-    vals = [float(lam @ v) for v in V]
-    return ExtReal.of(min(vals)), None
+            return -math.inf, out[1]
+    return min(float(lam @ v) for v in V), None
 
 
-def _value_at(faces, window_cells, lam: np.ndarray) -> ExtReal:
-    """inf{<lam, u> : lam is a Frechet normal at u, u in window}: the direct
-    (no lower limit) evaluation used by the perturbation cross-check."""
-    best = None
+def _value_at(faces, lam: np.ndarray) -> float:
+    """inf{<lam, u> : lam is a Frechet normal at u}: the direct (no lower
+    limit) evaluation used by the perturbation cross-check."""
+    best = math.inf
     for face in faces:
         if not face.normal_cell.contains(lam, tol=1e-9):
             continue
-        for w in window_cells:
-            P = face.cell.intersect(w)
-            out = _lp.maximize(-lam, P.A, P.b, P.E, P.f)
-            if out.status == "infeasible":
-                continue
-            if out.status == "unbounded":
-                return ExtReal.minus_inf()
-            v = ExtReal.of(-out.value)
-            if best is None or v < best:
-                best = v
-    return best if best is not None else ExtReal.plus_inf()
+        v = -face.cell.support(-lam)
+        if v == -math.inf:
+            return v
+        best = min(best, v)
+    return best
 
 
-def lower_gen_support_detail(region: Region, lam, window: Region | None = None):
-    """Lower generalized support of a polyhedral region at lam, restricted
-    to a window region; returns (value, notes).
+def lower_gen_support_detail(region: Region, lam):
+    """Lower generalized support of a polyhedral region at lam, as
+    (value, notes): a float, -inf for an empty region and +inf when lam is
+    a Frechet normal nowhere on it.
 
     Face-complex evaluation of the lower limit, including the lam-tilt
     effects on unbounded faces, cross-checked by direct evaluation along a
     shrinking perturbation schedule around lam.  Inside ``lp.reuse_scope``
-    equal cells, lam and window cells share one result."""
+    equal cells and lam share one result."""
     lam = np.asarray(lam, dtype=float).ravel()
-    key = (_content(region), lam, None if window is None else _content(window))
-    return _lp._reused("lower_gen_support", key,
-                       lambda: _lower_gen_support_detail(region, lam, window))
+    return _lp._reused("lower_gen_support", (_content(region), lam),
+                       lambda: _lower_gen_support_detail(region, lam))
 
 
-def _lower_gen_support_detail(region: Region, lam: np.ndarray, window: Region | None):
+def _lower_gen_support_detail(region: Region, lam: np.ndarray):
     if lam.size != region.dim:
         raise RegionError("lam dimension mismatch")
-    if window is not None and window.dim != region.dim:
-        raise RegionError("window dimension mismatch")
     if region.is_empty():
-        return ExtReal.minus_inf(), ()
-    window_cells = window.nonempty_cells() if window is not None else (PolyCell.all_space(region.dim),)
-    if window is not None and not window_cells:
-        # empty window: no admissible u at all
-        return ExtReal.plus_inf(), ()
+        return -math.inf, ()
     faces = face_complex(region)
-    best = None
+    value = math.inf
     tilt_dirs: list[np.ndarray] = []
     for face in faces:
         if not face.normal_cell.contains(lam, tol=1e-9):
             continue
-        for w in window_cells:
-            res = _piece_contribution(face, w, lam)
-            if res is None:
-                continue
-            v, tilt = res
-            if tilt is not None:
-                tilt_dirs.append(tilt)
-            if best is None or v < best:
-                best = v
-    value = best if best is not None else ExtReal.plus_inf()
+        res = _piece_contribution(face, lam)
+        if res is None:
+            continue
+        v, tilt = res
+        if tilt is not None:
+            tilt_dirs.append(tilt)
+        value = min(value, v)
 
     # Perturbation-schedule cross check.  A -inf reading on any shell is a
     # genuine signal (on polyhedral data it persists as the radius shrinks);
@@ -889,27 +871,26 @@ def _lower_gen_support_detail(region: Region, lam: np.ndarray, window: Region | 
     notes: tuple[str, ...] = ()
     dirs = [np.eye(region.dim)[i] * s for i in range(region.dim) for s in (1.0, -1.0)]
     dirs += [d / np.linalg.norm(d) for d in tilt_dirs if np.linalg.norm(d) > 1e-12]
-    center = _value_at(faces, window_cells, lam)
-    minus_inf_seen = center.is_minus_inf
-    last_shell = ExtReal.plus_inf()
+    center = _value_at(faces, lam)
+    minus_inf_seen = center == -math.inf
+    last_shell = math.inf
     for k in (4, 5, 6):
         radius = 10.0 ** (-k)
-        last_shell = min((_value_at(faces, window_cells, lam + radius * d) for d in dirs),
-                         default=ExtReal.plus_inf())
-        if last_shell.is_minus_inf:
+        last_shell = min((_value_at(faces, lam + radius * d) for d in dirs),
+                         default=math.inf)
+        if last_shell == -math.inf:
             minus_inf_seen = True
-    est = ExtReal.minus_inf() if minus_inf_seen else min(center, last_shell)
-    if value.is_finite and est.is_finite:
-        agree = abs(float(value) - float(est)) <= 1e-4 * (1.0 + abs(float(value)))
+    est = -math.inf if minus_inf_seen else min(center, last_shell)
+    if math.isfinite(value) and math.isfinite(est):
+        agree = abs(value - est) <= 1e-4 * (1.0 + abs(value))
     else:
-        agree = (value.is_plus_inf and est.is_plus_inf) or \
-                (value.is_minus_inf and est.is_minus_inf)
+        agree = value == est
     if not agree:
         notes = (f"boundary-inconclusive: face-complex value {value!r} vs "
                  f"perturbation estimate {est!r}",)
     return value, notes
 
 
-def lower_gen_support(region: Region, lam, window: Region | None = None) -> ExtReal:
-    value, _ = lower_gen_support_detail(region, lam, window)
+def lower_gen_support(region: Region, lam) -> float:
+    value, _ = lower_gen_support_detail(region, lam)
     return value

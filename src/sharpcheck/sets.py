@@ -30,6 +30,13 @@ def _vec(x, dim=None) -> np.ndarray:
     return out
 
 
+def _check_finite(what: str, *parts) -> None:
+    """Reject an infinite or NaN entry in a set's defining data; only
+    interval and box endpoints may be infinite."""
+    if not all(np.isfinite(part).all() for part in parts):
+        raise SetError(f"non-finite entry in the {what} data")
+
+
 def _rows(Y, dim) -> np.ndarray:
     Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1] != dim:
@@ -53,10 +60,10 @@ def _row_products(Y, M) -> np.ndarray:
     return (Y[:, None, :] @ M)[:, 0, :]
 
 
-def _dedupe_points(pts, tol=1e-7):
+def _dedupe_points(pts):
     out = []
     for p in pts:
-        if not any(np.linalg.norm(p - q) <= tol for q in out):
+        if not any(np.linalg.norm(p - q) <= 1e-7 for q in out):
             out.append(p)
     return out
 
@@ -213,10 +220,11 @@ class Halfspace(BaseSet):
 
     def __init__(self, normal, offset: float):
         self.normal = _vec(normal)
+        self.offset = float(offset)
+        _check_finite("halfspace", self.normal, self.offset)
         nr = float(np.linalg.norm(self.normal))
         if nr <= TOL:
             raise SetError("halfspace normal must be nonzero")
-        self.offset = float(offset)
         self.dim = self.normal.size
 
     def contains_rows(self, Y, tol=TOL):
@@ -248,16 +256,18 @@ class Polyhedron(BaseSet):
                 raise SetError("polyhedron needs rows or an explicit dimension")
             dim = len(_vec(src[0][0]))
         self.dim = int(dim)
+        self.rows = [(_vec(a, self.dim), float(b)) for a, b in rows]
+        self.equalities = [(_vec(a, self.dim), float(b)) for a, b in equalities]
+        _check_finite("polyhedron", *(part for row in self.rows + self.equalities
+                                      for part in row))
         self.cell = PolyCell(
-            np.array([_vec(a, self.dim) for a, _ in rows]) if rows else None,
-            np.array([float(b) for _, b in rows]) if rows else None,
-            np.array([_vec(a, self.dim) for a, _ in equalities]) if equalities else None,
-            np.array([float(b) for _, b in equalities]) if equalities else None,
+            np.array([a for a, _ in self.rows]) if rows else None,
+            np.array([b for _, b in self.rows]) if rows else None,
+            np.array([a for a, _ in self.equalities]) if equalities else None,
+            np.array([b for _, b in self.equalities]) if equalities else None,
             dim=self.dim)
         if self.cell.is_empty():
             raise SetError("polyhedron is empty; catalog sets must be nonempty")
-        self.rows = [( _vec(a, self.dim), float(b)) for a, b in rows]
-        self.equalities = [(_vec(a, self.dim), float(b)) for a, b in equalities]
 
     def contains_rows(self, Y, tol=TOL):
         # PolyCell.contains_rows on one-row products, so that no row's bits
@@ -283,6 +293,7 @@ class Ball(BaseSet):
     def __init__(self, center, radius: float):
         self.center = _vec(center)
         self.radius = float(radius)
+        _check_finite("ball", self.center, self.radius)
         if self.radius <= 0:
             raise SetError("ball radius must be positive")
         self.dim = self.center.size
@@ -314,6 +325,7 @@ class PointSet(BaseSet):
 
     def __init__(self, x):
         self.x = _vec(x)
+        _check_finite("point", self.x)
         self.dim = self.x.size
 
     def contains_rows(self, Y, tol=TOL):
@@ -338,6 +350,7 @@ class FiniteSet(BaseSet):
         pts = [_vec(p) for p in points]
         if not pts:
             raise SetError("finite set needs at least one point")
+        _check_finite("finite set", *pts)
         dim = pts[0].size
         for p in pts:
             if p.size != dim:

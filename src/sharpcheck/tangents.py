@@ -74,8 +74,8 @@ def _leaf_cell(s: BaseSet) -> PolyCell:
     return s.as_region().cells[0]
 
 
-def _active_rows(cell: PolyCell, y: np.ndarray, tol: float = 1e-8) -> list[int]:
-    return [i for i in range(cell.A.shape[0]) if abs(float(cell.A[i] @ y) - cell.b[i]) <= tol]
+def _active_rows(cell: PolyCell, y: np.ndarray) -> list[int]:
+    return [i for i in range(cell.A.shape[0]) if abs(float(cell.A[i] @ y) - cell.b[i]) <= 1e-8]
 
 
 def _is_polyhedral_leaf(s: BaseSet) -> bool:

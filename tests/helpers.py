@@ -478,10 +478,10 @@ def invariant_battery(s, y, seed):
             lam = rng.normal(size=s.dim)
             low, _notes = lower_gen_support_detail(reg, lam)
             sup = reg.support(lam)
-            if float(low) > float(sup) + 1e-7:
+            if low > sup + 1e-7:
                 failures.append(f"lower generalized support exceeds the support at {lam}")
-            if s.is_convex() and len(reg.nonempty_cells()) == 1 and sup.is_finite:
-                if abs(float(low) - float(sup)) > 1e-7:
+            if s.is_convex() and len(reg.nonempty_cells()) == 1 and math.isfinite(sup):
+                if abs(low - sup) > 1e-7:
                     failures.append(f"support gap on a convex region at {lam}")
     return failures
 

@@ -193,6 +193,19 @@ def test_mscq_cascade_methods():
     assert ok and method == "polyhedral"
 
 
+def test_mscq_shortcut_needs_affine_constraints():
+    # g = x1^3 has a zero Hessian at xbar = 0, yet dist(x, Phi) / dist(g(x), K)
+    # = 1/x1^2 is unbounded there: only a constraint map of degree one into
+    # a polyhedral K is subregular without a check
+    p = ProblemInstance(1, 1, parse_expression("x1^2", 1),
+                        (parse_expression("x1^3", 1),), Interval(-math.inf, 0.0),
+                        PointSet([0.0]), [0.0])
+    ok, method, _ = certify_mscq(p, p.xbar, [1.0])
+    assert method == "sampled (not a proof)"
+    report = necessary_implicit_check(p, d=[1.0])
+    assert report.cq_status == {"mscq": "sampled (not a proof)"}
+
+
 def test_mscq_does_not_depend_on_earlier_instances():
     # a dropped instance's id() is often reused by the next one built, so
     # any result keyed by object identity would leak across them
@@ -264,8 +277,8 @@ def test_necessary_implicit_witness_replays():
         _, J, qfn, qgn = _jet_data(p, p.xbar)
         t2 = second_tangent(p.K, p.g_value(p.xbar), J @ dv, "outer")
         sigma = t2.support(lam)
-        assert sigma.is_finite
-        value = qfn(dv) + float(lam @ qgn(dv)) - float(sigma)
+        assert math.isfinite(sigma)
+        value = qfn(dv) + float(lam @ qgn(dv)) - sigma
         assert value == pytest.approx(w["achieved"], abs=1e-7)
 
 
@@ -660,8 +673,8 @@ def test_conic_primal_matches_multiplier_dual():
                 continue
             dual, _ = _dual_lp_max(lamreg, -v)
             primal = _conic_primal(grad, J, v, tcell)
-            assert dual.is_finite and primal.is_finite, seed
-            gap = abs(float(dual) - float(primal)) / (1.0 + abs(float(dual)))
+            assert math.isfinite(dual) and math.isfinite(primal), seed
+            gap = abs(dual - primal) / (1.0 + abs(dual))
             assert gap <= DUALITY_TOL, (seed, gap)
             pairs += 1
     assert kept >= 20

@@ -200,6 +200,16 @@ _BAD_DOCUMENTS = {
     # JSON integers beyond the float range, in a number and in a vector
     "delta-huge-integer": ({"options": {"delta": 10**400}}, []),
     "xbar-huge-integer": ({"xbar": [10**400, 0]}, []),
+    # the reader takes "inf" for every number, but only interval and box
+    # endpoints may be infinite
+    "polyhedron-inf-rhs": ({"K": {"kind": "polyhedron",
+                                  "rows": [[[1], 0], [[1], "inf"]]}}, []),
+    "halfspace-inf-offset": ({"K": {"kind": "halfspace", "normal": [1],
+                                    "offset": "-inf"}}, []),
+    "ball-inf-radius": ({"K": {"kind": "ball", "center": [0], "radius": "inf"}}, []),
+    "point-inf": ({"S": {"kind": "point", "at": [0, "inf"]}}, []),
+    "finite-inf": ({"S": {"kind": "finite", "points": [[0, 0], [1, "inf"]]}}, []),
+    "xbar-inf": ({"xbar": [0, "inf"]}, []),
 }
 
 

@@ -5,15 +5,19 @@ cross-checked two independent ways: against scipy's solver on randomized
 bounded problems, and against weak/strong duality identities that hold
 regardless of implementation.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sharpcheck import cli, lp
 from sharpcheck.lp import (
     DIM_CAP,
     DimensionCapError,
     LpError,
+    LpNumericalError,
     cell_from_generators_arrays,
     cell_generators_arrays,
     cone_from_generators,
@@ -556,3 +560,38 @@ def test_tangent_and_search_memos_are_read_only_and_scoped():
         assert directional_normal(ball, y, u, "clarke") is not normal
         assert proximal_normal_cell(ball, y) is not cell
         assert certify._search_sigma_hat_nonpositive(lamreg, target) is not found
+
+
+# -- non-finite optima --------------------------------------------------------
+
+
+def _nan_phase_two(monkeypatch):
+    """Make every phase-2 simplex solve hand back a NaN basic solution."""
+    simplex = lp._simplex
+
+    def nan_basis(M, rhs, c, basis, blocked):
+        status, basis, xB, extra = simplex(M, rhs, c, basis, blocked)
+        if blocked:   # only phase 2 blocks the artificial columns
+            xB = np.full_like(xB, np.nan)
+        return status, basis, xB, extra
+
+    monkeypatch.setattr(lp, "_simplex", nan_basis)
+
+
+def test_non_finite_optimum_is_a_numerical_error(monkeypatch):
+    _nan_phase_two(monkeypatch)
+    with pytest.raises(LpNumericalError, match="non-finite optimal value"):
+        maximize([1.0, 0.0], [[1.0, 0.0]], [1.0])
+    with pytest.raises(LpNumericalError):
+        PolyCell([[1.0, 0.0]], [1.0], dim=2).support([1.0, 0.0])
+
+
+def test_non_finite_optimum_is_inconclusive_on_the_command_line(monkeypatch, capsys):
+    _nan_phase_two(monkeypatch)
+    monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+    code = cli.main(["check-necessary", "fixtures/parabola.json",
+                     "--direction", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("sharpcheck: LpNumericalError: ")
+    assert "Traceback" not in captured.err

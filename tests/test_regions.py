@@ -1,4 +1,5 @@
 """Region algebra: comparison, support, polarity, faces, lower support."""
+import math
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sharpcheck import regions
-from sharpcheck.extreal import ExtReal
 from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.regions import (
     PolyCell,
@@ -160,7 +160,7 @@ def test_region_distance_union():
 def test_empty_region_distance():
     r = Region.empty(2)
     d, pts = r.distance([0.0, 0.0])
-    assert d.is_plus_inf and pts == []
+    assert d == math.inf and pts == []
 
 
 # -- support ----------------------------------------------------------------
@@ -168,9 +168,9 @@ def test_empty_region_distance():
 
 def test_support_examples():
     r = halfplane([-1.0, 0.0], -1.0)  # {w1 >= 1}
-    assert r.support([-1.0, 0.0]) == ExtReal.of(-1.0)
-    assert Region.empty(2).support([1.0, 1.0]).is_minus_inf
-    assert _union_fixture().support([1.0, 0.0]).is_plus_inf
+    assert r.support([-1.0, 0.0]) == -1.0
+    assert Region.empty(2).support([1.0, 1.0]) == -math.inf
+    assert _union_fixture().support([1.0, 0.0]) == math.inf
 
 
 # -- comparison -------------------------------------------------------------
@@ -351,20 +351,20 @@ def test_limiting_normal_three_quadrant_union():
 
 def test_lower_gen_support_union_fixture():
     val, notes = lower_gen_support_detail(_union_fixture(), [1.0, 0.0])
-    assert val == ExtReal.of(-1.0)
+    assert val == -1.0
     assert notes == ()
     # strictly below the plain support, which is +inf here
-    assert _union_fixture().support([1.0, 0.0]).is_plus_inf
+    assert _union_fixture().support([1.0, 0.0]) == math.inf
 
 
 def test_lower_gen_support_empty_and_origin():
-    assert lower_gen_support(Region.empty(2), [1.0, 0.0]).is_minus_inf
-    assert lower_gen_support(Region.all_space(2), [0.0, 0.0]) == ExtReal.of(0.0)
+    assert lower_gen_support(Region.empty(2), [1.0, 0.0]) == -math.inf
+    assert lower_gen_support(Region.all_space(2), [0.0, 0.0]) == 0.0
 
 
 def test_lower_gen_support_no_normal_direction():
     # lam is nowhere a normal: the infimum runs over the empty set
-    assert lower_gen_support(_union_fixture(), [1.0, 1.0]).is_plus_inf
+    assert lower_gen_support(_union_fixture(), [1.0, 1.0]) == math.inf
 
 
 def test_lower_gen_support_matches_support_on_convex():
@@ -379,12 +379,12 @@ def test_lower_gen_support_matches_support_on_convex():
             continue
         lam = rng.normal(size=n)
         sup = reg.support(lam)
-        if not sup.is_finite:
+        if not math.isfinite(sup):
             continue
         hits += 1
         low = lower_gen_support(reg, lam)
-        assert low.is_finite
-        assert float(low) == pytest.approx(float(sup), abs=1e-6)
+        assert math.isfinite(low)
+        assert low == pytest.approx(sup, abs=1e-6)
     assert hits >= 5
 
 
@@ -397,23 +397,12 @@ def test_lower_gen_support_below_support_everywhere():
         assert lower_gen_support(r, lam) <= r.support(lam)
 
 
-def test_lower_gen_support_window_monotone():
-    r = _union_fixture()
-    lam = np.array([1.0, 0.0])
-    big = lower_gen_support(r, lam)  # window = all-space
-    box = Region.from_cell(PolyCell(np.vstack([np.eye(2), -np.eye(2)]),
-                                    [2.0, 2.0, 2.0, 2.0], dim=2))
-    small = lower_gen_support(r, lam, window=box)
-    # larger window means inf over more points: value can only drop
-    assert big <= small
-
-
 def test_lower_gen_support_nonconvex_reentrant():
     # three-quadrant union: sigma-hat at e1 sees only the face {x1=0, x2>=0}
     r = halfplane([1.0, 0.0], 0.0, cone=True).union(halfplane([0.0, 1.0], 0.0, cone=True))
     val = lower_gen_support(r, [1.0, 0.0])
-    assert val == ExtReal.of(0.0)
-    assert r.support([1.0, 0.0]).is_plus_inf
+    assert val == 0.0
+    assert r.support([1.0, 0.0]) == math.inf
 
 
 def test_lower_gen_support_rejects_bad_dims():
@@ -431,10 +420,8 @@ def _face_bytes(faces):
 
 def test_equal_regions_share_face_complex_and_lower_support_in_a_context(monkeypatch):
     lam, other_lam = np.array([1.0, 0.0]), np.array([-1.0, 0.0])
-    window = Region.from_cell(PolyCell(dim=2))
     want_faces = face_complex(_union_fixture())
     want = lower_gen_support_detail(_union_fixture(), lam)
-    want_windowed = lower_gen_support_detail(_union_fixture(), lam, window)
     calls = {"faces": 0, "support": 0}
     faces_impl = regions._face_complex
     support_impl = regions._lower_gen_support_detail
@@ -443,9 +430,9 @@ def test_equal_regions_share_face_complex_and_lower_support_in_a_context(monkeyp
         calls["faces"] += 1
         return faces_impl(region)
 
-    def count_support(region, lam, window):
+    def count_support(region, lam):
         calls["support"] += 1
-        return support_impl(region, lam, window)
+        return support_impl(region, lam)
 
     monkeypatch.setattr(regions, "_face_complex", count_faces)
     monkeypatch.setattr(regions, "_lower_gen_support_detail", count_support)
@@ -457,20 +444,19 @@ def test_equal_regions_share_face_complex_and_lower_support_in_a_context(monkeyp
         got = lower_gen_support_detail(r1, lam)
         assert lower_gen_support_detail(r2, lam.copy()) is got
         assert calls == {"faces": 1, "support": 1}
-        # lam and the window are part of the key
+        # lam is part of the key
         lower_gen_support_detail(r2, other_lam)
-        windowed = lower_gen_support_detail(r2, lam, window)
-        assert calls == {"faces": 1, "support": 3}
+        assert calls == {"faces": 1, "support": 2}
         assert isinstance(faces, tuple)
         assert not faces[0].sample.flags.writeable
         assert not faces[0].cell.A.flags.writeable
     assert _face_bytes(faces) == _face_bytes(want_faces)
-    assert got == want and windowed == want_windowed
-    assert np.float64(got[0].value).tobytes() == np.float64(want[0].value).tobytes()
+    assert got == want
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     # nothing survives the scope
     assert face_complex(r1) is not faces
     assert lower_gen_support_detail(r1, lam) is not got
-    assert calls == {"faces": 3, "support": 4}
+    assert calls == {"faces": 3, "support": 3}
 
 
 # -- reuse of the cone operations -------------------------------------------

@@ -281,3 +281,23 @@ def test_row_methods_check_shapes():
                 s.contains_rows(bad)
             with pytest.raises(SetError):
                 s.project_rows(bad)
+
+
+# -- non-finite data ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Halfspace([1.0, math.inf], 0.0),
+    lambda: Halfspace([1.0, 0.0], math.nan),
+    lambda: Polyhedron(rows=[([1.0], 0.0), ([1.0], math.inf)]),
+    lambda: Polyhedron(equalities=[([math.nan, 1.0], 0.0)]),
+    lambda: Ball([0.0, -math.inf], 1.0),
+    lambda: Ball([0.0, 0.0], math.inf),
+    lambda: PointSet([0.0, math.inf]),
+    lambda: FiniteSet([[0.0, 0.0], [1.0, math.inf]]),
+], ids=["halfspace-normal", "halfspace-offset", "polyhedron-rhs",
+        "polyhedron-equality", "ball-center", "ball-radius", "point", "finite"])
+def test_non_finite_set_data_is_rejected(build):
+    with pytest.raises(SetError, match="non-finite entry"):
+        build()
+

@@ -1,6 +1,8 @@
 """First- and second-order tangent objects, normal cone families, and the
 randomized invariant battery over the set catalog."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -296,31 +298,15 @@ def test_lower_support_equals_support_on_convex():
     lam = [0.0, -1.0]
     sigma = outer.support(lam)
     sighat = lower_gen_support(outer, lam)
-    assert sigma.is_finite and float(sigma) == pytest.approx(-1.0)
-    assert float(sighat) == pytest.approx(float(sigma))
+    assert sigma == pytest.approx(-1.0)
+    assert sighat == pytest.approx(sigma)
 
 
 def test_lower_support_strictly_below_on_union():
     outer = second_tangent(two_disks(), [0.0, 0.0], [0.0, 1.0], "outer")
     for lam in ([1.0, 0.0], [-1.0, 0.0]):
-        assert outer.support(lam).is_plus_inf
-        assert float(lower_gen_support(outer, lam)) == pytest.approx(-1.0)
-
-
-def test_lower_support_window_monotonicity():
-    outer = second_tangent(Ball([0.0, 1.0], 1.0), [0.0, 0.0], [1.0, 0.0], "outer")
-    lam = [0.0, -1.0]
-
-    def window(lo, hi):
-        return Region.from_cell(PolyCell([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-                                         [5.0, 5.0, hi, -lo], dim=2))
-
-    # shrinking the window can only raise the value
-    vals = [lower_gen_support(outer, lam, window(lo, 3.0)) for lo in (0.5, 1.0, 2.0)]
-    assert float(vals[0]) == pytest.approx(-1.0)
-    assert float(vals[1]) == pytest.approx(-1.0)
-    assert vals[2].is_plus_inf
-    assert lower_gen_support(outer, lam, Region.empty(2)).is_plus_inf
+        assert outer.support(lam) == math.inf
+        assert lower_gen_support(outer, lam) == pytest.approx(-1.0)
 
 
 # -- randomized battery ----------------------------------------------------
