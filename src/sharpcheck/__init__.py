@@ -24,14 +24,10 @@ from .regions import (
     Region,
     RegionError,
     cone_hull,
-    double_description,
     face_complex,
     limiting_normal_region,
-    lower_gen_support,
     lower_gen_support_detail,
     polar_cone,
-    region_compare,
-    region_equal,
     region_subset,
 )
 from .tangents import (
@@ -83,16 +79,14 @@ __all__ = [
     "TangentError", "UnionSet", "certify_mscq", "cone_hull",
     "constraint_qualification_check", "critical_cone",
     "directional_clarke_tangent", "directional_multipliers",
-    "directional_normal", "double_description", "emit_report",
-    "eps_proximal_filter", "eps_proximal_membership", "face_complex",
-    "growth_constant_estimate", "limiting_normal_region",
-    "linearized_phi_tangents", "load_problem", "lower_gen_support",
+    "directional_normal", "emit_report", "eps_proximal_filter",
+    "eps_proximal_membership", "face_complex", "growth_constant_estimate",
+    "limiting_normal_region", "linearized_phi_tangents", "load_problem",
     "lower_gen_support_detail", "membership_by_definition",
     "mscq_modulus_estimate", "multiplier_affine_set", "necessary_clarke_check",
     "necessary_explicit_check", "necessary_implicit_check", "normal_cone",
     "parse_expression", "polar_cone", "proximal_distance_check",
-    "region_compare", "region_equal", "region_subset",
-    "region_tangent_cone", "run_command", "sample_feasible", "second_tangent",
-    "sufficient_isolated_check", "sufficient_point_check", "sweep_necessary",
-    "tangent_cone",
+    "region_subset", "region_tangent_cone", "run_command", "sample_feasible",
+    "second_tangent", "sufficient_isolated_check", "sufficient_point_check",
+    "sweep_necessary", "tangent_cone",
 ]

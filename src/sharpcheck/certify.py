@@ -20,13 +20,9 @@ checks report the certified one.  Every sufficient certificate is replayed
 through the sampling growth oracle before it is issued.
 
 Each necessary and sufficient checker, and ``sweep_necessary`` around all
-of its pairs, runs inside an ``lp.reuse_scope``.  There the jets, critical
-cone, multiplier affine set and T_S at a base point are built once per
-instance and point; T_K(g(x)) and its polar, the proximal normal cell and
-each directional normal cone once per set, point (and direction); and
-every LP, double description, polar, conic hull, inclusion, face complex,
-lower generalized support and nonpositive sigma-hat search once per
-distinct input.
+of its pairs, runs inside an ``lp.reuse_scope``, which builds each object
+of the memo kinds listed in the ``lp`` module docstring once per distinct
+input.
 """
 
 from __future__ import annotations
@@ -42,7 +38,7 @@ from . import oracles
 from .polyexpr import ModelError, ProblemInstance, rng_for
 from .regions import (PolyCell, Region, _content, face_complex,
                       lower_gen_support_detail, polar_cone, region_subset)
-from .sets import _row_norms
+from .sets import _dedupe_points, _row_norms
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
                        eps_proximal_filter, eps_proximal_membership, normal_cone,
                        second_tangent, tangent_cone)
@@ -121,6 +117,38 @@ def _report(verdict, kappa=None, witnesses=(), cq=None, diags=()):
     bounds = {} if kappa is None else dict(kappa)
     return CertificationReport(verdict, bounds, tuple(witnesses),
                                dict(cq or {}), tuple(diags))
+
+
+def _kappa_bound(value: float, denom: float, d: np.ndarray) -> float:
+    """value / denom, the largest kappa with kappa * denom <= value: every
+    necessary form bounds kappa by this quotient of a curvature-minus-support
+    value and the denominator of ``_kappa_denominator``.  Both are
+    homogeneous of degree 2 in d, so both are compared against TOL |d|^2: a
+    vanishing denominator bounds nothing unless the value is negative."""
+    tol = TOL * float(d @ d)
+    if denom > tol:
+        return value / denom
+    return math.inf if value >= -tol else -math.inf
+
+
+def _kappa_verdict(kmax: float, wits, cq, diags, exact: bool = True):
+    """A necessary check's report for a pair admitting kappa up to kmax: a
+    bound below KAPPA_FLOOR refutes the growth constant when the tangent
+    preimages are exact, and is reported without rejection otherwise."""
+    bounds = {"max_admissible": kmax}
+    if not kmax < KAPPA_FLOOR:
+        return _report("satisfied", bounds, wits, cq, diags)
+    if exact:
+        return _report("violated", bounds, wits, cq, diags)
+    return _report("inconclusive", bounds, wits, cq, list(diags) + [
+        "rejection withheld: tangent preimages are one-sided without a "
+        "constraint qualification"])
+
+
+def _vacuous_outer(wits, cq, diags):
+    """The report of a pair whose outer second-order set is empty."""
+    return _report("satisfied", {"max_admissible": math.inf}, wits, cq, list(diags) + [
+        "outer second-order set is empty; condition (ii) is vacuous"])
 
 
 # ---------------------------------------------------------------------------
@@ -501,17 +529,13 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     mode) or 2 kappa dist(d, T_S(x))^2 (tangent_distance mode).  Both parts
     are evaluated exactly; the report carries the largest admissible kappa.
 
-    The check runs inside an ``lp.reuse_scope``: a sweep that calls it
-    in its own scope builds the jets, critical cone, multiplier set and
-    T_S at each base point once, and solves each distinct LP once.
+    The check runs inside an ``lp.reuse_scope``, which joins the scope of
+    a sweep that calls it, so the sweep builds each memoized object (see
+    the ``lp`` module docstring) once.
     """
     if mode not in ("proximal", "tangent_distance"):
         raise ModelError(f"unknown implicit mode {mode!r}")
-    x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
-    if d is None:
-        raise ModelError("a direction is required")
-    d = np.asarray(d, dtype=float).ravel()
-    eps = p.options.epsilon if eps is None else float(eps)
+    x, d, eps = _pair(p, x, d, eps)
     diags: list[str] = []
 
     pre = _implicit_hypotheses(p, x, d, eps, mode)
@@ -545,11 +569,7 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     if not included:
         sval = Tpp.support(J.T @ bad)
         wits.append(_wit(part="i", x=x, d=d, lam=bad, sigma_theta=sval))
-        verdict = "violated" if exact else "inconclusive"
-        if not exact:
-            diags.append("rejection withheld: tangent preimages are one-sided "
-                         "without a constraint qualification")
-        return _report(verdict, {"max_admissible": -math.inf}, wits, cq, diags)
+        return _kappa_verdict(-math.inf, wits, cq, diags, exact)
 
     # part (ii): the Lagrangian-vs-support value; the multiplier dependence
     # of D2g(d,d) cancels against the shift of the outer set, leaving
@@ -558,24 +578,21 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     inf_val, lam_star, notes2 = _min_value_over_affine(T2, aff, J.T, qf)
     diags.extend(notes2)
 
-    denom, dnote = _implicit_denominator(p, x, d, eps, mode)
+    denom, dnote = _kappa_denominator(p, x, d, eps, mode)
     if dnote:
         diags.append(dnote)
-    if inf_val == -math.inf:
-        kmax = -math.inf
-    elif denom <= TOL:
-        kmax = math.inf if inf_val >= -TOL else -math.inf
-    else:
-        kmax = inf_val / denom
     wits.append(_wit(part="ii", x=x, d=d, lam=lam_star, achieved=inf_val))
+    return _kappa_verdict(_kappa_bound(inf_val, denom, d), wits, cq, diags, exact)
 
-    if kmax < KAPPA_FLOOR:
-        verdict = "violated" if exact else "inconclusive"
-        if not exact:
-            diags.append("rejection withheld: tangent preimages are one-sided "
-                         "without a constraint qualification")
-        return _report(verdict, {"max_admissible": kmax}, wits, cq, diags)
-    return _report("satisfied", {"max_admissible": kmax}, wits, cq, diags)
+
+def _pair(p: ProblemInstance, x, d, eps):
+    """(x, d, eps) of one necessary check: x defaults to xbar and eps to the
+    instance's epsilon, and the direction is required."""
+    x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
+    if d is None:
+        raise ModelError("a direction is required")
+    eps = p.options.epsilon if eps is None else float(eps)
+    return x, np.asarray(d, dtype=float).ravel(), eps
 
 
 def _implicit_hypotheses(p: ProblemInstance, x, d, eps, mode):
@@ -606,7 +623,9 @@ def _reference_tangent(p: ProblemInstance, x) -> Region:
     return Region(t.cells, cone=t.cone, notes=t.notes, dim=t.dim)
 
 
-def _implicit_denominator(p: ProblemInstance, x, d, eps, mode):
+def _kappa_denominator(p: ProblemInstance, x, d, eps, mode):
+    """The denominator of the kappa quotient, with a note on how it was read:
+    2 (1-2 eps)^2 |d|^2 in proximal mode, 2 dist(d, T_S(x))^2 otherwise."""
     if mode == "proximal":
         return 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d), ""
     dv, _ = _reference_tangent(p, x).distance(d)
@@ -633,11 +652,7 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     direct sigma-hat evaluation.  Objects are reused as in
     ``necessary_implicit_check``.
     """
-    x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
-    if d is None:
-        raise ModelError("a direction is required")
-    d = np.asarray(d, dtype=float).ravel()
-    eps = p.options.epsilon if eps is None else float(eps)
+    x, d, eps = _pair(p, x, d, eps)
     diags = ["explicit form is weaker than the implicit form: a satisfied "
              "verdict here does not preclude an implicit rejection"]
 
@@ -651,48 +666,48 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
                        ["metric subregularity could not be certified"])
     cq = {"mscq": method}
     diags.extend(notes)
-
-    grad, J, qfn, qgn = _jet_data(p, x)
-    ybar = p.g_value(x)
-    u = J @ d
-    Tpp = second_tangent(p.K, ybar, u, "asymptotic")
-    T2 = second_tangent(p.K, ybar, u, "outer")
-    diags.extend(Tpp.notes + T2.notes)
-    lamreg = directional_multipliers(p, x, d, "M")
+    Tpp, T2, lamreg = _k_side(p, x, d, "M", diags)
     if lamreg.is_empty():
-        return _report("violated", {"max_admissible": -math.inf}, cq=cq,
-                       diags=diags + ["no directional multiplier exists"])
+        return _kappa_verdict(-math.inf, (), cq,
+                              diags + ["no directional multiplier exists"])
 
     # part (i)
     wit_i, sig_i, notes_i = _search_sigma_hat_nonpositive(lamreg, Tpp)
     diags.extend(notes_i)
-    wits = []
     if wit_i is None:
-        return _report("violated", {"max_admissible": -math.inf}, wits, cq,
-                       diags + ["no multiplier gives a nonpositive lower "
-                                "generalized support over the asymptotic cone "
-                                "(exhaustive over the face complex)"])
-    wits.append(_wit(part="i", x=x, d=d, lam=wit_i, sigma_hat=sig_i))
+        return _kappa_verdict(-math.inf, (), cq, diags + [
+            "no multiplier gives a nonpositive lower generalized support over "
+            "the asymptotic cone (exhaustive over the face complex)"])
+    wits = [_wit(part="i", x=x, d=d, lam=wit_i, sigma_hat=sig_i)]
 
     # part (ii)
-    qf, q = qfn(d), qgn(d)
     if T2.is_empty():
-        diags.append("outer second-order set is empty; condition (ii) is vacuous")
-        return _report("satisfied", {"max_admissible": math.inf}, wits, cq, diags)
+        return _vacuous_outer(wits, cq, diags)
+    _, _, qfn, qgn = _jet_data(p, x)
+    qf, q = qfn(d), qgn(d)
     best, lam2, notes2 = _max_explicit_value(lamreg, T2, qf, q)
     diags.extend(notes2)
     if any("boundary-inconclusive" in n for n in notes2):
         return _report("inconclusive", {"max_admissible": math.nan}, wits, cq, diags)
-    denom = 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d)
-    kmax = best / denom
+    denom, _ = _kappa_denominator(p, x, d, eps, "proximal")
     if lam2 is not None:
         # record a directly replayable value for the witness multiplier
         sh2, _ = lower_gen_support_detail(T2, lam2)
         direct = qf + float(q @ lam2) - sh2
         wits.append(_wit(part="ii", x=x, d=d, lam=lam2, achieved=direct))
-    if kmax < KAPPA_FLOOR:
-        return _report("violated", {"max_admissible": kmax}, wits, cq, diags)
-    return _report("satisfied", {"max_admissible": kmax}, wits, cq, diags)
+    return _kappa_verdict(_kappa_bound(best, denom, d), wits, cq, diags)
+
+
+def _k_side(p: ProblemInstance, x, d, kind: str, diags: list[str]):
+    """(Tpp, T2, multipliers): the asymptotic and outer second-order sets of
+    K at g(x) in direction Dg(x) d, whose notes go to diags, and the
+    directional multipliers of ``kind`` (M or C) at (x, d)."""
+    _, J, _, _ = _jet_data(p, x)
+    y, u = p.g_value(x), J @ d
+    Tpp = second_tangent(p.K, y, u, "asymptotic")
+    T2 = second_tangent(p.K, y, u, "outer")
+    diags.extend(Tpp.notes + T2.notes)
+    return Tpp, T2, directional_multipliers(p, x, d, kind)
 
 
 def _search_sigma_hat_nonpositive(lamreg: Region, target: Region):
@@ -721,30 +736,33 @@ def _sigma_hat_nonpositive(lamreg: Region, target: Region):
         rp = cell.relint_point()
         if rp is not None:
             cands.append(rp[0])
-    faces = face_complex(target)
+    for probe, v in _face_vertex_probes(lamreg, target):
+        probe = PolyCell(np.vstack([probe.A, v.reshape(1, -1)]),
+                         np.concatenate([probe.b, [0.0]]), probe.E, probe.f, dim=m)
+        out = _lp.maximize(np.zeros(m), probe.A, probe.b, probe.E, probe.f)
+        if out.status == "optimal":
+            cands.append(out.point)
+    for lam in _dedupe_points(cands, 1e-9):
+        val, vnotes = lower_gen_support_detail(target, lam)
+        notes.extend(vnotes)
+        if val <= TOL:
+            return lam, val, tuple(notes)
+    return None, None, tuple(notes)
+
+
+def _face_vertex_probes(lamreg: Region, region: Region):
+    """(probe, v) per (multiplier cell, face of the region, vertex v of the
+    face), the probe being the cell cut to the face's Frechet normal value;
+    one LP per triple makes a sigma-hat search exhaustive on polyhedral
+    data."""
+    faces = face_complex(region)
     for cell in lamreg.nonempty_cells():
         for face in faces:
             g = face.cell.generators()
             if g is None:
                 continue
             for v in g[0]:
-                probe = cell.intersect(face.normal_cell)
-                probe = PolyCell(np.vstack([probe.A, v.reshape(1, -1)]),
-                                 np.concatenate([probe.b, [0.0]]),
-                                 probe.E, probe.f, dim=m)
-                out = _lp.maximize(np.zeros(m), probe.A, probe.b, probe.E, probe.f)
-                if out.status == "optimal":
-                    cands.append(out.point)
-    seen = []
-    for lam in cands:
-        if any(np.linalg.norm(lam - s) <= 1e-9 for s in seen):
-            continue
-        seen.append(lam)
-        val, vnotes = lower_gen_support_detail(target, lam)
-        notes.extend(vnotes)
-        if val <= TOL:
-            return lam, val, tuple(notes)
-    return None, None, tuple(notes)
+                yield cell.intersect(face.normal_cell), v
 
 
 def _max_explicit_value(lamreg: Region, T2: Region, qf: float, q: np.ndarray):
@@ -753,29 +771,21 @@ def _max_explicit_value(lamreg: Region, T2: Region, qf: float, q: np.ndarray):
     notes: list[str] = []
     best = -math.inf
     best_lam = None
-    m = lamreg.dim
-    faces = face_complex(T2)
-    for cell in lamreg.nonempty_cells():
-        for face in faces:
-            g = face.cell.generators()
-            if g is None:
-                continue
-            for v in g[0]:
-                probe = cell.intersect(face.normal_cell)
-                out = _lp.maximize(q - v, probe.A, probe.b, probe.E, probe.f)
-                if out.status == "unbounded":
-                    # any prescribed value is reachable along the ray; hand
-                    # back a finite point on it as the replayable witness
-                    lam_wit = (out.point if out.point is not None else
-                               np.zeros(m)) + out.ray
-                    return math.inf, lam_wit, tuple(
-                        notes + ["condition (ii) value is unbounded above; "
-                                 "no finite growth constant is rejected"])
-                if out.status != "optimal":
-                    continue
-                val = qf + float(q @ out.point) - float(out.point @ v)
-                if val > best:
-                    best, best_lam = val, out.point
+    for probe, v in _face_vertex_probes(lamreg, T2):
+        out = _lp.maximize(q - v, probe.A, probe.b, probe.E, probe.f)
+        if out.status == "unbounded":
+            # any prescribed value is reachable along the ray; hand back a
+            # finite point on it as the replayable witness
+            lam_wit = (out.point if out.point is not None else
+                       np.zeros(lamreg.dim)) + out.ray
+            return math.inf, lam_wit, tuple(
+                notes + ["condition (ii) value is unbounded above; "
+                         "no finite growth constant is rejected"])
+        if out.status != "optimal":
+            continue
+        val = qf + float(q @ out.point) - float(out.point @ v)
+        if val > best:
+            best, best_lam = val, out.point
     # confirm the winner by a direct evaluation
     if best_lam is not None:
         sh, vnotes = lower_gen_support_detail(T2, best_lam)
@@ -822,11 +832,7 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     """
     if mode not in ("elementwise", "nondegenerate"):
         raise ModelError(f"unknown clarke mode {mode!r}")
-    x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
-    if d is None:
-        raise ModelError("a direction is required")
-    d = np.asarray(d, dtype=float).ravel()
-    eps = p.options.epsilon if eps is None else float(eps)
+    x, d, eps = _pair(p, x, d, eps)
     diags: list[str] = []
 
     pre = _implicit_hypotheses(p, x, d, eps, "proximal")
@@ -845,22 +851,16 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
                            diags=diags + ["directional nondegeneracy fails"])
         cq["nondeg"] = "holds"
 
-    grad, J, qfn, qgn = _jet_data(p, x)
-    ybar = p.g_value(x)
-    u = J @ d
-    Tpp = second_tangent(p.K, ybar, u, "asymptotic")
-    T2 = second_tangent(p.K, ybar, u, "outer")
-    diags.extend(Tpp.notes + T2.notes)
-    lamreg = directional_multipliers(p, x, d, "C")
+    Tpp, T2, lamreg = _k_side(p, x, d, "C", diags)
     if lamreg.is_empty():
-        return _report("violated", {"max_admissible": -math.inf}, cq=cq,
-                       diags=diags + ["no Clarke multiplier exists"])
+        return _kappa_verdict(-math.inf, (), cq, diags + ["no Clarke multiplier exists"])
+    grad, J, qfn, qgn = _jet_data(p, x)
     try:
-        that = directional_clarke_tangent(p.K, ybar, u)
+        that = directional_clarke_tangent(p.K, p.g_value(x), J @ d)
     except TangentError as exc:
         return _report("hypotheses-not-met", cq=cq, diags=diags + [str(exc)])
     qf, q = qfn(d), qgn(d)
-    denom = 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d)
+    denom, _ = _kappa_denominator(p, x, d, eps, "proximal")
 
     if mode == "nondegenerate":
         return _clarke_nondegenerate(x, d, lamreg, Tpp, T2, qf, q, denom, cq,
@@ -905,13 +905,7 @@ def _generators_of(region: Region):
         v0, r0, l0 = g
         verts.extend(list(v0))
         rays.extend(list(r0) + list(l0) + [-l for l in l0])
-    def dedupe(arr):
-        out = []
-        for a in arr:
-            if not any(np.linalg.norm(a - b) <= 1e-9 for b in out):
-                out.append(a)
-        return out
-    return dedupe(verts), dedupe(rays)
+    return _dedupe_points(verts, 1e-9), _dedupe_points(rays, 1e-9)
 
 
 def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
@@ -936,14 +930,14 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
             gap_flagged = True
             diags.append(f"duality gap {primal - dual:.3g} "
                          f"at generator {np.round(v, 6).tolist()}")
-        if dual < -TOL:
-            wits.append(_wit(part="i", x=x, d=d, w=v, lam=lam_v, achieved=dual))
-            return _report("violated", {"max_admissible": -math.inf}, wits, cq,
-                           diags + ["a generator of the asymptotic cone "
-                                    "separates every Clarke multiplier"])
         wits.append(_wit(part="i", x=x, d=d, w=v, lam=lam_v, achieved=dual))
+        if dual < -TOL:
+            return _kappa_verdict(-math.inf, wits, cq, diags + [
+                "a generator of the asymptotic cone separates every Clarke multiplier"])
     if gap_flagged:
         return _report("inconclusive", {}, wits, cq, diags)
+    if not T2.nonempty_cells():
+        return _vacuous_outer(wits[:12], cq, diags)
 
     # part (ii): per cell, a vertex LP with ray constraints covers every
     # member of the cell at once
@@ -971,28 +965,18 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
                     best, best_lam = out.value, out.point
             if best == -math.inf:
                 wits.append(_wit(part="ii", x=x, d=d, w=v, achieved=-math.inf))
-                return _report("violated", {"max_admissible": -math.inf}, wits,
-                               cq, diags + ["no multiplier is admissible for a "
-                                            "vertex of the outer set"])
+                return _kappa_verdict(-math.inf, wits, cq, diags + [
+                    "no multiplier is admissible for a vertex of the outer set"])
             val = qf + best
-            if denom > TOL:
-                kmax = min(kmax, val / denom)
-            elif val < -TOL:
-                kmax = -math.inf
+            kmax = min(kmax, _kappa_bound(val, denom, d))
             wits.append(_wit(part="ii", x=x, d=d, w=v, lam=best_lam,
                              achieved=val))
-    if not T2.nonempty_cells():
-        diags.append("outer second-order set is empty; condition (ii) is vacuous")
-    verdict = "violated" if kmax < KAPPA_FLOOR else "satisfied"
-    return _report(verdict, {"max_admissible": kmax}, wits[:12], cq, diags)
+    return _kappa_verdict(kmax, wits[:12], cq, diags)
 
 
 def _clarke_nondegenerate(x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags):
-    pts = []
-    for cell in lamreg.nonempty_cells():
-        rp = cell.relint_point()
-        if rp is not None and not any(np.linalg.norm(rp[0] - s) <= 1e-7 for s in pts):
-            pts.append(rp[0])
+    rps = (cell.relint_point() for cell in lamreg.nonempty_cells())
+    pts = _dedupe_points([rp[0] for rp in rps if rp is not None])
     if len(pts) != 1:
         return _report("inconclusive", {}, cq=cq,
                        diags=diags + ["multiplier is not numerically unique "
@@ -1000,22 +984,16 @@ def _clarke_nondegenerate(x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags):
     lam0 = pts[0]
     sig = Tpp.support(lam0)
     if abs(sig) > STRICT_TOL:
-        return _report("violated", {"max_admissible": -math.inf},
-                       [_wit(part="i", x=x, d=d, lam=lam0,
-                             achieved=(sig if math.isfinite(sig) else math.inf))],
-                       cq, diags + ["support over the asymptotic cone is not "
-                                    "zero at the unique multiplier"])
+        wit = _wit(part="i", x=x, d=d, lam=lam0,
+                   achieved=(sig if math.isfinite(sig) else math.inf))
+        return _kappa_verdict(-math.inf, [wit], cq, diags + [
+            "support over the asymptotic cone is not zero at the unique multiplier"])
     wits = [_wit(part="i", x=x, d=d, lam=lam0, achieved=sig)]
-    sig2 = T2.support(lam0)
     if T2.is_empty():
-        diags.append("outer second-order set is empty; condition (ii) is vacuous")
-        return _report("satisfied", {"max_admissible": math.inf}, wits, cq, diags)
-    val = qf + float(q @ lam0) - sig2
-    kmax = val / denom if denom > TOL else \
-        (math.inf if val >= -TOL else -math.inf)
+        return _vacuous_outer(wits, cq, diags)
+    val = qf + float(q @ lam0) - T2.support(lam0)
     wits.append(_wit(part="ii", x=x, d=d, lam=lam0, achieved=val))
-    verdict = "violated" if kmax < KAPPA_FLOOR else "satisfied"
-    return _report(verdict, {"max_admissible": kmax}, wits, cq, diags)
+    return _kappa_verdict(_kappa_bound(val, denom, d), wits, cq, diags)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1074,13 @@ def _strict_rows_for_direction(Tpp_n: Region, T2_n: Region, J, thresh: float,
     return rows, rhs, margins, eqs
 
 
+def _second_order_preimages(p: ProblemInstance, x, d):
+    """The asymptotic and outer second-order preimages at (x, d), each cut
+    to the orthogonal complement of d."""
+    return tuple(_point_phi_tangents(p, x, d, kind).intersect_orthocomplement(d)
+                 for kind in ("asymp2", "outer2"))
+
+
 def _solve_multiplier_lp(aff: MultiplierAffineSet, blocks):
     """Maximize the common margin s over the affine multiplier set subject
     to the stacked per-direction blocks."""
@@ -1172,8 +1157,7 @@ def sufficient_point_check(p: ProblemInstance,
     wits = []
     worst = math.inf
     for dd in critical:
-        Tpp = _point_phi_tangents(p, x, dd, "asymp2").intersect_orthocomplement(dd)
-        T2 = _point_phi_tangents(p, x, dd, "outer2").intersect_orthocomplement(dd)
+        Tpp, T2 = _second_order_preimages(p, x, dd)
         if T2.is_empty() and region_subset(Tpp, Region.origin(p.n))[0]:
             return _report("inconclusive", diags=diags + [
                 "both second-order objects are degenerate at "
@@ -1246,8 +1230,7 @@ def sufficient_isolated_check(p: ProblemInstance,
     blocks = []
     per_dir = []
     for dd in dirs:
-        Tpp = _point_phi_tangents(p, x, dd, "asymp2").intersect_orthocomplement(dd)
-        T2 = _point_phi_tangents(p, x, dd, "outer2").intersect_orthocomplement(dd)
+        Tpp, T2 = _second_order_preimages(p, x, dd)
         block = _strict_rows_for_direction(Tpp, T2, J, 0.0, qfn(dd))
         if block is None:
             return _report("hypotheses-not-met", diags=diags + [
@@ -1301,23 +1284,11 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
     reported, never silently dropped.
 
     The whole sweep runs in one ``lp.reuse_scope``, which the per-pair
-    checkers join, so each base point x builds once:
-
-    * the jets of f and g, the critical cone, the multiplier affine set and
-      T_S(x);
-    * the K-side cones at y = g(x): T_K(y), and its polar, the normal cone
-      N_K(y) of a convex K.  Every per-direction second-order tangent set,
-      directional normal cone and directional Clarke tangent at x starts
-      from them;
-    * the proximal normal cell of S at x, which screens every direction.
-
-    The objects a direction repeats are built once per sweep too: each
-    directional normal cone at (y, u, kind), and each distinct LP, double
-    description, polar cone, conic hull, region inclusion, face complex,
-    lower generalized support and nonpositive sigma-hat search.  A
-    homogeneous cell is known nonempty without an LP, and a constraint
-    qualification at a point where Dg(x) has full row rank holds without
-    one.  The base points are deduplicated by one row-norm call per
+    checkers join, so each object of the memo kinds listed in the ``lp``
+    module docstring is built once per sweep: the per-point objects once
+    per base point x, and the K-side cones at g(x) once for all directions
+    at x.  A constraint qualification at a point where Dg(x) has full row
+    rank holds without an LP.  The base points are deduplicated by one row-norm call per
     sample against all points kept so far.
 
     The explicit and clarke forms require d to be an eps-proximal normal

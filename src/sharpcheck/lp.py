@@ -65,15 +65,8 @@ _REUSE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def reuse_scope():
-    """Within the block these return one stored result per distinct
-    input: ``maximize`` and the double description; ``regions.polar_cone``,
-    ``cone_hull``, ``region_subset``, ``face_complex`` and
-    ``lower_gen_support_detail`` (one per region content and lam); the
-    per-point ``certify._jet_data``, ``critical_cone``,
-    ``multiplier_affine_set`` and ``_reference_tangent``, and
-    ``certify._search_sigma_hat_nonpositive``; ``tangents.tangent_cone``
-    with its polar, ``directional_normal`` and ``proximal_normal_cell``.
-    A nested scope shares the memo of the one around it; the outermost
+    """Within the block each memo kind listed in the module docstring
+    returns one stored result per distinct input.  A nested scope shares the memo of the one around it; the outermost
     drops the memo on exit, also on error.  Usable as a decorator, which
     opens a scope for each call."""
     if _REUSE.get() is not None:

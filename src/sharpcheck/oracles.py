@@ -27,24 +27,8 @@ class OracleError(Exception):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class Schedule:
-    """Geometric step schedule t_k = t0 * q^k with the paired slow rates
-    r_k = t_k^(2/3), so t_k/r_k -> 0."""
-    t0: float = 0.1
-    q: float = 0.5
-    terms: int = 20
-    search_tol: float = 1e-7
-
-    def __post_init__(self):
-        if not (0.0 < self.q < 1.0 and self.t0 > 0.0 and self.terms >= 1):
-            raise OracleError("schedule must be positive and strictly decreasing")
-
-    def ts(self) -> np.ndarray:
-        return self.t0 * self.q ** np.arange(self.terms)
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(float(t), float(t ** (2.0 / 3.0))) for t in self.ts()]
+# the geometric steps t_k = 0.1 * 0.5^k, k = 0..19, of the sequence probes
+STEPS = 0.1 * 0.5 ** np.arange(20)
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +39,8 @@ class Schedule:
 def membership_by_definition(s: BaseSet, y, d, w, kind: str) -> str:
     """Test w against the sequence definition of a tangent object at y.
 
+    The steps t_k are ``STEPS``, t_k = 0.1 * 0.5^k for k = 0..19, each
+    paired with the slower rate r_k = t_k^(2/3), so that t_k / r_k -> 0.
     kind 'tangent' probes y + t_k w; 'outer2' probes y + t_k d + t_k^2/2 w;
     'asymp2' probes y + t_k d + t_k r_k / 2 w.  The w_k -> w quantifier lets
     each probe be corrected by a shrinking multiple radius_k of the step
@@ -68,7 +54,6 @@ def membership_by_definition(s: BaseSet, y, d, w, kind: str) -> str:
     """
     if kind not in ("tangent", "outer2", "asymp2"):
         raise OracleError(f"unknown membership kind {kind!r}")
-    sched = Schedule()
     y = np.asarray(y, dtype=float).ravel()
     w = np.asarray(w, dtype=float).ravel()
     d = np.zeros(y.size) if d is None else np.asarray(d, dtype=float).ravel()
@@ -84,7 +69,8 @@ def membership_by_definition(s: BaseSet, y, d, w, kind: str) -> str:
     all_success = True
     inside_from_anchor = True
     informative: list[tuple[float, bool]] = []  # (ratio lower bound, hard fail)
-    for k, (t, r) in enumerate(sched.pairs()):
+    for k, t in enumerate(STEPS.tolist()):
+        r = t ** (2.0 / 3.0)
         if kind == "tangent":
             x = y + t * w
             scale = t
@@ -113,7 +99,7 @@ def membership_by_definition(s: BaseSet, y, d, w, kind: str) -> str:
         return "confirmed"
     tail = informative[-5:]
     if all(hard for _, hard in tail):
-        if min(lb for lb, _ in tail) <= 10.0 * sched.search_tol:
+        if min(lb for lb, _ in tail) <= 1e-6:
             return "boundary-inconclusive"
         return "rejected"
     return "boundary-inconclusive"
@@ -334,7 +320,7 @@ def proximal_distance_check(S: BaseSet, x, d, eps: float):
     if not _tangents.eps_proximal_membership(S, x, d, eps):
         raise OracleError("d is not an eps-proximal normal direction at x")
     nd = float(np.linalg.norm(d))
-    for t in Schedule().ts():
+    for t in STEPS:
         dist, _ = S.distance(x + t * d)
         if dist < t * (1.0 - 2.0 * eps) * nd - 1e-9:
             return False, float(t)

@@ -4,10 +4,10 @@ Every derived first- and second-order variational object in this package is
 represented as a Region: a finite union of closed convex polyhedral cells,
 each an intersection of linear inequalities and equalities.  This module is
 the exact calculus on that representation: membership, inclusion testing,
-distance and projection, support functions, Minkowski sums, polarity, the
-face complex of a union, Frechet/limiting normal values of the region
-itself, and the lower generalized support function evaluated through the
-face complex with a perturbation-schedule cross check.  Support values and
+distance and projection, support functions, polarity, the face complex
+of a union, Frechet/limiting normal values of the region itself, and the
+lower generalized support function evaluated through the face complex
+with a perturbation-schedule cross check.  Support values and
 distances are floats; -math.inf is the support of an empty region and
 +math.inf a support or distance without a finite bound.
 
@@ -132,6 +132,12 @@ class PolyCell:
         x = np.asarray(x, dtype=float).ravel()
         return cls(eq_mat=np.eye(x.size), eq_rhs=x, dim=x.size)
 
+    @classmethod
+    def cone(cls, rays, lines, dim: int) -> "PolyCell":
+        """The cell cone(rays) + span(lines), through the double polar."""
+        ineq, eq = _lp.cone_from_generators(rays, lines, dim)
+        return cls(ineq, np.zeros(ineq.shape[0]), eq, np.zeros(eq.shape[0]), dim=dim)
+
     # -- basic queries ------------------------------------------------
     def contains(self, x, tol: float = MEMBER_TOL) -> bool:
         return bool(self.contains_rows(np.reshape(x, (1, -1)), tol)[0])
@@ -188,11 +194,14 @@ class PolyCell:
                         np.vstack([self.E, other.E]), np.concatenate([self.f, other.f]),
                         dim=self.dim)
 
-    def translate(self, v) -> "PolyCell":
-        v = np.asarray(v, dtype=float).ravel()
-        return PolyCell(self.A, self.b + (self.A @ v if self.A.size else np.zeros(0)),
-                        self.E, self.f + (self.E @ v if self.E.size else np.zeros(0)),
-                        dim=self.dim)
+    def lift(self, total: int, lo: int) -> "PolyCell":
+        """The cell as a block of R^total: its rows read coordinates lo to
+        lo + dim, and the other coordinates are free."""
+        A = np.zeros((self.A.shape[0], total))
+        A[:, lo:lo + self.dim] = self.A
+        E = np.zeros((self.E.shape[0], total))
+        E[:, lo:lo + self.dim] = self.E
+        return PolyCell(A, self.b, E, self.f, dim=total)
 
     def affine_preimage(self, M, c) -> "PolyCell":
         """{w : M w + c in cell}."""
@@ -399,10 +408,6 @@ class Region:
         return best, pts
 
     # -- transforms ---------------------------------------------------
-    def translate(self, v) -> "Region":
-        return Region([c.translate(v) for c in self.cells], cone=False,
-                      notes=self.notes, dim=self.dim)
-
     def affine_preimage(self, M, c) -> "Region":
         M = np.asarray(M, dtype=float)
         cells = [cell.affine_preimage(M, c) for cell in self.cells]
@@ -421,26 +426,6 @@ class Region:
         return Region(cells, cone=self.cone and other.cone,
                       notes=self.notes + other.notes, dim=self.dim)
 
-    def minkowski_sum(self, other: "Region") -> "Region":
-        """Cellwise Minkowski sum through generator representations."""
-        if other.dim != self.dim:
-            raise RegionError("dimension mismatch in Minkowski sum")
-        out = []
-        for c1 in self.nonempty_cells():
-            g1 = c1.generators()
-            if g1 is None:
-                continue
-            for c2 in other.nonempty_cells():
-                g2 = c2.generators()
-                if g2 is None:
-                    continue
-                V = np.array([v1 + v2 for v1 in g1[0] for v2 in g2[0]])
-                R = np.vstack([g1[1], g2[1]])
-                L = np.vstack([g1[2], g2[2]])
-                A, b, E, f = _lp.cell_from_generators_arrays(V, R, L, self.dim)
-                out.append(PolyCell(A, b, E, f, dim=self.dim))
-        return Region(out, cone=self.cone and other.cone, dim=self.dim)
-
     def __repr__(self):
         tag = ", cone" if self.cone else ""
         return f"Region(dim={self.dim}, cells={len(self.cells)}{tag})"
@@ -449,11 +434,6 @@ class Region:
 # ---------------------------------------------------------------------------
 # cone operations
 # ---------------------------------------------------------------------------
-
-
-def double_description(cell: PolyCell):
-    """Generator representation (vertices, rays, lines) of one cell."""
-    return cell.generators()
 
 
 def polar_cone(region: Region) -> Region:
@@ -523,25 +503,12 @@ def _cone_hull(regions: list[Region], dim: int) -> Region:
             lines.extend(L)
     if not any_nonempty:
         return Region.empty(dim, cone=True)
-    ineq, eq = _lp.cone_from_generators(
-        np.array(rays) if rays else np.zeros((0, dim)),
-        np.array(lines) if lines else np.zeros((0, dim)), dim)
-    cell = PolyCell(ineq, np.zeros(ineq.shape[0]), eq, np.zeros(eq.shape[0]), dim=dim)
-    return Region.from_cell(cell, cone=True)
+    return Region.from_cell(PolyCell.cone(rays, lines, dim), cone=True)
 
 
 # ---------------------------------------------------------------------------
 # comparison
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CompareResult:
-    relation: str  # "equal" | "strict_subset" | "strict_superset" | "incomparable"
-    r1_empty: bool
-    r2_empty: bool
-    only_in_r1: np.ndarray | None = None
-    only_in_r2: np.ndarray | None = None
 
 
 def _cell_inside_cell(cell: PolyCell, other: PolyCell) -> bool:
@@ -629,25 +596,6 @@ def _region_subset(r1: Region, r2: Region):
         if w is not None:
             return False, w
     return True, None
-
-
-def region_compare(r1: Region, r2: Region) -> CompareResult:
-    sub12, w12 = region_subset(r1, r2)
-    sub21, w21 = region_subset(r2, r1)
-    if sub12 and sub21:
-        rel = "equal"
-    elif sub12:
-        rel = "strict_subset"
-    elif sub21:
-        rel = "strict_superset"
-    else:
-        rel = "incomparable"
-    return CompareResult(rel, r1.is_empty(), r2.is_empty(),
-                         only_in_r1=w12, only_in_r2=w21)
-
-
-def region_equal(r1: Region, r2: Region) -> bool:
-    return region_compare(r1, r2).relation == "equal"
 
 
 # ---------------------------------------------------------------------------
@@ -889,8 +837,3 @@ def _lower_gen_support_detail(region: Region, lam: np.ndarray):
         notes = (f"boundary-inconclusive: face-complex value {value!r} vs "
                  f"perturbation estimate {est!r}",)
     return value, notes
-
-
-def lower_gen_support(region: Region, lam) -> float:
-    value, _ = lower_gen_support_detail(region, lam)
-    return value

@@ -60,10 +60,11 @@ def _row_products(Y, M) -> np.ndarray:
     return (Y[:, None, :] @ M)[:, 0, :]
 
 
-def _dedupe_points(pts):
+def _dedupe_points(pts, tol: float = 1e-7):
+    """The points of pts, in order, less each within tol of an earlier kept one."""
     out = []
     for p in pts:
-        if not any(np.linalg.norm(p - q) <= 1e-7 for q in out):
+        if not any(np.linalg.norm(p - q) <= tol for q in out):
             out.append(p)
     return out
 
@@ -485,15 +486,8 @@ class ProductSet(BaseSet):
             return None
         # cross product of cells with coordinates embedded block-wise
         cells = [PolyCell.all_space(self.dim)]
-        for i, r in enumerate(regs):
-            lo, hi = self.offsets[i], self.offsets[i + 1]
-            lifted = []
-            for c in r.nonempty_cells():
-                A = np.zeros((c.A.shape[0], self.dim))
-                A[:, lo:hi] = c.A
-                E = np.zeros((c.E.shape[0], self.dim))
-                E[:, lo:hi] = c.E
-                lifted.append(PolyCell(A, c.b, E, c.f, dim=self.dim))
+        for r, lo in zip(regs, self.offsets[:-1]):
+            lifted = [c.lift(self.dim, int(lo)) for c in r.nonempty_cells()]
             cells = [base.intersect(extra) for base in cells for extra in lifted]
         return Region(cells, dim=self.dim)
 

@@ -86,15 +86,6 @@ def _on_sphere(s: Ball, y: np.ndarray) -> bool:
     return abs(float(np.linalg.norm(y - s.center)) - s.radius) <= MEMBER_TOL
 
 
-def _lift_cell(cell: PolyCell, total: int, lo: int) -> PolyCell:
-    hi = lo + cell.dim
-    A = np.zeros((cell.A.shape[0], total))
-    A[:, lo:hi] = cell.A
-    E = np.zeros((cell.E.shape[0], total))
-    E[:, lo:hi] = cell.E
-    return PolyCell(A, cell.b, E, cell.f, dim=total)
-
-
 def _product_region(regions: list[Region], dims: list[int], cone: bool) -> Region:
     total = sum(dims)
     notes: tuple[str, ...] = ()
@@ -105,7 +96,7 @@ def _product_region(regions: list[Region], dims: list[int], cone: bool) -> Regio
         live = reg.nonempty_cells()
         if not live:
             return Region.empty(total, cone=cone, notes=notes + ("empty factor",))
-        cells = [base.intersect(_lift_cell(c, total, int(lo)))
+        cells = [base.intersect(c.lift(total, int(lo)))
                  for base in cells for c in live]
     return Region(cells, cone=cone, notes=notes, dim=total)
 
@@ -156,12 +147,7 @@ def _frechet_normal(s: BaseSet, y: np.ndarray) -> Region:
 def _tangent_cone(s: BaseSet, y) -> Region:
     y = _require_member(s, y)
     if _is_polyhedral_leaf(s):
-        cell = _leaf_cell(s)
-        act = _active_rows(cell, y)
-        A = cell.A[act] if act else None
-        b = np.zeros(len(act)) if act else None
-        t = PolyCell(A, b, cell.E, np.zeros(cell.E.shape[0]), dim=s.dim)
-        return Region.from_cell(t, cone=True)
+        return region_tangent_cone(s.as_region(), y)
     if isinstance(s, Ball):
         if not _on_sphere(s, y):
             return Region.all_space(s.dim)
@@ -266,17 +252,10 @@ def _proximal_cell(s: BaseSet, y: np.ndarray) -> PolyCell:
     away than O(t) and never interfere."""
     if _is_polyhedral_leaf(s):
         cell = _leaf_cell(s)
-        act = _active_rows(cell, y)
-        rays = cell.A[act] if act else np.zeros((0, s.dim))
-        ineq, eq = _lp.cone_from_generators(rays, cell.E, s.dim)
-        return PolyCell(ineq, np.zeros(ineq.shape[0]), eq, np.zeros(eq.shape[0]), dim=s.dim)
+        return PolyCell.cone(cell.A[_active_rows(cell, y)], cell.E, s.dim)
     if isinstance(s, Ball):
-        if not _on_sphere(s, y):
-            ineq, eq = _lp.cone_from_generators(np.zeros((0, s.dim)), np.zeros((0, s.dim)), s.dim)
-            return PolyCell(ineq, np.zeros(ineq.shape[0]), eq, np.zeros(eq.shape[0]), dim=s.dim)
-        h = (y - s.center).reshape(1, -1)
-        ineq, eq = _lp.cone_from_generators(h, np.zeros((0, s.dim)), s.dim)
-        return PolyCell(ineq, np.zeros(ineq.shape[0]), eq, np.zeros(eq.shape[0]), dim=s.dim)
+        rays = y - s.center if _on_sphere(s, y) else None
+        return PolyCell.cone(rays, None, s.dim)
     if isinstance(s, (PointSet, FiniteSet)):
         return PolyCell.all_space(s.dim)
     if isinstance(s, UnionSet):
@@ -289,7 +268,7 @@ def _proximal_cell(s: BaseSet, y: np.ndarray) -> PolyCell:
         total = s.dim
         out = PolyCell.all_space(total)
         for f, part, lo in zip(s.factors, s.split(y), s.offsets[:-1]):
-            out = out.intersect(_lift_cell(_proximal_cell(f, part), total, int(lo)))
+            out = out.intersect(_proximal_cell(f, part).lift(total, int(lo)))
         return out
     raise TangentError(f"unsupported set kind {s.kind!r}")
 
@@ -326,13 +305,10 @@ def _stratum_piece(specs: dict[int, tuple], members: list[BaseSet], y: np.ndarra
         m = members[idx]
         if spec[0] == "poly":
             cell = _leaf_cell(m)
-            rows = cell.A[list(spec[1])] if spec[1] else np.zeros((0, dim))
-            ineq, eq = _lp.cone_from_generators(rows, cell.E, dim)
+            piece = PolyCell.cone(cell.A[list(spec[1])], cell.E, dim)
         else:  # sphere
-            h = (y - m.center).reshape(1, -1)
-            ineq, eq = _lp.cone_from_generators(h, np.zeros((0, dim)), dim)
-        out = out.intersect(PolyCell(ineq, np.zeros(ineq.shape[0]),
-                                     eq, np.zeros(eq.shape[0]), dim=dim))
+            piece = PolyCell.cone(y - m.center, None, dim)
+        out = out.intersect(piece)
     return out
 
 

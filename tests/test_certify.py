@@ -36,7 +36,7 @@ from sharpcheck.cli import load_problem
 from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.oracles import growth_constant_estimate, membership_by_definition
 from sharpcheck.polyexpr import ProblemInstance, parse_expression
-from sharpcheck.regions import PolyCell, Region, region_compare, region_equal, region_subset
+from sharpcheck.regions import PolyCell, Region, region_subset
 from sharpcheck.sets import Box, Interval, PointSet, UnionSet
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent, normal_cone,
                                  second_tangent, tangent_cone)
@@ -48,6 +48,8 @@ from helpers import (
     parabola_example,
     parabola_family,
     random_catalog_instance,
+    region_compare,
+    region_equal,
     second_example,
 )
 

@@ -261,6 +261,54 @@ def test_tangent_distance_mode_needs_the_implicit_form(form, direction, capsys,
     assert "tangent-distance" in captured.err
 
 
+NECESSARY_FORMS = {
+    "implicit-proximal": ["--form", "implicit", "--mode", "proximal"],
+    "implicit-tangent": ["--form", "implicit", "--mode", "tangent-distance"],
+    "explicit": ["--form", "explicit"],
+    "clarke": ["--form", "clarke"],
+    "nondegenerate": ["--form", "nondegenerate"],
+}
+SCALE_CASES = [(name, unit, form, want)
+               for name, unit, want in (("parabola", (1, 0), ("satisfied", 1)),
+                                        ("first_example", (0, 1), ("satisfied", 1)))
+               for form in NECESSARY_FORMS]
+SCALE_CASES += [("second_example", (1,), form, ("violated", -0.5))
+                for form in ("implicit-proximal", "implicit-tangent")]
+
+
+@pytest.mark.parametrize("name,unit,form,want", SCALE_CASES,
+                         ids=[f"{c[0]}-{c[2]}" for c in SCALE_CASES])
+def test_necessary_bounds_do_not_depend_on_the_direction_scale(name, unit, form, want,
+                                                               monkeypatch):
+    # both sides of every kappa quotient are homogeneous of degree 2 in d
+    monkeypatch.chdir(ROOT)
+    for scale in ("1", "1e-3", "1e-5", "1e-7"):
+        direction = ",".join(scale if u else "0" for u in unit)
+        code, report = run_machine(["check-necessary", f"fixtures/{name}.json",
+                                    *NECESSARY_FORMS[form], "--direction", direction])
+        doc = json.loads(report)
+        assert (doc["verdict"], doc["kappa_bounds"]["max_admissible"]) == want, scale
+        assert code == doc["exit_code"]
+
+
+def test_one_sided_preimages_withhold_the_rejection(tmp_path):
+    # g = x1^5 is flat at xbar: no qualification certifies the tangent
+    # preimages, so a negative bound is reported without a rejection
+    doc = {"n": 1, "m": 1, "objective": "-1*x1^2", "constraints": ["x1^5"],
+           "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
+           "S": {"kind": "point", "at": [0.0]}, "xbar": [0.0]}
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_machine(["check-necessary", str(path), "--direction", "1"])
+    rep = json.loads(report)
+    assert code == rep["exit_code"] == 2
+    assert rep["verdict"] == "inconclusive"
+    assert rep["kappa_bounds"] == {"max_admissible": -1}
+    assert rep["cq_status"] == {"mscq": "unverified"}
+    assert ("rejection withheld: tangent preimages are one-sided without a "
+            "constraint qualification") in rep["diagnostics"]
+
+
 def test_membership_oracle_ignores_count_and_limit(monkeypatch):
     monkeypatch.chdir(ROOT)
     argv = ["oracle", "fixtures/parabola.json", "--op", "membership", "--w", "-1"]

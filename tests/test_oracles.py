@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from sharpcheck import oracles
 from sharpcheck.oracles import (
+    STEPS,
     OracleError,
-    Schedule,
     growth_constant_estimate,
     membership_by_definition,
     mscq_modulus_estimate,
@@ -225,14 +225,11 @@ def test_proximal_distance_with_positive_eps():
 
 
 def test_schedule_shapes():
-    sched = Schedule()
-    pairs = list(sched.pairs())
-    assert len(pairs) == sched.terms
-    ts = [t for t, _ in pairs]
-    assert ts == sorted(ts, reverse=True)
-    # radius r = t^(2/3) dominates t on the unit scale, shrinking slower
-    assert all(r == pytest.approx(t ** (2.0 / 3.0)) for t, r in pairs)
-    assert all(r > t for t, r in pairs)
+    ts = STEPS.tolist()
+    assert len(ts) == 20 and ts[0] == 0.1
+    assert all(t1 == 0.5 * t0 for t0, t1 in zip(ts, ts[1:]))
+    # the paired rate r = t^(2/3) dominates t on the unit scale, shrinking slower
+    assert all(t ** (2.0 / 3.0) > t for t in ts)
 
 
 # -- the row-batched oracles against the point-by-point references ---------

@@ -16,15 +16,12 @@ from sharpcheck.regions import (
     cone_hull,
     face_complex,
     limiting_normal_region,
-    lower_gen_support,
     lower_gen_support_detail,
     polar_cone,
-    region_compare,
-    region_equal,
     region_subset,
 )
 
-from helpers import cell_bytes, region_bytes
+from helpers import cell_bytes, minkowski_sum, region_bytes, region_compare, region_equal
 
 
 def halfplane(a, beta, cone=None):
@@ -227,14 +224,12 @@ def test_intersect_orthocomplement():
     assert region_equal(Region.empty(2).intersect_orthocomplement([1.0, 0.0]), Region.empty(2))
 
 
-def test_translate_and_minkowski():
+def test_minkowski_sum_of_boxes():
     box = Region.from_cell(PolyCell(np.vstack([np.eye(2), -np.eye(2)]),
                                     [1.0, 1.0, 0.0, 0.0], dim=2))
-    shifted = box.translate([2.0, 0.0])
-    assert shifted.contains([2.5, 0.5]) and not shifted.contains([0.5, 0.5])
     seg = Region.from_cell(PolyCell(np.vstack([np.eye(2), -np.eye(2)]),
                                     [0.0, 1.0, 0.0, 0.0], dim=2))
-    summed = box.minkowski_sum(seg)
+    summed = minkowski_sum(box, seg)
     want = Region.from_cell(PolyCell(np.vstack([np.eye(2), -np.eye(2)]),
                                      [1.0, 2.0, 0.0, 0.0], dim=2))
     assert region_equal(summed, want)
@@ -244,7 +239,7 @@ def test_minkowski_with_ray_absorbs():
     r = halfplane([-1.0, 0.0], -1.0)                      # w1 >= 1
     ray = Region.from_cell(PolyCell([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
                                     [0.0, 0.0, 0.0], dim=2), cone=True)  # ray e1
-    assert region_equal(r.minkowski_sum(ray), r)
+    assert region_equal(minkowski_sum(r, ray), r)
 
 
 # -- cones ------------------------------------------------------------------
@@ -358,13 +353,13 @@ def test_lower_gen_support_union_fixture():
 
 
 def test_lower_gen_support_empty_and_origin():
-    assert lower_gen_support(Region.empty(2), [1.0, 0.0]) == -math.inf
-    assert lower_gen_support(Region.all_space(2), [0.0, 0.0]) == 0.0
+    assert lower_gen_support_detail(Region.empty(2), [1.0, 0.0])[0] == -math.inf
+    assert lower_gen_support_detail(Region.all_space(2), [0.0, 0.0])[0] == 0.0
 
 
 def test_lower_gen_support_no_normal_direction():
     # lam is nowhere a normal: the infimum runs over the empty set
-    assert lower_gen_support(_union_fixture(), [1.0, 1.0]) == math.inf
+    assert lower_gen_support_detail(_union_fixture(), [1.0, 1.0])[0] == math.inf
 
 
 def test_lower_gen_support_matches_support_on_convex():
@@ -382,7 +377,7 @@ def test_lower_gen_support_matches_support_on_convex():
         if not math.isfinite(sup):
             continue
         hits += 1
-        low = lower_gen_support(reg, lam)
+        low = lower_gen_support_detail(reg, lam)[0]
         assert math.isfinite(low)
         assert low == pytest.approx(sup, abs=1e-6)
     assert hits >= 5
@@ -394,20 +389,20 @@ def test_lower_gen_support_below_support_everywhere():
         r = halfplane(rng.normal(size=2), float(rng.uniform(-1, 1))).union(
             halfplane(rng.normal(size=2), float(rng.uniform(-1, 1))))
         lam = rng.normal(size=2)
-        assert lower_gen_support(r, lam) <= r.support(lam)
+        assert lower_gen_support_detail(r, lam)[0] <= r.support(lam)
 
 
 def test_lower_gen_support_nonconvex_reentrant():
     # three-quadrant union: sigma-hat at e1 sees only the face {x1=0, x2>=0}
     r = halfplane([1.0, 0.0], 0.0, cone=True).union(halfplane([0.0, 1.0], 0.0, cone=True))
-    val = lower_gen_support(r, [1.0, 0.0])
+    val = lower_gen_support_detail(r, [1.0, 0.0])[0]
     assert val == 0.0
     assert r.support([1.0, 0.0]) == math.inf
 
 
 def test_lower_gen_support_rejects_bad_dims():
     with pytest.raises(RegionError):
-        lower_gen_support(_union_fixture(), [1.0, 0.0, 0.0])
+        lower_gen_support_detail(_union_fixture(), [1.0, 0.0, 0.0])[0]
 
 
 # -- reuse inside a check context -------------------------------------------
