@@ -352,7 +352,9 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
         # keep only multipliers with nonnegative constraint curvature along d
         N = N.intersect(Region.halfspace(-qg(d), 0.0))
         notes = ("curvature halfspace d' D2(lam g) d >= 0 added",)
-    if _full_row_rank(J):
+    # a per-point memo on the J at hand: a _per_point helper would evaluate
+    # the jets again outside a reuse scope
+    if _lp._reused("full_row_rank", (p, x), lambda: _full_row_rank(J)):
         # ker Dg(x)^T = {0} meets N only at 0, in every direction (Gfrerer 2013)
         return CqResult(kind_u, True, notes=notes + N.notes)
     # the numerical kernel of Dg(x)^T: orthogonal to the leading right

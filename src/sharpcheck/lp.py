@@ -25,10 +25,10 @@ one.  Inside the block these are built once per distinct input:
   ``region_subset``, ``face_complex`` and ``lower_gen_support_detail``,
   keyed on the cells of their regions (and lam, for the lower
   generalized support);
-* the per-point objects of ``certify`` (the jets, critical cone,
-  multiplier affine set and tangent cone of S at a base point), and its
-  search for a multiplier with nonpositive lower generalized support,
-  keyed on the cells of both regions;
+* the per-point objects of ``certify`` (the jets, full-row-rank test of
+  Dg, critical cone, multiplier affine set and tangent cone of S at a base
+  point), and its search for a multiplier with nonpositive lower
+  generalized support, keyed on the cells of both regions;
 * the set-side cones of ``tangents``: the tangent cone of a set at a point
   with its polar, the directional normal cone at a point, direction and
   kind, and the proximal normal cell at a point.

@@ -115,7 +115,12 @@ class BaseSet(ABC):
         return None
 
     def sample_near(self, x, delta: float, rng, count: int) -> list[np.ndarray]:
-        """Members within delta of x, by projecting ambient draws."""
+        """Members within delta of x, by projecting count ambient draws.
+
+        Multiplicity: one entry per kept draw, so a point may repeat, except
+        that a PointSet returns its point at most once.
+        Generator: a PointSet draws nothing from rng, so a caller must not
+        rely on the generator's position afterwards."""
         x = _vec(x, self.dim)
         # one bulk draw takes the same doubles, in the same order, as one
         # draw per point
@@ -322,6 +327,10 @@ class Ball(BaseSet):
 
 
 class PointSet(BaseSet):
+    """The singleton {x}.  sample_near returns [x] without drawing from the
+    generator when x lies within delta of the query point, else [], where
+    the generic sampler returns x once per draw under the same test."""
+
     kind = "point"
 
     def __init__(self, x):
@@ -339,6 +348,12 @@ class PointSet(BaseSet):
     def project_rows(self, Y):
         Y = _rows(Y, self.dim)
         return _row_norms(Y - self.x), np.tile(self.x, (Y.shape[0], 1))
+
+    def sample_near(self, x, delta, rng, count):
+        x = _vec(x, self.dim)
+        if count < 1 or not _row_norms((self.x - x)[None])[0] <= delta + 1e-12:
+            return []
+        return [self.x.copy()]
 
     def _build_region(self):
         return Region.from_point(self.x)

@@ -20,9 +20,14 @@ def test_one_tree_against_itself_over_one_pair(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "sufficient_check, seed 1: 1 pairs, 29 jobs, process CPU seconds per pass"
     assert lines[1].startswith("  base: median ") and " p25 " in lines[1]
-    assert lines[2].startswith("  head: median ") and " p25 " in lines[2]
-    assert lines[3].startswith("  head/base: median per-pair ratio ")
-    assert lines[4] == "  normalised reports identical in all 29 jobs"
+    # 29 checks in one timed pass: the tail is the 19th, ten samples below the top
+    assert lines[2].startswith("  base per check: median ")
+    assert lines[2].endswith(" ms  (29 checks)") and " ms, p65.5 " in lines[2]
+    assert lines[3].startswith("  head: median ") and " p25 " in lines[3]
+    assert lines[4].startswith("  head per check: median ")
+    assert lines[4].endswith(" ms  (29 checks)") and " ms, p65.5 " in lines[4]
+    assert lines[5].startswith("  head/base: median per-pair ratio ")
+    assert lines[6] == "  normalised reports identical in all 29 jobs"
     # the two trees are separate packages, neither of them the installed one
     base, head = (sys.modules[f"_ab_{side}_sharpcheck.cli"] for side in ("base", "head"))
     assert base is not head and base.main is not head.main

@@ -168,14 +168,17 @@ def test_full_rank_cq_shortcut_matches_the_lp_probe(seed, log_sigma):
         return [constraint_qualification_check(p, None, d, kind)
                 for kind in ("FOSCMS", "SOSCMS", "DirRCQ")]
 
-    with reuse_scope(), pytest.MonkeyPatch.context() as mp:
+    # one reuse scope per side: the rank test is memoised per point
+    with pytest.MonkeyPatch.context() as mp:
         probe = certify._nontrivial_point
         mp.setattr(certify, "_nontrivial_point", lambda r: probes.append(r) or probe(r))
-        fast = results()
+        with reuse_scope():
+            fast = results()
         if log_sigma >= -5.5:
             assert probes == []
         mp.setattr(certify, "_full_row_rank", lambda J_: False)
-        slow = results()
+        with reuse_scope():
+            slow = results()
     assert len(probes) >= 3
     for a, b in zip(fast, slow):
         assert (a.kind, a.holds, a.notes) == (b.kind, b.holds, b.notes)

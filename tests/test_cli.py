@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sharpcheck
-from sharpcheck import cli
+from sharpcheck import cli, sets
 from sharpcheck.polyexpr import ModelError, ProblemInstance
 
 from helpers import (
@@ -393,6 +393,38 @@ def test_reference_point_leaving_the_feasible_set_is_a_diagnostic(tmp_path):
     assert code in (0, 1, 2)
     assert json.loads(report)["diagnostics"][-1] == (
         "warning: a sampled reference point leaves the feasible set near [0.922981]")
+
+
+_SINGLETON_COMMANDS = (
+    *(["check-necessary", "--form", "implicit", "--mode", mode]
+      for mode in ("proximal", "tangent-distance")),
+    ["check-necessary", "--form", "explicit"],
+    ["check-necessary", "--form", "clarke"],
+    ["check-sufficient", "--mode", "point", "--kappa", "0.25"],
+    ["check-sufficient", "--mode", "isolated"],
+    ["verify-growth", "--count", "200", "--kappa", "0.5"],
+)
+
+
+def test_point_sampler_reports_match_the_generic_sampler(tmp_path, monkeypatch):
+    # a singleton S returns its point once without drawing; every caller
+    # (load-time checks, sweeps, point and isolated checks) must report the
+    # same bytes as with the generic sampler's repeated draws.  The offset
+    # point sits inside the 1e-7 membership tolerance of xbar, so the
+    # isolated check sees it, and beyond a delta of 1e-8, so the sweeps drop it
+    monkeypatch.chdir(ROOT)
+    offset = json.loads((ROOT / "fixtures" / "parabola.json").read_text())
+    offset["S"]["at"] = [3e-8, 4e-8]
+    (tmp_path / "offset.json").write_text(json.dumps(offset))
+    documents = [["fixtures/parabola.json"], ["fixtures/lifted_n3.json"],
+                 [str(tmp_path / "offset.json")],
+                 [str(tmp_path / "offset.json"), "--delta", "1e-8"]]
+    runs = [[cmd[0], doc[0], *cmd[1:], *doc[1:]]
+            for doc in documents for cmd in _SINGLETON_COMMANDS]
+    fast = [run_machine(argv) for argv in runs]
+    monkeypatch.setattr(sets.PointSet, "sample_near", sets.BaseSet.sample_near)
+    for argv, got in zip(runs, fast):
+        assert got == run_machine(argv), argv
 
 
 @pytest.mark.parametrize("module", ["sharpcheck", "sharpcheck.cli"])

@@ -19,6 +19,7 @@ from sharpcheck.sets import (
     ProductSet,
     SetError,
     UnionSet,
+    _dedupe_points,
     _row_products,
     flatten_union,
 )
@@ -211,8 +212,27 @@ def _sample_near_pointwise(s, x, delta, rng, count):
     return out
 
 
+_SAMPLE_CASES = ((1e-3, 7), (0.5, 60), (2.0, 25), (0.5, 0))
+
+
+def _check_point_sample_near(s, x, seed, cases=_SAMPLE_CASES):
+    """A point set returns the distinct points of the pointwise sampler, at
+    most one, and leaves the caller's generator unused."""
+    for delta, count in cases:
+        rng = np.random.default_rng(seed)
+        got = s.sample_near(x, delta, rng, count)
+        want = _dedupe_points(_sample_near_pointwise(s, x, delta, np.random.default_rng(seed),
+                                                     count), tol=0.0)
+        assert len(got) == len(want) <= 1
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert rng.random() == np.random.default_rng(seed).random()
+
+
 def _check_sample_near(s, x, seed):
-    for delta, count in ((1e-3, 7), (0.5, 60), (2.0, 25), (0.5, 0)):
+    if s.kind == "point":
+        _check_point_sample_near(s, x, seed)
+        return
+    for delta, count in _SAMPLE_CASES:
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = s.sample_near(x, delta, rng, count)
         want = _sample_near_pointwise(s, x, delta, ref_rng, count)
@@ -232,6 +252,18 @@ def test_sample_near_matches_pointwise_on_random_catalog_sets(seed):
 def test_sample_near_matches_pointwise_on_composite_sets(s):
     y = s.distance(np.random.default_rng(9).normal(size=s.dim))[1][0]
     _check_sample_near(s, y, 9)
+
+
+def test_point_sample_near_keeps_its_point_up_to_delta_plus_1e_12():
+    s, delta = PointSet(np.zeros(3)), 0.5
+    edge = delta + 1e-12
+    for i in range(3):
+        for t, kept in ((edge, True), (-edge, True), (np.nextafter(edge, 1.0), False)):
+            x = np.zeros(3)
+            x[i] = t
+            _check_point_sample_near(s, x, 4, ((delta, 5),))
+            assert len(s.sample_near(x, delta, np.random.default_rng(4), 5)) == kept
+    assert s.sample_near(np.zeros(3), delta, np.random.default_rng(4), 0) == []
 
 
 class _FixedOffsets:

@@ -14,10 +14,13 @@ job list once through ``cli.main`` and is timed in process CPU seconds,
 which a shared host's scheduling disturbs less than the wall clock.
 
 For each workload it prints each tree's median and 25th-percentile CPU
-seconds per pass, the median over the pairs of HEAD's pass over BASE's,
-and whether every job's normalised report (``runtime_seconds`` and
-``generated_at`` blanked) is the same on both trees in every pass.  It
-exits 0 whatever it finds, like ``report_digests.py --compare``.
+seconds per pass; each tree's median and tail CPU milliseconds per check
+over all timed passes, the tail being ``perfbench/run.py``'s (the highest
+percentile with ten samples beyond it); the median over the pairs of
+HEAD's pass over BASE's; and whether every job's normalised report
+(``runtime_seconds`` and ``generated_at`` blanked) is the same on both
+trees in every pass.  It exits 0 whatever it finds, like
+``report_digests.py --compare``.
 """
 from __future__ import annotations
 
@@ -56,29 +59,34 @@ def load_cli(root: Path, name: str):
     return importlib.import_module(f"{name}.cli")
 
 
-def run_pass(cli, jobs, paths, normalized) -> tuple[float, list[bytes]]:
-    """(process CPU seconds, normalised reports) of one pass over jobs."""
-    start = time.process_time()
-    reports = [_report(cli, job.argv(paths[job.instance.name])) for job in jobs]
-    seconds = time.process_time() - start
+def run_pass(cli, jobs, paths, normalized) -> tuple[list[float], list[bytes]]:
+    """(process CPU seconds of each job, normalised reports) of one pass
+    over jobs."""
+    seconds, reports = [], []
+    for job in jobs:
+        start = time.process_time()
+        reports.append(_report(cli, job.argv(paths[job.instance.name])))
+        seconds.append(time.process_time() - start)
     return seconds, [normalized(r) for r in reports]
 
 
 def compare_workload(clis, workload: str, seed: int, pairs: int, wl, verify) -> dict:
-    """CPU seconds per timed pass of each tree, the per-pair HEAD/BASE
-    ratios and the keys of the jobs whose reports differ between trees."""
+    """CPU seconds per timed pass and per check of each tree, the per-pair
+    HEAD/BASE ratios and the keys of the jobs whose reports differ between
+    trees."""
     jobs = wl.build_jobs(workload, seed)
     docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
     paths = {name: os.path.relpath(p) for name, p in wl.write_documents(jobs, docs).items()}
     seen = [set() for _ in jobs], [set() for _ in jobs]   # reports per tree and job
-    times = [], []
+    times, checks = ([], []), ([], [])
 
     def one(side: int, timed: bool):
         seconds, reports = run_pass(clis[side], jobs, paths, verify.normalized)
         for got, report in zip(seen[side], reports):
             got.add(report)
         if timed:
-            times[side].append(seconds)
+            times[side].append(sum(seconds))
+            checks[side].extend(seconds)
 
     one(0, False)
     one(1, False)
@@ -88,6 +96,7 @@ def compare_workload(clis, workload: str, seed: int, pairs: int, wl, verify) -> 
     ratios = [h / b for b, h in zip(*times) if b > 0.0]
     differ = [job.key for job, b, h in zip(jobs, *seen) if b != h]
     return {"jobs": len(jobs), "base": times[0], "head": times[1],
+            "base_checks": checks[0], "head_checks": checks[1],
             "ratios": ratios, "differ": differ}
 
 
@@ -105,6 +114,7 @@ def main(argv=None) -> int:
     bench = HERE.parent / "perfbench"
     wl = _load(bench / "workloads.py", "_ab_workloads")
     verify = _load(bench / "verify.py", "_ab_verify")
+    tail = _load(bench / "run.py", "_ab_run").tail
     for name in args.workload or ():
         if name not in wl.WORKLOADS:
             ap.error(f"unknown workload {name!r}; choose from {', '.join(wl.WORKLOADS)}")
@@ -124,6 +134,10 @@ def main(argv=None) -> int:
                         if len(t) > 1 else t[0]
                     print(f"  {side}: median {statistics.median(t):.4f} s, "
                           f"p25 {p25:.4f} s  ({root})")
+                    c = got[f"{side}_checks"]
+                    value, pct = tail(c)
+                    print(f"  {side} per check: median {1e3 * statistics.median(c):.3f} ms, "
+                          f"p{pct:.1f} {1e3 * value:.3f} ms  ({len(c)} checks)")
                 ratio = statistics.median(got["ratios"]) if got["ratios"] else float("nan")
                 print(f"  head/base: median per-pair ratio {ratio:.3f}")
                 if got["differ"]:
