@@ -35,7 +35,7 @@ import numpy as np
 
 from . import lp as _lp
 from . import oracles
-from .polyexpr import ModelError, ProblemInstance, rng_for
+from .polyexpr import ModelError, ProblemInstance, rng_for, seed_for
 from .regions import (PolyCell, Region, _content, face_complex,
                       lower_gen_support_detail, polar_cone, region_subset)
 from .sets import _dedupe_points, _row_norms
@@ -1136,7 +1136,7 @@ def sufficient_point_check(p: ProblemInstance,
     diags: list[str] = []
     x = p.xbar
 
-    near = np.reshape(p.S.sample_near(x, p.options.delta, rng_for(p.options.seed, 13), 200),
+    near = np.reshape(p.S.sample_near(x, p.options.delta, seed_for(p.options.seed, 13), 200),
                       (-1, p.n))
     if np.any(np.abs(p.f.eval_rows(near) - p.f(x)) > 1e-7):
         return _report("hypotheses-not-met",
@@ -1211,7 +1211,7 @@ def sufficient_isolated_check(p: ProblemInstance,
     requested = p.options.kappa if kappa is None else float(kappa)
     x = p.xbar
     diags: list[str] = []
-    for s in p.S.sample_near(x, 1e-3, rng_for(p.options.seed, 15), 60):
+    for s in p.S.sample_near(x, 1e-3, seed_for(p.options.seed, 15), 60):
         if np.linalg.norm(s - x) > 1e-9:
             return _report("hypotheses-not-met",
                            diags=["xbar is not isolated in the reference set"])
@@ -1305,7 +1305,7 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
         raise ModelError(f"unknown sweep mode {mode!r}")
     eps = p.options.epsilon if eps is None else float(eps)
     xs = [p.xbar]
-    for s in p.S.sample_near(p.xbar, p.options.delta, rng_for(p.options.seed, 17), 120):
+    for s in p.S.sample_near(p.xbar, p.options.delta, seed_for(p.options.seed, 17), 120):
         if (_row_norms(s - np.asarray(xs)) > 1e-7).all():
             xs.append(s)
         if len(xs) >= 24:

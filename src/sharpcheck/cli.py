@@ -58,7 +58,7 @@ from .oracles import (
     sample_feasible,
 )
 from .polyexpr import (ModelError, Options, ParseError, ProblemInstance, parse_expression,
-                       rng_for)
+                       seed_for)
 from .regions import RegionError
 from .sets import (
     Ball,
@@ -258,9 +258,9 @@ def _reference_warnings(inst: ProblemInstance) -> tuple:
     """A diagnostic line for the first of 100 sampled points of S near
     xbar whose g value leaves K, if any."""
     options = inst.options
-    rng = rng_for(options.seed, 0x2E5D)
     pt = inst.first_infeasible(
-        inst.S.sample_near(inst.xbar, max(2.0 * options.delta, 1.0), rng, 100), tol=1e-6)
+        inst.S.sample_near(inst.xbar, max(2.0 * options.delta, 1.0),
+                           seed_for(options.seed, 0x2E5D), 100), tol=1e-6)
     if pt is None:
         return ()
     return ("warning: a sampled reference point leaves the feasible set near "

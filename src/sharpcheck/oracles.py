@@ -2,9 +2,10 @@
 
 Everything here works from raw membership and distance evaluations, never
 from the closed-form cone algebra, so it can arbitrate the analytic modules.
-Sampling is deterministic under the caller's seed: every operation derives
-its generator from polyexpr.rng_for with a fixed per-operation tag and
-draws each of its random quantities once, as one array over all trials.
+Sampling is deterministic under the caller's seed: every operation always
+draws, so it derives its generator from polyexpr.rng_for (the stream
+polyexpr.seed_for names, under a fixed per-operation tag) and draws each of
+its random quantities once, as one array over all trials.
 The proposals built from those draws, the Gauss-Newton pullback and the
 membership and distance tests run on row batches, each row stopping on
 its own criteria, so every result equals the one a point-by-point loop

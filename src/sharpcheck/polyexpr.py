@@ -194,8 +194,10 @@ class PolyExpr:
 
     def eval_rows(self, X) -> np.ndarray:
         """Values at each row of the (k, nvars) array X, bit for bit the
-        values of ``self(x)`` row by row."""
+        values of ``self(x)`` row by row; a one-row batch is that call."""
         X = _point_rows(X, self.nvars)
+        if X.shape[0] == 1:
+            return np.array([self(X[0])])
         total = np.zeros(X.shape[0])
         powers: dict = {}
         for mono, c in self.terms.items():
@@ -339,10 +341,18 @@ def value_gradient_rows(e: PolyExpr, X) -> tuple[np.ndarray, np.ndarray]:
 # -- problem container ------------------------------------------------------
 
 
+def seed_for(seed: int, tag: int) -> list[int]:
+    """The seed of the sampling stream ``tag`` under ``seed``: a value for
+    ``np.random.default_rng``.  Every sampling stream is named here, under a
+    tag of its own; a set sampler takes the seed and builds its generator
+    only when it draws."""
+    return [int(seed) & 0x7FFFFFFF, tag]
+
+
 def rng_for(seed: int, tag: int) -> np.random.Generator:
-    """The generator of the sampling stream ``tag`` under ``seed``.  Every
-    sampler takes its generator here, under a tag of its own."""
-    return np.random.default_rng([int(seed) & 0x7FFFFFFF, tag])
+    """The generator of the sampling stream ``seed_for(seed, tag)``, for a
+    sampler that always draws."""
+    return np.random.default_rng(seed_for(seed, tag))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -400,9 +410,9 @@ class ProblemInstance:
             raise ModelError("xbar is infeasible: g(xbar) lies outside K")
         if not self.S.contains(self.xbar, tol=1e-7):
             raise ModelError("xbar does not belong to S")
-        rng = rng_for(self.options.seed, 0x5F5F)
         bad = self.first_infeasible(
-            self.S.sample_near(self.xbar, max(2.0 * self.options.delta, 1.0), rng, 25),
+            self.S.sample_near(self.xbar, max(2.0 * self.options.delta, 1.0),
+                               seed_for(self.options.seed, 0x5F5F), 25),
             tol=1e-6)
         if bad is not None:
             raise ModelError("reference set is not contained in the feasible set "

@@ -114,17 +114,19 @@ class BaseSet(ABC):
     def _build_region(self) -> Region | None:
         return None
 
-    def sample_near(self, x, delta: float, rng, count: int) -> list[np.ndarray]:
+    def sample_near(self, x, delta: float, seed, count: int) -> list[np.ndarray]:
         """Members within delta of x, by projecting count ambient draws.
 
         Multiplicity: one entry per kept draw, so a point may repeat, except
         that a PointSet returns its point at most once.
-        Generator: a PointSet draws nothing from rng, so a caller must not
-        rely on the generator's position afterwards."""
+        Seed: the draws come from ``np.random.default_rng(seed)``, built only
+        when the set draws, so a PointSet builds no generator.  A Generator
+        passes through unchanged; a caller must not rely on its position
+        afterwards."""
         x = _vec(x, self.dim)
         # one bulk draw takes the same doubles, in the same order, as one
         # draw per point
-        Z = x + rng.uniform(-delta, delta, size=(count, self.dim))
+        Z = x + np.random.default_rng(seed).uniform(-delta, delta, size=(count, self.dim))
         if self.is_convex():   # a single projection per draw
             _, P = self.project_rows(Z)
             return list(P[_row_norms(P - x) <= delta + 1e-12])
@@ -327,9 +329,9 @@ class Ball(BaseSet):
 
 
 class PointSet(BaseSet):
-    """The singleton {x}.  sample_near returns [x] without drawing from the
-    generator when x lies within delta of the query point, else [], where
-    the generic sampler returns x once per draw under the same test."""
+    """The singleton {x}.  sample_near returns [x], and builds no generator,
+    when x lies within delta of the query point, else [], where the generic
+    sampler returns x once per draw under the same test."""
 
     kind = "point"
 
@@ -349,7 +351,7 @@ class PointSet(BaseSet):
         Y = _rows(Y, self.dim)
         return _row_norms(Y - self.x), np.tile(self.x, (Y.shape[0], 1))
 
-    def sample_near(self, x, delta, rng, count):
+    def sample_near(self, x, delta, seed, count):
         x = _vec(x, self.dim)
         if count < 1 or not _row_norms((self.x - x)[None])[0] <= delta + 1e-12:
             return []

@@ -137,11 +137,11 @@ def tangent_cone(s: BaseSet, y) -> Region:
     return _lp._reused("tangent_cone", (s, y), lambda: _tangent_cone(s, y))
 
 
-def _frechet_normal(s: BaseSet, y: np.ndarray) -> Region:
+def _frechet_normal(s: BaseSet, y: np.ndarray, tc: Region | None = None) -> Region:
     """The polar of T_s(y), reused like ``tangent_cone``; for convex s it is
-    the normal cone."""
+    the normal cone.  tc, when given, is T_s(y) already built."""
     return _lp._reused("frechet_normal", (s, y),
-                       lambda: polar_cone(tangent_cone(s, y)))
+                       lambda: polar_cone(tangent_cone(s, y) if tc is None else tc))
 
 
 def _tangent_cone(s: BaseSet, y) -> Region:
@@ -563,7 +563,10 @@ def normal_cone(s: BaseSet, y, kind: str) -> Region:
 def directional_normal(s: BaseSet, y, u, kind: str) -> Region:
     """Directional limiting normal cone, or its Clarke hull.  Inside an
     open ``lp.reuse_scope`` it is built once per set, point, direction and
-    kind, keyed like ``tangent_cone``."""
+    kind, keyed like ``tangent_cone``.  Outside one, the T_s(y) of the
+    tangency test also gives the normal cone of a convex set, so it is the
+    only one built, except where the limiting normal cone of a nonconvex
+    set at the zero direction builds its Frechet cone again."""
     if kind not in ("limiting", "clarke"):
         raise TangentError(f"unknown directional normal kind {kind!r}")
     y = _vec(y, s.dim)
@@ -574,22 +577,26 @@ def directional_normal(s: BaseSet, y, u, kind: str) -> Region:
 
 def _directional_normal(s: BaseSet, y: np.ndarray, u: np.ndarray, kind: str) -> Region:
     y = _require_member(s, y)
-    if not tangent_cone(s, y).contains(u, tol=MEMBER_TOL):
+    tc = tangent_cone(s, y)
+    if not tc.contains(u, tol=MEMBER_TOL):
         return Region.empty(s.dim, cone=True, notes=("direction not tangent",))
-    if float(np.linalg.norm(u)) <= TOL:
-        lim = normal_cone(s, y, "limiting")
+    if float(np.linalg.norm(u)) > TOL:
+        lim = _directional_limiting(s, y, u, tc)
+    elif s.is_convex():
+        lim = _frechet_normal(s, y, tc)   # what normal_cone(s, y, "limiting") returns
     else:
-        lim = _directional_limiting(s, y, u)
+        lim = normal_cone(s, y, "limiting")
     if kind == "limiting":
         return lim
     hull = cone_hull(lim)
     return hull.with_notes(*lim.notes) if lim.notes else hull
 
 
-def _directional_limiting(s: BaseSet, y: np.ndarray, u: np.ndarray) -> Region:
+def _directional_limiting(s: BaseSet, y: np.ndarray, u: np.ndarray, tc: Region) -> Region:
+    """tc is T_s(y)."""
     if s.is_convex():
         # normals stay normal along tangent directions only inside {u}-perp
-        return _frechet_normal(s, y).intersect_orthocomplement(u).with_cone_flag(True)
+        return _frechet_normal(s, y, tc).intersect_orthocomplement(u).with_cone_flag(True)
     if isinstance(s, ProductSet):
         parts = [directional_normal(f, yp, up, "limiting")
                  for f, yp, up in zip(s.factors, s.split(y), s.split(u))]

@@ -1,5 +1,6 @@
 """tools/ab_passes.py: alternating in-process passes on two trees."""
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -28,6 +29,8 @@ def test_one_tree_against_itself_over_one_pair(capsys):
     assert lines[4].endswith(" ms  (29 checks)") and " ms, p65.5 " in lines[4]
     assert lines[5].startswith("  head/base: median per-pair ratio ")
     assert lines[6] == "  normalised reports identical in all 29 jobs"
+    assert re.fullmatch(r"  head below base: per-check median in [01] of 1 pairs, "
+                        r"pass in [01] of 1 pairs", lines[7])
     # the two trees are separate packages, neither of them the installed one
     base, head = (sys.modules[f"_ab_{side}_sharpcheck.cli"] for side in ("base", "head"))
     assert base is not head and base.main is not head.main

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import sharpcheck
-from sharpcheck import cli, sets
+from sharpcheck import certify, cli, sets
 from sharpcheck.polyexpr import ModelError, ProblemInstance
 
 from helpers import (
@@ -425,6 +425,43 @@ def test_point_sampler_reports_match_the_generic_sampler(tmp_path, monkeypatch):
     monkeypatch.setattr(sets.PointSet, "sample_near", sets.BaseSet.sample_near)
     for argv, got in zip(runs, fast):
         assert got == run_machine(argv), argv
+
+
+def test_singleton_reference_set_builds_no_generator(monkeypatch):
+    # the load-time checks, the sweeps and both sufficient checks hand S a
+    # stream's seed, and a singleton S draws nothing.  kappa 100 on the
+    # parabola and the isolated check of lifted_n3 without a request stop
+    # before the growth oracle, which always draws
+    monkeypatch.chdir(ROOT)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.random.default_rng called")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    parabola = cli.load_problem("fixtures/parabola.json")
+    lifted = cli.load_problem("fixtures/lifted_n3.json")
+    for mode in ("implicit-proximal", "implicit-tangent", "explicit", "clarke"):
+        assert certify.sweep_necessary(parabola, mode=mode).verdict == "satisfied"
+    assert certify.sufficient_point_check(parabola, 100.0).verdict == "hypotheses-not-met"
+    assert certify.sufficient_isolated_check(lifted).verdict == "inconclusive"
+
+
+EXPLICIT_SCALE = ("the explicit form is scale-dependent on fixtures/second_example.json "
+                  "(CHANGES.md FOUND: line 'the explicit form stays scale-dependent')")
+
+
+@pytest.mark.xfail(strict=True, reason=EXPLICIT_SCALE)
+def test_explicit_bounds_on_second_example_do_not_depend_on_the_direction_scale(
+        monkeypatch):
+    monkeypatch.chdir(ROOT)
+    got = {}
+    for scale in ("1", "1e-3", "1e-5", "1e-7"):
+        code, report = run_machine(["check-necessary", "fixtures/second_example.json",
+                                    "--form", "explicit", "--direction", scale])
+        doc = json.loads(report)
+        assert code == doc["exit_code"]
+        got[scale] = (doc["verdict"], doc["kappa_bounds"]["max_admissible"])
+    assert len(set(got.values())) == 1, got
 
 
 @pytest.mark.parametrize("module", ["sharpcheck", "sharpcheck.cli"])

@@ -211,6 +211,20 @@ def test_row_evaluation_matches_pointwise_bit_for_bit(case):
     assert _same_bits(J, [p.g_jet(x).jacobian for x in X])
 
 
+@settings(max_examples=200, deadline=None)
+@given(_poly_and_rows())
+def test_one_row_evaluation_matches_the_batched_rows_bit_for_bit(case):
+    # a one-row batch is evaluated by the scalar call; the batched path it
+    # replaces gives each row of a longer batch the same bits
+    _, exprs, X = case
+    for e in exprs:
+        batched = e.eval_rows(np.concatenate([X, X]))
+        for i, x in enumerate(X):
+            one = e.eval_rows(x[None])
+            assert _same_bits(one, [e(x)])
+            assert _same_bits(one, batched[i:i + 1])
+
+
 def test_row_evaluation_shapes():
     e = parse_expression("x1*x2 + 1", 2)
     assert e.eval_rows(np.zeros((0, 2))).shape == (0,)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import contains_pointwise, random_catalog_instance
 
+from sharpcheck.polyexpr import rng_for, seed_for
 from sharpcheck.sets import (
     Ball,
     BaseSet,
@@ -254,6 +255,29 @@ def test_sample_near_matches_pointwise_on_composite_sets(s):
     _check_sample_near(s, y, 9)
 
 
+def _check_seed_sample_near(s, x, seed):
+    """sample_near from a stream's seed returns the bytes it returns from
+    the stream's generator, on every case of _check_sample_near."""
+    for tag in (13, 0x5F5F):
+        for delta, count in _SAMPLE_CASES:
+            got = s.sample_near(x, delta, seed_for(seed, tag), count)
+            want = s.sample_near(x, delta, rng_for(seed, tag), count)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1))
+def test_sample_near_from_a_seed_matches_the_generator_on_random_catalog_sets(seed):
+    s, y, _, _ = random_catalog_instance(seed)
+    _check_seed_sample_near(s, y, seed)
+
+
+@pytest.mark.parametrize("s", _composites(), ids=lambda s: s.kind)
+def test_sample_near_from_a_seed_matches_the_generator_on_composite_sets(s):
+    y = s.distance(np.random.default_rng(9).normal(size=s.dim))[1][0]
+    _check_seed_sample_near(s, y, 9)
+
+
 def test_point_sample_near_keeps_its_point_up_to_delta_plus_1e_12():
     s, delta = PointSet(np.zeros(3)), 0.5
     edge = delta + 1e-12
@@ -266,10 +290,11 @@ def test_point_sample_near_keeps_its_point_up_to_delta_plus_1e_12():
     assert s.sample_near(np.zeros(3), delta, np.random.default_rng(4), 0) == []
 
 
-class _FixedOffsets:
-    """A generator stand-in whose uniform draws all equal one offset."""
+class _FixedOffsets(np.random.Generator):
+    """A generator whose uniform draws all equal one offset."""
 
     def __init__(self, offset):
+        super().__init__(np.random.PCG64(0))
         self.offset = np.asarray(offset, dtype=float)
 
     def uniform(self, low, high, size):

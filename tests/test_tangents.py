@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from sharpcheck import tangents
-from sharpcheck.sets import (Ball, Box, FiniteSet, Halfspace, Interval,
+from sharpcheck import lp as _lp, tangents
+from sharpcheck.sets import (Ball, BaseSet, Box, FiniteSet, Halfspace, Interval,
                              PointSet, Polyhedron, ProductSet, UnionSet)
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
                                  directional_normal, eps_proximal_filter,
@@ -18,7 +18,8 @@ from sharpcheck.regions import (PolyCell, Region, lower_gen_support_detail,
                                 polar_cone, region_subset)
 
 from helpers import (invariant_battery, minkowski_sum, oracle_agreement,
-                     random_catalog_instance, region_compare, region_equal)
+                     random_catalog_instance, region_bytes, region_compare,
+                     region_equal, tangent_direction)
 
 
 def halfspace(normal, offset=0.0, dim=2):
@@ -185,6 +186,49 @@ def test_directional_normal_union_stays_inside_limiting():
     assert dn.cone
     included, _ = region_subset(dn, normal_cone(two_disks(), [0.0, 0.0], "limiting"))
     assert included
+
+
+def _directional_cases():
+    """Every catalog kind at a boundary point, with a tangent direction, the
+    zero direction and a random direction."""
+    # one seed for each kind random_catalog_instance draws
+    sets = [random_catalog_instance(seed)[:2] for seed in (0, 1, 2, 3, 9, 10, 15, 22)]
+    sets += [(PointSet([0.5, -1.0]), [0.5, -1.0]),
+             (ProductSet([two_disks(), Interval(0.0, 1.0)]), [0.0, 0.0, 1.0])]
+    for i, (s, y) in enumerate(sets):
+        rng = np.random.default_rng([i, 53])
+        for u in (tangent_direction(s, y, rng), np.zeros(s.dim), rng.normal(size=s.dim)):
+            yield s, y, u
+
+
+def _directional_bytes(s, y, u):
+    return [region_bytes(directional_normal(s, y, u, kind)) for kind in ("limiting", "clarke")]
+
+
+def test_directional_normal_matches_the_two_cone_route(monkeypatch):
+    # the tangency test's T_s(y) gives the normal cone of a convex set; the
+    # route it replaces built that cone a second time
+    cases = list(_directional_cases())
+    assert {s.kind for s, _, _ in cases} == {k.kind for k in BaseSet.__subclasses__()}
+    one_cone = [_directional_bytes(*case) for case in cases]
+    with _lp.reuse_scope():
+        one_cone_scoped = [_directional_bytes(*case) for case in cases]
+    built = []
+    tangent = tangents._tangent_cone
+    monkeypatch.setattr(tangents, "_tangent_cone",
+                        lambda s, y: built.append(s) or tangent(s, y))
+    for s, y, u in cases:   # outside a scope: one T_s(y) per call
+        built.clear()
+        directional_normal(s, y, u, "limiting")
+        count = sum(b is s for b in built)
+        # a curved union's limiting normal cone holds its Frechet cone too
+        assert count == 1 or (count == 2 and not s.is_convex() and not u.any())
+    frechet = tangents._frechet_normal
+    monkeypatch.setattr(tangents, "_frechet_normal", lambda s, y, tc=None: frechet(s, y))
+    two_cone = [_directional_bytes(*case) for case in cases]
+    with _lp.reuse_scope():
+        two_cone_scoped = [_directional_bytes(*case) for case in cases]
+    assert one_cone == two_cone and one_cone_scoped == two_cone_scoped == two_cone
 
 
 @pytest.mark.parametrize("halfspaces", [

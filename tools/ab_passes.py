@@ -17,10 +17,11 @@ For each workload it prints each tree's median and 25th-percentile CPU
 seconds per pass; each tree's median and tail CPU milliseconds per check
 over all timed passes, the tail being ``perfbench/run.py``'s (the highest
 percentile with ten samples beyond it); the median over the pairs of
-HEAD's pass over BASE's; and whether every job's normalised report
+HEAD's pass over BASE's; whether every job's normalised report
 (``runtime_seconds`` and ``generated_at`` blanked) is the same on both
-trees in every pass.  It exits 0 whatever it finds, like
-``report_digests.py --compare``.
+trees in every pass; and in how many pairs HEAD's per-check median and
+HEAD's pass fell below BASE's, a tie counting for neither.  It exits 0
+whatever it finds, like ``report_digests.py --compare``.
 """
 from __future__ import annotations
 
@@ -72,8 +73,8 @@ def run_pass(cli, jobs, paths, normalized) -> tuple[list[float], list[bytes]]:
 
 def compare_workload(clis, workload: str, seed: int, pairs: int, wl, verify) -> dict:
     """CPU seconds per timed pass and per check of each tree, the per-pair
-    HEAD/BASE ratios and the keys of the jobs whose reports differ between
-    trees."""
+    HEAD/BASE ratios, the pairs HEAD won and the keys of the jobs whose
+    reports differ between trees."""
     jobs = wl.build_jobs(workload, seed)
     docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
     paths = {name: os.path.relpath(p) for name, p in wl.write_documents(jobs, docs).items()}
@@ -86,7 +87,7 @@ def compare_workload(clis, workload: str, seed: int, pairs: int, wl, verify) -> 
             got.add(report)
         if timed:
             times[side].append(sum(seconds))
-            checks[side].extend(seconds)
+            checks[side].append(seconds)
 
     one(0, False)
     one(1, False)
@@ -96,8 +97,12 @@ def compare_workload(clis, workload: str, seed: int, pairs: int, wl, verify) -> 
     ratios = [h / b for b, h in zip(*times) if b > 0.0]
     differ = [job.key for job, b, h in zip(jobs, *seen) if b != h]
     return {"jobs": len(jobs), "base": times[0], "head": times[1],
-            "base_checks": checks[0], "head_checks": checks[1],
-            "ratios": ratios, "differ": differ}
+            "base_checks": [t for p in checks[0] for t in p],
+            "head_checks": [t for p in checks[1] for t in p],
+            "ratios": ratios, "differ": differ,
+            "check_wins": sum(statistics.median(h) < statistics.median(b)
+                              for b, h in zip(*checks)),
+            "pass_wins": sum(h < b for b, h in zip(*times))}
 
 
 def main(argv=None) -> int:
@@ -145,6 +150,8 @@ def main(argv=None) -> int:
                           f"of {got['jobs']} jobs: {', '.join(got['differ'])}")
                 else:
                     print(f"  normalised reports identical in all {got['jobs']} jobs")
+                print(f"  head below base: per-check median in {got['check_wins']} of "
+                      f"{args.pairs} pairs, pass in {got['pass_wins']} of {args.pairs} pairs")
         finally:
             os.chdir(cwd)
     return 0
