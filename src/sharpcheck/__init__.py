@@ -25,7 +25,6 @@ from .regions import (
     RegionError,
     cone_hull,
     face_complex,
-    limiting_normal_region,
     lower_gen_support_detail,
     polar_cone,
     region_subset,
@@ -81,7 +80,7 @@ __all__ = [
     "directional_clarke_tangent", "directional_multipliers",
     "directional_normal", "emit_report", "eps_proximal_filter",
     "eps_proximal_membership", "face_complex", "growth_constant_estimate",
-    "limiting_normal_region", "linearized_phi_tangents", "load_problem",
+    "linearized_phi_tangents", "load_problem",
     "lower_gen_support_detail", "membership_by_definition",
     "mscq_modulus_estimate", "multiplier_affine_set", "necessary_clarke_check",
     "necessary_explicit_check", "necessary_implicit_check", "normal_cone",

@@ -682,7 +682,9 @@ def _content(region: Region):
 def face_complex(region: Region) -> tuple[RegionFace, ...]:
     """All closed faces of the arrangement refinement that lie inside the
     region, each with its relative-interior sample and Frechet normal value.
-    Inside ``lp.reuse_scope`` regions with equal cells share one result."""
+    Its callers are the K-side region operations: ``lower_gen_support_detail``
+    and the explicit-form probes in ``certify``.  Inside ``lp.reuse_scope``
+    regions with equal cells share one result."""
     return _lp._reused("face_complex", _content(region),
                        lambda: _face_complex(region))
 
@@ -717,19 +719,6 @@ def _face_complex(region: Region) -> tuple[RegionFace, ...]:
 
     rec([])
     return tuple(faces)
-
-
-def limiting_normal_region(region: Region, x) -> Region:
-    """Limiting normal cone of a polyhedral-union region at x: the union of
-    the Frechet values over all faces whose closure contains x."""
-    x = np.asarray(x, dtype=float).ravel()
-    if not region.contains(x, tol=1e-8):
-        raise RegionError("limiting normal requested at a point outside the region")
-    pieces = []
-    for face in face_complex(region):
-        if face.cell.contains(x, tol=1e-8):
-            pieces.append(face.normal_cell)
-    return Region(pieces, cone=True, dim=region.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,16 @@ Every result is a Region.  Exactness strategy, by constructor:
   at second order, exact;
 * unions: union rules over the members containing the base point (for
   second-order objects only members to which the direction is tangent
-  contribute); limiting and directional normal cones come from stratum
-  enumeration, where purely polyhedral strata are certified by margin LPs
-  and strata involving spheres are validated by radius-schedule samplers
-  with exact projections onto the constraint surfaces;
+  contribute);
 * products: blockwise combination.  On this catalog every member admits
   membership curves for entire small-parameter ranges, so factor curves can
   share schedules and the product rules hold with equality.
+
+The limiting and directional normal cones of every nonconvex set that is
+not a product (unions, finite sets) come from enumerating the strata of the
+rows active at the base point: purely polyhedral strata are decided exactly
+by margin LPs, and strata involving spheres are validated by radius-schedule
+samplers with exact projections onto the constraint surfaces.
 
 Strata that fail sampler validation are dropped and the result carries a
 note, never a silent claim.
@@ -29,8 +32,6 @@ from . import lp as _lp
 from .regions import (
     PolyCell,
     Region,
-    face_complex,
-    limiting_normal_region,
     cone_hull,
     polar_cone,
 )
@@ -289,10 +290,6 @@ def _short_circuit_interior(members_at: list[BaseSet], y: np.ndarray) -> bool:
             cell = _leaf_cell(m)
             if not _active_rows(cell, y) and cell.E.shape[0] == 0:
                 return True
-        if isinstance(m, ProductSet) and all(
-            _short_circuit_interior([f], part) for f, part in zip(m.factors, m.split(y))
-        ):
-            return True
     return False
 
 
@@ -475,8 +472,8 @@ def _stratum_realizable_poly(specs, avoid, members, y, u, dim) -> bool:
 
 
 def _member_face_options(m: BaseSet, y: np.ndarray):
-    """Face specs a nearby stratum can select for this member, or None when
-    the member cannot be part of a nontrivial stratum (isolated points)."""
+    """Face specs a nearby stratum can select for this member; none for an
+    isolated point, which can only be avoided."""
     if isinstance(m, Ball):
         return [("sphere",)] if _on_sphere(m, y) else []
     if _is_polyhedral_leaf(m):
@@ -484,25 +481,38 @@ def _member_face_options(m: BaseSet, y: np.ndarray):
         act = _active_rows(cell, y)
         return [("poly", frozenset(J)) for r in range(len(act) + 1)
                 for J in itertools.combinations(act, r)]
-    if isinstance(m, (PointSet, FiniteSet)):
-        return []
-    raise TangentError("strata for nested unions/products are handled upstream")
+    return []
 
 
-def _limiting_by_strata(s: UnionSet, y: np.ndarray, u: np.ndarray | None):
-    """Limiting (u=None) or directional limiting normal cone of a union
-    with curved members, by validated stratum enumeration."""
-    members = flatten_union(s)
-    for m in members:
-        if isinstance(m, (UnionSet,)):
-            raise TangentError("flatten left a nested union")
-        if isinstance(m, ProductSet):
-            raise TangentError("products inside curved unions are out of scope")
+def _strata_members(s: BaseSet) -> list[BaseSet]:
+    """The members of s as leaves, balls and points: a finite set gives one
+    point each, and a product with a region one polyhedron per cell."""
+    out: list[BaseSet] = []
+    for m in flatten_union(s):
+        if isinstance(m, FiniteSet):
+            out.extend(PointSet(p) for p in m.points)
+        elif isinstance(m, ProductSet):
+            reg = m.as_region()
+            if reg is None:
+                raise TangentError("products with a ball inside a union are out of scope")
+            out.extend(Polyhedron(zip(c.A, c.b), zip(c.E, c.f), dim=m.dim)
+                       for c in reg.nonempty_cells())
+        else:
+            out.append(m)
+    return out
+
+
+def _limiting_by_strata(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
+                        tc: Region | None) -> Region:
+    """Limiting (u=None) or directional limiting normal cone of a nonconvex
+    set that is not a product, by validated stratum enumeration; tc, when
+    given, is T_s(y)."""
+    members = _strata_members(s)
     dim = s.dim
     members_at = [i for i, m in enumerate(members) if m.contains(y, tol=MEMBER_TOL)]
     notes: tuple[str, ...] = _tangential_contact_note(members, y)
     if _short_circuit_interior([members[i] for i in members_at], y):
-        return [PolyCell.from_point(np.zeros(dim))], notes
+        return Region.origin(dim).with_notes(*notes)
     pieces: list[PolyCell] = []
     dropped = 0
     option_lists = {i: _member_face_options(members[i], y) for i in members_at}
@@ -517,28 +527,44 @@ def _limiting_by_strata(s: UnionSet, y: np.ndarray, u: np.ndarray | None):
                     isinstance(members[i], Ball) for i in avoid)
                 if curved:
                     ok = _stratum_realizable_sampled(specs, avoid, members, y, u, dim)
+                    dropped += not ok
                 else:
                     ok = _stratum_realizable_poly(specs, avoid, members, y, u, dim)
                 if ok:
                     pieces.append(_stratum_piece(specs, members, y, dim))
-                else:
-                    dropped += 1
     if dropped:
         notes += (f"strata dropped without validation: {dropped}",)
     if u is None:
         # the constant sequence x_k = y contributes the Frechet cone itself
-        pieces.append(_frechet_cell(s, y))
+        pieces.append(_frechet_normal(s, y, tc).cells[0])
     if not pieces:
         pieces = [PolyCell.from_point(np.zeros(dim))]
         notes += ("no stratum validated; kept the trivial piece",)
-    return pieces, notes
+    return Region(pieces, cone=True, notes=notes, dim=dim)
 
 
-def _frechet_cell(s: BaseSet, y: np.ndarray) -> PolyCell:
-    return _frechet_normal(s, y).cells[0]
+def _limiting(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
+              tc: Region | None = None) -> Region:
+    """The limiting normal cone of s at y (u=None), or its directional cone
+    in the nonzero tangent direction u; tc, when given, is T_s(y)."""
+    if s.is_convex():
+        fre = _frechet_normal(s, y, tc)
+        # normals stay normal along tangent directions only inside {u}-perp
+        return fre if u is None else fre.intersect_orthocomplement(u).with_cone_flag(True)
+    if isinstance(s, ProductSet):
+        if u is None:
+            parts = [normal_cone(f, yp, "limiting") for f, yp in zip(s.factors, s.split(y))]
+        else:
+            parts = [directional_normal(f, yp, up, "limiting")
+                     for f, yp, up in zip(s.factors, s.split(y), s.split(u))]
+        return _product_region(parts, [f.dim for f in s.factors], cone=True)
+    return _limiting_by_strata(s, y, u, tc)
 
 
 def normal_cone(s: BaseSet, y, kind: str) -> Region:
+    """Proximal, Frechet or limiting normal cone of s at y.  The limiting
+    cone of a nonconvex set that is not a product (a union or a finite set)
+    comes from the strata of the rows active at y."""
     y = _require_member(s, y)
     if kind == "frechet":
         return _frechet_normal(s, y)
@@ -546,27 +572,16 @@ def normal_cone(s: BaseSet, y, kind: str) -> Region:
         return Region.from_cell(_proximal_cell(s, y), cone=True)
     if kind != "limiting":
         raise TangentError(f"unknown normal cone kind {kind!r}")
-    if s.is_convex():
-        return _frechet_normal(s, y)
-    if isinstance(s, ProductSet):
-        parts = [normal_cone(f, part, "limiting") for f, part in zip(s.factors, s.split(y))]
-        return _product_region(parts, [f.dim for f in s.factors], cone=True)
-    reg = s.as_region()
-    if reg is not None:
-        return limiting_normal_region(reg, y)
-    if isinstance(s, UnionSet):
-        pieces, notes = _limiting_by_strata(s, y, None)
-        return Region(pieces, cone=True, notes=notes, dim=s.dim)
-    raise TangentError(f"unsupported set kind {s.kind!r}")
+    return _limiting(s, y, None)
 
 
 def directional_normal(s: BaseSet, y, u, kind: str) -> Region:
-    """Directional limiting normal cone, or its Clarke hull.  Inside an
-    open ``lp.reuse_scope`` it is built once per set, point, direction and
-    kind, keyed like ``tangent_cone``.  Outside one, the T_s(y) of the
-    tangency test also gives the normal cone of a convex set, so it is the
-    only one built, except where the limiting normal cone of a nonconvex
-    set at the zero direction builds its Frechet cone again."""
+    """Directional limiting normal cone, or its Clarke hull; a zero u gives
+    the plain limiting cone, and a nonconvex set that is not a product takes
+    the strata route of ``normal_cone``.  Inside an open ``lp.reuse_scope``
+    it is built once per set, point, direction and kind, keyed like
+    ``tangent_cone``.  Outside one, the T_s(y) of the tangency test is the
+    only one built: it also gives the Frechet cone."""
     if kind not in ("limiting", "clarke"):
         raise TangentError(f"unknown directional normal kind {kind!r}")
     y = _vec(y, s.dim)
@@ -580,47 +595,11 @@ def _directional_normal(s: BaseSet, y: np.ndarray, u: np.ndarray, kind: str) -> 
     tc = tangent_cone(s, y)
     if not tc.contains(u, tol=MEMBER_TOL):
         return Region.empty(s.dim, cone=True, notes=("direction not tangent",))
-    if float(np.linalg.norm(u)) > TOL:
-        lim = _directional_limiting(s, y, u, tc)
-    elif s.is_convex():
-        lim = _frechet_normal(s, y, tc)   # what normal_cone(s, y, "limiting") returns
-    else:
-        lim = normal_cone(s, y, "limiting")
+    lim = _limiting(s, y, u if float(np.linalg.norm(u)) > TOL else None, tc)
     if kind == "limiting":
         return lim
     hull = cone_hull(lim)
     return hull.with_notes(*lim.notes) if lim.notes else hull
-
-
-def _directional_limiting(s: BaseSet, y: np.ndarray, u: np.ndarray, tc: Region) -> Region:
-    """tc is T_s(y)."""
-    if s.is_convex():
-        # normals stay normal along tangent directions only inside {u}-perp
-        return _frechet_normal(s, y, tc).intersect_orthocomplement(u).with_cone_flag(True)
-    if isinstance(s, ProductSet):
-        parts = [directional_normal(f, yp, up, "limiting")
-                 for f, yp, up in zip(s.factors, s.split(y), s.split(u))]
-        return _product_region(parts, [f.dim for f in s.factors], cone=True)
-    reg = s.as_region()
-    if reg is not None:
-        pieces = []
-        for face in face_complex(reg):
-            if not face.cell.contains(y, tol=1e-8):
-                continue
-            act = _active_rows(face.cell, y)
-            ok = all(float(face.cell.A[i] @ u) <= 1e-8 for i in act)
-            ok = ok and all(abs(float(face.cell.E[j] @ u)) <= 1e-8
-                            for j in range(face.cell.E.shape[0]))
-            if ok:
-                pieces.append(face.normal_cell)
-        if not pieces:
-            return Region.origin(s.dim).with_notes(
-                "no face admitted the direction; kept the trivial piece")
-        return Region(pieces, cone=True, dim=s.dim)
-    if isinstance(s, UnionSet):
-        pieces, notes = _limiting_by_strata(s, y, u)
-        return Region(pieces, cone=True, notes=notes, dim=s.dim)
-    raise TangentError(f"unsupported set kind {s.kind!r}")
 
 
 def directional_clarke_tangent(s: BaseSet, y, u) -> Region:

@@ -3,9 +3,9 @@
 Seeded instance generation, tangent-direction sampling, the invariant
 battery run per instance, oracle agreement counting, the reference
 implementations the library is checked against (the scalar sampling
-oracles and a finite-difference jet check), and an in-process CLI
-runner.  Kept out of the test modules so the acceptance suite can reuse
-the exact same generators.
+oracles, the face-complex limiting normal cones and a finite-difference
+jet check), and an in-process CLI runner.  Kept out of the test modules
+so the acceptance suite can reuse the exact same generators.
 """
 import dataclasses
 import io
@@ -28,6 +28,7 @@ from sharpcheck.regions import (
     PolyCell,
     Region,
     RegionError,
+    face_complex,
     lower_gen_support_detail,
     polar_cone,
     region_subset,
@@ -122,6 +123,29 @@ def region_compare(r1: Region, r2: Region) -> CompareResult:
 
 def region_equal(r1: Region, r2: Region) -> bool:
     return region_compare(r1, r2).relation == "equal"
+
+
+def limiting_normal_region(region: Region, x, u=None) -> Region:
+    """Reference limiting normal cone of a polyhedral-union region at x
+    from its whole face complex: the union of the Frechet values of the
+    faces whose closure holds x.  With a direction u, only the faces whose
+    tangent cone at x holds u count (the directional cone)."""
+    x = np.asarray(x, dtype=float).ravel()
+    if not region.contains(x, tol=1e-8):
+        raise RegionError("limiting normal requested at a point outside the region")
+    pieces = []
+    for face in face_complex(region):
+        cell = face.cell
+        if not cell.contains(x, tol=1e-8):
+            continue
+        if u is not None:
+            act = [i for i in range(cell.A.shape[0])
+                   if abs(float(cell.A[i] @ x) - cell.b[i]) <= 1e-8]
+            if any(float(cell.A[i] @ u) > 1e-8 for i in act) or (
+                    cell.E.shape[0] and np.max(np.abs(cell.E @ u)) > 1e-8):
+                continue
+        pieces.append(face.normal_cell)
+    return Region(pieces, cone=True, dim=region.dim)
 
 
 def minkowski_sum(r1: Region, r2: Region) -> Region:

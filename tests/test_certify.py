@@ -187,6 +187,20 @@ def test_full_rank_cq_shortcut_matches_the_lp_probe(seed, log_sigma):
             assert a.witness.tobytes() == b.witness.tobytes()
 
 
+def test_cq_on_a_box_union_poses_few_margin_lps(monkeypatch):
+    """K is a polyhedral union, so its limiting normal cones come from the
+    strata active at g(xbar); the face complex of the whole union posed 759
+    margin programs for these three checks."""
+    p, _, d = _cq_instance(0, 1e-3)
+    margin = lp.max_margin
+    posed = []
+    monkeypatch.setattr(lp, "max_margin",
+                        lambda *args, **kw: posed.append(1) or margin(*args, **kw))
+    for kind in ("FOSCMS", "SOSCMS", "DirRCQ"):
+        assert constraint_qualification_check(p, None, d, kind).holds, kind
+    assert len(posed) <= 100
+
+
 def test_mscq_cascade_methods():
     p1, pp = first_example(), parabola_example()
     ok, method, _ = certify_mscq(p1, p1.xbar, [0.0, 1.0])

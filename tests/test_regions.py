@@ -15,11 +15,12 @@ from sharpcheck.regions import (
     RegionError,
     cone_hull,
     face_complex,
-    limiting_normal_region,
     lower_gen_support_detail,
     polar_cone,
     region_subset,
 )
+from sharpcheck.sets import Halfspace, UnionSet
+from sharpcheck.tangents import normal_cone
 
 from helpers import cell_bytes, minkowski_sum, region_bytes, region_compare, region_equal
 
@@ -319,22 +320,22 @@ def test_face_complex_of_union():
 
 def test_limiting_normal_of_union_absorbed_overlap():
     # {x1 >= 0} union {x1 <= 0.5} covers the plane: normals collapse to {0}
-    r = halfplane([-1.0, 0.0], 0.0).union(halfplane([1.0, 0.0], 0.5))
-    n = limiting_normal_region(r, [0.0, 0.0])
+    s = UnionSet([Halfspace([-1.0, 0.0], 0.0), Halfspace([1.0, 0.0], 0.5)])
+    n = normal_cone(s, [0.0, 0.0], "limiting")
     assert region_equal(n, Region.origin(2))
 
 
 def test_limiting_normal_of_union_boundary():
-    r = _union_fixture()
-    n = limiting_normal_region(r, [1.0, 0.0])
+    s = UnionSet([Halfspace([-1.0, 0.0], -1.0), Halfspace([1.0, 0.0], -1.0)])
+    n = normal_cone(s, [1.0, 0.0], "limiting")
     want = Region.from_cell(PolyCell([[1.0, 0.0]], [0.0],
                                      eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2), cone=True)
     assert region_equal(n, want)  # the ray spanned by -e1
 
 
 def test_limiting_normal_three_quadrant_union():
-    r = halfplane([1.0, 0.0], 0.0, cone=True).union(halfplane([0.0, 1.0], 0.0, cone=True))
-    n0 = limiting_normal_region(r, [0.0, 0.0])
+    s = UnionSet([Halfspace([1.0, 0.0], 0.0), Halfspace([0.0, 1.0], 0.0)])
+    n0 = normal_cone(s, [0.0, 0.0], "limiting")
     # at the reentrant corner the limiting cone is the two outward rays
     assert n0.contains([1.0, 0.0]) and n0.contains([0.0, 1.0])
     assert not n0.contains([1.0, 1.0])

@@ -17,9 +17,9 @@ from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
 from sharpcheck.regions import (PolyCell, Region, lower_gen_support_detail,
                                 polar_cone, region_subset)
 
-from helpers import (invariant_battery, minkowski_sum, oracle_agreement,
-                     random_catalog_instance, region_bytes, region_compare,
-                     region_equal, tangent_direction)
+from helpers import (invariant_battery, limiting_normal_region, minkowski_sum,
+                     oracle_agreement, random_catalog_instance, region_bytes,
+                     region_compare, region_equal, tangent_direction)
 
 
 def halfspace(normal, offset=0.0, dim=2):
@@ -220,9 +220,7 @@ def test_directional_normal_matches_the_two_cone_route(monkeypatch):
     for s, y, u in cases:   # outside a scope: one T_s(y) per call
         built.clear()
         directional_normal(s, y, u, "limiting")
-        count = sum(b is s for b in built)
-        # a curved union's limiting normal cone holds its Frechet cone too
-        assert count == 1 or (count == 2 and not s.is_convex() and not u.any())
+        assert sum(b is s for b in built) == 1
     frechet = tangents._frechet_normal
     monkeypatch.setattr(tangents, "_frechet_normal", lambda s, y, tc=None: frechet(s, y))
     two_cone = [_directional_bytes(*case) for case in cases]
@@ -237,22 +235,100 @@ def test_directional_normal_matches_the_two_cone_route(monkeypatch):
     [([1.0, 0.0], 0.0), ([-1.0, 1.0], 0.0)],
 ], ids=["quadrant-union", "two-sides", "wedge-union"])
 def test_polyhedral_strata_match_the_face_complex(halfspaces):
-    """A ball far from y keeps a polyhedral union off the face complex
-    (``as_region()`` is None), so its limiting and directional normal cones
-    at y go through the exact stratum LPs; they must equal the face-complex
-    cones of the same union without the ball.  Dropping the rows that
-    violate an avoided member breaks the two-sides case; flipping the sign
-    of the strict rows breaks none of these cases."""
+    """A ball far from y keeps a polyhedral union off ``as_region()``, yet
+    its limiting and directional normal cones at y, decided by the exact
+    stratum LPs alone, must equal the face-complex cones of the same union
+    without the ball, and no stratum is dropped unvalidated.  Dropping the
+    rows that violate an avoided member breaks the two-sides case; flipping
+    the sign of the strict rows breaks none of these cases."""
     members = [Halfspace(a, beta) for a, beta in halfspaces]
     plain = UnionSet(members)
     curved = UnionSet([*members, Ball([5.0, 5.0], 1.0)])
-    assert plain.as_region() is not None and curved.as_region() is None
+    assert curved.as_region() is None
     y = [0.0, 0.0]
-    assert region_equal(normal_cone(curved, y, "limiting"),
-                        normal_cone(plain, y, "limiting"))
+    cones = [(normal_cone(curved, y, "limiting"),
+              limiting_normal_region(plain.as_region(), y))]
     for u in ([1.0, 0.0], [0.0, -1.0], [-1.0, -1.0], [0.0, 1.0]):
-        assert region_equal(directional_normal(curved, y, u, "limiting"),
-                            directional_normal(plain, y, u, "limiting"))
+        cones.append((directional_normal(curved, y, u, "limiting"),
+                      limiting_normal_region(plain.as_region(), y, np.array(u))))
+    for got, want in cones:
+        assert region_equal(got, want)
+        assert not any("dropped" in n for n in got.notes)
+
+
+def _reference_cases():
+    """(id, nonconvex polyhedral set, base point) for the face-complex
+    reference comparison."""
+    boxes = [UnionSet([Box([(-1.0, 0.0)] * m), Box([(0.0, 1.0)] * m)]) for m in (2, 3)]
+    wedge = UnionSet([Halfspace([1.0, 0.0], 0.0), Halfspace([-1.0, 1.0], 0.0)])
+    fan = UnionSet([Halfspace([np.cos(t), np.sin(t)], 0.0) for t in (0.0, 2.0, 4.0)])
+    triangle = Polyhedron(rows=[([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0), ([1.0, 1.0], 2.0)])
+    product = ProductSet([UnionSet([Interval(-1.0, 0.0), Interval(0.0, 1.0)]),
+                          Interval(0.0, 1.0)])
+    points = FiniteSet([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    return [
+        ("boxes-r2", boxes[0], [0.0, 0.0]),
+        ("boxes-r2-edge", boxes[0], [0.0, -0.5]),
+        ("boxes-r3", boxes[1], [0.0, 0.0, 0.0]),
+        ("halfspaces-wedge", wedge, [0.0, 0.0]),
+        ("halfspaces-fan", fan, [0.0, 0.0]),
+        ("polyhedron-halfspace", UnionSet([triangle, Halfspace([1.0, -1.0], 0.0)]), [0.0, 0.0]),
+        ("product-member", UnionSet([product, Halfspace([1.0, 1.0], 0.0)]), [0.0, 0.0]),
+        ("nested-union-member", UnionSet([wedge, Box([(0.0, 1.0), (-1.0, 0.0)])]), [0.0, 0.0]),
+        ("finite-member", UnionSet([Halfspace([1.0, 0.0], 0.0), points]), [0.0, 0.0]),
+        ("finite-member-isolated", UnionSet([Halfspace([1.0, 0.0], 0.0), points]), [1.0, 1.0]),
+        ("finite", points, [1.0, 1.0]),
+    ]
+
+
+def _reference_directions(s, y):
+    """The zero direction, every ray and line (both ways) of every cell of
+    T_s(y) and one sum per cell, and the coordinate directions both ways,
+    tangent or not; each direction once."""
+    out = [np.zeros(s.dim)]
+    for cell in tangent_cone(s, y).nonempty_cells():
+        _, rays, lines = cell.generators()
+        out += [*rays, *lines, *(-l for l in lines)]
+        if len(rays) + len(lines) > 1:
+            out.append(np.sum([*rays, *lines], axis=0))
+    out += [sgn * e for e in np.eye(s.dim) for sgn in (1.0, -1.0)]
+    units = [u / max(np.linalg.norm(u), 1.0) for u in out]
+    return [u for i, u in enumerate(units)
+            if not any(np.allclose(u, v) for v in units[:i])]
+
+
+@pytest.mark.parametrize("case", _reference_cases(), ids=lambda case: case[0])
+def test_limiting_normals_match_the_face_complex_reference(case):
+    """Every nonconvex set takes the strata route; on polyhedral sets its
+    plain and directional limiting normal cones equal the reference built
+    from the face complex of the whole region."""
+    _, s, y = case
+    dirs = _reference_directions(s, y)
+    tangent = [u for u in dirs if u.any() and tangent_cone(s, y).contains(u)]
+    assert len(tangent) >= 4 or region_equal(tangent_cone(s, y), Region.origin(s.dim))
+    got = [normal_cone(s, y, "limiting")]
+    got += [directional_normal(s, y, u, "limiting") for u in dirs]
+    with _lp.reuse_scope():   # one face complex per region
+        reg = s.as_region()
+        want = [limiting_normal_region(reg, y)]
+        want += [limiting_normal_region(reg, y, u if u.any() else None) for u in dirs]
+    for g, w, u in zip(got, want, [None, *dirs]):
+        assert region_equal(g, w), (u, g, w)
+
+
+def test_finite_set_limiting_cone_poses_no_lp(monkeypatch):
+    s, y, _, _ = random_catalog_instance(9)
+    assert isinstance(s, FiniteSet)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finite set's limiting normal cone posed a margin LP")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_lp, "max_margin", refuse)
+        cones = [normal_cone(s, y, "limiting"),
+                 directional_normal(s, y, np.zeros(2), "limiting")]
+    for cone in cones:
+        assert region_equal(cone, Region.all_space(2))
 
 
 def test_directional_clarke_tangent_ball():
