@@ -89,6 +89,28 @@ def _cases():
                                              "--count", "1000", "--limit", "50"]),
                 (f"{name}-oracle-mscq", ["oracle", path, "--op", "mscq", "--count",
                                          "200", "--direction", d])]
+    # the catalog kinds the fixtures above never reach: a union of boxes
+    # with a finite S, a product with a ball factor with a polyhedron S, and
+    # a polyhedral product with a halfspace factor with a product S
+    for name in ("boxes_finite", "ball_product", "halfspace_product"):
+        path = f"fixtures/{name}.json"
+        out += [(f"{name}-sweep-{tag}", ["check-necessary", path, "--form", form,
+                                         "--mode", mode])
+                for tag, form, mode in (("implicit-proximal", "implicit", "proximal"),
+                                        ("implicit-tangent", "implicit", "tangent-distance"),
+                                        ("explicit", "explicit", "proximal"),
+                                        ("clarke", "clarke", "proximal"))]
+        out += [(f"{name}-nondegenerate", ["check-necessary", path, "--form",
+                                           "nondegenerate", "--direction", "0,1"]),
+                (f"{name}-sufficient-point", ["check-sufficient", path, "--mode",
+                                              "point", "--kappa", "0.25"]),
+                (f"{name}-sufficient-isolated", ["check-sufficient", path,
+                                                 "--mode", "isolated"]),
+                (f"{name}-check-cq-nondeg", ["check-cq", path, "--kind", "nondeg",
+                                             "--direction", "0,1"])]
+        if name != "ball_product":   # SOSCMS needs a polyhedral-union K
+            out.append((f"{name}-check-cq-soscms", ["check-cq", path, "--kind",
+                                                    "soscms", "--direction", "0,1"]))
     return out
 
 
