@@ -240,8 +240,7 @@ def critical_cone(p: ProblemInstance, x) -> Region:
     grad, J, _, _ = _jet_data(p, x)
     tk = tangent_cone(p.K, p.g_value(x))
     reg = tk.affine_preimage(J, np.zeros(p.m))
-    reg = reg.intersect(Region.halfspace(grad, 0.0))
-    return reg.with_cone_flag(True)
+    return reg.intersect(Region.halfspace(grad, 0.0))
 
 
 def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M") -> Region:
@@ -259,7 +258,7 @@ def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M") -> Region
     cone_kind = "limiting" if kind == "M" else "clarke"
     N = directional_normal(p.K, p.g_value(x), J @ d, cone_kind)
     cells = [c.intersect(aff.as_cell()) for c in N.cells]
-    return Region(cells, cone=False, notes=N.notes, dim=p.m)
+    return Region(cells, N.notes, p.m)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +321,8 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     notes = ()
     if kind_u == "NONDEG":
         N = directional_normal(p.K, y, u, "limiting")
-        gens = []
-        for cell in N.nonempty_cells():
-            g = cell.generators()
-            if g is None:
-                continue
-            gens.extend(list(g[0]) + list(g[1]) + list(g[2]))
-        G = np.array([v for v in gens if np.linalg.norm(v) > TOL])
+        G = np.array([v for g in N.cell_generators() for part in g for v in part
+                      if np.linalg.norm(v) > TOL])
         if G.size == 0:
             return CqResult("NONDEG", True, notes=N.notes)
         _, sv, vh = np.linalg.svd(G)
@@ -362,7 +356,7 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     _, sv, vh = np.linalg.svd(J.T)
     rank = int(np.sum(sv >= 1e-6 * max(1.0, sv[0])))
     kercell = PolyCell(eq_mat=vh[:rank], eq_rhs=np.zeros(rank), dim=p.m)
-    meet = Region([c.intersect(kercell) for c in N.cells], cone=True, dim=p.m)
+    meet = Region([c.intersect(kercell) for c in N.cells], dim=p.m)
     wit = _nontrivial_point(meet)
     return CqResult(kind_u, wit is None, witness=wit, notes=notes + N.notes)
 
@@ -459,11 +453,7 @@ def _line_constancy(region: Region, c0: np.ndarray, c1: np.ndarray):
     t, which is exactly what makes a probe along each nullspace direction
     an exhaustive scan of the multiplier affine set."""
     slope_hi, slope_lo = -math.inf, math.inf
-    for cell in region.nonempty_cells():
-        g = cell.generators()
-        if g is None:
-            continue
-        verts, rays, lines = g
+    for verts, rays, lines in region.cell_generators():
         for r in list(rays) + list(lines) + [-l for l in lines]:
             cr1, cr0 = float(c1 @ r), float(c0 @ r)
             if cr1 > TOL:
@@ -622,7 +612,7 @@ def _reference_tangent(p: ProblemInstance, x) -> Region:
     """T_S(x), the tangent cone of the reference set, as this instance's own
     object: instances that share S share only its cells."""
     t = tangent_cone(p.S, x)
-    return Region(t.cells, cone=t.cone, notes=t.notes, dim=t.dim)
+    return Region(t.cells, t.notes, t.dim)
 
 
 def _kappa_denominator(p: ProblemInstance, x, d, eps, mode):
@@ -900,11 +890,7 @@ def _conic_primal(grad, J, v, tangent_cell: PolyCell):
 
 def _generators_of(region: Region):
     verts, rays = [], []
-    for cell in region.nonempty_cells():
-        g = cell.generators()
-        if g is None:
-            continue
-        v0, r0, l0 = g
+    for v0, r0, l0 in region.cell_generators():
         verts.extend(list(v0))
         rays.extend(list(r0) + list(l0) + [-l for l in l0])
     return _dedupe_points(verts, 1e-9), _dedupe_points(rays, 1e-9)
@@ -944,11 +930,7 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
     # part (ii): per cell, a vertex LP with ray constraints covers every
     # member of the cell at once
     kmax = math.inf
-    for cell in T2.nonempty_cells():
-        g = cell.generators()
-        if g is None:
-            continue
-        cverts, crays, clines = g
+    for cverts, crays, clines in T2.cell_generators():
         ray_rows = list(crays) + list(clines) + [-l for l in clines]
         for v in cverts:
             best = -math.inf
@@ -1036,11 +1018,7 @@ def _strict_rows_for_direction(Tpp_n: Region, T2_n: Region, J, thresh: float,
     when a line of the asymptotic cone has a nonzero image (no multiplier
     can be strictly negative on both signs)."""
     rows, rhs, margins, eqs = [], [], [], []
-    for cell in Tpp_n.nonempty_cells():
-        g = cell.generators()
-        if g is None:
-            continue
-        verts, rays, lines = g
+    for verts, rays, lines in Tpp_n.cell_generators():
         for l in lines:
             img = J @ l
             if np.linalg.norm(img) > 1e-9:
@@ -1054,11 +1032,7 @@ def _strict_rows_for_direction(Tpp_n: Region, T2_n: Region, J, thresh: float,
             rows.append(img)
             rhs.append(0.0)
             margins.append(nrm)
-    for cell in T2_n.nonempty_cells():
-        g = cell.generators()
-        if g is None:
-            continue
-        verts, rays, lines = g
+    for verts, rays, lines in T2_n.cell_generators():
         for l in lines:
             img = J @ l
             if np.linalg.norm(img) > 1e-9:

@@ -23,8 +23,9 @@ one.  Inside the block these are built once per distinct input:
 * both primitives;
 * the region operations ``regions.polar_cone``, ``cone_hull``,
   ``region_subset``, ``face_complex`` and ``lower_gen_support_detail``,
-  keyed on the cells of their regions (and lam, for the lower
-  generalized support);
+  keyed on everything about each region except its notes, that is its
+  dimension and the rows of its cells (and lam, for the lower generalized
+  support);
 * the per-point objects of ``certify`` (the jets, full-row-rank test of
   Dg, critical cone, multiplier affine set and tangent cone of S at a base
   point), and its search for a multiplier with nonpositive lower

@@ -2,12 +2,15 @@
 
 Every derived first- and second-order variational object in this package is
 represented as a Region: a finite union of closed convex polyhedral cells,
-each an intersection of linear inequalities and equalities.  This module is
-the exact calculus on that representation: membership, inclusion testing,
-distance and projection, support functions, polarity, the face complex
-of a union, Frechet/limiting normal values of the region itself, and the
-lower generalized support function evaluated through the face complex
-with a perturbation-schedule cross check.  Support values and
+each an intersection of linear inequalities and equalities.  A region is
+its dimension, its cells and its notes, nothing more; a cone is a region
+whose nonempty cells have homogeneous rows (all right-hand sides zero), by
+Minkowski-Weyl.  This module is the exact calculus on that representation:
+membership, inclusion testing, distance and projection, support functions,
+unions and products, the generators of each cell, polarity, the face
+complex of a union, Frechet/limiting normal values of the region itself,
+and the lower generalized support function evaluated through the face
+complex with a perturbation-schedule cross check.  Support values and
 distances are floats; -math.inf is the support of an empty region and
 +math.inf a support or distance without a finite bound.
 
@@ -120,12 +123,7 @@ class PolyCell:
 
     @classmethod
     def empty_marker(cls, dim: int) -> "PolyCell":
-        c = cls(dim=dim)
-        c.A = np.zeros((1, dim))
-        c.b = np.array([-1.0])
-        c._forced_empty = True
-        c._empty = True
-        return c
+        return cls(np.zeros((1, dim)), [-1.0], dim=dim)
 
     @classmethod
     def from_point(cls, x) -> "PolyCell":
@@ -296,11 +294,13 @@ class PolyCell:
 
 
 class Region:
-    """Finite union of PolyCells, optionally flagged as a cone."""
+    """A finite union of PolyCells: its dimension, its cells and the notes
+    that travel with it.  A region is a cone when its nonempty cells have
+    homogeneous rows; ``polar_cone`` reads that from the cells."""
 
-    __slots__ = ("dim", "cells", "cone", "notes", "_nonempty")
+    __slots__ = ("dim", "cells", "notes", "_nonempty")
 
-    def __init__(self, cells, cone: bool = False, notes: tuple[str, ...] = (), dim=None):
+    def __init__(self, cells, notes: tuple[str, ...] = (), dim=None):
         cells = tuple(cells)
         if dim is None:
             if not cells:
@@ -311,40 +311,54 @@ class Region:
                 raise RegionError("mixed cell dimensions in region")
         self.dim = int(dim)
         self.cells = cells
-        self.cone = bool(cone)
         self.notes = tuple(notes)
         self._nonempty = None
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def empty(cls, dim: int, cone: bool = False, notes=()) -> "Region":
-        return cls((), cone=cone, notes=notes, dim=dim)
+    def empty(cls, dim: int, notes=()) -> "Region":
+        return cls((), notes, dim)
 
     @classmethod
-    def all_space(cls, dim: int, cone: bool = True) -> "Region":
-        return cls((PolyCell.all_space(dim),), cone=cone, dim=dim)
+    def all_space(cls, dim: int) -> "Region":
+        return cls((PolyCell.all_space(dim),), dim=dim)
 
     @classmethod
-    def from_cell(cls, cell: PolyCell, cone: bool = False, notes=()) -> "Region":
-        return cls((cell,), cone=cone, notes=notes)
+    def from_cell(cls, cell: PolyCell, notes=()) -> "Region":
+        return cls((cell,), notes)
 
     @classmethod
     def from_point(cls, x) -> "Region":
-        x = np.asarray(x, dtype=float).ravel()
-        return cls.from_cell(PolyCell.from_point(x),
-                             cone=bool(np.linalg.norm(x) <= MEMBER_TOL))
+        return cls.from_cell(PolyCell.from_point(x))
 
     @classmethod
     def origin(cls, dim: int) -> "Region":
-        return cls.from_cell(PolyCell.from_point(np.zeros(dim)), cone=True)
+        return cls.from_point(np.zeros(dim))
 
     @classmethod
-    def halfspace(cls, normal, offset: float, cone=None) -> "Region":
+    def halfspace(cls, normal, offset: float) -> "Region":
         normal = np.asarray(normal, dtype=float).ravel()
-        cell = PolyCell(normal.reshape(1, -1), [offset], dim=normal.size)
-        if cone is None:
-            cone = abs(offset) <= MEMBER_TOL
-        return cls.from_cell(cell, cone=cone)
+        return cls.from_cell(PolyCell(normal.reshape(1, -1), [offset], dim=normal.size))
+
+    @classmethod
+    def product(cls, parts) -> "Region":
+        """The cartesian product of the regions in parts, factor blocks in
+        order: one cell per choice of a nonempty cell of each factor, the
+        last factor varying fastest, and the notes of all factors.  An empty
+        factor gives the empty region."""
+        parts = list(parts)
+        total = sum(r.dim for r in parts)
+        notes: tuple[str, ...] = ()
+        cells = [PolyCell.all_space(total)]
+        lo = 0
+        for reg in parts:
+            notes += reg.notes
+            live = reg.nonempty_cells()
+            if not live:
+                return cls.empty(total, notes + ("empty factor",))
+            cells = [base.intersect(c.lift(total, lo)) for base in cells for c in live]
+            lo += reg.dim
+        return cls(cells, notes, total)
 
     # -- structure ----------------------------------------------------
     def nonempty_cells(self) -> tuple[PolyCell, ...]:
@@ -354,6 +368,13 @@ class Region:
 
     def is_empty(self) -> bool:
         return len(self.nonempty_cells()) == 0
+
+    def cell_generators(self):
+        """(vertices, rays, lines) of each nonempty cell, in cell order."""
+        for c in self.nonempty_cells():
+            gens = c.generators()
+            if gens is not None:
+                yield gens
 
     def contains(self, x, tol: float = MEMBER_TOL) -> bool:
         return bool(self.contains_rows(np.reshape(x, (1, -1)), tol)[0])
@@ -370,16 +391,15 @@ class Region:
         return ok
 
     def with_notes(self, *extra: str) -> "Region":
-        return Region(self.cells, cone=self.cone, notes=self.notes + tuple(extra), dim=self.dim)
+        return Region(self.cells, self.notes + tuple(extra), self.dim)
 
-    def with_cone_flag(self, flag: bool = True) -> "Region":
-        return Region(self.cells, cone=flag, notes=self.notes, dim=self.dim)
-
-    def union(self, other: "Region") -> "Region":
-        if other.dim != self.dim:
+    def union(self, *others: "Region") -> "Region":
+        """The union with each of others: the cells and the notes of all,
+        in order."""
+        if any(o.dim != self.dim for o in others):
             raise RegionError("dimension mismatch in union")
-        return Region(self.cells + other.cells, cone=self.cone and other.cone,
-                      notes=self.notes + other.notes, dim=self.dim)
+        return Region(self.cells + tuple(c for o in others for c in o.cells),
+                      self.notes + tuple(n for o in others for n in o.notes), self.dim)
 
     # -- pointwise ops ------------------------------------------------
     def support(self, lam) -> float:
@@ -411,24 +431,21 @@ class Region:
     def affine_preimage(self, M, c) -> "Region":
         M = np.asarray(M, dtype=float)
         cells = [cell.affine_preimage(M, c) for cell in self.cells]
-        cone = self.cone and np.linalg.norm(np.asarray(c, dtype=float)) <= MEMBER_TOL
-        return Region(cells, cone=cone, notes=self.notes, dim=M.shape[1])
+        return Region(cells, self.notes, M.shape[1])
 
     def intersect_orthocomplement(self, d) -> "Region":
         d = np.asarray(d, dtype=float).ravel()
         cells = [c.with_equality(d, 0.0) for c in self.cells]
-        return Region(cells, cone=self.cone, notes=self.notes, dim=self.dim)
+        return Region(cells, self.notes, self.dim)
 
     def intersect(self, other: "Region") -> "Region":
         if other.dim != self.dim:
             raise RegionError("dimension mismatch in intersection")
         cells = [c1.intersect(c2) for c1 in self.cells for c2 in other.cells]
-        return Region(cells, cone=self.cone and other.cone,
-                      notes=self.notes + other.notes, dim=self.dim)
+        return Region(cells, self.notes + other.notes, self.dim)
 
     def __repr__(self):
-        tag = ", cone" if self.cone else ""
-        return f"Region(dim={self.dim}, cells={len(self.cells)}{tag})"
+        return f"Region(dim={self.dim}, cells={len(self.cells)})"
 
 
 # ---------------------------------------------------------------------------
@@ -437,37 +454,30 @@ class Region:
 
 
 def polar_cone(region: Region) -> Region:
-    """Polar of a cone-flagged region.  The polar of a union is the
-    intersection of the member polars, which is a single convex cell.
-    Inside ``lp.reuse_scope`` regions with equal cells share one result."""
-    if not region.cone:
-        raise RegionError("polar_cone requires a cone-flagged region")
+    """Polar of a cone region.  Precondition: every nonempty cell of the
+    region is homogeneous (right-hand sides within 1e-7 of zero); otherwise
+    RegionError.  The polar of a union is the intersection of the member
+    polars, a single convex cell, and the polar of the empty region is the
+    whole space.  Inside ``lp.reuse_scope`` regions with equal cells share
+    one result."""
     return _lp._reused("polar_cone", _content(region), lambda: _polar_cone(region))
 
 
 def _polar_cone(region: Region) -> Region:
-    cells = region.nonempty_cells()
-    if not cells:
-        return Region.all_space(region.dim)
+    if not all(c.is_homogeneous(tol=1e-7) for c in region.nonempty_cells()):
+        raise RegionError("polar_cone given a non-homogeneous cell")
     ineq_rows, eq_rows = [], []
-    for c in cells:
-        if not c.is_homogeneous(tol=1e-7):
-            raise RegionError("polar_cone given a non-homogeneous cell")
-        gens = c.generators()
-        if gens is None:
-            continue
-        _, rays, lines = gens
-        for v in gens[0]:
-            if np.linalg.norm(v) > 1e-7:  # pragma: no cover - homogeneous cells
-                raise RegionError("cone cell has a nonzero vertex")
+    for verts, rays, lines in region.cell_generators():
+        if any(np.linalg.norm(v) > 1e-7 for v in verts):  # pragma: no cover - homogeneous cells
+            raise RegionError("cone cell has a nonzero vertex")
         if rays.size:
             ineq_rows.append(rays)
         if lines.size:
             eq_rows.append(lines)
     A = np.vstack(ineq_rows) if ineq_rows else np.zeros((0, region.dim))
     E = np.vstack(eq_rows) if eq_rows else np.zeros((0, region.dim))
-    cell = PolyCell(A, np.zeros(A.shape[0]), E, np.zeros(E.shape[0]), dim=region.dim)
-    return Region.from_cell(cell, cone=True)
+    return Region.from_cell(PolyCell(A, np.zeros(A.shape[0]), E, np.zeros(E.shape[0]),
+                                     dim=region.dim))
 
 
 def cone_hull(regions) -> Region:
@@ -487,23 +497,15 @@ def cone_hull(regions) -> Region:
 
 
 def _cone_hull(regions: list[Region], dim: int) -> Region:
+    gens = [g for r in regions for g in r.cell_generators()]
+    if not gens:
+        return Region.empty(dim)
     rays, lines = [], []
-    any_nonempty = False
-    for r in regions:
-        for c in r.nonempty_cells():
-            gens = c.generators()
-            if gens is None:
-                continue
-            any_nonempty = True
-            V, R, L = gens
-            for v in V:
-                if np.linalg.norm(v) > 1e-9:
-                    rays.append(v)
-            rays.extend(R)
-            lines.extend(L)
-    if not any_nonempty:
-        return Region.empty(dim, cone=True)
-    return Region.from_cell(PolyCell.cone(rays, lines, dim), cone=True)
+    for V, R, L in gens:
+        rays.extend(v for v in V if np.linalg.norm(v) > 1e-9)
+        rays.extend(R)
+        lines.extend(L)
+    return Region.from_cell(PolyCell.cone(rays, lines, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -674,8 +676,8 @@ def _frechet_value_at(region: Region, x: np.ndarray) -> PolyCell:
 
 
 def _content(region: Region):
-    """The region's cells as a reuse key: what the region operations read of
-    it, never its identity."""
+    """The region as a reuse key: its dimension and the rows of its cells,
+    all that the region operations read of it, never its notes or identity."""
     return region.dim, tuple((c.A, c.b, c.E, c.f) for c in region.cells)
 
 

@@ -450,10 +450,7 @@ class UnionSet(BaseSet):
         regions = [s.as_region() for s in self.members]
         if any(r is None for r in regions):
             return None
-        out = regions[0]
-        for r in regions[1:]:
-            out = out.union(r)
-        return out
+        return regions[0].union(*regions[1:])
 
 
 class ProductSet(BaseSet):
@@ -501,12 +498,7 @@ class ProductSet(BaseSet):
         regs = [s.as_region() for s in self.factors]
         if any(r is None for r in regs):
             return None
-        # cross product of cells with coordinates embedded block-wise
-        cells = [PolyCell.all_space(self.dim)]
-        for r, lo in zip(regs, self.offsets[:-1]):
-            lifted = [c.lift(self.dim, int(lo)) for c in r.nonempty_cells()]
-            cells = [base.intersect(extra) for base in cells for extra in lifted]
-        return Region(cells, dim=self.dim)
+        return Region.product(regs)
 
 
 # ---------------------------------------------------------------------------

@@ -87,21 +87,6 @@ def _on_sphere(s: Ball, y: np.ndarray) -> bool:
     return abs(float(np.linalg.norm(y - s.center)) - s.radius) <= MEMBER_TOL
 
 
-def _product_region(regions: list[Region], dims: list[int], cone: bool) -> Region:
-    total = sum(dims)
-    notes: tuple[str, ...] = ()
-    offsets = np.cumsum([0] + dims)
-    cells = [PolyCell.all_space(total)]
-    for reg, lo in zip(regions, offsets[:-1]):
-        notes += reg.notes
-        live = reg.nonempty_cells()
-        if not live:
-            return Region.empty(total, cone=cone, notes=notes + ("empty factor",))
-        cells = [base.intersect(c.lift(total, int(lo)))
-                 for base in cells for c in live]
-    return Region(cells, cone=cone, notes=notes, dim=total)
-
-
 def _tangential_contact_note(members: list[BaseSet], y: np.ndarray) -> tuple[str, ...]:
     """Flag boundary normals shared (up to sign) by distinct members at y;
     touching members can make union formulas overcount."""
@@ -153,19 +138,16 @@ def _tangent_cone(s: BaseSet, y) -> Region:
         if not _on_sphere(s, y):
             return Region.all_space(s.dim)
         h = y - s.center
-        return Region.from_cell(PolyCell(h.reshape(1, -1), [0.0], dim=s.dim), cone=True)
+        return Region.from_cell(PolyCell(h.reshape(1, -1), [0.0], dim=s.dim))
     if isinstance(s, (PointSet, FiniteSet)):
         return Region.origin(s.dim)
     if isinstance(s, UnionSet):
         pieces = [tangent_cone(m, y) for m in s.members if m.contains(y, tol=MEMBER_TOL)]
-        out = pieces[0]
-        for p in pieces[1:]:
-            out = out.union(p)
-        return Region(out.cells, cone=True, dim=s.dim,
-                      notes=out.notes + _tangential_contact_note(s.members, y))
+        return pieces[0].union(*pieces[1:]).with_notes(
+            *_tangential_contact_note(s.members, y))
     if isinstance(s, ProductSet):
-        parts = [tangent_cone(f, part) for f, part in zip(s.factors, s.split(y))]
-        return _product_region(parts, [f.dim for f in s.factors], cone=True)
+        return Region.product(tangent_cone(f, part)
+                              for f, part in zip(s.factors, s.split(y)))
     raise TangentError(f"unsupported set kind {s.kind!r}")
 
 
@@ -184,15 +166,10 @@ def second_tangent(s: BaseSet, y, d, kind: str) -> Region:
     d = _vec(d, s.dim)
     tcone = tangent_cone(s, y)
     if not tcone.contains(d, tol=MEMBER_TOL):
-        return Region.empty(s.dim, cone=(kind == "asymptotic"),
-                            notes=("direction not tangent",))
+        return Region.empty(s.dim, ("direction not tangent",))
     if float(np.linalg.norm(d)) <= TOL:
         return tcone  # the defining sequences reduce to plain tangency
-    out = _second_tangent_inner(s, y, d, kind)
-    if kind == "asymptotic":
-        return out.with_cone_flag(True)
-    flag = bool(out.nonempty_cells()) and all(c.is_homogeneous() for c in out.nonempty_cells())
-    return out.with_cone_flag(flag)
+    return _second_tangent_inner(s, y, d, kind)
 
 
 def _second_tangent_inner(s: BaseSet, y, d, kind: str) -> Region:
@@ -203,7 +180,7 @@ def _second_tangent_inner(s: BaseSet, y, d, kind: str) -> Region:
         A = cell.A[keep] if keep else None
         b = np.zeros(len(keep)) if keep else None
         return Region.from_cell(PolyCell(A, b, cell.E, np.zeros(cell.E.shape[0]),
-                                         dim=s.dim), cone=True)
+                                         dim=s.dim))
     if isinstance(s, Ball):
         if not _on_sphere(s, y):
             return Region.all_space(s.dim)
@@ -212,11 +189,10 @@ def _second_tangent_inner(s: BaseSet, y, d, kind: str) -> Region:
         if slope < -1e-8:
             return Region.all_space(s.dim)
         shift = -float(d @ d) if kind == "outer" else 0.0
-        return Region.from_cell(PolyCell(h.reshape(1, -1), [shift], dim=s.dim),
-                                cone=(kind != "outer"))
+        return Region.from_cell(PolyCell(h.reshape(1, -1), [shift], dim=s.dim))
     if isinstance(s, (PointSet, FiniteSet)):
         # a nonzero d is never tangent here; the caller filtered that out
-        return Region.empty(s.dim, notes=("direction not tangent",))
+        return Region.empty(s.dim, ("direction not tangent",))
     if isinstance(s, UnionSet):
         pieces = []
         for m in s.members:
@@ -226,16 +202,12 @@ def _second_tangent_inner(s: BaseSet, y, d, kind: str) -> Region:
                 continue
             pieces.append(_second_tangent_inner(m, y, d, kind))
         if not pieces:
-            return Region.empty(s.dim, notes=("direction not tangent",))
-        out = pieces[0]
-        for p in pieces[1:]:
-            out = out.union(p)
-        return Region(out.cells, dim=s.dim,
-                      notes=out.notes + _tangential_contact_note(s.members, y))
+            return Region.empty(s.dim, ("direction not tangent",))
+        return pieces[0].union(*pieces[1:]).with_notes(
+            *_tangential_contact_note(s.members, y))
     if isinstance(s, ProductSet):
-        parts = [second_tangent(f, yp, dp, kind)
-                 for f, yp, dp in zip(s.factors, s.split(y), s.split(d))]
-        return _product_region(parts, [f.dim for f in s.factors], cone=False)
+        return Region.product(second_tangent(f, yp, dp, kind)
+                              for f, yp, dp in zip(s.factors, s.split(y), s.split(d)))
     raise TangentError(f"unsupported set kind {s.kind!r}")
 
 
@@ -540,7 +512,7 @@ def _limiting_by_strata(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
     if not pieces:
         pieces = [PolyCell.from_point(np.zeros(dim))]
         notes += ("no stratum validated; kept the trivial piece",)
-    return Region(pieces, cone=True, notes=notes, dim=dim)
+    return Region(pieces, notes, dim)
 
 
 def _limiting(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
@@ -550,14 +522,14 @@ def _limiting(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
     if s.is_convex():
         fre = _frechet_normal(s, y, tc)
         # normals stay normal along tangent directions only inside {u}-perp
-        return fre if u is None else fre.intersect_orthocomplement(u).with_cone_flag(True)
+        return fre if u is None else fre.intersect_orthocomplement(u)
     if isinstance(s, ProductSet):
         if u is None:
             parts = [normal_cone(f, yp, "limiting") for f, yp in zip(s.factors, s.split(y))]
         else:
             parts = [directional_normal(f, yp, up, "limiting")
                      for f, yp, up in zip(s.factors, s.split(y), s.split(u))]
-        return _product_region(parts, [f.dim for f in s.factors], cone=True)
+        return Region.product(parts)
     return _limiting_by_strata(s, y, u, tc)
 
 
@@ -569,7 +541,7 @@ def normal_cone(s: BaseSet, y, kind: str) -> Region:
     if kind == "frechet":
         return _frechet_normal(s, y)
     if kind == "proximal":
-        return Region.from_cell(_proximal_cell(s, y), cone=True)
+        return Region.from_cell(_proximal_cell(s, y))
     if kind != "limiting":
         raise TangentError(f"unknown normal cone kind {kind!r}")
     return _limiting(s, y, None)
@@ -594,7 +566,7 @@ def _directional_normal(s: BaseSet, y: np.ndarray, u: np.ndarray, kind: str) -> 
     y = _require_member(s, y)
     tc = tangent_cone(s, y)
     if not tc.contains(u, tol=MEMBER_TOL):
-        return Region.empty(s.dim, cone=True, notes=("direction not tangent",))
+        return Region.empty(s.dim, ("direction not tangent",))
     lim = _limiting(s, y, u if float(np.linalg.norm(u)) > TOL else None, tc)
     if kind == "limiting":
         return lim
@@ -602,8 +574,11 @@ def _directional_normal(s: BaseSet, y: np.ndarray, u: np.ndarray, kind: str) -> 
     return hull.with_notes(*lim.notes) if lim.notes else hull
 
 
+@_lp.reuse_scope()
 def directional_clarke_tangent(s: BaseSet, y, u) -> Region:
-    """Polar of the directional Clarke normal cone."""
+    """Polar of the directional Clarke normal cone.  It runs in an
+    ``lp.reuse_scope``, so the Clarke cone starts from the T_s(y) of the
+    tangency test instead of building it again."""
     y = _require_member(s, y)
     u = _vec(u, s.dim)
     if not tangent_cone(s, y).contains(u, tol=MEMBER_TOL):
@@ -628,7 +603,7 @@ def region_tangent_cone(region: Region, x) -> Region:
         pieces.append(PolyCell(A, b, cell.E, np.zeros(cell.E.shape[0]), dim=region.dim))
     if not pieces:
         raise TangentError("base point lies outside the region")
-    return Region(pieces, cone=True, dim=region.dim)
+    return Region(pieces, dim=region.dim)
 
 
 # ---------------------------------------------------------------------------

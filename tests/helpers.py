@@ -88,7 +88,13 @@ def cell_bytes(cell) -> list[bytes]:
 
 def region_bytes(region) -> tuple:
     """Everything a Region holds, its cells as bytes."""
-    return region.dim, region.cone, region.notes, [cell_bytes(c) for c in region.cells]
+    return region.dim, region.notes, [cell_bytes(c) for c in region.cells]
+
+
+def is_cone(region) -> bool:
+    """Whether every nonempty cell of the region has homogeneous rows, the
+    precondition ``polar_cone`` checks (tolerance 1e-7)."""
+    return all(c.is_homogeneous(tol=1e-7) for c in region.nonempty_cells())
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +151,7 @@ def limiting_normal_region(region: Region, x, u=None) -> Region:
                     cell.E.shape[0] and np.max(np.abs(cell.E @ u)) > 1e-8):
                 continue
         pieces.append(face.normal_cell)
-    return Region(pieces, cone=True, dim=region.dim)
+    return Region(pieces, dim=region.dim)
 
 
 def minkowski_sum(r1: Region, r2: Region) -> Region:
@@ -166,7 +172,7 @@ def minkowski_sum(r1: Region, r2: Region) -> Region:
             L = np.vstack([g1[2], g2[2]])
             A, b, E, f = _lp.cell_from_generators_arrays(V, R, L, r1.dim)
             out.append(PolyCell(A, b, E, f, dim=r1.dim))
-    return Region(out, cone=r1.cone and r2.cone, dim=r1.dim)
+    return Region(out, dim=r1.dim)
 
 
 def canonical_bytes_reference(obj) -> bytes:
@@ -461,8 +467,8 @@ def _cone_samples(region, rng, per_cell=1):
 
 
 def _check_cone(region, rng, label, failures):
-    if not region.cone:
-        failures.append(f"{label}: cone flag missing")
+    if not is_cone(region):
+        failures.append(f"{label}: a nonempty cell is not homogeneous")
         return
     if region.is_empty():
         return
@@ -548,7 +554,7 @@ def invariant_battery(s, y, seed):
             if not ok:
                 failures.append(f"convex identity failed: outer set escapes the "
                                 f"asymptotic cone at {wit}")
-        wanted = limiting.intersect_orthocomplement(d).with_cone_flag(True)
+        wanted = limiting.intersect_orthocomplement(d)
         if region_compare(directional_normal(s, y, d, "limiting"), wanted).relation != "equal":
             failures.append("convex identity failed: directional normal is not N cap {d}-perp")
 

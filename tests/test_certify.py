@@ -55,7 +55,7 @@ from helpers import (
 
 
 def cone_region(A=None, b=None, E=None, f=None, dim=2):
-    return Region.from_cell(PolyCell(A, b, E, f, dim=dim), cone=True)
+    return Region.from_cell(PolyCell(A, b, E, f, dim=dim))
 
 
 def witness(report, part):

@@ -513,8 +513,7 @@ def test_tangent_memos_in_a_scope_match_fresh_results(s, y, u):
 
 def _cone(A, E=(), dim=2):
     A, E = np.reshape(A, (-1, dim)), np.reshape(E, (-1, dim))
-    return Region.from_cell(PolyCell(A, np.zeros(len(A)), E, np.zeros(len(E)), dim=dim),
-                            cone=True)
+    return Region.from_cell(PolyCell(A, np.zeros(len(A)), E, np.zeros(len(E)), dim=dim))
 
 
 def _search_cases():
@@ -524,7 +523,7 @@ def _search_cases():
     # multiplier regions with and without the origin
     shifted = [Region.from_cell(PolyCell([a], [-1.0], dim=2)) for a in ([1.0, 1.0], [-1.0, 0.0])]
     for lamreg in (plane, ray, *shifted):
-        for target in (three, quadrant, ray, Region.empty(2, cone=True)):
+        for target in (three, quadrant, ray, Region.empty(2)):
             yield lamreg, target
 
 

@@ -25,8 +25,8 @@ from sharpcheck.tangents import normal_cone
 from helpers import cell_bytes, minkowski_sum, region_bytes, region_compare, region_equal
 
 
-def halfplane(a, beta, cone=None):
-    return Region.halfspace(np.asarray(a, dtype=float), beta, cone=cone)
+def halfplane(a, beta):
+    return Region.halfspace(np.asarray(a, dtype=float), beta)
 
 
 def _union_fixture():
@@ -186,10 +186,10 @@ def test_region_compare_examples():
 def test_region_compare_union_covering():
     # two halfplanes covering the plane vs all-space
     cover = halfplane([1.0, 0.0], 0.5).union(halfplane([-1.0, 0.0], 0.0))
-    assert region_equal(cover, Region.all_space(2, cone=False))
+    assert region_equal(cover, Region.all_space(2))
     # remove the overlap: strict gap appears
     gap = halfplane([1.0, 0.0], -0.5).union(halfplane([-1.0, 0.0], -0.5))
-    res = region_compare(gap, Region.all_space(2, cone=False))
+    res = region_compare(gap, Region.all_space(2))
     assert res.relation == "strict_subset"
     w = res.only_in_r2
     assert abs(w[0]) < 0.5 + 1e-7
@@ -220,7 +220,7 @@ def test_affine_preimage_fixture():
 
 def test_intersect_orthocomplement():
     got = Region.all_space(3).intersect_orthocomplement([1.0, 0.0, 0.0])
-    want = Region.from_cell(PolyCell(eq_mat=[[1.0, 0.0, 0.0]], eq_rhs=[0.0], dim=3), cone=True)
+    want = Region.from_cell(PolyCell(eq_mat=[[1.0, 0.0, 0.0]], eq_rhs=[0.0], dim=3))
     assert region_equal(got, want)
     assert region_equal(Region.empty(2).intersect_orthocomplement([1.0, 0.0]), Region.empty(2))
 
@@ -239,7 +239,7 @@ def test_minkowski_sum_of_boxes():
 def test_minkowski_with_ray_absorbs():
     r = halfplane([-1.0, 0.0], -1.0)                      # w1 >= 1
     ray = Region.from_cell(PolyCell([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
-                                    [0.0, 0.0, 0.0], dim=2), cone=True)  # ray e1
+                                    [0.0, 0.0, 0.0], dim=2))  # ray e1
     assert region_equal(minkowski_sum(r, ray), r)
 
 
@@ -247,18 +247,18 @@ def test_minkowski_with_ray_absorbs():
 
 
 def test_polar_cone_examples():
-    quad = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2), cone=True)
+    quad = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2))
     third = polar_cone(quad)
-    want = Region.from_cell(PolyCell(np.eye(2), np.zeros(2), dim=2), cone=True)
+    want = Region.from_cell(PolyCell(np.eye(2), np.zeros(2), dim=2))
     assert region_equal(third, want)
     assert region_equal(polar_cone(Region.all_space(2)), Region.origin(2))
     # union of the two rays +-e1 polarizes to the vertical axis
     raypos = Region.from_cell(PolyCell([[-1.0, 0.0]], [0.0],
-                                       eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2), cone=True)
+                                       eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2))
     rayneg = Region.from_cell(PolyCell([[1.0, 0.0]], [0.0],
-                                       eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2), cone=True)
+                                       eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2))
     got = polar_cone(raypos.union(rayneg))
-    want = Region.from_cell(PolyCell(eq_mat=[[1.0, 0.0]], eq_rhs=[0.0], dim=2), cone=True)
+    want = Region.from_cell(PolyCell(eq_mat=[[1.0, 0.0]], eq_rhs=[0.0], dim=2))
     assert region_equal(got, want)
 
 
@@ -267,31 +267,31 @@ def test_double_polar_identity():
     for _ in range(15):
         n = int(rng.integers(2, 4))
         A = rng.normal(size=(int(rng.integers(1, 4)), n))
-        cone = Region.from_cell(PolyCell(A, np.zeros(A.shape[0]), dim=n), cone=True)
+        cone = Region.from_cell(PolyCell(A, np.zeros(A.shape[0]), dim=n))
         assert region_equal(polar_cone(polar_cone(cone)), cone)
 
 
 def test_cone_hull_examples():
     e1ray = Region.from_cell(PolyCell([[-1.0, 0.0]], [0.0],
-                                      eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2), cone=True)
+                                      eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2))
     e2ray = Region.from_cell(PolyCell([[0.0, -1.0]], [0.0],
-                                      eq_mat=[[1.0, 0.0]], eq_rhs=[0.0], dim=2), cone=True)
+                                      eq_mat=[[1.0, 0.0]], eq_rhs=[0.0], dim=2))
     got = cone_hull([e1ray, e2ray])
-    first_quadrant = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2), cone=True)
+    first_quadrant = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2))
     assert region_equal(got, first_quadrant)
     opp = Region.from_cell(PolyCell([[1.0, 0.0]], [0.0],
-                                    eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2), cone=True)
+                                    eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2))
     axis = cone_hull([e1ray, opp])
-    want = Region.from_cell(PolyCell(eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2), cone=True)
+    want = Region.from_cell(PolyCell(eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2))
     assert region_equal(axis, want)
     assert region_equal(cone_hull(first_quadrant), first_quadrant)
 
 
 def test_cone_flag_scaling_law():
-    # sampled members of cone-flagged regions stay members under scaling
+    # sampled members of cone regions stay members under scaling
     regions = [
-        Region.from_cell(PolyCell(-np.eye(3), np.zeros(3), dim=3), cone=True),
-        cone_hull([halfplane([0.0, -1.0], 0.0, cone=True)]),
+        Region.from_cell(PolyCell(-np.eye(3), np.zeros(3), dim=3)),
+        cone_hull([halfplane([0.0, -1.0], 0.0)]),
         Region.origin(2),
     ]
     rng = np.random.default_rng(3)
@@ -329,7 +329,7 @@ def test_limiting_normal_of_union_boundary():
     s = UnionSet([Halfspace([-1.0, 0.0], -1.0), Halfspace([1.0, 0.0], -1.0)])
     n = normal_cone(s, [1.0, 0.0], "limiting")
     want = Region.from_cell(PolyCell([[1.0, 0.0]], [0.0],
-                                     eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2), cone=True)
+                                     eq_mat=[[0.0, 1.0]], eq_rhs=[0.0], dim=2))
     assert region_equal(n, want)  # the ray spanned by -e1
 
 
@@ -395,7 +395,7 @@ def test_lower_gen_support_below_support_everywhere():
 
 def test_lower_gen_support_nonconvex_reentrant():
     # three-quadrant union: sigma-hat at e1 sees only the face {x1=0, x2>=0}
-    r = halfplane([1.0, 0.0], 0.0, cone=True).union(halfplane([0.0, 1.0], 0.0, cone=True))
+    r = halfplane([1.0, 0.0], 0.0).union(halfplane([0.0, 1.0], 0.0))
     val = lower_gen_support_detail(r, [1.0, 0.0])[0]
     assert val == 0.0
     assert r.support([1.0, 0.0]) == math.inf
@@ -467,13 +467,13 @@ def _cone_ops(r1, r2):
 
 
 def _ray(a, e):
-    return Region.from_cell(PolyCell([a], [0.0], eq_mat=[e], eq_rhs=[0.0], dim=2), cone=True)
+    return Region.from_cell(PolyCell([a], [0.0], eq_mat=[e], eq_rhs=[0.0], dim=2))
 
 
 def _fixture_cones():
-    quadrant = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2), cone=True)
+    quadrant = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2))
     axis = _ray([-1.0, 0.0], [0.0, 1.0]).union(_ray([1.0, 0.0], [0.0, 1.0]))
-    three = halfplane([1.0, 0.0], 0.0, cone=True).union(halfplane([0.0, 1.0], 0.0, cone=True))
+    three = halfplane([1.0, 0.0], 0.0).union(halfplane([0.0, 1.0], 0.0))
     return [quadrant, axis, three, Region.all_space(2), Region.origin(2)]
 
 
@@ -491,7 +491,7 @@ def _cone_pairs(draw):
             A = draw(hnp.arrays(float, (draw(st.integers(0, 3)), dim), elements=_SMALL))
             E = draw(hnp.arrays(float, (draw(st.integers(0, 1)), dim), elements=_SMALL))
             cells.append(PolyCell(A, np.zeros(len(A)), E, np.zeros(len(E)), dim=dim))
-        return Region(cells, cone=True, dim=dim)
+        return Region(cells, dim=dim)
     return region(), region()
 
 
@@ -503,7 +503,7 @@ def _copy(region):
         cell = PolyCell(dim=c.dim)
         cell.A, cell.b, cell.E, cell.f = (v.copy() for v in (c.A, c.b, c.E, c.f))
         cells.append(cell)
-    return Region(cells, cone=region.cone, dim=region.dim)
+    return Region(cells, dim=region.dim)
 
 
 def _assert_scope_changes_nothing(r1, r2):
@@ -546,11 +546,13 @@ def test_reused_cone_results_are_read_only_and_end_with_their_scope():
 
 
 def test_cone_operations_raise_before_the_memo():
-    flat = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2), cone=False)
+    flat = Region.from_cell(PolyCell(-np.eye(2), np.zeros(2), dim=2))
+    shifted = Region.from_cell(PolyCell(-np.eye(2), -np.ones(2), dim=2))   # x >= (1, 1)
     with reuse_scope():
-        polar_cone(flat.with_cone_flag(True))
-        with pytest.raises(RegionError):
-            polar_cone(flat)   # equal cells, but not flagged as a cone
+        polar_cone(flat)
+        for _ in range(2):   # a refused region leaves nothing in the memo
+            with pytest.raises(RegionError):
+                polar_cone(shifted)   # a nonempty cell that is not homogeneous
         with pytest.raises(RegionError):
             cone_hull([flat, Region.origin(3)])
         with pytest.raises(RegionError):

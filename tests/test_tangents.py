@@ -17,13 +17,13 @@ from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
 from sharpcheck.regions import (PolyCell, Region, lower_gen_support_detail,
                                 polar_cone, region_subset)
 
-from helpers import (invariant_battery, limiting_normal_region, minkowski_sum,
+from helpers import (invariant_battery, is_cone, limiting_normal_region, minkowski_sum,
                      oracle_agreement, random_catalog_instance, region_bytes,
                      region_compare, region_equal, tangent_direction)
 
 
 def halfspace(normal, offset=0.0, dim=2):
-    return Region.from_cell(PolyCell([normal], [offset], dim=dim), cone=(offset == 0.0))
+    return Region.from_cell(PolyCell([normal], [offset], dim=dim))
 
 
 def two_disks():
@@ -36,7 +36,7 @@ def two_disks():
 def test_box_corner_tangent_cone():
     box = Box([(0.0, 1.0), (0.0, 1.0)])
     t = tangent_cone(box, [0.0, 0.0])
-    orthant = Region.from_cell(PolyCell([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], dim=2), cone=True)
+    orthant = Region.from_cell(PolyCell([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], dim=2))
     assert region_compare(t, orthant).relation == "equal"
     # interior points see the whole space
     assert region_compare(tangent_cone(box, [0.5, 0.5]), Region.all_space(2)).relation == "equal"
@@ -65,8 +65,7 @@ def test_union_tangent_cone_with_contact_note():
 def test_product_tangent_cone():
     p = ProductSet([Interval(-1.0, 0.0), Ball([0.0, 1.0], 1.0)])
     t = tangent_cone(p, [0.0, 0.0, 0.0])
-    exp = Region.from_cell(PolyCell([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]], [0.0, 0.0], dim=3),
-                           cone=True)
+    exp = Region.from_cell(PolyCell([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]], [0.0, 0.0], dim=3))
     assert region_compare(t, exp).relation == "equal"
 
 
@@ -146,7 +145,7 @@ def test_second_tangent_sum_stability():
 
 def test_box_corner_normal_cones_coincide():
     box = Box([(0.0, 1.0), (0.0, 1.0)])
-    neg = Region.from_cell(PolyCell([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], dim=2), cone=True)
+    neg = Region.from_cell(PolyCell([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], dim=2))
     for kind in ("proximal", "frechet", "limiting"):
         assert region_compare(normal_cone(box, [0.0, 0.0], kind), neg).relation == "equal"
 
@@ -160,7 +159,7 @@ def test_normal_cone_polarity():
 
 def test_two_disks_normal_cones():
     lim = normal_cone(two_disks(), [0.0, 0.0], "limiting")
-    axis = Region.from_cell(PolyCell(None, None, [[0.0, 1.0]], [0.0], dim=2), cone=True)
+    axis = Region.from_cell(PolyCell(None, None, [[0.0, 1.0]], [0.0], dim=2))
     assert region_compare(lim, axis).relation == "equal"
     fre = normal_cone(two_disks(), [0.0, 0.0], "frechet")
     assert region_compare(fre, Region.origin(2)).relation == "equal"
@@ -171,7 +170,7 @@ def test_two_disks_normal_cones():
 def test_directional_normal_ball():
     ball = Ball([0.0, 1.0], 1.0)
     dn = directional_normal(ball, [0.0, 0.0], [1.0, 0.0], "limiting")
-    ray = Region.from_cell(PolyCell([[0.0, 1.0]], [0.0], [[1.0, 0.0]], [0.0], dim=2), cone=True)
+    ray = Region.from_cell(PolyCell([[0.0, 1.0]], [0.0], [[1.0, 0.0]], [0.0], dim=2))
     assert region_compare(dn, ray).relation == "equal"
     # the Clarke hull of a convex cone is the cone itself
     cl = directional_normal(ball, [0.0, 0.0], [1.0, 0.0], "clarke")
@@ -183,7 +182,7 @@ def test_directional_normal_ball():
 
 def test_directional_normal_union_stays_inside_limiting():
     dn = directional_normal(two_disks(), [0.0, 0.0], [0.0, 1.0], "limiting")
-    assert dn.cone
+    assert is_cone(dn)
     included, _ = region_subset(dn, normal_cone(two_disks(), [0.0, 0.0], "limiting"))
     assert included
 
@@ -227,6 +226,29 @@ def test_directional_normal_matches_the_two_cone_route(monkeypatch):
     with _lp.reuse_scope():
         two_cone_scoped = [_directional_bytes(*case) for case in cases]
     assert one_cone == two_cone and one_cone_scoped == two_cone_scoped == two_cone
+
+
+def test_directional_clarke_tangent_builds_the_tangent_cone_once(monkeypatch):
+    # the tangency test's T_s(y) is the one the Clarke cone starts from
+    cases = [(s, y, u) for s, y, u in _directional_cases()
+             if tangent_cone(s, y).contains(u, tol=1e-7)]
+    fresh = [region_bytes(directional_clarke_tangent(*case)) for case in cases]
+    with _lp.reuse_scope():
+        scoped = [region_bytes(directional_clarke_tangent(*case)) for case in cases]
+    assert scoped == fresh
+    built = []
+    tangent = tangents._tangent_cone
+    monkeypatch.setattr(tangents, "_tangent_cone",
+                        lambda s, y: built.append(s) or tangent(s, y))
+    for s, y, u in cases:   # outside a scope: no more builds than the Clarke cone's own
+        built.clear()
+        directional_normal(s, y, u, "clarke")
+        alone = len(built)
+        built.clear()
+        directional_clarke_tangent(s, y, u)
+        assert sum(b is s for b in built) == 1 and len(built) <= alone
+    with pytest.raises(TangentError):
+        directional_clarke_tangent(Ball([0.0, 1.0], 1.0), [0.0, 0.0], [0.0, -1.0])
 
 
 @pytest.mark.parametrize("halfspaces", [
@@ -340,7 +362,7 @@ def test_region_tangent_cone_at_vertex():
     box = Region.from_cell(PolyCell([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
                                     [1.0, 1.0, 0.0, 0.0], dim=2))
     t = region_tangent_cone(box, [0.0, 0.0])
-    orthant = Region.from_cell(PolyCell([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], dim=2), cone=True)
+    orthant = Region.from_cell(PolyCell([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], dim=2))
     assert region_compare(t, orthant).relation == "equal"
     with pytest.raises(TangentError):
         region_tangent_cone(box, [2.0, 2.0])
