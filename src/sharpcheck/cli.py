@@ -159,7 +159,10 @@ def _build_set(ctor, where):
             _reject_unknown(ctor, ("kind", "rows", "equalities", "dim"), where)
             rows = [(_vecf(a, where), _num(b, where)) for a, b in ctor.get("rows", [])]
             eqs = [(_vecf(a, where), _num(b, where)) for a, b in ctor.get("equalities", [])]
-            return Polyhedron(rows=rows, equalities=eqs, dim=ctor.get("dim"))
+            dim = ctor.get("dim")
+            if dim is not None and (not isinstance(dim, int) or isinstance(dim, bool)):
+                raise DocumentError(f"{where}: polyhedron dim must be an integer")
+            return Polyhedron(rows=rows, equalities=eqs, dim=dim)
         if kind == "ball":
             _reject_unknown(ctor, ("kind", "center", "radius"), where)
             return Ball(_vecf(ctor["center"], where), _num(ctor["radius"], where))
@@ -178,7 +181,9 @@ def _build_set(ctor, where):
     except KeyError as ex:
         raise DocumentError(f"{where}: missing member {ex.args[0]!r} "
                             f"for kind {kind!r}") from None
-    except (SetError, TypeError) as ex:
+    except DocumentError:
+        raise   # a member's own message, already prefixed
+    except (SetError, TypeError, ValueError) as ex:   # e.g. a row that is not [a, b]
         raise DocumentError(f"{where}: {ex}") from None
     raise DocumentError(f"{where}: unknown set kind {kind!r}")
 

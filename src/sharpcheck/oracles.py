@@ -28,8 +28,11 @@ class OracleError(Exception):
     pass
 
 
-# the geometric steps t_k = 0.1 * 0.5^k, k = 0..19, of the sequence probes
+# the geometric steps t_k = 0.1 * 0.5^k, k = 0..19, of the sequence probes,
+# and the slower rates r_k = t_k^(2/3); np.float_power is the libm pow of
+# the scalar ``t ** (2 / 3)`` (the array ** is not)
 STEPS = 0.1 * 0.5 ** np.arange(20)
+RATES = np.float_power(STEPS, 2.0 / 3.0)
 
 
 # ---------------------------------------------------------------------------
@@ -43,7 +46,8 @@ def membership_by_definition(s: BaseSet, y, d, w, kind: str) -> str:
     The steps t_k are ``STEPS``, t_k = 0.1 * 0.5^k for k = 0..19, each
     paired with the slower rate r_k = t_k^(2/3), so that t_k / r_k -> 0.
     kind 'tangent' probes y + t_k w; 'outer2' probes y + t_k d + t_k^2/2 w;
-    'asymp2' probes y + t_k d + t_k r_k / 2 w.  The w_k -> w quantifier lets
+    'asymp2' probes y + t_k d + t_k r_k / 2 w.  The 20 probes are one row
+    batch, measured by one ``project_rows`` call.  The w_k -> w quantifier lets
     each probe be corrected by a shrinking multiple radius_k of the step
     scale, so the test compares dist(probe, set)/scale against radius_k.
     Distances carry a trust interval of about 1e-12 around the probe, and
@@ -67,41 +71,28 @@ def membership_by_definition(s: BaseSet, y, d, w, kind: str) -> str:
     # and outer probes but only like t^(1/3) under the asymptotic pairing, so
     # the correction allowance must decay more slowly in that case
     decay = 0.85 if kind == "asymp2" else 0.6
-    all_success = True
-    inside_from_anchor = True
-    informative: list[tuple[float, bool]] = []  # (ratio lower bound, hard fail)
-    for k, t in enumerate(STEPS.tolist()):
-        r = t ** (2.0 / 3.0)
-        if kind == "tangent":
-            x = y + t * w
-            scale = t
-        elif kind == "outer2":
-            x = y + t * d + 0.5 * t * t * w
-            scale = 0.5 * t * t
-        else:
-            x = y + t * d + 0.5 * t * r * w
-            scale = 0.5 * t * r
-        dist, _ = s.distance(x)
-        res = 8e-12 * (1.0 + float(np.linalg.norm(x)))
-        radius = max(0.5 * (1.0 + float(np.linalg.norm(w))) * decay ** k, 1e-6)
-        ub = (dist + res) / scale
-        lb = max(dist - res, 0.0) / scale
-        if ub <= radius:
-            informative.append((lb, False))
-            if k >= anchor and dist > res:
-                inside_from_anchor = False
-        elif lb > radius:
-            informative.append((lb, True))
-            all_success = False
-        # terms whose trust interval straddles the allowance are dropped
-    if len(informative) < 4:
+    if kind == "tangent":
+        scales = STEPS
+        X = y + scales[:, None] * w
+    else:
+        scales = 0.5 * STEPS * (STEPS if kind == "outer2" else RATES)
+        X = y + STEPS[:, None] * d + scales[:, None] * w
+    dist, _ = s.project_rows(X)
+    res = 8e-12 * (1.0 + _row_norms(X))
+    radius = np.maximum(0.5 * (1.0 + float(np.linalg.norm(w)))
+                        * np.float_power(decay, np.arange(STEPS.size)), 1e-6)
+    ub = (dist + res) / scales
+    lb = np.maximum(dist - res, 0.0) / scales
+    # terms whose trust interval straddles the allowance are dropped
+    within = ub <= radius
+    beyond = ~within & (lb > radius)
+    informative = np.flatnonzero(within | beyond)
+    if informative.size < 4:
         return "boundary-inconclusive"
-    if all_success and inside_from_anchor:
+    if not beyond.any() and not (within & (dist > res))[anchor:].any():
         return "confirmed"
     tail = informative[-5:]
-    if all(hard for _, hard in tail):
-        if min(lb for lb, _ in tail) <= 1e-6:
-            return "boundary-inconclusive"
+    if beyond[tail].all() and lb[tail].min() > 1e-6:
         return "rejected"
     return "boundary-inconclusive"
 
@@ -321,8 +312,6 @@ def proximal_distance_check(S: BaseSet, x, d, eps: float):
     if not _tangents.eps_proximal_membership(S, x, d, eps):
         raise OracleError("d is not an eps-proximal normal direction at x")
     nd = float(np.linalg.norm(d))
-    for t in STEPS:
-        dist, _ = S.distance(x + t * d)
-        if dist < t * (1.0 - 2.0 * eps) * nd - 1e-9:
-            return False, float(t)
-    return True, None
+    dists, _ = S.project_rows(x + STEPS[:, None] * d)
+    short = np.flatnonzero(dists < STEPS * (1.0 - 2.0 * eps) * nd - 1e-9)
+    return (True, None) if not short.size else (False, float(STEPS[short[0]]))

@@ -214,6 +214,8 @@ def parse_expression(text: str, nvars: int | None = None) -> PolyExpr:
     kind, val, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {val!r}", pos)
+    if not all(math.isfinite(c) for c in terms.values()):
+        raise ParseError("a coefficient is not finite (overflow or inf - inf)", 0)
     seen = max((i for m in terms for i, _ in m), default=0)
     if nvars is None:
         nvars = max(seen, 1)
@@ -372,6 +374,9 @@ class Options:
             raise ModelError("epsilon must lie in [0, 1/2)")
         if self.delta <= 0.0:
             raise ModelError("delta must be positive")
+        if not math.isfinite(4.0 * self.delta):
+            # the reference checks draw from [-2 delta, 2 delta] per coordinate
+            raise ModelError(f"delta = {self.delta:g} is too large to sample")
         if self.rho <= 0.0:
             raise ModelError("rho must be positive")
         if self.kappa is not None and self.kappa <= 0.0:

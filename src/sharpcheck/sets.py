@@ -70,20 +70,25 @@ def _dedupe_points(pts, tol: float = 1e-7):
 
 
 class BaseSet(ABC):
-    """A nonempty closed subset of R^dim from the catalog."""
+    """A nonempty closed subset of R^dim from the catalog.
+
+    ``contains`` is the one-row case of ``contains_rows``.  A kind with one
+    projection per point defines ``project_rows``, whose one-row case is
+    ``distance``; a kind with several projections, or an enumeration,
+    defines ``distance``, which ``project_rows`` runs row by row."""
 
     dim: int
     kind: str
     _region = _UNBUILT
 
-    @abstractmethod
     def distance(self, y) -> tuple[float, list[np.ndarray]]:
         """Exact distance and all projection points found."""
+        D, P = self.project_rows(_vec(y, self.dim)[None])
+        return float(D[0]), [P[0]]
 
     def contains(self, y, tol: float = TOL) -> bool:
         return bool(self.contains_rows(_vec(y, self.dim)[None], tol)[0])
 
-    # Every kind defines contains_rows; contains is its one-row case.
     @abstractmethod
     def contains_rows(self, Y, tol: float = TOL) -> np.ndarray:
         """Membership of each row of the (k, dim) array Y, as bool[k]; a
@@ -91,7 +96,8 @@ class BaseSet(ABC):
 
     def project_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
         """Distances (k,) and first projections (k, dim) of each row of the
-        (k, dim) array Y: row i equals distance(Y[i])[0] and [1][0]."""
+        (k, dim) array Y: row i equals distance(Y[i])[0] and [1][0], and
+        does not depend on the other rows."""
         Y = _rows(Y, self.dim)
         D = np.empty(Y.shape[0])
         P = np.empty(Y.shape)
@@ -154,11 +160,6 @@ class Interval(BaseSet):
         self.lo, self.hi = lo, hi
         self.dim = 1
 
-    def distance(self, y):
-        v = float(_vec(y, 1)[0])
-        p = min(max(v, self.lo), self.hi)
-        return abs(v - p), [np.array([p])]
-
     def contains_rows(self, Y, tol=TOL):
         v = _rows(Y, 1)[:, 0]
         return (self.lo - tol <= v) & (v <= self.hi + tol)
@@ -197,11 +198,6 @@ class Box(BaseSet):
         Y = _rows(Y, self.dim)
         return ((self.lo - tol <= Y) & (Y <= self.hi + tol)).all(axis=1)
 
-    def distance(self, y):
-        y = _vec(y, self.dim)
-        p = np.array([min(max(v, iv.lo), iv.hi) for iv, v in zip(self.intervals, y)])
-        return float(np.linalg.norm(y - p)), [p]
-
     def project_rows(self, Y):
         Y = _rows(Y, self.dim)
         P = np.hstack([iv.project_rows(Y[:, j:j + 1])[1]
@@ -239,14 +235,15 @@ class Halfspace(BaseSet):
         slack = _row_products(_rows(Y, self.dim), self.normal[:, None])[:, 0]
         return slack <= self.offset + tol * np.linalg.norm(self.normal)
 
-    def distance(self, y):
-        y = _vec(y, self.dim)
-        slack = float(self.normal @ y) - self.offset
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        slack = _row_products(Y, self.normal[:, None])[:, 0] - self.offset
         nr2 = float(self.normal @ self.normal)
-        if slack <= 0:
-            return 0.0, [y.copy()]
-        p = y - (slack / nr2) * self.normal
-        return slack / math.sqrt(nr2), [p]
+        inside = slack <= 0
+        P = Y.copy()
+        out = ~inside
+        P[out] = Y[out] - (slack[out] / nr2)[:, None] * self.normal
+        return np.where(inside, 0.0, slack / math.sqrt(nr2)), P
 
     def _build_region(self):
         return Region.from_cell(PolyCell(self.normal.reshape(1, -1), [self.offset], dim=self.dim))
@@ -306,14 +303,6 @@ class Ball(BaseSet):
             raise SetError("ball radius must be positive")
         self.dim = self.center.size
 
-    def distance(self, y):
-        y = _vec(y, self.dim)
-        gap = float(np.linalg.norm(y - self.center))
-        if gap <= self.radius:
-            return 0.0, [y.copy()]
-        p = self.center + (self.radius / gap) * (y - self.center)
-        return gap - self.radius, [p]
-
     def contains_rows(self, Y, tol=TOL):
         return _row_norms(_rows(Y, self.dim) - self.center) <= self.radius + tol
 
@@ -342,10 +331,6 @@ class PointSet(BaseSet):
 
     def contains_rows(self, Y, tol=TOL):
         return _row_norms(_rows(Y, self.dim) - self.x) <= tol
-
-    def distance(self, y):
-        y = _vec(y, self.dim)
-        return float(np.linalg.norm(y - self.x)), [self.x.copy()]
 
     def project_rows(self, Y):
         Y = _rows(Y, self.dim)

@@ -3,8 +3,9 @@
 Seeded instance generation, tangent-direction sampling, the invariant
 battery run per instance, oracle agreement counting, the reference
 implementations the library is checked against (the scalar sampling
-oracles, the face-complex limiting normal cones and a finite-difference
-jet check), and an in-process CLI runner.  Kept out of the test modules
+oracles, set membership and distance, the membership-by-definition probe
+loop, the face-complex limiting normal cones and a finite-difference jet
+check), and an in-process CLI runner.  Kept out of the test modules
 so the acceptance suite can reuse the exact same generators.
 """
 import dataclasses
@@ -34,6 +35,7 @@ from sharpcheck.regions import (
     region_subset,
 )
 from sharpcheck.sets import (
+    TOL,
     Ball,
     Box,
     FiniteSet,
@@ -665,8 +667,7 @@ def _gauss_newton_feasible(p: ProblemInstance, x0: np.ndarray, iters: int = 25) 
         gx = p.g_value(x)
         if p.K.contains(gx, tol=1e-10):
             break
-        _, projs = p.K.distance(gx)
-        resid = gx - projs[0]
+        resid = gx - distance_pointwise(p.K, gx)[1]
         J = p.g_jet(x).jacobian
         step = np.linalg.pinv(J, rcond=1e-10) @ resid
         if not np.all(np.isfinite(step)):
@@ -710,7 +711,7 @@ def growth_constant_estimate(p: ProblemInstance, delta: float, count: int,
     witness = None
     used = 0
     for x in samples:
-        dist, _ = p.S.distance(x)
+        dist, _ = distance_pointwise(p.S, x)
         if dist <= 1e-6:
             continue
         used += 1
@@ -762,7 +763,7 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
         if not _in_directional_neighborhood(z, d, rho, delta):
             continue
         xp = x + z
-        resid, _ = p.K.distance(p.g_value(xp))
+        resid, _ = distance_pointwise(p.K, p.g_value(xp))
         if resid <= 1e-12:
             continue
         fdist = _feasible_distance(p, xp)
@@ -779,8 +780,8 @@ def mscq_modulus_estimate(p: ProblemInstance, x, d, rho: float, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# scalar reference for set membership: each catalog kind's test of one
-# point, written without the row methods
+# scalar references for set membership and distance: each catalog kind's
+# test and projection of one point, written without the row methods
 # ---------------------------------------------------------------------------
 
 
@@ -810,6 +811,105 @@ def contains_pointwise(s, y, tol: float) -> bool:
         return all(contains_pointwise(f, part, tol)
                    for f, part in zip(s.factors, s.split(y)))
     raise TypeError(f"no scalar membership reference for {type(s).__name__}")
+
+
+def distance_pointwise(s, y) -> tuple[float, np.ndarray]:
+    """Distance from the one point y to the catalog set s and its first
+    projection, kind by kind, in closed form where the kind has one."""
+    y = np.asarray(y, dtype=float).ravel()
+    if isinstance(s, Interval):
+        v = float(y[0])
+        p = min(max(v, s.lo), s.hi)
+        return abs(v - p), np.array([p])
+    if isinstance(s, Box):
+        p = np.array([min(max(v, iv.lo), iv.hi) for iv, v in zip(s.intervals, y)])
+        return float(np.linalg.norm(y - p)), p
+    if isinstance(s, Halfspace):
+        slack = float(s.normal @ y) - s.offset
+        nr2 = float(s.normal @ s.normal)
+        if slack <= 0:
+            return 0.0, y.copy()
+        return slack / math.sqrt(nr2), y - (slack / nr2) * s.normal
+    if isinstance(s, Polyhedron):
+        return s.cell.project(y)
+    if isinstance(s, Ball):
+        gap = float(np.linalg.norm(y - s.center))
+        if gap <= s.radius:
+            return 0.0, y.copy()
+        return gap - s.radius, s.center + (s.radius / gap) * (y - s.center)
+    if isinstance(s, PointSet):
+        return float(np.linalg.norm(y - s.x)), s.x.copy()
+    if isinstance(s, FiniteSet):
+        ds = [float(np.linalg.norm(y - p)) for p in s.points]
+        best = min(ds)
+        return best, next(p.copy() for p, d in zip(s.points, ds) if d <= best + TOL)
+    if isinstance(s, UnionSet):
+        results = [distance_pointwise(m, y) for m in s.members]
+        best = min(d for d, _ in results)
+        # the first member inside the tie window
+        return best, next(p for d, p in results if d <= best + TOL)
+    if isinstance(s, ProductSet):
+        total2, parts = 0.0, []
+        for f, part in zip(s.factors, s.split(y)):
+            d, p = distance_pointwise(f, part)
+            total2 += d * d
+            parts.append(p)
+        return math.sqrt(total2), np.concatenate(parts)
+    raise TypeError(f"no scalar distance reference for {type(s).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# scalar reference for membership_by_definition: its probe loop, one step
+# and one distance at a time
+# ---------------------------------------------------------------------------
+
+
+def membership_pointwise(s, y, d, w, kind: str) -> str:
+    """membership_by_definition written as a loop over the 20 steps, each
+    probe measured by distance_pointwise."""
+    y = np.asarray(y, dtype=float).ravel()
+    w = np.asarray(w, dtype=float).ravel()
+    d = np.zeros(y.size) if d is None else np.asarray(d, dtype=float).ravel()
+    if kind != "tangent" and float(np.linalg.norm(d)) <= 1e-12:
+        kind = "tangent"
+    anchor = 3 if kind == "tangent" else 2
+    decay = 0.85 if kind == "asymp2" else 0.6
+    all_success = True
+    inside_from_anchor = True
+    informative = []
+    for k, t in enumerate((0.1 * 0.5 ** np.arange(20)).tolist()):
+        r = t ** (2.0 / 3.0)
+        if kind == "tangent":
+            x = y + t * w
+            scale = t
+        elif kind == "outer2":
+            x = y + t * d + 0.5 * t * t * w
+            scale = 0.5 * t * t
+        else:
+            x = y + t * d + 0.5 * t * r * w
+            scale = 0.5 * t * r
+        dist, _ = distance_pointwise(s, x)
+        res = 8e-12 * (1.0 + float(np.linalg.norm(x)))
+        radius = max(0.5 * (1.0 + float(np.linalg.norm(w))) * decay ** k, 1e-6)
+        ub = (dist + res) / scale
+        lb = max(dist - res, 0.0) / scale
+        if ub <= radius:
+            informative.append((lb, False))
+            if k >= anchor and dist > res:
+                inside_from_anchor = False
+        elif lb > radius:
+            informative.append((lb, True))
+            all_success = False
+    if len(informative) < 4:
+        return "boundary-inconclusive"
+    if all_success and inside_from_anchor:
+        return "confirmed"
+    tail = informative[-5:]
+    if all(hard for _, hard in tail):
+        if min(lb for lb, _ in tail) <= 1e-6:
+            return "boundary-inconclusive"
+        return "rejected"
+    return "boundary-inconclusive"
 
 
 # ---------------------------------------------------------------------------

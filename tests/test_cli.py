@@ -232,6 +232,24 @@ _BAD_DOCUMENTS = {
     "point-inf": ({"S": {"kind": "point", "at": [0, "inf"]}}, []),
     "finite-inf": ({"S": {"kind": "finite", "points": [[0, 0], [1, "inf"]]}}, []),
     "xbar-inf": ({"xbar": [0, "inf"]}, []),
+    # polyhedron rows and equalities are [a, b] pairs, and dim an integer
+    "polyhedron-long-row": ({"K": {"kind": "polyhedron",
+                                   "rows": [[[1.0], 0.0, 5]]}}, []),
+    "polyhedron-short-row": ({"K": {"kind": "polyhedron", "rows": [[[1.0]]]}}, []),
+    "polyhedron-long-equality": ({"K": {"kind": "polyhedron",
+                                        "equalities": [[[1.0], 0.0, 5]]}}, []),
+    "polyhedron-dim-string": ({"K": {"kind": "polyhedron", "dim": "x"}}, []),
+    "polyhedron-dim-float": ({"K": {"kind": "polyhedron", "rows": [[[1.0], 0.0]],
+                                    "dim": 1.7}}, []),
+    "polyhedron-dim-bool": ({"K": {"kind": "polyhedron", "rows": [[[1.0], 0.0]],
+                                   "dim": True}}, []),
+    # coefficients must be finite after normalization
+    "coefficient-inf": ({"objective": "1e999*x1"}, []),
+    "coefficient-nan": ({"objective": "x2 + 1e999 - 1e999"}, []),
+    "coefficient-overflow": ({"objective": "1e200*1e200*x2"}, []),
+    # the reference checks sample within 2 delta of xbar
+    "delta-too-large-document": ({"options": {"delta": 1e308}}, []),
+    "delta-too-large-flag": ({}, ["--delta", "1e308"]),
 }
 
 
@@ -250,6 +268,39 @@ def test_parse_errors_and_negative_seeds_are_input_errors(case, command, tmp_pat
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("sharpcheck: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_a_union_member_error_is_prefixed_once(tmp_path, capsys):
+    doc = json.loads((ROOT / "fixtures" / "parabola.json").read_text())
+    doc["K"] = {"kind": "union", "members": [
+        {"kind": "interval", "lo": "-inf", "hi": 0.0},
+        {"kind": "polyhedron", "rows": [[[1.0]]]}]}
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["check-necessary", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.count(": K:") == 1 and err.count("\n") == 1, err
+
+
+TOLERANCE_FEASIBLE = ("ROADMAP item 3 (refutations that rest on proof, gap 1): the "
+                      "growth oracle keeps samples whose g value lies within 1e-9 of K")
+
+
+@pytest.mark.xfail(strict=True, reason=TOLERANCE_FEASIBLE)
+def test_growth_witnesses_on_the_cubic_document_are_feasible(tmp_path):
+    # the feasible set is {0} = S, so every kappa holds
+    doc = {"n": 2, "m": 2, "objective": "x2^2 - 2*x1",
+           "constraints": ["x1^3", "x2^2 - x1"],
+           "K": {"kind": "box", "intervals": [["-inf", 0.0], ["-inf", 0.0]]},
+           "S": {"kind": "point", "at": [0.0, 0.0]}, "xbar": [0.0, 0.0]}
+    path = tmp_path / "cubic.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_machine(["verify-growth", str(path), "--kappa=1"])
+    rep = json.loads(report) if report else {"witnesses": []}
+    assert code != 1
+    p = cli.load_problem(path)
+    for w in rep["witnesses"]:
+        assert p.K.contains(p.g_value(w["x"]), tol=0.0), w
 
 
 @pytest.mark.parametrize("argv", [

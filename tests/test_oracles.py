@@ -18,10 +18,10 @@ from sharpcheck.oracles import (
     sample_feasible,
 )
 from sharpcheck.polyexpr import ProblemInstance, parse_expression
-from sharpcheck.sets import Ball, Box, Interval, PointSet, UnionSet
+from sharpcheck.sets import Ball, Box, Interval, PointSet, ProductSet, UnionSet
 
 import helpers as reference   # the scalar oracles of the parent commit
-from helpers import random_catalog_instance
+from helpers import random_catalog_instance, tangent_direction
 
 
 def first_example():
@@ -82,6 +82,34 @@ def test_membership_union_of_disks():
     assert membership_by_definition(two, y, d, [0.0, 0.0], "outer2") == "rejected"
     # the asymptotic set is everything
     assert membership_by_definition(two, y, d, [0.3, -0.7], "asymp2") == "confirmed"
+
+
+# catalog sets with a boundary point each (an endpoint, a sphere point, the
+# contact point of two disks, a corner of a product) and tangent directions
+# along the boundary there, where the second-order sets are proper
+_MEMBERSHIP_SETS = [
+    (Interval(-0.75, 0.0), [0.0], [[-1.0]]),
+    (Ball([0.0, 1.0], 1.0), [0.0, 0.0], [[1.0, 0.0], [-1.0, 0.0]]),
+    (UnionSet([Ball([1.0, 0.0], 1.0), Ball([-1.0, 0.0], 1.0)]), [0.0, 0.0],
+     [[0.0, 1.0], [0.0, -1.0]]),
+    (ProductSet([Interval(0.0, 1.0), Ball([0.0, 1.0], 1.0)]), [1.0, 0.0, 0.0],
+     [[0.0, 1.0, 0.0], [-1.0, -1.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("s, y, edges", _MEMBERSHIP_SETS,
+                         ids=[s.kind for s, _, _ in _MEMBERSHIP_SETS])
+def test_membership_matches_the_scalar_probe_loop(s, y, edges):
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for kind in ("tangent", "outer2", "asymp2"):
+        for i in range(40):
+            d = edges[i % len(edges)] if i % 2 else tangent_direction(s, y, rng)
+            w = 2.0 * rng.normal(size=s.dim)
+            got = membership_by_definition(s, y, d, w, kind)
+            assert got == reference.membership_pointwise(s, y, d, w, kind), (kind, d, w)
+            verdicts.add(got)
+    assert len(verdicts) > 1, verdicts
 
 
 def test_membership_validates_input():

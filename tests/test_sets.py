@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import contains_pointwise, random_catalog_instance
+from helpers import contains_pointwise, distance_pointwise, random_catalog_instance
 
 from sharpcheck.polyexpr import rng_for, seed_for
 from sharpcheck.sets import (
@@ -174,6 +174,9 @@ def _check_rows(s, Y):
         assert s.contains_rows(Y, tol).tolist() == want
         assert [s.contains(y, tol) for y in Y] == want
     D, P = s.project_rows(Y)
+    want = [distance_pointwise(s, y) for y in Y]
+    assert D.tobytes() == np.array([d for d, _ in want], dtype=float).tobytes()
+    assert P.tobytes() == np.array([p for _, p in want]).tobytes()
     pairs = [s.distance(y) for y in Y]
     assert D.tobytes() == np.array([d for d, _ in pairs], dtype=float).tobytes()
     assert P.tobytes() == np.array([ps[0] for _, ps in pairs]).tobytes()
@@ -325,6 +328,12 @@ def test_every_kind_has_one_membership_implementation():
     assert len(kinds) == 9
     for cls in kinds:
         assert "contains_rows" in vars(cls) and "contains" not in vars(cls), cls.__name__
+
+
+def test_every_kind_defines_a_projection():
+    # the defaults of distance and project_rows call each other
+    for cls in BaseSet.__subclasses__():
+        assert "project_rows" in vars(cls) or "distance" in vars(cls), cls.__name__
 
 
 def test_row_methods_check_shapes():
