@@ -10,7 +10,6 @@ from .sets import (
     Ball,
     BaseSet,
     Box,
-    FiniteSet,
     Halfspace,
     Interval,
     PointSet,
@@ -72,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Ball", "BaseSet", "Box", "CertificationReport", "CqResult",
-    "FiniteSet", "Halfspace", "Interval", "ModelError", "MultiplierAffineSet",
+    "Halfspace", "Interval", "ModelError", "MultiplierAffineSet",
     "Options", "OracleError", "PointSet", "PolyCell", "PolyExpr", "Polyhedron",
     "ProblemInstance", "ProductSet", "Region", "RegionError", "SetError",
     "TangentError", "UnionSet", "certify_mscq", "cone_hull",

@@ -38,7 +38,7 @@ from . import oracles
 from .polyexpr import ModelError, ProblemInstance, rng_for, seed_for
 from .regions import (PolyCell, Region, _content, face_complex,
                       lower_gen_support_detail, polar_cone, region_subset)
-from .sets import _dedupe_points, _row_norms
+from .sets import _row_norms
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
                        eps_proximal_filter, eps_proximal_membership, normal_cone,
                        second_tangent, tangent_cone)
@@ -149,6 +149,15 @@ def _vacuous_outer(wits, cq, diags):
     """The report of a pair whose outer second-order set is empty."""
     return _report("satisfied", {"max_admissible": math.inf}, wits, cq, list(diags) + [
         "outer second-order set is empty; condition (ii) is vacuous"])
+
+
+def _dedupe_points(pts, tol: float = 1e-7):
+    """The points of pts, in order, less each within tol of an earlier kept one."""
+    out = []
+    for p in pts:
+        if not any(np.linalg.norm(p - q) <= tol for q in out):
+            out.append(p)
+    return out
 
 
 # ---------------------------------------------------------------------------

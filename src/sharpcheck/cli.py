@@ -17,11 +17,11 @@ an installed package also provides the ``sharpcheck`` script.
 Exit codes: 0 certified or satisfied, 1 violated or rejected, 2
 inconclusive or hypotheses-not-met, 3 input error.  A numerical or
 capacity failure inside the library (LP, region, tangent or oracle error,
-such as a problem above the dimension cap) is reported on stderr and exits
-2, since it decides nothing.  Machine reports (format 3) are canonical JSON
-(sorted members, 17-significant-digit floats, LF endings); reruns with the
-same seed match byte for byte outside the two time members runtime_seconds
-and generated_at.
+such as a problem above the dimension cap, or a floating-point overflow) is
+reported on stderr and exits 2, since it decides nothing.  Machine reports
+(format 3) are canonical JSON (sorted members, 17-significant-digit floats,
+LF endings); reruns with the same seed match byte for byte outside the two
+time members runtime_seconds and generated_at.
 """
 from __future__ import annotations
 
@@ -63,7 +63,6 @@ from .regions import RegionError
 from .sets import (
     Ball,
     Box,
-    FiniteSet,
     Halfspace,
     Interval,
     PointSet,
@@ -169,9 +168,11 @@ def _build_set(ctor, where):
         if kind == "point":
             _reject_unknown(ctor, ("kind", "at"), where)
             return PointSet(_vecf(ctor["at"], where))
-        if kind == "finite":
+        if kind == "finite":   # the union of its points
             _reject_unknown(ctor, ("kind", "points"), where)
-            return FiniteSet([_vecf(pt, where) for pt in ctor["points"]])
+            if not ctor["points"]:
+                raise DocumentError(f"{where}: a finite set needs at least one point")
+            return UnionSet([PointSet(_vecf(pt, where)) for pt in ctor["points"]])
         if kind == "union":
             _reject_unknown(ctor, ("kind", "members"), where)
             return UnionSet([_build_set(m, where) for m in ctor["members"]])
@@ -231,7 +232,7 @@ def _load(path) -> LoadedProblem:
         if key not in doc:
             raise DocumentError(f"{path}: missing member {key!r}")
     n, m = doc["n"], doc["m"]
-    if not isinstance(n, int) or not isinstance(m, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, m)):
         raise DocumentError(f"{path}: n and m must be integers")
     if not isinstance(doc["constraints"], list) or len(doc["constraints"]) != m:
         raise DocumentError(f"{path}: constraints must list exactly m = {m} "
@@ -633,14 +634,16 @@ def main(argv=None) -> int:
     except SystemExit as ex:
         return 0 if ex.code == 0 else 3
     try:
-        loaded = _load(args.problem)
-        p = _with_overrides(loaded.instance, args)
-        doc, code = run_command(p, args.command, args, digest=loaded.digest,
-                                echo=argv, warnings=loaded.warnings)
+        # an overflow would otherwise warn and carry inf into the verdict
+        with np.errstate(over="raise"):
+            loaded = _load(args.problem)
+            p = _with_overrides(loaded.instance, args)
+            doc, code = run_command(p, args.command, args, digest=loaded.digest,
+                                    echo=argv, warnings=loaded.warnings)
     except (DocumentError, ModelError, SetError) as ex:
         sys.stderr.write(f"sharpcheck: {ex}\n")
         return 3
-    except (LpError, RegionError, TangentError, OracleError) as ex:
+    except (LpError, RegionError, TangentError, OracleError, FloatingPointError) as ex:
         # numerical and capacity failures decide nothing: inconclusive
         sys.stderr.write(f"sharpcheck: {type(ex).__name__}: {ex}\n")
         return EXIT_BY_VERDICT["inconclusive"]

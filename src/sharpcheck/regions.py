@@ -410,22 +410,16 @@ class Region:
                 break
         return best
 
-    def distance(self, x) -> tuple[float, list[np.ndarray]]:
-        """Exact distance plus all projection points found (deduplicated)."""
-        best = None
-        pts: list[np.ndarray] = []
+    def distance(self, x) -> tuple[float, np.ndarray | None]:
+        """Exact distance and one nearest point, scanning the cells in order:
+        a later cell replaces the kept projection only when it is nearer by
+        more than 1e-9.  (inf, None) for the empty region."""
+        best, pt = math.inf, None
         for c in self.nonempty_cells():
             res = c.project(x)
-            if res is None:
-                continue
-            d, y = res
-            if best is None or d < best - 1e-9:
-                best, pts = d, [y]
-            elif abs(d - best) <= 1e-9 and not any(np.linalg.norm(y - p) <= 1e-7 for p in pts):
-                pts.append(y)
-        if best is None:
-            return math.inf, []
-        return best, pts
+            if res is not None and (pt is None or res[0] < best - 1e-9):
+                best, pt = res
+        return best, pt
 
     # -- transforms ---------------------------------------------------
     def affine_preimage(self, M, c) -> "Region":

@@ -1,9 +1,11 @@
 """Catalog of closed sets: constructive descriptions with exact distance.
 
 The toolkit restricts K and S to a fixed catalog (intervals, boxes,
-halfspaces, polyhedra, balls, points, finite sets, unions, products) so
-that every derived tangent/normal object is exactly representable.  Each
-constructor knows its own membership test and exact Euclidean projection;
+halfspaces, polyhedra, balls, points, unions, products) so that every
+derived tangent/normal object is exactly representable; a finite set is
+the union of its points.  Each kind has one membership test,
+``contains_rows``, and one exact Euclidean projection, ``project_rows``,
+which returns the distance and the first nearest point of each row:
 unions take minima over members, products combine coordinatewise.
 """
 from __future__ import annotations
@@ -60,31 +62,20 @@ def _row_products(Y, M) -> np.ndarray:
     return (Y[:, None, :] @ M)[:, 0, :]
 
 
-def _dedupe_points(pts, tol: float = 1e-7):
-    """The points of pts, in order, less each within tol of an earlier kept one."""
-    out = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q) <= tol for q in out):
-            out.append(p)
-    return out
-
-
 class BaseSet(ABC):
     """A nonempty closed subset of R^dim from the catalog.
 
-    ``contains`` is the one-row case of ``contains_rows``.  A kind with one
-    projection per point defines ``project_rows``, whose one-row case is
-    ``distance``; a kind with several projections, or an enumeration,
-    defines ``distance``, which ``project_rows`` runs row by row."""
+    Every kind defines ``contains_rows`` and ``project_rows``; ``contains``
+    and ``distance`` are their one-row cases."""
 
     dim: int
     kind: str
     _region = _UNBUILT
 
-    def distance(self, y) -> tuple[float, list[np.ndarray]]:
-        """Exact distance and all projection points found."""
+    def distance(self, y) -> tuple[float, np.ndarray]:
+        """Exact distance and the first nearest point."""
         D, P = self.project_rows(_vec(y, self.dim)[None])
-        return float(D[0]), [P[0]]
+        return float(D[0]), P[0]
 
     def contains(self, y, tol: float = TOL) -> bool:
         return bool(self.contains_rows(_vec(y, self.dim)[None], tol)[0])
@@ -94,17 +85,11 @@ class BaseSet(ABC):
         """Membership of each row of the (k, dim) array Y, as bool[k]; a
         row's result does not depend on the other rows."""
 
+    @abstractmethod
     def project_rows(self, Y) -> tuple[np.ndarray, np.ndarray]:
-        """Distances (k,) and first projections (k, dim) of each row of the
-        (k, dim) array Y: row i equals distance(Y[i])[0] and [1][0], and
-        does not depend on the other rows."""
-        Y = _rows(Y, self.dim)
-        D = np.empty(Y.shape[0])
-        P = np.empty(Y.shape)
-        for i, y in enumerate(Y):
-            d, projs = self.distance(y)
-            D[i], P[i] = d, projs[0]
-        return D, P
+        """Distances (k,) and first nearest points (k, dim) of each row of
+        the (k, dim) array Y; a row's result does not depend on the other
+        rows."""
 
     def is_convex(self) -> bool:
         return True
@@ -121,7 +106,8 @@ class BaseSet(ABC):
         return None
 
     def sample_near(self, x, delta: float, seed, count: int) -> list[np.ndarray]:
-        """Members within delta of x, by projecting count ambient draws.
+        """Members within delta of x: the first projections of count ambient
+        draws, in one ``project_rows`` call, that lie within delta of x.
 
         Multiplicity: one entry per kept draw, so a point may repeat, except
         that a PointSet returns its point at most once.
@@ -133,16 +119,8 @@ class BaseSet(ABC):
         # one bulk draw takes the same doubles, in the same order, as one
         # draw per point
         Z = x + np.random.default_rng(seed).uniform(-delta, delta, size=(count, self.dim))
-        if self.is_convex():   # a single projection per draw
-            _, P = self.project_rows(Z)
-            return list(P[_row_norms(P - x) <= delta + 1e-12])
-        out = []
-        for z in Z:
-            for p in self.distance(z)[1]:
-                if np.linalg.norm(p - x) <= delta + 1e-12:
-                    out.append(p)
-                    break
-        return out
+        _, P = self.project_rows(Z)
+        return list(P[_row_norms(P - x) <= delta + 1e-12])
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -284,9 +262,13 @@ class Polyhedron(BaseSet):
             ok &= (np.abs(_row_products(Y, c.E.T) - c.f) <= tol).all(axis=1)
         return ok
 
-    def distance(self, y):
-        d, p = self.cell.project(_vec(y, self.dim))
-        return d, [p]
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        D = np.empty(Y.shape[0])
+        P = np.empty(Y.shape)
+        for i, y in enumerate(Y):
+            D[i], P[i] = self.cell.project(y)
+        return D, P
 
     def _build_region(self):
         return Region.from_cell(self.cell)
@@ -346,42 +328,6 @@ class PointSet(BaseSet):
         return Region.from_point(self.x)
 
 
-class FiniteSet(BaseSet):
-    kind = "finite"
-
-    def __init__(self, points):
-        pts = [_vec(p) for p in points]
-        if not pts:
-            raise SetError("finite set needs at least one point")
-        _check_finite("finite set", *pts)
-        dim = pts[0].size
-        for p in pts:
-            if p.size != dim:
-                raise SetError("mixed dimensions in finite set")
-        self.points = pts
-        self.dim = dim
-
-    def contains_rows(self, Y, tol=TOL):
-        Y = _rows(Y, self.dim)
-        ok = np.zeros(Y.shape[0], dtype=bool)
-        for p in self.points:
-            ok |= _row_norms(Y - p) <= tol
-        return ok
-
-    def distance(self, y):
-        y = _vec(y, self.dim)
-        ds = [float(np.linalg.norm(y - p)) for p in self.points]
-        best = min(ds)
-        projs = [p.copy() for p, d in zip(self.points, ds) if d <= best + TOL]
-        return best, _dedupe_points(projs)
-
-    def is_convex(self):
-        return len(self.points) == 1
-
-    def _build_region(self):
-        return Region([PolyCell.from_point(p) for p in self.points], dim=self.dim)
-
-
 class UnionSet(BaseSet):
     kind = "union"
 
@@ -395,16 +341,6 @@ class UnionSet(BaseSet):
                 raise SetError("union members must share a dimension")
         self.members = members
         self.dim = dim
-
-    def distance(self, y):
-        y = _vec(y, self.dim)
-        results = [s.distance(y) for s in self.members]
-        best = min(d for d, _ in results)
-        projs = []
-        for d, ps in results:
-            if d <= best + TOL:  # keep every projection within the tie window
-                projs.extend(ps)
-        return best, _dedupe_points(projs)
 
     def contains_rows(self, Y, tol=TOL):
         Y = _rows(Y, self.dim)
@@ -460,21 +396,15 @@ class ProductSet(BaseSet):
             ok &= s.contains_rows(Y[:, self.offsets[i]:self.offsets[i + 1]], tol)
         return ok
 
-    def distance(self, y):
-        parts = self.split(y)
-        total2 = 0.0
-        lists = []
-        for s, part in zip(self.factors, parts):
-            d, ps = s.distance(part)
-            total2 += d * d
-            lists.append(ps)
-        combos = [[]]
-        for ps in lists:
-            combos = [c + [p] for c in combos for p in ps]
-            if len(combos) > 16:
-                combos = combos[:16]
-        projs = [np.concatenate(c) for c in combos]
-        return math.sqrt(total2), _dedupe_points(projs)
+    def project_rows(self, Y):
+        Y = _rows(Y, self.dim)
+        total2 = np.zeros(Y.shape[0])
+        parts = []
+        for i, s in enumerate(self.factors):
+            d, p = s.project_rows(Y[:, self.offsets[i]:self.offsets[i + 1]])
+            total2 += d * d   # summed in factor order
+            parts.append(p)
+        return np.sqrt(total2), np.hstack(parts)
 
     def is_convex(self):
         return all(s.is_convex() for s in self.factors)

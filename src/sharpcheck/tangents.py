@@ -14,10 +14,11 @@ Every result is a Region.  Exactness strategy, by constructor:
   share schedules and the product rules hold with equality.
 
 The limiting and directional normal cones of every nonconvex set that is
-not a product (unions, finite sets) come from enumerating the strata of the
-rows active at the base point: purely polyhedral strata are decided exactly
-by margin LPs, and strata involving spheres are validated by radius-schedule
-samplers with exact projections onto the constraint surfaces.
+not a product (a union, a finite set included) come from enumerating the
+strata of the rows active at the base point: purely polyhedral strata are
+decided exactly by margin LPs, and strata involving spheres are validated
+by radius-schedule samplers with exact projections onto the constraint
+surfaces.
 
 Strata that fail sampler validation are dropped and the result carries a
 note, never a silent claim.
@@ -39,7 +40,6 @@ from .sets import (
     Ball,
     BaseSet,
     Box,
-    FiniteSet,
     Halfspace,
     Interval,
     PointSet,
@@ -139,7 +139,7 @@ def _tangent_cone(s: BaseSet, y) -> Region:
             return Region.all_space(s.dim)
         h = y - s.center
         return Region.from_cell(PolyCell(h.reshape(1, -1), [0.0], dim=s.dim))
-    if isinstance(s, (PointSet, FiniteSet)):
+    if isinstance(s, PointSet):
         return Region.origin(s.dim)
     if isinstance(s, UnionSet):
         pieces = [tangent_cone(m, y) for m in s.members if m.contains(y, tol=MEMBER_TOL)]
@@ -190,7 +190,7 @@ def _second_tangent_inner(s: BaseSet, y, d, kind: str) -> Region:
             return Region.all_space(s.dim)
         shift = -float(d @ d) if kind == "outer" else 0.0
         return Region.from_cell(PolyCell(h.reshape(1, -1), [shift], dim=s.dim))
-    if isinstance(s, (PointSet, FiniteSet)):
+    if isinstance(s, PointSet):
         # a nonzero d is never tangent here; the caller filtered that out
         return Region.empty(s.dim, ("direction not tangent",))
     if isinstance(s, UnionSet):
@@ -229,7 +229,7 @@ def _proximal_cell(s: BaseSet, y: np.ndarray) -> PolyCell:
     if isinstance(s, Ball):
         rays = y - s.center if _on_sphere(s, y) else None
         return PolyCell.cone(rays, None, s.dim)
-    if isinstance(s, (PointSet, FiniteSet)):
+    if isinstance(s, PointSet):
         return PolyCell.all_space(s.dim)
     if isinstance(s, UnionSet):
         out = PolyCell.all_space(s.dim)
@@ -457,13 +457,11 @@ def _member_face_options(m: BaseSet, y: np.ndarray):
 
 
 def _strata_members(s: BaseSet) -> list[BaseSet]:
-    """The members of s as leaves, balls and points: a finite set gives one
-    point each, and a product with a region one polyhedron per cell."""
+    """The members of s as leaves, balls and points: a product with a region
+    gives one polyhedron per cell."""
     out: list[BaseSet] = []
     for m in flatten_union(s):
-        if isinstance(m, FiniteSet):
-            out.extend(PointSet(p) for p in m.points)
-        elif isinstance(m, ProductSet):
+        if isinstance(m, ProductSet):
             reg = m.as_region()
             if reg is None:
                 raise TangentError("products with a ball inside a union are out of scope")
@@ -535,8 +533,8 @@ def _limiting(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
 
 def normal_cone(s: BaseSet, y, kind: str) -> Region:
     """Proximal, Frechet or limiting normal cone of s at y.  The limiting
-    cone of a nonconvex set that is not a product (a union or a finite set)
-    comes from the strata of the rows active at y."""
+    cone of a nonconvex set that is not a product (a union) comes from the
+    strata of the rows active at y."""
     y = _require_member(s, y)
     if kind == "frechet":
         return _frechet_normal(s, y)

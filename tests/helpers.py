@@ -38,7 +38,6 @@ from sharpcheck.sets import (
     TOL,
     Ball,
     Box,
-    FiniteSet,
     Halfspace,
     Interval,
     PointSet,
@@ -423,7 +422,7 @@ def random_catalog_instance(seed):
         y = np.concatenate([[0.0 if rng.random() < 0.5 else a], c + r * _unit(rng, 2)])
         return s, y, False, True
     pts = rng.uniform(-1.5, 1.5, size=(3, 2))
-    s = FiniteSet(pts)
+    s = UnionSet([PointSet(p) for p in pts])   # a finite set
     return s, pts[rng.integers(3)], True, False
 
 
@@ -803,8 +802,6 @@ def contains_pointwise(s, y, tol: float) -> bool:
         return float(np.linalg.norm(y - s.center)) <= s.radius + tol
     if isinstance(s, PointSet):
         return float(np.linalg.norm(y - s.x)) <= tol
-    if isinstance(s, FiniteSet):
-        return any(np.linalg.norm(y - p) <= tol for p in s.points)
     if isinstance(s, UnionSet):
         return any(contains_pointwise(m, y, tol) for m in s.members)
     if isinstance(s, ProductSet):
@@ -839,10 +836,6 @@ def distance_pointwise(s, y) -> tuple[float, np.ndarray]:
         return gap - s.radius, s.center + (s.radius / gap) * (y - s.center)
     if isinstance(s, PointSet):
         return float(np.linalg.norm(y - s.x)), s.x.copy()
-    if isinstance(s, FiniteSet):
-        ds = [float(np.linalg.norm(y - p)) for p in s.points]
-        best = min(ds)
-        return best, next(p.copy() for p, d in zip(s.points, ds) if d <= best + TOL)
     if isinstance(s, UnionSet):
         results = [distance_pointwise(m, y) for m in s.members]
         best = min(d for d, _ in results)

@@ -35,3 +35,24 @@ def test_one_tree_against_itself_over_one_pair(capsys):
     base, head = (sys.modules[f"_ab_{side}_sharpcheck.cli"] for side in ("base", "head"))
     assert base is not head and base.main is not head.main
 
+
+
+def test_every_workload_is_warmed_before_the_first_timed_pass(monkeypatch, capsys):
+    tool = _tool()
+    calls = []
+
+    def record(cli, jobs, paths, normalized):
+        calls.append((cli.__name__, jobs))
+        return [1e-3] * len(jobs), [b""] * len(jobs)
+
+    monkeypatch.setattr(tool, "run_pass", record)
+    assert tool.main([str(ROOT), str(ROOT), "--pairs", "1", "--workload", "necessary_sweep",
+                      "--workload", "sufficient_check"]) == 0
+    capsys.readouterr()
+    sweep, check = calls[0][1], calls[2][1]
+    assert sweep is not check
+    base, head = "_ab_base_sharpcheck.cli", "_ab_head_sharpcheck.cli"
+    # both trees' warm-ups of both workloads, then one timed pair each
+    assert [(name, jobs is sweep) for name, jobs in calls] == [
+        (base, True), (head, True), (base, False), (head, False),
+        (base, True), (head, True), (base, False), (head, False)]

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,19 @@ def test_library_failure_is_inconclusive_without_traceback(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check-necessary", "verify-growth"])
+def test_an_overflow_is_inconclusive_without_warnings(command, capsys, monkeypatch):
+    # a delta just inside the input bound overflows in the sampled checks
+    monkeypatch.chdir(ROOT)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "fixtures/first_example.json", "--delta", "4e307"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("sharpcheck: FloatingPointError: overflow")
+    assert captured.err.count("\n") == 1
+
+
 def test_sufficient_point_without_boundary_points(tmp_path):
     # xbar is interior to the box S, so N_S(xbar) = {0} admits no direction
     doc = {"n": 2, "m": 1, "objective": "0*x1", "constraints": ["x1"],
@@ -204,6 +218,9 @@ def test_sample_count_and_limit_are_input_errors(argv, capsys, monkeypatch):
 _BAD_DOCUMENTS = {
     "malformed-power": ({"objective": "x1^^2"}, []),
     "negative-n": ({"n": -1}, []),
+    # JSON true is a Python int; it is not a dimension
+    "n-boolean": ({"n": True}, []),
+    "m-boolean": ({"m": True}, []),
     "negative-seed": ({"options": {"seed": -5}}, []),
     "negative-seed-flag": ({}, ["--seed", "-5"]),
     # set constructors go through cli._build_set, the one set codec
@@ -231,6 +248,9 @@ _BAD_DOCUMENTS = {
     "ball-inf-radius": ({"K": {"kind": "ball", "center": [0], "radius": "inf"}}, []),
     "point-inf": ({"S": {"kind": "point", "at": [0, "inf"]}}, []),
     "finite-inf": ({"S": {"kind": "finite", "points": [[0, 0], [1, "inf"]]}}, []),
+    # a finite set is the union of its points: at least one, of one dimension
+    "finite-empty": ({"S": {"kind": "finite", "points": []}}, []),
+    "finite-mixed-dimensions": ({"S": {"kind": "finite", "points": [[0, 0], [1]]}}, []),
     "xbar-inf": ({"xbar": [0, "inf"]}, []),
     # polyhedron rows and equalities are [a, b] pairs, and dim an integer
     "polyhedron-long-row": ({"K": {"kind": "polyhedron",

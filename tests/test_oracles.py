@@ -292,15 +292,29 @@ def _assert_same(got, want):
                 assert a == b, field.name
 
 
+_CATALOG_KINDS = ("interval", "box", "ball", "halfspace", "polyhedron", "union-ball",
+                  "union-box", "product", "finite")
+
+
+def _kind_name(s):
+    """The document kind of a random_catalog_instance set: a union of
+    points is a finite set, and other unions are named by their members."""
+    if s.kind != "union":
+        return s.kind
+    return "finite" if s.members[0].kind == "point" else f"union-{s.members[0].kind}"
+
+
 def _kind_seeds():
-    """One random_catalog_instance seed per set kind it draws."""
-    out, seed = {}, 0
-    while len(out) < 9:
-        s = random_catalog_instance(seed)[0]
-        key = s.kind + (f"-{s.members[0].kind}" if s.kind == "union" else "")
-        out.setdefault(key, seed)
-        seed += 1
-    return out
+    """The first of the seeds 0..999 of random_catalog_instance for each
+    catalog kind."""
+    out = {}
+    for seed in range(1000):
+        out.setdefault(_kind_name(random_catalog_instance(seed)[0]), seed)
+        if out.keys() >= set(_CATALOG_KINDS):
+            break
+    missing = [kind for kind in _CATALOG_KINDS if kind not in out]
+    assert not missing, f"random_catalog_instance never drew {missing}"
+    return {kind: out[kind] for kind in _CATALOG_KINDS}
 
 
 _KIND_SEEDS = {**_kind_seeds(), "point": None}

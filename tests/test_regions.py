@@ -146,19 +146,22 @@ def test_cell_relint_point():
 
 def test_region_distance_union():
     r = _union_fixture()
-    d, pts = r.distance([0.2, 0.0])
+    d, pt = r.distance([0.2, 0.0])
     assert float(d) == pytest.approx(0.8, abs=1e-9)
-    assert len(pts) == 1
-    assert pts[0] == pytest.approx([1.0, 0.0], abs=1e-9)
-    d0, pts0 = r.distance([0.0, 3.0])  # equidistant: both projections reported
+    assert pt == pytest.approx([1.0, 0.0], abs=1e-9)
+    # equidistant: the first cell's projection, and the other cell's once
+    # the cells are swapped
+    d0, pt0 = r.distance([0.0, 3.0])
     assert float(d0) == pytest.approx(1.0, abs=1e-9)
-    assert len(pts0) == 2
+    assert pt0 == pytest.approx([1.0, 3.0], abs=1e-9)
+    swapped = Region(r.cells[::-1], dim=2)
+    assert swapped.distance([0.0, 3.0])[1] == pytest.approx([-1.0, 3.0], abs=1e-9)
 
 
 def test_empty_region_distance():
     r = Region.empty(2)
-    d, pts = r.distance([0.0, 0.0])
-    assert d == math.inf and pts == []
+    d, pt = r.distance([0.0, 0.0])
+    assert d == math.inf and pt is None
 
 
 # -- support ----------------------------------------------------------------

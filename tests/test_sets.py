@@ -12,7 +12,6 @@ from sharpcheck.sets import (
     Ball,
     BaseSet,
     Box,
-    FiniteSet,
     Halfspace,
     Interval,
     PointSet,
@@ -20,7 +19,6 @@ from sharpcheck.sets import (
     ProductSet,
     SetError,
     UnionSet,
-    _dedupe_points,
     _row_products,
     flatten_union,
 )
@@ -42,42 +40,52 @@ def test_membership_examples():
 
 
 def test_distance_examples():
-    d, ps = Interval(-0.75, 0.0).distance([0.5])
-    assert d == pytest.approx(0.5) and ps[0] == pytest.approx([0.0])
-    d, ps = Polyhedron(rows=[([-1.0, 0.0], -1.0)]).distance([0.0, 0.0])
-    assert d == pytest.approx(1.0) and ps[0] == pytest.approx([1.0, 0.0])
-    d, ps = vertical_strips().distance([0.2, 0.0])
-    assert d == pytest.approx(0.8)
-    assert len(ps) == 1 and ps[0] == pytest.approx([1.0, 0.0])
+    d, p = Interval(-0.75, 0.0).distance([0.5])
+    assert d == pytest.approx(0.5) and p == pytest.approx([0.0])
+    d, p = Polyhedron(rows=[([-1.0, 0.0], -1.0)]).distance([0.0, 0.0])
+    assert d == pytest.approx(1.0) and p == pytest.approx([1.0, 0.0])
+    d, p = vertical_strips().distance([0.2, 0.0])
+    assert d == pytest.approx(0.8) and p == pytest.approx([1.0, 0.0])
 
 
-def test_union_distance_ties_report_all_projections():
-    d, ps = vertical_strips().distance([0.0, 2.0])
-    assert d == pytest.approx(1.0)
-    got = sorted(round(p[0], 6) for p in ps)
-    assert got == [-1.0, 1.0]
+def test_union_distance_ties_report_the_first_projection():
+    # equidistant from both strips: the first member's projection, and
+    # the other strip's once the members are swapped
+    d, p = vertical_strips().distance([0.0, 2.0])
+    assert d == 1.0 and p.tolist() == [1.0, 2.0]
+    swapped = UnionSet(vertical_strips().members[::-1])
+    assert swapped.distance([0.0, 2.0])[1].tolist() == [-1.0, 2.0]
 
 
 def test_ball_distance():
     b = Ball([0.0, 0.0], 1.0)
-    d, ps = b.distance([2.0, 0.0])
-    assert d == pytest.approx(1.0) and ps[0] == pytest.approx([1.0, 0.0])
-    d, ps = b.distance([0.3, 0.1])
-    assert d == 0.0 and ps[0] == pytest.approx([0.3, 0.1])
+    d, p = b.distance([2.0, 0.0])
+    assert d == pytest.approx(1.0) and p == pytest.approx([1.0, 0.0])
+    d, p = b.distance([0.3, 0.1])
+    assert d == 0.0 and p == pytest.approx([0.3, 0.1])
 
 
 def test_product_distance_combines():
     s = ProductSet([Interval(0.0, 0.5), PointSet([0.0])])
-    d, ps = s.distance([1.0, 2.0])
+    d, p = s.distance([1.0, 2.0])
     assert d == pytest.approx(math.hypot(0.5, 2.0))
-    assert ps[0] == pytest.approx([0.5, 0.0])
+    assert p == pytest.approx([0.5, 0.0])
     assert s.contains([0.25, 0.0]) and not s.contains([0.25, 0.1])
 
 
+def finite_set(points):
+    """A finite set, as a problem document's kind "finite" builds it."""
+    return UnionSet([PointSet(p) for p in points])
+
+
 def test_finite_set_multiple_minimizers():
-    s = FiniteSet([[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
-    d, ps = s.distance([0.0, 0.0])
-    assert d == pytest.approx(1.0) and len(ps) == 2
+    # two nearest points: the first one listed is the projection
+    s = finite_set([[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]])
+    d, p = s.distance([0.0, 0.0])
+    assert d == 1.0 and p.tolist() == [1.0, 0.0]
+    D, P = s.project_rows(np.array([[0.0, 0.0], [-0.5, 0.0], [0.0, 4.0]]))
+    assert D.tolist() == [1.0, 0.5, 1.0]
+    assert P.tolist() == [[1.0, 0.0], [-1.0, 0.0], [0.0, 5.0]]
 
 
 def test_box_with_infinite_endpoints():
@@ -123,7 +131,7 @@ def test_sampler_returns_members_within_delta():
               ProductSet([Interval(0.0, 0.5), PointSet([0.0])])]:
         x = np.zeros(s.dim)
         if not s.contains(x):
-            x = s.distance(x)[1][0]
+            x = s.distance(x)[1]
         pts = s.sample_near(x, 0.5, rng, 40)
         assert len(pts) >= 10
         for p in pts:
@@ -150,8 +158,12 @@ def _composites():
         ProductSet([strips, Interval(-0.5, 0.5), Ball([0.0, 1.0], 1.0)]),
         UnionSet([ProductSet([Interval(0.0, 1.0), PointSet([0.0])]),
                   ProductSet([PointSet([0.0]), Interval(0.0, 1.0)])]),
-        FiniteSet([[0.0, 1.0], [1.0, 0.0], [-1.0, -1.0]]),
+        finite_set([[0.0, 1.0], [1.0, 0.0], [-1.0, -1.0]]),
     ]
+
+
+_COMPOSITE_IDS = ("halfspace", "ball", "point", "polyhedron", "union0", "union1",
+                  "product", "union2", "finite")
 
 
 def _probe_rows(s, y, rng):
@@ -162,7 +174,7 @@ def _probe_rows(s, y, rng):
     for scale in (1e-10, 1e-8, 1e-3, 0.3, 2.0):
         pts += list(y + scale * rng.normal(size=(4, s.dim)))
     for q in list(pts):
-        proj = s.distance(q)[1][0]
+        proj = s.distance(q)[1]
         out = q - proj
         pts += [proj, proj + 5e-10 * out, proj + 5e-9 * out, proj - 5e-10 * out]
     return np.array(pts)
@@ -179,7 +191,7 @@ def _check_rows(s, Y):
     assert P.tobytes() == np.array([p for _, p in want]).tobytes()
     pairs = [s.distance(y) for y in Y]
     assert D.tobytes() == np.array([d for d, _ in pairs], dtype=float).tobytes()
-    assert P.tobytes() == np.array([ps[0] for _, ps in pairs]).tobytes()
+    assert P.tobytes() == np.array([p for _, p in pairs]).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -189,10 +201,10 @@ def test_row_methods_match_pointwise_on_random_catalog_sets(seed):
     _check_rows(s, _probe_rows(s, y, np.random.default_rng(seed)))
 
 
-@pytest.mark.parametrize("s", _composites(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("s", _composites(), ids=_COMPOSITE_IDS)
 def test_row_methods_match_pointwise_on_composite_sets(s):
     rng = np.random.default_rng(5)
-    y = s.distance(rng.normal(size=s.dim))[1][0]
+    y = s.distance(rng.normal(size=s.dim))[1]
     _check_rows(s, _probe_rows(s, y, rng))
 
 
@@ -208,11 +220,9 @@ def _sample_near_pointwise(s, x, delta, rng, count):
     x = np.asarray(x, dtype=float)
     out = []
     for _ in range(count):
-        z = x + rng.uniform(-delta, delta, size=s.dim)
-        for p in s.distance(z)[1]:
-            if np.linalg.norm(p - x) <= delta + 1e-12:
-                out.append(p)
-                break
+        p = s.distance(x + rng.uniform(-delta, delta, size=s.dim))[1]
+        if np.linalg.norm(p - x) <= delta + 1e-12:
+            out.append(p)
     return out
 
 
@@ -220,13 +230,12 @@ _SAMPLE_CASES = ((1e-3, 7), (0.5, 60), (2.0, 25), (0.5, 0))
 
 
 def _check_point_sample_near(s, x, seed, cases=_SAMPLE_CASES):
-    """A point set returns the distinct points of the pointwise sampler, at
-    most one, and leaves the caller's generator unused."""
+    """A point set returns the first point of the pointwise sampler, whose
+    points are all its one point, and leaves the caller's generator unused."""
     for delta, count in cases:
         rng = np.random.default_rng(seed)
         got = s.sample_near(x, delta, rng, count)
-        want = _dedupe_points(_sample_near_pointwise(s, x, delta, np.random.default_rng(seed),
-                                                     count), tol=0.0)
+        want = _sample_near_pointwise(s, x, delta, np.random.default_rng(seed), count)[:1]
         assert len(got) == len(want) <= 1
         assert np.array(got).tobytes() == np.array(want).tobytes()
         assert rng.random() == np.random.default_rng(seed).random()
@@ -252,9 +261,9 @@ def test_sample_near_matches_pointwise_on_random_catalog_sets(seed):
     _check_sample_near(s, y, seed)
 
 
-@pytest.mark.parametrize("s", _composites(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("s", _composites(), ids=_COMPOSITE_IDS)
 def test_sample_near_matches_pointwise_on_composite_sets(s):
-    y = s.distance(np.random.default_rng(9).normal(size=s.dim))[1][0]
+    y = s.distance(np.random.default_rng(9).normal(size=s.dim))[1]
     _check_sample_near(s, y, 9)
 
 
@@ -275,9 +284,9 @@ def test_sample_near_from_a_seed_matches_the_generator_on_random_catalog_sets(se
     _check_seed_sample_near(s, y, seed)
 
 
-@pytest.mark.parametrize("s", _composites(), ids=lambda s: s.kind)
+@pytest.mark.parametrize("s", _composites(), ids=_COMPOSITE_IDS)
 def test_sample_near_from_a_seed_matches_the_generator_on_composite_sets(s):
-    y = s.distance(np.random.default_rng(9).normal(size=s.dim))[1][0]
+    y = s.distance(np.random.default_rng(9).normal(size=s.dim))[1]
     _check_seed_sample_near(s, y, 9)
 
 
@@ -304,13 +313,16 @@ class _FixedOffsets(np.random.Generator):
         return np.broadcast_to(self.offset, size).copy()
 
 
-def test_sample_near_takes_the_first_tied_projection_within_delta():
-    # every draw is (0, 0), equidistant from both strips; only the second
-    # strip's projection (-1, 0) lies within 0.6 of x
+def test_sample_near_keeps_a_tied_draw_by_its_first_projection():
+    # every draw is (0, 0), equidistant from both strips; its projection is
+    # the first member's, and only the second strip's (-1, 0) lies within
+    # 0.6 of x
     x = [-0.5, 0.0]
-    got = vertical_strips().sample_near(x, 0.6, _FixedOffsets([0.5, 0.0]), 3)
-    want = _sample_near_pointwise(vertical_strips(), x, 0.6, _FixedOffsets([0.5, 0.0]), 3)
-    assert [p.tolist() for p in got] == [p.tolist() for p in want] == [[-1.0, 0.0]] * 3
+    strips = vertical_strips()
+    for s, kept in ((strips, []), (UnionSet(strips.members[::-1]), [[-1.0, 0.0]] * 3)):
+        got = s.sample_near(x, 0.6, _FixedOffsets([0.5, 0.0]), 3)
+        want = _sample_near_pointwise(s, x, 0.6, _FixedOffsets([0.5, 0.0]), 3)
+        assert [p.tolist() for p in got] == [p.tolist() for p in want] == kept
 
 
 def test_row_products_match_one_row_products_bit_for_bit():
@@ -325,19 +337,19 @@ def test_row_products_match_one_row_products_bit_for_bit():
 
 def test_every_kind_has_one_membership_implementation():
     kinds = BaseSet.__subclasses__()
-    assert len(kinds) == 9
+    assert len(kinds) == 8
     for cls in kinds:
         assert "contains_rows" in vars(cls) and "contains" not in vars(cls), cls.__name__
+        assert "project_rows" in vars(cls) and "distance" not in vars(cls), cls.__name__
 
 
 def test_every_kind_defines_a_projection():
-    # the defaults of distance and project_rows call each other
-    for cls in BaseSet.__subclasses__():
-        assert "project_rows" in vars(cls) or "distance" in vars(cls), cls.__name__
+    # a kind that lacks either row method cannot be built
+    assert BaseSet.__abstractmethods__ == {"contains_rows", "project_rows"}
 
 
 def test_row_methods_check_shapes():
-    for s in (Interval(0.0, 1.0), Ball([0.0, 0.0], 1.0), FiniteSet([[0.0, 1.0]]),
+    for s in (Interval(0.0, 1.0), Ball([0.0, 0.0], 1.0), finite_set([[0.0, 1.0]]),
               *_composites()):
         assert s.contains_rows(np.zeros((0, s.dim))).shape == (0,)
         D, P = s.project_rows(np.zeros((0, s.dim)))
@@ -360,7 +372,7 @@ def test_row_methods_check_shapes():
     lambda: Ball([0.0, -math.inf], 1.0),
     lambda: Ball([0.0, 0.0], math.inf),
     lambda: PointSet([0.0, math.inf]),
-    lambda: FiniteSet([[0.0, 0.0], [1.0, math.inf]]),
+    lambda: finite_set([[0.0, 0.0], [1.0, math.inf]]),
 ], ids=["halfspace-normal", "halfspace-offset", "polyhedron-rhs",
         "polyhedron-equality", "ball-center", "ball-radius", "point", "finite"])
 def test_non_finite_set_data_is_rejected(build):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sharpcheck import lp as _lp, tangents
-from sharpcheck.sets import (Ball, BaseSet, Box, FiniteSet, Halfspace, Interval,
+from sharpcheck.sets import (Ball, BaseSet, Box, Halfspace, Interval,
                              PointSet, Polyhedron, ProductSet, UnionSet)
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
                                  directional_normal, eps_proximal_filter,
@@ -52,7 +52,7 @@ def test_ball_tangent_cone_is_supporting_halfspace():
 def test_isolated_points_have_trivial_tangents():
     assert region_compare(tangent_cone(PointSet([0.0, 0.0]), [0.0, 0.0]),
                           Region.origin(2)).relation == "equal"
-    f = FiniteSet([[0.0, 0.0], [1.0, 0.0]])
+    f = UnionSet([PointSet([0.0, 0.0]), PointSet([1.0, 0.0])])
     assert region_compare(tangent_cone(f, [1.0, 0.0]), Region.origin(2)).relation == "equal"
 
 
@@ -287,7 +287,7 @@ def _reference_cases():
     triangle = Polyhedron(rows=[([-1.0, 0.0], 0.0), ([0.0, -1.0], 0.0), ([1.0, 1.0], 2.0)])
     product = ProductSet([UnionSet([Interval(-1.0, 0.0), Interval(0.0, 1.0)]),
                           Interval(0.0, 1.0)])
-    points = FiniteSet([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    points = UnionSet([PointSet(p) for p in ([0.0, 0.0], [1.0, 1.0], [2.0, 0.0])])
     return [
         ("boxes-r2", boxes[0], [0.0, 0.0]),
         ("boxes-r2-edge", boxes[0], [0.0, -0.5]),
@@ -339,8 +339,8 @@ def test_limiting_normals_match_the_face_complex_reference(case):
 
 
 def test_finite_set_limiting_cone_poses_no_lp(monkeypatch):
-    s, y, _, _ = random_catalog_instance(9)
-    assert isinstance(s, FiniteSet)
+    s, y, _, _ = random_catalog_instance(9)   # a union of three points
+    assert len(s.members) == 3 and all(isinstance(m, PointSet) for m in s.members)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a finite set's limiting normal cone posed a margin LP")

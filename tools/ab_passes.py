@@ -8,10 +8,11 @@ its imports and its allocator.  For each workload of
 ``perfbench/workloads.py`` (of the tree holding this script; the perfbench
 modules are only read) the documents are written once, under a temporary
 directory at the relative paths ``perfbench/run.py`` echoes in its reports.
-Each tree runs one warm-up pass, then N pairs of passes follow, one pass
-per tree, with the order flipped every pair.  A pass runs the workload's
-job list once through ``cli.main`` and is timed in process CPU seconds,
-which a shared host's scheduling disturbs less than the wall clock.
+First each tree runs one untimed warm-up pass of every selected workload;
+then, workload by workload, N pairs of passes follow, one pass per tree,
+with the order flipped every pair.  A pass runs the workload's job list
+once through ``cli.main`` and is timed in process CPU seconds, which a
+shared host's scheduling disturbs less than the wall clock.
 
 For each workload it prints each tree's median and 25th-percentile CPU
 seconds per pass; each tree's median and tail CPU milliseconds per check
@@ -71,38 +72,48 @@ def run_pass(cli, jobs, paths, normalized) -> tuple[list[float], list[bytes]]:
     return seconds, [normalized(r) for r in reports]
 
 
-def compare_workload(clis, workload: str, seed: int, pairs: int, wl, verify) -> dict:
-    """CPU seconds per timed pass and per check of each tree, the per-pair
-    HEAD/BASE ratios, the pairs HEAD won and the keys of the jobs whose
-    reports differ between trees."""
-    jobs = wl.build_jobs(workload, seed)
-    docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
-    paths = {name: os.path.relpath(p) for name, p in wl.write_documents(jobs, docs).items()}
-    seen = [set() for _ in jobs], [set() for _ in jobs]   # reports per tree and job
-    times, checks = ([], []), ([], [])
+class Workload:
+    """One workload's jobs and documents on both trees, with the reports
+    and CPU seconds its passes have seen."""
 
-    def one(side: int, timed: bool):
-        seconds, reports = run_pass(clis[side], jobs, paths, verify.normalized)
-        for got, report in zip(seen[side], reports):
+    def __init__(self, clis, workload: str, seed: int, wl, verify):
+        self.clis, self.normalized = clis, verify.normalized
+        self.jobs = wl.build_jobs(workload, seed)
+        docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
+        self.paths = {name: os.path.relpath(p)
+                      for name, p in wl.write_documents(self.jobs, docs).items()}
+        self.seen = [set() for _ in self.jobs], [set() for _ in self.jobs]   # per tree and job
+        self.times, self.checks = ([], []), ([], [])
+
+    def run(self, side: int, timed: bool) -> None:
+        seconds, reports = run_pass(self.clis[side], self.jobs, self.paths, self.normalized)
+        for got, report in zip(self.seen[side], reports):
             got.add(report)
         if timed:
-            times[side].append(sum(seconds))
-            checks[side].append(seconds)
+            self.times[side].append(sum(seconds))
+            self.checks[side].append(seconds)
 
-    one(0, False)
-    one(1, False)
-    for i in range(pairs):
-        for side in ((0, 1) if i % 2 == 0 else (1, 0)):
-            one(side, True)
-    ratios = [h / b for b, h in zip(*times) if b > 0.0]
-    differ = [job.key for job, b, h in zip(jobs, *seen) if b != h]
-    return {"jobs": len(jobs), "base": times[0], "head": times[1],
-            "base_checks": [t for p in checks[0] for t in p],
-            "head_checks": [t for p in checks[1] for t in p],
-            "ratios": ratios, "differ": differ,
-            "check_wins": sum(statistics.median(h) < statistics.median(b)
-                              for b, h in zip(*checks)),
-            "pass_wins": sum(h < b for b, h in zip(*times))}
+    def warm_up(self) -> None:
+        self.run(0, False)
+        self.run(1, False)
+
+    def compare(self, pairs: int) -> dict:
+        """Times pairs of passes, the order flipped every pair; returns the
+        CPU seconds per timed pass and per check of each tree, the per-pair
+        HEAD/BASE ratios, the pairs HEAD won and the keys of the jobs whose
+        reports differ between trees."""
+        for i in range(pairs):
+            for side in ((0, 1) if i % 2 == 0 else (1, 0)):
+                self.run(side, True)
+        times, checks = self.times, self.checks
+        return {"jobs": len(self.jobs), "base": times[0], "head": times[1],
+                "base_checks": [t for p in checks[0] for t in p],
+                "head_checks": [t for p in checks[1] for t in p],
+                "ratios": [h / b for b, h in zip(*times) if b > 0.0],
+                "differ": [job.key for job, b, h in zip(self.jobs, *self.seen) if b != h],
+                "check_wins": sum(statistics.median(h) < statistics.median(b)
+                                  for b, h in zip(*checks)),
+                "pass_wins": sum(h < b for b, h in zip(*times))}
 
 
 def main(argv=None) -> int:
@@ -129,8 +140,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)   # reports echo the document path; keep it relative
         try:
-            for workload in args.workload or wl.WORKLOADS:
-                got = compare_workload(clis, workload, args.seed, args.pairs, wl, verify)
+            names = args.workload or wl.WORKLOADS
+            runs = [Workload(clis, name, args.seed, wl, verify) for name in names]
+            for run in runs:   # a process's first passes run slow, whatever the workload
+                run.warm_up()
+            for workload, run in zip(names, runs):
+                got = run.compare(args.pairs)
                 print(f"{workload}, seed {args.seed}: {args.pairs} pairs, "
                       f"{got['jobs']} jobs, process CPU seconds per pass")
                 for side, root in (("base", args.base), ("head", args.head)):
