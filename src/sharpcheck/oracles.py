@@ -10,7 +10,9 @@ The proposals built from those draws, the Gauss-Newton pullback and the
 membership and distance tests run on row batches, each row stopping on
 its own criteria, so every result equals the one a point-by-point loop
 over the same draws would give.  Sampled points are handed on as the rows
-of one (k, n) array.
+of one (k, n) array.  A feasible sample has g(x) in K at tolerance 0, so
+a growth ratio it refutes rests on a point of the feasible set, not on a
+constraint slack.
 """
 from __future__ import annotations
 
@@ -123,11 +125,27 @@ def _check_count(count: int) -> None:
         raise OracleError(f"count must be at least 1, got {count}")
 
 
+def _gauss_newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The step pinv(J) r for each (m, n) Jacobian of the (k, m, n) array J
+    and residual row r of the (k, m) array R, as a (k, n) array.  With one
+    constraint the pseudoinverse of the row j is j^T / |j|^2, so the step
+    is j (r / |j|^2), and zero where |j|^2 = 0 as pinv gives for a zero
+    row; |j|^2 is the stacked one-row product, the BLAS dot of the scalar
+    ``j @ j``.  With m >= 2 it is the stacked ``np.linalg.pinv(J,
+    rcond=1e-10) @ r``."""
+    if J.shape[1] == 1:
+        j = J[:, 0, :]
+        jj = (j[:, None, :] @ j[..., None])[:, 0, 0]
+        return j * np.divide(R[:, 0], jj, out=np.zeros(jj.size), where=jj != 0.0)[:, None]
+    return (np.linalg.pinv(J, rcond=1e-10) @ R[:, :, None])[:, :, 0]
+
+
 def _gauss_newton_rows(p: ProblemInstance, X: np.ndarray, iters: int) -> np.ndarray:
     """Pull each row of X toward the feasible set by correcting the
     constraint residual g(x) - proj_K(g(x)) along the Jacobian
-    pseudoinverse.  A row stops once g(x) lies in K (tol 1e-10) or its step
-    is not finite; the others go on, up to iters steps."""
+    pseudoinverse (``_gauss_newton_step``).  A row stops once g(x) lies in
+    K (tol 1e-10) or its step is not finite; the others go on, up to iters
+    steps."""
     X = np.array(X, dtype=float)
     active = np.arange(X.shape[0])
     for _ in range(iters):
@@ -137,7 +155,7 @@ def _gauss_newton_rows(p: ProblemInstance, X: np.ndarray, iters: int) -> np.ndar
         if not active.size:
             break
         _, proj = p.K.project_rows(G)
-        step = (np.linalg.pinv(J, rcond=1e-10) @ (G - proj)[:, :, None])[:, :, 0]
+        step = _gauss_newton_step(J, G - proj)
         finite = np.isfinite(step).all(axis=1)
         active = active[finite]
         X[active] -= step[finite]
@@ -149,7 +167,9 @@ def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> 
     the rows of a (hits, n) array in trial order, by rejection sampling
     plus boundary-biased Gauss-Newton proposals (every odd trial is pulled
     toward the feasible set).  The trials' normal n-vectors are drawn
-    first, then their uniforms."""
+    first, then their uniforms.  A trial is kept only if g(x) lies in K at
+    tolerance 0: the pullback stops within 1e-10 of K, and a pulled trial
+    that stops outside K is dropped."""
     if delta <= 0:
         raise OracleError("delta must be positive")
     _check_count(count)
@@ -159,7 +179,7 @@ def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> 
     X[1::2] = _gauss_newton_rows(p, X[1::2], 25)
     keep = np.ones(count, dtype=bool)
     keep[1::2] = ~(_row_norms(X[1::2] - p.xbar) > delta)
-    keep[keep] = p.K.contains_rows(p.g_value_rows(X[keep]), tol=1e-9)
+    keep[keep] = p.K.contains_rows(p.g_value_rows(X[keep]), tol=0.0)
     hits = X[keep]
     if hits.shape[0] < max(1, count // 100):
         raise OracleError("thin feasible set: "

@@ -660,7 +660,8 @@ def _in_directional_neighborhood(z: np.ndarray, d: np.ndarray, rho: float,
 
 def _gauss_newton_feasible(p: ProblemInstance, x0: np.ndarray, iters: int = 25) -> np.ndarray:
     """Pull a point toward the feasible set by correcting the constraint
-    residual g(x) - proj_K(g(x)) along the Jacobian pseudoinverse."""
+    residual g(x) - proj_K(g(x)) along the Jacobian pseudoinverse, which
+    for one constraint row j is j / (j @ j), and zero for a zero row."""
     x = x0.copy()
     for _ in range(iters):
         gx = p.g_value(x)
@@ -668,7 +669,12 @@ def _gauss_newton_feasible(p: ProblemInstance, x0: np.ndarray, iters: int = 25) 
             break
         resid = gx - distance_pointwise(p.K, gx)[1]
         J = p.g_jet(x).jacobian
-        step = np.linalg.pinv(J, rcond=1e-10) @ resid
+        if J.shape[0] == 1:
+            j = J[0]
+            jj = j @ j
+            step = j * (resid[0] / jj) if jj != 0.0 else np.zeros_like(j)
+        else:
+            step = np.linalg.pinv(J, rcond=1e-10) @ resid
         if not np.all(np.isfinite(step)):
             break
         x = x - step
@@ -691,7 +697,7 @@ def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> 
             x = _gauss_newton_feasible(p, x)
             if np.linalg.norm(x - p.xbar) > delta:
                 continue
-        if p.K.contains(p.g_value(x), tol=1e-9):
+        if p.K.contains(p.g_value(x), tol=0.0):
             hits.append(x)
     if len(hits) < max(1, count // 100):
         raise OracleError("thin feasible set: "

@@ -302,11 +302,6 @@ def test_a_union_member_error_is_prefixed_once(tmp_path, capsys):
     assert err.count(": K:") == 1 and err.count("\n") == 1, err
 
 
-TOLERANCE_FEASIBLE = ("ROADMAP item 3 (refutations that rest on proof, gap 1): the "
-                      "growth oracle keeps samples whose g value lies within 1e-9 of K")
-
-
-@pytest.mark.xfail(strict=True, reason=TOLERANCE_FEASIBLE)
 def test_growth_witnesses_on_the_cubic_document_are_feasible(tmp_path):
     # the feasible set is {0} = S, so every kappa holds
     doc = {"n": 2, "m": 2, "objective": "x2^2 - 2*x1",

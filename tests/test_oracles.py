@@ -405,6 +405,38 @@ def test_mscq_blocks_match_the_scalar_reference(block, monkeypatch):
     _assert_same(got, reference.mscq_modulus_estimate(p, p.xbar, d, 0.5, 0.1, 60, 42))
 
 
+def _pinv_steps(J, R):
+    return (np.linalg.pinv(J, rcond=1e-10) @ R[:, :, None])[:, :, 0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1))
+def test_one_row_step_is_the_pseudoinverse_step(seed):
+    rng = np.random.default_rng([seed, 53])
+    n = int(rng.integers(1, 6))
+    J = rng.normal(size=(16, 1, n)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(16, 1, 1))
+    R = rng.normal(size=(16, 1))
+    want = _pinv_steps(J, R)
+    got = oracles._gauss_newton_step(J, R)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.linalg.norm(want, axis=1)[:, None])
+
+
+def test_zero_row_step_is_zero():
+    J = np.array([[[0.0, 0.0]], [[0.0, 2.0]]])
+    with np.errstate(all="raise"):
+        step = oracles._gauss_newton_step(J, np.array([[-1.0], [-1.0]]))
+    assert np.array_equal(step, [[0.0, 0.0], [0.0, -0.5]])
+
+
+def test_two_row_pullback_keeps_the_stacked_pinv(monkeypatch):
+    p = second_example()
+    X = np.random.default_rng(59).uniform(-2.0, 2.0, size=(40, 1))
+    got = [oracles._gauss_newton_rows(p, X, iters) for iters in (1, 25)]
+    monkeypatch.setattr(oracles, "_gauss_newton_step", _pinv_steps)
+    for iters, Y in zip((1, 25), got):
+        assert _bits(Y) == _bits(oracles._gauss_newton_rows(p, X, iters))
+
+
 def _directional_probes(rng, n, d, rho, delta):
     """Rows z at 0, on the delta sphere, inside and outside it, and, for
     n >= 2 and rho <= 2, on the cone boundary || |d| z - |z| d || =
