@@ -119,16 +119,15 @@ def _report(verdict, kappa=None, witnesses=(), cq=None, diags=()):
                                dict(cq or {}), tuple(diags))
 
 
-def _kappa_bound(value: float, denom: float, d: np.ndarray) -> float:
+def _kappa_bound(value: float, denom: float) -> float:
     """value / denom, the largest kappa with kappa * denom <= value: every
     necessary form bounds kappa by this quotient of a curvature-minus-support
-    value and the denominator of ``_kappa_denominator``.  Both are
-    homogeneous of degree 2 in d, so both are compared against TOL |d|^2: a
+    value and the denominator of ``_kappa_denominator``.  Both are taken at
+    a unit direction (see ``_pair``), so both are compared against TOL: a
     vanishing denominator bounds nothing unless the value is negative."""
-    tol = TOL * float(d @ d)
-    if denom > tol:
+    if denom > TOL:
         return value / denom
-    return math.inf if value >= -tol else -math.inf
+    return math.inf if value >= -TOL else -math.inf
 
 
 def _kappa_verdict(kmax: float, wits, cq, diags, exact: bool = True):
@@ -583,17 +582,21 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     if dnote:
         diags.append(dnote)
     wits.append(_wit(part="ii", x=x, d=d, lam=lam_star, achieved=inf_val))
-    return _kappa_verdict(_kappa_bound(inf_val, denom, d), wits, cq, diags, exact)
+    return _kappa_verdict(_kappa_bound(inf_val, denom), wits, cq, diags, exact)
 
 
 def _pair(p: ProblemInstance, x, d, eps):
     """(x, d, eps) of one necessary check: x defaults to xbar and eps to the
-    instance's epsilon, and the direction is required."""
+    instance's epsilon, and the direction is required.  A direction longer
+    than TOL is scaled to unit length, since every form is homogeneous of
+    degree 2 in d but the tolerances of the layers below are absolute."""
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     if d is None:
         raise ModelError("a direction is required")
     eps = p.options.epsilon if eps is None else float(eps)
-    return x, np.asarray(d, dtype=float).ravel(), eps
+    d = np.asarray(d, dtype=float).ravel()
+    norm = float(np.linalg.norm(d))
+    return x, (d / norm if norm > TOL else d), eps
 
 
 def _implicit_hypotheses(p: ProblemInstance, x, d, eps, mode):
@@ -652,6 +655,22 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     which is exhaustive on polyhedral data; winners are replayed through a
     direct sigma-hat evaluation.  Objects are reused as in
     ``necessary_implicit_check``.
+
+    On ``fixtures/second_example.json`` (f = -x^2/2, g = (x^2, x), K the
+    union of the unit disks about (+-1, 0), S = {xbar} = {0}) and d = 1,
+    u = Dg(0) d = (0, 1) is tangent to both disks, so the outer set is
+    {w1 >= 1} u {w1 <= -1}.  Its Frechet normals are 0 inside and (s, 0)
+    with s <= 0 on w1 = 1, s >= 0 on w1 = -1, so sigma-hat, the lower
+    limit of inf{lam.w : w in T2, lam in N^_T2(w)}, is -|lam1| at
+    (lam1, 0) and +inf elsewhere.  The directional multipliers are
+    {(lam1, 0) : lam1 real} (Dg(0)^T lam = lam2 = -grad f(0) = 0, one sign
+    per disk), unbounded as the first row of Dg(0) vanishes.  Part (i)
+    holds at lam = 0; part (ii) asks sup of -1 + 2 lam1 + |lam1| >= 2 kappa,
+    and the sup is +inf as lam1 -> +inf.  So ``satisfied``, max_admissible
+    unbounded, is this form's true value at every scale of d (all terms
+    scale by t^2): it bounds no kappa here, while the implicit form reaches
+    the true -1/2.  Unscaled, d = 1e-5 puts the half-planes 2e-10 apart,
+    where the face complex's absolute margins lose a face (violated -1/2).
     """
     x, d, eps = _pair(p, x, d, eps)
     diags = ["explicit form is weaker than the implicit form: a satisfied "
@@ -696,7 +715,7 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
         sh2, _ = lower_gen_support_detail(T2, lam2)
         direct = qf + float(q @ lam2) - sh2
         wits.append(_wit(part="ii", x=x, d=d, lam=lam2, achieved=direct))
-    return _kappa_verdict(_kappa_bound(best, denom, d), wits, cq, diags)
+    return _kappa_verdict(_kappa_bound(best, denom), wits, cq, diags)
 
 
 def _k_side(p: ProblemInstance, x, d, kind: str, diags: list[str]):
@@ -961,7 +980,7 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
                 return _kappa_verdict(-math.inf, wits, cq, diags + [
                     "no multiplier is admissible for a vertex of the outer set"])
             val = qf + best
-            kmax = min(kmax, _kappa_bound(val, denom, d))
+            kmax = min(kmax, _kappa_bound(val, denom))
             wits.append(_wit(part="ii", x=x, d=d, w=v, lam=best_lam,
                              achieved=val))
     return _kappa_verdict(kmax, wits[:12], cq, diags)
@@ -986,7 +1005,7 @@ def _clarke_nondegenerate(x, d, lamreg, Tpp, T2, qf, q, denom, cq, diags):
         return _vacuous_outer(wits, cq, diags)
     val = qf + float(q @ lam0) - T2.support(lam0)
     wits.append(_wit(part="ii", x=x, d=d, lam=lam0, achieved=val))
-    return _kappa_verdict(_kappa_bound(val, denom, d), wits, cq, diags)
+    return _kappa_verdict(_kappa_bound(val, denom), wits, cq, diags)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ From a source checkout, run ``PYTHONPATH=src python -m sharpcheck ...``;
 an installed package also provides the ``sharpcheck`` script.
 
 Exit codes: 0 certified or satisfied, 1 violated or rejected, 2
-inconclusive or hypotheses-not-met, 3 input error.  A numerical or
-capacity failure inside the library (LP, region, tangent or oracle error,
-such as a problem above the dimension cap, or a floating-point overflow) is
-reported on stderr and exits 2, since it decides nothing.  Machine reports
+inconclusive or hypotheses-not-met, 3 input error.  check-necessary takes
+a --direction d as d/|d|, which its witnesses carry: every necessary form
+is homogeneous of degree 2 in d.  A numerical or capacity failure inside
+the library (LP, region, tangent or oracle error, such as a problem above
+the dimension cap, or a floating-point overflow) is reported on stderr
+and exits 2, since it decides nothing.  Machine reports
 (format 3) are canonical JSON (sorted members, 17-significant-digit floats,
 LF endings); reruns with the same seed match byte for byte outside the two
 time members runtime_seconds and generated_at.
@@ -189,7 +191,7 @@ def _build_set(ctor, where):
     raise DocumentError(f"{where}: unknown set kind {kind!r}")
 
 
-def _build_options(obj):
+def _build_options(obj, flags):
     if not isinstance(obj, dict):
         raise DocumentError("options: expected an object")
     _reject_unknown(obj, ("epsilon", "delta", "rho", "seed", "kappa"), "options")
@@ -201,6 +203,9 @@ def _build_options(obj):
         if not isinstance(obj["seed"], int) or isinstance(obj["seed"], bool):
             raise DocumentError("options.seed: expected an integer")
         kw["seed"] = obj["seed"]
+    for key in ("epsilon", "delta", "rho", "kappa", "seed"):
+        if getattr(flags, key, None) is not None:
+            kw[key] = getattr(flags, key)
     try:
         return Options(**kw)
     except ModelError as ex:
@@ -210,12 +215,12 @@ def _build_options(obj):
 @dataclasses.dataclass(frozen=True)
 class LoadedProblem:
     instance: ProblemInstance
-    document: dict
     digest: str
     warnings: tuple
 
 
-def _load(path) -> LoadedProblem:
+def _load(path, flags=None) -> LoadedProblem:
+    """The document's instance, under its options as the flags override them."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -248,7 +253,7 @@ def _load(path) -> LoadedProblem:
         raise DocumentError(f"{path}: {ex}") from None
     K = _build_set(doc["K"], f"{path}: K")
     S = _build_set(doc["S"], f"{path}: S")
-    options = _build_options(doc.get("options", {}))
+    options = _build_options(doc.get("options", {}), flags)
     try:
         inst = ProblemInstance(n, m, f, g, K, S, _vecf(doc["xbar"], "xbar"),
                                options=options)
@@ -257,7 +262,7 @@ def _load(path) -> LoadedProblem:
             raise DocumentError(f"{path}: candidate infeasible: {ex}") from None
         raise DocumentError(f"{path}: {ex}") from None
     digest = "sha256:" + hashlib.sha256(canonical_bytes(doc)).hexdigest()
-    return LoadedProblem(inst, doc, digest, _reference_warnings(inst))
+    return LoadedProblem(inst, digest, _reference_warnings(inst))
 
 
 def _reference_warnings(inst: ProblemInstance) -> tuple:
@@ -399,22 +404,6 @@ def _parse_vec(text, n, name):
     return vals
 
 
-def _with_overrides(p: ProblemInstance, flags) -> ProblemInstance:
-    updates = {}
-    for attr, key in (("epsilon", "eps"), ("delta", "delta"), ("rho", "rho"),
-                      ("kappa", "kappa"), ("seed", "seed")):
-        val = getattr(flags, key, None)
-        if val is not None:
-            updates[attr] = val
-    if not updates:
-        return p
-    try:
-        options = dataclasses.replace(p.options, **updates)
-    except ModelError as ex:
-        raise DocumentError(str(ex)) from None
-    return dataclasses.replace(p, options=options)
-
-
 def _from_report(report):
     doc = report.to_json()
     return doc, EXIT_BY_VERDICT[report.verdict]
@@ -456,20 +445,19 @@ def _run_check_necessary(p, flags):
         raise DocumentError("--mode tangent-distance applies only to "
                             "--form implicit")
     d = _parse_vec(flags.direction, p.n, "--direction")
-    eps = p.options.epsilon
     if d is None:
         mode = SWEEP_MODE.get((flags.form, flags.mode))
         if mode is None:
             raise DocumentError("the nondegenerate form needs an explicit "
                                 "--direction")
-        return _from_report(sweep_necessary(p, eps=eps, mode=mode))
+        return _from_report(sweep_necessary(p, mode=mode))
     if flags.form == "implicit":
         mode = "tangent_distance" if flags.mode == "tangent-distance" else "proximal"
-        return _from_report(necessary_implicit_check(p, d=d, eps=eps, mode=mode))
+        return _from_report(necessary_implicit_check(p, d=d, mode=mode))
     if flags.form == "explicit":
-        return _from_report(necessary_explicit_check(p, None, d, eps))
+        return _from_report(necessary_explicit_check(p, d=d))
     mode = "nondegenerate" if flags.form == "nondegenerate" else "elementwise"
-    return _from_report(necessary_clarke_check(p, None, d, eps, mode=mode))
+    return _from_report(necessary_clarke_check(p, d=d, mode=mode))
 
 
 def _run_check_sufficient(p, flags):
@@ -586,7 +574,7 @@ def _build_parser():
         sp.add_argument("problem", help="problem document (JSON)")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--delta", type=float, default=None)
-        sp.add_argument("--eps", type=float, default=None)
+        sp.add_argument("--eps", dest="epsilon", type=float, default=None)
         sp.add_argument("--rho", type=float, default=None)
         sp.add_argument("--kappa", type=float, default=None)
 
@@ -602,7 +590,9 @@ def _build_parser():
                                        "nondegenerate"), default="implicit")
     sp.add_argument("--mode", choices=("proximal", "tangent-distance"),
                     default="proximal")
-    sp.add_argument("--direction", default=None)
+    sp.add_argument("--direction", default=None,
+                    help="direction d, comma-separated; checked and reported "
+                         "in the witnesses as d/|d| (default: a sweep)")
 
     sp = sub.add_parser("check-sufficient", help="sufficient condition checks")
     common(sp)
@@ -636,10 +626,10 @@ def main(argv=None) -> int:
     try:
         # an overflow would otherwise warn and carry inf into the verdict
         with np.errstate(over="raise"):
-            loaded = _load(args.problem)
-            p = _with_overrides(loaded.instance, args)
-            doc, code = run_command(p, args.command, args, digest=loaded.digest,
-                                    echo=argv, warnings=loaded.warnings)
+            loaded = _load(args.problem, args)
+            doc, code = run_command(loaded.instance, args.command, args,
+                                    digest=loaded.digest, echo=argv,
+                                    warnings=loaded.warnings)
     except (DocumentError, ModelError, SetError) as ex:
         sys.stderr.write(f"sharpcheck: {ex}\n")
         return 3

@@ -218,37 +218,31 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     row_sign = np.where(neg, -1.0, 1.0)
 
     # Phase 1 with one artificial per row.
-    Mext = np.hstack([M, np.eye(m)]) if m else M.reshape(0, ncols)
+    Mext = np.hstack([M, np.eye(m)])
     c1 = np.zeros(ncols + m)
     c1[ncols:] = -1.0
     basis = list(range(ncols, ncols + m))
     status, basis, xB, _ = _simplex(Mext, rhs, c1, basis, blocked=())
     if status != "optimal":  # pragma: no cover - phase 1 is always bounded
         raise LpNumericalError("phase 1 did not terminate at an optimum")
-    art_sum = float(np.sum(xB[np.asarray(basis, dtype=int) >= ncols])) if m else 0.0
+    art_sum = float(np.sum(xB[np.asarray(basis, dtype=int) >= ncols]))
     if art_sum > 1e-7:
         return LpOutcome(status="infeasible")
 
     # Drive remaining artificials out of the basis; drop redundant rows.
     Mext, rhs, basis, keep = _purge_artificials(Mext, rhs, basis, ncols)
-    Mred = Mext[:, :ncols]
     blocked = frozenset(range(ncols, ncols + m))
 
     c2 = np.zeros(ncols + m)
     c2[:n] = c
     c2[n:nfree] = -c
     status, basis, xB, extra = _simplex(Mext, rhs, c2, basis, blocked=blocked)
-    if status == "unbounded":
-        zray = extra
-        ray = zray[:n] - zray[n:nfree]
-        zpt = np.zeros(ncols + m)
-        zpt[basis] = xB
-        point = zpt[:n] - zpt[n:nfree]
-        return LpOutcome(status="unbounded", point=point, ray=ray)
-
     zpt = np.zeros(ncols + m)
     zpt[basis] = xB
     x = zpt[:n] - zpt[n:nfree]
+    if status == "unbounded":
+        return LpOutcome(status="unbounded", point=x, ray=extra[:n] - extra[n:nfree])
+
     value = float(c @ x)
     if not math.isfinite(value):
         raise LpNumericalError(f"non-finite optimal value {value}")
@@ -256,18 +250,12 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     # Duals from the final basis, mapped back through row drops and flips.
     dual_ineq = np.zeros(k)
     dual_eq = np.zeros(l)
-    if len(basis):
-        B = Mext[:, basis]
-        try:
-            y = np.linalg.solve(B.T, c2[np.asarray(basis, dtype=int)])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise LpNumericalError(f"singular final basis: {exc}") from exc
-        for pos, orig in enumerate(keep):
-            yv = row_sign[orig] * y[pos]
-            if orig < k:
-                dual_ineq[orig] = yv
-            else:
-                dual_eq[orig - k] = yv
+    for pos, orig in enumerate(keep):
+        yv = row_sign[orig] * extra[pos]
+        if orig < k:
+            dual_ineq[orig] = yv
+        else:
+            dual_eq[orig - k] = yv
 
     _check_primal(lp, x)
     return LpOutcome(status="optimal", value=value, point=x,
@@ -308,10 +296,12 @@ def _purge_artificials(Mext, rhs, basis, ncols):
 
 def _simplex(M, rhs, c, basis, blocked):
     """Maximize c @ z over {z >= 0 : M z = rhs} starting from the given basis.
-    Returns (status, basis, xB, ray_or_none).  Bland's rule throughout."""
+    Returns (status, basis, xB, ray_or_y): the ray when unbounded, else the
+    duals y with B^T y = c_B at the optimal basis B.  Bland's rule
+    throughout."""
     m = M.shape[0]
     if m == 0:
-        return "optimal", basis, np.zeros(0), None
+        return "optimal", basis, np.zeros(0), np.zeros(0)
     basis = list(basis)
     for _ in range(MAX_PIVOTS):
         B = M[:, basis]
@@ -329,7 +319,7 @@ def _simplex(M, rhs, c, basis, blocked):
                 entering = j
                 break
         if entering < 0:
-            return "optimal", basis, xB, None
+            return "optimal", basis, xB, y
         d = np.linalg.solve(B, M[:, entering])
         pos = d > PIVOT_TOL
         if not np.any(pos):

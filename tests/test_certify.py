@@ -32,7 +32,7 @@ from sharpcheck.certify import (
     sufficient_point_check,
     sweep_necessary,
 )
-from sharpcheck.cli import load_problem
+from sharpcheck.cli import canonical_bytes, load_problem
 from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.oracles import growth_constant_estimate, membership_by_definition
 from sharpcheck.polyexpr import ProblemInstance, parse_expression
@@ -271,7 +271,8 @@ def test_necessary_implicit_tangent_distance_mode():
                                  mode="tangent_distance")
     assert r.verdict == "satisfied"
     assert r.kappa_bounds["max_admissible"] == pytest.approx(1.0, abs=1e-6)
-    assert any("dist(d, T_S(x)) = 1" in dgn for dgn in r.diagnostics)
+    # the check runs on d/|d| = (1, 1)/sqrt(2)
+    assert any("dist(d, T_S(x)) = 0.707106781187" in dgn for dgn in r.diagnostics)
 
 
 def test_necessary_implicit_second_example_rejects():
@@ -529,6 +530,46 @@ def test_sweep_bytes_do_not_depend_on_earlier_sweeps():
         alone = report_bytes(load_problem(FIXTURES / "first_example.json"), mode)
         report_bytes(half, mode)
         assert report_bytes(load_problem(FIXTURES / "first_example.json"), mode) == alone
+
+
+NECESSARY_CHECKS = {
+    "implicit-proximal": functools.partial(necessary_implicit_check, mode="proximal"),
+    "implicit-tangent": functools.partial(necessary_implicit_check,
+                                          mode="tangent_distance"),
+    "explicit": necessary_explicit_check,
+    "clarke": functools.partial(necessary_clarke_check, mode="elementwise"),
+    "nondegenerate": functools.partial(necessary_clarke_check, mode="nondegenerate"),
+}
+SCALED_DIRECTIONS = [("first_example", (-1.0, 0.3)), ("first_example", (0.0, 1.0)),
+                     ("parabola", (1.0, 0.0)), ("second_example", (1.0,)),
+                     ("lifted_n3", (1.0, 0.5, 0.0)),
+                     ("halfspace_n4", (-0.5, 0.2, 0.3, 0.1))]
+
+
+@pytest.mark.parametrize("name,d", SCALED_DIRECTIONS,
+                         ids=[f"{n}-{','.join(map(str, d))}" for n, d in SCALED_DIRECTIONS])
+@pytest.mark.parametrize("form", list(NECESSARY_CHECKS))
+def test_necessary_reports_do_not_depend_on_the_direction_scale(form, name, d):
+    # every necessary form is homogeneous of degree 2 in d, and each check
+    # runs on d/|d|
+    p = load_problem(FIXTURES / f"{name}.json")
+    check = NECESSARY_CHECKS[form]
+    d = np.asarray(d)
+    ref = check(p, d=d)
+    ref_bytes = canonical_bytes(ref.to_json())
+    for k in (-20, -10, 0, 10):
+        # a power of two scales |d| exactly, so d/|d| does not move
+        assert canonical_bytes(check(p, d=2.0 ** k * d).to_json()) == ref_bytes, k
+    want = ref.kappa_bounds.get("max_admissible")
+    for s in (1e-5, 1e-3):
+        # a decimal scale rounds d/|d| in the last bit
+        got = check(p, d=s * d)
+        assert got.verdict == ref.verdict, s
+        bound = got.kappa_bounds.get("max_admissible")
+        if want is not None and math.isfinite(want):
+            assert bound == pytest.approx(want, rel=1e-12, abs=0.0), s
+        else:   # None, an infinite bound or nan: the same value
+            assert repr(bound) == repr(want), s
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.2])

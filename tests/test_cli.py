@@ -483,6 +483,30 @@ def test_reference_point_leaving_the_feasible_set_is_a_diagnostic(tmp_path):
         "warning: a sampled reference point leaves the feasible set near [0.922981]")
 
 
+def test_reference_probes_use_the_seed_flag(tmp_path):
+    # the document's seed 0 fails the instance's probe; the run's seed 6
+    # passes it, and the run is probed only under its own options
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(_interval_document(0.9, 0)))
+    code, report = run_machine(["verify-growth", str(path), "--count", "200",
+                                "--seed", "6"])
+    assert code in (0, 1, 2)
+    assert json.loads(report)["diagnostics"][-1] == (
+        "warning: a sampled reference point leaves the feasible set near [0.922981]")
+
+
+def test_a_reference_probe_failing_under_the_seed_flag_names_the_document(tmp_path,
+                                                                          capsys):
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(_interval_document(0.9, 6)))
+    code = cli.main(["verify-growth", str(path), "--count", "200", "--seed", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith(f"sharpcheck: {path}: reference set is not "
+                                   "contained in the feasible set")
+    assert captured.err.count("\n") == 1
+
+
 _SINGLETON_COMMANDS = (
     *(["check-necessary", "--form", "implicit", "--mode", mode]
       for mode in ("proximal", "tangent-distance")),
@@ -534,11 +558,6 @@ def test_singleton_reference_set_builds_no_generator(monkeypatch):
     assert certify.sufficient_isolated_check(lifted).verdict == "inconclusive"
 
 
-EXPLICIT_SCALE = ("the explicit form is scale-dependent on fixtures/second_example.json "
-                  "(CHANGES.md FOUND: line 'the explicit form stays scale-dependent')")
-
-
-@pytest.mark.xfail(strict=True, reason=EXPLICIT_SCALE)
 def test_explicit_bounds_on_second_example_do_not_depend_on_the_direction_scale(
         monkeypatch):
     monkeypatch.chdir(ROOT)

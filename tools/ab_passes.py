@@ -14,15 +14,19 @@ with the order flipped every pair.  A pass runs the workload's job list
 once through ``cli.main`` and is timed in process CPU seconds, which a
 shared host's scheduling disturbs less than the wall clock.
 
-For each workload it prints each tree's median and 25th-percentile CPU
-seconds per pass; each tree's median and tail CPU milliseconds per check
-over all timed passes, the tail being ``perfbench/run.py``'s (the highest
-percentile with ten samples beyond it); the median over the pairs of
+For each workload it prints each tree's median, 25th- and 75th-percentile
+CPU seconds per pass; each tree's median and tail CPU milliseconds per
+check over all timed passes, the tail being ``perfbench/run.py``'s (the
+highest percentile with ten samples beyond it); the median over the pairs of
 HEAD's pass over BASE's; whether every job's normalised report
 (``runtime_seconds`` and ``generated_at`` blanked) is the same on both
-trees in every pass; and in how many pairs HEAD's per-check median and
-HEAD's pass fell below BASE's, a tie counting for neither.  It exits 0
-whatever it finds, like ``report_digests.py --compare``.
+trees in every pass; in how many pairs HEAD's per-check median and
+HEAD's pass fell below BASE's, a tie counting for neither; and last the
+three numbers the benchmark's acceptance rule compares for a claimed gain
+(better in at least 9 of 10 pairs, by a median gap above BASE's
+interquartile range): BASE's median pass minus HEAD's, BASE's p75 minus
+p25, and HEAD's pass wins.  It exits 0 whatever it finds, like
+``report_digests.py --compare``.
 """
 from __future__ import annotations
 
@@ -59,6 +63,15 @@ def load_cli(root: Path, name: str):
     package = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(package)
     return importlib.import_module(f"{name}.cli")
+
+
+def quartiles(t: list[float]) -> tuple[float, float]:
+    """The 25th and 75th percentiles of t (inclusive method); a single
+    value is both."""
+    if len(t) < 2:
+        return t[0], t[0]
+    q = statistics.quantiles(t, n=4, method="inclusive")
+    return q[0], q[2]
 
 
 def run_pass(cli, jobs, paths, normalized) -> tuple[list[float], list[bytes]]:
@@ -150,10 +163,9 @@ def main(argv=None) -> int:
                       f"{got['jobs']} jobs, process CPU seconds per pass")
                 for side, root in (("base", args.base), ("head", args.head)):
                     t = got[side]
-                    p25 = statistics.quantiles(t, n=4, method="inclusive")[0] \
-                        if len(t) > 1 else t[0]
+                    p25, p75 = quartiles(t)
                     print(f"  {side}: median {statistics.median(t):.4f} s, "
-                          f"p25 {p25:.4f} s  ({root})")
+                          f"p25 {p25:.4f} s, p75 {p75:.4f} s  ({root})")
                     c = got[f"{side}_checks"]
                     value, pct = tail(c)
                     print(f"  {side} per check: median {1e3 * statistics.median(c):.3f} ms, "
@@ -167,6 +179,10 @@ def main(argv=None) -> int:
                     print(f"  normalised reports identical in all {got['jobs']} jobs")
                 print(f"  head below base: per-check median in {got['check_wins']} of "
                       f"{args.pairs} pairs, pass in {got['pass_wins']} of {args.pairs} pairs")
+                gap = statistics.median(got["base"]) - statistics.median(got["head"])
+                p25, p75 = quartiles(got["base"])
+                print(f"  median gap (base - head) {gap:+.4f} s, base IQR {p75 - p25:.4f} s, "
+                      f"head wins {got['pass_wins']} of {args.pairs} pairs")
         finally:
             os.chdir(cwd)
     return 0
