@@ -518,7 +518,6 @@ def _min_value_over_affine(region: Region, aff: MultiplierAffineSet,
 
 @_lp.reuse_scope()
 def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
-                             eps: float | None = None,
                              mode: str = "proximal") -> CertificationReport:
     """Necessary conditions phrased on the feasible set itself.
 
@@ -535,10 +534,10 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     """
     if mode not in ("proximal", "tangent_distance"):
         raise ModelError(f"unknown implicit mode {mode!r}")
-    x, d, eps = _pair(p, x, d, eps)
+    x, d = _pair(p, x, d)
     diags: list[str] = []
 
-    pre = _implicit_hypotheses(p, x, d, eps, mode)
+    pre = _implicit_hypotheses(p, x, d, mode)
     if pre is not None:
         return pre
 
@@ -578,29 +577,29 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     inf_val, lam_star, notes2 = _min_value_over_affine(T2, aff, J.T, qf)
     diags.extend(notes2)
 
-    denom, dnote = _kappa_denominator(p, x, d, eps, mode)
+    denom, dnote = _kappa_denominator(p, x, d, mode)
     if dnote:
         diags.append(dnote)
     wits.append(_wit(part="ii", x=x, d=d, lam=lam_star, achieved=inf_val))
     return _kappa_verdict(_kappa_bound(inf_val, denom), wits, cq, diags, exact)
 
 
-def _pair(p: ProblemInstance, x, d, eps):
-    """(x, d, eps) of one necessary check: x defaults to xbar and eps to the
-    instance's epsilon, and the direction is required.  A direction longer
-    than TOL is scaled to unit length, since every form is homogeneous of
-    degree 2 in d but the tolerances of the layers below are absolute."""
+def _pair(p: ProblemInstance, x, d):
+    """(x, d) of one necessary check: x defaults to xbar, and the direction
+    is required.  A direction longer than TOL is scaled to unit length,
+    since every form is homogeneous of degree 2 in d but the tolerances of
+    the layers below are absolute."""
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     if d is None:
         raise ModelError("a direction is required")
-    eps = p.options.epsilon if eps is None else float(eps)
     d = np.asarray(d, dtype=float).ravel()
     norm = float(np.linalg.norm(d))
-    return x, (d / norm if norm > TOL else d), eps
+    return x, (d / norm if norm > TOL else d)
 
 
-def _implicit_hypotheses(p: ProblemInstance, x, d, eps, mode):
-    """None when all preconditions hold, else a hypotheses-not-met report."""
+def _implicit_hypotheses(p: ProblemInstance, x, d, mode):
+    """None when all preconditions hold, else a hypotheses-not-met report;
+    proximal mode reads eps from the instance's options."""
     if np.linalg.norm(d) <= TOL:
         return _report("hypotheses-not-met", diags=["zero direction"])
     if not p.S.contains(x, tol=1e-7):
@@ -612,7 +611,7 @@ def _implicit_hypotheses(p: ProblemInstance, x, d, eps, mode):
     if not critical_cone(p, x).contains(d, tol=1e-7):
         return _report("hypotheses-not-met",
                        diags=["direction is not in the critical cone"])
-    if mode == "proximal" and not eps_proximal_membership(p.S, x, d, eps):
+    if mode == "proximal" and not eps_proximal_membership(p.S, x, d, p.options.epsilon):
         return _report("hypotheses-not-met",
                        diags=["direction is not an eps-proximal normal "
                               "to the reference set"])
@@ -627,11 +626,12 @@ def _reference_tangent(p: ProblemInstance, x) -> Region:
     return Region(t.cells, t.notes, t.dim)
 
 
-def _kappa_denominator(p: ProblemInstance, x, d, eps, mode):
+def _kappa_denominator(p: ProblemInstance, x, d, mode):
     """The denominator of the kappa quotient, with a note on how it was read:
-    2 (1-2 eps)^2 |d|^2 in proximal mode, 2 dist(d, T_S(x))^2 otherwise."""
+    2 (1-2 eps)^2 |d|^2 in proximal mode, eps being the instance's epsilon,
+    and 2 dist(d, T_S(x))^2 otherwise."""
     if mode == "proximal":
-        return 2.0 * (1.0 - 2.0 * eps) ** 2 * float(d @ d), ""
+        return 2.0 * (1.0 - 2.0 * p.options.epsilon) ** 2 * float(d @ d), ""
     dv, _ = _reference_tangent(p, x).distance(d)
     return 2.0 * dv * dv, f"dist(d, T_S(x)) = {dv:.12g}"
 
@@ -642,8 +642,7 @@ def _kappa_denominator(p: ProblemInstance, x, d, eps, mode):
 
 
 @_lp.reuse_scope()
-def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
-                             eps: float | None = None) -> CertificationReport:
+def necessary_explicit_check(p: ProblemInstance, x=None, d=None) -> CertificationReport:
     """Necessary conditions phrased on K through the lower generalized
     support function.
 
@@ -672,11 +671,11 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     the true -1/2.  Unscaled, d = 1e-5 puts the half-planes 2e-10 apart,
     where the face complex's absolute margins lose a face (violated -1/2).
     """
-    x, d, eps = _pair(p, x, d, eps)
+    x, d = _pair(p, x, d)
     diags = ["explicit form is weaker than the implicit form: a satisfied "
              "verdict here does not preclude an implicit rejection"]
 
-    pre = _implicit_hypotheses(p, x, d, eps, "proximal")
+    pre = _implicit_hypotheses(p, x, d, "proximal")
     if pre is not None:
         return pre
     ok, method, notes = certify_mscq(p, x, d)
@@ -709,7 +708,7 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None,
     diags.extend(notes2)
     if any("boundary-inconclusive" in n for n in notes2):
         return _report("inconclusive", {"max_admissible": math.nan}, wits, cq, diags)
-    denom, _ = _kappa_denominator(p, x, d, eps, "proximal")
+    denom, _ = _kappa_denominator(p, x, d, "proximal")
     if lam2 is not None:
         # record a directly replayable value for the witness multiplier
         sh2, _ = lower_gen_support_detail(T2, lam2)
@@ -837,7 +836,6 @@ def _max_explicit_value(lamreg: Region, T2: Region, qf: float, q: np.ndarray):
 
 @_lp.reuse_scope()
 def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
-                           eps: float | None = None,
                            mode: str = "elementwise") -> CertificationReport:
     """Necessary conditions over the Clarke multiplier set, under the
     directional Robinson qualification.
@@ -852,10 +850,10 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     """
     if mode not in ("elementwise", "nondegenerate"):
         raise ModelError(f"unknown clarke mode {mode!r}")
-    x, d, eps = _pair(p, x, d, eps)
+    x, d = _pair(p, x, d)
     diags: list[str] = []
 
-    pre = _implicit_hypotheses(p, x, d, eps, "proximal")
+    pre = _implicit_hypotheses(p, x, d, "proximal")
     if pre is not None:
         return pre
     rcq = constraint_qualification_check(p, x, d, "DirRCQ")
@@ -880,7 +878,7 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     except TangentError as exc:
         return _report("hypotheses-not-met", cq=cq, diags=diags + [str(exc)])
     qf, q = qfn(d), qgn(d)
-    denom, _ = _kappa_denominator(p, x, d, eps, "proximal")
+    denom, _ = _kappa_denominator(p, x, d, "proximal")
 
     if mode == "nondegenerate":
         return _clarke_nondegenerate(x, d, lamreg, Tpp, T2, qf, q, denom, cq,
@@ -1114,8 +1112,7 @@ def _growth_gate(p: ProblemInstance, kappa: float, diags: list[str],
 
 
 @_lp.reuse_scope()
-def sufficient_point_check(p: ProblemInstance,
-                           kappa: float | None = None) -> CertificationReport:
+def sufficient_point_check(p: ProblemInstance) -> CertificationReport:
     """Certify a growth constant from per-direction multiplier conditions.
 
     Every object is built at xbar, with no uniform approximation of the
@@ -1129,11 +1126,12 @@ def sufficient_point_check(p: ProblemInstance,
     threshold is 2 kappa |d|^2, not the stated form kappa |d|^2: the factor
     two is what the limiting argument in the growth proof divides out to.
     The hypothesis that f is constant on S near xbar is tested on one row
-    batch of samples.  Certificates are replayed through the growth oracle
-    before issue.
+    batch of samples.  Every certificate is replayed through the growth
+    oracle before it is returned.  The constant is ``p.options.kappa``,
+    which must be set.
     """
-    kappa = p.options.kappa if kappa is None else float(kappa)
-    if kappa is None or kappa <= 0.0:
+    kappa = p.options.kappa
+    if kappa is None:
         raise ModelError("a positive kappa is required")
     diags: list[str] = []
     x = p.xbar
@@ -1193,8 +1191,7 @@ def sufficient_point_check(p: ProblemInstance,
 
 
 @_lp.reuse_scope()
-def sufficient_isolated_check(p: ProblemInstance,
-                              kappa: float | None = None) -> CertificationReport:
+def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
     """Certify that xbar is an isolated second-order sharp minimizer.
 
     Requires xbar isolated in S and no linearized descent direction; then
@@ -1204,13 +1201,13 @@ def sufficient_isolated_check(p: ProblemInstance,
     both conditions are linear in the multiplier once the per-direction
     generators are enumerated.
 
-    The requested constant (``p.options.kappa`` when kappa is omitted) goes
-    into ``kappa_bounds``, and a request above the certified constant makes
+    The requested constant ``p.options.kappa``, when set, goes into
+    ``kappa_bounds``, and a request above the certified constant makes
     the report inconclusive.  The mesh can miss a critical cone of lower
     dimension, so an empty critical mesh certifies the requested constant
     only, and nothing without a request.
     """
-    requested = p.options.kappa if kappa is None else float(kappa)
+    requested = p.options.kappa
     x = p.xbar
     diags: list[str] = []
     for s in p.S.sample_near(x, 1e-3, seed_for(p.options.seed, 15), 60):
@@ -1277,35 +1274,37 @@ def sufficient_isolated_check(p: ProblemInstance,
 
 
 @_lp.reuse_scope()
-def sweep_necessary(p: ProblemInstance, eps: float | None = None,
+def sweep_necessary(p: ProblemInstance,
                     mode: str = "implicit-proximal") -> CertificationReport:
     """Run a necessary checker over mesh points of S near xbar and all
     admissible mesh directions, and aggregate.
 
+    At each base point x the admissible directions are the mesh points in
+    the critical cone.  Every form but implicit-tangent requires d to be an
+    eps-proximal normal to S at x (eps = ``p.options.epsilon``), so those
+    forms screen the admissible directions with one ``eps_proximal_filter``
+    call first.  The sweep then strides what is left, with step
+    max(1, count // 48), and runs the checker on each direction it keeps.  A point left with no
+    direction is counted as having none admissible, and the reported pair
+    count is the number of checks run.
+
     Aggregation: any violation wins (with its witnesses); otherwise any
-    inconclusive; otherwise satisfied with the smallest per-check kappa
-    bound.  Points contributing no admissible directions are counted and
-    reported, never silently dropped.
+    inconclusive; otherwise hypotheses-not-met when no check met the form's
+    hypotheses, with the first such check's CQ status and diagnostics;
+    otherwise satisfied with the smallest per-check kappa bound, saying how
+    many checks missed their hypotheses.
 
     The whole sweep runs in one ``lp.reuse_scope``, which the per-pair
     checkers join, so each object of the memo kinds listed in the ``lp``
     module docstring is built once per sweep: the per-point objects once
     per base point x, and the K-side cones at g(x) once for all directions
     at x.  A constraint qualification at a point where Dg(x) has full row
-    rank holds without an LP.  The base points are deduplicated by one row-norm call per
-    sample against all points kept so far.
-
-    The explicit and clarke forms require d to be an eps-proximal normal
-    to S at x.  The sweep screens the directions chosen at each x with one
-    ``eps_proximal_filter`` call and runs the checker on those that pass
-    only: on the others it would return ``hypotheses-not-met`` without
-    bounds or witnesses, which the aggregation ignores.  The reported pair
-    count includes the screened pairs.
+    rank holds without an LP.  The base points are deduplicated by one
+    row-norm call per sample against all points kept so far.
     """
     kinds = ("implicit-proximal", "implicit-tangent", "explicit", "clarke")
     if mode not in kinds:
         raise ModelError(f"unknown sweep mode {mode!r}")
-    eps = p.options.epsilon if eps is None else float(eps)
     xs = [p.xbar]
     for s in p.S.sample_near(p.xbar, p.options.delta, seed_for(p.options.seed, 17), 120):
         if (_row_norms(s - np.asarray(xs)) > 1e-7).all():
@@ -1316,53 +1315,47 @@ def sweep_necessary(p: ProblemInstance, eps: float | None = None,
 
     def run(x, dd):
         if mode == "implicit-proximal":
-            return necessary_implicit_check(p, x, dd, eps, "proximal")
+            return necessary_implicit_check(p, x, dd, mode="proximal")
         if mode == "implicit-tangent":
-            return necessary_implicit_check(p, x, dd, eps, "tangent_distance")
+            return necessary_implicit_check(p, x, dd, mode="tangent_distance")
         if mode == "explicit":
-            return necessary_explicit_check(p, x, dd, eps)
-        return necessary_clarke_check(p, x, dd, eps)
+            return necessary_explicit_check(p, x, dd)
+        return necessary_clarke_check(p, x, dd)
 
-    tasks = []
-    pairs = 0
+    reports = []
     vacuous = 0
     for x in xs:
         admissible = mesh[critical_cone(p, x).contains_rows(mesh, 1e-7)]
-        if mode == "implicit-proximal":
-            admissible = eps_proximal_filter(p.S, x, admissible, eps)
+        if mode != "implicit-tangent":
+            admissible = eps_proximal_filter(p.S, x, admissible, p.options.epsilon)
         if len(admissible) == 0:
             vacuous += 1
             continue
-        step = max(1, len(admissible) // 48)
-        chosen = admissible[::step]
-        pairs += len(chosen)
-        if mode in ("explicit", "clarke"):
-            chosen = eps_proximal_filter(p.S, x, chosen, eps)
-        tasks.extend((x, dd) for dd in chosen)
-    reports = [run(x, dd) for x, dd in tasks]
-    diags = [f"sweep over {len(xs)} base points, {pairs} (x, d) pairs; "
+        reports.extend(run(x, dd) for dd in admissible[::max(1, len(admissible) // 48)])
+    diags = [f"sweep over {len(xs)} base points, {len(reports)} (x, d) pairs; "
              f"{vacuous} points had no admissible direction"]
-    if not pairs:
+    if not reports:
         return _report("satisfied", {"max_admissible": math.inf}, cq={},
                        diags=diags + ["conditions hold vacuously"])
-    kmax = math.inf
-    wits = []
-    worst = None
-    n_inconclusive = 0
-    for rep in reports:
-        if rep.verdict == "violated" and worst is None:
-            worst = rep
-        if rep.verdict == "inconclusive":
-            n_inconclusive += 1
-        b = rep.kappa_bounds.get("max_admissible")
-        if isinstance(b, (int, float)) and not (isinstance(b, float) and math.isnan(b)):
-            kmax = min(kmax, float(b))
-        wits.extend(rep.witnesses[:1])
-    if worst is not None:
+    verdicts = [rep.verdict for rep in reports]
+    bounds = [rep.kappa_bounds.get("max_admissible") for rep in reports]
+    kmax = min((float(b) for b in bounds
+                if isinstance(b, (int, float)) and not math.isnan(b)), default=math.inf)
+    wits = [w for rep in reports for w in rep.witnesses[:1]][:6]
+    if "violated" in verdicts:
+        worst = reports[verdicts.index("violated")]
         return _report("violated", {"max_admissible": kmax},
                        worst.witnesses, worst.cq_status,
                        diags + list(worst.diagnostics))
-    if n_inconclusive:
-        return _report("inconclusive", {"max_admissible": kmax}, wits[:6], {},
-                       diags + [f"{n_inconclusive} checks were inconclusive"])
-    return _report("satisfied", {"max_admissible": kmax}, wits[:6], {}, diags)
+    unsure = verdicts.count("inconclusive")
+    if unsure:
+        return _report("inconclusive", {"max_admissible": kmax}, wits, {},
+                       diags + [f"{unsure} checks were inconclusive"])
+    missed = verdicts.count("hypotheses-not-met")
+    if missed == len(reports):
+        return _report("hypotheses-not-met", cq=reports[0].cq_status,
+                       diags=diags + [f"no (x, d) pair met the hypotheses of the "
+                                      f"{mode} form"] + list(reports[0].diagnostics))
+    if missed:
+        diags.append(f"{missed} checks did not meet the form's hypotheses")
+    return _report("satisfied", {"max_admissible": kmax}, wits, {}, diags)

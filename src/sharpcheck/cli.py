@@ -462,7 +462,7 @@ def _run_check_necessary(p, flags):
 
 def _run_check_sufficient(p, flags):
     check = sufficient_point_check if flags.mode == "point" else sufficient_isolated_check
-    return _from_report(check(p, kappa=p.options.kappa))
+    return _from_report(check(p))
 
 
 def _run_check_cq(p, flags):

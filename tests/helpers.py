@@ -222,6 +222,12 @@ def canonical_bytes_reference(obj) -> bytes:
     return "".join(out).encode("utf-8")
 
 
+def with_options(p: ProblemInstance, **changes) -> ProblemInstance:
+    """p rebuilt with the given members of its options changed: the checkers
+    read eps and kappa from the instance's options only."""
+    return dataclasses.replace(p, options=dataclasses.replace(p.options, **changes))
+
+
 def first_example(**opts):
     """Quadratic objective against a parabolic constraint band, with a
     segment of sharp minimizers along the x1 axis."""
@@ -942,6 +948,48 @@ def reference_point_warnings(inst: ProblemInstance) -> tuple:
                             f"feasible set near {np.round(pt, 6).tolist()}")
             break
     return tuple(warnings)
+
+
+def _poly_text(lin, quad) -> str:
+    """lin . x + x' quad x for a symmetric quad, as document text; each
+    coefficient is written with repr(float(c)), which the parser reads
+    back exactly."""
+    n = len(lin)
+    terms = [f"{float(c)!r}*x{j + 1}" for j, c in enumerate(lin)]
+    terms += [f"{float(quad[j, k] if j == k else 2.0 * quad[j, k])!r}*x{j + 1}*x{k + 1}"
+              for j in range(n) for k in range(j, n)]
+    return " + ".join(terms)
+
+
+def generic_stationary_document(seed: int) -> tuple[dict, np.ndarray]:
+    """(problem document, multiplier) of a generic program with xbar = 0
+    stationary by construction: f = -(J' lam) . x + x' A x / 2 and
+    g_i = J_i x + x' B_i x into K = (-inf, 0]^m, with S = {0}.
+
+    Everything is drawn from default_rng(seed) in this order: n in {2, 3}
+    and m in {1, 2}; J ~ N(0, 1)^(m x n); lam_i ~ U(0, 1.5), each zeroed
+    with probability 0.2; A = sym(N(0, 1)) + U(0.5, 2.5) I, where
+    sym(M) = (M + M')/2; B_i = sym(0.5 N(0, 1)).  Nothing makes xbar a
+    local minimiser, so some seeds give a stationary point that is not
+    one."""
+    rng = np.random.default_rng(seed)
+    n, m = int(rng.choice([2, 3])), int(rng.choice([1, 2]))
+
+    def sym(M):
+        return 0.5 * (M + M.T)
+
+    J = rng.normal(size=(m, n))
+    lam = rng.uniform(0.0, 1.5, size=m)
+    lam[rng.uniform(size=m) < 0.2] = 0.0
+    A = sym(rng.normal(size=(n, n))) + rng.uniform(0.5, 2.5) * np.eye(n)
+    B = [sym(0.5 * rng.normal(size=(n, n))) for _ in range(m)]
+    ray = {"kind": "interval", "lo": "-inf", "hi": 0.0}
+    doc = {"n": n, "m": m, "objective": _poly_text(-J.T @ lam, 0.5 * A),
+           "constraints": [_poly_text(J[i], B[i]) for i in range(m)],
+           "K": ray if m == 1 else {"kind": "product", "factors": [ray] * m},
+           "S": {"kind": "point", "at": [0.0] * n}, "xbar": [0.0] * n,
+           "options": {"delta": 0.05, "seed": 7}}
+    return doc, lam
 
 
 def reference_point_problem(seed):

@@ -51,6 +51,7 @@ from helpers import (
     region_compare,
     region_equal,
     second_example,
+    with_options,
 )
 
 
@@ -303,7 +304,7 @@ def test_necessary_implicit_witness_replays():
 
 
 def test_necessary_explicit_second_example_is_weaker():
-    r = necessary_explicit_check(second_example(), None, [1.0], None)
+    r = necessary_explicit_check(second_example(), None, [1.0])
     assert r.verdict == "satisfied"
     assert math.isinf(r.kappa_bounds["max_admissible"])
     wii = witness(r, "ii")
@@ -318,13 +319,13 @@ def test_necessary_explicit_second_example_is_weaker():
 def test_necessary_clarke_first_example_all_modes():
     p = first_example()
     for mode in ("elementwise", "nondegenerate"):
-        r = necessary_clarke_check(p, None, [0.0, 1.0], None, mode=mode)
+        r = necessary_clarke_check(p, None, [0.0, 1.0], mode=mode)
         assert r.verdict == "satisfied", mode
         assert r.kappa_bounds["max_admissible"] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_necessary_clarke_second_example_needs_dirrcq():
-    r = necessary_clarke_check(second_example(), None, [1.0], None)
+    r = necessary_clarke_check(second_example(), None, [1.0])
     assert r.verdict == "hypotheses-not-met"
     assert any("directional Robinson qualification fails" in dgn
                for dgn in r.diagnostics)
@@ -471,10 +472,11 @@ def test_sweep_builds_the_k_side_cones_once_per_base_point(mode, monkeypatch):
     assert len(calls) > 2 * len(builds)
 
 
-@pytest.mark.parametrize("check", [functools.partial(sufficient_point_check, kappa=0.5),
-                                   sufficient_isolated_check], ids=["point", "isolated"])
-def test_sufficient_check_builds_the_k_side_cone_once(check, monkeypatch):
-    p = parabola_example()
+@pytest.mark.parametrize("check,kappa", [(sufficient_point_check, 0.5),
+                                         (sufficient_isolated_check, None)],
+                         ids=["point", "isolated"])
+def test_sufficient_check_builds_the_k_side_cone_once(check, kappa, monkeypatch):
+    p = parabola_example(kappa=kappa)
     calls, builds = [], []
     reused = lp._reused
 
@@ -513,12 +515,14 @@ def test_k_side_cones_are_built_afresh_outside_a_scope(example):
 
 def test_sweep_bytes_do_not_depend_on_earlier_sweeps():
     # the sufficient checkers open a reuse scope of their own as well
-    checks = {"point": functools.partial(sufficient_point_check, kappa=0.5),
-              "isolated": functools.partial(sufficient_isolated_check, kappa=0.5)}
+    checks = {"point": sufficient_point_check, "isolated": sufficient_isolated_check}
 
     def report_bytes(p, mode):
-        check = checks.get(mode, functools.partial(sweep_necessary, mode=mode))
-        return json.dumps(check(p).to_json(), sort_keys=True)
+        if mode in checks:
+            report = checks[mode](with_options(p, kappa=0.5))
+        else:
+            report = sweep_necessary(p, mode=mode)
+        return json.dumps(report.to_json(), sort_keys=True)
 
     half = load_problem(FIXTURES / "halfspace_n4.json")
     for mode in ("explicit", "clarke", "implicit-proximal", "implicit-tangent",
@@ -573,46 +577,82 @@ def test_necessary_reports_do_not_depend_on_the_direction_scale(form, name, d):
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.2])
-@pytest.mark.parametrize("mode", ["explicit", "clarke"])
-@pytest.mark.parametrize("name", ["first_example", "parabola", "second_example",
-                                  "halfspace_n4"])
-def test_sweep_runs_exactly_the_pairs_the_proximal_screen_keeps(name, mode, eps,
-                                                                 monkeypatch):
-    p = load_problem(FIXTURES / f"{name}.json")
-    attr = f"necessary_{mode}_check"
+@pytest.mark.parametrize("mode", ["implicit-proximal", "explicit", "clarke"])
+@pytest.mark.parametrize("name", sorted(f.stem for f in FIXTURES.glob("*.json")))
+def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
+                                                                monkeypatch):
+    p = with_options(load_problem(FIXTURES / f"{name}.json"), epsilon=eps)
+    attr = "necessary_implicit_check" if mode.startswith("implicit") else \
+        f"necessary_{mode}_check"
     checker, screen = getattr(certify, attr), certify.eps_proximal_filter
-    chosen, ran = [], []
+    screened, ran = [], []
 
     def spy_screen(S, x, vs, eps_):
-        chosen.extend((x.tobytes(), np.asarray(v).tobytes()) for v in vs)
-        return screen(S, x, vs, eps_)
+        kept = screen(S, x, vs, eps_)
+        screened.append((x.copy(), np.array(vs), kept))
+        return kept
 
-    def spy_check(p_, x, d, eps_, **kwargs):
+    def spy_check(p_, x, d, **kwargs):
         ran.append((x.tobytes(), d.tobytes()))
-        return checker(p_, x, d, eps_, **kwargs)
+        return checker(p_, x, d, **kwargs)
 
     monkeypatch.setattr(certify, "eps_proximal_filter", spy_screen)
     monkeypatch.setattr(certify, attr, spy_check)
-    report = sweep_necessary(p, eps=eps, mode=mode)
+    report = sweep_necessary(p, mode=mode)
     monkeypatch.undo()
 
-    # the same pairs through the checker itself, which tests every hypothesis
-    with reuse_scope():
-        kept = [(xb, db) for xb, db in chosen
-                if not any("not an eps-proximal normal" in line for line in
-                           checker(p, np.frombuffer(xb), np.frombuffer(db),
-                                   eps).diagnostics)]
-    assert ran == kept
-    assert f", {len(chosen)} (x, d) pairs;" in report.diagnostics[0]
-    if name == "first_example":
-        assert 0 < len(ran) < len(chosen)
+    # one screen per base point, of the mesh points in the critical cone
+    mesh = certify._unit_mesh(p.n, p.options.seed)
+    assert screened[0][0].tobytes() == p.xbar.tobytes()
+    for x, vs, _ in screened:
+        admissible = mesh[critical_cone(p, x).contains_rows(mesh, 1e-7)]
+        assert vs.tobytes() == admissible.tobytes()
+    # the checker runs exactly the stride of each screen's output
+    strided = [(x.tobytes(), d.tobytes()) for x, _, kept in screened
+               for d in kept[::max(1, len(kept) // 48)]]
+    assert ran == strided
+    assert report.diagnostics[0].startswith(
+        f"sweep over {len(screened)} base points, {len(ran)} (x, d) pairs;")
+    # xbar is checked whenever the screen keeps a direction there
+    if len(screened[0][2]):
+        assert ran[0][0] == p.xbar.tobytes()
+
+
+def test_sweep_reads_hypotheses_not_met_when_no_pair_meets_them():
+    # the directional Robinson qualification fails at both pairs of the
+    # second example, whose kappa* is -1/2: the clarke form bounds nothing
+    r = sweep_necessary(second_example(), mode="clarke")
+    assert r.verdict == "hypotheses-not-met"
+    assert r.kappa_bounds == {} and r.witnesses == ()
+    assert r.cq_status == {"dirrcq": "fails"}
+    assert r.diagnostics == (
+        "sweep over 1 base points, 2 (x, d) pairs; 0 points had no admissible direction",
+        "no (x, d) pair met the hypotheses of the clarke form",
+        "directional Robinson qualification fails; the multiplier set may be unbounded")
+
+
+def test_sweep_counts_the_checks_that_missed_their_hypotheses(monkeypatch):
+    p = first_example()
+    original = certify.necessary_explicit_check
+
+    def off_xbar_misses(p_, x, d):
+        if np.array_equal(x, p_.xbar):
+            return original(p_, x, d)
+        return certify._report("hypotheses-not-met", diags=["injected"])
+
+    monkeypatch.setattr(certify, "necessary_explicit_check", off_xbar_misses)
+    r = sweep_necessary(p, mode="explicit")
+    assert r.verdict == "satisfied"
+    assert r.kappa_bounds["max_admissible"] == pytest.approx(1.0, abs=1e-6)
+    assert r.diagnostics[0].startswith("sweep over 24 base points, 48 (x, d) pairs;")
+    assert r.diagnostics[-1] == "46 checks did not meet the form's hypotheses"
 
 
 # ---------------------------------------------------------- sufficient side
 
 
 def test_sufficient_point_parabola_certifies():
-    r = sufficient_point_check(parabola_example(), kappa=0.9)
+    r = sufficient_point_check(parabola_example(kappa=0.9))
     assert r.verdict == "certified"
     assert r.kappa_bounds["certified"] == pytest.approx(0.9)
     assert r.kappa_bounds["margin"] == pytest.approx(0.2, abs=1e-9)
@@ -624,7 +664,7 @@ def test_sufficient_point_parabola_certifies():
 def test_sufficient_point_threshold_uses_squared_distance():
     # kappa above the curvature bound: no multiplier satisfies the corrected
     # threshold, so the check declines rather than certifying
-    r = sufficient_point_check(parabola_example(), kappa=1.5)
+    r = sufficient_point_check(parabola_example(kappa=1.5))
     assert r.verdict == "hypotheses-not-met"
     assert any("multiplier search failed at d = [1.0, 0.0]" in dgn
                for dgn in r.diagnostics)
@@ -645,7 +685,7 @@ def test_sufficient_isolated_parabola():
     assert r.kappa_bounds["certified"] == pytest.approx(1.0, abs=1e-9)
     assert r.kappa_bounds["margin"] == pytest.approx(1.0, abs=1e-9)
     # a request above the certified constant is declined, not refuted
-    r = sufficient_isolated_check(parabola_example(), kappa=1.5)
+    r = sufficient_isolated_check(parabola_example(kappa=1.5))
     assert r.verdict == "inconclusive"
     assert r.kappa_bounds["requested"] == 1.5
     assert r.diagnostics[-1] == "requested constant exceeds the certified maximum"
@@ -656,7 +696,8 @@ def test_sufficient_isolated_parabola():
 def test_isolated_mode_replays_the_request_on_an_empty_critical_mesh(kappa, verdict):
     # kappa* = 1; the critical cone of the lifted parabola is a ray, which
     # the direction mesh misses
-    r = sufficient_isolated_check(load_problem(FIXTURES / "lifted_n3.json"), kappa)
+    r = sufficient_isolated_check(with_options(load_problem(FIXTURES / "lifted_n3.json"),
+                                               kappa=kappa))
     assert r.verdict == verdict
     assert "critical mesh directions: 0" in r.diagnostics
     if verdict == "certified":
@@ -674,8 +715,8 @@ def test_isolated_mode_replays_the_request_on_an_empty_critical_mesh(kappa, verd
 ], ids=["point-parabola", "point-lifted", "isolated-parabola",
         "isolated-parabola-requested", "isolated-lifted-empty-mesh"])
 def test_no_certificate_skips_the_growth_gate(check, name, kappa, monkeypatch):
-    p = load_problem(FIXTURES / f"{name}.json")
-    assert check(p, kappa).verdict == "certified"
+    p = with_options(load_problem(FIXTURES / f"{name}.json"), kappa=kappa)
+    assert check(p).verdict == "certified"
     gated = []
 
     def refuting(p_, k, diags, delta=None):
@@ -684,7 +725,7 @@ def test_no_certificate_skips_the_growth_gate(check, name, kappa, monkeypatch):
 
     # a gate that refutes everything leaves no certificate standing
     monkeypatch.setattr(certify, "_growth_gate", refuting)
-    assert check(p, kappa).verdict == "violated"
+    assert check(p).verdict == "violated"
     assert len(gated) == 1
 
 
@@ -700,7 +741,7 @@ def test_isolated_mode_never_runs_the_mscq_cascade(monkeypatch):
 
 
 def test_report_json_shape():
-    r = sufficient_point_check(parabola_example(), kappa=0.9)
+    r = sufficient_point_check(parabola_example(kappa=0.9))
     doc = r.to_json()
     assert doc["verdict"] == "certified"
     assert set(doc) >= {"verdict", "kappa_bounds", "witnesses", "cq_status",
@@ -765,7 +806,7 @@ def test_growth_ordering_chain():
     # side admits, with sampling slack
     for a in (0.5, 1.0, 2.0, 3.0):
         p = parabola_family(a)
-        suf = sufficient_point_check(p, kappa=0.9 * a)
+        suf = sufficient_point_check(with_options(p, kappa=0.9 * a))
         assert suf.verdict == "certified", a
         k_suf = suf.kappa_bounds["certified"]
         k_hat = growth_constant_estimate(p, 0.05, 3000, 42).kappa_hat

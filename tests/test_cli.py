@@ -29,6 +29,7 @@ from helpers import (
     reference_point_warnings,
     reference_set_violation,
     run_machine,
+    with_options,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -554,7 +555,8 @@ def test_singleton_reference_set_builds_no_generator(monkeypatch):
     lifted = cli.load_problem("fixtures/lifted_n3.json")
     for mode in ("implicit-proximal", "implicit-tangent", "explicit", "clarke"):
         assert certify.sweep_necessary(parabola, mode=mode).verdict == "satisfied"
-    assert certify.sufficient_point_check(parabola, 100.0).verdict == "hypotheses-not-met"
+    assert certify.sufficient_point_check(
+        with_options(parabola, kappa=100.0)).verdict == "hypotheses-not-met"
     assert certify.sufficient_isolated_check(lifted).verdict == "inconclusive"
 
 

@@ -19,9 +19,12 @@ def test_every_job_gets_a_digest_of_its_normalised_report():
     got = _tool().report_digests(ROOT, seeds=(1,), workloads=("sufficient_check",))
     assert len(got) == 29
     assert all(k.startswith("sufficient_check:1:") for k in got)
-    assert all(sorted(v) == ["decision", "report"] for v in got.values())
-    assert all(len(h) == 64 and int(h, 16) >= 0
-               for v in got.values() for h in v.values())
+    assert all(sorted(v) == ["decision", "exit_code", "kappa_bounds", "report", "verdict"]
+               for v in got.values())
+    assert all(len(v[h]) == 64 and int(v[h], 16) >= 0
+               for v in got.values() for h in ("decision", "report"))
+    assert all(v["exit_code"] in (0, 1, 2) and isinstance(v["kappa_bounds"], dict)
+               for v in got.values())
     # a second run in the same process gives the same bytes
     again = _tool().report_digests(ROOT, seeds=(1,), workloads=("sufficient_check",))
     assert again == got
@@ -40,13 +43,16 @@ def test_the_decision_digest_ignores_diagnostics():
 def test_compare_lists_changed_and_one_sided_keys(tmp_path, capsys):
     tool = _tool()
 
-    def digests(report, decision):
-        return {"report": report, "decision": decision}
+    def digests(report, decision, verdict="satisfied", code=0,
+                bounds=(("max_admissible", 1),)):
+        return {"report": report, "decision": decision, "verdict": verdict,
+                "exit_code": code, "kappa_bounds": dict(bounds)}
 
     base = {"w:1:a": digests("00", "0"), "w:1:b": digests("11", "1"),
             "w:1:c": digests("22", "2"), "w:1:e": digests("44", "4")}
     head = {"w:1:a": digests("00", "0"), "w:1:b": digests("12", "1"),
-            "w:1:d": digests("33", "3"), "w:1:e": digests("45", "5")}
+            "w:1:d": digests("33", "3"),
+            "w:1:e": digests("45", "5", "hypotheses-not-met", 2, {})}
     assert tool.differing_keys(base, head) == ["w:1:b", "w:1:c", "w:1:d", "w:1:e"]
     assert tool.differing_keys(base, head, "decision") == ["w:1:c", "w:1:d", "w:1:e"]
     for name, doc in (("base.json", base), ("head.json", head)):
@@ -56,4 +62,8 @@ def test_compare_lists_changed_and_one_sided_keys(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "4 of 5 report digests differ",
         "3 of them differ in verdict, exit_code, kappa_bounds, witnesses, cq_status",
-        "  w:1:b", "  w:1:c (decision)", "  w:1:d (decision)", "  w:1:e (decision)"]
+        "  w:1:b",
+        '  w:1:c (decision): satisfied, exit 0, {"max_admissible":1} -> absent',
+        '  w:1:d (decision): absent -> satisfied, exit 0, {"max_admissible":1}',
+        '  w:1:e (decision): satisfied, exit 0, {"max_admissible":1} -> '
+        'hypotheses-not-met, exit 2, {}']

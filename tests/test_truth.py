@@ -22,14 +22,20 @@ it.  The direction meshes miss the lower-dimensional critical cone of the
 lifted family.  Isolated mode then certifies only the requested constant,
 after the growth oracle replays it, so it stays sound there; the lifted
 sweeps hold vacuously, and their tightness test is a strict xfail until
-exact critical directions land (ROADMAP item 2).  On the subspace family
+exact critical directions land (ROADMAP item 1).  On the subspace family
 the mesh finds no critical direction either: the proximal sweeps read
 unbounded and isolated mode does not apply, since xbar is not isolated in
-S, so its tightness test is a strict xfail naming item 2 too.  The
-tangent-distance sweep must not refute the truth there either: at base
-points of S other than xbar, grad f is a rounding residue, and the
-multiplier it leaves must be zero, not a ~1e-18 multiplier that meets an
-unbounded outer second-order set.
+S, so its tightness test is a strict xfail naming item 1 too.  Item 1
+closes these 7 strict xfails.  The tangent-distance sweep must not refute
+the truth there either: at base points of S other than xbar, grad f is a
+rounding residue, and the multiplier it leaves must be zero, not a ~1e-18
+multiplier that meets an unbounded outer second-order set.
+
+A fourth family has no closed form: the generic stationary programs of
+``helpers.generic_stationary_document`` (ROADMAP item 14).  xbar is
+stationary by construction but not always a minimiser, and there a
+necessary sweep must not exit 0.  The mesh misses their critical cones
+too, so that test is a strict xfail naming item 1 as well.
 """
 import json
 import math
@@ -40,17 +46,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import run_machine
+from sharpcheck.cli import load_problem
+
+from helpers import generic_stationary_document, run_machine
 
 DELTA = 0.05
 SWEEPS = (("implicit", "proximal"), ("implicit", "tangent-distance"),
           ("explicit", "proximal"), ("clarke", "proximal"))
 # each example makes up to four CLI calls
 FEW = settings(derandomize=True, deadline=None, max_examples=4)
-ITEM_2 = ("ROADMAP item 2: the direction mesh misses the lower-dimensional "
+ITEM_1 = ("ROADMAP item 1: the direction mesh misses the lower-dimensional "
           "critical cone of the lifted family")
-ITEM_2_SUBSPACE = ("ROADMAP item 2: the direction mesh finds no critical direction "
+ITEM_1_SUBSPACE = ("ROADMAP item 1: the direction mesh finds no critical direction "
                    "of the subspace-S family, so the sweeps hold vacuously")
+ITEM_1_GENERIC = ("ROADMAP item 1: the direction mesh misses the critical cone of "
+                  "the generic program, so the sweeps hold vacuously")
+# an item 14 program whose xbar is not a local minimiser (n = 3, m = 1)
+NON_MINIMISER_SEED = 8
 # (n, k): the dimension and that of the subspace S
 SUBSPACES = ((2, 1), (3, 1), (4, 2))
 
@@ -203,7 +215,7 @@ def test_tangent_distance_sweep_never_refutes_the_truth_on_subspaces(n, k):
 
 
 # a strict xfail on fixed instances expects every case to fail
-@pytest.mark.xfail(strict=True, reason=ITEM_2)
+@pytest.mark.xfail(strict=True, reason=ITEM_1)
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_lifted_sweeps_are_tight(n):
     doc, truth = lifted_case(n)
@@ -221,7 +233,7 @@ def test_growth_oracle_never_refutes_half_the_truth(family, data):
     assert report["verdict"] != "violated"
 
 
-@pytest.mark.xfail(strict=True, reason=ITEM_2_SUBSPACE)
+@pytest.mark.xfail(strict=True, reason=ITEM_1_SUBSPACE)
 @pytest.mark.parametrize("n,k", SUBSPACES)
 def test_subspace_sweeps_are_tight(n, k):
     doc, truth = subspace_case(n, k)
@@ -245,3 +257,31 @@ def test_growth_oracle_accepts_the_exact_subspace_truth():
     report = _check(doc, "verify-growth", f"--kappa={truth!r}")
     assert truth == 0.6 and report["verdict"] == "satisfied"
     assert report["exit_code"] == 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, NON_MINIMISER_SEED])
+def test_generic_programs_load_with_a_stationary_xbar(seed, tmp_path):
+    doc, lam = generic_stationary_document(seed)
+    path = tmp_path / "generic.json"
+    path.write_text(json.dumps(doc))
+    p = load_problem(path)
+    assert (p.n, p.m) == (doc["n"], doc["m"]) and (p.n, p.m) in {(2, 1), (2, 2),
+                                                                (3, 1), (3, 2)}
+    # grad f(xbar) + Dg(xbar)' lam = 0 with lam >= 0 in N_K(g(xbar)) at g = 0
+    assert np.all(lam >= 0.0) and np.all(p.g_value(p.xbar) == 0.0)
+    residual = p.f_jet(p.xbar).gradient + p.g_jet(p.xbar).jacobian.T @ lam
+    assert np.allclose(residual, 0.0, atol=1e-12)
+
+
+def test_the_pinned_generic_program_is_not_a_minimiser():
+    doc, _ = generic_stationary_document(NON_MINIMISER_SEED)
+    report = _check(doc, "verify-growth")
+    assert report["verdict"] == "violated"
+    assert _kappa(report, "kappa_hat") < 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=ITEM_1_GENERIC)
+def test_no_sweep_exits_0_on_a_generic_non_minimiser():
+    doc, _ = generic_stationary_document(NON_MINIMISER_SEED)
+    for form, mode in SWEEPS:
+        assert _sweep(doc, form, mode)["exit_code"] != 0, (form, mode)

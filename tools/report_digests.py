@@ -14,11 +14,14 @@ Each document is written under a temporary directory at the relative path
 where the tree lives and equal the ones ``run.py`` stores.  Next to that
 ``report`` digest each job gets a ``decision`` digest: the sha256 of the
 report's verdict, exit code, kappa bounds, witnesses and CQ status alone,
-so a change that only rewords diagnostics leaves it alone.
+so a change that only rewords diagnostics leaves it alone.  The job's
+verdict, exit code and kappa bounds themselves are stored next to the two
+digests.
 
 The second form prints the keys whose report digests differ, or that only
-one of the two files holds, marks those whose decision digests differ too,
-and exits 0 whatever it finds.
+one of the two files holds, marks those whose decision digests differ too
+and prints their verdict, exit code and kappa bounds as base -> head, and
+exits 0 whatever it finds.
 """
 from __future__ import annotations
 
@@ -35,6 +38,8 @@ from pathlib import Path
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SEEDS = (1, 20250717)
 DECISION = ("verdict", "exit_code", "kappa_bounds", "witnesses", "cq_status")
+# the decision members stored verbatim next to the digests
+SHOWN = ("verdict", "exit_code", "kappa_bounds")
 
 
 def _load(path: Path, name: str):
@@ -83,8 +88,9 @@ def decision_bytes(report: bytes) -> bytes:
 def report_digests(root: Path = DEFAULT_ROOT, seeds=DEFAULT_SEEDS,
                    workloads: tuple | None = None) -> dict[str, dict]:
     """``<workload>:<seed>:<job key>`` -> {"report": sha256 of the
-    normalised report, "decision": sha256 of its decision members}, for
-    every job of the named workloads (all of them by default)."""
+    normalised report, "decision": sha256 of its decision members, and its
+    SHOWN members}, for every job of the named workloads (all of them by
+    default)."""
     root = Path(root).resolve()
     wl = _load(root / "perfbench" / "workloads.py", "_digest_workloads")
     verify = _load(root / "perfbench" / "verify.py", "_digest_verify")
@@ -102,9 +108,11 @@ def report_digests(root: Path = DEFAULT_ROOT, seeds=DEFAULT_SEEDS,
                              for name, p in wl.write_documents(jobs, docs).items()}
                     for job in jobs:
                         report = _report(cli, job.argv(paths[job.instance.name]))
+                        doc = json.loads(report)
                         out[f"{workload}:{seed}:{job.key}"] = {
                             "report": _sha256(verify.normalized(report)),
-                            "decision": _sha256(decision_bytes(report))}
+                            "decision": _sha256(decision_bytes(report)),
+                            **{k: doc[k] for k in SHOWN}}
         finally:
             os.chdir(cwd)
     return out
@@ -116,6 +124,15 @@ def differing_keys(base: dict, head: dict, member: str = "report") -> list[str]:
     def get(side, k):
         return side[k][member] if k in side else None
     return sorted(k for k in base.keys() | head.keys() if get(base, k) != get(head, k))
+
+
+def shown(side: dict, key: str) -> str:
+    """The SHOWN members of one side's entry for key, on one line."""
+    if key not in side:
+        return "absent"
+    entry = side[key]
+    bounds = json.dumps(entry["kappa_bounds"], sort_keys=True, separators=(",", ":"))
+    return f"{entry['verdict']}, exit {entry['exit_code']}, {bounds}"
 
 
 def main(argv=None) -> int:
@@ -132,7 +149,8 @@ def main(argv=None) -> int:
         print(f"{len(keys)} of {len(base.keys() | head.keys())} report digests differ")
         print(f"{len(decided)} of them differ in {', '.join(DECISION)}")
         for key in keys:
-            print(f"  {key}" + (" (decision)" if key in decided else ""))
+            print(f"  {key}" + (f" (decision): {shown(base, key)} -> {shown(head, key)}"
+                                if key in decided else ""))
         return 0
     text = json.dumps(report_digests(args.root), indent=0, sort_keys=True)
     if args.out:
