@@ -283,18 +283,12 @@ class CqResult:
 
 
 def _nontrivial_point(region: Region) -> np.ndarray | None:
-    """A nonzero point of a cone region, or None when the region is {0}:
-    each cell, cut to the unit box, is probed along the 2 dim signed axes."""
-    eye = np.eye(region.dim)
-    box = PolyCell(np.vstack([eye, -eye]), np.ones(2 * region.dim), dim=region.dim)
-    for cell in region.nonempty_cells():
-        probe = cell.intersect(box)
-        for i in range(region.dim):
-            for sgn in (1.0, -1.0):
-                out = _lp.maximize(sgn * eye[i], probe.A, probe.b, probe.E, probe.f)
-                if out.status == "optimal" and out.value > STRICT_TOL:
-                    return out.point
-    return None
+    """A nonzero point of a cone region, or None when the region is {0}: a
+    nonempty cone cell is the origin plus the cone of its rays and the span
+    of its lines, so the region is {0} exactly when no cell has either, and
+    the point returned is the first unit ray or line."""
+    gens = (g for _, rays, lines in region.cell_generators() for g in (*rays, *lines))
+    return next(gens, None)
 
 
 def _full_row_rank(J: np.ndarray) -> bool:
@@ -608,7 +602,10 @@ def _implicit_hypotheses(p: ProblemInstance, x, d, mode):
     if np.linalg.norm(x - p.xbar) > p.options.delta + 1e-9:
         return _report("hypotheses-not-met",
                        diags=["base point lies outside the delta ball"])
-    if not critical_cone(p, x).contains(d, tol=1e-7):
+    # the critical cone's rows are unit in d-space; the K side tests Dg d in y-space
+    J = _jet_data(p, x)[1]
+    if not (critical_cone(p, x).contains(d, tol=1e-7)
+            and tangent_cone(p.K, p.g_value(x)).contains(J @ d, tol=1e-7)):
         return _report("hypotheses-not-met",
                        diags=["direction is not in the critical cone"])
     if mode == "proximal" and not eps_proximal_membership(p.S, x, d, p.options.epsilon):

@@ -132,6 +132,23 @@ def region_equal(r1: Region, r2: Region) -> bool:
     return region_compare(r1, r2).relation == "equal"
 
 
+def lp_nontrivial_point(region: Region) -> np.ndarray | None:
+    """Reference nonzero point of a cone region, or None when the region is
+    {0}: each cell, cut to the unit box, is probed by an LP along each of
+    the 2 dim signed axes, and a point counts once its coordinate clears
+    1e-7."""
+    eye = np.eye(region.dim)
+    box = PolyCell(np.vstack([eye, -eye]), np.ones(2 * region.dim), dim=region.dim)
+    for cell in region.nonempty_cells():
+        probe = cell.intersect(box)
+        for i in range(region.dim):
+            for sgn in (1.0, -1.0):
+                out = _lp.maximize(sgn * eye[i], probe.A, probe.b, probe.E, probe.f)
+                if out.status == "optimal" and out.value > 1e-7:
+                    return out.point
+    return None
+
+
 def limiting_normal_region(region: Region, x, u=None) -> Region:
     """Reference limiting normal cone of a polyhedral-union region at x
     from its whole face complex: the union of the Frechet values of the

@@ -45,6 +45,7 @@ from helpers import (
     duality_instance,
     first_example,
     linearization_instance,
+    lp_nontrivial_point,
     parabola_example,
     parabola_family,
     random_catalog_instance,
@@ -161,7 +162,7 @@ def _cq_instance(seed, sigma_min):
 @example(4, -12.0)   # a near-singular Dg: the probe poses its numerical kernel
 @example(20, -12.0)
 @example(22, -1.0)    # phase 1 moves an artificial off its own row's position
-def test_full_rank_cq_shortcut_matches_the_lp_probe(seed, log_sigma):
+def test_full_rank_cq_shortcut_matches_the_generator_probe(seed, log_sigma):
     p, J, d = _cq_instance(seed, 10.0 ** log_sigma)
     probes = []
 
@@ -186,6 +187,49 @@ def test_full_rank_cq_shortcut_matches_the_lp_probe(seed, log_sigma):
         assert (a.witness is None) == (b.witness is None)
         if a.witness is not None:
             assert a.witness.tobytes() == b.witness.tobytes()
+
+
+def _random_cone_region(seed, dim, cells):
+    """A union of homogeneous cells in R^dim: random rows, with some pairs of
+    nearly opposite rows (thin wedges about a hyperplane) and some cells cut
+    by the orthonormal equality rows of a numerical kernel, as
+    ``constraint_qualification_check`` cuts its cones."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(cells):
+        A = rng.normal(size=(int(rng.integers(0, dim + 2)), dim))
+        if rng.random() < 0.5:
+            a = rng.normal(size=dim)
+            tilt = 10.0 ** rng.uniform(-9, -2) * rng.normal(size=dim)
+            A = np.vstack([A, a, -a + tilt])
+        E = np.zeros((0, dim))
+        if rng.random() < 0.4:
+            _, _, vh = np.linalg.svd(rng.normal(size=(dim, dim)))
+            E = vh[:int(rng.integers(1, dim + 1))]
+        out.append(PolyCell(A, np.zeros(A.shape[0]), E, np.zeros(E.shape[0]), dim=dim))
+    return Region(out, dim=dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 5), st.integers(1, 3))
+@example(0, 1, 1)
+@example(3, 5, 3)
+def test_generator_probe_agrees_with_the_lp_probe(seed, dim, cells):
+    region = _random_cone_region(seed, dim, cells)
+    point = certify._nontrivial_point(region)
+    try:
+        ref = lp_nontrivial_point(region)
+    except lp.LpNumericalError:
+        # the reference's simplex meets a singular basis on about a third
+        # of the cells with rows opposite to within about 3e-6; it decides
+        # nothing there
+        ref = None
+    else:
+        assert (point is None) == (ref is None)
+    for w in (point, ref):
+        if w is not None:
+            assert np.linalg.norm(w) > 1e-7
+            assert region.contains(w, tol=1e-7)
 
 
 def test_cq_on_a_box_union_poses_few_margin_lps(monkeypatch):

@@ -113,6 +113,19 @@ def _cases():
         if name != "ball_product":   # SOSCMS needs a polyhedral-union K
             out.append((f"{name}-check-cq-soscms", ["check-cq", path, "--kind",
                                                     "soscms", "--direction", "0,1"]))
+    # Dg(x) has three rows in R^2, so every CQ of these sweeps meets a
+    # nontrivial ker Dg(x)^T
+    path = "fixtures/rank_deficient.json"
+    out += [(f"rank_deficient-sweep-{tag}", ["check-necessary", path, "--form", form,
+                                             "--mode", mode])
+            for tag, form, mode in (("implicit-proximal", "implicit", "proximal"),
+                                    ("implicit-tangent", "implicit", "tangent-distance"),
+                                    ("explicit", "explicit", "proximal"),
+                                    ("clarke", "clarke", "proximal"))]
+    # two equal constraints: the failing CQs' witness lies off the axes
+    out += [(f"twin_constraints-check-cq-{kind}",
+             ["check-cq", "fixtures/twin_constraints.json", "--kind", kind,
+              "--direction", "1"]) for kind in ("foscms", "soscms", "dirrcq")]
     return out
 
 
@@ -378,6 +391,49 @@ def test_necessary_bounds_do_not_depend_on_the_direction_scale(name, unit, form,
         doc = json.loads(report)
         assert (doc["verdict"], doc["kappa_bounds"]["max_admissible"]) == want, scale
         assert code == doc["exit_code"]
+
+
+@pytest.mark.parametrize("form", ["implicit-proximal", "implicit-tangent", "explicit",
+                                  "clarke"])
+def test_a_direction_leaving_the_steep_tangent_cone_misses_the_hypotheses(form, tmp_path):
+    # Dg = (100, 0): d = (1e-8, 1) lies within 1e-7 of the critical cone in
+    # d-space, but Dg d = 1e-6 leaves T_K(0) = (-inf, 0] by more than 1e-7
+    doc = {"n": 2, "m": 1, "objective": "x1^2 + x2^2", "constraints": ["100*x1"],
+           "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
+           "S": {"kind": "point", "at": [0.0, 0.0]}, "xbar": [0.0, 0.0]}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    for direction, want in (("0,1", ("satisfied", 1)),
+                            ("1e-8,1", ("hypotheses-not-met", None)),
+                            ("5e-8,1", ("hypotheses-not-met", None))):
+        code, report = run_machine(["check-necessary", str(path), *NECESSARY_FORMS[form],
+                                    "--direction", direction])
+        rep = json.loads(report)
+        assert (rep["verdict"], rep["kappa_bounds"].get("max_admissible")) == want
+        assert code == rep["exit_code"] == (0 if want[1] else 2)
+        if not want[1]:
+            assert rep["diagnostics"] == ["direction is not in the critical cone"]
+
+
+def test_check_cq_with_k_above_the_dimension_cap_is_inconclusive(tmp_path, capsys):
+    # K is a union of two halfspaces of R^9, one more dimension than the
+    # double description enumerates; check-necessary stops there too
+    m = 9
+    normals = np.eye(m)[:2].tolist()
+    doc = {"n": 1, "m": m, "objective": "x1^2",
+           "constraints": ["x1", "-1*x1"] + ["0*x1"] * (m - 2),
+           "K": {"kind": "union", "members": [
+               {"kind": "halfspace", "normal": a, "offset": 0.0} for a in normals]},
+           "S": {"kind": "point", "at": [0.0]}, "xbar": [0.0]}
+    path = tmp_path / "halfspaces9.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["check-cq", str(path), "--kind", "foscms", "--direction", "1"],
+                 ["check-necessary", str(path), "--form", "explicit", "--direction", "1"]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("sharpcheck: DimensionCapError: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_one_sided_preimages_withhold_the_rejection(tmp_path):

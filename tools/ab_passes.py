@@ -1,6 +1,6 @@
 """Alternating in-process passes of the benchmark's workloads on two trees.
 
-    python3 tools/ab_passes.py BASE HEAD [--pairs N] [--seed S] [--workload W ...]
+    python3 tools/ab_passes.py BASE HEAD [--pairs N] [--seed S] [--workload W]...
 
 Loads ``sharpcheck`` from BASE/src and from HEAD/src into this one process,
 as two packages under separate names, so both sides share the interpreter,
