@@ -27,6 +27,7 @@ from .regions import (
     lower_gen_support_detail,
     polar_cone,
     region_subset,
+    region_tangent_cone,
 )
 from .tangents import (
     TangentError,
@@ -35,7 +36,6 @@ from .tangents import (
     eps_proximal_filter,
     eps_proximal_membership,
     normal_cone,
-    region_tangent_cone,
     second_tangent,
     tangent_cone,
 )

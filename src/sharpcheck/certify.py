@@ -1144,7 +1144,9 @@ def sufficient_point_check(p: ProblemInstance) -> CertificationReport:
     tphi = _point_phi_tangents(p, x, None, "tangent")
     diags.extend(tphi.notes)
     mesh = _unit_mesh(p.n, p.options.seed)
-    dirs = mesh[NS.contains_rows(mesh, 1e-7) & tphi.contains_rows(mesh, 1e-7)]
+    # tphi's rows are unit in d-space; the K side tests Dg d in y-space
+    dirs = mesh[NS.contains_rows(mesh, 1e-7) & tphi.contains_rows(mesh, 1e-7)
+                & tangent_cone(p.K, p.g_value(x)).contains_rows(mesh @ J.T, 1e-7)]
     critical = dirs[np.abs(dirs @ grad) <= 1e-7]
     diags.append(f"direction mesh: {len(dirs)} admissible, "
                  f"{len(critical)} critical")
@@ -1219,7 +1221,9 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
 
     cc = critical_cone(p, x)
     mesh = _unit_mesh(p.n, p.options.seed)
-    dirs = mesh[cc.contains_rows(mesh, 1e-7)]
+    # cc's rows are unit in d-space; the K side tests Dg d in y-space
+    dirs = mesh[cc.contains_rows(mesh, 1e-7)
+                & tangent_cone(p.K, p.g_value(x)).contains_rows(mesh @ J.T, 1e-7)]
     diags.append(f"critical mesh directions: {len(dirs)}")
     aff = multiplier_affine_set(p, x)
     if aff.empty:

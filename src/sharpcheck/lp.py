@@ -31,8 +31,8 @@ one.  Inside the block these are built once per distinct input:
   point), and its search for a multiplier with nonpositive lower
   generalized support, keyed on the cells of both regions;
 * the set-side cones of ``tangents``: the tangent cone of a set at a point
-  with its polar, the directional normal cone at a point, direction and
-  kind, and the proximal normal cell at a point.
+  with its polar, and the directional normal cone at a point, direction and
+  kind.
 
 The outcome is stored under the input's content, with its arrays made
 read-only, and handed back to every later caller that poses the same

@@ -7,12 +7,13 @@ its dimension, its cells and its notes, nothing more; a cone is a region
 whose nonempty cells have homogeneous rows (all right-hand sides zero), by
 Minkowski-Weyl.  This module is the exact calculus on that representation:
 membership, inclusion testing, distance and projection, support functions,
-unions and products, the generators of each cell, polarity, the face
-complex of a union, Frechet/limiting normal values of the region itself,
-and the lower generalized support function evaluated through the face
-complex with a perturbation-schedule cross check.  Support values and
-distances are floats; -math.inf is the support of an empty region and
-+math.inf a support or distance without a finite bound.
+unions and products, the generators of each cell, polarity, tangent cones,
+the face complex of a union with the Frechet normal value of each face (the
+polar of its tangent cone), and the lower generalized support function
+evaluated through the face complex with a perturbation-schedule cross
+check.  Support values and distances are floats; -math.inf is the support
+of an empty region and +math.inf a support or distance without a finite
+bound.
 
 Design constraints worth knowing before reading on:
 
@@ -644,29 +645,32 @@ def _sign_system(hyperplanes, signs, dim):
             np.reshape(eq, (-1, dim)), np.array(eqr, dtype=float))
 
 
-def _frechet_value_at(region: Region, x: np.ndarray) -> PolyCell:
-    """Frechet normal cone of the region at x, as one convex cone cell:
-    the intersection over member cells containing x of the polars of their
-    tangent cones (polar of a union is the intersection of polars)."""
-    dim = region.dim
-    ineq_rows, eq_rows = [], []
-    hit = False
-    for c in region.nonempty_cells():
-        if not c.contains(x, tol=1e-8):
+def _active_rows(cell: PolyCell, x: np.ndarray) -> list[int]:
+    return [i for i in range(cell.A.shape[0]) if abs(float(cell.A[i] @ x) - cell.b[i]) <= 1e-8]
+
+
+def region_tangent_cone(region: Region, x) -> Region:
+    """Tangent cone of a polyhedral region at one of its points: per cell
+    containing x (to 1e-7), keep the active inequality rows homogenized
+    together with all equalities."""
+    x = np.asarray(x, dtype=float).ravel()
+    pieces = []
+    for cell in region.nonempty_cells():
+        if not cell.contains(x, tol=1e-7):
             continue
-        hit = True
-        act = [i for i in range(c.A.shape[0]) if abs(c.A[i] @ x - c.b[i]) <= 1e-8]
-        rays = c.A[act] if act else np.zeros((0, dim))
-        ineq, eq = _lp.cone_from_generators(rays, c.E, dim)
-        if ineq.size:
-            ineq_rows.append(ineq)
-        if eq.size:
-            eq_rows.append(eq)
-    if not hit:
-        raise RegionError("Frechet value requested at a point outside the region")
-    A = np.vstack(ineq_rows) if ineq_rows else np.zeros((0, dim))
-    E = np.vstack(eq_rows) if eq_rows else np.zeros((0, dim))
-    return PolyCell(A, np.zeros(A.shape[0]), E, np.zeros(E.shape[0]), dim=dim)
+        act = _active_rows(cell, x)
+        pieces.append(PolyCell(cell.A[act], np.zeros(len(act)), cell.E,
+                               np.zeros(cell.E.shape[0]), dim=region.dim))
+    if not pieces:
+        raise RegionError("base point lies outside the region")
+    return Region(pieces, dim=region.dim)
+
+
+def _frechet_value_at(region: Region, x: np.ndarray) -> PolyCell:
+    """Frechet normal cone of the region at x, the polar of its tangent
+    cone there, as one convex cone cell (the polar of a union of cells is
+    the intersection of their polars)."""
+    return _polar_cone(region_tangent_cone(region, x)).cells[0]
 
 
 def _content(region: Region):

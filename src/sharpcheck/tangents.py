@@ -13,6 +13,11 @@ Every result is a Region.  Exactness strategy, by constructor:
   membership curves for entire small-parameter ranges, so factor curves can
   share schedules and the product rules hold with equality.
 
+The Frechet normal cone is the polar of the tangent cone, for sets here as
+for regions in ``regions``.  On this catalog it is also the proximal normal
+cone (Rockafellar & Wets 1998, Variational Analysis, ch. 6), so the
+eps-proximal screen reads it too; ``_frechet_normal`` says why, kind by kind.
+
 The limiting and directional normal cones of every nonconvex set that is
 not a product (a union, a finite set included) come from enumerating the
 strata of the rows active at the base point: purely polyhedral strata are
@@ -33,8 +38,10 @@ from . import lp as _lp
 from .regions import (
     PolyCell,
     Region,
+    _active_rows,
     cone_hull,
     polar_cone,
+    region_tangent_cone,
 )
 from .sets import (
     Ball,
@@ -73,10 +80,6 @@ def _require_member(s: BaseSet, y) -> np.ndarray:
 
 def _leaf_cell(s: BaseSet) -> PolyCell:
     return s.as_region().cells[0]
-
-
-def _active_rows(cell: PolyCell, y: np.ndarray) -> list[int]:
-    return [i for i in range(cell.A.shape[0]) if abs(float(cell.A[i] @ y) - cell.b[i]) <= 1e-8]
 
 
 def _is_polyhedral_leaf(s: BaseSet) -> bool:
@@ -124,8 +127,9 @@ def tangent_cone(s: BaseSet, y) -> Region:
 
 
 def _frechet_normal(s: BaseSet, y: np.ndarray, tc: Region | None = None) -> Region:
-    """The polar of T_s(y), reused like ``tangent_cone``; for convex s it is
-    the normal cone.  tc, when given, is T_s(y) already built."""
+    """The polar of T_s(y), reused like ``tangent_cone``; tc, when given, is
+    T_s(y) already built.  It is also the proximal cone: a convex leaf's normal
+    cone, a union's member cones at y intersected, a product's factor cones."""
     return _lp._reused("frechet_normal", (s, y),
                        lambda: polar_cone(tangent_cone(s, y) if tc is None else tc))
 
@@ -208,41 +212,6 @@ def _second_tangent_inner(s: BaseSet, y, d, kind: str) -> Region:
     if isinstance(s, ProductSet):
         return Region.product(second_tangent(f, yp, dp, kind)
                               for f, yp, dp in zip(s.factors, s.split(y), s.split(d)))
-    raise TangentError(f"unsupported set kind {s.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# proximal normal cone
-# ---------------------------------------------------------------------------
-
-
-def _proximal_cell(s: BaseSet, y: np.ndarray) -> PolyCell:
-    """The proximal normal cone at y as one convex cell.
-
-    For a union, y must project back onto itself from y + tv for small t
-    simultaneously for every member containing y, so the union's cone is the
-    intersection of the member cones.  Members not containing y are farther
-    away than O(t) and never interfere."""
-    if _is_polyhedral_leaf(s):
-        cell = _leaf_cell(s)
-        return PolyCell.cone(cell.A[_active_rows(cell, y)], cell.E, s.dim)
-    if isinstance(s, Ball):
-        rays = y - s.center if _on_sphere(s, y) else None
-        return PolyCell.cone(rays, None, s.dim)
-    if isinstance(s, PointSet):
-        return PolyCell.all_space(s.dim)
-    if isinstance(s, UnionSet):
-        out = PolyCell.all_space(s.dim)
-        for m in s.members:
-            if m.contains(y, tol=MEMBER_TOL):
-                out = out.intersect(_proximal_cell(m, y))
-        return out
-    if isinstance(s, ProductSet):
-        total = s.dim
-        out = PolyCell.all_space(total)
-        for f, part, lo in zip(s.factors, s.split(y), s.offsets[:-1]):
-            out = out.intersect(_proximal_cell(f, part).lift(total, int(lo)))
-        return out
     raise TangentError(f"unsupported set kind {s.kind!r}")
 
 
@@ -532,14 +501,13 @@ def _limiting(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
 
 
 def normal_cone(s: BaseSet, y, kind: str) -> Region:
-    """Proximal, Frechet or limiting normal cone of s at y.  The limiting
-    cone of a nonconvex set that is not a product (a union) comes from the
-    strata of the rows active at y."""
+    """Proximal, Frechet or limiting normal cone of s at y.  The proximal
+    and Frechet cones are one region on this catalog (see
+    ``_frechet_normal``).  The limiting cone of a nonconvex set that is not
+    a product (a union) comes from the strata of the rows active at y."""
     y = _require_member(s, y)
-    if kind == "frechet":
+    if kind in ("frechet", "proximal"):
         return _frechet_normal(s, y)
-    if kind == "proximal":
-        return Region.from_cell(_proximal_cell(s, y))
     if kind != "limiting":
         raise TangentError(f"unknown normal cone kind {kind!r}")
     return _limiting(s, y, None)
@@ -586,36 +554,9 @@ def directional_clarke_tangent(s: BaseSet, y, u) -> Region:
     return out.with_notes(*clarke.notes) if clarke.notes else out
 
 
-def region_tangent_cone(region: Region, x) -> Region:
-    """Tangent cone of a polyhedral region at one of its points: per cell
-    containing x, keep the active inequality rows homogenized together with
-    all equalities."""
-    x = np.asarray(x, dtype=float).ravel()
-    pieces = []
-    for cell in region.nonempty_cells():
-        if not cell.contains(x, tol=MEMBER_TOL):
-            continue
-        act = _active_rows(cell, x)
-        A = cell.A[act] if act else None
-        b = np.zeros(len(act)) if act else None
-        pieces.append(PolyCell(A, b, cell.E, np.zeros(cell.E.shape[0]), dim=region.dim))
-    if not pieces:
-        raise TangentError("base point lies outside the region")
-    return Region(pieces, dim=region.dim)
-
-
 # ---------------------------------------------------------------------------
 # epsilon-proximal membership
 # ---------------------------------------------------------------------------
-
-
-def proximal_normal_cell(s: BaseSet, x) -> PolyCell:
-    """The proximal normal cone of s at its member x, as one convex cell.
-    Inside an open ``lp.reuse_scope`` it is built once per set and point,
-    keyed like ``tangent_cone``."""
-    x = _vec(x, s.dim)
-    return _lp._reused("proximal_normal_cell", (s, x),
-                       lambda: _proximal_cell(s, _require_member(s, x)))
 
 
 def eps_proximal_membership(s: BaseSet, x, v, eps: float) -> bool:
@@ -625,10 +566,11 @@ def eps_proximal_membership(s: BaseSet, x, v, eps: float) -> bool:
 
 def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> list:
     """The members of vs within relative distance eps of the proximal
-    normal cone at x; the cone is built once for the whole batch."""
+    normal cone at x, which on this catalog is the Frechet cone
+    ``_frechet_normal``; the cone is built once for the whole batch."""
     if not 0.0 <= eps < 1.0:
         raise TangentError("eps must lie in [0, 1)")
-    cell = proximal_normal_cell(s, x)
+    cell = _frechet_normal(s, _vec(x, s.dim)).cells[0]
     try:
         V = np.asarray(vs, dtype=float).reshape(len(vs), s.dim)
     except ValueError:

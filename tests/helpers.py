@@ -4,9 +4,10 @@ Seeded instance generation, tangent-direction sampling, the invariant
 battery run per instance, oracle agreement counting, the reference
 implementations the library is checked against (the scalar sampling
 oracles, set membership and distance, the membership-by-definition probe
-loop, the face-complex limiting normal cones and a finite-difference jet
-check), and an in-process CLI runner.  Kept out of the test modules
-so the acceptance suite can reuse the exact same generators.
+loop, the proximal normal cone, the face-complex limiting normal cones and
+a finite-difference jet check), and an in-process CLI runner.  Kept out of
+the test modules so the acceptance suite can reuse the exact same
+generators.
 """
 import dataclasses
 import io
@@ -170,6 +171,40 @@ def limiting_normal_region(region: Region, x, u=None) -> Region:
                 continue
         pieces.append(face.normal_cell)
     return Region(pieces, dim=region.dim)
+
+
+def reference_proximal_cell(s, y) -> PolyCell:
+    """Reference proximal normal cone of the catalog set s at its member y,
+    as one convex cell, built kind by kind from the set's rows instead of
+    as the polar of a tangent cone.
+
+    For a union, y must project back onto itself from y + tv for small t
+    simultaneously for every member containing y, so the union's cone is the
+    intersection of the member cones.  Members not containing y are farther
+    away than O(t) and never interfere."""
+    y = np.asarray(y, dtype=float).ravel()
+    if isinstance(s, (Interval, Box, Halfspace, Polyhedron)):
+        cell = s.as_region().cells[0]
+        act = [i for i in range(cell.A.shape[0])
+               if abs(float(cell.A[i] @ y) - cell.b[i]) <= 1e-8]
+        return PolyCell.cone(cell.A[act], cell.E, s.dim)
+    if isinstance(s, Ball):
+        on_sphere = abs(float(np.linalg.norm(y - s.center)) - s.radius) <= 1e-7
+        return PolyCell.cone(y - s.center if on_sphere else None, None, s.dim)
+    if isinstance(s, PointSet):
+        return PolyCell.all_space(s.dim)
+    if isinstance(s, UnionSet):
+        out = PolyCell.all_space(s.dim)
+        for m in s.members:
+            if m.contains(y, tol=1e-7):
+                out = out.intersect(reference_proximal_cell(m, y))
+        return out
+    if isinstance(s, ProductSet):
+        out = PolyCell.all_space(s.dim)
+        for f, part, lo in zip(s.factors, s.split(y), s.offsets[:-1]):
+            out = out.intersect(reference_proximal_cell(f, part).lift(s.dim, int(lo)))
+        return out
+    raise TypeError(f"no proximal normal reference for {type(s).__name__}")
 
 
 def minkowski_sum(r1: Region, r2: Region) -> Region:
@@ -522,9 +557,9 @@ def invariant_battery(s, y, seed):
     for label, reg in (("tangent", tcone), ("frechet", frechet),
                        ("limiting", limiting), ("proximal", proximal)):
         _check_cone(reg, rng, label, failures)
-    ok, wit = region_subset(proximal, frechet)
-    if not ok:
-        failures.append(f"proximal normal not inside frechet normal at {wit}")
+    reference = Region.from_cell(reference_proximal_cell(s, y))
+    if region_compare(proximal, reference).relation != "equal":
+        failures.append("proximal normal is not the reference proximal cone")
     ok, wit = region_subset(frechet, limiting)
     if not ok:
         failures.append(f"frechet normal not inside limiting normal at {wit}")

@@ -415,6 +415,28 @@ def test_a_direction_leaving_the_steep_tangent_cone_misses_the_hypotheses(form, 
             assert rep["diagnostics"] == ["direction is not in the critical cone"]
 
 
+@pytest.mark.parametrize("mode,count", [("point", "direction mesh: 360 admissible"),
+                                        ("isolated", "critical mesh directions: 360")])
+def test_sufficient_mesh_directions_leaving_the_steep_tangent_cone_are_dropped(
+        mode, count, tmp_path):
+    # Dg = (100, 5e-6): the mesh direction d = (0, 1) lies in the critical
+    # cone to 1e-7 in d-space, but Dg d = 5e-6 leaves T_K(0) = (-inf, 0]
+    doc = {"n": 2, "m": 1, "objective": "x1^2 + x2^2",
+           "constraints": ["100*x1 + 0.000005*x2"],
+           "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
+           "S": {"kind": "point", "at": [0.0, 0.0]}, "xbar": [0.0, 0.0],
+           "options": {"delta": 0.05}}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_machine(["check-sufficient", str(path), "--mode", mode,
+                                "--kappa", "0.5"])
+    rep = json.loads(report)
+    assert code == rep["exit_code"] == 2
+    assert rep["verdict"] == "hypotheses-not-met"
+    assert rep["diagnostics"][0].startswith(count)
+    assert not any("degenerate" in line for line in rep["diagnostics"])
+
+
 def test_check_cq_with_k_above_the_dimension_cap_is_inconclusive(tmp_path, capsys):
     # K is a union of two halfspaces of R^9, one more dimension than the
     # double description enumerates; check-necessary stops there too

@@ -12,14 +12,13 @@ from sharpcheck.sets import (Ball, BaseSet, Box, Halfspace, Interval,
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
                                  directional_normal, eps_proximal_filter,
                                  eps_proximal_membership, normal_cone,
-                                 proximal_normal_cell, region_tangent_cone,
                                  second_tangent, tangent_cone)
-from sharpcheck.regions import (PolyCell, Region, lower_gen_support_detail,
-                                polar_cone, region_subset)
+from sharpcheck.regions import (PolyCell, Region, RegionError, lower_gen_support_detail,
+                                polar_cone, region_subset, region_tangent_cone)
 
 from helpers import (invariant_battery, is_cone, limiting_normal_region, minkowski_sum,
-                     oracle_agreement, random_catalog_instance, region_bytes,
-                     region_compare, region_equal, tangent_direction)
+                     oracle_agreement, random_catalog_instance, reference_proximal_cell,
+                     region_bytes, region_compare, region_equal, tangent_direction)
 
 
 def halfspace(normal, offset=0.0, dim=2):
@@ -364,7 +363,7 @@ def test_region_tangent_cone_at_vertex():
     t = region_tangent_cone(box, [0.0, 0.0])
     orthant = Region.from_cell(PolyCell([[-1.0, 0.0], [0.0, -1.0]], [0.0, 0.0], dim=2))
     assert region_compare(t, orthant).relation == "equal"
-    with pytest.raises(TangentError):
+    with pytest.raises(RegionError):
         region_tangent_cone(box, [2.0, 2.0])
 
 
@@ -410,11 +409,13 @@ def test_eps_proximal_filter_builds_the_cell_once_per_batch(monkeypatch):
     V = np.column_stack([np.cos(ang), np.sin(ang)])
     builds = []
 
-    def counting(s_, x):
-        builds.append(x)
-        return proximal_normal_cell(s_, x)
+    frechet = tangents._frechet_normal
 
-    monkeypatch.setattr(tangents, "proximal_normal_cell", counting)
+    def counting(s_, x, tc=None):
+        builds.append(x)
+        return frechet(s_, x, tc)
+
+    monkeypatch.setattr(tangents, "_frechet_normal", counting)
     for eps in (0.0, 0.2, 0.6):
         builds.clear()
         kept = eps_proximal_filter(s, y, V, eps)
@@ -423,6 +424,30 @@ def test_eps_proximal_filter_builds_the_cell_once_per_batch(monkeypatch):
             [any(np.array_equal(v, k) for k in kept) for v in V]
     with pytest.raises(TangentError):
         eps_proximal_filter(s, [3.0, 3.0], V, 0.2)
+
+
+def _proximal_identity_cases():
+    for seed in range(400):
+        s, y, _, _ = random_catalog_instance(seed)
+        yield s, y
+    yield two_disks(), [0.0, 0.0]
+    yield UnionSet([Box([(0.0, 1.0), (0.0, 1.0)]), Ball([-1.0, 0.0], 1.0)]), [0.0, 0.0]
+    yield UnionSet([PointSet([0.0, 0.0]), PointSet([1.0, 0.0]), PointSet([0.0, 2.0])]), \
+        [0.0, 0.0]
+    yield ProductSet([two_disks(), Interval(0.0, 1.0)]), [0.0, 0.0, 0.0]
+    yield PointSet([0.0, 0.0, 0.0]), [0.0, 0.0, 0.0]
+
+
+def test_proximal_normal_cone_is_the_frechet_cone_on_the_catalog():
+    # the eps-proximal screen and normal_cone(..., "proximal") read the
+    # Frechet cone; the reference builds the proximal cone kind by kind
+    failures = []
+    for i, (s, y) in enumerate(_proximal_identity_cases()):
+        reference = Region.from_cell(reference_proximal_cell(s, y))
+        relation = region_compare(reference, normal_cone(s, y, "frechet")).relation
+        if relation != "equal":
+            failures.append(f"case {i} ({s.kind} at {y}): {relation}")
+    assert not failures, "\n".join(failures)
 
 
 def test_eps_proximal_validates_eps():

@@ -27,6 +27,11 @@ three numbers the benchmark's acceptance rule compares for a claimed gain
 interquartile range): BASE's median pass minus HEAD's, BASE's p75 minus
 p25, and HEAD's pass wins.  It exits 0 whatever it finds, like
 ``report_digests.py --compare``.
+
+The noise floor: an A/A control, a tree against a copy of itself, on a
+shared 2-vCPU host read HEAD/BASE medians of x1.021, x1.024 and x0.991 on
+``necessary_sweep`` (10 pairs each, seeds 1, 1 and 20250717).  A ratio
+inside that spread is no evidence of a change.
 """
 from __future__ import annotations
 
