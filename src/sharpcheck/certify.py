@@ -37,7 +37,7 @@ from . import lp as _lp
 from . import oracles
 from .polyexpr import ModelError, ProblemInstance, rng_for, seed_for
 from .regions import (PolyCell, Region, _content, face_complex,
-                      lower_gen_support_detail, polar_cone, region_subset)
+                      lower_gen_support_detail, region_subset)
 from .sets import _row_norms
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
                        eps_proximal_filter, eps_proximal_membership, normal_cone,
@@ -196,22 +196,21 @@ def _jet_data(p: ProblemInstance, x):
 
 @dataclasses.dataclass(frozen=True)
 class MultiplierAffineSet:
-    """Solution set of grad f(x) + Dg(x)^T lam = 0, as lam0 + span(basis)."""
+    """Solution set of grad f(x) + Dg(x)^T lam = 0: its least-squares point
+    lam0 and its defining equalities.  Every lam of the set has
+    Dg(x)^T lam = -grad f(x), so a value that reads lam only through
+    Dg(x)^T lam is the same at every point of it."""
 
     lam0: np.ndarray | None
-    basis: np.ndarray      # (p, m) rows spanning ker Dg(x)^T
     empty: bool
     jacobian_t: np.ndarray  # (n, m), kept for the defining equalities
     grad_f: np.ndarray
 
     def as_cell(self) -> PolyCell:
+        m = self.jacobian_t.shape[1]
         if self.empty:
-            return PolyCell.empty_marker(self.basis.shape[1])
-        return PolyCell(eq_mat=self.jacobian_t, eq_rhs=-self.grad_f,
-                        dim=self.basis.shape[1])
-
-    def as_region(self) -> Region:
-        return Region.from_cell(self.as_cell())
+            return PolyCell.empty_marker(m)
+        return PolyCell(eq_mat=self.jacobian_t, eq_rhs=-self.grad_f, dim=m)
 
 
 @_per_point
@@ -226,13 +225,9 @@ def multiplier_affine_set(p: ProblemInstance, x) -> MultiplierAffineSet:
         lam0 = np.zeros(p.m)
     else:
         lam0, *_ = np.linalg.lstsq(Jt, -grad, rcond=None)
-    resid = float(np.linalg.norm(Jt @ lam0 + grad))
-    _, sv, vh = np.linalg.svd(Jt) if min(Jt.shape) else (None, np.zeros(0), np.eye(p.m))
-    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if sv.size else 1.0)))
-    basis = vh[rank:] if vh.shape[0] > rank else np.zeros((0, p.m))
-    if resid > 1e-9:
-        return MultiplierAffineSet(None, basis, True, Jt, grad)
-    return MultiplierAffineSet(lam0, basis, False, Jt, grad)
+    if float(np.linalg.norm(Jt @ lam0 + grad)) > 1e-9:
+        return MultiplierAffineSet(None, True, Jt, grad)
+    return MultiplierAffineSet(lam0, False, Jt, grad)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +244,15 @@ def critical_cone(p: ProblemInstance, x) -> Region:
     tk = tangent_cone(p.K, p.g_value(x))
     reg = tk.affine_preimage(J, np.zeros(p.m))
     return reg.intersect(Region.halfspace(grad, 0.0))
+
+
+def _critical_rows(p: ProblemInstance, x, D: np.ndarray) -> np.ndarray:
+    """Whether each row d of D is a critical direction at x, as bool[k]:
+    d lies in the critical cone, whose rows are unit in d-space, and
+    Dg(x) d lies in T_K(g(x)), tested in y-space, both to 1e-7."""
+    J = _jet_data(p, x)[1]
+    return (critical_cone(p, x).contains_rows(D, 1e-7)
+            & tangent_cone(p.K, p.g_value(x)).contains_rows(D @ J.T, 1e-7))
 
 
 def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M") -> Region:
@@ -442,70 +446,6 @@ def _point_phi_tangents(p: ProblemInstance, x: np.ndarray, d: np.ndarray | None,
 
 
 # ---------------------------------------------------------------------------
-# support values along affine multiplier sets
-# ---------------------------------------------------------------------------
-
-
-def _line_constancy(region: Region, c0: np.ndarray, c1: np.ndarray):
-    """Behavior of sup_w (c0 + t c1) . w over the region as t runs over R.
-
-    Returns "constant" when the support value does not depend on t, or
-    ("unbounded", t_sign) when it tends to +infinity.  These are the only
-    possibilities for a convex piecewise-linear map that is finite at some
-    t, which is exactly what makes a probe along each nullspace direction
-    an exhaustive scan of the multiplier affine set."""
-    slope_hi, slope_lo = -math.inf, math.inf
-    for verts, rays, lines in region.cell_generators():
-        for r in list(rays) + list(lines) + [-l for l in lines]:
-            cr1, cr0 = float(c1 @ r), float(c0 @ r)
-            if cr1 > TOL:
-                return ("unbounded", +1)
-            if cr1 < -TOL:
-                return ("unbounded", -1)
-            if cr0 > TOL:
-                return ("unbounded", 0)   # support is +inf for every t
-        for v in verts:
-            s = float(c1 @ v)
-            slope_hi = max(slope_hi, s)
-            slope_lo = min(slope_lo, s)
-    if slope_hi > TOL:
-        return ("unbounded", +1)
-    if slope_lo < -TOL:
-        return ("unbounded", -1)
-    return ("constant", 0)
-
-
-def _min_value_over_affine(region: Region, aff: MultiplierAffineSet,
-                           Jt: np.ndarray, qf: float):
-    """Exact infimum of lam -> qf - sup_{w in region} (Jt lam) . w over the
-    affine multiplier set, with a finite witness when the infimum is -inf.
-
-    The map is concave; if it is constant along every nullspace direction
-    it is constant on the whole set, otherwise it diverges along one of
-    them, so checking each basis direction is exhaustive."""
-    lam0 = aff.lam0
-    c0 = Jt @ lam0 if Jt.size else np.zeros(region.dim)
-    sup0 = region.support(c0)
-    if sup0 == math.inf:
-        return -math.inf, lam0, ("support is +inf at the base multiplier",)
-    base = qf - sup0
-    for nvec in aff.basis:
-        c1 = Jt @ nvec
-        verdictt, side = _line_constancy(region, c0, c1)
-        if verdictt == "unbounded":
-            # walk out until the value visibly drops, for a concrete witness
-            for t in (1.0, 1e1, 1e2, 1e3, 1e6):
-                lam = lam0 + (side if side != 0 else 1) * t * nvec
-                val = qf - region.support(Jt @ lam)
-                if math.isfinite(base) and val < base - 1e-6:
-                    return -math.inf, lam, \
-                        ("value is unbounded below along the multiplier set",)
-            return -math.inf, lam0 + nvec, \
-                ("value is unbounded below along the multiplier set",)
-    return base, lam0, ()
-
-
-# ---------------------------------------------------------------------------
 # implicit necessary condition
 # ---------------------------------------------------------------------------
 
@@ -515,12 +455,25 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
                              mode: str = "proximal") -> CertificationReport:
     """Necessary conditions phrased on the feasible set itself.
 
-    For every stationary multiplier lam: (i) the support of the image of
-    the asymptotic second-order cone must be nonpositive at lam, and (ii)
-    the Lagrangian curvature minus the support over the image of the outer
-    second-order set bounds 2 kappa (1-2 eps)^2 |d|^2 from above (proximal
-    mode) or 2 kappa dist(d, T_S(x))^2 (tangent_distance mode).  Both parts
-    are evaluated exactly; the report carries the largest admissible kappa.
+    With T'' the asymptotic second-order cone and T2 the outer second-order
+    set of the feasible set at x in direction d: (i) the support of T'' at
+    -grad f(x) must be nonpositive, and (ii) d' D2f(x) d minus the support
+    of T2 at -grad f(x) bounds 2 kappa (1-2 eps)^2 |d|^2 from above
+    (proximal mode) or 2 kappa dist(d, T_S(x))^2 (tangent_distance mode).
+    Both parts are evaluated exactly; the report carries the largest
+    admissible kappa.
+
+    Both sets are read through their preimages under the constraint
+    linearization at x, where a stationary multiplier lam enters only as
+    the support vector Dg(x)^T lam; the shift D2g(x)(d, d) of the outer
+    preimage cancels the multiplier's curvature term lam' D2g(x)(d, d).  On
+    the affine multiplier set grad f(x) + Dg(x)^T lam = 0, Dg(x)^T lam
+    = -grad f(x) for every lam, so no part depends on which multiplier is
+    taken and no scan along ker Dg(x)^T is needed.  Both supports are read
+    at c = Dg(x)^T lam0, lam0 being the set's least-squares point, which
+    keeps the rounding of every report bit; when no multiplier solves the
+    equation they are read at c = -grad f(x) and the witnesses carry no
+    multiplier.
 
     The check runs inside an ``lp.reuse_scope``, which joins the scope of
     a sweep that calls it, so the sweep builds each memoized object (see
@@ -545,37 +498,27 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
 
     aff = multiplier_affine_set(p, x)
     grad, J, qfn, _ = _jet_data(p, x)
-    if aff.empty:
-        return _report("satisfied", {"max_admissible": math.inf},
-                       cq=cq, diags=diags + [
-                           "no multiplier satisfies the stationarity equation; "
-                           "both conditions hold vacuously"])
+    c = -grad if aff.empty else J.T @ aff.lam0
 
-    # part (i): sigma over Dg(T'') <= 0 for every lam, i.e. the affine set
-    # sits inside the preimage of the polar cone under Dg^T
-    polar = polar_cone(Tpp)
-    pre_polar = polar.affine_preimage(J.T, np.zeros(p.n))
-    included, bad = region_subset(aff.as_region(), pre_polar)
-    wits = []
-    sigma0 = Tpp.support(J.T @ aff.lam0)
-    wits.append(_wit(part="i", x=x, d=d, lam=aff.lam0, sigma_theta=sigma0))
-    if not included:
-        sval = Tpp.support(J.T @ bad)
-        wits.append(_wit(part="i", x=x, d=d, lam=bad, sigma_theta=sval))
+    # part (i): sigma over T'' at c is nonpositive
+    sigma0 = Tpp.support(c)
+    wits = [_wit(part="i", x=x, d=d, lam=aff.lam0, sigma_theta=sigma0)]
+    if sigma0 > TOL:
         return _kappa_verdict(-math.inf, wits, cq, diags, exact)
 
-    # part (ii): the Lagrangian-vs-support value; the multiplier dependence
-    # of D2g(d,d) cancels against the shift of the outer set, leaving
-    # qf - sigma_{T2}(Dg^T lam)
-    qf = qfn(d)
-    inf_val, lam_star, notes2 = _min_value_over_affine(T2, aff, J.T, qf)
-    diags.extend(notes2)
+    # part (ii): the curvature of f less sigma over T2 at c
+    sigma2 = T2.support(c)
+    if sigma2 == math.inf:
+        value = -math.inf
+        diags.append("support is +inf at the base multiplier")
+    else:
+        value = qfn(d) - sigma2
 
     denom, dnote = _kappa_denominator(p, x, d, mode)
     if dnote:
         diags.append(dnote)
-    wits.append(_wit(part="ii", x=x, d=d, lam=lam_star, achieved=inf_val))
-    return _kappa_verdict(_kappa_bound(inf_val, denom), wits, cq, diags, exact)
+    wits.append(_wit(part="ii", x=x, d=d, lam=aff.lam0, achieved=value))
+    return _kappa_verdict(_kappa_bound(value, denom), wits, cq, diags, exact)
 
 
 def _pair(p: ProblemInstance, x, d):
@@ -602,10 +545,7 @@ def _implicit_hypotheses(p: ProblemInstance, x, d, mode):
     if np.linalg.norm(x - p.xbar) > p.options.delta + 1e-9:
         return _report("hypotheses-not-met",
                        diags=["base point lies outside the delta ball"])
-    # the critical cone's rows are unit in d-space; the K side tests Dg d in y-space
-    J = _jet_data(p, x)[1]
-    if not (critical_cone(p, x).contains(d, tol=1e-7)
-            and tangent_cone(p.K, p.g_value(x)).contains(J @ d, tol=1e-7)):
+    if not _critical_rows(p, x, d[None])[0]:
         return _report("hypotheses-not-met",
                        diags=["direction is not in the critical cone"])
     if mode == "proximal" and not eps_proximal_membership(p.S, x, d, p.options.epsilon):
@@ -1083,7 +1023,7 @@ def _second_order_preimages(p: ProblemInstance, x, d):
 def _solve_multiplier_lp(aff: MultiplierAffineSet, blocks):
     """Maximize the common margin s over the affine multiplier set subject
     to the stacked per-direction blocks."""
-    m = aff.basis.shape[1]
+    m = aff.jacobian_t.shape[1]
     rows, rhs, margins, eqs = ([item for part in parts for item in part]
                                for parts in zip(*blocks))
     out = _lp.max_margin(np.reshape(rows, (-1, m)), rhs, margins,
@@ -1219,11 +1159,8 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
         return _report("hypotheses-not-met", diags=diags + [
             "a linearized feasible direction strictly decreases the objective"])
 
-    cc = critical_cone(p, x)
     mesh = _unit_mesh(p.n, p.options.seed)
-    # cc's rows are unit in d-space; the K side tests Dg d in y-space
-    dirs = mesh[cc.contains_rows(mesh, 1e-7)
-                & tangent_cone(p.K, p.g_value(x)).contains_rows(mesh @ J.T, 1e-7)]
+    dirs = mesh[_critical_rows(p, x, mesh)]
     diags.append(f"critical mesh directions: {len(dirs)}")
     aff = multiplier_affine_set(p, x)
     if aff.empty:
@@ -1280,8 +1217,9 @@ def sweep_necessary(p: ProblemInstance,
     """Run a necessary checker over mesh points of S near xbar and all
     admissible mesh directions, and aggregate.
 
-    At each base point x the admissible directions are the mesh points in
-    the critical cone.  Every form but implicit-tangent requires d to be an
+    At each base point x the admissible directions are the critical mesh
+    points, by the test of ``_critical_rows`` that every checker's
+    hypotheses apply.  Every form but implicit-tangent requires d to be an
     eps-proximal normal to S at x (eps = ``p.options.epsilon``), so those
     forms screen the admissible directions with one ``eps_proximal_filter``
     call first.  The sweep then strides what is left, with step
@@ -1326,7 +1264,7 @@ def sweep_necessary(p: ProblemInstance,
     reports = []
     vacuous = 0
     for x in xs:
-        admissible = mesh[critical_cone(p, x).contains_rows(mesh, 1e-7)]
+        admissible = mesh[_critical_rows(p, x, mesh)]
         if mode != "implicit-tangent":
             admissible = eps_proximal_filter(p.S, x, admissible, p.options.epsilon)
         if len(admissible) == 0:

@@ -4,8 +4,9 @@ Seeded instance generation, tangent-direction sampling, the invariant
 battery run per instance, oracle agreement counting, the reference
 implementations the library is checked against (the scalar sampling
 oracles, set membership and distance, the membership-by-definition probe
-loop, the proximal normal cone, the face-complex limiting normal cones and
-a finite-difference jet check), and an in-process CLI runner.  Kept out of
+loop, the proximal normal cone, the face-complex limiting normal cones, the
+implicit necessary form's scan over the multiplier set and a
+finite-difference jet check), and an in-process CLI runner.  Kept out of
 the test modules so the acceptance suite can reuse the exact same
 generators.
 """
@@ -18,7 +19,7 @@ import sys
 
 import numpy as np
 
-from sharpcheck import cli
+from sharpcheck import certify, cli
 from sharpcheck import lp as _lp
 from sharpcheck.oracles import (
     GrowthEstimate,
@@ -1063,6 +1064,65 @@ def reference_point_problem(seed):
     options = Options(seed=int(rng.integers(2**16)),
                       delta=float(rng.choice([0.05, 0.25, 0.75])))
     return dict(n=n, m=m, f=f, g=g, K=K, S=S, xbar=s, options=options)
+
+
+# ---------------------------------------------------------------------------
+# the implicit necessary form, scanned over the affine multiplier set
+# ---------------------------------------------------------------------------
+
+
+def _line_constancy(region: Region, c0: np.ndarray, c1: np.ndarray):
+    """Behavior of sup_w (c0 + t c1) . w over the region as t runs over R.
+
+    Returns "constant" when the support value does not depend on t, or
+    "unbounded" when it tends to +infinity.  These are the only
+    possibilities for a convex piecewise-linear map that is finite at some
+    t, which is exactly what makes a probe along each nullspace direction
+    an exhaustive scan of the multiplier affine set."""
+    slope_hi, slope_lo = -math.inf, math.inf
+    for verts, rays, lines in region.cell_generators():
+        for r in list(rays) + list(lines) + [-l for l in lines]:
+            if abs(float(c1 @ r)) > certify.TOL or float(c0 @ r) > certify.TOL:
+                return "unbounded"
+        for v in verts:
+            s = float(c1 @ v)
+            slope_hi = max(slope_hi, s)
+            slope_lo = min(slope_lo, s)
+    if slope_hi > certify.TOL or slope_lo < -certify.TOL:
+        return "unbounded"
+    return "constant"
+
+
+def reference_implicit_parts(p: ProblemInstance, x, d) -> tuple[bool, float, float]:
+    """(part (i) holds, sigma_theta, achieved) of the implicit necessary
+    form at (x, d), read over the whole affine multiplier set
+    lam0 + ker Dg(x)^T, which must be nonempty; d is used as given.
+
+    Part (i) is the inclusion of the set in the preimage under Dg(x)^T of
+    the polar of the asymptotic preimage T''; sigma_theta is the support
+    of T'' at Dg(x)^T lam0.  achieved is the infimum over the set of
+    qf - sigma_{T2}(Dg(x)^T lam), T2 being the outer preimage: the map is
+    concave, so it is constant on the set when it is constant along each
+    basis direction of ker Dg(x)^T and -inf otherwise."""
+    x = np.asarray(x, dtype=float).ravel()
+    d = np.asarray(d, dtype=float).ravel()
+    aff = certify.multiplier_affine_set(p, x)
+    assert not aff.empty
+    _, J, qfn, _ = certify._jet_data(p, x)
+    Jt = J.T
+    Tpp = certify._point_phi_tangents(p, x, d, "asymp2")
+    T2 = certify._point_phi_tangents(p, x, d, "outer2")
+    pre_polar = polar_cone(Tpp).affine_preimage(Jt, np.zeros(p.n))
+    included, _ = region_subset(Region.from_cell(aff.as_cell()), pre_polar)
+    c0 = Jt @ aff.lam0
+    sigma_theta = Tpp.support(c0)
+    _, sv, vh = np.linalg.svd(Jt) if min(Jt.shape) else (None, np.zeros(0), np.eye(p.m))
+    rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if sv.size else 1.0)))
+    sup0 = T2.support(c0)
+    if sup0 == math.inf or any(_line_constancy(T2, c0, Jt @ nvec) == "unbounded"
+                               for nvec in vh[rank:]):
+        return included, sigma_theta, -math.inf
+    return included, sigma_theta, qfn(d) - sup0
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,13 @@ from sharpcheck.tangents import (TangentError, directional_clarke_tangent, norma
 from helpers import (
     duality_instance,
     first_example,
+    generic_stationary_document,
     linearization_instance,
     lp_nontrivial_point,
     parabola_example,
     parabola_family,
     random_catalog_instance,
+    reference_implicit_parts,
     region_compare,
     region_equal,
     second_example,
@@ -91,12 +93,12 @@ def test_critical_cone_parabola_is_a_line():
 
 
 def test_multiplier_affine_set_second_example():
+    # Dg(0) = (0, 1)^T and grad f(0) = 0: the multipliers are the line lam2 = 0
     aff = multiplier_affine_set(second_example())
     assert not aff.empty
     assert np.allclose(aff.lam0, [0.0, 0.0], atol=1e-9)
-    basis = np.atleast_2d(aff.basis)
-    assert basis.shape == (1, 2)
-    assert abs(basis[0, 1]) < 1e-9 and abs(basis[0, 0]) > 0.9
+    line = cone_region(E=[[0.0, 1.0]], f=[0.0])
+    assert region_compare(Region.from_cell(aff.as_cell()), line).relation == "equal"
 
 
 def test_multiplier_affine_set_detects_unmatchable_gradient():
@@ -345,6 +347,61 @@ def test_necessary_implicit_witness_replays():
         assert math.isfinite(sigma)
         value = qfn(dv) + float(lam @ qgn(dv)) - sigma
         assert value == pytest.approx(w["achieved"], abs=1e-7)
+
+
+def _first_constraint_repeated(doc):
+    """doc with its first constraint and K factor stated twice, so that
+    Dg(x) has a repeated row and ker Dg(x)^T is nontrivial."""
+    ray = {"kind": "interval", "lo": "-inf", "hi": 0.0}
+    factors = doc["K"]["factors"] if doc["K"]["kind"] == "product" else [doc["K"]]
+    assert all(f == ray for f in factors)
+    return {**doc, "m": doc["m"] + 1,
+            "constraints": [doc["constraints"][0], *doc["constraints"]],
+            "K": {"kind": "product", "factors": [ray] * (doc["m"] + 1)}}
+
+
+# f = x1 over x1 <= 0: its multiplier -1 is no normal, so part (i) fails
+DESCENT = {"n": 1, "m": 1, "objective": "x1", "constraints": ["x1"],
+           "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
+           "S": {"kind": "point", "at": [0.0]}, "xbar": [0.0]}
+# generic programs whose critical cones, first constraint repeated, are not {0}
+RANK_DEFICIENT = ["second_example", "twin_constraints", "rank_deficient",
+                  "halfspace_product", "ball_product", "descent",
+                  *(f"generic-{s}" for s in (0, 2, 6, 8, 9, 10, 11, 20, 21, 28))]
+
+
+@pytest.mark.parametrize("name", RANK_DEFICIENT)
+def test_implicit_parts_equal_the_scan_over_the_multiplier_set(name, tmp_path):
+    # Dg(x)^T lam = -grad f(x) on the whole affine multiplier set, so the
+    # values at lam0 equal the exhaustive scan's along ker Dg(x)^T
+    if name == "descent" or name.startswith("generic-"):
+        doc = DESCENT if name == "descent" else \
+            generic_stationary_document(int(name.split("-")[1]))[0]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_first_constraint_repeated(doc)))
+    else:
+        path = FIXTURES / f"{name}.json"
+    p = load_problem(path)
+    assert not multiplier_affine_set(p).empty
+    # the mesh misses most generic critical cones, so their unit
+    # generators join the critical mesh directions
+    mesh = certify._unit_mesh(p.n, p.options.seed)
+    mesh = mesh[certify._critical_rows(p, p.xbar, mesh)]
+    gens = np.reshape([g for _, rays, lines in critical_cone(p).cell_generators()
+                       for g in (*rays, *lines, *(-line for line in lines))], (-1, p.n))
+    dirs = np.vstack([mesh[::max(1, len(mesh) // 12)],
+                      gens[certify._critical_rows(p, p.xbar, gens)]])
+    assert len(dirs)
+    for raw in dirs:
+        _, d = certify._pair(p, p.xbar, raw)
+        holds, sigma, achieved = reference_implicit_parts(p, p.xbar, d)
+        r = necessary_implicit_check(p, p.xbar, raw, mode="tangent_distance")
+        assert r.verdict != "hypotheses-not-met", r.diagnostics
+        assert witness(r, "i")["sigma_theta"] == sigma
+        parts = [w["part"] for w in r.witnesses]
+        assert parts == (["i", "ii"] if holds else ["i"])
+        if holds:
+            assert witness(r, "ii")["achieved"] == achieved
 
 
 def test_necessary_explicit_second_example_is_weaker():
@@ -649,7 +706,7 @@ def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
     mesh = certify._unit_mesh(p.n, p.options.seed)
     assert screened[0][0].tobytes() == p.xbar.tobytes()
     for x, vs, _ in screened:
-        admissible = mesh[critical_cone(p, x).contains_rows(mesh, 1e-7)]
+        admissible = mesh[certify._critical_rows(p, x, mesh)]
         assert vs.tobytes() == admissible.tobytes()
     # the checker runs exactly the stride of each screen's output
     strided = [(x.tobytes(), d.tobytes()) for x, _, kept in screened

@@ -6,6 +6,7 @@ two time members blanked.  After an intended report change, regenerate
 them from the repository root with ``PYTHONPATH=src python tests/test_cli.py``
 and review the diff.
 """
+import ast
 import json
 import math
 import os
@@ -118,6 +119,15 @@ def _cases():
     path = "fixtures/rank_deficient.json"
     out += [(f"rank_deficient-sweep-{tag}", ["check-necessary", path, "--form", form,
                                              "--mode", mode])
+            for tag, form, mode in (("implicit-proximal", "implicit", "proximal"),
+                                    ("implicit-tangent", "implicit", "tangent-distance"),
+                                    ("explicit", "explicit", "proximal"),
+                                    ("clarke", "clarke", "proximal"))]
+    # grad f(0) = (1, 0) leaves the range of Dg(0)^T = (0, 1)^T, so no
+    # multiplier exists and every form must reject the non-minimiser
+    path = "fixtures/nonstationary.json"
+    out += [(f"nonstationary-sweep-{tag}", ["check-necessary", path, "--form", form,
+                                            "--mode", mode])
             for tag, form, mode in (("implicit-proximal", "implicit", "proximal"),
                                     ("implicit-tangent", "implicit", "tangent-distance"),
                                     ("explicit", "explicit", "proximal"),
@@ -415,6 +425,28 @@ def test_a_direction_leaving_the_steep_tangent_cone_misses_the_hypotheses(form, 
             assert rep["diagnostics"] == ["direction is not in the critical cone"]
 
 
+@pytest.mark.parametrize("form", ["implicit-proximal", "implicit-tangent", "explicit",
+                                  "clarke"])
+def test_sweeps_screen_out_directions_leaving_the_steep_tangent_cone(form, tmp_path):
+    # Dg = (100, 5e-6): the mesh direction d = (0, 1) lies in the critical
+    # cone to 1e-7 in d-space, but Dg d = 5e-6 leaves T_K(0) = (-inf, 0], so
+    # the sweep's screen drops it before any checker runs
+    doc = {"n": 2, "m": 1, "objective": "x1^2 + x2^2",
+           "constraints": ["100*x1 + 0.000005*x2"],
+           "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
+           "S": {"kind": "point", "at": [0.0, 0.0]}, "xbar": [0.0, 0.0],
+           "options": {"delta": 0.05}}
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_machine(["check-necessary", str(path), *NECESSARY_FORMS[form]])
+    rep = json.loads(report)
+    assert code == rep["exit_code"] == 0
+    assert (rep["verdict"], rep["kappa_bounds"]["max_admissible"]) == ("satisfied", 1)
+    assert rep["diagnostics"][0].startswith("sweep over 1 base points, 52 (x, d) pairs;")
+    assert not any("did not meet the form's hypotheses" in line
+                   for line in rep["diagnostics"])
+
+
 @pytest.mark.parametrize("mode,count", [("point", "direction mesh: 360 admissible"),
                                         ("isolated", "critical mesh directions: 360")])
 def test_sufficient_mesh_directions_leaving_the_steep_tangent_cone_are_dropped(
@@ -704,6 +736,32 @@ def test_canonical_bytes_match_the_reference_writer(doc):
 def test_every_exported_name_resolves():
     missing = [name for name in sharpcheck.__all__ if not hasattr(sharpcheck, name)]
     assert missing == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module imports at its top level and never reads: not as
+    a name, not as the base of an attribute and not through ``__all__``."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    src = Path(sharpcheck.__file__).resolve().parent
+    assert [u for path in sorted(src.glob("*.py")) for u in _unused_imports(path)] == []
 
 
 if __name__ == "__main__":
