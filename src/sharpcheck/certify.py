@@ -40,8 +40,8 @@ from .regions import (PolyCell, Region, _content, face_complex,
                       lower_gen_support_detail, region_subset)
 from .sets import _row_norms
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
-                       eps_proximal_filter, eps_proximal_membership, normal_cone,
-                       second_tangent, tangent_cone)
+                       eps_proximal_filter, eps_proximal_membership, face_labels,
+                       normal_cone, second_tangent, tangent_cone)
 
 TOL = 1e-9
 STRICT_TOL = 1e-7      # margin below which a strict inequality is not trusted
@@ -255,20 +255,33 @@ def _critical_rows(p: ProblemInstance, x, D: np.ndarray) -> np.ndarray:
             & tangent_cone(p.K, p.g_value(x)).contains_rows(D @ J.T, 1e-7))
 
 
-def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M") -> Region:
+def _own_anchor(p: ProblemInstance, x, d):
+    """(g(x), Dg(x) d): the anchor (y, u) at which a check of the one pair
+    (x, d) reads its K-side objects.  A sweep reads them at the anchor of
+    the pair's face instead (see ``sweep_necessary``)."""
+    return p.g_value(x), _jet_data(p, x)[1] @ d
+
+
+def directional_multipliers(p: ProblemInstance, x, d, kind: str = "M", *,
+                            anchor=None) -> Region:
     """Stationary multipliers lying in the directional normal cone of K at
-    g(x) in direction Dg(x) d; kind M uses the limiting cone, C the Clarke
-    cone.  The M set is always contained in the C set."""
+    g(x) in direction Dg(x) d, or at the anchor (y, u) when one is given;
+    kind M uses the limiting cone, C the Clarke cone.  The M set is always
+    contained in the C set.  Inside an open ``lp.reuse_scope`` the set is
+    built once per point, anchor and kind."""
     if kind not in ("M", "C"):
         raise ModelError(f"unknown multiplier kind {kind!r}")
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
-    d = np.asarray(d, dtype=float).ravel()
+    y, u = anchor or _own_anchor(p, x, np.asarray(d, dtype=float).ravel())
+    return _lp._reused("directional_multipliers", (p, x, y, u, kind),
+                       lambda: _directional_multipliers(p, x, y, u, kind))
+
+
+def _directional_multipliers(p: ProblemInstance, x, y, u, kind: str) -> Region:
     aff = multiplier_affine_set(p, x)
     if aff.empty:
         return Region.empty(p.m, notes=("stationarity equation has no solution",))
-    _, J, _, _ = _jet_data(p, x)
-    cone_kind = "limiting" if kind == "M" else "clarke"
-    N = directional_normal(p.K, p.g_value(x), J @ d, cone_kind)
+    N = directional_normal(p.K, y, u, "limiting" if kind == "M" else "clarke")
     cells = [c.intersect(aff.as_cell()) for c in N.cells]
     return Region(cells, N.notes, p.m)
 
@@ -305,7 +318,7 @@ def _full_row_rank(J: np.ndarray) -> bool:
 
 
 def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
-                                   kind: str = "FOSCMS") -> CqResult:
+                                   kind: str = "FOSCMS", *, anchor=None) -> CqResult:
     """Directional constraint qualifications at (x, d).
 
     FOSCMS:  ker Dg(x)^T meets the directional limiting normal cone of K
@@ -315,15 +328,31 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     DirRCQ:  the Clarke variant of FOSCMS.
     NONDEG:  span of the directional limiting cone meets ker Dg(x)^T only
              at 0 (rank test); forces a unique multiplier.
+
+    The cone of K is read at g(x) in direction Dg(x) d, or at the anchor
+    (y, u) when one is given.  Inside an open ``lp.reuse_scope`` every kind
+    but SOSCMS, the one that reads d itself, is decided once per point,
+    anchor and kind.
     """
     kind_u = kind.upper().replace("-", "")
     if kind_u not in ("FOSCMS", "SOSCMS", "DIRRCQ", "NONDEG"):
         raise ModelError(f"unknown constraint qualification {kind!r}")
     x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     d = np.zeros(p.n) if d is None else np.asarray(d, dtype=float).ravel()
+    # the jets at hand serve the anchor too: outside a reuse scope a second
+    # _jet_data call would evaluate them again
     _, J, _, qg = _jet_data(p, x)
-    y = p.g_value(x)
-    u = J @ d
+    y, u = anchor or (p.g_value(x), J @ d)
+    if kind_u == "SOSCMS":
+        return _cq(p, x, J, qg(d), y, u, kind_u)
+    return _lp._reused("constraint_qualification", (p, x, y, u, kind_u),
+                       lambda: _cq(p, x, J, None, y, u, kind_u))
+
+
+def _cq(p: ProblemInstance, x, J, curvature, y, u, kind_u: str) -> CqResult:
+    """The qualification of ``constraint_qualification_check`` at x, with
+    the cone of K read at (y, u); curvature, for SOSCMS only, is
+    D^2 g(x)(d, d)."""
     notes = ()
     if kind_u == "NONDEG":
         N = directional_normal(p.K, y, u, "limiting")
@@ -350,7 +379,7 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
         if p.K.as_region() is None:
             raise ModelError("SOSCMS requires a polyhedral-union K")
         # keep only multipliers with nonnegative constraint curvature along d
-        N = N.intersect(Region.halfspace(-qg(d), 0.0))
+        N = N.intersect(Region.halfspace(-curvature, 0.0))
         notes = ("curvature halfspace d' D2(lam g) d >= 0 added",)
     # a per-point memo on the J at hand: a _per_point helper would evaluate
     # the jets again outside a reuse scope
@@ -367,23 +396,24 @@ def constraint_qualification_check(p: ProblemInstance, x=None, d=None,
     return CqResult(kind_u, wit is None, witness=wit, notes=notes + N.notes)
 
 
-def certify_mscq(p: ProblemInstance, x, d) -> tuple[bool, str, tuple]:
+def certify_mscq(p: ProblemInstance, x, d, *, anchor=None) -> tuple[bool, str, tuple]:
     """Metric subregularity of the constraint map at (x, d), by cascade:
     affine g into a polyhedral-union K holds automatically; otherwise
     FOSCMS, then SOSCMS, then a sampling probe that is flagged as evidence
-    rather than proof.  The cascade runs on each call; inside an open
-    ``lp.reuse_scope`` the jets, K-side cones and LPs it poses are shared
-    with every other check at the same point."""
+    rather than proof.  The qualifications read K at the anchor (y, u) when
+    one is given.  The cascade runs on each call; inside an open
+    ``lp.reuse_scope`` the jets, K-side cones, FOSCMS results and LPs it
+    poses are shared with every other check at the same point and anchor."""
     x = np.asarray(x, dtype=float).ravel()
     d = np.asarray(d, dtype=float).ravel()
     affine = all(sum(e for _, e in mono) <= 1 for gi in p.g for mono in gi.terms)
     if affine and p.K.as_region() is not None:
         return True, "polyhedral", ()
-    res = constraint_qualification_check(p, x, d, "FOSCMS")
+    res = constraint_qualification_check(p, x, d, "FOSCMS", anchor=anchor)
     if res.holds:
         return True, "FOSCMS", res.notes
     if p.K.as_region() is not None:
-        res2 = constraint_qualification_check(p, x, d, "SOSCMS")
+        res2 = constraint_qualification_check(p, x, d, "SOSCMS", anchor=anchor)
         if res2.holds:
             return True, "SOSCMS", res2.notes
     est = oracles.mscq_modulus_estimate(p, x, d, rho=p.options.rho,
@@ -435,14 +465,23 @@ def linearized_phi_tangents(p: ProblemInstance, x=None, d=None,
 
 
 def _point_phi_tangents(p: ProblemInstance, x: np.ndarray, d: np.ndarray | None,
-                        kind: str) -> Region:
+                        kind: str, anchor=None) -> Region:
     """Point-mode preimage of the K-side object of ``kind`` at g(x) under the
     constraint linearization at x, without constraint-qualification notes;
-    whether it is exact is the caller's MSCQ result to report."""
+    whether it is exact is the caller's MSCQ result to report.  The object
+    is read at the anchor (y, u) when one is given."""
     _, J, _, qg = _jet_data(p, x)
-    u = None if d is None else J @ d
+    y, u = anchor or (p.g_value(x), None if d is None else J @ d)
     shift = qg(d) if kind == "outer2" else np.zeros(p.m)
-    return _point_object_K(p, kind, p.g_value(x), u).affine_preimage(J, shift)
+    return _point_object_K(p, kind, y, u).affine_preimage(J, shift)
+
+
+def _asymptotic_preimage(p: ProblemInstance, x: np.ndarray, anchor) -> Region:
+    """The asymptotic preimage at x read at anchor; it has no shift, so
+    inside an open ``lp.reuse_scope`` it is built once per point and
+    anchor."""
+    return _lp._reused("asymptotic_preimage", (p, x, *anchor),
+                       lambda: _point_phi_tangents(p, x, None, "asymp2", anchor))
 
 
 # ---------------------------------------------------------------------------
@@ -475,23 +514,27 @@ def necessary_implicit_check(p: ProblemInstance, x=None, d=None,
     equation they are read at c = -grad f(x) and the witnesses carry no
     multiplier.
 
-    The check runs inside an ``lp.reuse_scope``, which joins the scope of
-    a sweep that calls it, so the sweep builds each memoized object (see
-    the ``lp`` module docstring) once.
+    The check tests the form's hypotheses, then evaluates it with the
+    K-side objects read at (g(x), Dg(x) d), inside an ``lp.reuse_scope``.
+    ``sweep_necessary`` calls the evaluation alone.
     """
     if mode not in ("proximal", "tangent_distance"):
         raise ModelError(f"unknown implicit mode {mode!r}")
     x, d = _pair(p, x, d)
-    diags: list[str] = []
-
     pre = _implicit_hypotheses(p, x, d, mode)
     if pre is not None:
         return pre
+    return _implicit_value(p, x, d, _own_anchor(p, x, d), mode)
 
-    exact, method, notes = certify_mscq(p, x, d)
+
+def _implicit_value(p: ProblemInstance, x, d, anchor, mode: str) -> CertificationReport:
+    """The implicit form at a unit pair (x, d) that meets its hypotheses,
+    with the K-side objects read at anchor."""
+    diags: list[str] = []
+    exact, method, notes = certify_mscq(p, x, d, anchor=anchor)
     cq = {"mscq": method if exact else "unverified"}
-    Tpp = _point_phi_tangents(p, x, d, "asymp2")
-    T2 = _point_phi_tangents(p, x, d, "outer2")
+    Tpp = _asymptotic_preimage(p, x, anchor)
+    T2 = _point_phi_tangents(p, x, d, "outer2", anchor)
     diags.extend(notes + Tpp.notes + T2.notes)
     if not exact:
         diags.append(INCLUSION_ONLY)
@@ -539,12 +582,9 @@ def _implicit_hypotheses(p: ProblemInstance, x, d, mode):
     proximal mode reads eps from the instance's options."""
     if np.linalg.norm(d) <= TOL:
         return _report("hypotheses-not-met", diags=["zero direction"])
-    if not p.S.contains(x, tol=1e-7):
-        return _report("hypotheses-not-met",
-                       diags=["base point does not belong to the reference set"])
-    if np.linalg.norm(x - p.xbar) > p.options.delta + 1e-9:
-        return _report("hypotheses-not-met",
-                       diags=["base point lies outside the delta ball"])
+    pre = _point_hypotheses(p, x)
+    if pre is not None:
+        return pre
     if not _critical_rows(p, x, d[None])[0]:
         return _report("hypotheses-not-met",
                        diags=["direction is not in the critical cone"])
@@ -552,6 +592,18 @@ def _implicit_hypotheses(p: ProblemInstance, x, d, mode):
         return _report("hypotheses-not-met",
                        diags=["direction is not an eps-proximal normal "
                               "to the reference set"])
+    return None
+
+
+def _point_hypotheses(p: ProblemInstance, x):
+    """The preconditions on the base point alone: None when x lies in S
+    and in the delta ball about xbar, else a hypotheses-not-met report."""
+    if not p.S.contains(x, tol=1e-7):
+        return _report("hypotheses-not-met",
+                       diags=["base point does not belong to the reference set"])
+    if np.linalg.norm(x - p.xbar) > p.options.delta + 1e-9:
+        return _report("hypotheses-not-met",
+                       diags=["base point lies outside the delta ball"])
     return None
 
 
@@ -609,20 +661,25 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None) -> Certificatio
     where the face complex's absolute margins lose a face (violated -1/2).
     """
     x, d = _pair(p, x, d)
-    diags = ["explicit form is weaker than the implicit form: a satisfied "
-             "verdict here does not preclude an implicit rejection"]
-
     pre = _implicit_hypotheses(p, x, d, "proximal")
     if pre is not None:
         return pre
-    ok, method, notes = certify_mscq(p, x, d)
+    return _explicit_value(p, x, d, _own_anchor(p, x, d))
+
+
+def _explicit_value(p: ProblemInstance, x, d, anchor) -> CertificationReport:
+    """The explicit form at a unit pair (x, d) that meets its hypotheses,
+    with the K-side objects read at anchor."""
+    diags = ["explicit form is weaker than the implicit form: a satisfied "
+             "verdict here does not preclude an implicit rejection"]
+    ok, method, notes = certify_mscq(p, x, d, anchor=anchor)
     if not ok:
         return _report("hypotheses-not-met", cq={"mscq": "unverified"},
                        diags=diags + list(notes) +
                        ["metric subregularity could not be certified"])
     cq = {"mscq": method}
     diags.extend(notes)
-    Tpp, T2, lamreg = _k_side(p, x, d, "M", diags)
+    Tpp, T2, lamreg = _k_side(p, x, anchor, "M", diags)
     if lamreg.is_empty():
         return _kappa_verdict(-math.inf, (), cq,
                               diags + ["no directional multiplier exists"])
@@ -654,16 +711,14 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None) -> Certificatio
     return _kappa_verdict(_kappa_bound(best, denom), wits, cq, diags)
 
 
-def _k_side(p: ProblemInstance, x, d, kind: str, diags: list[str]):
+def _k_side(p: ProblemInstance, x, anchor, kind: str, diags: list[str]):
     """(Tpp, T2, multipliers): the asymptotic and outer second-order sets of
-    K at g(x) in direction Dg(x) d, whose notes go to diags, and the
-    directional multipliers of ``kind`` (M or C) at (x, d)."""
-    _, J, _, _ = _jet_data(p, x)
-    y, u = p.g_value(x), J @ d
-    Tpp = second_tangent(p.K, y, u, "asymptotic")
-    T2 = second_tangent(p.K, y, u, "outer")
+    K at the anchor (y, u), whose notes go to diags, and the directional
+    multipliers of ``kind`` (M or C) at x and the anchor."""
+    Tpp = second_tangent(p.K, *anchor, "asymptotic")
+    T2 = second_tangent(p.K, *anchor, "outer")
     diags.extend(Tpp.notes + T2.notes)
-    return Tpp, T2, directional_multipliers(p, x, d, kind)
+    return Tpp, T2, directional_multipliers(p, x, None, kind, anchor=anchor)
 
 
 def _search_sigma_hat_nonpositive(lamreg: Region, target: Region):
@@ -788,30 +843,35 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     if mode not in ("elementwise", "nondegenerate"):
         raise ModelError(f"unknown clarke mode {mode!r}")
     x, d = _pair(p, x, d)
-    diags: list[str] = []
-
     pre = _implicit_hypotheses(p, x, d, "proximal")
     if pre is not None:
         return pre
-    rcq = constraint_qualification_check(p, x, d, "DirRCQ")
+    return _clarke_value(p, x, d, _own_anchor(p, x, d), mode)
+
+
+def _clarke_value(p: ProblemInstance, x, d, anchor, mode: str) -> CertificationReport:
+    """The Clarke form at a unit pair (x, d) that meets its hypotheses,
+    with the K-side objects read at anchor."""
+    diags: list[str] = []
+    rcq = constraint_qualification_check(p, x, d, "DirRCQ", anchor=anchor)
     if not rcq.holds:
         return _report("hypotheses-not-met", cq={"dirrcq": "fails"},
                        diags=diags + ["directional Robinson qualification fails; "
                                       "the multiplier set may be unbounded"])
     cq = {"dirrcq": "holds"}
     if mode == "nondegenerate":
-        nd = constraint_qualification_check(p, x, d, "NONDEG")
+        nd = constraint_qualification_check(p, x, d, "NONDEG", anchor=anchor)
         if not nd.holds:
             return _report("hypotheses-not-met", cq={**cq, "nondeg": "fails"},
                            diags=diags + ["directional nondegeneracy fails"])
         cq["nondeg"] = "holds"
 
-    Tpp, T2, lamreg = _k_side(p, x, d, "C", diags)
+    Tpp, T2, lamreg = _k_side(p, x, anchor, "C", diags)
     if lamreg.is_empty():
         return _kappa_verdict(-math.inf, (), cq, diags + ["no Clarke multiplier exists"])
     grad, J, qfn, qgn = _jet_data(p, x)
     try:
-        that = directional_clarke_tangent(p.K, p.g_value(x), J @ d)
+        that = directional_clarke_tangent(p.K, *anchor)
     except TangentError as exc:
         return _report("hypotheses-not-met", cq=cq, diags=diags + [str(exc)])
     qf, q = qfn(d), qgn(d)
@@ -1211,6 +1271,22 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
 # ---------------------------------------------------------------------------
 
 
+def _face_anchors(p: ProblemInstance, x, dirs, faces: dict) -> list:
+    """The anchor of each pair (x, d), d in dirs.  For a polyhedral K,
+    faces maps (rows of T_K(g(x)), label of the face holding Dg(x) d; see
+    ``tangents.face_labels``) to the anchor of the first pair that had
+    them, and a pair with a new key enters its own (g(x), Dg(x) d).  Any
+    other K anchors each pair at its own."""
+    y = p.g_value(x)
+    J = _jet_data(p, x)[1]
+    own = [(y, J @ d) for d in dirs]
+    if p.K.as_region() is None:
+        return own
+    rows = _lp._content_key(_content(tangent_cone(p.K, y)))
+    labels = face_labels(p.K, y, np.asarray(dirs) @ J.T)
+    return [faces.setdefault((rows, label), anchor) for label, anchor in zip(labels, own)]
+
+
 @_lp.reuse_scope()
 def sweep_necessary(p: ProblemInstance,
                     mode: str = "implicit-proximal") -> CertificationReport:
@@ -1223,9 +1299,24 @@ def sweep_necessary(p: ProblemInstance,
     eps-proximal normal to S at x (eps = ``p.options.epsilon``), so those
     forms screen the admissible directions with one ``eps_proximal_filter``
     call first.  The sweep then strides what is left, with step
-    max(1, count // 48), and runs the checker on each direction it keeps.  A point left with no
-    direction is counted as having none admissible, and the reported pair
-    count is the number of checks run.
+    max(1, count // 48), and evaluates the form on each direction it keeps,
+    scaled to unit length as a single check scales it.  The screen has
+    proved the direction's hypotheses and ``_point_hypotheses`` tests the
+    base point's once, so the sweep calls the form's evaluation alone.  A
+    point left with no direction is counted as having none admissible, and
+    the reported pair count is the number of checks run.
+
+    For a polyhedral K a pair reads its K-side objects (the second-order
+    sets, directional normal cones, multipliers, Clarke tangent cone,
+    asymptotic preimage and the FOSCMS, DirRCQ and NONDEG results) at the
+    anchor of its face: the first pair of the sweep with the same rows of
+    T_K(g(x)) and the same face label of Dg(x) d (see ``_face_anchors``
+    and the ``tangents`` module docstring), so they are built once per
+    face, also across base points.  The quadratic forms, the shift
+    D2g(x)(d, d) of the outer preimage, SOSCMS, the sampled MSCQ probe, the
+    denominators, the part-(ii) programs and the witnesses stay per pair.
+    Any other K anchors each pair at its own (g(x), Dg(x) d), as a single
+    check does.
 
     Aggregation: any violation wins (with its witnesses); otherwise any
     inconclusive; otherwise hypotheses-not-met when no check met the form's
@@ -1233,16 +1324,21 @@ def sweep_necessary(p: ProblemInstance,
     otherwise satisfied with the smallest per-check kappa bound, saying how
     many checks missed their hypotheses.
 
-    The whole sweep runs in one ``lp.reuse_scope``, which the per-pair
-    checkers join, so each object of the memo kinds listed in the ``lp``
-    module docstring is built once per sweep: the per-point objects once
-    per base point x, and the K-side cones at g(x) once for all directions
-    at x.  A constraint qualification at a point where Dg(x) has full row
-    rank holds without an LP.  The base points are deduplicated by one
-    row-norm call per sample against all points kept so far.
+    The whole sweep runs in one ``lp.reuse_scope``, so each object of the
+    memo kinds listed in the ``lp`` module docstring is built once per
+    sweep: the per-point objects once per base point x, and the K-side
+    objects once per anchor.  A constraint qualification at a point where
+    Dg(x) has full row rank holds without an LP.  The base points are
+    deduplicated by one row-norm call per sample against all points kept
+    so far.
     """
-    kinds = ("implicit-proximal", "implicit-tangent", "explicit", "clarke")
-    if mode not in kinds:
+    evaluate = {
+        "implicit-proximal": lambda x, d, a: _implicit_value(p, x, d, a, "proximal"),
+        "implicit-tangent": lambda x, d, a: _implicit_value(p, x, d, a, "tangent_distance"),
+        "explicit": lambda x, d, a: _explicit_value(p, x, d, a),
+        "clarke": lambda x, d, a: _clarke_value(p, x, d, a, "elementwise"),
+    }.get(mode)
+    if evaluate is None:
         raise ModelError(f"unknown sweep mode {mode!r}")
     xs = [p.xbar]
     for s in p.S.sample_near(p.xbar, p.options.delta, seed_for(p.options.seed, 17), 120):
@@ -1252,17 +1348,9 @@ def sweep_necessary(p: ProblemInstance,
             break
     mesh = _unit_mesh(p.n, p.options.seed)
 
-    def run(x, dd):
-        if mode == "implicit-proximal":
-            return necessary_implicit_check(p, x, dd, mode="proximal")
-        if mode == "implicit-tangent":
-            return necessary_implicit_check(p, x, dd, mode="tangent_distance")
-        if mode == "explicit":
-            return necessary_explicit_check(p, x, dd)
-        return necessary_clarke_check(p, x, dd)
-
     reports = []
     vacuous = 0
+    faces: dict = {}
     for x in xs:
         admissible = mesh[_critical_rows(p, x, mesh)]
         if mode != "implicit-tangent":
@@ -1270,7 +1358,13 @@ def sweep_necessary(p: ProblemInstance,
         if len(admissible) == 0:
             vacuous += 1
             continue
-        reports.extend(run(x, dd) for dd in admissible[::max(1, len(admissible) // 48)])
+        dirs = [_pair(p, x, dd)[1] for dd in admissible[::max(1, len(admissible) // 48)]]
+        pre = _point_hypotheses(p, x)
+        if pre is not None:
+            reports.extend(pre for _ in dirs)
+            continue
+        reports.extend(evaluate(x, d, anchor)
+                       for d, anchor in zip(dirs, _face_anchors(p, x, dirs, faces)))
     diags = [f"sweep over {len(xs)} base points, {len(reports)} (x, d) pairs; "
              f"{vacuous} points had no admissible direction"]
     if not reports:

@@ -30,9 +30,14 @@ one.  Inside the block these are built once per distinct input:
   Dg, critical cone, multiplier affine set and tangent cone of S at a base
   point), and its search for a multiplier with nonpositive lower
   generalized support, keyed on the cells of both regions;
-* the set-side cones of ``tangents``: the tangent cone of a set at a point
-  with its polar, and the directional normal cone at a point, direction and
-  kind.
+* the objects of ``certify`` at a base point x and a K-side anchor (y, u)
+  (see ``certify.sweep_necessary``): the asymptotic preimage, the
+  directional multipliers of each kind, and the FOSCMS, DirRCQ and NONDEG
+  results;
+* the set-side objects of ``tangents``: the tangent cone of a set at a
+  point with its polar, the directional normal cone and the second-order
+  tangent set at a point, direction and kind, and the directional Clarke
+  tangent cone at a point and direction.
 
 The outcome is stored under the input's content, with its arrays made
 read-only, and handed back to every later caller that poses the same

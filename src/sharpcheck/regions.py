@@ -459,10 +459,19 @@ def polar_cone(region: Region) -> Region:
 
 
 def _polar_cone(region: Region) -> Region:
-    if not all(c.is_homogeneous(tol=1e-7) for c in region.nonempty_cells()):
+    cells = region.nonempty_cells()
+    if not all(c.is_homogeneous(tol=1e-7) for c in cells):
         raise RegionError("polar_cone given a non-homogeneous cell")
     ineq_rows, eq_rows = [], []
-    for verts, rays, lines in region.cell_generators():
+    for cell in cells:
+        # a cell whose equalities span the space is {0}, whose polar is the
+        # whole space: it adds no row, and needs no double description
+        if cell.E.shape[0] >= region.dim and np.linalg.matrix_rank(cell.E) == region.dim:
+            continue
+        gens = cell.generators()
+        if gens is None:
+            continue
+        verts, rays, lines = gens
         if any(np.linalg.norm(v) > 1e-7 for v in verts):  # pragma: no cover - homogeneous cells
             raise RegionError("cone cell has a nonzero vertex")
         if rays.size:

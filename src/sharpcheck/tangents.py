@@ -27,6 +27,22 @@ surfaces.
 
 Strata that fail sampler validation are dropped and the result carries a
 note, never a silent claim.
+
+For a polyhedral set (``as_region()`` not None) the directional objects at
+y in a direction u depend on u only through the face F of T_s(y) whose
+relative interior holds u, and on y only through T_s(y): N_s(y; u) =
+N_{T_s(y)}(u), and the outer second-order set and the asymptotic
+second-order cone are both T_{T_s(y)}(u) (the reduction lemma; Dontchev &
+Rockafellar 2014, Implicit Functions and Solution Mappings, 2E; Bonnans &
+Shapiro 2000, 3.4).  ``face_labels`` reads F as the builders below read
+u: each inequality row a of T_s(y) binned at a.u = -1e-8, 1e-8 and 1e-7
+(a strict row, an active row, a row within the tangency tolerance), each
+equality row e at |e.u| = 1e-8 and 1e-7, and whether |u| <= 1e-9 on each
+block of coordinates whose norm a builder tests (the set's own, and each
+product factor's and union member's, recursively).  So a caller may read
+every directional object of a face at one anchor (y_F, u_F), the first
+pair it meets with that tangent cone and label; ``certify.sweep_necessary``
+does.
 """
 from __future__ import annotations
 
@@ -163,11 +179,19 @@ def _tangent_cone(s: BaseSet, y) -> Region:
 def second_tangent(s: BaseSet, y, d, kind: str) -> Region:
     """Outer second-order tangent set or asymptotic second-order tangent
     cone at y in direction d.  A non-tangent d yields the empty Region with
-    a diagnostic note rather than an error."""
+    a diagnostic note rather than an error.  Inside an open
+    ``lp.reuse_scope`` it is built once per set, point, direction and kind,
+    keyed like ``directional_normal``."""
     if kind not in ("outer", "asymptotic"):
         raise TangentError(f"unknown second-order kind {kind!r}")
-    y = _require_member(s, y)
+    y = _vec(y, s.dim)
     d = _vec(d, s.dim)
+    return _lp._reused("second_tangent", (s, y, d, kind),
+                       lambda: _second_tangent(s, y, d, kind))
+
+
+def _second_tangent(s: BaseSet, y: np.ndarray, d: np.ndarray, kind: str) -> Region:
+    y = _require_member(s, y)
     tcone = tangent_cone(s, y)
     if not tcone.contains(d, tol=MEMBER_TOL):
         return Region.empty(s.dim, ("direction not tangent",))
@@ -544,14 +568,51 @@ def _directional_normal(s: BaseSet, y: np.ndarray, u: np.ndarray, kind: str) -> 
 def directional_clarke_tangent(s: BaseSet, y, u) -> Region:
     """Polar of the directional Clarke normal cone.  It runs in an
     ``lp.reuse_scope``, so the Clarke cone starts from the T_s(y) of the
-    tangency test instead of building it again."""
-    y = _require_member(s, y)
+    tangency test instead of building it again; in a scope opened around
+    it, it is built once per set, point and direction."""
+    y = _vec(y, s.dim)
     u = _vec(u, s.dim)
+    return _lp._reused("directional_clarke_tangent", (s, y, u),
+                       lambda: _directional_clarke_tangent(s, y, u))
+
+
+def _directional_clarke_tangent(s: BaseSet, y: np.ndarray, u: np.ndarray) -> Region:
+    y = _require_member(s, y)
     if not tangent_cone(s, y).contains(u, tol=MEMBER_TOL):
         raise TangentError("direction not tangent")
     clarke = directional_normal(s, y, u, "clarke")
     out = polar_cone(clarke)
     return out.with_notes(*clarke.notes) if clarke.notes else out
+
+
+def _norm_blocks(s: BaseSet, lo: int = 0):
+    """(lo, hi) of s and, recursively, of each product factor and union
+    member of it: the coordinate blocks whose norm a builder here tests."""
+    yield lo, lo + s.dim
+    if isinstance(s, ProductSet):
+        for f, off in zip(s.factors, s.offsets):
+            yield from _norm_blocks(f, lo + int(off))
+    elif isinstance(s, UnionSet):
+        for m in s.members:
+            yield from _norm_blocks(m, lo)
+
+
+def face_labels(s: BaseSet, y, U) -> list[bytes]:
+    """The label of the face of T_s(y) holding each row u of the (k, dim)
+    array U, as bytes: the bins of the module docstring, from one product
+    of U with the rows of T_s(y).  Rows with equal labels get the same
+    directional objects from every builder here when s is polyhedral."""
+    y = _vec(y, s.dim)
+    U = np.asarray(U, dtype=float).reshape(-1, s.dim)
+    cells = tangent_cone(s, y).cells
+    va = U @ np.vstack([c.A for c in cells]).T
+    ve = np.abs(U @ np.vstack([c.E for c in cells]).T)
+    blocks = sorted(set(_norm_blocks(s)))
+    small = np.column_stack([np.linalg.norm(U[:, lo:hi], axis=1) <= TOL
+                             for lo, hi in blocks])
+    bins = np.hstack([va >= -1e-8, va > 1e-8, va > MEMBER_TOL,
+                      ve > 1e-8, ve > MEMBER_TOL, small])
+    return [row.tobytes() for row in bins]
 
 
 # ---------------------------------------------------------------------------

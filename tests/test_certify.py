@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sharpcheck import certify, lp
+from sharpcheck import certify, lp, tangents
 from sharpcheck.certify import (
     DUALITY_TOL,
     _conic_primal,
@@ -457,13 +457,13 @@ def _reuse_open():
 
 def test_sweep_runs_every_pair_inside_one_open_scope(monkeypatch):
     seen = []
-    original = certify.necessary_explicit_check
+    original = certify._explicit_value
 
     def spy(p, x, *args):
         seen.append((_reuse_open(), critical_cone(p, x)))
         return original(p, x, *args)
 
-    monkeypatch.setattr(certify, "necessary_explicit_check", spy)
+    monkeypatch.setattr(certify, "_explicit_value", spy)
     assert not _reuse_open()
     sweep_necessary(parabola_example(), mode="explicit")
     # both pairs sit at xbar, so they see the one critical cone built there
@@ -474,7 +474,7 @@ def test_sweep_runs_every_pair_inside_one_open_scope(monkeypatch):
 
 def test_sweep_closes_its_context_when_a_check_raises(monkeypatch):
     p = load_problem(FIXTURES / "halfspace_n4.json")
-    original = certify.necessary_clarke_check
+    original = certify._clarke_value
     calls = []
 
     def fails_midway(*args, **kwargs):
@@ -483,7 +483,7 @@ def test_sweep_closes_its_context_when_a_check_raises(monkeypatch):
             raise TangentError("injected")
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(certify, "necessary_clarke_check", fails_midway)
+    monkeypatch.setattr(certify, "_clarke_value", fails_midway)
     with pytest.raises(TangentError, match="injected"):
         sweep_necessary(p, mode="clarke")
     assert len(calls) == 10
@@ -571,6 +571,22 @@ def test_sweep_builds_the_k_side_cones_once_per_base_point(mode, monkeypatch):
     assert {y for kind, y in builds if kind == "frechet_normal"} <= \
         {y for kind, y in builds if kind == "tangent_cone"}
     assert len(calls) > 2 * len(builds)
+
+
+def test_sweep_builds_the_k_side_objects_once_per_face(monkeypatch):
+    # every critical direction of this sweep has Dg(0) d = d1 < 0: one face
+    # of T_K(0) = (-inf, 0], so one anchor for all 48 pairs
+    p = load_problem(FIXTURES / "halfspace_n4.json")
+    builds = []
+    for name in ("_directional_normal", "_second_tangent"):
+        build = getattr(tangents, name)
+        monkeypatch.setattr(tangents, name, lambda s, y, u, kind, build=build, name=name:
+                            builds.append((name, kind)) or build(s, y, u, kind))
+    r = sweep_necessary(p, mode="clarke")
+    assert r.diagnostics[0].startswith("sweep over 1 base points, 48 (x, d) pairs;")
+    assert sorted(builds) == [("_directional_normal", "clarke"),
+                              ("_second_tangent", "asymptotic"),
+                              ("_second_tangent", "outer")]
 
 
 @pytest.mark.parametrize("check,kappa", [(sufficient_point_check, 0.5),
@@ -683,8 +699,7 @@ def test_necessary_reports_do_not_depend_on_the_direction_scale(form, name, d):
 def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
                                                                 monkeypatch):
     p = with_options(load_problem(FIXTURES / f"{name}.json"), epsilon=eps)
-    attr = "necessary_implicit_check" if mode.startswith("implicit") else \
-        f"necessary_{mode}_check"
+    attr = f"_{mode.split('-')[0]}_value"
     checker, screen = getattr(certify, attr), certify.eps_proximal_filter
     screened, ran = [], []
 
@@ -693,9 +708,9 @@ def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
         screened.append((x.copy(), np.array(vs), kept))
         return kept
 
-    def spy_check(p_, x, d, **kwargs):
+    def spy_check(p_, x, d, *args):
         ran.append((x.tobytes(), d.tobytes()))
-        return checker(p_, x, d, **kwargs)
+        return checker(p_, x, d, *args)
 
     monkeypatch.setattr(certify, "eps_proximal_filter", spy_screen)
     monkeypatch.setattr(certify, attr, spy_check)
@@ -708,8 +723,9 @@ def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
     for x, vs, _ in screened:
         admissible = mesh[certify._critical_rows(p, x, mesh)]
         assert vs.tobytes() == admissible.tobytes()
-    # the checker runs exactly the stride of each screen's output
-    strided = [(x.tobytes(), d.tobytes()) for x, _, kept in screened
+    # the form is evaluated on exactly the stride of each screen's output,
+    # each direction scaled as a single check scales it
+    strided = [(x.tobytes(), certify._pair(p, x, d)[1].tobytes()) for x, _, kept in screened
                for d in kept[::max(1, len(kept) // 48)]]
     assert ran == strided
     assert report.diagnostics[0].startswith(
@@ -717,6 +733,64 @@ def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
     # xbar is checked whenever the screen keeps a direction there
     if len(screened[0][2]):
         assert ran[0][0] == p.xbar.tobytes()
+
+
+# K the union of the boxes [-1, 0] x [-1, 1] and [-1, 1] x [-1, 0], and
+# g = (x1^2, 2e-7 x2): Dg(0) d = (0, 2e-7 d2) lies on the face y1 = 0 of
+# the first box's tangent cone, and within the tangency tolerance 1e-7 of
+# the second box's exactly when d2 <= 1/2.  The outer second-order set is
+# the plane when both boxes are tangent and {w1 <= 0} otherwise, whose
+# preimage under the shift (2 d1^2, 0) is empty off d1 = 0.
+NEAR_TANGENT_BOXES = {
+    "n": 2, "m": 2, "objective": "x1^2 + x2^2", "constraints": ["x1^2", "2e-07*x2"],
+    "K": {"kind": "union", "members": [
+        {"kind": "box", "intervals": [[-1.0, 0.0], [-1.0, 1.0]]},
+        {"kind": "box", "intervals": [[-1.0, 1.0], [-1.0, 0.0]]}]},
+    "S": {"kind": "point", "at": [0.0, 0.0]}, "xbar": [0.0, 0.0]}
+FACE_ANCHOR_DOCUMENTS = ["halfspace_product", "rank_deficient", "twin_constraints",
+                         "nonstationary", "boxes_finite", "near-tangent-boxes",
+                         *(f"generic-{s}" for s in range(20))]
+
+
+@pytest.mark.parametrize("name", FACE_ANCHOR_DOCUMENTS)
+def test_sweep_pairs_read_at_face_anchors_match_single_checks(name, tmp_path):
+    # a sweep reads each pair's K-side objects at the anchor of its face; a
+    # single check reads them at its own (g(x), Dg(x) d)
+    if name == "near-tangent-boxes" or name.startswith("generic-"):
+        doc = NEAR_TANGENT_BOXES if name == "near-tangent-boxes" else \
+            generic_stationary_document(int(name.split("-")[1]))[0]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+    else:
+        path = FIXTURES / f"{name}.json"
+    p = load_problem(path)
+    assert p.K.as_region() is not None
+    for mode, check in NECESSARY_CHECKS.items():
+        if mode == "nondegenerate":
+            continue
+        attr = f"_{mode.split('-')[0]}_value"
+        original, pairs = getattr(certify, attr), []
+
+        def spy(p_, x, d, *args):
+            report = original(p_, x, d, *args)
+            pairs.append((x, d, report))
+            return report
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(certify, attr, spy)
+            sweep_necessary(p, mode=mode)
+        with reuse_scope():   # each single check keys its objects on its own d
+            for x, d, got in pairs:
+                want = check(p, x, d)
+                # the verdict fixes the exit code
+                assert got.verdict == want.verdict, (mode, x, d)
+                assert got.cq_status == want.cq_status, (mode, x, d)
+                bound = want.kappa_bounds.get("max_admissible")
+                if bound is not None and math.isfinite(bound):
+                    assert got.kappa_bounds["max_admissible"] == \
+                        pytest.approx(bound, rel=1e-12, abs=0.0), (mode, x, d)
+                else:
+                    assert repr(got.kappa_bounds.get("max_admissible")) == repr(bound)
 
 
 def test_sweep_reads_hypotheses_not_met_when_no_pair_meets_them():
@@ -734,14 +808,14 @@ def test_sweep_reads_hypotheses_not_met_when_no_pair_meets_them():
 
 def test_sweep_counts_the_checks_that_missed_their_hypotheses(monkeypatch):
     p = first_example()
-    original = certify.necessary_explicit_check
+    original = certify._explicit_value
 
-    def off_xbar_misses(p_, x, d):
+    def off_xbar_misses(p_, x, d, anchor):
         if np.array_equal(x, p_.xbar):
-            return original(p_, x, d)
+            return original(p_, x, d, anchor)
         return certify._report("hypotheses-not-met", diags=["injected"])
 
-    monkeypatch.setattr(certify, "necessary_explicit_check", off_xbar_misses)
+    monkeypatch.setattr(certify, "_explicit_value", off_xbar_misses)
     r = sweep_necessary(p, mode="explicit")
     assert r.verdict == "satisfied"
     assert r.kappa_bounds["max_admissible"] == pytest.approx(1.0, abs=1e-6)

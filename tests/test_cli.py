@@ -154,13 +154,15 @@ def test_machine_report_matches_golden(name, argv, monkeypatch):
 
 
 def test_library_failure_is_inconclusive_without_traceback(tmp_path, capsys):
-    # nine variables exceed the double-description cap of the implicit form
+    # nine variables exceed the double-description cap of the implicit
+    # form's proximal screen, which polarizes the tangent cone of S, here a
+    # segment (the polar of a point's tangent cone {0} needs none)
     n = 9
     doc = {"n": n, "m": 1,
            "objective": " + ".join(f"x{i}^2" for i in range(1, n + 1)),
            "constraints": ["x1"],
            "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
-           "S": {"kind": "point", "at": [0.0] * n},
+           "S": {"kind": "box", "intervals": [[0.0, 0.0]] * (n - 1) + [[0.0, 0.5]]},
            "xbar": [0.0] * n}
     path = tmp_path / "halfspace9.json"
     path.write_text(json.dumps(doc))

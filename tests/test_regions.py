@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sharpcheck import regions
+from sharpcheck import lp, regions
 from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.regions import (
     PolyCell,
@@ -263,6 +263,33 @@ def test_polar_cone_examples():
     got = polar_cone(raypos.union(rayneg))
     want = Region.from_cell(PolyCell(eq_mat=[[1.0, 0.0]], eq_rhs=[0.0], dim=2))
     assert region_equal(got, want)
+
+
+def _polar_by_double_description(region):
+    """The polar as the double description of each cell gives it: the rays
+    of every nonempty cell as rows, its lines as equalities."""
+    gens = [lp.cell_generators_arrays(c.A, c.b, c.E, c.f) for c in region.nonempty_cells()]
+    A = np.vstack([rays for _, rays, _ in gens])
+    E = np.vstack([lines for _, _, lines in gens])
+    return Region.from_cell(PolyCell(A, np.zeros(len(A)), E, np.zeros(len(E)), dim=region.dim))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_polar_of_the_origin_needs_no_double_description(n):
+    origin = Region.origin(n)
+    # the ray along e1, as a cone cell beside the origin
+    ray = Region.from_cell(PolyCell(-np.eye(n)[:1], [0.0], np.eye(n)[1:], np.zeros(n - 1),
+                                    dim=n))
+    with_ray = origin.union(ray)
+    want = [region_bytes(_polar_by_double_description(r)) for r in (origin, with_ray)]
+    assert want[0] == region_bytes(Region.all_space(n))
+    enumerate_cell = lp.cell_generators_arrays
+    with mock.patch.object(lp, "cell_generators_arrays",
+                           side_effect=enumerate_cell) as dd:
+        assert region_bytes(regions._polar_cone(origin)) == want[0]
+        assert dd.call_count == 0
+        assert region_bytes(regions._polar_cone(with_ray)) == want[1]
+        assert dd.call_count == 1   # the ray's cell alone
 
 
 def test_double_polar_identity():

@@ -11,7 +11,7 @@ from sharpcheck.sets import (Ball, BaseSet, Box, Halfspace, Interval,
                              PointSet, Polyhedron, ProductSet, UnionSet)
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
                                  directional_normal, eps_proximal_filter,
-                                 eps_proximal_membership, normal_cone,
+                                 eps_proximal_membership, face_labels, normal_cone,
                                  second_tangent, tangent_cone)
 from sharpcheck.regions import (PolyCell, Region, RegionError, lower_gen_support_detail,
                                 polar_cone, region_subset, region_tangent_cone)
@@ -225,6 +225,46 @@ def test_directional_normal_matches_the_two_cone_route(monkeypatch):
     with _lp.reuse_scope():
         two_cone_scoped = [_directional_bytes(*case) for case in cases]
     assert one_cone == two_cone and one_cone_scoped == two_cone_scoped == two_cone
+
+
+# one value in each band a face label tells apart, along each coordinate
+BAND_VALUES = (-1.0, -2e-8, -5e-9, -5e-10, 0.0, 5e-10, 5e-9, 5e-8, 2e-7)
+BOXES = UnionSet([Box([(-1.0, 0.0), (-1.0, 1.0)]), Box([(-1.0, 1.0), (-1.0, 0.0)])])
+
+
+@pytest.mark.parametrize("s,exact_normal", [
+    (Box([(-1.0, 0.0), (-1.0, 0.0)]), False),
+    (Polyhedron([([1.0, 0.0], 0.0)], [([1.0, -1.0], 0.0)]), False),
+    (ProductSet([UnionSet([Interval(-1.0, 0.0), Interval(0.5, 1.0)]),
+                 Interval(-1.0, 0.0)]), True),
+    (BOXES, True),
+    (UnionSet([Polyhedron([([1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)]),
+               Box([(-1.0, 1.0), (-1.0, 0.0)])]), True),
+    (UnionSet([Polyhedron([([1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)]),
+               Polyhedron([([-1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)])]), True),
+], ids=["box-corner", "polyhedron-with-equality", "union-by-interval", "boxes",
+        "union-with-equality", "two-half-lines"])
+def test_equal_face_labels_give_equal_directional_objects(s, exact_normal):
+    # a polyhedral set's second-order sets at u depend on u only through
+    # the face label; so do its directional normal cones where they come
+    # from strata, or from the 1-D convex factors of a nonconvex product,
+    # whose cone at u != 0 is {0}.  A convex cone of higher dimension cut
+    # to u-perp moves with u inside the face's tolerance band
+    y = np.zeros(2)
+    U = np.array([(a, b) for a in BAND_VALUES for b in BAND_VALUES])
+    groups = {}
+    for u, label in zip(U, face_labels(s, y, U)):
+        groups.setdefault(label, []).append(u)
+    for us in groups.values():
+        first, *rest = us
+        for kind in ("outer", "asymptotic"):
+            want = region_bytes(second_tangent(s, y, first, kind))
+            assert all(region_bytes(second_tangent(s, y, u, kind)) == want for u in rest), \
+                (kind, first)
+        if exact_normal:
+            want = directional_normal(s, y, first, "limiting")
+            assert all(region_equal(directional_normal(s, y, u, "limiting"), want)
+                       for u in rest), first
 
 
 def test_directional_clarke_tangent_builds_the_tangent_cone_once(monkeypatch):
