@@ -37,7 +37,7 @@ from . import lp as _lp
 from . import oracles
 from .polyexpr import ModelError, ProblemInstance, rng_for, seed_for
 from .regions import (PolyCell, Region, _content, face_complex,
-                      lower_gen_support_detail, region_subset)
+                      lower_gen_support_detail)
 from .sets import _row_norms
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
                        eps_proximal_filter, eps_proximal_membership, face_labels,
@@ -959,11 +959,9 @@ def _clarke_elementwise(p, x, d, grad, J, that, lamreg, Tpp, T2, qf, q, denom,
             best = -math.inf
             best_lam = None
             for lcell in lamreg.nonempty_cells():
-                probe = lcell
-                for r in ray_rows:
-                    probe = PolyCell(np.vstack([probe.A, r.reshape(1, -1)]),
-                                     np.concatenate([probe.b, [0.0]]),
-                                     probe.E, probe.f, dim=lamreg.dim)
+                probe = PolyCell(np.vstack([lcell.A, *ray_rows]),
+                                 np.concatenate([lcell.b, np.zeros(len(ray_rows))]),
+                                 lcell.E, lcell.f, dim=lamreg.dim)
                 out = _lp.maximize(q - v, probe.A, probe.b, probe.E, probe.f)
                 if out.status == "unbounded":
                     best = math.inf
@@ -1030,47 +1028,41 @@ def _unit_mesh(dim: int, seed: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _strict_rows_for_direction(Tpp_n: Region, T2_n: Region, J, thresh: float,
-                               qf_d: float):
-    """LP rows over lam encoding strict negativity on the image of the
-    asymptotic cone and the curvature threshold over the outer set.
+def _direction_margin(Tpp_n: Region, T2_n: Region, grad, J, thresh: float,
+                      qf_d: float) -> float | None:
+    """The common margin, capped at 1, by which every stationary multiplier
+    meets the sufficient conditions at one direction d.
 
-    Returns (rows, rhs, margins, eq_rows): the rows are m-dimensional, and
-    margins holds the coefficient of the common margin s in each row
-    (rows @ lam + margins * s <= rhs, eq_rows @ lam = 0).  Returns None
-    when a line of the asymptotic cone has a nonzero image (no multiplier
-    can be strictly negative on both signs)."""
-    rows, rhs, margins, eqs = [], [], [], []
+    Tpp_n and T2_n are the asymptotic and outer second-order preimages cut
+    to d^perp, qf_d is d' Hf d and thresh the curvature threshold.  A
+    multiplier lam enters each condition only through (Dg(x) r).lam =
+    r.Dg(x)^T lam, and Dg(x)^T lam = -grad f(x) at every lam of the affine
+    set, so each bound is one number:
+
+    * a generator r of Tpp_n with Dg(x) r != 0 asks lam.(Dg(x) r) < 0 with
+      margin s weighted by |Dg(x) r|, so s <= grad.r / |Dg(x) r|;
+    * a vertex v of T2_n asks qf_d - lam.(Dg(x) v) >= thresh + s, so
+      s <= qf_d - thresh + grad.v;
+    * a ray r of T2_n asks lam.(Dg(x) r) <= 0, that is grad.r >= 0, and a
+      line l asks grad.l = 0; each holds for every lam or for none, to TOL.
+
+    Returns None when a line of Tpp_n has a nonzero image (no multiplier
+    is strictly negative on both of its signs), and -inf when a ray or line
+    of T2_n rules out every multiplier."""
+    margin = 1.0
     for verts, rays, lines in Tpp_n.cell_generators():
-        for l in lines:
-            img = J @ l
-            if np.linalg.norm(img) > 1e-9:
-                return None
-        gens = [v for v in list(verts) + list(rays) if np.linalg.norm(v) > 1e-9]
-        for r in gens:
-            img = J @ r
-            nrm = float(np.linalg.norm(img))
-            if nrm <= 1e-9:
-                continue   # kernel directions carry no constraint
-            rows.append(img)
-            rhs.append(0.0)
-            margins.append(nrm)
+        if any(np.linalg.norm(J @ l) > 1e-9 for l in lines):
+            return None
+        for r in (*verts, *rays):
+            img = float(np.linalg.norm(J @ r))
+            if np.linalg.norm(r) > 1e-9 and img > 1e-9:   # the kernel bounds nothing
+                margin = min(margin, float(grad @ r) / img)
     for verts, rays, lines in T2_n.cell_generators():
-        for l in lines:
-            img = J @ l
-            if np.linalg.norm(img) > 1e-9:
-                eqs.append(img)
-        for r in rays:
-            img = J @ r
-            if np.linalg.norm(img) > 1e-9:
-                rows.append(img)
-                rhs.append(0.0)
-                margins.append(0.0)
+        if any(grad @ r < -TOL for r in rays) or any(abs(grad @ l) > TOL for l in lines):
+            return -math.inf
         for v in verts:
-            rows.append(J @ v)
-            rhs.append(qf_d - thresh)
-            margins.append(1.0)
-    return rows, rhs, margins, eqs
+            margin = min(margin, qf_d - thresh + float(grad @ v))
+    return margin
 
 
 def _second_order_preimages(p: ProblemInstance, x, d):
@@ -1078,21 +1070,6 @@ def _second_order_preimages(p: ProblemInstance, x, d):
     to the orthogonal complement of d."""
     return tuple(_point_phi_tangents(p, x, d, kind).intersect_orthocomplement(d)
                  for kind in ("asymp2", "outer2"))
-
-
-def _solve_multiplier_lp(aff: MultiplierAffineSet, blocks):
-    """Maximize the common margin s over the affine multiplier set subject
-    to the stacked per-direction blocks."""
-    m = aff.jacobian_t.shape[1]
-    rows, rhs, margins, eqs = ([item for part in parts for item in part]
-                               for parts in zip(*blocks))
-    out = _lp.max_margin(np.reshape(rows, (-1, m)), rhs, margins,
-                         [*eqs, *aff.jacobian_t],
-                         np.concatenate([np.zeros(len(eqs)), -aff.grad_f]))
-    if out is None:
-        return None, None
-    margin, lam = out
-    return lam, margin
 
 
 def _growth_gate(p: ProblemInstance, kappa: float, diags: list[str],
@@ -1126,6 +1103,14 @@ def sufficient_point_check(p: ProblemInstance) -> CertificationReport:
     batch of samples.  Every certificate is replayed through the growth
     oracle before it is returned.  The constant is ``p.options.kappa``,
     which must be set.
+
+    Both conditions read a multiplier lam only through (Dg(xbar) r).lam =
+    r.Dg(xbar)^T lam for points r of the preimages, and every lam of the
+    affine set grad f(xbar) + Dg(xbar)^T lam = 0 has Dg(xbar)^T lam =
+    -grad f(xbar).  So every stationary multiplier meets them with the same
+    margin, which ``_direction_margin`` reads with no multiplier search.
+    The witnesses carry the least-squares stationary multiplier lam0; the
+    conditions do not test whether it lies in N_K(g(xbar)).
     """
     kappa = p.options.kappa
     if kappa is None:
@@ -1159,25 +1144,24 @@ def sufficient_point_check(p: ProblemInstance) -> CertificationReport:
     worst = math.inf
     for dd in critical:
         Tpp, T2 = _second_order_preimages(p, x, dd)
-        if T2.is_empty() and region_subset(Tpp, Region.origin(p.n))[0]:
+        if T2.is_empty() and _nontrivial_point(Tpp) is None:
             return _report("inconclusive", diags=diags + [
                 "both second-order objects are degenerate at "
                 f"d = {np.round(dd, 6).tolist()}"])
         thresh = 2.0 * kappa * float(dd @ dd)
-        block = _strict_rows_for_direction(Tpp, T2, J, thresh, qfn(dd))
-        if block is None:
+        margin = _direction_margin(Tpp, T2, grad, J, thresh, qfn(dd))
+        if margin is None:
             return _report("hypotheses-not-met", diags=diags + [
                 "a line of the asymptotic cone has a nonzero image at "
                 f"d = {np.round(dd, 6).tolist()}; no strict multiplier exists"])
-        lam, margin = _solve_multiplier_lp(aff, [block])
-        if lam is None or margin <= STRICT_TOL:
-            got = "infeasible" if lam is None else f"margin {margin:.3g}"
+        if margin <= STRICT_TOL:
+            got = "infeasible" if margin == -math.inf else f"margin {margin:.3g}"
             return _report("hypotheses-not-met", diags=diags + [
                 f"multiplier search failed at d = {np.round(dd, 6).tolist()} "
                 f"({got})"])
         worst = min(worst, margin)
         if len(wits) < 6:
-            wits.append(_wit(x=x, d=dd, lam=lam, achieved=margin))
+            wits.append(_wit(x=x, d=dd, lam=aff.lam0, achieved=margin))
     if len(critical) == 0:
         diags.append("no admissible critical directions; growth holds vacuously "
                      "near the reference set")
@@ -1196,9 +1180,17 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
     Requires xbar isolated in S and no linearized descent direction; then
     one multiplier, fixed before the direction, must pass the strict
     negativity and positivity conditions for every mesh direction of the
-    critical cone simultaneously.  The common search is a single LP because
-    both conditions are linear in the multiplier once the per-direction
-    generators are enumerated.
+    critical cone simultaneously.  Per direction both conditions read a
+    multiplier lam only through r.Dg(xbar)^T lam, which is -grad f(xbar).r
+    at every lam of the affine set grad f(xbar) + Dg(xbar)^T lam = 0, so
+    each stationary multiplier meets a direction with the same margin
+    (``_direction_margin``), and one multiplier passes every direction
+    exactly when the least of those margins is positive.  The certified
+    constant is the least over the directions of
+    (d' Hf d - sigma_T2(-grad f(xbar))) / (2 |d|^2), T2 being the outer
+    preimage at d, the same value at every stationary lam.  The witness
+    carries the least-squares stationary multiplier lam0; the conditions do
+    not test whether it lies in N_K(g(xbar)).
 
     The requested constant ``p.options.kappa``, when set, goes into
     ``kappa_bounds``, and a request above the certified constant makes
@@ -1226,32 +1218,30 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
     if aff.empty:
         return _report("hypotheses-not-met",
                        diags=diags + ["stationarity equation has no solution"])
-    blocks = []
     per_dir = []
+    margin = math.inf
     for dd in dirs:
         Tpp, T2 = _second_order_preimages(p, x, dd)
-        block = _strict_rows_for_direction(Tpp, T2, J, 0.0, qfn(dd))
-        if block is None:
+        dmargin = _direction_margin(Tpp, T2, grad, J, 0.0, qfn(dd))
+        if dmargin is None:
             return _report("hypotheses-not-met", diags=diags + [
                 "a line of the asymptotic cone has a nonzero image at "
                 f"d = {np.round(dd, 6).tolist()}"])
-        blocks.append(block)
+        margin = min(margin, dmargin)
         per_dir.append((dd, T2))
     if len(dirs) == 0:
         diags.append("no critical mesh direction bounds the constant; only a "
                      "requested one can be certified")
         if requested is None:
             return _report("inconclusive", diags=diags)
-        lam, margin = aff.lam0, None
-    else:
-        lam, margin = _solve_multiplier_lp(aff, blocks)
-        if lam is None or margin <= STRICT_TOL:
-            got = "infeasible" if lam is None else f"margin {margin:.3g}"
-            return _report("hypotheses-not-met", diags=diags + [
-                f"no single multiplier passes every direction ({got})"])
+        margin = None
+    elif margin <= STRICT_TOL:
+        got = "infeasible" if margin == -math.inf else f"margin {margin:.3g}"
+        return _report("hypotheses-not-met", diags=diags + [
+            f"no single multiplier passes every direction ({got})"])
     # the worst value over directions, or the request when none bounds it;
     # an empty outer set (support -inf) bounds nothing
-    kcert = min(((qfn(dd) - T2.support(J.T @ lam)) / (2.0 * float(dd @ dd))
+    kcert = min(((qfn(dd) - T2.support(-grad)) / (2.0 * float(dd @ dd))
                  for dd, T2 in per_dir), default=requested)
     if not _growth_gate(p, max(kcert, 1e-6) if math.isfinite(kcert) else 1e-6,
                         diags, delta=0.25 * p.options.delta):
@@ -1259,7 +1249,7 @@ def sufficient_isolated_check(p: ProblemInstance) -> CertificationReport:
             "growth oracle found samples below the certified constant"])
     bounds = {"certified": kcert, "margin": margin, "requested": requested}
     bounds = {k: v for k, v in bounds.items() if v is not None}
-    wits = [_wit(lam=lam, achieved=margin)]
+    wits = [_wit(lam=aff.lam0, achieved=margin)]
     if requested is not None and requested > kcert:
         return _report("inconclusive", bounds, wits, {}, diags + [
             "requested constant exceeds the certified maximum"])

@@ -7,8 +7,8 @@ Two deliberately self-contained primitives live here:
   revised form (basis refactorized every pivot) keeps the numerics honest at
   desk scale and makes runs bit-reproducible: no external solver, no
   randomized pivoting.  ``max_margin`` poses the one program shape that the
-  relative-interior, realizability and multiplier questions share: the
-  largest common margin t <= 1 over a system of rows.
+  relative-interior and realizability questions share: the largest common
+  margin t <= 1 over a system of rows.
 
 * an incremental double-description kernel: generator representations
   (vertices / rays / lines) of polyhedral cones and cells, with conversion in

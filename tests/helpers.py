@@ -5,10 +5,10 @@ battery run per instance, oracle agreement counting, the reference
 implementations the library is checked against (the scalar sampling
 oracles, set membership and distance, the membership-by-definition probe
 loop, the proximal normal cone, the face-complex limiting normal cones, the
-implicit necessary form's scan over the multiplier set and a
-finite-difference jet check), and an in-process CLI runner.  Kept out of
-the test modules so the acceptance suite can reuse the exact same
-generators.
+implicit necessary form's scan over the multiplier set, the sufficient
+checks' multiplier LP and a finite-difference jet check), and an in-process
+CLI runner.  Kept out of the test modules so the acceptance suite can reuse
+the exact same generators.
 """
 import dataclasses
 import io
@@ -1123,6 +1123,88 @@ def reference_implicit_parts(p: ProblemInstance, x, d) -> tuple[bool, float, flo
                                for nvec in vh[rank:]):
         return included, sigma_theta, -math.inf
     return included, sigma_theta, qfn(d) - sup0
+
+
+# ---------------------------------------------------------------------------
+# the sufficient checks' multiplier LP, posed over the affine multiplier set
+# ---------------------------------------------------------------------------
+
+
+def _strict_rows_for_direction(Tpp_n: Region, T2_n: Region, J, thresh: float,
+                               qf_d: float):
+    """LP rows over lam encoding strict negativity on the image of the
+    asymptotic cone and the curvature threshold over the outer set.
+
+    Returns (rows, rhs, margins, eq_rows): the rows are m-dimensional, and
+    margins holds the coefficient of the common margin s in each row
+    (rows @ lam + margins * s <= rhs, eq_rows @ lam = 0).  Returns None
+    when a line of the asymptotic cone has a nonzero image (no multiplier
+    can be strictly negative on both signs)."""
+    rows, rhs, margins, eqs = [], [], [], []
+    for verts, rays, lines in Tpp_n.cell_generators():
+        for l in lines:
+            img = J @ l
+            if np.linalg.norm(img) > 1e-9:
+                return None
+        gens = [v for v in list(verts) + list(rays) if np.linalg.norm(v) > 1e-9]
+        for r in gens:
+            img = J @ r
+            nrm = float(np.linalg.norm(img))
+            if nrm <= 1e-9:
+                continue   # kernel directions carry no constraint
+            rows.append(img)
+            rhs.append(0.0)
+            margins.append(nrm)
+    for verts, rays, lines in T2_n.cell_generators():
+        for l in lines:
+            img = J @ l
+            if np.linalg.norm(img) > 1e-9:
+                eqs.append(img)
+        for r in rays:
+            img = J @ r
+            if np.linalg.norm(img) > 1e-9:
+                rows.append(img)
+                rhs.append(0.0)
+                margins.append(0.0)
+        for v in verts:
+            rows.append(J @ v)
+            rhs.append(qf_d - thresh)
+            margins.append(1.0)
+    return rows, rhs, margins, eqs
+
+
+def _solve_multiplier_lp(aff, blocks):
+    """Maximize the common margin s over the affine multiplier set subject
+    to the stacked per-direction blocks."""
+    m = aff.jacobian_t.shape[1]
+    rows, rhs, margins, eqs = ([item for part in parts for item in part]
+                               for parts in zip(*blocks))
+    out = _lp.max_margin(np.reshape(rows, (-1, m)), rhs, margins,
+                         [*eqs, *aff.jacobian_t],
+                         np.concatenate([np.zeros(len(eqs)), -aff.grad_f]))
+    if out is None:
+        return None, None
+    margin, lam = out
+    return lam, margin
+
+
+def reference_multiplier_margin(p: ProblemInstance, dirs, thresholds):
+    """(lam, margin) of the multiplier LP the sufficient checks posed
+    before they read the margin in closed form: one block per direction d
+    of dirs with its threshold, stacked into one program over the affine
+    multiplier set, which must be nonempty.  None when some direction's
+    asymptotic preimage holds a line with a nonzero image; (None, None)
+    when the program is infeasible."""
+    x = p.xbar
+    _, J, qfn, _ = certify._jet_data(p, x)
+    blocks = []
+    for d, thresh in zip(dirs, thresholds):
+        Tpp, T2 = certify._second_order_preimages(p, x, d)
+        block = _strict_rows_for_direction(Tpp, T2, J, thresh, qfn(d))
+        if block is None:
+            return None
+        blocks.append(block)
+    return _solve_multiplier_lp(certify.multiplier_affine_set(p, x), blocks)
 
 
 # ---------------------------------------------------------------------------

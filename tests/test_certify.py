@@ -2,6 +2,7 @@
 qualifications, the necessary and sufficient condition checks, and the LP
 duality / linearization cross-validations against the sampling oracles.
 """
+import collections
 import dataclasses
 import functools
 import json
@@ -51,6 +52,9 @@ from helpers import (
     parabola_family,
     random_catalog_instance,
     reference_implicit_parts,
+    _solve_multiplier_lp,
+    _strict_rows_for_direction,
+    reference_multiplier_margin,
     region_compare,
     region_equal,
     second_example,
@@ -370,6 +374,18 @@ RANK_DEFICIENT = ["second_example", "twin_constraints", "rank_deficient",
                   *(f"generic-{s}" for s in (0, 2, 6, 8, 9, 10, 11, 20, 21, 28))]
 
 
+def _critical_directions(p):
+    """Critical directions at xbar: the critical mesh directions, thinned to
+    about 12, and the critical cone's unit generators, which the mesh
+    misses on most generic programs."""
+    mesh = certify._unit_mesh(p.n, p.options.seed)
+    mesh = mesh[certify._critical_rows(p, p.xbar, mesh)]
+    gens = np.reshape([g for _, rays, lines in critical_cone(p).cell_generators()
+                       for g in (*rays, *lines, *(-line for line in lines))], (-1, p.n))
+    return np.vstack([mesh[::max(1, len(mesh) // 12)],
+                      gens[certify._critical_rows(p, p.xbar, gens)]])
+
+
 @pytest.mark.parametrize("name", RANK_DEFICIENT)
 def test_implicit_parts_equal_the_scan_over_the_multiplier_set(name, tmp_path):
     # Dg(x)^T lam = -grad f(x) on the whole affine multiplier set, so the
@@ -383,14 +399,7 @@ def test_implicit_parts_equal_the_scan_over_the_multiplier_set(name, tmp_path):
         path = FIXTURES / f"{name}.json"
     p = load_problem(path)
     assert not multiplier_affine_set(p).empty
-    # the mesh misses most generic critical cones, so their unit
-    # generators join the critical mesh directions
-    mesh = certify._unit_mesh(p.n, p.options.seed)
-    mesh = mesh[certify._critical_rows(p, p.xbar, mesh)]
-    gens = np.reshape([g for _, rays, lines in critical_cone(p).cell_generators()
-                       for g in (*rays, *lines, *(-line for line in lines))], (-1, p.n))
-    dirs = np.vstack([mesh[::max(1, len(mesh) // 12)],
-                      gens[certify._critical_rows(p, p.xbar, gens)]])
+    dirs = _critical_directions(p)
     assert len(dirs)
     for raw in dirs:
         _, d = certify._pair(p, p.xbar, raw)
@@ -864,6 +873,104 @@ def test_sufficient_isolated_parabola():
     assert r.verdict == "inconclusive"
     assert r.kappa_bounds["requested"] == 1.5
     assert r.diagnostics[-1] == "requested constant exceeds the certified maximum"
+
+
+def _margin_documents(tmp_path):
+    """Problem instances for the direction margins: every fixture, the
+    generic programs of seeds 0-59, and the same
+    programs with K = [0, inf)^m, whose multipliers leave N_K(g(xbar)) so
+    that rays and lines of the outer preimage rule every multiplier out."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.stem, load_problem(path)
+    wrong = {"kind": "interval", "lo": 0.0, "hi": "inf"}
+    for seed in range(60):
+        doc = generic_stationary_document(seed)[0]
+        K = wrong if doc["m"] == 1 else {"kind": "product", "factors": [wrong] * doc["m"]}
+        for name, variant in ((f"generic-{seed}", doc),
+                              (f"wrong-sign-{seed}", dict(doc, K=K))):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(variant))
+            yield name, load_problem(path)
+
+
+def _margin_outcome(name, got, out):
+    """The decision both readings agree on, or an assertion error: the
+    closed form's margin got (None on a line of the asymptotic preimage,
+    -inf when no multiplier is admissible) against the multiplier LP's
+    result out (None, or (lam, margin) with lam None when infeasible)."""
+    if out is None or got is None:
+        assert out is None and got is None, (name, got, out)
+        return "line"
+    lam, margin = out
+    if lam is None:
+        assert got == -math.inf, (name, got)
+        return "infeasible"
+    assert abs(got - margin) <= 1e-12 * max(1.0, abs(margin)), (name, got, margin)
+    return "certifies" if margin > certify.STRICT_TOL else "fails"
+
+
+def _compare_margins(name, p, seen):
+    """Read the margin of each of p's ``_critical_directions`` both ways
+    and count the outcomes in seen."""
+    x = p.xbar
+    grad, J, qfn, _ = certify._jet_data(p, x)
+    dirs = _critical_directions(p)
+    kappa = p.options.kappa or 0.25
+    margins = []
+    for d in dirs:
+        thresh = 2.0 * kappa * float(d @ d)
+        Tpp, T2 = certify._second_order_preimages(p, x, d)
+        got = certify._direction_margin(Tpp, T2, grad, J, thresh, qfn(d))
+        seen["point", _margin_outcome(
+            name, got, reference_multiplier_margin(p, [d], [thresh]))] += 1
+        margins.append(certify._direction_margin(Tpp, T2, grad, J, 0.0, qfn(d)))
+    if len(dirs):
+        got = None if None in margins else min(margins)
+        seen["isolated", _margin_outcome(
+            name, got, reference_multiplier_margin(p, dirs, [0.0] * len(dirs)))] += 1
+
+
+# Dg(x) = diag(2, 1) and grad f(x) = (1, 0.5): the one stationary
+# multiplier is (-0.5, -0.5), and each region pair exercises one rule
+_J, _GRAD = np.diag([2.0, 1.0]), np.array([1.0, 0.5])
+_ORIGIN = cone_region(E=np.eye(2), f=np.zeros(2))
+_AXIS = cone_region(E=[[0.0, 1.0]], f=[0.0])
+
+
+@pytest.mark.parametrize("Tpp,T2,outcome,margin", [
+    (_AXIS, _ORIGIN, "line", None),
+    (_ORIGIN, _AXIS, "infeasible", -math.inf),
+    (_ORIGIN, cone_region([[1.0, 0.0]], [0.0], [[0.0, 1.0]], [0.0]), "infeasible", -math.inf),
+    (_ORIGIN, cone_region([[-1.0, 0.0]], [0.0], [[0.0, 1.0]], [0.0]), "certifies", 0.75),
+    (cone_region([[-1.0, 0.0]], [0.0], [[0.0, 1.0]], [0.0]), _ORIGIN, "certifies", 0.5),
+    (_ORIGIN, cone_region(E=np.eye(2), f=[-1.0, 0.0]), "fails", -0.25),
+], ids=["asymptotic-line", "outer-line", "outer-ray", "outer-ray-admissible",
+        "weighted-generator", "outer-vertex"])
+def test_direction_margin_rules_on_hand_built_preimages(Tpp, T2, outcome, margin):
+    # qf_d - thresh = 0.75: a vertex v bounds the margin by 0.75 + grad.v,
+    # a generator r of the asymptotic preimage by grad.r / |Dg(x) r|
+    aff = certify.MultiplierAffineSet(np.array([-0.5, -0.5]), False, _J.T, _GRAD)
+    got = certify._direction_margin(Tpp, T2, _GRAD, _J, 0.25, 1.0)
+    block = _strict_rows_for_direction(Tpp, T2, _J, 0.25, 1.0)
+    out = None if block is None else _solve_multiplier_lp(aff, [block])
+    assert _margin_outcome(outcome, got, out) == outcome
+    assert got == margin
+
+
+def test_direction_margins_equal_the_multiplier_lp(tmp_path):
+    # every stationary lam has Dg(x)^T lam = -grad f(x), so the closed form
+    # decides and measures each direction as the LP over the affine set did,
+    # per direction at the point check's threshold and stacked over the
+    # directions at the isolated check's threshold 0
+    seen = collections.Counter()
+    for name, p in _margin_documents(tmp_path):
+        if not multiplier_affine_set(p).empty:
+            with reuse_scope():
+                _compare_margins(name, p, seen)
+    # every outcome occurs, so a reading that loses a rule shows
+    assert set(seen) == {(mode, outcome) for mode in ("point", "isolated")
+                         for outcome in ("line", "certifies", "fails")} | {
+        ("point", "infeasible")}
 
 
 @pytest.mark.parametrize("kappa,verdict", [(0.5, "certified"), (2.0, "violated"),

@@ -201,6 +201,29 @@ def test_sufficient_point_without_boundary_points(tmp_path):
     assert "direction mesh: 0 admissible, 0 critical" in json.loads(report)["diagnostics"]
 
 
+def test_sufficient_checks_on_a_feasible_set_of_one_point(tmp_path, capsys):
+    # g = x1^2 <= 0 holds at x1 = 0 alone: at d = 1 the outer second-order
+    # preimage is empty and the asymptotic one is {0}
+    doc = {"n": 1, "m": 1, "objective": "x1^2", "constraints": ["x1^2"],
+           "K": {"kind": "interval", "lo": "-inf", "hi": 0.0},
+           "S": {"kind": "point", "at": [0.0]}, "xbar": [0.0]}
+    path = tmp_path / "one_point.json"
+    path.write_text(json.dumps(doc))
+    code, report = run_machine(["check-sufficient", str(path), "--mode", "point",
+                                "--kappa", "0.5"])
+    rep = json.loads(report)
+    assert code == rep["exit_code"] == 2
+    assert rep["verdict"] == "inconclusive"
+    assert rep["diagnostics"][-1] == "both second-order objects are degenerate at d = [1.0]"
+    capsys.readouterr()
+    # isolated mode has no degeneracy stop and reaches the growth oracle's
+    # replay, which samples no feasible point other than xbar
+    assert cli.main(["check-sufficient", str(path), "--mode", "isolated"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sharpcheck: OracleError: thin feasible set")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # n <= 3: from n = 4 on the direction mesh itself is drawn from the seed
 @pytest.mark.parametrize("name", ["first_example", "parabola", "second_example",
                                   "lifted_n3"])
