@@ -235,11 +235,12 @@ def multiplier_affine_set(p: ProblemInstance, x) -> MultiplierAffineSet:
 # ---------------------------------------------------------------------------
 
 
-@_per_point
-def critical_cone(p: ProblemInstance, x) -> Region:
-    """Linearized feasible directions with nonincreasing objective: the
-    preimage {d : Dg(x) d in T_K(g(x))} intersected with the descent
-    halfspace of grad f(x)."""
+def critical_cone(p: ProblemInstance, x=None) -> Region:
+    """Linearized feasible directions with nonincreasing objective at x
+    (xbar when omitted): the preimage {d : Dg(x) d in T_K(g(x))} intersected
+    with the descent halfspace of grad f(x).  It is built on each call; a
+    sweep builds it once per base point."""
+    x = p.xbar if x is None else np.asarray(x, dtype=float).ravel()
     grad, J, _, _ = _jet_data(p, x)
     tk = tangent_cone(p.K, p.g_value(x))
     reg = tk.affine_preimage(J, np.zeros(p.m))
@@ -381,9 +382,7 @@ def _cq(p: ProblemInstance, x, J, curvature, y, u, kind_u: str) -> CqResult:
         # keep only multipliers with nonnegative constraint curvature along d
         N = N.intersect(Region.halfspace(-curvature, 0.0))
         notes = ("curvature halfspace d' D2(lam g) d >= 0 added",)
-    # a per-point memo on the J at hand: a _per_point helper would evaluate
-    # the jets again outside a reuse scope
-    if _lp._reused("full_row_rank", (p, x), lambda: _full_row_rank(J)):
+    if _full_row_rank(J):
         # ker Dg(x)^T = {0} meets N only at 0, in every direction (Gfrerer 2013)
         return CqResult(kind_u, True, notes=notes + N.notes)
     # the numerical kernel of Dg(x)^T: orthogonal to the leading right
@@ -607,21 +606,13 @@ def _point_hypotheses(p: ProblemInstance, x):
     return None
 
 
-@_per_point
-def _reference_tangent(p: ProblemInstance, x) -> Region:
-    """T_S(x), the tangent cone of the reference set, as this instance's own
-    object: instances that share S share only its cells."""
-    t = tangent_cone(p.S, x)
-    return Region(t.cells, t.notes, t.dim)
-
-
 def _kappa_denominator(p: ProblemInstance, x, d, mode):
     """The denominator of the kappa quotient, with a note on how it was read:
     2 (1-2 eps)^2 |d|^2 in proximal mode, eps being the instance's epsilon,
     and 2 dist(d, T_S(x))^2 otherwise."""
     if mode == "proximal":
         return 2.0 * (1.0 - 2.0 * p.options.epsilon) ** 2 * float(d @ d), ""
-    dv, _ = _reference_tangent(p, x).distance(d)
+    dv, _ = tangent_cone(p.S, x).distance(d)
     return 2.0 * dv * dv, f"dist(d, T_S(x)) = {dv:.12g}"
 
 

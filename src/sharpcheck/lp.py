@@ -21,23 +21,26 @@ and sufficient checker of ``certify``, and the necessary sweep, runs in
 one.  Inside the block these are built once per distinct input:
 
 * both primitives;
-* the region operations ``regions.polar_cone``, ``cone_hull``,
-  ``region_subset``, ``face_complex`` and ``lower_gen_support_detail``,
-  keyed on everything about each region except its notes, that is its
-  dimension and the rows of its cells (and lam, for the lower generalized
-  support);
-* the per-point objects of ``certify`` (the jets, full-row-rank test of
-  Dg, critical cone, multiplier affine set and tangent cone of S at a base
-  point), and its search for a multiplier with nonpositive lower
-  generalized support, keyed on the cells of both regions;
+* the region operations ``regions.polar_cone``, ``face_complex`` and
+  ``lower_gen_support_detail``, keyed on everything about each region
+  except its notes, that is its dimension and the rows of its cells (and
+  lam, for the lower generalized support);
+* the per-point objects of ``certify`` (the jets and the multiplier affine
+  set at a base point), and its search for a multiplier with nonpositive
+  lower generalized support, keyed on the cells of both regions;
 * the objects of ``certify`` at a base point x and a K-side anchor (y, u)
   (see ``certify.sweep_necessary``): the asymptotic preimage, the
   directional multipliers of each kind, and the FOSCMS, DirRCQ and NONDEG
   results;
 * the set-side objects of ``tangents``: the tangent cone of a set at a
-  point with its polar, the directional normal cone and the second-order
-  tangent set at a point, direction and kind, and the directional Clarke
-  tangent cone at a point and direction.
+  point (its polar, the Frechet normal cone, is a ``polar_cone``), the
+  directional normal cone and the second-order tangent set at a point,
+  direction and kind, and the directional Clarke tangent cone at a point
+  and direction.
+
+That is fifteen kinds.  An object that its callers build once per use
+(the critical cone, the full-row-rank test of Dg) or that wraps memoized
+calls (the Frechet normal cone, the conic hull) is not a kind of its own.
 
 The outcome is stored under the input's content, with its arrays made
 read-only, and handed back to every later caller that poses the same

@@ -486,8 +486,8 @@ def _polar_cone(region: Region) -> Region:
 
 def cone_hull(regions) -> Region:
     """Closed convex conic hull of one region or a list of cone regions.
-    Inside ``lp.reuse_scope`` lists of regions with equal cells share one
-    result."""
+    Inside ``lp.reuse_scope`` the double description of each cell is
+    shared."""
     if isinstance(regions, Region):
         regions = [regions]
     regions = list(regions)
@@ -496,11 +496,6 @@ def cone_hull(regions) -> Region:
     dim = regions[0].dim
     if any(r.dim != dim for r in regions):
         raise RegionError("mixed dimensions in cone_hull")
-    return _lp._reused("cone_hull", tuple(_content(r) for r in regions),
-                       lambda: _cone_hull(regions, dim))
-
-
-def _cone_hull(regions: list[Region], dim: int) -> Region:
     gens = [g for r in regions for g in r.cell_generators()]
     if not gens:
         return Region.empty(dim)
@@ -586,16 +581,9 @@ def _cell_subset_of_union(cell: PolyCell, cover: tuple[PolyCell, ...]):
 
 
 def region_subset(r1: Region, r2: Region):
-    """(included, witness): witness is a point of r1 outside r2 if any.
-    Inside ``lp.reuse_scope`` pairs of regions with equal cells share one
-    result."""
+    """(included, witness): witness is a point of r1 outside r2 if any."""
     if r1.dim != r2.dim:
         raise RegionError("dimension mismatch in region comparison")
-    return _lp._reused("region_subset", (_content(r1), _content(r2)),
-                       lambda: _region_subset(r1, r2))
-
-
-def _region_subset(r1: Region, r2: Region):
     cover = r2.nonempty_cells()
     for cell in r1.nonempty_cells():
         w = _cell_subset_of_union(cell, cover)

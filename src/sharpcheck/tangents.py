@@ -143,11 +143,12 @@ def tangent_cone(s: BaseSet, y) -> Region:
 
 
 def _frechet_normal(s: BaseSet, y: np.ndarray, tc: Region | None = None) -> Region:
-    """The polar of T_s(y), reused like ``tangent_cone``; tc, when given, is
-    T_s(y) already built.  It is also the proximal cone: a convex leaf's normal
-    cone, a union's member cones at y intersected, a product's factor cones."""
-    return _lp._reused("frechet_normal", (s, y),
-                       lambda: polar_cone(tangent_cone(s, y) if tc is None else tc))
+    """The polar of T_s(y); tc, when given, is T_s(y) already built.  Both
+    ``tangent_cone`` and ``polar_cone`` are memoized, so inside a reuse scope
+    the cone is built once per set and point.  It is also the proximal cone:
+    a convex leaf's normal cone, a union's member cones at y intersected, a
+    product's factor cones."""
+    return polar_cone(tangent_cone(s, y) if tc is None else tc)
 
 
 def _tangent_cone(s: BaseSet, y) -> Region:

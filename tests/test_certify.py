@@ -37,7 +37,7 @@ from sharpcheck.cli import canonical_bytes, load_problem
 from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.oracles import growth_constant_estimate, membership_by_definition
 from sharpcheck.polyexpr import ProblemInstance, parse_expression
-from sharpcheck.regions import PolyCell, Region, region_subset
+from sharpcheck.regions import PolyCell, Region, _content, region_subset
 from sharpcheck.sets import Box, Interval, PointSet, UnionSet
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent, normal_cone,
                                  second_tangent, tangent_cone)
@@ -176,7 +176,7 @@ def test_full_rank_cq_shortcut_matches_the_generator_probe(seed, log_sigma):
         return [constraint_qualification_check(p, None, d, kind)
                 for kind in ("FOSCMS", "SOSCMS", "DirRCQ")]
 
-    # one reuse scope per side: the rank test is memoised per point
+    # one reuse scope per side: the qualifications are memoised per point
     with pytest.MonkeyPatch.context() as mp:
         probe = certify._nontrivial_point
         mp.setattr(certify, "_nontrivial_point", lambda r: probes.append(r) or probe(r))
@@ -469,13 +469,13 @@ def test_sweep_runs_every_pair_inside_one_open_scope(monkeypatch):
     original = certify._explicit_value
 
     def spy(p, x, *args):
-        seen.append((_reuse_open(), critical_cone(p, x)))
+        seen.append((_reuse_open(), _jet_data(p, x)))
         return original(p, x, *args)
 
     monkeypatch.setattr(certify, "_explicit_value", spy)
     assert not _reuse_open()
     sweep_necessary(parabola_example(), mode="explicit")
-    # both pairs sit at xbar, so they see the one critical cone built there
+    # both pairs sit at xbar, so they see the one set of jets built there
     assert len(seen) == 2 and all(is_open for is_open, _ in seen)
     assert seen[0][1] is seen[1][1]
     assert not _reuse_open()
@@ -504,18 +504,17 @@ def test_nested_context_shares_the_outer_memo():
     p = parabola_example()
     with reuse_scope():
         first = maximize(*args)
-        cone = critical_cone(p)
+        jets = _jet_data(p)
         with reuse_scope():
             assert maximize(*args) is first
-            assert critical_cone(p, [0.0, 0.0]) is cone
+            assert _jet_data(p, [0.0, 0.0]) is jets
         assert maximize(*args) is first
     assert not _reuse_open()
     assert maximize(*args) is not first
-    assert critical_cone(p) is not cone
+    assert _jet_data(p) is not jets
 
 
-PER_POINT = ("_jet_data", "critical_cone", "multiplier_affine_set",
-             "_reference_tangent")
+PER_POINT = ("_jet_data", "multiplier_affine_set")
 
 
 def test_two_instances_never_share_a_per_point_object():
@@ -552,7 +551,7 @@ def test_context_builds_each_base_point_object_once(monkeypatch):
         for d in ([0.0, 1.0], [0.0, -1.0]):
             necessary_explicit_check(p, x, d)
             necessary_implicit_check(p, x, d, mode="tangent_distance")
-        assert critical_cone(p, np.array(x)) is critical_cone(p, x)
+        assert _jet_data(p, np.array(x)) is _jet_data(p, x)
     assert sorted(kind for kind, _, _ in builds) == sorted(PER_POINT)
     assert len(set(builds)) == len(builds)
 
@@ -560,26 +559,48 @@ def test_context_builds_each_base_point_object_once(monkeypatch):
 @pytest.mark.parametrize("mode", ["explicit", "clarke", "implicit-proximal"])
 def test_sweep_builds_the_k_side_cones_once_per_base_point(mode, monkeypatch):
     p = first_example()
-    calls, builds = [], []
+    calls, builds, k_cones, polars = [], [], set(), []
     reused = lp._reused
 
     def counting(kind, parts, compute):
-        if kind not in ("tangent_cone", "frechet_normal") or parts[0] is not p.K:
+        if kind == "polar_cone":
+            return reused(kind, parts, lambda: polars.append(lp._content_key(parts))
+                          or compute())
+        if kind != "tangent_cone" or parts[0] is not p.K:
             return reused(kind, parts, compute)
-        calls.append((kind, parts[1].tobytes()))
+        calls.append(parts[1].tobytes())
 
         def build():
             builds.append(calls[-1])
-            return compute()
+            cone = compute()
+            k_cones.add(lp._content_key(_content(cone)))
+            return cone
         return reused(kind, parts, build)
 
     monkeypatch.setattr(lp, "_reused", counting)
     sweep_necessary(p, mode=mode)
-    # T_K(g(x)), and N_K(g(x)) for this convex K, once per base point
+    # T_K(g(x)) once per base point, and N_K(g(x)), its polar for this
+    # convex K, once per distinct T_K(g(x))
     assert sorted(builds) == sorted(set(calls))
-    assert {y for kind, y in builds if kind == "frechet_normal"} <= \
-        {y for kind, y in builds if kind == "tangent_cone"}
+    k_polars = [key for key in polars if key in k_cones]
+    assert 0 < len(k_polars) <= len(k_cones)
     assert len(calls) > 2 * len(builds)
+
+
+@pytest.mark.parametrize("mode", ["explicit", "clarke", "implicit-proximal",
+                                  "implicit-tangent"])
+def test_sweep_builds_the_critical_cone_once_per_base_point(mode, monkeypatch):
+    # the reason the critical cone needs no memo kind of its own
+    p = first_example()
+    points = []
+    build = certify.critical_cone
+    monkeypatch.setattr(certify, "critical_cone",
+                        lambda p_, x=None: points.append(np.asarray(x).tobytes())
+                        or build(p_, x))
+    r = sweep_necessary(p, mode=mode)
+    n_points = int(r.diagnostics[0].split()[2])
+    assert n_points > 1
+    assert len(points) == len(set(points)) == n_points
 
 
 def test_sweep_builds_the_k_side_objects_once_per_face(monkeypatch):

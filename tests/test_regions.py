@@ -563,16 +563,17 @@ def test_reused_cone_results_are_read_only_and_end_with_their_scope():
         hull = cone_hull([quadrant, axis])
         subset = region_subset(axis, quadrant)
         assert polar_cone(_copy(quadrant)) is polar
-        assert cone_hull([_copy(quadrant), _copy(axis)]) is hull
-        assert region_subset(_copy(axis), _copy(quadrant)) is subset
-        assert not subset[0] and not subset[1].flags.writeable
-        for region in (polar, hull):
-            assert not region.cells[0].A.flags.writeable
-            assert not region.cells[0].E.flags.writeable
+        assert not polar.cells[0].A.flags.writeable
+        assert not polar.cells[0].E.flags.writeable
+        # the hull and the inclusion test are not memo kinds: equal regions
+        # give equal results
+        assert region_bytes(cone_hull([_copy(quadrant), _copy(axis)])) == region_bytes(hull)
+        again = region_subset(_copy(axis), _copy(quadrant))
+        assert not subset[0] and not again[0]
+        assert subset[1].tobytes() == again[1].tobytes()
     with reuse_scope():
         assert polar_cone(quadrant) is not polar
-        assert cone_hull([quadrant, axis]) is not hull
-        assert region_subset(axis, quadrant) is not subset
+        assert region_bytes(polar_cone(quadrant)) == region_bytes(polar)
 
 
 def test_cone_operations_raise_before_the_memo():
