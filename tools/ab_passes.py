@@ -38,25 +38,14 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
-import os
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-
-
-def _load(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_digests = _load(HERE / "report_digests.py", "_ab_report_digests")
-_report = _digests._report   # the bytes cli.main writes to stdout
+sys.path.insert(0, str(HERE))   # the sibling tools
+import report_digests as digests  # noqa: E402
 
 
 def load_cli(root: Path, name: str):
@@ -85,7 +74,7 @@ def run_pass(cli, jobs, paths, normalized) -> tuple[list[float], list[bytes]]:
     seconds, reports = [], []
     for job in jobs:
         start = time.process_time()
-        reports.append(_report(cli, job.argv(paths[job.instance.name])))
+        reports.append(digests._report(cli, job.argv(paths[job.instance.name])))
         seconds.append(time.process_time() - start)
     return seconds, [normalized(r) for r in reports]
 
@@ -96,10 +85,7 @@ class Workload:
 
     def __init__(self, clis, workload: str, seed: int, wl, verify):
         self.clis, self.normalized = clis, verify.normalized
-        self.jobs = wl.build_jobs(workload, seed)
-        docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
-        self.paths = {name: os.path.relpath(p)
-                      for name, p in wl.write_documents(self.jobs, docs).items()}
+        self.jobs, self.paths = digests.write_workload(wl, workload, seed)
         self.seen = [set() for _ in self.jobs], [set() for _ in self.jobs]   # per tree and job
         self.times, self.checks = ([], []), ([], [])
 
@@ -146,50 +132,45 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     bench = HERE.parent / "perfbench"
-    wl = _load(bench / "workloads.py", "_ab_workloads")
-    verify = _load(bench / "verify.py", "_ab_verify")
-    tail = _load(bench / "run.py", "_ab_run").tail
+    wl = digests._load(bench / "workloads.py", "_ab_workloads")
+    verify = digests._load(bench / "verify.py", "_ab_verify")
+    tail = digests._load(bench / "run.py", "_ab_run").tail
     for name in args.workload or ():
         if name not in wl.WORKLOADS:
             ap.error(f"unknown workload {name!r}; choose from {', '.join(wl.WORKLOADS)}")
     clis = (load_cli(args.base, "_ab_base_sharpcheck"),
             load_cli(args.head, "_ab_head_sharpcheck"))
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)   # reports echo the document path; keep it relative
-        try:
-            names = args.workload or wl.WORKLOADS
-            runs = [Workload(clis, name, args.seed, wl, verify) for name in names]
-            for run in runs:   # a process's first passes run slow, whatever the workload
-                run.warm_up()
-            for workload, run in zip(names, runs):
-                got = run.compare(args.pairs)
-                print(f"{workload}, seed {args.seed}: {args.pairs} pairs, "
-                      f"{got['jobs']} jobs, process CPU seconds per pass")
-                for side, root in (("base", args.base), ("head", args.head)):
-                    t = got[side]
-                    p25, p75 = quartiles(t)
-                    print(f"  {side}: median {statistics.median(t):.4f} s, "
-                          f"p25 {p25:.4f} s, p75 {p75:.4f} s  ({root})")
-                    c = got[f"{side}_checks"]
-                    value, pct = tail(c)
-                    print(f"  {side} per check: median {1e3 * statistics.median(c):.3f} ms, "
-                          f"p{pct:.1f} {1e3 * value:.3f} ms  ({len(c)} checks)")
-                ratio = statistics.median(got["ratios"]) if got["ratios"] else float("nan")
-                print(f"  head/base: median per-pair ratio {ratio:.3f}")
-                if got["differ"]:
-                    print(f"  normalised reports differ in {len(got['differ'])} "
-                          f"of {got['jobs']} jobs: {', '.join(got['differ'])}")
-                else:
-                    print(f"  normalised reports identical in all {got['jobs']} jobs")
-                print(f"  head below base: per-check median in {got['check_wins']} of "
-                      f"{args.pairs} pairs, pass in {got['pass_wins']} of {args.pairs} pairs")
-                gap = statistics.median(got["base"]) - statistics.median(got["head"])
-                p25, p75 = quartiles(got["base"])
-                print(f"  median gap (base - head) {gap:+.4f} s, base IQR {p75 - p25:.4f} s, "
-                      f"head wins {got['pass_wins']} of {args.pairs} pairs")
-        finally:
-            os.chdir(cwd)
+    with digests.temporary_cwd():
+        names = args.workload or wl.WORKLOADS
+        runs = [Workload(clis, name, args.seed, wl, verify) for name in names]
+        for run in runs:   # a process's first passes run slow, whatever the workload
+            run.warm_up()
+        for workload, run in zip(names, runs):
+            got = run.compare(args.pairs)
+            print(f"{workload}, seed {args.seed}: {args.pairs} pairs, "
+                  f"{got['jobs']} jobs, process CPU seconds per pass")
+            for side, root in (("base", args.base), ("head", args.head)):
+                t = got[side]
+                p25, p75 = quartiles(t)
+                print(f"  {side}: median {statistics.median(t):.4f} s, "
+                      f"p25 {p25:.4f} s, p75 {p75:.4f} s  ({root})")
+                c = got[f"{side}_checks"]
+                value, pct = tail(c)
+                print(f"  {side} per check: median {1e3 * statistics.median(c):.3f} ms, "
+                      f"p{pct:.1f} {1e3 * value:.3f} ms  ({len(c)} checks)")
+            ratio = statistics.median(got["ratios"]) if got["ratios"] else float("nan")
+            print(f"  head/base: median per-pair ratio {ratio:.3f}")
+            if got["differ"]:
+                print(f"  normalised reports differ in {len(got['differ'])} "
+                      f"of {got['jobs']} jobs: {', '.join(got['differ'])}")
+            else:
+                print(f"  normalised reports identical in all {got['jobs']} jobs")
+            print(f"  head below base: per-check median in {got['check_wins']} of "
+                  f"{args.pairs} pairs, pass in {got['pass_wins']} of {args.pairs} pairs")
+            gap = statistics.median(got["base"]) - statistics.median(got["head"])
+            p25, p75 = quartiles(got["base"])
+            print(f"  median gap (base - head) {gap:+.4f} s, base IQR {p75 - p25:.4f} s, "
+                  f"head wins {got['pass_wins']} of {args.pairs} pairs")
     return 0
 
 

@@ -1,13 +1,13 @@
 """Hits, builds and build seconds of each memo kind over one warm pass.
 
-    python3 tools/memo_hits.py WORKLOAD [--seed S] [--root DIR]
+    python3 tools/memo_hits.py WORKLOAD [--seed S]
 
-Runs the job list of WORKLOAD (``perfbench/workloads.py`` of the tree at
-``--root``, default the tree holding this script; the perfbench modules are
-only read) twice in this process through ``sharpcheck.cli.main`` of that
-tree's src/: one untimed warm-up pass, then one counted pass.  Each
-document is written under a temporary directory at the relative path
-``perfbench/run.py`` echoes in its reports.
+Runs the job list of WORKLOAD (``perfbench/workloads.py`` of the tree
+holding this script; the perfbench modules are only read) twice in this
+process through ``sharpcheck.cli.main`` of that tree's src/: one untimed
+warm-up pass, then one counted pass.  Each document is written under a
+temporary directory at the relative path ``perfbench/run.py`` echoes in
+its reports.
 
 For the counted pass ``sharpcheck.lp._reused``, the one entry of every
 memo kind listed in the ``lp`` module docstring, is replaced from outside,
@@ -22,26 +22,14 @@ exits 0 whatever it finds.
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import os
 import sys
-import tempfile
 import time
 from collections import defaultdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-
-
-def _load(path: Path, name: str):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_digests = _load(HERE / "report_digests.py", "_memo_report_digests")
-_report = _digests._report   # the bytes cli.main writes to stdout
+sys.path.insert(0, str(HERE))   # the sibling tools
+import report_digests as digests  # noqa: E402
 
 
 def count_pass(cli, lp, jobs, paths) -> dict[str, list]:
@@ -71,8 +59,7 @@ def count_pass(cli, lp, jobs, paths) -> dict[str, list]:
 
     lp._reused = counting
     try:
-        for job in jobs:
-            _report(cli, job.argv(paths[job.instance.name]))
+        list(digests.job_reports(cli, jobs, paths))
     finally:
         lp._reused = reused
     return dict(counts)
@@ -82,29 +69,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("workload")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--root", type=Path, default=HERE.parent,
-                    help="tree whose src/ and perfbench/ are run")
     args = ap.parse_args(argv)
-    root = args.root.resolve()
-    wl = _load(root / "perfbench" / "workloads.py", "_memo_workloads")
+    wl = digests._load(HERE.parent / "perfbench" / "workloads.py", "_memo_workloads")
     if args.workload not in wl.WORKLOADS:
         ap.error(f"unknown workload {args.workload!r}; "
                  f"choose from {', '.join(wl.WORKLOADS)}")
-    cli = _digests._import_cli(root)
-    lp = sys.modules[cli.__name__.rsplit(".", 1)[0] + ".lp"]
-    jobs = wl.build_jobs(args.workload, args.seed)
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)   # reports echo the document path; keep it relative
-        try:
-            docs = Path(".perfbench_state") / "docs" / f"{args.workload}-s{args.seed}"
-            paths = {name: os.path.relpath(p)
-                     for name, p in wl.write_documents(jobs, docs).items()}
-            for job in jobs:   # warm-up: a process's first pass runs slow
-                _report(cli, job.argv(paths[job.instance.name]))
-            counts = count_pass(cli, lp, jobs, paths)
-        finally:
-            os.chdir(cwd)
+    cli = digests._import_cli(HERE.parent)
+    from sharpcheck import lp   # of the same src/ as cli
+    with digests.temporary_cwd():
+        jobs, paths = digests.write_workload(wl, args.workload, args.seed)
+        list(digests.job_reports(cli, jobs, paths))   # warm-up: a process's first pass runs slow
+        counts = count_pass(cli, lp, jobs, paths)
     print(f"{args.workload}, seed {args.seed}: {len(jobs)} jobs, one warm pass")
     print(f"  {'kind':<28}{'hits':>8}{'builds':>8}{'build_s':>10}")
     for kind, (hits, builds, seconds) in sorted(counts.items(), key=lambda kv: -kv[1][2]):

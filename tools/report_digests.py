@@ -33,6 +33,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 DEFAULT_ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +75,35 @@ def _report(cli, argv: list[str]) -> bytes:
     return buf.getvalue()
 
 
+@contextmanager
+def temporary_cwd():
+    """Runs the block in a new temporary directory: reports echo the
+    document path, and the benchmark's paths are relative."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
+
+
+def write_workload(wl, workload: str, seed: int) -> tuple[list, dict[str, str]]:
+    """(jobs, instance name -> document path) of one workload and seed of
+    the perfbench module wl, the documents written under the cwd at the
+    relative paths ``perfbench/run.py`` echoes in its reports."""
+    jobs = wl.build_jobs(workload, seed)
+    docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
+    return jobs, {name: os.path.relpath(p)
+                  for name, p in wl.write_documents(jobs, docs).items()}
+
+
+def job_reports(cli, jobs, paths):
+    """(job, its report bytes) for each of jobs, run one at a time."""
+    for job in jobs:
+        yield job, _report(cli, job.argv(paths[job.instance.name]))
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -96,25 +126,15 @@ def report_digests(root: Path = DEFAULT_ROOT, seeds=DEFAULT_SEEDS,
     verify = _load(root / "perfbench" / "verify.py", "_digest_verify")
     cli = _import_cli(root)
     out = {}
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory() as tmp:
-        os.chdir(tmp)   # reports echo the document path; keep it relative
-        try:
-            for workload in workloads or wl.WORKLOADS:
-                for seed in seeds:
-                    jobs = wl.build_jobs(workload, seed)
-                    docs = Path(".perfbench_state") / "docs" / f"{workload}-s{seed}"
-                    paths = {name: os.path.relpath(p)
-                             for name, p in wl.write_documents(jobs, docs).items()}
-                    for job in jobs:
-                        report = _report(cli, job.argv(paths[job.instance.name]))
-                        doc = json.loads(report)
-                        out[f"{workload}:{seed}:{job.key}"] = {
-                            "report": _sha256(verify.normalized(report)),
-                            "decision": _sha256(decision_bytes(report)),
-                            **{k: doc[k] for k in SHOWN}}
-        finally:
-            os.chdir(cwd)
+    with temporary_cwd():
+        for workload in workloads or wl.WORKLOADS:
+            for seed in seeds:
+                for job, report in job_reports(cli, *write_workload(wl, workload, seed)):
+                    doc = json.loads(report)
+                    out[f"{workload}:{seed}:{job.key}"] = {
+                        "report": _sha256(verify.normalized(report)),
+                        "decision": _sha256(decision_bytes(report)),
+                        **{k: doc[k] for k in SHOWN}}
     return out
 
 
