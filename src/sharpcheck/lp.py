@@ -75,9 +75,10 @@ _REUSE: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
 @contextlib.contextmanager
 def reuse_scope():
     """Within the block each memo kind listed in the module docstring
-    returns one stored result per distinct input.  A nested scope shares the memo of the one around it; the outermost
-    drops the memo on exit, also on error.  Usable as a decorator, which
-    opens a scope for each call."""
+    returns one stored result per distinct input.  A nested scope shares
+    the memo of the one around it; the outermost drops the memo on exit,
+    also on error.  Usable as a decorator, which opens a scope for each
+    call."""
     if _REUSE.get() is not None:
         yield
         return

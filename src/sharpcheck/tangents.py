@@ -2,16 +2,17 @@
 
 Every result is a Region.  Exactness strategy, by constructor:
 
-* polyhedral leaves (interval, box, halfspace, polyhedron): active-row
-  algebra, exact;
+* polyhedral sets (``as_region()`` not None: every leaf but a ball, and
+  unions and products of such): T_s(y) is ``region_tangent_cone`` of the
+  set's region, and every directional object is read from T_s(y) (below);
 * balls: supporting halfspace at first order, curvature-shifted halfspace
   at second order, exact;
-* unions: union rules over the members containing the base point (for
-  second-order objects only members to which the direction is tangent
-  contribute);
-* products: blockwise combination.  On this catalog every member admits
-  membership curves for entire small-parameter ranges, so factor curves can
-  share schedules and the product rules hold with equality.
+* unions holding a ball: union rules over the members containing the base
+  point (for second-order objects only members to which the direction is
+  tangent contribute);
+* products holding a ball: blockwise combination.  Every catalog member
+  admits membership curves for entire small-parameter ranges, so factor
+  curves share schedules and the product rules hold with equality.
 
 The Frechet normal cone is the polar of the tangent cone, for sets here as
 for regions in ``regions``.  On this catalog it is also the proximal normal
@@ -28,21 +29,22 @@ surfaces.
 Strata that fail sampler validation are dropped and the result carries a
 note, never a silent claim.
 
-For a polyhedral set (``as_region()`` not None) the directional objects at
-y in a direction u depend on u only through the face F of T_s(y) whose
-relative interior holds u, and on y only through T_s(y): N_s(y; u) =
-N_{T_s(y)}(u), and the outer second-order set and the asymptotic
-second-order cone are both T_{T_s(y)}(u) (the reduction lemma; Dontchev &
-Rockafellar 2014, Implicit Functions and Solution Mappings, 2E; Bonnans &
-Shapiro 2000, 3.4).  ``face_labels`` reads F as the builders below read
-u: each inequality row a of T_s(y) binned at a.u = -1e-8, 1e-8 and 1e-7
-(a strict row, an active row, a row within the tangency tolerance), each
-equality row e at |e.u| = 1e-8 and 1e-7, and whether |u| <= 1e-9 on each
-block of coordinates whose norm a builder tests (the set's own, and each
-product factor's and union member's, recursively).  So a caller may read
-every directional object of a face at one anchor (y_F, u_F), the first
-pair it meets with that tangent cone and label; ``certify.sweep_necessary``
-does.
+For a polyhedral set the directional objects at y in a direction u depend
+on u only through the face F of T_s(y) whose relative interior holds u,
+and on y only through T_s(y): N_s(y; u) = N_{T_s(y)}(u), and the outer
+second-order set and the asymptotic second-order cone are both
+T_{T_s(y)}(u) (the reduction lemma; Dontchev & Rockafellar 2014, Implicit
+Functions and Solution Mappings, 2E; Bonnans & Shapiro 2000, 3.4).  The
+builders read u only through ``face_labels``' bins: each inequality row a
+of T_s(y) binned at a.u = -1e-8, 1e-8 and 1e-7 (a strict row, an active
+row, a row within the tangency tolerance), each equality row e at |e.u| =
+1e-8 and 1e-7, and whether |u| <= 1e-9 on each block of coordinates whose
+norm a builder tests (the set's own, and each product factor's and union
+member's, recursively).  So directions with one label get byte-equal
+second-order sets and equal directional normal cones from every builder
+here, and ``certify.sweep_necessary`` reads every directional object of a
+face at one anchor (y_F, u_F), the first pair it meets with that tangent
+cone and label.
 """
 from __future__ import annotations
 
@@ -65,7 +67,6 @@ from .sets import (
     Box,
     Halfspace,
     Interval,
-    PointSet,
     Polyhedron,
     ProductSet,
     UnionSet,
@@ -153,19 +154,18 @@ def _frechet_normal(s: BaseSet, y: np.ndarray, tc: Region | None = None) -> Regi
 
 def _tangent_cone(s: BaseSet, y) -> Region:
     y = _require_member(s, y)
-    if _is_polyhedral_leaf(s):
-        return region_tangent_cone(s.as_region(), y)
+    notes = _tangential_contact_note(s.members, y) if isinstance(s, UnionSet) else ()
+    region = s.as_region()
+    if region is not None:
+        return region_tangent_cone(region, y).with_notes(*notes)
     if isinstance(s, Ball):
         if not _on_sphere(s, y):
             return Region.all_space(s.dim)
         h = y - s.center
         return Region.from_cell(PolyCell(h.reshape(1, -1), [0.0], dim=s.dim))
-    if isinstance(s, PointSet):
-        return Region.origin(s.dim)
     if isinstance(s, UnionSet):
         pieces = [tangent_cone(m, y) for m in s.members if m.contains(y, tol=MEMBER_TOL)]
-        return pieces[0].union(*pieces[1:]).with_notes(
-            *_tangential_contact_note(s.members, y))
+        return pieces[0].union(*pieces[1:]).with_notes(*notes)
     if isinstance(s, ProductSet):
         return Region.product(tangent_cone(f, part)
                               for f, part in zip(s.factors, s.split(y)))
@@ -198,40 +198,29 @@ def _second_tangent(s: BaseSet, y: np.ndarray, d: np.ndarray, kind: str) -> Regi
         return Region.empty(s.dim, ("direction not tangent",))
     if float(np.linalg.norm(d)) <= TOL:
         return tcone  # the defining sequences reduce to plain tangency
-    return _second_tangent_inner(s, y, d, kind)
+    return _second_tangent_inner(s, y, d, kind, tcone)
 
 
-def _second_tangent_inner(s: BaseSet, y, d, kind: str) -> Region:
-    if _is_polyhedral_leaf(s):
-        cell = _leaf_cell(s)
-        act = _active_rows(cell, y)
-        keep = [i for i in act if abs(float(cell.A[i] @ d)) <= 1e-8]
-        A = cell.A[keep] if keep else None
-        b = np.zeros(len(keep)) if keep else None
-        return Region.from_cell(PolyCell(A, b, cell.E, np.zeros(cell.E.shape[0]),
-                                         dim=s.dim))
+def _second_tangent_inner(s: BaseSet, y, d, kind: str, tcone: Region) -> Region:
+    """The set at y in the nonzero tangent direction d; tcone is T_s(y)."""
+    if s.as_region() is not None:
+        # both sets are T_{T_s(y)}(d) (reduction lemma, module docstring)
+        return region_tangent_cone(tcone, d).with_notes(*tcone.notes)
     if isinstance(s, Ball):
-        if not _on_sphere(s, y):
-            return Region.all_space(s.dim)
         h = y - s.center
-        slope = float(h @ d)
-        if slope < -1e-8:
+        if not _on_sphere(s, y) or float(h @ d) < -1e-8:
             return Region.all_space(s.dim)
         shift = -float(d @ d) if kind == "outer" else 0.0
         return Region.from_cell(PolyCell(h.reshape(1, -1), [shift], dim=s.dim))
-    if isinstance(s, PointSet):
-        # a nonzero d is never tangent here; the caller filtered that out
-        return Region.empty(s.dim, ("direction not tangent",))
     if isinstance(s, UnionSet):
         pieces = []
         for m in s.members:
             if not m.contains(y, tol=MEMBER_TOL):
                 continue
-            if not tangent_cone(m, y).contains(d, tol=MEMBER_TOL):
-                continue
-            pieces.append(_second_tangent_inner(m, y, d, kind))
-        if not pieces:
-            return Region.empty(s.dim, ("direction not tangent",))
+            mcone = tangent_cone(m, y)
+            if mcone.contains(d, tol=MEMBER_TOL):
+                pieces.append(_second_tangent_inner(m, y, d, kind, mcone))
+        # some member's cone holds d, since their union tcone does
         return pieces[0].union(*pieces[1:]).with_notes(
             *_tangential_contact_note(s.members, y))
     if isinstance(s, ProductSet):
@@ -510,11 +499,11 @@ def _limiting_by_strata(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
 def _limiting(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
               tc: Region | None = None) -> Region:
     """The limiting normal cone of s at y (u=None), or its directional cone
-    in the nonzero tangent direction u; tc, when given, is T_s(y)."""
+    in the nonzero tangent direction u; tc is T_s(y), given whenever u is.
+    A convex set's directional cone is the polar of T_{T_s(y)}(u): its
+    normal cone cut to u-perp, with u read at the bins of ``face_labels``."""
     if s.is_convex():
-        fre = _frechet_normal(s, y, tc)
-        # normals stay normal along tangent directions only inside {u}-perp
-        return fre if u is None else fre.intersect_orthocomplement(u)
+        return _frechet_normal(s, y, tc) if u is None else polar_cone(region_tangent_cone(tc, u))
     if isinstance(s, ProductSet):
         if u is None:
             parts = [normal_cone(f, yp, "limiting") for f, yp in zip(s.factors, s.split(y))]
@@ -528,8 +517,10 @@ def _limiting(s: BaseSet, y: np.ndarray, u: np.ndarray | None,
 def normal_cone(s: BaseSet, y, kind: str) -> Region:
     """Proximal, Frechet or limiting normal cone of s at y.  The proximal
     and Frechet cones are one region on this catalog (see
-    ``_frechet_normal``).  The limiting cone of a nonconvex set that is not
-    a product (a union) comes from the strata of the rows active at y."""
+    ``_frechet_normal``), the polar of T_s(y); for a polyhedral set T_s(y)
+    is ``region_tangent_cone`` of its region.  The limiting cone of a
+    nonconvex set that is not a product (a union) comes from the strata of
+    the rows active at y."""
     y = _require_member(s, y)
     if kind in ("frechet", "proximal"):
         return _frechet_normal(s, y)
@@ -540,11 +531,12 @@ def normal_cone(s: BaseSet, y, kind: str) -> Region:
 
 def directional_normal(s: BaseSet, y, u, kind: str) -> Region:
     """Directional limiting normal cone, or its Clarke hull; a zero u gives
-    the plain limiting cone, and a nonconvex set that is not a product takes
-    the strata route of ``normal_cone``.  Inside an open ``lp.reuse_scope``
-    it is built once per set, point, direction and kind, keyed like
-    ``tangent_cone``.  Outside one, the T_s(y) of the tangency test is the
-    only one built: it also gives the Frechet cone."""
+    the plain limiting cone.  A convex set's cone is the polar of
+    T_{T_s(y)}(u), and a nonconvex set that is not a product takes the
+    strata route of ``normal_cone``; on a polyhedral set either reads u only
+    through its face label.  Inside an open ``lp.reuse_scope`` it is built
+    once per set, point, direction and kind, keyed like ``tangent_cone``.
+    Outside one, the T_s(y) of the tangency test is the only one built."""
     if kind not in ("limiting", "clarke"):
         raise TangentError(f"unknown directional normal kind {kind!r}")
     y = _vec(y, s.dim)

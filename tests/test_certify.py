@@ -823,6 +823,20 @@ def test_sweep_pairs_read_at_face_anchors_match_single_checks(name, tmp_path):
                     assert repr(got.kappa_bounds.get("max_admissible")) == repr(bound)
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURES.glob("*.json")))
+def test_face_anchors_only_reuse_objects(name, monkeypatch):
+    # a pair read at its face's anchor gets the objects its own (g(x),
+    # Dg(x) d) would build, so the anchors change no report byte
+    p = load_problem(FIXTURES / f"{name}.json")
+    modes = ("implicit-proximal", "implicit-tangent", "explicit", "clarke")
+    anchored = [json.dumps(sweep_necessary(p, mode).to_json(), sort_keys=True)
+                for mode in modes]
+    monkeypatch.setattr(certify, "_face_anchors", lambda p_, x, dirs, faces: [
+        (p_.g_value(x), _jet_data(p_, x)[1] @ d) for d in dirs])
+    assert [json.dumps(sweep_necessary(p, mode).to_json(), sort_keys=True)
+            for mode in modes] == anchored
+
+
 def test_sweep_reads_hypotheses_not_met_when_no_pair_meets_them():
     # the directional Robinson qualification fails at both pairs of the
     # second example, whose kappa* is -1/2: the clarke form bounds nothing

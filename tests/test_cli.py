@@ -3,8 +3,9 @@ codes for library failures, and the ``python -m`` entry points.
 
 The goldens under tests/golden/ hold each report's machine bytes with the
 two time members blanked.  After an intended report change, regenerate
-them from the repository root with ``PYTHONPATH=src python tests/test_cli.py``
-and review the diff.
+them from the repository root with ``PYTHONPATH=src python tests/test_cli.py``,
+which prints the name of each golden whose bytes changed, and review the
+diff.
 """
 import ast
 import json
@@ -793,4 +794,8 @@ if __name__ == "__main__":
     os.chdir(ROOT)
     GOLDEN.mkdir(exist_ok=True)
     for case, args in CASES:
-        (GOLDEN / f"{case}.json").write_bytes(run_machine(args)[1])
+        path = GOLDEN / f"{case}.json"
+        report = run_machine(args)[1]
+        if not path.exists() or path.read_bytes() != report:
+            path.write_bytes(report)
+            print(case)

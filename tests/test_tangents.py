@@ -232,24 +232,22 @@ BAND_VALUES = (-1.0, -2e-8, -5e-9, -5e-10, 0.0, 5e-10, 5e-9, 5e-8, 2e-7)
 BOXES = UnionSet([Box([(-1.0, 0.0), (-1.0, 1.0)]), Box([(-1.0, 1.0), (-1.0, 0.0)])])
 
 
-@pytest.mark.parametrize("s,exact_normal", [
-    (Box([(-1.0, 0.0), (-1.0, 0.0)]), False),
-    (Polyhedron([([1.0, 0.0], 0.0)], [([1.0, -1.0], 0.0)]), False),
-    (ProductSet([UnionSet([Interval(-1.0, 0.0), Interval(0.5, 1.0)]),
-                 Interval(-1.0, 0.0)]), True),
-    (BOXES, True),
-    (UnionSet([Polyhedron([([1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)]),
-               Box([(-1.0, 1.0), (-1.0, 0.0)])]), True),
-    (UnionSet([Polyhedron([([1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)]),
-               Polyhedron([([-1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)])]), True),
-], ids=["box-corner", "polyhedron-with-equality", "union-by-interval", "boxes",
-        "union-with-equality", "two-half-lines"])
-def test_equal_face_labels_give_equal_directional_objects(s, exact_normal):
-    # a polyhedral set's second-order sets at u depend on u only through
-    # the face label; so do its directional normal cones where they come
-    # from strata, or from the 1-D convex factors of a nonconvex product,
-    # whose cone at u != 0 is {0}.  A convex cone of higher dimension cut
-    # to u-perp moves with u inside the face's tolerance band
+@pytest.mark.parametrize("s", [
+    Box([(-1.0, 0.0), (-1.0, 0.0)]),
+    Polyhedron([([1.0, 0.0], 0.0)], [([1.0, -1.0], 0.0)]),
+    ProductSet([Interval(-1.0, 0.0), Interval(-1.0, 0.0)]),
+    ProductSet([UnionSet([Interval(-1.0, 0.0), Interval(0.5, 1.0)]),
+                Interval(-1.0, 0.0)]),
+    BOXES,
+    UnionSet([Polyhedron([([1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)]),
+              Box([(-1.0, 1.0), (-1.0, 0.0)])]),
+    UnionSet([Polyhedron([([1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)]),
+              Polyhedron([([-1.0, 0.0], 0.0)], [([0.0, 1.0], 0.0)])]),
+], ids=["box-corner", "polyhedron-with-equality", "interval-product", "union-by-interval",
+        "boxes", "union-with-equality", "two-half-lines"])
+def test_equal_face_labels_give_equal_directional_objects(s):
+    # a polyhedral set's second-order sets and directional normal cones at
+    # u depend on u only through the face label
     y = np.zeros(2)
     U = np.array([(a, b) for a in BAND_VALUES for b in BAND_VALUES])
     groups = {}
@@ -261,10 +259,9 @@ def test_equal_face_labels_give_equal_directional_objects(s, exact_normal):
             want = region_bytes(second_tangent(s, y, first, kind))
             assert all(region_bytes(second_tangent(s, y, u, kind)) == want for u in rest), \
                 (kind, first)
-        if exact_normal:
-            want = directional_normal(s, y, first, "limiting")
-            assert all(region_equal(directional_normal(s, y, u, "limiting"), want)
-                       for u in rest), first
+        want = directional_normal(s, y, first, "limiting")
+        assert all(region_equal(directional_normal(s, y, u, "limiting"), want)
+                   for u in rest), first
 
 
 def test_directional_clarke_tangent_builds_the_tangent_cone_once(monkeypatch):
@@ -315,6 +312,36 @@ def test_polyhedral_strata_match_the_face_complex(halfspaces):
     for got, want in cones:
         assert region_equal(got, want)
         assert not any("dropped" in n for n in got.notes)
+
+
+def _rays(*rays):
+    """The union of the rays through each of rays, or {0} for none."""
+    cells = [PolyCell.cone([r], None, 2) for r in rays]
+    return Region(cells or [PolyCell.from_point(np.zeros(2))], dim=2)
+
+
+@pytest.mark.parametrize("s,cones", [
+    # the box's edges at 0 run inside the open disk, so only the sphere
+    # outside the box carries normals: along (1, -1) the disk's, along the
+    # edge (1, 0) none
+    (UnionSet([Ball(np.array([1.0, 1.0]) / math.sqrt(2.0), 1.0),
+               Box([(0.0, 1.0), (0.0, 1.0)])]),
+     {None: [(-1.0, -1.0)], (1.0, -1.0): [(-1.0, -1.0)], (1.0, 0.0): []}),
+    # the line y2 = 0 left of the disk carries (0, 1), the sphere above the
+    # halfspace (-1, 0)
+    (UnionSet([Ball([1.0, 0.0], 1.0), Halfspace([0.0, 1.0], 0.0)]),
+     {None: [(-1.0, 0.0), (0.0, 1.0)], (-1.0, 0.0): [(0.0, 1.0)],
+      (0.0, 1.0): [(-1.0, 0.0)]}),
+], ids=["disk-and-box", "disk-and-halfspace"])
+def test_ball_and_polyhedron_unions_have_hand_derived_normal_cones(s, cones):
+    # the strata mixing a sphere with polyhedral rows are validated by the
+    # sampler: affine surfaces, their projection, the row tests of a
+    # configuration and the polyhedral normals
+    y = [0.0, 0.0]
+    for u, rays in cones.items():
+        got = (normal_cone(s, y, "limiting") if u is None
+               else directional_normal(s, y, u, "limiting"))
+        assert region_equal(got, _rays(*rays)), u
 
 
 def _reference_cases():
