@@ -49,6 +49,8 @@ REPLAY_TOL = 1e-7      # witness replay agreement
 DUALITY_TOL = 1e-6     # conic primal / multiplier dual agreement
 KAPPA_FLOOR = 1e-4     # a max_admissible below this refutes the growth constant
 INCLUSION_ONLY = "inclusion-only: constraint qualification unverified"
+_UNBOUNDED_ABOVE = ("condition (ii) value is unbounded above; no finite growth "
+                    "constant is rejected")
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +631,12 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None) -> Certificatio
     (i) some directional multiplier lam has sigma-hat over the asymptotic
     second-order cone of K nonpositive; (ii) some directional multiplier
     makes the Lagrangian curvature minus sigma-hat over the outer
-    second-order set at least 2 kappa (1-2 eps)^2 |d|^2.  The multiplier
-    search enumerates one LP per (multiplier cell, face, vertex) triple,
-    which is exhaustive on polyhedral data; winners are replayed through a
-    direct sigma-hat evaluation.  Objects are reused as in
-    ``necessary_implicit_check``.
+    second-order set at least 2 kappa (1-2 eps)^2 |d|^2.  On convex
+    polyhedral K part (ii) is one LP per pair (see ``_explicit_value``).
+    Otherwise the multiplier search enumerates one LP per (multiplier cell,
+    face, vertex) triple, which is exhaustive on polyhedral data; winners
+    are replayed through a direct sigma-hat evaluation.  Objects are reused
+    as in ``necessary_implicit_check``.
 
     On ``fixtures/second_example.json`` (f = -x^2/2, g = (x^2, x), K the
     union of the unit disks about (+-1, 0), S = {xbar} = {0}) and d = 1,
@@ -660,7 +663,22 @@ def necessary_explicit_check(p: ProblemInstance, x=None, d=None) -> Certificatio
 
 def _explicit_value(p: ProblemInstance, x, d, anchor) -> CertificationReport:
     """The explicit form at a unit pair (x, d) that meets its hypotheses,
-    with the K-side objects read at anchor."""
+    with the K-side objects read at anchor.
+
+    On convex polyhedral K both second-order sets at (y, u) = anchor are
+    the cone C = T_{T_K(y)}(u), and the directional multipliers Lambda lie
+    in its polar C^o (``tangents`` module docstring).  The Frechet normal
+    cone of C at w is C^o cut to w^perp, so lam.w = 0 wherever lam is a
+    Frechet normal of C, and sigma-hat_C(lam) = 0 for every lam in C^o.
+    Part (i) therefore holds whenever a multiplier exists, and part (ii)
+    is qf(d) + max{lam.q(d) : lam in Lambda}, q(d) = D2g(x)(d, d): the
+    classical second-order condition max over lam of d' D2xx L(x, lam) d
+    (Ben-Tal 1980; Bonnans & Shapiro 2000, 3.2), one LP per pair
+    (``_lagrangian_max``).  Both witnesses carry the maximiser; along a
+    recession ray with positive image the value is +inf, and the witness
+    is a point on the ray.  For the Clarke form every generator v of C
+    gives max{-v.lam : lam in Lambda_C} >= 0, so its part (i) holds too,
+    and the ray rows of its vertex LP are implied by lam in C^o."""
     diags = ["explicit form is weaker than the implicit form: a satisfied "
              "verdict here does not preclude an implicit rejection"]
     ok, method, notes = certify_mscq(p, x, d, anchor=anchor)
@@ -670,7 +688,27 @@ def _explicit_value(p: ProblemInstance, x, d, anchor) -> CertificationReport:
                        ["metric subregularity could not be certified"])
     cq = {"mscq": method}
     diags.extend(notes)
-    Tpp, T2, lamreg = _k_side(p, x, anchor, "M", diags)
+    if p.K.is_convex() and p.K.as_region() is not None:
+        value, lam = _lagrangian_max(p, x, d, anchor, "M")
+        if lam is None:
+            return _kappa_verdict(-math.inf, (), cq,
+                                  diags + ["no directional multiplier exists"])
+        _, _, qfn, qgn = _jet_data(p, x)
+        if value == math.inf:
+            diags.append(_UNBOUNDED_ABOVE)
+        wits = [_wit(part="i", x=x, d=d, lam=lam, sigma_hat=0.0),
+                _wit(part="ii", x=x, d=d, lam=lam, achieved=qfn(d) + float(qgn(d) @ lam))]
+        denom, _ = _kappa_denominator(p, x, d, "proximal")
+        return _kappa_verdict(_kappa_bound(value, denom), wits, cq, diags)
+    return _explicit_sigma_hat(p, x, d, *_k_side(p, x, anchor, "M", diags), cq, diags)
+
+
+def _explicit_sigma_hat(p: ProblemInstance, x, d, Tpp: Region, T2: Region,
+                        lamreg: Region, cq: dict, diags: list[str]) -> CertificationReport:
+    """The explicit form at (x, d) from the asymptotic and outer
+    second-order sets of K and the directional multipliers, through the
+    lower generalized support: the route for K that is not convex
+    polyhedral."""
     if lamreg.is_empty():
         return _kappa_verdict(-math.inf, (), cq,
                               diags + ["no directional multiplier exists"])
@@ -700,6 +738,19 @@ def _explicit_value(p: ProblemInstance, x, d, anchor) -> CertificationReport:
         direct = qf + float(q @ lam2) - sh2
         wits.append(_wit(part="ii", x=x, d=d, lam=lam2, achieved=direct))
     return _kappa_verdict(_kappa_bound(best, denom), wits, cq, diags)
+
+
+def _lagrangian_max(p: ProblemInstance, x, d, anchor, kind: str):
+    """(qf(d) + max{lam.q(d) : lam in the directional multipliers of kind
+    (M or C) at x and anchor}, the maximising lam), q(d) = D2g(x)(d, d):
+    part (ii) of the explicit and Clarke forms on convex polyhedral K (see
+    ``_explicit_value``).  The value is +inf along a recession ray with
+    positive image, lam then being a point on the ray, and -inf, with lam
+    None, when the set is empty."""
+    _, _, qfn, qgn = _jet_data(p, x)
+    best, lam = _dual_lp_max(directional_multipliers(p, x, None, kind, anchor=anchor),
+                             qgn(d))
+    return qfn(d) + best, lam
 
 
 def _k_side(p: ProblemInstance, x, anchor, kind: str, diags: list[str]):
@@ -780,9 +831,7 @@ def _max_explicit_value(lamreg: Region, T2: Region, qf: float, q: np.ndarray):
             # finite point on it as the replayable witness
             lam_wit = (out.point if out.point is not None else
                        np.zeros(lamreg.dim)) + out.ray
-            return math.inf, lam_wit, tuple(
-                notes + ["condition (ii) value is unbounded above; "
-                         "no finite growth constant is rejected"])
+            return math.inf, lam_wit, tuple(notes + [_UNBOUNDED_ABOVE])
         if out.status != "optimal":
             continue
         val = qf + float(q @ out.point) - float(out.point @ v)
@@ -827,9 +876,11 @@ def necessary_clarke_check(p: ProblemInstance, x=None, d=None,
     multiplier has lam.v <= 0 (checked by a dual LP over the multiplier
     region and replayed through the primal conic program; the two values
     must agree); for every cell of the outer set, a vertex LP with the
-    cell's recession rays constrains kappa.  nondegenerate: the
-    unique multiplier is evaluated directly.  Objects are reused as in
-    ``necessary_implicit_check``.
+    cell's recession rays constrains kappa.  On convex polyhedral K part
+    (i) holds whenever a multiplier exists and part (ii) is one LP per
+    pair, whose maximiser the witness carries (see ``_explicit_value``).
+    nondegenerate: the unique multiplier is evaluated directly.  Objects
+    are reused as in ``necessary_implicit_check``.
     """
     if mode not in ("elementwise", "nondegenerate"):
         raise ModelError(f"unknown clarke mode {mode!r}")
@@ -856,6 +907,13 @@ def _clarke_value(p: ProblemInstance, x, d, anchor, mode: str) -> CertificationR
             return _report("hypotheses-not-met", cq={**cq, "nondeg": "fails"},
                            diags=diags + ["directional nondegeneracy fails"])
         cq["nondeg"] = "holds"
+    elif p.K.is_convex() and p.K.as_region() is not None:
+        value, lam = _lagrangian_max(p, x, d, anchor, "C")
+        if lam is None:
+            return _kappa_verdict(-math.inf, (), cq, diags + ["no Clarke multiplier exists"])
+        denom, _ = _kappa_denominator(p, x, d, "proximal")
+        return _kappa_verdict(_kappa_bound(value, denom),
+                              [_wit(part="ii", x=x, d=d, lam=lam, achieved=value)], cq, diags)
 
     Tpp, T2, lamreg = _k_side(p, x, anchor, "C", diags)
     if lamreg.is_empty():
@@ -876,12 +934,14 @@ def _clarke_value(p: ProblemInstance, x, d, anchor, mode: str) -> CertificationR
 
 
 def _dual_lp_max(lamreg: Region, c: np.ndarray):
-    """max of c.lam over the multiplier region; (-inf, None) when empty."""
+    """(max of c.lam over the multiplier region, a maximiser); (inf, a
+    point plus an improving ray) when unbounded and (-inf, None) when
+    empty."""
     best, arg = -math.inf, None
     for cell in lamreg.nonempty_cells():
         out = _lp.maximize(c, cell.A, cell.b, cell.E, cell.f)
         if out.status == "unbounded":
-            return math.inf, out.ray
+            return math.inf, out.point + out.ray
         if out.status == "optimal" and out.value > best:
             best, arg = out.value, out.point
     return best, arg
@@ -1288,7 +1348,7 @@ def sweep_necessary(p: ProblemInstance,
     the reported pair count is the number of checks run.
 
     For a polyhedral K a pair reads its K-side objects (the second-order
-    sets, directional normal cones, multipliers, Clarke tangent cone,
+    sets, directional normal cones and their polars, multipliers,
     asymptotic preimage and the FOSCMS, DirRCQ and NONDEG results) at the
     anchor of its face: the first pair of the sweep with the same rows of
     T_K(g(x)) and the same face label of Dg(x) d (see ``_face_anchors``
@@ -1296,8 +1356,10 @@ def sweep_necessary(p: ProblemInstance,
     face, also across base points.  The quadratic forms, the shift
     D2g(x)(d, d) of the outer preimage, SOSCMS, the sampled MSCQ probe, the
     denominators, the part-(ii) programs and the witnesses stay per pair.
-    Any other K anchors each pair at its own (g(x), Dg(x) d), as a single
-    check does.
+    On convex polyhedral K the explicit and clarke modes read part (ii) as
+    one LP per pair over the face's multipliers and build no second-order
+    set (see ``_explicit_value``).  Any other K anchors each pair at its
+    own (g(x), Dg(x) d), as a single check does.
 
     Aggregation: any violation wins (with its witnesses); otherwise any
     inconclusive; otherwise hypotheses-not-met when no check met the form's

@@ -33,14 +33,14 @@ one.  Inside the block these are built once per distinct input:
   directional multipliers of each kind, and the FOSCMS, DirRCQ and NONDEG
   results;
 * the set-side objects of ``tangents``: the tangent cone of a set at a
-  point (its polar, the Frechet normal cone, is a ``polar_cone``), the
+  point (its polar, the Frechet normal cone, is a ``polar_cone``), and the
   directional normal cone and the second-order tangent set at a point,
-  direction and kind, and the directional Clarke tangent cone at a point
-  and direction.
+  direction and kind.
 
-That is fifteen kinds.  An object that its callers build once per use
-(the critical cone, the full-row-rank test of Dg) or that wraps memoized
-calls (the Frechet normal cone, the conic hull) is not a kind of its own.
+That is fourteen kinds.  An object that its callers build once per use
+(the critical cone, the full-row-rank test of Dg, the directional Clarke
+tangent cone) or that wraps memoized calls (the Frechet normal cone, the
+conic hull) is not a kind of its own.
 
 The outcome is stored under the input's content, with its arrays made
 read-only, and handed back to every later caller that poses the same

@@ -109,7 +109,9 @@ def _on_sphere(s: Ball, y: np.ndarray) -> bool:
 
 def _tangential_contact_note(members: list[BaseSet], y: np.ndarray) -> tuple[str, ...]:
     """Flag boundary normals shared (up to sign) by distinct members at y;
-    touching members can make union formulas overcount."""
+    touching members can make union formulas overcount.  A ball gives its
+    sphere's normal, and a member with ``as_region()`` the active rows and
+    equalities of each cell of its region that holds y."""
     normals: list[tuple[int, np.ndarray]] = []
     for idx, m in enumerate(members):
         if not m.contains(y, tol=MEMBER_TOL):
@@ -118,12 +120,11 @@ def _tangential_contact_note(members: list[BaseSet], y: np.ndarray) -> tuple[str
             if _on_sphere(m, y):
                 h = y - m.center
                 normals.append((idx, h / np.linalg.norm(h)))
-        elif _is_polyhedral_leaf(m):
-            cell = _leaf_cell(m)
-            for i in _active_rows(cell, y):
-                normals.append((idx, cell.A[i]))
-            for j in range(cell.E.shape[0]):
-                normals.append((idx, cell.E[j]))
+            continue
+        region = m.as_region()
+        for cell in () if region is None else region.cells:
+            if cell.contains(y, tol=MEMBER_TOL):
+                normals.extend((idx, a) for a in (*cell.A[_active_rows(cell, y)], *cell.E))
     for (i1, n1), (i2, n2) in itertools.combinations(normals, 2):
         if i1 != i2 and abs(abs(float(n1 @ n2)) - 1.0) <= 1e-9:
             return ("tangential member contact at base point; verify by oracle",)
@@ -561,16 +562,9 @@ def _directional_normal(s: BaseSet, y: np.ndarray, u: np.ndarray, kind: str) -> 
 def directional_clarke_tangent(s: BaseSet, y, u) -> Region:
     """Polar of the directional Clarke normal cone.  It runs in an
     ``lp.reuse_scope``, so the Clarke cone starts from the T_s(y) of the
-    tangency test instead of building it again; in a scope opened around
-    it, it is built once per set, point and direction."""
-    y = _vec(y, s.dim)
-    u = _vec(u, s.dim)
-    return _lp._reused("directional_clarke_tangent", (s, y, u),
-                       lambda: _directional_clarke_tangent(s, y, u))
-
-
-def _directional_clarke_tangent(s: BaseSet, y: np.ndarray, u: np.ndarray) -> Region:
+    tangency test instead of building it again."""
     y = _require_member(s, y)
+    u = _vec(u, s.dim)
     if not tangent_cone(s, y).contains(u, tol=MEMBER_TOL):
         raise TangentError("direction not tangent")
     clarke = directional_normal(s, y, u, "clarke")

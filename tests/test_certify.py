@@ -7,13 +7,14 @@ import dataclasses
 import functools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sharpcheck import certify, lp, tangents
+from sharpcheck import certify, lp, regions, tangents
 from sharpcheck.certify import (
     DUALITY_TOL,
     _conic_primal,
@@ -236,6 +237,28 @@ def test_generator_probe_agrees_with_the_lp_probe(seed, dim, cells):
         if w is not None:
             assert np.linalg.norm(w) > 1e-7
             assert region.contains(w, tol=1e-7)
+
+
+# a draw of the strategy above: its second cell holds rows 4 and 5,
+# opposite to within 3e-11, whose thin wedge opens toward -r for
+# r = (0.996, 0.086), and row 1 cuts -r off
+THIN_WEDGE = (343063434, 2, 2)
+
+
+def test_thin_wedge_cell_is_the_origin_in_exact_arithmetic():
+    region = _random_cone_region(*THIN_WEDGE)
+    rows = [[Fraction(float(v)) for v in row] for row in region.cells[1].A]
+    # a nonzero cone in the plane holds a ray on the boundary line of a row
+    rays = [(s * -a2, s * a1) for a1, a2 in rows for s in (1, -1)]
+    assert not any(all(a1 * r1 + a2 * r2 <= 0 for a1, a2 in rows) for r1, r2 in rays)
+    assert lp_nontrivial_point(region) is None
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 20: the double description "
+                   "of the thin wedge's cell keeps the ray r, which the exact cell "
+                   "cuts off")
+def test_generator_probe_on_a_thin_wedge_cut_to_the_origin():
+    assert certify._nontrivial_point(_random_cone_region(*THIN_WEDGE)) is None
 
 
 def test_cq_on_a_box_union_poses_few_margin_lps(monkeypatch):
@@ -603,20 +626,148 @@ def test_sweep_builds_the_critical_cone_once_per_base_point(mode, monkeypatch):
     assert len(points) == len(set(points)) == n_points
 
 
-def test_sweep_builds_the_k_side_objects_once_per_face(monkeypatch):
-    # every critical direction of this sweep has Dg(0) d = d1 < 0: one face
-    # of T_K(0) = (-inf, 0], so one anchor for all 48 pairs
-    p = load_problem(FIXTURES / "halfspace_n4.json")
+def _k_side_builds(monkeypatch) -> list:
+    """The (builder, kind) of every directional normal cone and
+    second-order set built from now on."""
     builds = []
     for name in ("_directional_normal", "_second_tangent"):
         build = getattr(tangents, name)
         monkeypatch.setattr(tangents, name, lambda s, y, u, kind, build=build, name=name:
                             builds.append((name, kind)) or build(s, y, u, kind))
+    return builds
+
+
+def test_sweep_builds_the_k_side_objects_once_per_face(monkeypatch):
+    # every critical direction of this sweep has Dg(0) d = d1 < 0: one face
+    # of T_K(0) = (-inf, 0], so one anchor for all 48 pairs.  K is convex,
+    # so part (ii) reads the face's Clarke multipliers and no second-order set
+    p = load_problem(FIXTURES / "halfspace_n4.json")
+    builds = _k_side_builds(monkeypatch)
     r = sweep_necessary(p, mode="clarke")
     assert r.diagnostics[0].startswith("sweep over 1 base points, 48 (x, d) pairs;")
-    assert sorted(builds) == [("_directional_normal", "clarke"),
+    assert builds == [("_directional_normal", "clarke")]
+
+
+def test_union_sweep_builds_the_k_side_objects_once_per_face(monkeypatch):
+    # K is a union of boxes, so the explicit form keeps its support routes;
+    # both directions of the sweep, d2 = +-1, map into one face of T_K(0)
+    p = load_problem(FIXTURES / "boxes_finite.json")
+    builds = _k_side_builds(monkeypatch)
+    r = sweep_necessary(p, mode="explicit")
+    assert r.diagnostics[0].startswith("sweep over 1 base points, 2 (x, d) pairs;")
+    assert sorted(builds) == [("_directional_normal", "limiting"),
                               ("_second_tangent", "asymptotic"),
                               ("_second_tangent", "outer")]
+
+
+CONVEX_POLYHEDRAL = ["first_example", "halfspace_n4", "halfspace_product", "lifted_n3",
+                     "nonstationary", "parabola", "rank_deficient", "twin_constraints"]
+
+
+@pytest.mark.parametrize("mode", ["explicit", "clarke"])
+def test_convex_polyhedral_sweeps_build_no_face_complex(mode, monkeypatch):
+    # part (ii) is one LP over the multipliers, sigma-hat is 0 on them, and
+    # the Clarke form's part (i) holds with no conic primal
+    called = []
+    for module, name in ((regions, "face_complex"), (regions, "lower_gen_support_detail"),
+                         (certify, "face_complex"), (certify, "lower_gen_support_detail"),
+                         (certify, "directional_clarke_tangent")):
+        monkeypatch.setattr(module, name, lambda *a, name=name: called.append(name))
+    for name in CONVEX_POLYHEDRAL:
+        p = load_problem(FIXTURES / f"{name}.json")
+        assert p.K.is_convex() and p.K.as_region() is not None
+        sweep_necessary(p, mode=mode)
+    assert called == []
+
+
+def _pairs_at_anchors(p: ProblemInstance) -> list:
+    """(x, d, anchor) of each pair of p's implicit-proximal sweep, which
+    screens its directions as the explicit and clarke sweeps do, at its
+    face's anchor, and of each direction of ``_critical_directions`` at
+    xbar that meets the hypotheses, at its own anchor."""
+    pairs, face_anchors = [], certify._face_anchors
+
+    def spy(p_, x, dirs, faces):
+        anchors = face_anchors(p_, x, dirs, faces)
+        pairs.extend((x, d, a) for d, a in zip(dirs, anchors))
+        return anchors
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certify, "_face_anchors", spy)
+        sweep_necessary(p, mode="implicit-proximal")
+    for raw in _critical_directions(p):
+        x, d = certify._pair(p, p.xbar, raw)
+        if certify._implicit_hypotheses(p, x, d, "proximal") is None:
+            pairs.append((x, d, certify._own_anchor(p, x, d)))
+    return pairs
+
+
+def _explicit_by_sigma_hat(p, x, d, anchor):
+    """The explicit form through ``_search_sigma_hat_nonpositive`` and
+    ``_max_explicit_value`` on ``_k_side``'s objects."""
+    ok, method, _ = certify_mscq(p, x, d, anchor=anchor)
+    if not ok:
+        return certify._report("hypotheses-not-met", cq={"mscq": "unverified"})
+    diags = []
+    return certify._explicit_sigma_hat(p, x, d, *certify._k_side(p, x, anchor, "M", diags),
+                                       {"mscq": method}, diags)
+
+
+def _clarke_by_vertex_lps(p, x, d, anchor):
+    """The Clarke elementwise form through ``_clarke_elementwise`` on
+    ``_k_side``'s objects."""
+    if not constraint_qualification_check(p, x, d, "DirRCQ", anchor=anchor).holds:
+        return certify._report("hypotheses-not-met", cq={"dirrcq": "fails"})
+    cq, diags = {"dirrcq": "holds"}, []
+    Tpp, T2, lamreg = certify._k_side(p, x, anchor, "C", diags)
+    if lamreg.is_empty():
+        return certify._kappa_verdict(-math.inf, (), cq, ())
+    grad, J, qfn, qgn = _jet_data(p, x)
+    denom, _ = certify._kappa_denominator(p, x, d, "proximal")
+    return certify._clarke_elementwise(p, x, d, grad, J,
+                                       directional_clarke_tangent(p.K, *anchor), lamreg,
+                                       Tpp, T2, qfn(d), qgn(d), denom, cq, diags)
+
+
+def _same_bound(got, want, where):
+    """got equals the finite bound want to 1e-12 relative, or repeats it."""
+    if want is not None and math.isfinite(want):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    else:
+        assert repr(got) == repr(want), where
+
+
+def test_lagrangian_route_agrees_with_the_support_routes(tmp_path):
+    """ROADMAP item 19 on convex polyhedral K: per pair, the explicit and
+    Clarke forms' one LP over the multipliers gives the bound, verdict and
+    CQ status of the sigma-hat and vertex-LP routes, and the implicit
+    form's support route gives the same value."""
+    docs = [(name, FIXTURES / f"{name}.json") for name in CONVEX_POLYHEDRAL]
+    for seed in range(60):
+        path = tmp_path / f"generic-{seed}.json"
+        path.write_text(json.dumps(generic_stationary_document(seed)[0]))
+        docs.append((path.stem, path))
+    count = 0
+    for name, path in docs:
+        p = load_problem(path)
+        with reuse_scope():
+            for x, d, anchor in _pairs_at_anchors(p):
+                where = (name, x.tolist(), d.tolist())
+                for got, want in ((certify._explicit_value(p, x, d, anchor),
+                                   _explicit_by_sigma_hat(p, x, d, anchor)),
+                                  (certify._clarke_value(p, x, d, anchor, "elementwise"),
+                                   _clarke_by_vertex_lps(p, x, d, anchor))):
+                    assert got.verdict == want.verdict, where
+                    assert got.cq_status == want.cq_status, where
+                    _same_bound(got.kappa_bounds.get("max_admissible"),
+                                want.kappa_bounds.get("max_admissible"), where)
+                value, _ = certify._lagrangian_max(p, x, d, anchor, "M")
+                denom, _ = certify._kappa_denominator(p, x, d, "proximal")
+                implicit = certify._implicit_value(p, x, d, anchor, "proximal")
+                _same_bound(implicit.kappa_bounds["max_admissible"],
+                            certify._kappa_bound(value, denom), where)
+                count += 1
+    assert count > 1000
 
 
 @pytest.mark.parametrize("check,kappa", [(sufficient_point_check, 0.5),
@@ -815,12 +966,8 @@ def test_sweep_pairs_read_at_face_anchors_match_single_checks(name, tmp_path):
                 # the verdict fixes the exit code
                 assert got.verdict == want.verdict, (mode, x, d)
                 assert got.cq_status == want.cq_status, (mode, x, d)
-                bound = want.kappa_bounds.get("max_admissible")
-                if bound is not None and math.isfinite(bound):
-                    assert got.kappa_bounds["max_admissible"] == \
-                        pytest.approx(bound, rel=1e-12, abs=0.0), (mode, x, d)
-                else:
-                    assert repr(got.kappa_bounds.get("max_admissible")) == repr(bound)
+                _same_bound(got.kappa_bounds.get("max_admissible"),
+                            want.kappa_bounds.get("max_admissible"), (mode, x, d))
 
 
 @pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURES.glob("*.json")))

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 KINDS = {"lp", "dd", "polar_cone", "face_complex", "lower_gen_support", "_jet_data",
          "multiplier_affine_set", "sigma_hat_nonpositive", "asymptotic_preimage",
          "directional_multipliers", "constraint_qualification", "tangent_cone",
-         "second_tangent", "directional_normal", "directional_clarke_tangent"}
+         "second_tangent", "directional_normal"}
 
 
 def _tool():

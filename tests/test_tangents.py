@@ -61,6 +61,20 @@ def test_union_tangent_cone_with_contact_note():
     assert any("tangential member contact" in n for n in t.notes)
 
 
+def test_contact_note_reads_members_that_are_products():
+    # [-1, 1] x [-1, 1] split at x1 = 0, written as boxes and as products
+    # of intervals: the members touch along x1 = 0 either way
+    boxes = UnionSet([Box([(-1.0, 0.0), (-1.0, 1.0)]), Box([(0.0, 1.0), (-1.0, 1.0)])])
+    products = UnionSet([ProductSet([Interval(-1.0, 0.0), Interval(-1.0, 1.0)]),
+                         ProductSet([Interval(0.0, 1.0), Interval(-1.0, 1.0)])])
+    notes = ("tangential member contact at base point; verify by oracle",)
+    for y in ([0.0, 0.5], [0.0, 1.0]):
+        assert tangent_cone(boxes, y).notes == tangent_cone(products, y).notes == notes
+    # away from the seam only one member holds y
+    y = [0.5, 0.5]
+    assert tangent_cone(boxes, y).notes == tangent_cone(products, y).notes == ()
+
+
 def test_product_tangent_cone():
     p = ProductSet([Interval(-1.0, 0.0), Ball([0.0, 1.0], 1.0)])
     t = tangent_cone(p, [0.0, 0.0, 0.0])
@@ -265,24 +279,31 @@ def test_equal_face_labels_give_equal_directional_objects(s):
 
 
 def test_directional_clarke_tangent_builds_the_tangent_cone_once(monkeypatch):
-    # the tangency test's T_s(y) is the one the Clarke cone starts from
+    # the tangency test's T_s(y) is the one the Clarke cone starts from.
+    # The cone is no memo kind: each call builds T_s(y) once, and a scope
+    # around the calls shares only the objects it is built from
     cases = [(s, y, u) for s, y, u in _directional_cases()
              if tangent_cone(s, y).contains(u, tol=1e-7)]
     fresh = [region_bytes(directional_clarke_tangent(*case)) for case in cases]
-    with _lp.reuse_scope():
-        scoped = [region_bytes(directional_clarke_tangent(*case)) for case in cases]
-    assert scoped == fresh
     built = []
     tangent = tangents._tangent_cone
     monkeypatch.setattr(tangents, "_tangent_cone",
                         lambda s, y: built.append(s) or tangent(s, y))
-    for s, y, u in cases:   # outside a scope: no more builds than the Clarke cone's own
+    for (s, y, u), want in zip(cases, fresh):
         built.clear()
         directional_normal(s, y, u, "clarke")
         alone = len(built)
         built.clear()
-        directional_clarke_tangent(s, y, u)
+        assert region_bytes(directional_clarke_tangent(s, y, u)) == want
+        # outside a scope: no more builds than the Clarke cone's own
         assert sum(b is s for b in built) == 1 and len(built) <= alone
+        with _lp.reuse_scope():
+            built.clear()
+            first = directional_clarke_tangent(s, y, u)
+            assert sum(b is s for b in built) == 1
+            second = directional_clarke_tangent(s, y, u)
+            assert sum(b is s for b in built) == 1
+        assert region_bytes(first) == region_bytes(second) == want
     with pytest.raises(TangentError):
         directional_clarke_tangent(Ball([0.0, 1.0], 1.0), [0.0, 0.0], [0.0, -1.0])
 
