@@ -1169,8 +1169,7 @@ def sufficient_point_check(p: ProblemInstance) -> CertificationReport:
     diags: list[str] = []
     x = p.xbar
 
-    near = np.reshape(p.S.sample_near(x, p.options.delta, seed_for(p.options.seed, 13), 200),
-                      (-1, p.n))
+    near = p.S.sample_near(x, p.options.delta, seed_for(p.options.seed, 13), 200)
     if np.any(np.abs(p.f.eval_rows(near) - p.f(x)) > 1e-7):
         return _report("hypotheses-not-met",
                        diags=["objective is not constant on the reference set"])

@@ -10,9 +10,11 @@ The proposals built from those draws, the Gauss-Newton pullback and the
 membership and distance tests run on row batches, each row stopping on
 its own criteria, so every result equals the one a point-by-point loop
 over the same draws would give.  Sampled points are handed on as the rows
-of one (k, n) array.  A feasible sample has g(x) in K at tolerance 0, so
-a growth ratio it refutes rests on a point of the feasible set, not on a
-constraint slack.
+of one (k, n) array.  The pullback hands back g at the rows it returns,
+bit for bit ``ProblemInstance.g_value_rows`` of them, so its callers never
+evaluate g again at a pulled row.  A feasible sample has g(x) in K at
+tolerance 0, so a growth ratio it refutes rests on a point of the feasible
+set, not on a constraint slack.
 """
 from __future__ import annotations
 
@@ -140,26 +142,37 @@ def _gauss_newton_step(J: np.ndarray, R: np.ndarray) -> np.ndarray:
     return (np.linalg.pinv(J, rcond=1e-10) @ R[:, :, None])[:, :, 0]
 
 
-def _gauss_newton_rows(p: ProblemInstance, X: np.ndarray, iters: int) -> np.ndarray:
+def _gauss_newton_rows(p: ProblemInstance, X: np.ndarray,
+                       iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Pull each row of X toward the feasible set by correcting the
     constraint residual g(x) - proj_K(g(x)) along the Jacobian
     pseudoinverse (``_gauss_newton_step``).  A row stops once g(x) lies in
     K (tol 1e-10) or its step is not finite; the others go on, up to iters
-    steps."""
+    steps, in one working array, and each row is written back when it
+    stops.  Returns the rows and g at them: a stopped row's values are
+    those of its last jet, and a row still moving after iters steps is
+    evaluated once more, so G equals ``p.g_value_rows`` of the rows bit
+    for bit."""
     X = np.array(X, dtype=float)
-    active = np.arange(X.shape[0])
+    G = np.empty((X.shape[0], p.m))
+    active, W = np.arange(X.shape[0]), X
     for _ in range(iters):
-        G, J = p.g_jet_rows(X[active])
-        go = ~p.K.contains_rows(G, tol=1e-10)
-        active, G, J = active[go], G[go], J[go]
-        if not active.size:
-            break
-        _, proj = p.K.project_rows(G)
-        step = _gauss_newton_step(J, G - proj)
-        finite = np.isfinite(step).all(axis=1)
-        active = active[finite]
-        X[active] -= step[finite]
-    return X
+        GW, J = p.g_jet_rows(W)
+        go = ~p.K.contains_rows(GW, tol=1e-10)
+        if go.any():
+            _, proj = p.K.project_rows(GW[go])
+            step = _gauss_newton_step(J[go], GW[go] - proj)
+            # column by column: a row reduction over a few columns costs
+            # more than the columns themselves
+            finite = np.logical_and.reduce([np.isfinite(c) for c in step.T])
+            go[go] = finite
+        stop = ~go
+        X[active[stop]], G[active[stop]] = W[stop], GW[stop]
+        if not go.any():
+            return X, G
+        active, W = active[go], W[go] - step[finite]
+    X[active], G[active] = W, p.g_value_rows(W)
+    return X, G
 
 
 def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> np.ndarray:
@@ -169,17 +182,21 @@ def sample_feasible(p: ProblemInstance, delta: float, count: int, seed: int) -> 
     toward the feasible set).  The trials' normal n-vectors are drawn
     first, then their uniforms.  A trial is kept only if g(x) lies in K at
     tolerance 0: the pullback stops within 1e-10 of K, and a pulled trial
-    that stops outside K is dropped."""
+    that stops outside K is dropped.  g is evaluated only at the unpulled
+    trials; a pulled trial is tested on the values the pullback hands back,
+    which equal g at it bit for bit."""
     if delta <= 0:
         raise OracleError("delta must be positive")
     _check_count(count)
     rng = rng_for(seed, 1)
     U = rng.standard_normal((count, p.n))
     X = _ball_rows(p.xbar, delta, _unit_rows(U), rng.random(count))
-    X[1::2] = _gauss_newton_rows(p, X[1::2], 25)
+    G = np.empty((count, p.m))
+    G[0::2] = p.g_value_rows(X[0::2])
+    X[1::2], G[1::2] = _gauss_newton_rows(p, X[1::2], 25)
     keep = np.ones(count, dtype=bool)
     keep[1::2] = ~(_row_norms(X[1::2] - p.xbar) > delta)
-    keep[keep] = p.K.contains_rows(p.g_value_rows(X[keep]), tol=0.0)
+    keep[keep] = p.K.contains_rows(G[keep], tol=0.0)
     hits = X[keep]
     if hits.shape[0] < max(1, count // 100):
         raise OracleError("thin feasible set: "
@@ -251,21 +268,21 @@ _MSCQ_BLOCK = 128
 def _feasible_distances(p: ProblemInstance, X: np.ndarray) -> np.ndarray:
     """Upper estimates of dist(x, g^{-1}(K)) for each row x of X, by
     Gauss-Newton pullback refined by a line search back toward x: each of
-    21 evenly spaced points between x and its pullback is pulled again.
-    Rows whose first pullback fails get inf."""
-    Y = _gauss_newton_rows(p, X, 50)
+    21 evenly spaced points between x and its pullback is pulled again,
+    and the shortest pull that lands in K wins.  Both pulls are tested on
+    the g values they hand back.  Rows whose first pullback fails get
+    inf."""
+    Y, GY = _gauss_newton_rows(p, X, 50)
     best = np.full(X.shape[0], math.inf)
-    ok = p.K.contains_rows(p.g_value_rows(Y), tol=1e-9)
+    ok = p.K.contains_rows(GY, tol=1e-9)
     X, Y = X[ok], Y[ok]
     fracs = np.linspace(0.0, 1.0, 21)
     Z = X[:, None, :] + fracs[None, :, None] * (Y - X)[:, None, :]
-    Z = _gauss_newton_rows(p, Z.reshape(-1, X.shape[1]), 15)
-    hit = p.K.contains_rows(p.g_value_rows(Z), tol=1e-9).reshape(-1, fracs.size)
+    Z, GZ = _gauss_newton_rows(p, Z.reshape(-1, X.shape[1]), 15)
+    hit = p.K.contains_rows(GZ, tol=1e-9).reshape(-1, fracs.size)
     dz = _row_norms(Z - np.repeat(X, fracs.size, axis=0)).reshape(-1, fracs.size)
-    shortest = _row_norms(Y - X)
-    for k in range(fracs.size):   # the builtin min, in line-search order
-        shortest = np.where(hit[:, k] & (dz[:, k] < shortest), dz[:, k], shortest)
-    best[ok] = shortest
+    # the shortest hit; a min is exact, so this is the line search's own
+    best[ok] = np.minimum(_row_norms(Y - X), np.where(hit, dz, math.inf).min(axis=1))
     return best
 
 

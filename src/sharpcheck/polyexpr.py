@@ -262,15 +262,21 @@ def _mono_eval(mono, c, x):
 def _mono_rows(mono, c, X, powers):
     """_mono_eval on each row of X.  np.float_power calls the same libm pow
     as the scalar ``x ** e``; the array ``**`` takes faster paths that
-    differ in the last bit.  ``powers`` shares the column powers of one
-    evaluation across monomials."""
-    v = np.full(X.shape[0], c)
+    differ in the last bit.  A power 1 is the column itself, as pow(x, 1)
+    is x but for the sign of a NaN, and the product starts from the first
+    factor times c, which is c times it bit for bit.  ``powers`` shares the
+    column powers of one evaluation across monomials."""
+    v = None
     for i, e in mono:
         pw = powers.get((i, e))
         if pw is None:
-            pw = powers[(i, e)] = np.float_power(X[:, i - 1], e)
-        v *= pw
-    return v
+            col = X[:, i - 1]
+            pw = powers[(i, e)] = col if e == 1 else np.float_power(col, e)
+        if v is None:
+            v = pw * c
+        else:
+            v *= pw
+    return np.full(X.shape[0], c) if v is None else v
 
 
 def _d_mono(mono, i):

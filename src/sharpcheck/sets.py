@@ -105,9 +105,10 @@ class BaseSet(ABC):
     def _build_region(self) -> Region | None:
         return None
 
-    def sample_near(self, x, delta: float, seed, count: int) -> list[np.ndarray]:
-        """Members within delta of x: the first projections of count ambient
-        draws, in one ``project_rows`` call, that lie within delta of x.
+    def sample_near(self, x, delta: float, seed, count: int) -> np.ndarray:
+        """Members within delta of x, as the rows of one (k, dim) array: the
+        first projections of count ambient draws, in one ``project_rows``
+        call, that lie within delta of x.
 
         Multiplicity: one entry per kept draw, so a point may repeat, except
         that a PointSet returns its point at most once.
@@ -120,7 +121,7 @@ class BaseSet(ABC):
         # draw per point
         Z = x + np.random.default_rng(seed).uniform(-delta, delta, size=(count, self.dim))
         _, P = self.project_rows(Z)
-        return list(P[_row_norms(P - x) <= delta + 1e-12])
+        return P[_row_norms(P - x) <= delta + 1e-12]
 
     def __repr__(self):
         return f"{type(self).__name__}(dim={self.dim})"
@@ -300,9 +301,10 @@ class Ball(BaseSet):
 
 
 class PointSet(BaseSet):
-    """The singleton {x}.  sample_near returns [x], and builds no generator,
-    when x lies within delta of the query point, else [], where the generic
-    sampler returns x once per draw under the same test."""
+    """The singleton {x}.  sample_near returns x as a one-row array, and
+    builds no generator, when x lies within delta of the query point, else
+    no row, where the generic sampler returns x once per draw under the
+    same test."""
 
     kind = "point"
 
@@ -321,8 +323,8 @@ class PointSet(BaseSet):
     def sample_near(self, x, delta, seed, count):
         x = _vec(x, self.dim)
         if count < 1 or not _row_norms((self.x - x)[None])[0] <= delta + 1e-12:
-            return []
-        return [self.x.copy()]
+            return np.empty((0, self.dim))
+        return self.x[None].copy()
 
     def _build_region(self):
         return Region.from_point(self.x)

@@ -612,10 +612,11 @@ def eps_proximal_membership(s: BaseSet, x, v, eps: float) -> bool:
     return len(eps_proximal_filter(s, x, [v], eps)) == 1
 
 
-def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> list:
+def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> np.ndarray:
     """The members of vs within relative distance eps of the proximal
     normal cone at x, which on this catalog is the Frechet cone
-    ``_frechet_normal``; the cone is built once for the whole batch."""
+    ``_frechet_normal``, as the rows of one (k, dim) array in the order of
+    vs; the cone is built once for the whole batch."""
     if not 0.0 <= eps < 1.0:
         raise TangentError("eps must lie in [0, 1)")
     cell = _frechet_normal(s, _vec(x, s.dim)).cells[0]
@@ -626,14 +627,10 @@ def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> list:
     if eps <= 0.0:
         # distance at most 1e-9 degenerates to membership
         keep = (np.linalg.norm(V, axis=1) <= TOL) | cell.contains_rows(V, tol=1e-9)
-        return list(V[keep])
-    out = []
-    for v in V:
+        return V[keep]
+    keep = np.zeros(V.shape[0], dtype=bool)
+    for k, v in enumerate(V):
         nv = float(np.linalg.norm(v))
-        if nv <= TOL:
-            out.append(v)
-        else:
-            res = cell.project(v)
-            if res is not None and res[0] <= eps * nv + 1e-9:
-                out.append(v)
-    return out
+        res = None if nv <= TOL else cell.project(v)
+        keep[k] = nv <= TOL or (res is not None and res[0] <= eps * nv + 1e-9)
+    return V[keep]

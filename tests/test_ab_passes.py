@@ -24,18 +24,24 @@ def test_one_tree_against_itself_over_one_pair(capsys):
     # 29 checks in one timed pass: the tail is the 19th, ten samples below the top
     assert lines[2].startswith("  base per check: median ")
     assert lines[2].endswith(" ms  (29 checks)") and " ms, p65.5 " in lines[2]
-    assert lines[3].startswith("  head: median ") and " p25 " in lines[3]
-    assert " p75 " in lines[1] and " p75 " in lines[3]
-    assert lines[4].startswith("  head per check: median ")
-    assert lines[4].endswith(" ms  (29 checks)") and " ms, p65.5 " in lines[4]
-    assert lines[5].startswith("  head/base: median per-pair ratio ")
-    assert lines[6] == "  normalised reports identical in all 29 jobs"
+    assert lines[4].startswith("  head: median ") and " p25 " in lines[4]
+    assert " p75 " in lines[1] and " p75 " in lines[4]
+    assert lines[5].startswith("  head per check: median ")
+    assert lines[5].endswith(" ms  (29 checks)") and " ms, p65.5 " in lines[5]
+    # the 11 samples from the tail up (more on a tie), from one pass: as
+    # many jobs, once each
+    for line, side in ((lines[3], "base"), (lines[6], "head")):
+        assert line.startswith(f"  {side} jobs at or above p65.5: ")
+        tops = line.split(": ", 1)[1].split(", ")
+        assert len(tops) >= 11 and all(re.fullmatch(r"\S+/\S+ 1", t) for t in tops)
+    assert lines[7].startswith("  head/base: median per-pair ratio ")
+    assert lines[8] == "  normalised reports identical in all 29 jobs"
     assert re.fullmatch(r"  head below base: per-check median in [01] of 1 pairs, "
-                        r"pass in [01] of 1 pairs", lines[7])
+                        r"pass in [01] of 1 pairs", lines[9])
     # the benchmark's acceptance numbers: one pass per tree has no spread
     assert re.fullmatch(r"  median gap \(base - head\) [+-]\d+\.\d{4} s, "
-                        r"base IQR 0\.0000 s, head wins [01] of 1 pairs", lines[8])
-    assert len(lines) == 9
+                        r"base IQR 0\.0000 s, head wins [01] of 1 pairs", lines[10])
+    assert len(lines) == 11
     # the two trees are separate packages, neither of them the installed one
     base, head = (sys.modules[f"_ab_{side}_sharpcheck.cli"] for side in ("base", "head"))
     assert base is not head and base.main is not head.main

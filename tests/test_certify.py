@@ -5,6 +5,7 @@ duality / linearization cross-validations against the sampling oracles.
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -259,6 +260,47 @@ def test_thin_wedge_cell_is_the_origin_in_exact_arithmetic():
                    "cuts off")
 def test_generator_probe_on_a_thin_wedge_cut_to_the_origin():
     assert certify._nontrivial_point(_random_cone_region(*THIN_WEDGE)) is None
+
+
+# another draw of the strategy: its second cell holds rows 5 and 6, whose
+# cosine is -1 + 4e-15; the LP reference returns (-0.620, -0.068, -1.0),
+# which violates row 6 by 3.9e-8
+NEAR_OPPOSITE = (804, 3, 2)
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot(a, b):
+    return sum(ai * bi for ai, bi in zip(a, b))
+
+
+def _exact_cone_members(cell):
+    """The nonzero vectors +-(a x b) over pairs of rows a, b of a cone cell
+    in R^3 that lie in the cell, in exact arithmetic on the float rows.
+    When the rows span R^3 the cell is pointed, so it is {0} exactly when
+    this list is empty: an extreme ray lies on two independent rows."""
+    A = [[Fraction(float(v)) for v in row] for row in cell.A]
+    E = [[Fraction(float(v)) for v in row] for row in cell.E]
+    out = []
+    for a, b in itertools.combinations(A + E, 2):
+        c = _cross(a, b)
+        for r in (c, tuple(-v for v in c)):
+            if any(r) and all(_dot(row, r) <= 0 for row in A) and not any(_dot(e, r) for e in E):
+                out.append(r)
+    return out
+
+
+def test_near_opposite_cells_are_the_origin_in_exact_arithmetic():
+    region = _random_cone_region(*NEAR_OPPOSITE)
+    for cell in region.cells:
+        rows = [[Fraction(float(v)) for v in row] for row in np.vstack([cell.A, cell.E])]
+        assert any(_dot(a, _cross(b, c)) for a, b, c in itertools.combinations(rows, 3))
+        assert _exact_cone_members(cell) == []
+    # so the generator probe's None is right, and the LP reference's point
+    # comes from its float simplex (ROADMAP item 20)
+    assert certify._nontrivial_point(region) is None
 
 
 def test_cq_on_a_box_union_poses_few_margin_lps(monkeypatch):

@@ -431,10 +431,33 @@ def test_zero_row_step_is_zero():
 def test_two_row_pullback_keeps_the_stacked_pinv(monkeypatch):
     p = second_example()
     X = np.random.default_rng(59).uniform(-2.0, 2.0, size=(40, 1))
-    got = [oracles._gauss_newton_rows(p, X, iters) for iters in (1, 25)]
+    got = [oracles._gauss_newton_rows(p, X, iters)[0] for iters in (1, 25)]
     monkeypatch.setattr(oracles, "_gauss_newton_step", _pinv_steps)
     for iters, Y in zip((1, 25), got):
-        assert _bits(Y) == _bits(oracles._gauss_newton_rows(p, X, iters))
+        assert _bits(Y) == _bits(oracles._gauss_newton_rows(p, X, iters)[0])
+
+
+@pytest.mark.parametrize("iters", [0, 1, 25])
+@pytest.mark.parametrize("kind", list(_KIND_SEEDS) + ["second_example"])
+def test_pullback_returns_g_at_its_rows_bit_for_bit(kind, iters):
+    # the rows are the point-by-point pullback's, and the values handed
+    # back are g at them, for one row and for many
+    for seed in range(3):
+        p = second_example() if kind == "second_example" else \
+            _random_instance(_KIND_SEEDS[kind], seed)
+        X = np.random.default_rng([seed, 61]).uniform(-0.6, 0.6, size=(25, p.n))
+        for rows in (X, X[:1]):
+            with np.errstate(over="ignore"):   # some pulls diverge
+                Y, G = oracles._gauss_newton_rows(p, rows, iters)
+                want = [reference._gauss_newton_feasible(p, x, iters) for x in rows]
+            assert _bits(Y) == _bits(want)
+            assert G.shape == (rows.shape[0], p.m)
+            assert _bits(G) == _bits(p.g_value_rows(Y))
+
+
+def test_pullback_covers_one_and_several_constraints():
+    ms = {_random_instance(_KIND_SEEDS[kind], 0).m for kind in _KIND_SEEDS}
+    assert 1 in ms and max(ms) >= 2 and second_example().m == 2
 
 
 def _directional_probes(rng, n, d, rho, delta):

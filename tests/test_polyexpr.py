@@ -9,6 +9,7 @@ from sharpcheck.polyexpr import (
     Options,
     ParseError,
     ProblemInstance,
+    _mono_rows,
     evaluate_jet,
     parse_expression,
     value_gradient_rows,
@@ -234,3 +235,64 @@ def test_row_evaluation_shapes():
     for bad in (np.zeros(2), np.zeros((3, 1)), np.zeros((2, 2, 2))):
         with pytest.raises(ModelError):
             e.eval_rows(bad)
+
+
+# -- the row kernel's powers -------------------------------------------------
+
+
+def _doubles(count, seed):
+    """+-0, +-inf, quiet and signalling NaNs of both signs, the extreme
+    subnormals and normals, then count random bit patterns."""
+    sign, inf = 1 << 63, 0x7FF << 52
+    special = [0, sign, inf, sign | inf, inf | 1 << 51, sign | inf | 1 << 51,
+               inf | 1, sign | inf | 1, 1, sign | 1, (1 << 52) - 1,
+               sign | (1 << 52) - 1, 1 << 52, inf - 1, sign | (inf - 1)]
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=count, dtype=np.uint64)
+    return np.concatenate([np.array(special, dtype=np.uint64), bits]).view(float)
+
+
+def _libm_mono_rows(mono, c, X):
+    """c times the libm pow of every factor, in factor order."""
+    v = np.full(X.shape[0], c)
+    for i, e in mono:
+        v *= np.float_power(X[:, i - 1], e)
+    return v
+
+
+def test_a_power_1_factor_is_its_coordinate_bit_for_bit():
+    x = _doubles(10**6, 61)
+    nan = np.isnan(x)
+    with np.errstate(all="ignore"):
+        # libm pow(x, 1) is x for every double but a NaN, whose sign it drops
+        pw = np.float_power(x, 1)
+        assert pw[~nan].tobytes() == x[~nan].tobytes()
+        assert np.isnan(pw[nan]).all()
+        for c in (1.0, -2.5, 3e-300):
+            got = _mono_rows(((1, 1),), c, x[:, None], {})
+            want = _libm_mono_rows(((1, 1),), c, x[:, None])
+            assert got[~nan].tobytes() == want[~nan].tobytes()
+            assert np.isnan(got[nan]).all()
+        # and the row values stay the scalar ones; NaN payloads never were
+        # bit for bit, since a sum of two NaNs may keep either
+        X = x[:4000].reshape(-1, 2)
+        for text in ("-2.5*x1", "x1*x2^3 - x2"):
+            e = parse_expression(text, 2)
+            want = np.array([e(row) for row in X])
+            for got in (e.eval_rows(X), value_gradient_rows(e, X)[0]):
+                real = ~np.isnan(want)
+                assert got[real].tobytes() == want[real].tobytes()
+                assert np.isnan(got[~real]).all()
+
+
+@pytest.mark.parametrize("mono", [((1, 2),), ((1, 3),), ((2, 5),), ((1, 1), (2, 3)),
+                                  ((1, 4), (2, 1))])
+def test_row_monomials_keep_the_libm_powers_bit_for_bit(mono):
+    # the array ** rounds some powers above 1 differently from libm pow
+    X = np.column_stack([_doubles(10**6, 67), _doubles(10**6, 71)])
+    ones = [i for i, e in mono if e == 1]
+    nan = np.isnan(X[:, [i - 1 for i in ones]]).any(axis=1)
+    with np.errstate(all="ignore"):
+        got = _mono_rows(mono, -1.5, X, {})
+        want = _libm_mono_rows(mono, -1.5, X)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert np.isnan(got[nan]).all() and np.isnan(want[nan]).all()

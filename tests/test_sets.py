@@ -299,7 +299,19 @@ def test_point_sample_near_keeps_its_point_up_to_delta_plus_1e_12():
             x[i] = t
             _check_point_sample_near(s, x, 4, ((delta, 5),))
             assert len(s.sample_near(x, delta, np.random.default_rng(4), 5)) == kept
-    assert s.sample_near(np.zeros(3), delta, np.random.default_rng(4), 0) == []
+    assert s.sample_near(np.zeros(3), delta, np.random.default_rng(4), 0).shape == (0, 3)
+
+
+def test_sample_near_returns_one_row_array():
+    sets = [random_catalog_instance(seed)[:2] for seed in range(30)]
+    sets.append((PointSet([1.0, 2.0]), [1.0, 2.0]))
+    for s, y in sets:
+        for delta, count in ((0.5, 7), (0.5, 0), (1e-3, 3)):
+            got = s.sample_near(y, delta, np.random.default_rng(5), count)
+            assert isinstance(got, np.ndarray) and got.ndim == 2
+            assert got.shape[1] == s.dim and got.shape[0] <= count
+    far = PointSet([1.0, 2.0]).sample_near([3.0, 2.0], 0.5, None, 4)
+    assert far.shape == (0, 2)
 
 
 class _FixedOffsets(np.random.Generator):

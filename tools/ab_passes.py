@@ -17,8 +17,10 @@ shared host's scheduling disturbs less than the wall clock.
 For each workload it prints each tree's median, 25th- and 75th-percentile
 CPU seconds per pass; each tree's median and tail CPU milliseconds per
 check over all timed passes, the tail being ``perfbench/run.py``'s (the
-highest percentile with ten samples beyond it); the median over the pairs of
-HEAD's pass over BASE's; whether every job's normalised report
+highest percentile with ten samples beyond it), and the keys of the jobs
+whose samples lie at or above that tail, with their sample counts, so a tail
+claim shows which jobs moved; the median over the pairs of HEAD's pass over
+BASE's; whether every job's normalised report
 (``runtime_seconds`` and ``generated_at`` blanked) is the same on both
 trees in every pass; in how many pairs HEAD's per-check median and
 HEAD's pass fell below BASE's, a tie counting for neither; and last the
@@ -36,6 +38,7 @@ inside that spread is no evidence of a change.
 from __future__ import annotations
 
 import argparse
+import collections
 import importlib
 import importlib.util
 import statistics
@@ -101,6 +104,13 @@ class Workload:
         self.run(0, False)
         self.run(1, False)
 
+    def tail_jobs(self, side: int, value: float) -> list[tuple[str, int]]:
+        """(job key, samples) of each job with timed samples at or above
+        value on one tree, the most samples first."""
+        return collections.Counter(job.key for seconds in self.checks[side]
+                                   for job, t in zip(self.jobs, seconds)
+                                   if t >= value).most_common()
+
     def compare(self, pairs: int) -> dict:
         """Times pairs of passes, the order flipped every pair; returns the
         CPU seconds per timed pass and per check of each tree, the per-pair
@@ -149,7 +159,7 @@ def main(argv=None) -> int:
             got = run.compare(args.pairs)
             print(f"{workload}, seed {args.seed}: {args.pairs} pairs, "
                   f"{got['jobs']} jobs, process CPU seconds per pass")
-            for side, root in (("base", args.base), ("head", args.head)):
+            for i, (side, root) in enumerate((("base", args.base), ("head", args.head))):
                 t = got[side]
                 p25, p75 = quartiles(t)
                 print(f"  {side}: median {statistics.median(t):.4f} s, "
@@ -158,6 +168,8 @@ def main(argv=None) -> int:
                 value, pct = tail(c)
                 print(f"  {side} per check: median {1e3 * statistics.median(c):.3f} ms, "
                       f"p{pct:.1f} {1e3 * value:.3f} ms  ({len(c)} checks)")
+                print(f"  {side} jobs at or above p{pct:.1f}: " + ", ".join(
+                    f"{key} {n}" for key, n in run.tail_jobs(i, value)))
             ratio = statistics.median(got["ratios"]) if got["ratios"] else float("nan")
             print(f"  head/base: median per-pair ratio {ratio:.3f}")
             if got["differ"]:
