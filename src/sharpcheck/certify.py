@@ -37,10 +37,10 @@ from . import lp as _lp
 from . import oracles
 from .polyexpr import ModelError, ProblemInstance, rng_for, seed_for
 from .regions import (PolyCell, Region, _content, face_complex,
-                      lower_gen_support_detail)
+                      lower_gen_support_detail, region_face)
 from .sets import _row_norms
 from .tangents import (TangentError, directional_clarke_tangent, directional_normal,
-                       eps_proximal_filter, eps_proximal_membership, face_labels,
+                       eps_proximal_mask, eps_proximal_membership, face_labels,
                        normal_cone, second_tangent, tangent_cone)
 
 TOL = 1e-9
@@ -1327,6 +1327,29 @@ def _face_anchors(p: ProblemInstance, x, dirs, faces: dict) -> list:
     return [faces.setdefault((rows, label), anchor) for label, anchor in zip(labels, own)]
 
 
+def _eps_screen(p: ProblemInstance, x, mesh: np.ndarray, critical: np.ndarray,
+                screens: dict) -> np.ndarray:
+    """Whether each mesh row is an eps-proximal normal to S at x, as
+    bool[len(mesh)]: exact on the rows flagged in critical and on every
+    row tested before on x's face of S, False on the others.  screens maps
+    each face (``regions.region_face``) to the mesh rows tested on it and
+    those that passed.  The screen reads x only through its face, so only
+    the flagged rows not yet tested on it go through ``eps_proximal_mask``.
+    When S has no region each base point is its own face, keyed by its
+    bytes.  A point in no cell of S (the empty face) always goes through
+    the test, which raises for it."""
+    region = p.S.as_region()
+    face = x.tobytes() if region is None else region_face(region, x)
+    tested, passed = screens.setdefault(
+        face, (np.zeros(len(mesh), dtype=bool), np.zeros(len(mesh), dtype=bool)))
+    new = critical & ~tested
+    if face and not new.any():
+        return passed
+    passed[new] = eps_proximal_mask(p.S, x, mesh[new], p.options.epsilon)
+    tested |= new
+    return passed
+
+
 @_lp.reuse_scope()
 def sweep_necessary(p: ProblemInstance,
                     mode: str = "implicit-proximal") -> CertificationReport:
@@ -1337,8 +1360,13 @@ def sweep_necessary(p: ProblemInstance,
     points, by the test of ``_critical_rows`` that every checker's
     hypotheses apply.  Every form but implicit-tangent requires d to be an
     eps-proximal normal to S at x (eps = ``p.options.epsilon``), so those
-    forms screen the admissible directions with one ``eps_proximal_filter``
-    call first.  The sweep then strides what is left, with step
+    forms first screen the critical mesh points with ``eps_proximal_mask``,
+    the test ``eps_proximal_filter`` applies.  On a polyhedral S that screen
+    reads x only through its face of S, so the sweep keeps it per face of
+    S and mesh row (``_eps_screen``): each mesh row is tested once per
+    face, at the first base point of that face where it is critical, and
+    the admissible directions at x are its critical rows that passed on
+    x's face, in mesh order.  The sweep then strides what is left, with step
     max(1, count // 48), and evaluates the form on each direction it keeps,
     scaled to unit length as a single check scales it.  The screen has
     proved the direction's hypotheses and ``_point_hypotheses`` tests the
@@ -1393,10 +1421,12 @@ def sweep_necessary(p: ProblemInstance,
     reports = []
     vacuous = 0
     faces: dict = {}
+    screens: dict = {}
     for x in xs:
-        admissible = mesh[_critical_rows(p, x, mesh)]
+        rows = _critical_rows(p, x, mesh)
         if mode != "implicit-tangent":
-            admissible = eps_proximal_filter(p.S, x, admissible, p.options.epsilon)
+            rows &= _eps_screen(p, x, mesh, rows, screens)
+        admissible = mesh[rows]
         if len(admissible) == 0:
             vacuous += 1
             continue

@@ -46,7 +46,16 @@ The outcome is stored under the input's content, with its arrays made
 read-only, and handed back to every later caller that poses the same
 input.  A per-point key holds the problem instance itself, so two
 instances never share a per-point object; a ``tangents`` key holds the
-set itself.  In a scope or outside one, ``regions.PolyCell.is_empty``
+set itself.  The key is the kind with the content key of the input parts
+(``_content_key``): an array is its dtype string, shape and bytes, a
+tuple the tuple of its items' keys, and any other part itself, hashed as
+it hashes.  So arrays with equal bytes but another dtype or shape never
+share a key, and neither do two instances or two sets.  A new outcome is
+frozen by one walk (``_read_only``) that enters tuples, the fields of a
+dataclass and the slots of a slotted object (a region and its cells),
+and sets every array it meets read-only; it enters no list, dict or
+function.  A call that the memo answers costs one key and one dict
+lookup.  In a scope or outside one, ``regions.PolyCell.is_empty``
 answers a homogeneous cell (right-hand sides all zero, so it holds the
 origin) without an LP.
 """
@@ -89,42 +98,69 @@ def reuse_scope():
         _REUSE.reset(token)
 
 
+_UNSET = object()
+_FLOAT = np.dtype(float)
+_FLOAT_STR = _FLOAT.str
+# the values that the freeze walk has nothing to freeze in
+_SCALARS = frozenset({bool, int, float, str, type(None)})
+
+
 def _reused(kind: str, parts, compute):
     """compute(), or the result stored for the same kind and input parts in
-    the open reuse scope.  A part is an array, a tuple of parts, or a
-    hashable value (such as a problem instance or a set, hashed by
-    identity); arrays are keyed by dtype, shape and bytes."""
+    the open reuse scope, found with one key and one lookup.  A part is an
+    array, a tuple of parts, or a hashable value (such as a problem
+    instance or a set, hashed by identity)."""
     memo = _REUSE.get()
     if memo is None:
         return compute()
-    key = (kind, _content_key(parts))
-    if key not in memo:
-        memo[key] = _read_only(compute())
-    return memo[key]
+    key = kind, _content_key(parts)
+    value = memo.get(key, _UNSET)
+    if value is _UNSET:
+        value = memo[key] = _read_only(compute())
+    return value
 
 
 def _content_key(part):
+    """part as a memo key: an array as (dtype string, shape, bytes), a
+    tuple as the tuple of its parts' keys, anything else as itself.  An
+    array of native floats, by far the commonest part, reuses one dtype
+    string instead of building it."""
     if isinstance(part, np.ndarray):
-        return part.dtype.str, part.shape, part.tobytes()
+        dtype = part.dtype
+        return (_FLOAT_STR if dtype is _FLOAT else dtype.str), part.shape, part.tobytes()
     if isinstance(part, tuple):
-        return tuple(_content_key(item) for item in part)
+        return tuple([_content_key(item) for item in part])
     return part
 
 
 def _read_only(value):
-    """value with its arrays frozen: directly, in a tuple, or in the fields
-    of a dataclass (an outcome, a region face) or of a slotted object (a
-    region cell)."""
-    if isinstance(value, np.ndarray):
+    """value with every array it reaches frozen.  The walk enters tuples,
+    the fields of a dataclass (an outcome, a region face) and the slots of
+    a slotted object, and nothing else: an array in a list stays writable.
+    Scalars, region cells and regions take exact-type paths: a scalar holds
+    no array, a cell's arrays are its rows, right-hand sides and generators
+    once built, and a region's are its cells' (its nonempty cells are some
+    of them)."""
+    kind = type(value)
+    if kind in _SCALARS:
+        pass
+    elif isinstance(value, np.ndarray):
         value.setflags(write=False)
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)
+    elif kind is _regions.PolyCell:
+        for array in (value.A, value.b, value.E, value.f):
+            array.setflags(write=False)
+        _read_only(value._gens)
+    elif kind is _regions.Region:
+        for cell in value.cells:
+            _read_only(cell)
     elif is_dataclass(value):
         for field in fields(value):
             _read_only(getattr(value, field.name))
-    elif hasattr(type(value), "__slots__"):
-        for name in type(value).__slots__:
+    elif hasattr(kind, "__slots__"):
+        for name in kind.__slots__:
             _read_only(getattr(value, name, None))
     return value
 
@@ -589,3 +625,8 @@ def cell_from_generators_arrays(verts, rays, lines, dim: int):
     to_arr = lambda rows, d: (np.array(rows) if rows else np.zeros((0, d)))
     return (to_arr(Arows, dim), np.array(brhs) if brhs else np.zeros(0),
             to_arr(Erows, dim), np.array(frhs) if frhs else np.zeros(0))
+
+
+# last, since regions imports this module: _read_only reads its cell and
+# region types at call time
+from . import regions as _regions  # noqa: E402

@@ -646,21 +646,41 @@ def _active_rows(cell: PolyCell, x: np.ndarray) -> list[int]:
     return [i for i in range(cell.A.shape[0]) if abs(float(cell.A[i] @ x) - cell.b[i]) <= 1e-8]
 
 
-def region_tangent_cone(region: Region, x) -> Region:
-    """Tangent cone of a polyhedral region at one of its points: per cell
-    containing x (to 1e-7), keep the active inequality rows homogenized
-    together with all equalities."""
+def region_face(region: Region, x) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """x's face of the region: for each nonempty cell holding x (to 1e-7),
+    its index among ``region.nonempty_cells()`` and its inequality rows
+    active at x (to 1e-8).  Empty when x lies outside the region.
+
+    ``face_tangent_cone`` reads x only through this tuple, and from it
+    takes rows of the region's own cells, so two points of one region with
+    equal faces get bit-equal tangent cones, and so bit-equal polars and
+    eps-proximal screens."""
     x = np.asarray(x, dtype=float).ravel()
-    pieces = []
-    for cell in region.nonempty_cells():
-        if not cell.contains(x, tol=1e-7):
-            continue
-        act = _active_rows(cell, x)
-        pieces.append(PolyCell(cell.A[act], np.zeros(len(act)), cell.E,
-                               np.zeros(cell.E.shape[0]), dim=region.dim))
-    if not pieces:
+    return tuple((k, tuple(_active_rows(cell, x)))
+                 for k, cell in enumerate(region.nonempty_cells())
+                 if cell.contains(x, tol=1e-7))
+
+
+def face_tangent_cone(region: Region, face) -> Region:
+    """Tangent cone of a polyhedral region on one of its faces (see
+    ``region_face``): per cell of the face, its active inequality rows
+    homogenized together with all its equalities.  RegionError for the
+    empty face of a point outside the region."""
+    if not face:
         raise RegionError("base point lies outside the region")
+    cells = region.nonempty_cells()
+    pieces = []
+    for k, act in face:
+        cell = cells[k]
+        pieces.append(PolyCell(cell.A[list(act)], np.zeros(len(act)), cell.E,
+                               np.zeros(cell.E.shape[0]), dim=region.dim))
     return Region(pieces, dim=region.dim)
+
+
+def region_tangent_cone(region: Region, x) -> Region:
+    """Tangent cone of a polyhedral region at one of its points, the cone
+    on its face there."""
+    return face_tangent_cone(region, region_face(region, x))
 
 
 def _frechet_value_at(region: Region, x: np.ndarray) -> PolyCell:

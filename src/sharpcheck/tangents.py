@@ -616,21 +616,32 @@ def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> np.ndarray:
     """The members of vs within relative distance eps of the proximal
     normal cone at x, which on this catalog is the Frechet cone
     ``_frechet_normal``, as the rows of one (k, dim) array in the order of
-    vs; the cone is built once for the whole batch."""
+    vs: the rows that ``eps_proximal_mask`` keeps."""
+    keep = eps_proximal_mask(s, x, vs, eps)
+    return _vectors(s, vs)[keep]
+
+
+def eps_proximal_mask(s: BaseSet, x, vs, eps: float) -> np.ndarray:
+    """Whether each member v of vs lies within eps |v| of the proximal
+    normal cone at x, as bool[k].  The cone is built once for the whole
+    batch, and a row's result reads only that row and the cone."""
     if not 0.0 <= eps < 1.0:
         raise TangentError("eps must lie in [0, 1)")
     cell = _frechet_normal(s, _vec(x, s.dim)).cells[0]
-    try:
-        V = np.asarray(vs, dtype=float).reshape(len(vs), s.dim)
-    except ValueError:
-        raise TangentError(f"expected vectors of dimension {s.dim}") from None
+    V = _vectors(s, vs)
     if eps <= 0.0:
         # distance at most 1e-9 degenerates to membership
-        keep = (np.linalg.norm(V, axis=1) <= TOL) | cell.contains_rows(V, tol=1e-9)
-        return V[keep]
+        return (np.linalg.norm(V, axis=1) <= TOL) | cell.contains_rows(V, tol=1e-9)
     keep = np.zeros(V.shape[0], dtype=bool)
     for k, v in enumerate(V):
         nv = float(np.linalg.norm(v))
         res = None if nv <= TOL else cell.project(v)
         keep[k] = nv <= TOL or (res is not None and res[0] <= eps * nv + 1e-9)
-    return V[keep]
+    return keep
+
+
+def _vectors(s: BaseSet, vs) -> np.ndarray:
+    try:
+        return np.asarray(vs, dtype=float).reshape(len(vs), s.dim)
+    except ValueError:
+        raise TangentError(f"expected vectors of dimension {s.dim}") from None

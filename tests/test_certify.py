@@ -41,8 +41,9 @@ from sharpcheck.oracles import growth_constant_estimate, membership_by_definitio
 from sharpcheck.polyexpr import ProblemInstance, parse_expression
 from sharpcheck.regions import PolyCell, Region, _content, region_subset
 from sharpcheck.sets import Box, Interval, PointSet, UnionSet
-from sharpcheck.tangents import (TangentError, directional_clarke_tangent, normal_cone,
-                                 second_tangent, tangent_cone)
+from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
+                                 eps_proximal_filter, normal_cone, second_tangent,
+                                 tangent_cone)
 
 from helpers import (
     duality_instance,
@@ -916,46 +917,104 @@ def test_necessary_reports_do_not_depend_on_the_direction_scale(form, name, d):
             assert repr(bound) == repr(want), s
 
 
+def _spied_sweep(p, mode, monkeypatch):
+    """(base points, eps-tests, checks run) of one sweep: each base point
+    x with its critical mesh rows, each call of the sweep's eps-test as (x,
+    tested rows, kept mask), and each evaluated pair (x, d) as bytes."""
+    attr = f"_{mode.split('-')[0]}_value"
+    checker, screen = getattr(certify, attr), certify.eps_proximal_mask
+    critical, base = certify._critical_rows, []
+    tests, ran = [], []
+    mesh = certify._unit_mesh(p.n, p.options.seed)
+
+    def spy_critical(p_, x, D):
+        rows = critical(p_, x, D)
+        if D is mesh:
+            base.append((x.copy(), rows.copy()))
+        return rows
+
+    def spy_screen(S, x, vs, eps_):
+        keep = screen(S, x, vs, eps_)
+        tests.append((x.copy(), np.array(vs), keep.copy()))
+        return keep
+
+    def spy_check(p_, x, d, *args):
+        ran.append((x.tobytes(), d.tobytes()))
+        return checker(p_, x, d, *args)
+
+    monkeypatch.setattr(certify, "_unit_mesh", lambda n, seed: mesh)
+    monkeypatch.setattr(certify, "_critical_rows", spy_critical)
+    monkeypatch.setattr(certify, "eps_proximal_mask", spy_screen)
+    monkeypatch.setattr(certify, attr, spy_check)
+    report = sweep_necessary(p, mode=mode)
+    monkeypatch.undo()
+    return mesh, base, tests, ran, report
+
+
+def _s_face(p, x):
+    region = p.S.as_region()
+    return x.tobytes() if region is None else regions.region_face(region, x)
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.2])
 @pytest.mark.parametrize("mode", ["implicit-proximal", "explicit", "clarke"])
 @pytest.mark.parametrize("name", sorted(f.stem for f in FIXTURES.glob("*.json")))
 def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
                                                                 monkeypatch):
     p = with_options(load_problem(FIXTURES / f"{name}.json"), epsilon=eps)
-    attr = f"_{mode.split('-')[0]}_value"
-    checker, screen = getattr(certify, attr), certify.eps_proximal_filter
-    screened, ran = [], []
+    mesh, base, tests, ran, report = _spied_sweep(p, mode, monkeypatch)
 
-    def spy_screen(S, x, vs, eps_):
-        kept = screen(S, x, vs, eps_)
-        screened.append((x.copy(), np.array(vs), kept))
-        return kept
-
-    def spy_check(p_, x, d, *args):
-        ran.append((x.tobytes(), d.tobytes()))
-        return checker(p_, x, d, *args)
-
-    monkeypatch.setattr(certify, "eps_proximal_filter", spy_screen)
-    monkeypatch.setattr(certify, attr, spy_check)
-    report = sweep_necessary(p, mode=mode)
-    monkeypatch.undo()
-
-    # one screen per base point, of the mesh points in the critical cone
-    mesh = certify._unit_mesh(p.n, p.options.seed)
-    assert screened[0][0].tobytes() == p.xbar.tobytes()
-    for x, vs, _ in screened:
-        admissible = mesh[certify._critical_rows(p, x, mesh)]
-        assert vs.tobytes() == admissible.tobytes()
-    # the form is evaluated on exactly the stride of each screen's output,
-    # each direction scaled as a single check scales it
-    strided = [(x.tobytes(), certify._pair(p, x, d)[1].tobytes()) for x, _, kept in screened
-               for d in kept[::max(1, len(kept) // 48)]]
+    assert base[0][0].tobytes() == p.xbar.tobytes()
+    # each eps-test reads mesh rows critical at its base point, in mesh
+    # order, and no mesh row reaches it twice on one face of S
+    index = {row.tobytes(): i for i, row in enumerate(mesh)}
+    critical = {x.tobytes(): rows for x, rows in base}
+    seen = set()
+    for x, vs, _ in tests:
+        tested = [index[v.tobytes()] for v in vs]
+        assert tested == sorted(tested)
+        assert critical[x.tobytes()][tested].all()
+        for i in tested:
+            assert (_s_face(p, x), i) not in seen
+            seen.add((_s_face(p, x), i))
+    # at each base point the admitted rows are those one screen of all its
+    # critical rows keeps, and the form runs on exactly their stride, each
+    # direction scaled as a single check scales it
+    strided = []
+    for x, rows in base:
+        admitted = eps_proximal_filter(p.S, x, mesh[rows], eps)
+        strided += [(x.tobytes(), certify._pair(p, x, d)[1].tobytes())
+                    for d in admitted[::max(1, len(admitted) // 48)]]
     assert ran == strided
     assert report.diagnostics[0].startswith(
-        f"sweep over {len(screened)} base points, {len(ran)} (x, d) pairs;")
+        f"sweep over {len(base)} base points, {len(ran)} (x, d) pairs;")
     # xbar is checked whenever the screen keeps a direction there
-    if len(screened[0][2]):
+    if len(eps_proximal_filter(p.S, p.xbar, mesh[base[0][1]], eps)):
         assert ran[0][0] == p.xbar.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_first_example_sweep_runs_one_eps_test_per_face_of_s(eps, monkeypatch):
+    # S = [0, 0.5] x {0}: the 24 base points lie at its corner xbar = 0 or
+    # inside its edge, two faces, and at each point of the edge every mesh
+    # row is critical
+    p = with_options(first_example(), epsilon=eps)
+    _, base, tests, _, _ = _spied_sweep(p, "implicit-proximal", monkeypatch)
+    assert len(base) == 24
+    assert len({_s_face(p, x) for x, _ in base}) == 2
+    assert len(tests) == 2
+    assert [_s_face(p, x) for x, _, _ in tests] == [_s_face(p, base[0][0]),
+                                                    _s_face(p, base[1][0])]
+
+
+@pytest.mark.parametrize("mode", ["implicit-proximal", "explicit", "clarke"])
+def test_sweep_screen_still_raises_at_a_base_point_outside_s(mode, monkeypatch):
+    # (0.1, 0.5) is off the edge S = [0, 0.5] x {0}: its face of S is empty
+    p = first_example()
+    monkeypatch.setattr(p.S, "sample_near", lambda *args: np.array([[0.1, 0.5]]))
+    assert regions.region_face(p.S.as_region(), [0.1, 0.5]) == ()
+    with pytest.raises(TangentError, match="does not belong"):
+        sweep_necessary(p, mode=mode)
 
 
 # K the union of the boxes [-1, 0] x [-1, 1] and [-1, 1] x [-1, 0], and

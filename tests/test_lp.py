@@ -19,6 +19,7 @@ from sharpcheck.lp import (
     DimensionCapError,
     LpError,
     LpNumericalError,
+    LpOutcome,
     cell_from_generators_arrays,
     cell_generators_arrays,
     cone_from_generators,
@@ -470,6 +471,66 @@ def test_reused_outcome_is_read_only():
         with pytest.raises(ValueError):
             out.point[0] = 5.0
     assert maximize([1.0], [[1.0]], [1.0]).point[0] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_content_keys_keep_equal_bytes_apart_by_dtype_and_shape():
+    key = lp._content_key
+    zeros = np.zeros(4)
+    # the same 32 bytes as float64 and int64, and as shapes (4,), (2, 2), (1, 4)
+    assert zeros.tobytes() == np.zeros(4, dtype=np.int64).tobytes()
+    assert key(zeros) != key(np.zeros(4, dtype=np.int64))
+    assert key(zeros) != key(zeros.reshape(2, 2)) != key(zeros.reshape(1, 4))
+    assert key(zeros) == key(np.zeros(4)) and hash(key(zeros)) == hash(key(np.zeros(4)))
+    # a strided view keys by its content, not by its buffer
+    assert key(np.arange(8.0)[::2]) == key(np.array([0.0, 2.0, 4.0, 6.0]))
+    # tuples nest, and a hashable part other than an array is its own key
+    marker = object()
+    parts = (marker, (zeros, np.ones((1, 2))), "kind", 3)
+    assert key(parts) == key((marker, (np.zeros(4), np.ones((1, 2))), "kind", 3))
+    assert key(parts) != key((object(), (zeros, np.ones((1, 2))), "kind", 3))
+    assert key(parts) != key((marker, (zeros, np.ones((2, 1))), "kind", 3))
+    hash(key(parts))
+
+
+def test_read_only_freezes_arrays_in_tuples_fields_and_slots_but_not_lists():
+    listed = [np.zeros(2)]
+    inner = np.ones(3)
+    outcome = LpOutcome("optimal", 1.0, np.zeros(2), None, np.ones(1), np.ones(0))
+    cell = PolyCell([[1.0, 0.0]], [1.0], dim=2)
+    value = (np.zeros(1), (inner, listed), outcome, cell)
+    assert lp._read_only(value) is value
+    assert not value[0].flags.writeable and not inner.flags.writeable
+    assert not outcome.point.flags.writeable and not outcome.dual_ineq.flags.writeable
+    assert not outcome.dual_eq.flags.writeable
+    assert not any(a.flags.writeable for a in (cell.A, cell.b, cell.E, cell.f))
+    # a list is not walked
+    assert listed[0].flags.writeable
+    # a region reaches its cells, and a cell its generators once built
+    region = Region.from_cell(PolyCell([[0.0, 1.0]], [0.0], dim=2))
+    gens = region.cells[0].generators()
+    lp._read_only(region)
+    assert not region.cells[0].A.flags.writeable
+    assert not any(a.flags.writeable for a in gens)
+
+
+def test_a_memo_hit_returns_the_stored_object():
+    calls = []
+
+    def build():
+        calls.append(1)
+        return (np.zeros(2), [np.ones(1)])
+
+    with reuse_scope():
+        first = lp._reused("probe", (np.zeros(3), "x"), build)
+        again = lp._reused("probe", (np.zeros(3), "x"), build)
+        other = lp._reused("probe", (np.zeros(3), "y"), build)
+        kind = lp._reused("other probe", (np.zeros(3), "x"), build)
+    assert again is first and other is not first and kind is not first
+    assert len(calls) == 3
+    assert not first[0].flags.writeable and first[1][0].flags.writeable
+    # outside a scope every call builds
+    assert lp._reused("probe", (np.zeros(3), "x"), build) is not first
+    assert len(calls) == 4
 
 
 def test_reuse_scope_shares_double_descriptions():

@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from sharpcheck import lp as _lp, tangents
+from sharpcheck import lp as _lp, regions, tangents
 from sharpcheck.sets import (Ball, BaseSet, Box, Halfspace, Interval,
                              PointSet, Polyhedron, ProductSet, UnionSet)
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
-                                 directional_normal, eps_proximal_filter,
+                                 directional_normal, eps_proximal_filter, eps_proximal_mask,
                                  eps_proximal_membership, face_labels, normal_cone,
                                  second_tangent, tangent_cone)
 from sharpcheck.regions import (PolyCell, Region, RegionError, lower_gen_support_detail,
@@ -453,6 +453,36 @@ def test_region_tangent_cone_at_vertex():
     assert region_compare(t, orthant).relation == "equal"
     with pytest.raises(RegionError):
         region_tangent_cone(box, [2.0, 2.0])
+
+
+def test_points_on_one_face_get_bit_equal_tangent_cones_and_screens():
+    # S the union of the square [0, 1]^2 and the triangle
+    # conv{(1, 0), (2, 0), (1, 1)}
+    s = UnionSet([Box([(0.0, 1.0), (0.0, 1.0)]),
+                  Polyhedron([([-1.0, 0.0], -1.0), ([0.0, -1.0], 0.0), ([1.0, 1.0], 2.0)])])
+    region = s.as_region()
+    groups = [[(0.2, 0.3), (0.7, 0.6)],            # inside the square
+              [(0.0, 0.3), (0.0, 0.9)],            # on its left edge
+              [(1.0, 0.25), (1.0, 0.5)],           # on the edge the two cells share
+              [(1.5, 0.0), (1.25, 0.0)]]           # on the triangle's bottom edge
+    vs = np.array([[np.cos(t), np.sin(t)] for t in np.linspace(0.0, 6.0, 13)])
+    faces = []
+    for points in groups:
+        face = regions.region_face(region, points[0])
+        faces.append(face)
+        assert all(regions.region_face(region, y) == face for y in points)
+        want = repr(region_bytes(regions.face_tangent_cone(region, face)))
+        assert all(repr(region_bytes(region_tangent_cone(region, y))) == want
+                   for y in points)
+        for eps in (0.0, 0.3):
+            masks = [eps_proximal_mask(s, y, vs, eps) for y in points]
+            assert len({m.tobytes() for m in masks}) == 1
+            assert eps_proximal_filter(s, points[0], vs, eps).tobytes() == vs[masks[0]].tobytes()
+    assert len(set(faces)) == len(faces)
+    assert len(faces[2]) == 2   # both cells hold the shared edge
+    assert regions.region_face(region, [3.0, 3.0]) == ()
+    with pytest.raises(RegionError, match="outside"):
+        regions.face_tangent_cone(region, ())
 
 
 # -- epsilon-proximal membership ------------------------------------------
