@@ -40,7 +40,7 @@ from sharpcheck.lp import maximize, reuse_scope
 from sharpcheck.oracles import growth_constant_estimate, membership_by_definition
 from sharpcheck.polyexpr import ProblemInstance, parse_expression
 from sharpcheck.regions import PolyCell, Region, _content, region_subset
-from sharpcheck.sets import Box, Interval, PointSet, UnionSet
+from sharpcheck.sets import Ball, Box, Interval, PointSet, UnionSet
 from sharpcheck.tangents import (TangentError, directional_clarke_tangent,
                                  eps_proximal_filter, normal_cone, second_tangent,
                                  tangent_cone)
@@ -956,12 +956,9 @@ def _s_face(p, x):
     return x.tobytes() if region is None else regions.region_face(region, x)
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.2])
-@pytest.mark.parametrize("mode", ["implicit-proximal", "explicit", "clarke"])
-@pytest.mark.parametrize("name", sorted(f.stem for f in FIXTURES.glob("*.json")))
-def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
-                                                                monkeypatch):
-    p = with_options(load_problem(FIXTURES / f"{name}.json"), epsilon=eps)
+def _assert_screen_contract(p, mode, monkeypatch):
+    """The sweep's eps-screen contract, for the eps of p's options."""
+    eps = p.options.epsilon
     mesh, base, tests, ran, report = _spied_sweep(p, mode, monkeypatch)
 
     assert base[0][0].tobytes() == p.xbar.tobytes()
@@ -991,6 +988,28 @@ def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
     # xbar is checked whenever the screen keeps a direction there
     if len(eps_proximal_filter(p.S, p.xbar, mesh[base[0][1]], eps)):
         assert ran[0][0] == p.xbar.tobytes()
+    return base, tests
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+@pytest.mark.parametrize("mode", ["implicit-proximal", "explicit", "clarke"])
+@pytest.mark.parametrize("name", sorted(f.stem for f in FIXTURES.glob("*.json")))
+def test_sweep_checks_the_strided_output_of_one_proximal_screen(name, mode, eps,
+                                                                monkeypatch):
+    p = with_options(load_problem(FIXTURES / f"{name}.json"), epsilon=eps)
+    _assert_screen_contract(p, mode, monkeypatch)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2])
+def test_sweep_screens_each_base_point_when_s_has_no_region(eps, monkeypatch):
+    # first_example's program on the disk of radius 1/4 about (1/4, 0),
+    # which holds xbar = 0 on its circle and has no polyhedral region
+    p = first_example(epsilon=eps)
+    p = dataclasses.replace(p, S=Ball([0.25, 0.0], 0.25))
+    assert p.S.as_region() is None
+    base, tests = _assert_screen_contract(p, "implicit-proximal", monkeypatch)
+    assert len(base) == 24
+    assert [x.tobytes() for x, _, _ in tests] == [x.tobytes() for x, _ in base]
 
 
 @pytest.mark.parametrize("eps", [0.0, 0.2])
