@@ -918,9 +918,10 @@ def test_necessary_reports_do_not_depend_on_the_direction_scale(form, name, d):
 
 
 def _spied_sweep(p, mode, monkeypatch):
-    """(base points, eps-tests, checks run) of one sweep: each base point
-    x with its critical mesh rows, each call of the sweep's eps-test as (x,
-    tested rows, kept mask), and each evaluated pair (x, d) as bytes."""
+    """(mesh, base points, eps-tests, checks run, report) of one sweep:
+    each base point x with its critical mesh rows, each call of the sweep's
+    eps-test as (x, tested rows, kept mask), and each evaluated pair (x, d)
+    as bytes."""
     attr = f"_{mode.split('-')[0]}_value"
     checker, screen = getattr(certify, attr), certify.eps_proximal_mask
     critical, base = certify._critical_rows, []

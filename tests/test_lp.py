@@ -489,7 +489,7 @@ def test_content_keys_keep_equal_bytes_apart_by_dtype_and_shape():
     assert key(parts) == key((marker, (np.zeros(4), np.ones((1, 2))), "kind", 3))
     assert key(parts) != key((object(), (zeros, np.ones((1, 2))), "kind", 3))
     assert key(parts) != key((marker, (zeros, np.ones((2, 1))), "kind", 3))
-    hash(key(parts))
+    assert isinstance(hash(key(parts)), int)
 
 
 def test_read_only_freezes_arrays_in_tuples_fields_and_slots_but_not_lists():
