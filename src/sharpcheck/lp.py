@@ -136,11 +136,8 @@ def _content_key(part):
 def _read_only(value):
     """value with every array it reaches frozen.  The walk enters tuples,
     the fields of a dataclass (an outcome, a region face) and the slots of
-    a slotted object, and nothing else: an array in a list stays writable.
-    Scalars, region cells and regions take exact-type paths: a scalar holds
-    no array, a cell's arrays are its rows, right-hand sides and generators
-    once built, and a region's are its cells' (its nonempty cells are some
-    of them)."""
+    a slotted object (a region and its cells), and nothing else: an array
+    in a list stays writable.  A scalar ends the walk at once."""
     kind = type(value)
     if kind in _SCALARS:
         pass
@@ -149,13 +146,6 @@ def _read_only(value):
     elif isinstance(value, tuple):
         for item in value:
             _read_only(item)
-    elif kind is _regions.PolyCell:
-        for array in (value.A, value.b, value.E, value.f):
-            array.setflags(write=False)
-        _read_only(value._gens)
-    elif kind is _regions.Region:
-        for cell in value.cells:
-            _read_only(cell)
     elif is_dataclass(value):
         for field in fields(value):
             _read_only(getattr(value, field.name))
@@ -625,8 +615,3 @@ def cell_from_generators_arrays(verts, rays, lines, dim: int):
     to_arr = lambda rows, d: (np.array(rows) if rows else np.zeros((0, d)))
     return (to_arr(Arows, dim), np.array(brhs) if brhs else np.zeros(0),
             to_arr(Erows, dim), np.array(frhs) if frhs else np.zeros(0))
-
-
-# last, since regions imports this module: _read_only reads its cell and
-# region types at call time
-from . import regions as _regions  # noqa: E402

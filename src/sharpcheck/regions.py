@@ -651,7 +651,7 @@ def region_face(region: Region, x) -> tuple[tuple[int, tuple[int, ...]], ...]:
     its index among ``region.nonempty_cells()`` and its inequality rows
     active at x (to 1e-8).  Empty when x lies outside the region.
 
-    ``face_tangent_cone`` reads x only through this tuple, and from it
+    ``region_tangent_cone`` reads x only through this tuple, and from it
     takes rows of the region's own cells, so two points of one region with
     equal faces get bit-equal tangent cones, and so bit-equal polars and
     eps-proximal screens."""
@@ -661,26 +661,18 @@ def region_face(region: Region, x) -> tuple[tuple[int, tuple[int, ...]], ...]:
                  if cell.contains(x, tol=1e-7))
 
 
-def face_tangent_cone(region: Region, face) -> Region:
-    """Tangent cone of a polyhedral region on one of its faces (see
-    ``region_face``): per cell of the face, its active inequality rows
-    homogenized together with all its equalities.  RegionError for the
-    empty face of a point outside the region."""
+def region_tangent_cone(region: Region, x) -> Region:
+    """Tangent cone of a polyhedral region at one of its points: per cell
+    of x's face (``region_face``), its active inequality rows homogenized
+    together with all its equalities."""
+    face = region_face(region, x)
     if not face:
         raise RegionError("base point lies outside the region")
     cells = region.nonempty_cells()
-    pieces = []
-    for k, act in face:
-        cell = cells[k]
-        pieces.append(PolyCell(cell.A[list(act)], np.zeros(len(act)), cell.E,
-                               np.zeros(cell.E.shape[0]), dim=region.dim))
+    pieces = [PolyCell(cells[k].A[list(act)], np.zeros(len(act)), cells[k].E,
+                       np.zeros(cells[k].E.shape[0]), dim=region.dim)
+              for k, act in face]
     return Region(pieces, dim=region.dim)
-
-
-def region_tangent_cone(region: Region, x) -> Region:
-    """Tangent cone of a polyhedral region at one of its points, the cone
-    on its face there."""
-    return face_tangent_cone(region, region_face(region, x))
 
 
 def _frechet_value_at(region: Region, x: np.ndarray) -> PolyCell:

@@ -70,6 +70,7 @@ from .sets import (
     Polyhedron,
     ProductSet,
     UnionSet,
+    _row_products,
     flatten_union,
 )
 
@@ -624,14 +625,20 @@ def eps_proximal_filter(s: BaseSet, x, vs, eps: float) -> np.ndarray:
 def eps_proximal_mask(s: BaseSet, x, vs, eps: float) -> np.ndarray:
     """Whether each member v of vs lies within eps |v| of the proximal
     normal cone at x, as bool[k].  The cone is built once for the whole
-    batch, and a row's result reads only that row and the cone."""
+    batch, and a row's result reads only that row and the cone: its norm
+    is a reduction along the row and its products with the cell's rows are
+    one-row products (``sets._row_products``; a whole-batch product can
+    differ in the last bit with the other rows of the batch)."""
     if not 0.0 <= eps < 1.0:
         raise TangentError("eps must lie in [0, 1)")
     cell = _frechet_normal(s, _vec(x, s.dim)).cells[0]
     V = _vectors(s, vs)
     if eps <= 0.0:
-        # distance at most 1e-9 degenerates to membership
-        return (np.linalg.norm(V, axis=1) <= TOL) | cell.contains_rows(V, tol=1e-9)
+        # distance at most 1e-9 degenerates to membership of the cone cell
+        inside = (_row_products(V, cell.A.T) <= cell.b + 1e-9).all(axis=1)
+        if cell.E.shape[0]:
+            inside &= (np.abs(_row_products(V, cell.E.T) - cell.f) <= 1e-9).all(axis=1)
+        return (np.linalg.norm(V, axis=1) <= TOL) | inside
     keep = np.zeros(V.shape[0], dtype=bool)
     for k, v in enumerate(V):
         nv = float(np.linalg.norm(v))

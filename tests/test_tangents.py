@@ -471,7 +471,7 @@ def test_points_on_one_face_get_bit_equal_tangent_cones_and_screens():
         face = regions.region_face(region, points[0])
         faces.append(face)
         assert all(regions.region_face(region, y) == face for y in points)
-        want = region_bytes(regions.face_tangent_cone(region, face))
+        want = region_bytes(region_tangent_cone(region, points[0]))
         assert all(region_bytes(region_tangent_cone(region, y)) == want for y in points)
         for eps in (0.0, 0.3):
             masks = [eps_proximal_mask(s, y, vs, eps) for y in points]
@@ -481,7 +481,26 @@ def test_points_on_one_face_get_bit_equal_tangent_cones_and_screens():
     assert len(faces[2]) == 2   # both cells hold the shared edge
     assert regions.region_face(region, [3.0, 3.0]) == ()
     with pytest.raises(RegionError, match="outside"):
-        regions.face_tangent_cone(region, ())
+        region_tangent_cone(region, [3.0, 3.0])
+
+
+def test_eps_proximal_mask_reads_each_row_alone():
+    # rows within an ulp of the 1e-9 margin of a facet of the normal cone
+    # of a skewed wedge at its apex, where the whole-batch and the one-row
+    # products fall on either side of it: each row's result is the one it
+    # gets alone
+    s = Polyhedron([([0.3, -1.0], 0.0), ([-0.7, 0.2], 0.0)])
+    cell = tangents._frechet_normal(s, np.zeros(2)).cells[0]
+    a = cell.A[0]
+    edge = np.array([-a[1], a[0]])
+    if (cell.A[1:] @ edge > 0).any():
+        edge = -edge
+    vs = np.random.default_rng(5).uniform(0.5, 2.0, (64, 1)) * edge + a / (a @ a) * 1e-9
+    for eps in (0.0, 0.3):
+        whole = eps_proximal_mask(s, [0.0, 0.0], vs, eps)
+        alone = [eps_proximal_mask(s, [0.0, 0.0], v[None], eps)[0] for v in vs]
+        assert whole.tolist() == alone
+        assert whole.any()
 
 
 # -- epsilon-proximal membership ------------------------------------------
