@@ -950,11 +950,8 @@ def _dual_lp_max(lamreg: Region, c: np.ndarray):
 def _conic_primal(grad, J, v, tangent_cell: PolyCell):
     """min grad.w subject to J w in v + tangent cone: +inf when infeasible,
     -inf when unbounded below."""
-    A = tangent_cell.A @ J if tangent_cell.A.size else np.zeros((0, J.shape[1]))
-    b = tangent_cell.b + (tangent_cell.A @ v if tangent_cell.A.size else np.zeros(0))
-    E = tangent_cell.E @ J if tangent_cell.E.size else np.zeros((0, J.shape[1]))
-    f = tangent_cell.f + (tangent_cell.E @ v if tangent_cell.E.size else np.zeros(0))
-    out = _lp.maximize(-grad, A, b, E, f)
+    cell = tangent_cell.affine_preimage(J, -v)
+    out = _lp.maximize(-grad, cell.A, cell.b, cell.E, cell.f)
     if out.status == "infeasible":
         return math.inf
     if out.status == "unbounded":

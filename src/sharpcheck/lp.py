@@ -21,7 +21,7 @@ and sufficient checker of ``certify``, and the necessary sweep, runs in
 one.  Inside the block these are built once per distinct input:
 
 * both primitives;
-* the region operations ``regions.polar_cone``, ``face_complex`` and
+* the region operations ``regions.face_complex`` and
   ``lower_gen_support_detail``, keyed on everything about each region
   except its notes, that is its dimension and the rows of its cells (and
   lam, for the lower generalized support);
@@ -33,14 +33,15 @@ one.  Inside the block these are built once per distinct input:
   directional multipliers of each kind, and the FOSCMS, DirRCQ and NONDEG
   results;
 * the set-side objects of ``tangents``: the tangent cone of a set at a
-  point (its polar, the Frechet normal cone, is a ``polar_cone``), and the
-  directional normal cone and the second-order tangent set at a point,
-  direction and kind.
+  point, and the directional normal cone and the second-order tangent set
+  at a point, direction and kind.
 
-That is fourteen kinds.  An object that its callers build once per use
+That is thirteen kinds.  An object that its callers build once per use
 (the critical cone, the full-row-rank test of Dg, the directional Clarke
-tangent cone) or that wraps memoized calls (the Frechet normal cone, the
-conic hull) is not a kind of its own.
+tangent cone) or that wraps memoized calls is not a kind of its own: the
+polar of a cone (``regions.polar_cone``) and the conic hull read their
+cells' generators through ``dd``, so the Frechet normal cone is the polar
+of a memoized tangent cone.
 
 The outcome is stored under the input's content, with its arrays made
 read-only, and handed back to every later caller that poses the same
@@ -185,8 +186,6 @@ class LpOutcome:
     value: float | None = None
     point: np.ndarray | None = None
     ray: np.ndarray | None = None
-    dual_ineq: np.ndarray | None = None
-    dual_eq: np.ndarray | None = None
 
 
 def _as_matrix(mat, n: int) -> np.ndarray:
@@ -231,8 +230,7 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if m == 0:
         if float(np.linalg.norm(c)) > 0.0:
             return LpOutcome(status="unbounded", point=np.zeros(n), ray=c.copy())
-        return LpOutcome(status="optimal", value=0.0, point=np.zeros(n),
-                         dual_ineq=np.zeros(0), dual_eq=np.zeros(0))
+        return LpOutcome(status="optimal", value=0.0, point=np.zeros(n))
     # standard-form columns: x+ (n), x- (n), slack (k)
     nfree = 2 * n
     ncols = nfree + k
@@ -250,7 +248,6 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     neg = rhs < 0
     M[neg] *= -1.0
     rhs[neg] *= -1.0
-    row_sign = np.where(neg, -1.0, 1.0)
 
     # Phase 1 with one artificial per row.
     Mext = np.hstack([M, np.eye(m)])
@@ -265,42 +262,30 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
         return LpOutcome(status="infeasible")
 
     # Drive remaining artificials out of the basis; drop redundant rows.
-    Mext, rhs, basis, keep = _purge_artificials(Mext, rhs, basis, ncols)
+    Mext, rhs, basis = _purge_artificials(Mext, rhs, basis, ncols)
     blocked = frozenset(range(ncols, ncols + m))
 
     c2 = np.zeros(ncols + m)
     c2[:n] = c
     c2[n:nfree] = -c
-    status, basis, xB, extra = _simplex(Mext, rhs, c2, basis, blocked=blocked)
+    status, basis, xB, ray = _simplex(Mext, rhs, c2, basis, blocked=blocked)
     zpt = np.zeros(ncols + m)
     zpt[basis] = xB
     x = zpt[:n] - zpt[n:nfree]
     if status == "unbounded":
-        return LpOutcome(status="unbounded", point=x, ray=extra[:n] - extra[n:nfree])
+        return LpOutcome(status="unbounded", point=x, ray=ray[:n] - ray[n:nfree])
 
     value = float(c @ x)
     if not math.isfinite(value):
         raise LpNumericalError(f"non-finite optimal value {value}")
-
-    # Duals from the final basis, mapped back through row drops and flips.
-    dual_ineq = np.zeros(k)
-    dual_eq = np.zeros(l)
-    for pos, orig in enumerate(keep):
-        yv = row_sign[orig] * extra[pos]
-        if orig < k:
-            dual_ineq[orig] = yv
-        else:
-            dual_eq[orig - k] = yv
-
     _check_primal(lp, x)
-    return LpOutcome(status="optimal", value=value, point=x,
-                     dual_ineq=dual_ineq, dual_eq=dual_eq)
+    return LpOutcome(status="optimal", value=value, point=x)
 
 
 def _purge_artificials(Mext, rhs, basis, ncols):
     """After phase 1, pivot artificials out of the basis; rows whose
-    artificial cannot leave are redundant and get dropped.  Returns the new
-    system plus the surviving original row indices.
+    artificial cannot leave are redundant and get dropped.  Returns the
+    system without those rows and its basis.
 
     Phase 1 may move an artificial to another basis position, so the row
     made redundant is the artificial's own row, not the position's index:
@@ -326,17 +311,16 @@ def _purge_artificials(Mext, rhs, basis, ncols):
             drop_pos.add(i)
     keep = [r for r in range(m) if r not in drop_rows]
     new_basis = [b for i, b in enumerate(basis) if i not in drop_pos]
-    return Mext[keep], rhs[keep], new_basis, keep
+    return Mext[keep], rhs[keep], new_basis
 
 
 def _simplex(M, rhs, c, basis, blocked):
     """Maximize c @ z over {z >= 0 : M z = rhs} starting from the given basis.
-    Returns (status, basis, xB, ray_or_y): the ray when unbounded, else the
-    duals y with B^T y = c_B at the optimal basis B.  Bland's rule
-    throughout."""
+    Returns (status, basis, xB, ray): the ray when unbounded, else None.
+    Bland's rule throughout."""
     m = M.shape[0]
     if m == 0:
-        return "optimal", basis, np.zeros(0), np.zeros(0)
+        return "optimal", basis, np.zeros(0), None
     basis = list(basis)
     for _ in range(MAX_PIVOTS):
         B = M[:, basis]
@@ -354,7 +338,7 @@ def _simplex(M, rhs, c, basis, blocked):
                 entering = j
                 break
         if entering < 0:
-            return "optimal", basis, xB, y
+            return "optimal", basis, xB, None
         d = np.linalg.solve(B, M[:, entering])
         pos = d > PIVOT_TOL
         if not np.any(pos):

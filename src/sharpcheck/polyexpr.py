@@ -232,12 +232,7 @@ class Jet2:
     """Values, Jacobian and per-component Hessians at a point."""
     values: np.ndarray        # (m,)
     jacobian: np.ndarray      # (m, n)
-    hessians: tuple           # m symmetric (n, n) arrays
-
-    def __post_init__(self):
-        for H in self.hessians:
-            if float(np.max(np.abs(H - H.T))) > 1e-12:
-                raise ModelError("Hessian is not symmetric")
+    hessians: tuple           # m symmetric (n, n) arrays, see _jet_one
 
     @property
     def value(self) -> float:
@@ -310,7 +305,7 @@ def _jet_one(e: PolyExpr, x: np.ndarray, n: int):
                 dd[j] -= 1
                 ddm = tuple(sorted((k, ek) for k, ek in dd.items() if ek > 0))
                 hess[i - 1, j - 1] += _mono_eval(ddm, c * factor, x)
-    hess = 0.5 * (hess + hess.T)  # scrub float asymmetry from mixed terms
+    hess = 0.5 * (hess + hess.T)  # symmetric bit for bit: float addition commutes
     return val, grad, hess
 
 

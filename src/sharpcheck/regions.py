@@ -453,12 +453,8 @@ def polar_cone(region: Region) -> Region:
     region is homogeneous (right-hand sides within 1e-7 of zero); otherwise
     RegionError.  The polar of a union is the intersection of the member
     polars, a single convex cell, and the polar of the empty region is the
-    whole space.  Inside ``lp.reuse_scope`` regions with equal cells share
-    one result."""
-    return _lp._reused("polar_cone", _content(region), lambda: _polar_cone(region))
-
-
-def _polar_cone(region: Region) -> Region:
+    whole space.  It is built afresh at every call; inside
+    ``lp.reuse_scope`` the double description of each cell is shared."""
     cells = region.nonempty_cells()
     if not all(c.is_homogeneous(tol=1e-7) for c in cells):
         raise RegionError("polar_cone given a non-homogeneous cell")
@@ -679,7 +675,7 @@ def _frechet_value_at(region: Region, x: np.ndarray) -> PolyCell:
     """Frechet normal cone of the region at x, the polar of its tangent
     cone there, as one convex cone cell (the polar of a union of cells is
     the intersection of their polars)."""
-    return _polar_cone(region_tangent_cone(region, x)).cells[0]
+    return polar_cone(region_tangent_cone(region, x)).cells[0]
 
 
 def _content(region: Region):

@@ -146,11 +146,11 @@ def tangent_cone(s: BaseSet, y) -> Region:
 
 
 def _frechet_normal(s: BaseSet, y: np.ndarray, tc: Region | None = None) -> Region:
-    """The polar of T_s(y); tc, when given, is T_s(y) already built.  Both
-    ``tangent_cone`` and ``polar_cone`` are memoized, so inside a reuse scope
-    the cone is built once per set and point.  It is also the proximal cone:
-    a convex leaf's normal cone, a union's member cones at y intersected, a
-    product's factor cones."""
+    """The polar of T_s(y); tc, when given, is T_s(y) already built.
+    ``tangent_cone`` is memoized, so inside a reuse scope T_s(y) is built
+    once per set and point; its polar is built at each call.  It is also
+    the proximal cone: a convex leaf's normal cone, a union's member cones
+    at y intersected, a product's factor cones."""
     return polar_cone(tangent_cone(s, y) if tc is None else tc)
 
 

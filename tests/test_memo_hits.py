@@ -9,10 +9,15 @@ from sharpcheck import lp
 ROOT = Path(__file__).resolve().parent.parent
 
 # the memo kinds of the lp module docstring
-KINDS = {"lp", "dd", "polar_cone", "face_complex", "lower_gen_support", "_jet_data",
+KINDS = {"lp", "dd", "face_complex", "lower_gen_support", "_jet_data",
          "multiplier_affine_set", "sigma_hat_nonpositive", "asymptotic_preimage",
          "directional_multipliers", "constraint_qualification", "tangent_cone",
          "second_tangent", "directional_normal"}
+
+
+def test_kinds_agree_with_the_lp_docstring():
+    assert len(KINDS) == 13
+    assert "That is thirteen kinds." in " ".join(lp.__doc__.split())
 
 
 def _tool():

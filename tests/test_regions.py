@@ -286,9 +286,9 @@ def test_polar_of_the_origin_needs_no_double_description(n):
     enumerate_cell = lp.cell_generators_arrays
     with mock.patch.object(lp, "cell_generators_arrays",
                            side_effect=enumerate_cell) as dd:
-        assert region_bytes(regions._polar_cone(origin)) == want[0]
+        assert region_bytes(polar_cone(origin)) == want[0]
         assert dd.call_count == 0
-        assert region_bytes(regions._polar_cone(with_ray)) == want[1]
+        assert region_bytes(polar_cone(with_ray)) == want[1]
         assert dd.call_count == 1   # the ray's cell alone
 
 
@@ -559,20 +559,22 @@ def test_cone_operations_in_a_scope_match_fresh_ones(pair):
 def test_reused_cone_results_are_read_only_and_end_with_their_scope():
     quadrant, axis = _fixture_cones()[:2]
     with reuse_scope():
+        faces = face_complex(quadrant)
         polar = polar_cone(quadrant)
         hull = cone_hull([quadrant, axis])
         subset = region_subset(axis, quadrant)
-        assert polar_cone(_copy(quadrant)) is polar
-        assert not polar.cells[0].A.flags.writeable
-        assert not polar.cells[0].E.flags.writeable
-        # the hull and the inclusion test are not memo kinds: equal regions
-        # give equal results
+        assert face_complex(_copy(quadrant)) is faces
+        assert not faces[0].normal_cell.A.flags.writeable
+        assert not faces[0].sample.flags.writeable
+        # the polar, the hull and the inclusion test are not memo kinds:
+        # equal regions give equal results
+        assert region_bytes(polar_cone(_copy(quadrant))) == region_bytes(polar)
         assert region_bytes(cone_hull([_copy(quadrant), _copy(axis)])) == region_bytes(hull)
         again = region_subset(_copy(axis), _copy(quadrant))
         assert not subset[0] and not again[0]
         assert subset[1].tobytes() == again[1].tobytes()
     with reuse_scope():
-        assert polar_cone(quadrant) is not polar
+        assert face_complex(quadrant) is not faces
         assert region_bytes(polar_cone(quadrant)) == region_bytes(polar)
 
 
